@@ -4,13 +4,88 @@
 //! end-to-end with passing checks. These are the files `ci.sh` smokes and
 //! `docs/SCENARIOS.md` quotes, so drift here breaks the documented
 //! contract, not just a test.
+//!
+//! Each golden file's CSV artifacts and rendered report are also pinned
+//! byte-for-byte under `golden/scenarios/expected/` (`<csv name>` and
+//! `<file stem>.txt`) at the pinned configuration: `BenchConfig::quick()`
+//! with `reps = 1` and the default seed, as `repro --quick --reps 1
+//! --scenario FILE` runs it. Regenerate deliberately, then review the diff:
+//!
+//! ```text
+//! cargo test --release -p ifsim-scenario --test golden_equivalence -- \
+//!     --ignored bless_golden_scenarios
+//! ```
 
 use ifsim_core::{registry, BenchConfig};
 use ifsim_scenario::{compile, Scenario, Workload};
 use std::path::{Path, PathBuf};
 
+/// The golden scenario files whose outputs are pinned.
+const PINNED: [&str; 5] = [
+    "collectives",
+    "fault-link-down",
+    "halo-faulted",
+    "moe-alltoall",
+    "p2p-latency",
+];
+
 fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../golden/scenarios")
+}
+
+fn expected_dir() -> PathBuf {
+    golden_dir().join("expected")
+}
+
+fn pinned_cfg() -> BenchConfig {
+    let mut cfg = BenchConfig::quick();
+    cfg.reps = 1;
+    cfg
+}
+
+fn read_expected(name: &str) -> String {
+    let path = expected_dir().join(name);
+    std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing pinned output {}: {e}", path.display()))
+}
+
+#[test]
+fn golden_scenario_outputs_are_pinned() {
+    for stem in PINNED {
+        let r = compile(&load(&format!("{stem}.json")))
+            .unwrap()
+            .run(&pinned_cfg());
+        for (name, contents) in &r.csv {
+            assert_eq!(
+                contents,
+                &read_expected(name),
+                "{stem}: {name} drifted from the pinned output; if the change \
+                 is intentional, regenerate (see this file's header)"
+            );
+        }
+        assert_eq!(
+            r.report(),
+            read_expected(&format!("{stem}.txt")),
+            "{stem}: rendered report drifted from the pinned output; if the \
+             change is intentional, regenerate (see this file's header)"
+        );
+    }
+}
+
+/// Rewrite the pinned scenario outputs from the current model.
+#[test]
+#[ignore = "rewrites golden/scenarios/expected/; run explicitly to regenerate"]
+fn bless_golden_scenarios() {
+    std::fs::create_dir_all(expected_dir()).unwrap();
+    for stem in PINNED {
+        let r = compile(&load(&format!("{stem}.json")))
+            .unwrap()
+            .run(&pinned_cfg());
+        for (name, contents) in &r.csv {
+            std::fs::write(expected_dir().join(name), contents).unwrap();
+        }
+        std::fs::write(expected_dir().join(format!("{stem}.txt")), r.report()).unwrap();
+    }
 }
 
 fn load(file: &str) -> Scenario {

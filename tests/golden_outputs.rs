@@ -1,20 +1,22 @@
 //! Golden-output regression tests.
 //!
-//! The simulator is deterministic for a fixed seed, so the CSV artifacts of
-//! key figures are pinned byte-for-byte under `golden/`. A model change
-//! that shifts any number fails here *by name*, forcing an explicit
-//! regeneration:
+//! The simulator is deterministic for a fixed seed, so every registry
+//! experiment is pinned byte-for-byte under `golden/`: its CSV artifacts
+//! as `golden/<name>.csv` and its rendered report as
+//! `golden/reports/<id>.txt`. A model change that shifts any number fails
+//! here *by id*, forcing an explicit regeneration:
 //!
 //! ```text
-//! cargo run --release -p ifsim-bench --bin repro -- \
-//!     --quick --reps 1 --csv golden fig6a fig6b fig6c fig7
+//! cargo test --release --test golden_outputs -- --ignored bless_golden_outputs
 //! ```
 //!
-//! (The pinned configuration is `BenchConfig::quick()` with `reps = 1` and
-//! the default seed — exactly what the command above produces.)
+//! The pinned configuration is `BenchConfig::quick()` with `reps = 1` and
+//! the default seed — what `repro --quick --reps 1` runs, so the CSVs
+//! equal the files `repro --quick --reps 1 --csv DIR` writes.
 
 use ifsim::registry;
 use ifsim::BenchConfig;
+use std::path::PathBuf;
 
 fn pinned_cfg() -> BenchConfig {
     let mut cfg = BenchConfig::quick();
@@ -22,37 +24,95 @@ fn pinned_cfg() -> BenchConfig {
     cfg
 }
 
+fn golden_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("golden")
+}
+
+fn report_path(id: &str) -> PathBuf {
+    golden_dir().join("reports").join(format!("{id}.txt"))
+}
+
+fn read_golden(path: &PathBuf) -> String {
+    std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()))
+}
+
 fn check_golden(id: &str) {
     let exp = registry::by_id(id).expect("registered experiment");
     let result = exp.run(&pinned_cfg());
     for (name, contents) in &result.csv {
-        let path = format!("{}/golden/{name}", env!("CARGO_MANIFEST_DIR"));
-        let golden = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing golden file {path}: {e}"));
         assert_eq!(
-            contents, &golden,
+            contents,
+            &read_golden(&golden_dir().join(name)),
             "{id}: {name} drifted from the pinned output; if the change is \
              intentional, regenerate golden/ (see this file's header)"
         );
     }
+    assert_eq!(
+        result.report(),
+        read_golden(&report_path(id)),
+        "{id}: rendered report drifted from the pinned output; if the change \
+         is intentional, regenerate golden/ (see this file's header)"
+    );
+}
+
+/// One `#[test]` per pinned id, plus the id table the completeness check
+/// and the regeneration path walk.
+macro_rules! pinned {
+    ($($test:ident => $id:literal,)*) => {
+        const PINNED: &[&str] = &[$($id),*];
+        $(
+            #[test]
+            fn $test() {
+                check_golden($id);
+            }
+        )*
+    };
+}
+
+pinned! {
+    fig1_is_pinned => "fig1",
+    table1_is_pinned => "table1",
+    table2_is_pinned => "table2",
+    fig2_is_pinned => "fig2",
+    fig3_is_pinned => "fig3",
+    fig4_is_pinned => "fig4",
+    fig5_is_pinned => "fig5",
+    fig6a_hop_matrix_is_pinned => "fig6a",
+    fig6b_latency_matrix_is_pinned => "fig6b",
+    fig6c_bandwidth_matrix_is_pinned => "fig6c",
+    fig7_peer_sweep_is_pinned => "fig7",
+    fig8_is_pinned => "fig8",
+    fig9_is_pinned => "fig9",
+    fig10_is_pinned => "fig10",
+    fig11_is_pinned => "fig11",
+    fig12_is_pinned => "fig12",
+    ext_d2h_is_pinned => "ext-d2h",
+    ext_bidir_is_pinned => "ext-bidir",
+    ext_coll_sweep_is_pinned => "ext-coll-sweep",
+    ext_mi300a_is_pinned => "ext-mi300a",
+    ext_a2a_is_pinned => "ext-a2a",
+    ext_fault_p2p_lanes_is_pinned => "ext-fault-p2p-lanes",
+    ext_fault_link_down_is_pinned => "ext-fault-link-down",
+    ext_fault_allreduce_flaky_is_pinned => "ext-fault-allreduce-flaky",
 }
 
 #[test]
-fn fig6a_hop_matrix_is_pinned() {
-    check_golden("fig6a");
+fn every_registry_id_is_pinned() {
+    assert_eq!(PINNED, registry::ids().as_slice(), "pin new registry ids here");
 }
 
+/// Rewrite every pinned artifact from the current model. Run only as a
+/// deliberate act (see this file's header), then review the diff.
 #[test]
-fn fig6b_latency_matrix_is_pinned() {
-    check_golden("fig6b");
-}
-
-#[test]
-fn fig6c_bandwidth_matrix_is_pinned() {
-    check_golden("fig6c");
-}
-
-#[test]
-fn fig7_peer_sweep_is_pinned() {
-    check_golden("fig7");
+#[ignore = "rewrites golden/; run explicitly to regenerate"]
+fn bless_golden_outputs() {
+    std::fs::create_dir_all(golden_dir().join("reports")).unwrap();
+    for id in PINNED {
+        let result = registry::by_id(id).unwrap().run(&pinned_cfg());
+        for (name, contents) in &result.csv {
+            std::fs::write(golden_dir().join(name), contents).unwrap();
+        }
+        std::fs::write(report_path(id), result.report()).unwrap();
+    }
 }
