@@ -16,18 +16,20 @@ cargo build --release
 echo "==> cargo test"
 cargo test -q --workspace
 
-echo "==> telemetry smoke: exp ext-fault-link-down --trace-out/--metrics-out + lint"
+echo "==> telemetry smoke: repro ext-fault-link-down --trace-out/--metrics-out/--critpath-out + lint"
 cargo build --release -p ifsim-bench
 TELEMETRY_TMP="$(mktemp -d)"
 trap 'rm -rf "$TELEMETRY_TMP"' EXIT
-./target/release/mgpu-bench exp ext-fault-link-down --reps 1 \
+./target/release/repro --quick --reps 1 ext-fault-link-down \
     --trace-out "$TELEMETRY_TMP/trace.json" \
     --metrics-out "$TELEMETRY_TMP/metrics.json" \
-    --attr-json "$TELEMETRY_TMP/attr.json" > /dev/null
+    --attr-json "$TELEMETRY_TMP/attr.json" \
+    --critpath-out "$TELEMETRY_TMP/fault-critpath.json" > /dev/null
 ./target/release/telemetry-lint \
     --trace "$TELEMETRY_TMP/trace.json" \
     --metrics "$TELEMETRY_TMP/metrics.json" \
-    --attr "$TELEMETRY_TMP/attr.json"
+    --attr "$TELEMETRY_TMP/attr.json" \
+    --critpath "$TELEMETRY_TMP/fault-critpath.json"
 
 echo "==> analyze smoke: critical path + what-if sweep, schema-linted"
 # The causal profiler must produce a report whose total equals the run

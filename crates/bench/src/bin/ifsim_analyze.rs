@@ -170,12 +170,9 @@ fn total_makespan(dags: &[ifsim_core::telemetry::DepGraph]) -> f64 {
 
 fn main() -> ExitCode {
     let args = parse_args();
-    let Some(exp) = registry::by_id(&args.experiment) else {
-        usage(&format!(
-            "unknown experiment '{}'; available: {}",
-            args.experiment,
-            registry::ids().join(", ")
-        ));
+    let exp = match ifsim_bench::select(std::slice::from_ref(&args.experiment)) {
+        Ok(mut exps) => exps.remove(0),
+        Err(e) => usage(&e),
     };
     let cfg = config(&args);
 

@@ -12,9 +12,6 @@
 //! mgpu-bench osu-coll --coll allreduce --ranks N [--size BYTES]
 //! mgpu-bench rccl --coll allreduce --ranks N [--size BYTES]
 //! mgpu-bench doctor [--derate A,B,F]     link health probe
-//! mgpu-bench exp <id>... [--jobs N]      run registry experiments
-//! mgpu-bench exp --list                  list registry experiments
-//! mgpu-bench exp --scenario FILE         run a compiled scenario file
 //! ```
 //!
 //! Global options: `--seed <u64>`, `--reps <n>`, and the telemetry flags
@@ -25,28 +22,21 @@
 //! bottleneck-attribution report (markdown / JSON), the flight recorder's
 //! link-utilization series as long-format CSV, and the critical-path
 //! report reconstructed from captured dependency DAGs (JSON, schema
-//! `ifsim-critpath-v1`; see docs/OBSERVABILITY.md). `exp` accepts several
-//! ids and `--jobs N` to run them concurrently; reports and telemetry
-//! still come out in the order the ids were given.
+//! `ifsim-critpath-v1`; see docs/OBSERVABILITY.md). Registry experiments
+//! and scenario files run through `repro`.
 
+use ifsim_bench::ArtifactArgs;
 use ifsim_core::coll::Collective;
 use ifsim_core::des::units::{fmt_bytes, pow2_sweep, GIB, KIB, MIB};
 use ifsim_core::hip::{EnvConfig, GcdId};
 use ifsim_core::microbench::{
     comm_scope, doctor, osu, p2p_matrix, rccl_tests, report, stream, BenchConfig,
 };
-use ifsim_core::registry;
-use ifsim_core::telemetry::{self, Collector};
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Cli {
     cmd: String,
-    ids: Vec<String>,
-    scenarios: Vec<PathBuf>,
-    list: bool,
     cfg: BenchConfig,
-    jobs: usize,
     size: Option<u64>,
     devices: Vec<usize>,
     dst: usize,
@@ -55,34 +45,22 @@ struct Cli {
     no_sdma: bool,
     p2p_mode: &'static str,
     derate: Option<(u8, u8, f64)>,
-    trace_out: Option<PathBuf>,
-    metrics_out: Option<PathBuf>,
-    attr_out: Option<PathBuf>,
-    attr_json: Option<PathBuf>,
-    timeseries_out: Option<PathBuf>,
-    critpath_out: Option<PathBuf>,
-}
-
-impl Cli {
-    /// Whether any requested artifact needs an installed collector.
-    fn wants_telemetry(&self) -> bool {
-        self.trace_out.is_some()
-            || self.metrics_out.is_some()
-            || self.attr_out.is_some()
-            || self.attr_json.is_some()
-            || self.timeseries_out.is_some()
-            || self.critpath_out.is_some()
-    }
+    artifacts: ArtifactArgs,
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: mgpu-bench <h2d|stream|p2p|osu-bw|osu-latency|osu-coll|rccl|doctor|exp> [options]\n\
+        "usage: mgpu-bench <h2d|stream|p2p|osu-bw|osu-latency|osu-coll|rccl|doctor> [options]\n\
          run `mgpu-bench <cmd> --help` conventions: --size BYTES --devices LIST --dst N\n\
          --ranks N --coll NAME --no-sdma --latency/--bandwidth/--bidir --derate A,B,F\n\
-         --seed U64 --reps N --jobs N --trace-out FILE --metrics-out FILE\n\
+         --seed U64 --reps N --trace-out FILE --metrics-out FILE\n\
          --attr-out FILE --attr-json FILE --timeseries-out FILE --critpath-out FILE"
     );
+    std::process::exit(2)
+}
+
+fn fail(msg: &str) -> ! {
+    eprintln!("{msg}");
     std::process::exit(2)
 }
 
@@ -93,10 +71,7 @@ fn parse_collective(s: &str) -> Collective {
         "allreduce" => Collective::AllReduce,
         "reducescatter" | "reduce_scatter" => Collective::ReduceScatter,
         "allgather" => Collective::AllGather,
-        other => {
-            eprintln!("unknown collective '{other}'");
-            std::process::exit(2)
-        }
+        other => fail(&format!("unknown collective '{other}'")),
     }
 }
 
@@ -105,11 +80,7 @@ fn parse() -> Cli {
     let Some(cmd) = args.next() else { usage() };
     let mut cli = Cli {
         cmd,
-        ids: Vec::new(),
-        scenarios: Vec::new(),
-        list: false,
         cfg: BenchConfig::quick(),
-        jobs: 1,
         size: None,
         devices: (0..8).collect(),
         dst: 1,
@@ -118,31 +89,22 @@ fn parse() -> Cli {
         no_sdma: false,
         p2p_mode: "bandwidth",
         derate: None,
-        trace_out: None,
-        metrics_out: None,
-        attr_out: None,
-        attr_json: None,
-        timeseries_out: None,
-        critpath_out: None,
+        artifacts: ArtifactArgs::default(),
     };
     while let Some(a) = args.next() {
+        match cli.artifacts.parse_flag(&a, &mut args) {
+            Ok(true) => continue,
+            Ok(false) => {}
+            Err(e) => fail(&e),
+        }
         let mut next = |name: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                std::process::exit(2)
-            })
+            args.next()
+                .unwrap_or_else(|| fail(&format!("{name} needs a value")))
         };
         match a.as_str() {
             "--size" => cli.size = Some(next("--size").parse().unwrap_or_else(|_| usage())),
             "--seed" => cli.cfg.seed = next("--seed").parse().unwrap_or_else(|_| usage()),
             "--reps" => cli.cfg.reps = next("--reps").parse().unwrap_or_else(|_| usage()),
-            "--jobs" => {
-                cli.jobs = next("--jobs").parse().unwrap_or_else(|_| usage());
-                if cli.jobs == 0 {
-                    eprintln!("error: --jobs must be at least 1 (0 would start no workers)");
-                    std::process::exit(2);
-                }
-            }
             "--devices" => {
                 cli.devices = next("--devices")
                     .split(',')
@@ -168,23 +130,15 @@ fn parse() -> Cli {
                     parts[2].parse().unwrap_or_else(|_| usage()),
                 ));
             }
-            "--scenario" => cli.scenarios.push(PathBuf::from(next("--scenario"))),
-            "--list" => cli.list = true,
-            "--trace-out" => cli.trace_out = Some(PathBuf::from(next("--trace-out"))),
-            "--metrics-out" => cli.metrics_out = Some(PathBuf::from(next("--metrics-out"))),
-            "--attr-out" => cli.attr_out = Some(PathBuf::from(next("--attr-out"))),
-            "--attr-json" => cli.attr_json = Some(PathBuf::from(next("--attr-json"))),
-            "--timeseries-out" => {
-                cli.timeseries_out = Some(PathBuf::from(next("--timeseries-out")))
-            }
-            "--critpath-out" => cli.critpath_out = Some(PathBuf::from(next("--critpath-out"))),
             "--help" | "-h" => usage(),
-            other if !other.starts_with('-') => cli.ids.push(other.to_string()),
             other => {
-                eprintln!("unknown option {other}");
+                eprintln!("unknown argument {other}");
                 usage()
             }
         }
+    }
+    if cli.artifacts.csv_dir.is_some() {
+        fail("--csv writes experiment artifacts; run experiments with `repro`");
     }
     cli
 }
@@ -194,38 +148,12 @@ fn main() -> ExitCode {
     // With a telemetry artifact requested, every runtime the dispatched
     // command constructs self-observes and feeds this collector; the
     // critical-path report additionally needs causal DAG capture on.
-    let collector = cli.wants_telemetry().then(|| {
-        if cli.critpath_out.is_some() {
-            Collector::install_with_dag()
-        } else {
-            Collector::install()
-        }
-    });
+    let collector = cli.artifacts.capture().install();
     let code = dispatch(&cli);
     if let Some(collector) = collector {
-        let t = collector.take();
-        let critpath = telemetry::critpath::report(t.dags(), 10);
-        let artifacts: [(&Option<PathBuf>, String); 6] = [
-            (&cli.trace_out, t.chrome_trace_string()),
-            (&cli.metrics_out, t.metrics_json_string()),
-            (&cli.attr_out, telemetry::render_attribution(&t)),
-            (
-                &cli.attr_json,
-                telemetry::json::to_string_pretty(&telemetry::attribution_json(&t)),
-            ),
-            (&cli.timeseries_out, telemetry::timeseries_csv(&t)),
-            (
-                &cli.critpath_out,
-                telemetry::json::to_string_pretty(&telemetry::critpath_json(&critpath)),
-            ),
-        ];
-        for (path, contents) in artifacts {
-            if let Some(path) = path {
-                if let Err(e) = std::fs::write(path, contents) {
-                    eprintln!("cannot write {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            }
+        if let Err(e) = cli.artifacts.write_all(&collector.take()) {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
         }
     }
     code
@@ -323,71 +251,6 @@ fn dispatch(cli: &Cli) -> ExitCode {
             let health = doctor::probe_links(&mut hip, cli.size.unwrap_or(64 * MIB));
             print!("{}", doctor::render_report(&health, 0.1));
             if health.iter().any(|h| !h.healthy(0.1)) {
-                return ExitCode::FAILURE;
-            }
-        }
-        "exp" => {
-            if cli.list {
-                for e in registry::all() {
-                    println!("{:<8} {} — {}", e.id, e.title, e.description);
-                }
-                return ExitCode::SUCCESS;
-            }
-            if cli.ids.is_empty() && cli.scenarios.is_empty() {
-                eprintln!(
-                    "exp needs at least one experiment id or --scenario FILE; \
-                     see `mgpu-bench exp --list`"
-                );
-                return ExitCode::from(2);
-            }
-            let mut exps: Vec<ifsim_bench::Experiment> = Vec::new();
-            for id in &cli.ids {
-                match registry::by_id(id) {
-                    Some(e) => exps.push(e),
-                    None => {
-                        eprintln!(
-                            "unknown experiment '{id}'; available: {}",
-                            registry::ids().join(", ")
-                        );
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            for path in &cli.scenarios {
-                match ifsim_bench::load_scenario(path) {
-                    Ok(e) => exps.push(e),
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            let mut all_passed = true;
-            if cli.jobs > 1 && exps.len() > 1 {
-                // Workers run off-thread, out of reach of the main-thread
-                // collector installed above; gather per-experiment bundles
-                // and forward them so --trace-out/--metrics-out still see
-                // everything, in id order. The DAG driver captures graphs
-                // on the workers too, so --critpath-out composes with
-                // --jobs.
-                let pairs = if cli.critpath_out.is_some() {
-                    ifsim_bench::run_set_dag_jobs(exps, &cli.cfg, cli.jobs)
-                } else {
-                    ifsim_bench::run_set_instrumented_jobs(exps, &cli.cfg, cli.jobs)
-                };
-                for (r, t) in pairs {
-                    print!("{}", r.report());
-                    all_passed &= r.all_passed();
-                    ifsim_core::telemetry::collector::contribute_collected(t);
-                }
-            } else {
-                for e in &exps {
-                    let r = e.run(&cli.cfg);
-                    print!("{}", r.report());
-                    all_passed &= r.all_passed();
-                }
-            }
-            if !all_passed {
                 return ExitCode::FAILURE;
             }
         }

@@ -25,13 +25,8 @@
 //!   --list           list experiments and exit
 //! ```
 
-use ifsim_bench::telemetry::{
-    attribution_json, json, render_attribution, timeseries_csv, CollectedTelemetry,
-};
-use ifsim_bench::{
-    load_scenario, run_set_dag_jobs, run_set_instrumented_jobs, run_set_jobs, select_experiments,
-    BenchConfig, Experiment,
-};
+use ifsim_bench::telemetry::CollectedTelemetry;
+use ifsim_bench::{load_scenario, run_set, select, ArtifactArgs, BenchConfig, Experiment, RunOpts};
 use ifsim_core::registry;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -41,13 +36,7 @@ struct Args {
     all: bool,
     scenarios: Vec<PathBuf>,
     cfg: BenchConfig,
-    csv_dir: Option<PathBuf>,
-    trace_out: Option<PathBuf>,
-    metrics_out: Option<PathBuf>,
-    attr_out: Option<PathBuf>,
-    attr_json: Option<PathBuf>,
-    timeseries_out: Option<PathBuf>,
-    critpath_out: Option<PathBuf>,
+    artifacts: ArtifactArgs,
     jobs: usize,
     list: bool,
 }
@@ -58,18 +47,15 @@ fn parse_args() -> Result<Args, String> {
         all: false,
         scenarios: Vec::new(),
         cfg: BenchConfig::default(),
-        csv_dir: None,
-        trace_out: None,
-        metrics_out: None,
-        attr_out: None,
-        attr_json: None,
-        timeseries_out: None,
-        critpath_out: None,
+        artifacts: ArtifactArgs::default(),
         jobs: 1,
         list: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
+        if args.artifacts.parse_flag(&a, &mut it)? {
+            continue;
+        }
         match a.as_str() {
             "--quick" => args.cfg = BenchConfig::quick(),
             "--list" => args.list = true,
@@ -80,34 +66,6 @@ fn parse_args() -> Result<Args, String> {
             "--reps" => {
                 let v = it.next().ok_or("--reps needs a value")?;
                 args.cfg.reps = v.parse().map_err(|e| format!("bad reps: {e}"))?;
-            }
-            "--csv" => {
-                let v = it.next().ok_or("--csv needs a directory")?;
-                args.csv_dir = Some(PathBuf::from(v));
-            }
-            "--trace-out" => {
-                let v = it.next().ok_or("--trace-out needs a file")?;
-                args.trace_out = Some(PathBuf::from(v));
-            }
-            "--metrics-out" => {
-                let v = it.next().ok_or("--metrics-out needs a file")?;
-                args.metrics_out = Some(PathBuf::from(v));
-            }
-            "--attr-out" => {
-                let v = it.next().ok_or("--attr-out needs a file")?;
-                args.attr_out = Some(PathBuf::from(v));
-            }
-            "--attr-json" => {
-                let v = it.next().ok_or("--attr-json needs a file")?;
-                args.attr_json = Some(PathBuf::from(v));
-            }
-            "--timeseries-out" => {
-                let v = it.next().ok_or("--timeseries-out needs a file")?;
-                args.timeseries_out = Some(PathBuf::from(v));
-            }
-            "--critpath-out" => {
-                let v = it.next().ok_or("--critpath-out needs a file")?;
-                args.critpath_out = Some(PathBuf::from(v));
             }
             "--jobs" => {
                 let v = it.next().ok_or("--jobs needs a value")?;
@@ -143,6 +101,21 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// Resolve the ids and scenario files into one experiment set. Scenario
+/// files alone narrow the run to just them; ids or an explicit 'all' bring
+/// registry experiments into the same set.
+fn experiments(args: &Args) -> Result<Vec<Experiment>, String> {
+    let mut exps = if !args.all && args.ids.is_empty() && !args.scenarios.is_empty() {
+        Vec::new()
+    } else {
+        select(&args.ids)?
+    };
+    for path in &args.scenarios {
+        exps.push(load_scenario(path)?);
+    }
+    Ok(exps)
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -157,136 +130,46 @@ fn main() -> ExitCode {
         }
         return ExitCode::SUCCESS;
     }
+    let exps = match experiments(&args) {
+        Ok(exps) => exps,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
+    };
 
     println!(
         "ifsim repro — seed {:#x}, {} reps + {} warmup\n",
         args.cfg.seed, args.cfg.reps, args.cfg.warmup
     );
-    // Instrument as soon as any telemetry artifact is requested: the merged
-    // trace/metrics files, or the per-experiment snapshots beside the CSVs.
-    let instrument = args.trace_out.is_some()
-        || args.metrics_out.is_some()
-        || args.attr_out.is_some()
-        || args.attr_json.is_some()
-        || args.timeseries_out.is_some()
-        || args.csv_dir.is_some();
-    // Scenario files alone narrow the run to just them; ids or an explicit
-    // 'all' bring registry experiments into the same set. Compiled
-    // scenarios run under every driver below exactly like registry
-    // entries.
-    let mut exps: Vec<Experiment> =
-        if !args.all && args.ids.is_empty() && !args.scenarios.is_empty() {
-            Vec::new()
-        } else {
-            select_experiments(&args.ids)
-        };
-    for path in &args.scenarios {
-        match load_scenario(path) {
-            Ok(e) => exps.push(e),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    // Results come back in registry order regardless of --jobs, and each
+    // Results come back in submission order regardless of --jobs, and each
     // experiment seeds its simulators from the config alone, so the loop
     // below emits byte-identical artifacts whether the run was parallel
     // or serial.
-    let results: Vec<(ifsim_bench::ExperimentResult, Option<CollectedTelemetry>)> =
-        if args.critpath_out.is_some() {
-            // DAG capture subsumes plain instrumentation, so one driver serves
-            // every artifact when the critical-path report is requested.
-            run_set_dag_jobs(exps, &args.cfg, args.jobs)
-                .into_iter()
-                .map(|(r, t)| (r, Some(t)))
-                .collect()
-        } else if instrument {
-            run_set_instrumented_jobs(exps, &args.cfg, args.jobs)
-                .into_iter()
-                .map(|(r, t)| (r, Some(t)))
-                .collect()
-        } else {
-            run_set_jobs(exps, &args.cfg, args.jobs)
-                .into_iter()
-                .map(|r| (r, None))
-                .collect()
-        };
+    let opts = RunOpts::capture(args.artifacts.capture());
+    let results = run_set(exps, &args.cfg, &opts, args.jobs).expect("no token, no cancellation");
 
+    let n = results.len();
     let mut failed = 0usize;
     let mut total_checks = 0usize;
     let mut merged = CollectedTelemetry::new();
-    for (r, telemetry) in results.iter() {
+    for (r, telemetry) in results {
         println!("{}", r.report());
         total_checks += r.checks.len();
         failed += r.checks.iter().filter(|c| !c.passed).count();
-        if let Some(dir) = &args.csv_dir {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("cannot create {}: {e}", dir.display());
-                return ExitCode::FAILURE;
-            }
-            for (name, contents) in &r.csv {
-                let path = dir.join(name);
-                if let Err(e) = std::fs::write(&path, contents) {
-                    eprintln!("cannot write {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-            if let Some(t) = telemetry {
-                let path = dir.join(format!("{}.metrics.json", r.id));
-                let text = json::to_string_pretty(&t.metrics_json_labeled(r.id));
-                if let Err(e) = std::fs::write(&path, text) {
-                    eprintln!("cannot write {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        if let Some(t) = telemetry {
-            merged.absorb(t.clone());
-        }
-    }
-    if let Some(path) = &args.trace_out {
-        if let Err(e) = std::fs::write(path, merged.chrome_trace_string()) {
-            eprintln!("cannot write {}: {e}", path.display());
+        if let Err(e) = args.artifacts.write_result(&r, &telemetry) {
+            eprintln!("{e}");
             return ExitCode::FAILURE;
         }
+        merged.absorb(telemetry);
     }
-    if let Some(path) = &args.metrics_out {
-        if let Err(e) = std::fs::write(path, merged.metrics_json_string()) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(path) = &args.attr_out {
-        if let Err(e) = std::fs::write(path, render_attribution(&merged)) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(path) = &args.attr_json {
-        if let Err(e) = std::fs::write(path, json::to_string_pretty(&attribution_json(&merged))) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(path) = &args.timeseries_out {
-        if let Err(e) = std::fs::write(path, timeseries_csv(&merged)) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(path) = &args.critpath_out {
-        let report = ifsim_bench::telemetry::critpath::report(merged.dags(), 10);
-        let text = json::to_string_pretty(&ifsim_bench::telemetry::critpath_json(&report));
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+    if let Err(e) = args.artifacts.write_all(&merged) {
+        eprintln!("{e}");
+        return ExitCode::FAILURE;
     }
 
     println!(
-        "summary: {} experiments, {}/{} checks passed",
-        results.len(),
+        "summary: {n} experiments, {}/{} checks passed",
         total_checks - failed,
         total_checks
     );

@@ -102,34 +102,6 @@ fn repro_jobs_output_is_byte_identical_to_serial() {
 }
 
 #[test]
-fn mgpu_bench_exp_runs_several_ids_in_parallel_with_telemetry() {
-    let dir = temp_dir("exp-jobs");
-    let metrics = dir.join("metrics.json");
-    let out = mgpu()
-        .args(["exp", "fig6a", "fig6b", "--jobs", "2", "--reps", "1"])
-        .arg("--metrics-out")
-        .arg(&metrics)
-        .output()
-        .expect("run mgpu-bench exp");
-    assert!(
-        out.status.success(),
-        "stdout: {}\nstderr: {}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    let (a, b) = (text.find("fig6a").unwrap(), text.find("fig6b").unwrap());
-    assert!(a < b, "reports come out in the order the ids were given");
-    // Worker-thread telemetry was forwarded to the main-thread collector.
-    let metrics_text = std::fs::read_to_string(&metrics).expect("metrics written");
-    assert!(
-        metrics_text.contains("hip_op_duration_ns"),
-        "{metrics_text}"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn mgpu_bench_osu_bw_prints_a_bandwidth_row() {
     let out = mgpu()
         .args(["osu-bw", "--dst", "2", "--reps", "1"])
@@ -178,18 +150,18 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 }
 
 #[test]
-fn mgpu_bench_exp_runs_a_registry_experiment_with_telemetry() {
-    let dir = temp_dir("exp");
+fn repro_traces_a_fault_experiment_with_telemetry() {
+    let dir = temp_dir("fault-trace");
     let trace = dir.join("trace.json");
     let metrics = dir.join("metrics.json");
-    let out = mgpu()
-        .args(["exp", "ext-fault-link-down", "--reps", "1"])
+    let out = repro()
+        .args(["--quick", "--reps", "1", "ext-fault-link-down"])
         .arg("--trace-out")
         .arg(&trace)
         .arg("--metrics-out")
         .arg(&metrics)
         .output()
-        .expect("run mgpu-bench exp");
+        .expect("run repro");
     assert!(
         out.status.success(),
         "stdout: {}\nstderr: {}",
@@ -224,13 +196,64 @@ fn mgpu_bench_exp_runs_a_registry_experiment_with_telemetry() {
 }
 
 #[test]
-fn mgpu_bench_exp_rejects_unknown_ids() {
-    let out = mgpu()
-        .args(["exp", "fig99"])
+fn repro_rejects_unknown_ids_with_exit_2_and_the_listing() {
+    let out = repro()
+        .args(["--quick", "--reps", "1", "fig99"])
         .output()
-        .expect("run mgpu-bench exp");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown experiment"));
+        .expect("run repro");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown experiment 'fig99'"), "{err}");
+    for id in ["fig1", "table1", "fig6b", "ext-fault-link-down"] {
+        assert!(err.contains(id), "listing misses {id}: {err}");
+    }
+    assert!(!err.contains("panicked"), "{err}");
+}
+
+#[test]
+fn mgpu_bench_tool_artifacts_pass_the_lint() {
+    let dir = temp_dir("tool-artifacts");
+    let trace = dir.join("trace.json");
+    let critpath = dir.join("critpath.json");
+    let out = mgpu()
+        .args(["p2p", "--latency", "--reps", "1"])
+        .arg("--trace-out")
+        .arg(&trace)
+        .arg("--critpath-out")
+        .arg(&critpath)
+        .output()
+        .expect("run mgpu-bench p2p");
+    assert!(
+        out.status.success(),
+        "stdout: {}\nstderr: {}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let ok = lint()
+        .arg("--trace")
+        .arg(&trace)
+        .arg("--critpath")
+        .arg(&critpath)
+        .output()
+        .expect("run telemetry-lint");
+    assert!(
+        ok.status.success(),
+        "lint failed: {}",
+        String::from_utf8_lossy(&ok.stderr)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn mgpu_bench_leaves_experiments_to_repro() {
+    for args in [
+        &["exp", "fig6a"][..],
+        &["p2p", "fig6a"],
+        &["p2p", "--jobs", "2"],
+    ] {
+        let out = mgpu().args(args).output().expect("run mgpu-bench");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+    }
 }
 
 #[test]
@@ -327,17 +350,17 @@ fn observability_artifacts_do_not_change_results() {
 }
 
 #[test]
-fn mgpu_bench_attr_report_names_the_saturated_link() {
+fn repro_attr_report_names_the_saturated_link() {
     // The lane-loss experiment drives the quad GCD0<->GCD1 link into
     // contention: the attribution report must name it dominant.
     let dir = temp_dir("attr-report");
     let attr = dir.join("attr.md");
-    let out = mgpu()
-        .args(["exp", "ext-fault-p2p-lanes", "--reps", "1"])
+    let out = repro()
+        .args(["--quick", "--reps", "1", "ext-fault-p2p-lanes"])
         .arg("--attr-out")
         .arg(&attr)
         .output()
-        .expect("run mgpu-bench exp");
+        .expect("run repro");
     assert!(out.status.success());
     let report = std::fs::read_to_string(&attr).expect("attr report written");
     assert!(
@@ -425,20 +448,6 @@ fn repro_rejects_zero_jobs() {
         .args(["--jobs", "0", "fig6a"])
         .output()
         .expect("run repro");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("--jobs must be at least 1"),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-}
-
-#[test]
-fn mgpu_bench_exp_rejects_zero_jobs() {
-    let out = mgpu()
-        .args(["exp", "fig6a", "--jobs", "0"])
-        .output()
-        .expect("run mgpu-bench exp");
     assert_eq!(out.status.code(), Some(2));
     assert!(
         String::from_utf8_lossy(&out.stderr).contains("--jobs must be at least 1"),

@@ -1,6 +1,8 @@
 //! Experiment plumbing: results, checks, rendering.
 
+use ifsim_des::cancel::{CancelToken, Cancelled};
 use ifsim_microbench::BenchConfig;
+use ifsim_telemetry::{CollectedTelemetry, Collector};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -182,88 +184,93 @@ impl Experiment {
         digest_kv(&pairs)
     }
 
-    /// Run it under an installed telemetry collector: every simulator the
-    /// benchmarks construct self-observes, and the merged timeline plus
-    /// metrics snapshot come back alongside the result.
-    pub fn run_instrumented(
+    /// Run it as `opts` asks: under a telemetry collector when
+    /// `opts.capture` is not [`Capture::Off`] (the telemetry comes back
+    /// empty otherwise), and under `opts.cancel` when a token is given.
+    ///
+    /// Every simulator the experiment constructs while a collector is
+    /// installed self-observes; the merged timeline, metrics snapshot and
+    /// (under [`Capture::Dag`]) causal dependency graphs come back beside
+    /// the result. Capture is observation-only: the simulated schedule is
+    /// bitwise-identical to an unobserved run.
+    ///
+    /// With a token, it is installed for the calling thread and the
+    /// microbench repetition loops checkpoint it between reps; a fired
+    /// token surfaces as `Err(Cancelled)`, discarding the partial result
+    /// and its telemetry. A genuine panic inside the experiment is
+    /// re-raised untouched.
+    pub fn run_with(
         &self,
         cfg: &BenchConfig,
-    ) -> (ExperimentResult, ifsim_telemetry::CollectedTelemetry) {
-        let collector = ifsim_telemetry::Collector::install();
-        let result = self.run(cfg);
-        (result, collector.take())
+        opts: &RunOpts<'_>,
+    ) -> Result<(ExperimentResult, CollectedTelemetry), Cancelled> {
+        let collector = opts.capture.install();
+        let result = match opts.cancel {
+            None => self.run(cfg),
+            Some(token) => {
+                let _guard = token.install();
+                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run(cfg))) {
+                    Ok(result) => result,
+                    Err(payload) if payload.is::<Cancelled>() => return Err(Cancelled),
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
+            }
+        };
+        let telemetry = collector.map_or_else(CollectedTelemetry::new, Collector::take);
+        Ok((result, telemetry))
     }
 
-    /// As [`Experiment::run_instrumented`], additionally requesting causal
-    /// dependency-DAG capture: every runtime the experiment constructs
-    /// records its dependency graph, and the graphs come back via
-    /// [`CollectedTelemetry::dags`] — the input to
-    /// `ifsim_telemetry::critpath` analysis and the what-if engine.
-    /// Capture is observation-only; the simulated schedule is
-    /// bitwise-identical to an uninstrumented run.
-    ///
-    /// [`CollectedTelemetry::dags`]: ifsim_telemetry::CollectedTelemetry::dags
+    /// [`Experiment::run_with`] under [`Capture::Dag`] and no token.
     pub fn run_instrumented_dag(
         &self,
         cfg: &BenchConfig,
-    ) -> (ExperimentResult, ifsim_telemetry::CollectedTelemetry) {
-        let collector = ifsim_telemetry::Collector::install_with_dag();
-        let result = self.run(cfg);
-        (result, collector.take())
+    ) -> (ExperimentResult, CollectedTelemetry) {
+        self.run_with(cfg, &RunOpts::capture(Capture::Dag))
+            .expect("no token, no cancellation")
     }
+}
 
-    /// Run it under a [`CancelToken`]: the token is installed for the
-    /// calling thread, the microbench repetition loops checkpoint it
-    /// between reps, and a fired token surfaces as `Err(Cancelled)`
-    /// instead of a completed (and possibly hours-late) result. A genuine
-    /// panic inside the experiment is re-raised untouched.
-    ///
-    /// [`CancelToken`]: ifsim_des::cancel::CancelToken
-    pub fn run_cancellable(
-        &self,
-        cfg: &BenchConfig,
-        token: &ifsim_des::cancel::CancelToken,
-    ) -> Result<ExperimentResult, ifsim_des::cancel::Cancelled> {
-        let _guard = token.install();
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run(cfg))) {
-            Ok(result) => Ok(result),
-            Err(payload) if payload.is::<ifsim_des::cancel::Cancelled>() => {
-                Err(ifsim_des::cancel::Cancelled)
-            }
-            Err(payload) => std::panic::resume_unwind(payload),
+/// What [`Experiment::run_with`] observes beside the result.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Capture {
+    /// No collector; the telemetry comes back empty.
+    #[default]
+    Off,
+    /// A telemetry collector: timeline, metrics, flight recorder.
+    Telemetry,
+    /// [`Capture::Telemetry`] plus causal dependency-DAG capture, the
+    /// input to `ifsim_telemetry::critpath` and the what-if engine.
+    Dag,
+}
+
+impl Capture {
+    /// Install the collector this capture needs on the calling thread;
+    /// simulators constructed until it is taken or dropped feed it.
+    pub fn install(self) -> Option<Collector> {
+        match self {
+            Capture::Off => None,
+            Capture::Telemetry => Some(Collector::install()),
+            Capture::Dag => Some(Collector::install_with_dag()),
         }
     }
+}
 
-    /// [`Experiment::run_instrumented`] with a [`CancelToken`]: telemetry
-    /// collected up to the cancellation point is discarded along with the
-    /// partial result.
-    ///
-    /// [`CancelToken`]: ifsim_des::cancel::CancelToken
-    pub fn run_instrumented_cancellable(
-        &self,
-        cfg: &BenchConfig,
-        token: &ifsim_des::cancel::CancelToken,
-    ) -> Result<(ExperimentResult, ifsim_telemetry::CollectedTelemetry), ifsim_des::cancel::Cancelled>
-    {
-        let collector = ifsim_telemetry::Collector::install();
-        self.run_cancellable(cfg, token)
-            .map(|result| (result, collector.take()))
-    }
+/// How [`Experiment::run_with`] runs an experiment.
+#[derive(Clone, Copy, Default)]
+pub struct RunOpts<'a> {
+    /// What to observe.
+    pub capture: Capture,
+    /// A token whose firing abandons the run with `Err(Cancelled)`.
+    pub cancel: Option<&'a CancelToken>,
+}
 
-    /// [`Experiment::run_instrumented_dag`] with a [`CancelToken`] — the
-    /// serve daemon's analyze path uses this so critical-path requests
-    /// still honor deadlines.
-    ///
-    /// [`CancelToken`]: ifsim_des::cancel::CancelToken
-    pub fn run_instrumented_dag_cancellable(
-        &self,
-        cfg: &BenchConfig,
-        token: &ifsim_des::cancel::CancelToken,
-    ) -> Result<(ExperimentResult, ifsim_telemetry::CollectedTelemetry), ifsim_des::cancel::Cancelled>
-    {
-        let collector = ifsim_telemetry::Collector::install_with_dag();
-        self.run_cancellable(cfg, token)
-            .map(|result| (result, collector.take()))
+impl RunOpts<'_> {
+    /// Observe `capture`, with no cancellation.
+    pub fn capture(capture: Capture) -> RunOpts<'static> {
+        RunOpts {
+            capture,
+            cancel: None,
+        }
     }
 }
 
@@ -306,8 +313,13 @@ mod tests {
         }
     }
 
+    fn run_telemetry(e: &Experiment, cfg: &BenchConfig) -> (ExperimentResult, CollectedTelemetry) {
+        e.run_with(cfg, &RunOpts::capture(Capture::Telemetry))
+            .unwrap()
+    }
+
     #[test]
-    fn run_instrumented_captures_the_benchmark_runtimes() {
+    fn run_with_telemetry_captures_the_benchmark_runtimes() {
         fn runner(cfg: &BenchConfig) -> ExperimentResult {
             let mut hip = cfg.runtime(ifsim_hip::EnvConfig::default());
             let a = hip.malloc(1 << 20).unwrap();
@@ -323,7 +335,7 @@ mod tests {
             }
         }
         let e = Experiment::new("probe", "probe", "d", runner);
-        let (r, t) = e.run_instrumented(&BenchConfig::quick());
+        let (r, t) = run_telemetry(&e, &BenchConfig::quick());
         assert!(r.all_passed());
         assert_eq!(t.sims(), 1, "one runtime contributed a snapshot");
         assert!(t.events().iter().any(|e| e.cat == "hip_op"));
@@ -362,9 +374,15 @@ mod tests {
         let p = ifsim_telemetry::critpath::analyze(g);
         let sum: f64 = p.steps.iter().map(|s| s.end_ns - s.start_ns).sum();
         assert!((sum - p.makespan_ns).abs() <= 1e-6 * p.makespan_ns.max(1.0));
-        // The plain instrumented path stays dag-free.
-        let (_, t2) = e.run_instrumented(&BenchConfig::quick());
+        // The plain telemetry capture stays dag-free, and no capture
+        // observes nothing at all.
+        let (_, t2) = run_telemetry(&e, &BenchConfig::quick());
         assert!(t2.dags().is_empty());
+        assert_eq!(t2.sims(), 1);
+        let (_, off) = e
+            .run_with(&BenchConfig::quick(), &RunOpts::default())
+            .unwrap();
+        assert_eq!(off.sims(), 0);
     }
 
     #[test]
@@ -403,8 +421,10 @@ mod tests {
         assert_ne!(a.config_digest(&cfg), a.config_digest(&reps));
     }
 
+    const CAPTURES: [Capture; 3] = [Capture::Off, Capture::Telemetry, Capture::Dag];
+
     #[test]
-    fn cancellable_run_maps_fired_token_to_err() {
+    fn run_with_maps_a_fired_token_to_err_under_every_capture() {
         fn runner(cfg: &BenchConfig) -> ExperimentResult {
             // Mirror the microbench harness shape: checkpoint between reps.
             for _ in 0..cfg.reps {
@@ -413,30 +433,35 @@ mod tests {
             dummy(cfg)
         }
         let e = Experiment::new("c", "t", "d", runner);
-        let live = ifsim_des::cancel::CancelToken::new();
-        assert!(e.run_cancellable(&BenchConfig::quick(), &live).is_ok());
-        let fired = ifsim_des::cancel::CancelToken::new();
+        let cfg = BenchConfig::quick();
+        let live = CancelToken::new();
+        let fired = CancelToken::new();
         fired.cancel();
-        assert!(matches!(
-            e.run_cancellable(&BenchConfig::quick(), &fired),
-            Err(ifsim_des::cancel::Cancelled)
-        ));
-        assert!(e
-            .run_instrumented_cancellable(&BenchConfig::quick(), &fired)
-            .is_err());
+        for capture in CAPTURES {
+            let opts = |cancel| RunOpts { capture, cancel };
+            assert!(e.run_with(&cfg, &opts(Some(&live))).is_ok(), "{capture:?}");
+            assert!(
+                matches!(e.run_with(&cfg, &opts(Some(&fired))), Err(Cancelled)),
+                "{capture:?}"
+            );
+        }
     }
 
     #[test]
-    fn cancellable_run_propagates_real_panics() {
+    fn run_with_propagates_real_panics() {
         fn runner(_: &BenchConfig) -> ExperimentResult {
             panic!("genuine failure");
         }
         let e = Experiment::new("p", "t", "d", runner);
-        let token = ifsim_des::cancel::CancelToken::new();
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            e.run_cancellable(&BenchConfig::quick(), &token)
-        }));
-        assert!(caught.is_err(), "non-cancellation panics unwind outward");
+        let token = CancelToken::new();
+        for capture in CAPTURES {
+            for cancel in [None, Some(&token)] {
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    e.run_with(&BenchConfig::quick(), &RunOpts { capture, cancel })
+                }));
+                assert!(caught.is_err(), "non-cancellation panics unwind outward");
+            }
+        }
     }
 
     #[test]
@@ -467,7 +492,7 @@ mod tests {
         assert_eq!(a.config_digest(&cfg), mk("aaaa").config_digest(&cfg));
         assert!(std::ptr::eq(a.id, mk("aaaa").id), "ids interned once");
         // Dynamic experiments ride the instrumented drivers unchanged.
-        let (r, t) = a.run_instrumented(&cfg);
+        let (r, t) = run_telemetry(&a, &cfg);
         assert_eq!(r.id, "scenario:probe");
         assert_eq!(t.sims(), 0, "probe constructs no runtimes");
     }

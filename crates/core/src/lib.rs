@@ -24,7 +24,7 @@ pub mod experiments;
 pub mod paper;
 pub mod registry;
 
-pub use experiment::{Check, Experiment, ExperimentResult};
+pub use experiment::{Capture, Check, Experiment, ExperimentResult, RunOpts};
 pub use ifsim_microbench::BenchConfig;
 
 // The full stack, re-exported so downstream users (examples, benches) can

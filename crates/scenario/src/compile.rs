@@ -1,7 +1,7 @@
 //! Compiling a [`Scenario`] into the [`Experiment`] machinery.
 //!
 //! The compiled experiment is indistinguishable from a registry entry to
-//! every driver: it runs under `repro`, `mgpu-bench --jobs N`, telemetry
+//! every driver: it runs under `repro --quick --jobs N`, telemetry
 //! capture, DAG/critpath analysis, and `ifsim-serve` without those layers
 //! knowing scenarios exist. The scenario's content digest travels in
 //! `digest_extra`, so `config_digest` — and therefore every result cache —

@@ -5,7 +5,7 @@
 //! profile, calibration overrides, a fault schedule, a workload (registry
 //! experiment, explicit trace DAG, or built-in generator), and sweep
 //! axes — compiled into the [`ifsim_core::Experiment`] machinery, so every
-//! existing driver (`repro`, `mgpu-bench --jobs N`, telemetry capture,
+//! existing driver (`repro --quick --jobs N`, telemetry capture,
 //! critical-path analysis, `ifsim-serve` caching) runs scenarios without
 //! modification.
 //!

@@ -210,11 +210,18 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Parse a JSON document. Trailing non-whitespace is an error.
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// level, so without a cap a hostile document of nested `[` could overflow
+/// the thread's stack — an abort no `catch_unwind` can stop.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse a JSON document. Trailing non-whitespace is an error, and so is
+/// nesting deeper than [`MAX_DEPTH`].
 pub fn from_str(input: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -325,6 +332,8 @@ fn write_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -369,11 +378,23 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parse one array or object a level deeper, refusing past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting exceeds depth {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -605,5 +626,24 @@ mod tests {
         assert_eq!(v.get("b").unwrap().as_bool(), Some(true));
         assert!(v.get("missing").is_none());
         assert_eq!(v.as_object().unwrap().len(), 3);
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        let err = from_str(&deep).unwrap_err();
+        assert_eq!(
+            err.offset, MAX_DEPTH,
+            "fails at the first bracket past the cap"
+        );
+        assert!(err.to_string().contains("depth 128"), "{err}");
+        // Mixed arrays and objects count alike.
+        let mixed = r#"{"a":["#.repeat(100_000);
+        assert!(from_str(&mixed).unwrap_err().message.contains("depth"));
+        // Exactly at the cap still parses.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(from_str(&ok).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(from_str(&over).is_err());
     }
 }

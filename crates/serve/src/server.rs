@@ -20,7 +20,7 @@
 //!   admission, again at dequeue inside the worker (already-expired work
 //!   is shed), and cooperatively at the microbench repetition
 //!   checkpoints via a [`CancelToken`] threaded through
-//!   `Experiment::run_cancellable`; an overrun answers `504` and the
+//!   `Experiment::run_with`; an overrun answers `504` and the
 //!   wedged computation unwinds at its next checkpoint instead of
 //!   holding a worker forever.
 
@@ -33,7 +33,7 @@ use ifsim_core::telemetry::{
     critpath, CollectedTelemetry, EventKind, MetricKey, MetricsRegistry, SimTelemetry,
     TimelineEvent,
 };
-use ifsim_core::{BenchConfig, Experiment};
+use ifsim_core::{BenchConfig, Capture, Experiment, RunOpts};
 use serde_json::{Map, Value};
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -690,54 +690,38 @@ impl ServerCore {
                 // (rate-limited, only with the HTTP plane up) harvest the
                 // per-link fabric utilization counter track for the live
                 // gauges. Either way the telemetry also carries the
-                // flight recorder's ring-drop counter.
-                let outcome = if analyze {
-                    exp.run_instrumented_dag_cancellable(&cfg, &token)
-                        .map(|(result, telemetry)| {
-                            let report = critpath::report(telemetry.dags(), 10);
-                            let critpath = serde_json::to_string(&critpath::critpath_json(&report));
-                            (
-                                result,
-                                fabric_link_utils(&telemetry),
-                                recorder_dropped_samples(&telemetry),
-                                Some(critpath),
-                            )
-                        })
-                } else if instrument {
-                    exp.run_instrumented_cancellable(&cfg, &token)
-                        .map(|(result, telemetry)| {
-                            (
-                                result,
-                                fabric_link_utils(&telemetry),
-                                recorder_dropped_samples(&telemetry),
-                                None,
-                            )
-                        })
-                } else {
-                    exp.run_cancellable(&cfg, &token)
-                        .map(|r| (r, Vec::new(), 0.0, None))
+                // flight recorder's ring-drop counter; uncaptured runs
+                // come back with empty telemetry.
+                let capture = match (analyze, instrument) {
+                    (true, _) => Capture::Dag,
+                    (false, true) => Capture::Telemetry,
+                    (false, false) => Capture::Off,
                 };
-                match outcome {
-                    Ok((result, fabric, recorder_dropped, critpath)) => {
-                        let _ = tx.send(JobOutcome::Done {
-                            run: CachedRun {
-                                digest,
-                                report: result.report(),
-                                checks_passed: result.checks.iter().filter(|c| c.passed).count(),
-                                checks_total: result.checks.len(),
-                                csv: result.csv,
-                                critpath,
-                            },
-                            queue_wait_ns,
-                            compute_ns: t_compute.elapsed().as_nanos() as u64,
-                            fabric,
-                            recorder_dropped,
-                        });
-                    }
-                    Err(Cancelled) => {
-                        let _ = tx.send(JobOutcome::Cancelled);
-                    }
-                }
+                let opts = RunOpts {
+                    capture,
+                    cancel: Some(&token),
+                };
+                let outcome = match exp.run_with(&cfg, &opts) {
+                    Ok((result, telemetry)) => JobOutcome::Done {
+                        run: CachedRun {
+                            digest,
+                            report: result.report(),
+                            checks_passed: result.checks.iter().filter(|c| c.passed).count(),
+                            checks_total: result.checks.len(),
+                            csv: result.csv,
+                            critpath: analyze.then(|| {
+                                let report = critpath::report(telemetry.dags(), 10);
+                                serde_json::to_string(&critpath::critpath_json(&report))
+                            }),
+                        },
+                        fabric: fabric_link_utils(&telemetry),
+                        recorder_dropped: recorder_dropped_samples(&telemetry),
+                        queue_wait_ns,
+                        compute_ns: t_compute.elapsed().as_nanos() as u64,
+                    },
+                    Err(Cancelled) => JobOutcome::Cancelled,
+                };
+                let _ = tx.send(outcome);
             });
         }
 

@@ -191,3 +191,18 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 }
+
+/// A hostile request nesting 100 000 arrays answers a structured
+/// document-level error instead of overflowing the serve thread's stack.
+#[test]
+fn deeply_nested_request_is_a_field_error() {
+    for line in [
+        "[".repeat(100_000),
+        format!(r#"{{"op":"run","scenario":{}"#, "[".repeat(100_000)),
+    ] {
+        let err = parse_request(&line).unwrap_err();
+        assert_eq!(err.field, "", "a document-level error");
+        assert!(err.message.contains("bad JSON"), "{err}");
+        assert!(err.message.contains("depth 128"), "{err}");
+    }
+}

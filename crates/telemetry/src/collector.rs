@@ -243,23 +243,6 @@ pub fn contribute(sim: SimTelemetry) {
     });
 }
 
-/// Fold an already-collected bundle into every active collector on *this*
-/// thread. The stack is thread-local, so a parallel driver whose workers
-/// gathered telemetry under their own collectors uses this to forward the
-/// merged result to the caller's collector (pids are offset on absorb).
-pub fn contribute_collected(t: CollectedTelemetry) {
-    STACK.with(|s| {
-        let stack = s.borrow();
-        for (i, (c, _)) in stack.iter().enumerate() {
-            if i + 1 == stack.len() {
-                c.borrow_mut().absorb(t);
-                return;
-            }
-            c.borrow_mut().absorb(t.clone());
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,21 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn contribute_collected_forwards_worker_bundles() {
-        let outer = Collector::install();
-        let mut bundle = CollectedTelemetry::new();
-        bundle.ingest(sample_sim("worker"));
-        contribute_collected(bundle);
-        let got = outer.take();
-        assert_eq!(got.sims(), 1);
-        assert_eq!(got.events().len(), 1);
-        // With no collector active it is a no-op, not a panic.
-        let mut stray = CollectedTelemetry::new();
-        stray.ingest(sample_sim("stray"));
-        contribute_collected(stray);
-    }
-
-    #[test]
     fn dag_request_flag_and_graph_forwarding() {
         use crate::critpath::NodeCategory;
         assert!(!dag_requested());
@@ -357,8 +325,8 @@ mod tests {
         assert_eq!(got.dags()[0].nodes.len(), 1);
         assert!(!dag_requested(), "flag cleared once the dag scope ends");
         // The outer (plain) collector still received the graph data, and
-        // absorb concatenates graphs — this is what forwards DAGs from
-        // `--jobs N` workers to the driver's collector.
+        // absorb concatenates graphs — this is how `repro --jobs N` merges
+        // the DAGs its workers captured.
         let outer = plain.take();
         assert_eq!(outer.dags().len(), 1);
         let mut sink = CollectedTelemetry::new();

@@ -99,7 +99,11 @@ pinned! {
 
 #[test]
 fn every_registry_id_is_pinned() {
-    assert_eq!(PINNED, registry::ids().as_slice(), "pin new registry ids here");
+    assert_eq!(
+        PINNED,
+        registry::ids().as_slice(),
+        "pin new registry ids here"
+    );
 }
 
 /// Rewrite every pinned artifact from the current model. Run only as a
