@@ -8,16 +8,8 @@
 //! the rework's speedups don't regress. The headline number is the 64-flow
 //! add/drain cycle — admit one round of flows, then drain every completion —
 //! which exercises admission, recompute, and completion peeking together.
-//!
-//! On top of the 64-flow engine-vs-reference suite, a scaling sweep runs
-//! the add/drain cycle and a mid-flight fault recompute at 1k/10k/100k
-//! flows, pitting the incremental dirty-set solver (the default, including
-//! its rate-neutral drain elision) against the same engine pinned to full
-//! water-fills per pass (`set_incremental_threshold(0.0)`). The pre-rework `ReferenceNet` is
-//! quadratic and sits out the sweep. `BENCH_FABRIC_MAX_FLOWS` caps the
-//! sweep (CI runs with `10000` to keep the smoke step bounded; the 100k
-//! full-baseline add/drain is skipped unconditionally — thousands of
-//! O(100k) passes take minutes and the 10k pair already pins the ratio).
+//! Every row runs at 64 flows, above the 15–16 concurrent flows per
+//! runtime that the registry experiments and golden scenarios peak at.
 
 use criterion::{BenchResult, Criterion};
 use ifsim_core::des::Time;
@@ -29,17 +21,6 @@ use std::hint::black_box;
 use std::path::PathBuf;
 
 const FLOWS: usize = 64;
-
-/// Scaling-sweep flow counts; each also names the bench ids (`_1k` …).
-const SCALES: &[(usize, &str)] = &[(1_000, "1k"), (10_000, "10k"), (100_000, "100k")];
-
-/// Sweep cap from `BENCH_FABRIC_MAX_FLOWS` (default: run everything).
-fn max_scale_flows() -> usize {
-    std::env::var("BENCH_FABRIC_MAX_FLOWS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(usize::MAX)
-}
 
 /// A fixed 64-flow round over the Frontier topology: every GCD pair class,
 /// a mix of duplex-pool and plain routing, payloads spread over ~2 MiB.
@@ -176,161 +157,12 @@ fn bench_peek(c: &mut Criterion, topo: &NodeTopology, specs: &[FlowSpec]) {
     g.finish();
 }
 
-/// A partitioned large-flow population: every directed single-hop GCD pair
-/// on Frontier is one *class* (a disjoint one-segment connected component of
-/// the segment↔flow graph), and `n` flows are dealt round-robin across the
-/// classes. Payloads are identical within a class — same rate, so a class
-/// drains as a burst of zero-interval completions — and distinct across
-/// classes, so the 20-odd components churn independently.
-///
-/// The mix mirrors the measured fabric: most classes are *engine-capped*
-/// (each flow carries a per-flow cap that under-subscribes its link to 90%,
-/// the SDMA-limited regime where transfers never reach wire bandwidth), and
-/// every sixth class is *contended* (uncapped flows saturating the link).
-/// Contended-class departures free binding capacity, so the incremental
-/// solver re-solves just that class; engine-capped departures are provably
-/// rate-neutral, so the pass elides the solver outright. The full baseline
-/// pays an O(population) water-fill for every one of those events. Returns
-/// the specs plus the link of the first (contended) class, the victim for
-/// the fault-recompute benches.
-fn scaling_population(topo: &NodeTopology, n: usize) -> (Vec<FlowSpec>, LinkId) {
-    let router = Router::new(topo);
-    let segmap = SegmentMap::new(topo);
-    let mut classes = Vec::new();
-    let mut fault_link = None;
-    for a in 0..8u8 {
-        for b in 0..8u8 {
-            if a == b {
-                continue;
-            }
-            let p = router.gcd_route(GcdId(a), GcdId(b), RoutePolicy::MaxBandwidth);
-            if p.links.len() != 1 {
-                continue;
-            }
-            let segs = segmap.path_segments(topo, p, false);
-            assert_eq!(segs.len(), 1, "single-hop SDMA route is one segment");
-            if classes.contains(&segs) {
-                continue;
-            }
-            fault_link.get_or_insert(p.links[0]);
-            classes.push(segs);
-        }
-    }
-    assert!(
-        classes.len() > 8,
-        "expected many disjoint single-hop classes"
-    );
-    let nclasses = classes.len();
-    // Class population under round-robin dealing: the first n % nclasses
-    // classes get one extra flow.
-    let class_size = |c: usize| n / nclasses + usize::from(c < n % nclasses);
-    let specs = (0..n)
-        .map(|i| {
-            let class = i % nclasses;
-            let spec = FlowSpec::new(classes[class].clone(), 8e5 + class as f64 * 6.4e4, 1.0);
-            if class % 6 == 0 {
-                // Contended class: uncapped flows split the saturated link.
-                spec
-            } else {
-                // Engine-capped class: the per-flow SDMA ceiling loads the
-                // link to 90%, leaving it slack and non-binding.
-                let link_cap = segmap.capacity(classes[class][0]);
-                spec.with_cap(link_cap * 0.9 / class_size(class) as f64)
-            }
-        })
-        .collect();
-    (specs, fault_link.expect("at least one single-hop class"))
-}
-
-fn bench_scaling(c: &mut Criterion, topo: &NodeTopology) {
-    let cap = max_scale_flows();
-    for &(n, tag) in SCALES {
-        if n > cap {
-            eprintln!("skipping {tag}-flow scaling benches (BENCH_FABRIC_MAX_FLOWS)");
-            continue;
-        }
-        let (specs, fault_link) = scaling_population(topo, n);
-        let mut g = c.benchmark_group(&format!("scaling_{tag}"));
-        g.sample_size(match n {
-            0..=1_000 => 30,
-            1_001..=10_000 => 10,
-            _ => 3,
-        });
-        let cycle = |net: &mut FlowNet| {
-            let t = net.now();
-            net.add_flows(t, specs.iter().cloned());
-            while net.complete_next().is_some() {}
-            black_box(net.recomputes())
-        };
-        {
-            let mut net = FlowNet::new(SegmentMap::new(topo));
-            g.bench_function(&format!("engine/add_drain_cycle_{tag}"), |b| {
-                b.iter(|| cycle(&mut net))
-            });
-        }
-        if n <= 10_000 {
-            let mut net = FlowNet::new(SegmentMap::new(topo));
-            net.set_incremental_threshold(0.0);
-            g.bench_function(&format!("full/add_drain_cycle_{tag}"), |b| {
-                b.iter(|| cycle(&mut net))
-            });
-        }
-        // Mid-flight fault recompute over a resident population: two
-        // capacity flips, hence two solver passes, per iteration (matching
-        // the 64-flow recompute bench shape).
-        let admit = |net: &mut FlowNet| {
-            let t = net.now();
-            net.add_flows(t, specs.iter().cloned())[0]
-        };
-        {
-            let mut net = FlowNet::new(SegmentMap::new(topo));
-            let probe = admit(&mut net);
-            g.bench_function(&format!("engine/fault_recompute_{tag}"), |b| {
-                b.iter(|| {
-                    net.set_link_factor(fault_link, 0.5);
-                    black_box(net.rate_of(probe).unwrap());
-                    net.set_link_factor(fault_link, 1.0);
-                    black_box(net.rate_of(probe).unwrap())
-                })
-            });
-        }
-        {
-            let mut net = FlowNet::new(SegmentMap::new(topo));
-            net.set_incremental_threshold(0.0);
-            let probe = admit(&mut net);
-            g.bench_function(&format!("full/fault_recompute_{tag}"), |b| {
-                b.iter(|| {
-                    net.set_link_factor(fault_link, 0.5);
-                    black_box(net.rate_of(probe).unwrap());
-                    net.set_link_factor(fault_link, 1.0);
-                    black_box(net.rate_of(probe).unwrap())
-                })
-            });
-        }
-        g.finish();
-    }
-}
-
 fn min_of(results: &[BenchResult], id: &str) -> f64 {
     results
         .iter()
         .find(|r| r.id == id)
         .unwrap_or_else(|| panic!("bench {id} did not run"))
         .min_ns
-}
-
-fn try_min_of(results: &[BenchResult], id: &str) -> Option<f64> {
-    results.iter().find(|r| r.id == id).map(|r| r.min_ns)
-}
-
-/// The flow-count axis of a bench id, from its `_64`/`_1k`/… suffix.
-fn flows_of(id: &str) -> usize {
-    for &(n, tag) in SCALES {
-        if id.ends_with(&format!("_{tag}")) {
-            return n;
-        }
-    }
-    FLOWS
 }
 
 fn render_report(results: &[BenchResult]) -> String {
@@ -341,7 +173,7 @@ fn render_report(results: &[BenchResult]) -> String {
         .map(|r| {
             let mut row = Map::new();
             row.insert("id", Value::from(r.id.as_str()));
-            row.insert("flows", Value::from(flows_of(&r.id)));
+            row.insert("flows", Value::from(FLOWS));
             row.insert("mean_ns", Value::from(r.mean_ns));
             row.insert("min_ns", Value::from(r.min_ns));
             row.insert("iters", Value::from(r.iters));
@@ -380,28 +212,6 @@ fn render_report(results: &[BenchResult]) -> String {
             Value::from(min_of(results, reference) / min_of(results, engine)),
         );
     }
-    // Scaling-sweep ratios: incremental engine vs the same engine forced to
-    // full water-fills. Pairs whose members were capped out of the run
-    // (BENCH_FABRIC_MAX_FLOWS, or the intentionally-skipped 100k full
-    // add/drain baseline) are omitted rather than zero-filled.
-    for &(_, tag) in SCALES {
-        for kind in ["add_drain", "fault"] {
-            let bench = match kind {
-                "add_drain" => "add_drain_cycle",
-                _ => "fault_recompute",
-            };
-            let (engine, full) = (
-                format!("engine/{bench}_{tag}"),
-                format!("full/{bench}_{tag}"),
-            );
-            if let (Some(e), Some(f)) = (try_min_of(results, &engine), try_min_of(results, &full)) {
-                speedups.insert(
-                    format!("incremental_vs_full_{kind}_{tag}"),
-                    Value::from(f / e),
-                );
-            }
-        }
-    }
     root.insert("speedup", Value::from(speedups));
     json::to_string_pretty(&Value::from(root))
 }
@@ -414,7 +224,6 @@ fn main() {
     bench_admission(&mut c, &topo, &specs);
     bench_recompute(&mut c, &topo, &specs);
     bench_peek(&mut c, &topo, &specs);
-    bench_scaling(&mut c, &topo);
 
     let path = std::env::var_os("BENCH_FABRIC_OUT")
         .map(PathBuf::from)

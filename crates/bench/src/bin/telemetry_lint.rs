@@ -232,9 +232,10 @@ fn lint_bench(v: &Value) -> Result<usize, String> {
     match v.get("schema").and_then(|s| s.as_str()) {
         Some("ifsim-bench-fabric-v2") => {}
         Some("ifsim-bench-fabric-v1") => {
-            return Err("schema ifsim-bench-fabric-v1 is superseded; expected v2 \
-                 (per-result flows column from the scaling sweep)"
-                .into())
+            return Err(
+                "schema ifsim-bench-fabric-v1 is superseded; expected v2 (per-result flows column)"
+                    .into(),
+            )
         }
         other => return Err(format!("unexpected schema {other:?}")),
     }

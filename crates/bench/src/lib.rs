@@ -8,8 +8,9 @@
 //!   (`cargo run -p ifsim-bench --bin repro -- all`), printing the rows the
 //!   paper reports and writing CSV artifacts plus a check summary;
 //! - the **Criterion benches** (`cargo bench`) measure the simulator itself:
-//!   per-figure end-to-end runs (`figures`), hot components (`components`),
-//!   and the design-choice ablations called out in DESIGN.md (`ablations`).
+//!   the fabric engine against its pre-rework reference (`fabric_engine`)
+//!   and the design-choice ablations called out in DESIGN.md (`ablations`);
+//!   the `stack` example times every layer end to end.
 
 pub use ifsim_core::telemetry;
 pub use ifsim_core::{registry, BenchConfig, Capture, Experiment, ExperimentResult, RunOpts};

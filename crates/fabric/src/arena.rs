@@ -16,23 +16,6 @@
 //! The fair-share solver walks `(spans, buf)` directly
 //! ([`crate::fairshare::max_min_rates_arena`]); nothing is re-collected and
 //! nothing allocates on the hot path.
-//!
-//! For the incremental solver the arena additionally maintains a **reverse
-//! segment → flows index** and **per-segment dirty stamps**:
-//!
-//! - every segment owns a bucket of buffer *slots* (indices into `buf`), and
-//!   two arrays parallel to `buf` close the loop: `owner[slot]` is the dense
-//!   flow index holding that slot, `rev_pos[slot]` is the slot's position
-//!   inside its segment's bucket. Push, swap-remove and compaction all
-//!   maintain the three in O(route length) with no scanning;
-//! - every membership change stamps the touched segments with a monotone
-//!   change counter. [`FlowNet`](crate::FlowNet) remembers the counter value
-//!   of its last solve and asks
-//!   [`collect_dirty_since`](FlowArena::collect_dirty_since) for the
-//!   segments stamped after it — the seed set for the dirty-frontier walk in
-//!   [`crate::fairshare::max_min_rates_incremental`]. Capacity-only changes
-//!   (derate, fault, restore) are stamped by the engine through
-//!   [`mark_dirty`](FlowArena::mark_dirty).
 
 use crate::seg::SegId;
 
@@ -57,19 +40,6 @@ pub struct FlowArena {
     spans: Vec<Span>,
     /// Dead `u32` slots in `buf` left behind by removals.
     garbage: usize,
-    /// Dense flow index owning each `buf` slot (stale on garbage slots).
-    owner: Vec<u32>,
-    /// Position of each `buf` slot inside `rev[buf[slot]]` (stale on
-    /// garbage slots).
-    rev_pos: Vec<u32>,
-    /// Per-segment bucket of `buf` slots crossing that segment.
-    rev: Vec<Vec<u32>>,
-    /// Segments whose bucket is currently non-empty.
-    active_segs: usize,
-    /// Monotone change counter; every membership or capacity event bumps it.
-    stamp: u64,
-    /// Per-segment value of `stamp` at the segment's last change.
-    dirty_stamp: Vec<u64>,
 }
 
 /// Compaction is skipped below this much garbage: tiny buffers never churn.
@@ -95,23 +65,7 @@ impl FlowArena {
     /// `self.len()`.
     pub fn push(&mut self, segs: &[SegId], wire_cap: f64) {
         let start = self.buf.len() as u32;
-        let flow = self.spans.len() as u32;
-        for s in segs {
-            let seg = s.0 as usize;
-            if seg >= self.rev.len() {
-                self.rev.resize_with(seg + 1, Vec::new);
-            }
-            let slot = self.buf.len() as u32;
-            let bucket = &mut self.rev[seg];
-            if bucket.is_empty() {
-                self.active_segs += 1;
-            }
-            self.rev_pos.push(bucket.len() as u32);
-            bucket.push(slot);
-            self.buf.push(s.0);
-            self.owner.push(flow);
-            self.touch(s.0);
-        }
+        self.buf.extend(segs.iter().map(|s| s.0));
         self.spans.push(Span {
             start,
             len: segs.len() as u32,
@@ -123,30 +77,7 @@ impl FlowArena {
     /// engine performs on its dense entry vector). The removed range becomes
     /// garbage; compaction runs once garbage outweighs live data.
     pub fn swap_remove(&mut self, idx: usize) {
-        let dead = self.spans[idx];
-        for slot in dead.start..dead.start + dead.len {
-            let seg = self.buf[slot as usize];
-            let pos = self.rev_pos[slot as usize] as usize;
-            let bucket = &mut self.rev[seg as usize];
-            bucket.swap_remove(pos);
-            if let Some(&moved_slot) = bucket.get(pos) {
-                self.rev_pos[moved_slot as usize] = pos as u32;
-            }
-            if bucket.is_empty() {
-                self.active_segs -= 1;
-            }
-            self.touch(seg);
-        }
-        let last = self.spans.len() - 1;
-        self.spans.swap_remove(idx);
-        if idx != last {
-            // The old last flow now lives at dense index `idx`: rename its
-            // slots' ownership so reverse lookups keep resolving.
-            let moved = self.spans[idx];
-            for slot in moved.start..moved.start + moved.len {
-                self.owner[slot as usize] = idx as u32;
-            }
-        }
+        let dead = self.spans.swap_remove(idx);
         self.garbage += dead.len as usize;
         if self.garbage > COMPACT_MIN_GARBAGE && self.garbage * 2 > self.buf.len() {
             self.compact();
@@ -172,120 +103,22 @@ impl FlowArena {
         &self.buf
     }
 
-    /// Dense flow indices of every live flow crossing `seg`, in bucket
-    /// order (insertion order perturbed by swap-removes — deterministic for
-    /// a given operation sequence, but not sorted).
-    #[inline]
-    pub fn flows_on(&self, seg: u32) -> impl Iterator<Item = u32> + '_ {
-        const EMPTY: &[u32] = &[];
-        self.rev
-            .get(seg as usize)
-            .map(|b| b.as_slice())
-            .unwrap_or(EMPTY)
-            .iter()
-            .map(move |&slot| self.owner[slot as usize])
-    }
-
-    /// Number of live flows crossing `seg`.
-    #[inline]
-    pub fn flows_on_len(&self, seg: u32) -> usize {
-        self.rev.get(seg as usize).map(|b| b.len()).unwrap_or(0)
-    }
-
-    /// How many segments currently carry at least one flow. The incremental
-    /// solver's fallback threshold is a fraction of this.
-    #[inline]
-    pub fn active_segments(&self) -> usize {
-        self.active_segs
-    }
-
-    /// Stamp `seg` as changed (capacity events; membership events stamp
-    /// automatically in [`push`](Self::push)/[`swap_remove`](Self::swap_remove)).
-    pub fn mark_dirty(&mut self, seg: u32) {
-        self.touch(seg);
-    }
-
-    /// The current value of the monotone change counter. A caller that
-    /// records this after a solve can later ask
-    /// [`collect_dirty_since`](Self::collect_dirty_since) for everything
-    /// changed in between.
-    #[inline]
-    pub fn change_stamp(&self) -> u64 {
-        self.stamp
-    }
-
-    /// Append to `out` every segment stamped strictly after `since`. Cost is
-    /// one pass over the per-segment stamp table — topology-sized, not
-    /// flow-sized.
-    pub fn collect_dirty_since(&self, since: u64, out: &mut Vec<u32>) {
-        for (seg, &st) in self.dirty_stamp.iter().enumerate() {
-            if st > since {
-                out.push(seg as u32);
-            }
-        }
-    }
-
-    #[inline]
-    fn touch(&mut self, seg: u32) {
-        let seg = seg as usize;
-        if seg >= self.dirty_stamp.len() {
-            self.dirty_stamp.resize(seg + 1, 0);
-        }
-        self.stamp += 1;
-        self.dirty_stamp[seg] = self.stamp;
-    }
-
     /// Current dead-slot count (exposed for tests and diagnostics).
     pub fn garbage(&self) -> usize {
         self.garbage
     }
 
-    /// Rewrite the buffer with live spans only, in dense order. Bucket
-    /// entries are buffer slots, so they are renamed as their slots move;
-    /// bucket *positions* are untouched, so `rev_pos` values copy across.
+    /// Rewrite the buffer with live spans only, in dense order.
     fn compact(&mut self) {
         let live: usize = self.spans.iter().map(|s| s.len as usize).sum();
         let mut buf = Vec::with_capacity(live.max(self.buf.len() / 2));
-        let mut owner = Vec::with_capacity(buf.capacity());
-        let mut rev_pos = Vec::with_capacity(buf.capacity());
-        for (flow, s) in self.spans.iter_mut().enumerate() {
+        for s in &mut self.spans {
             let start = buf.len() as u32;
-            for slot in s.start as usize..(s.start + s.len) as usize {
-                let seg = self.buf[slot];
-                let pos = self.rev_pos[slot];
-                self.rev[seg as usize][pos as usize] = buf.len() as u32;
-                buf.push(seg);
-                owner.push(flow as u32);
-                rev_pos.push(pos);
-            }
+            buf.extend_from_slice(&self.buf[s.start as usize..(s.start + s.len) as usize]);
             s.start = start;
         }
         self.buf = buf;
-        self.owner = owner;
-        self.rev_pos = rev_pos;
         self.garbage = 0;
-    }
-
-    /// Exhaustive consistency check of the reverse index (test support).
-    #[cfg(test)]
-    fn check_rev_invariants(&self) {
-        let mut live_slots = 0usize;
-        for (flow, s) in self.spans.iter().enumerate() {
-            for slot in s.start as usize..(s.start + s.len) as usize {
-                live_slots += 1;
-                assert_eq!(self.owner[slot] as usize, flow, "owner of slot {slot}");
-                let seg = self.buf[slot] as usize;
-                let pos = self.rev_pos[slot] as usize;
-                assert_eq!(
-                    self.rev[seg][pos] as usize, slot,
-                    "bucket for seg {seg} at pos {pos}"
-                );
-            }
-        }
-        let bucket_total: usize = self.rev.iter().map(|b| b.len()).sum();
-        assert_eq!(bucket_total, live_slots, "bucket entries == live slots");
-        let nonempty = self.rev.iter().filter(|b| !b.is_empty()).count();
-        assert_eq!(nonempty, self.active_segs, "active segment count");
     }
 }
 
@@ -297,12 +130,6 @@ mod tests {
         v.iter().map(|&x| SegId(x)).collect()
     }
 
-    fn flows_on_sorted(a: &FlowArena, seg: u32) -> Vec<u32> {
-        let mut v: Vec<u32> = a.flows_on(seg).collect();
-        v.sort_unstable();
-        v
-    }
-
     #[test]
     fn push_and_read_back() {
         let mut a = FlowArena::new();
@@ -312,7 +139,6 @@ mod tests {
         assert_eq!(a.segs(0), &[3, 5]);
         assert_eq!(a.segs(1), &[7]);
         assert_eq!(a.spans()[1].wire_cap, 10.0);
-        a.check_rev_invariants();
     }
 
     #[test]
@@ -326,7 +152,6 @@ mod tests {
         assert_eq!(a.len(), 2);
         assert_eq!(a.segs(0), &[4]);
         assert_eq!(a.segs(1), &[2, 3]);
-        a.check_rev_invariants();
     }
 
     #[test]
@@ -346,84 +171,24 @@ mod tests {
                 "round {round}: buf holds {} slots",
                 a.buf().len()
             );
-            a.check_rev_invariants();
         }
         assert!(a.is_empty());
-        assert_eq!(a.active_segments(), 0);
     }
 
     #[test]
     fn spans_stay_consistent_after_compaction() {
         let mut a = FlowArena::new();
-        for i in 0..40u32 {
+        let mut model: Vec<u32> = (0..200).collect();
+        for &i in &model {
             a.push(&ids(&[i]), f64::INFINITY);
         }
-        for _ in 0..35 {
+        for _ in 0..195 {
             a.swap_remove(1);
+            model.swap_remove(1);
         }
-        for i in 0..a.len() {
-            assert_eq!(a.segs(i).len(), 1);
+        assert!(a.garbage() < 195, "compaction ran");
+        for (i, &seg) in model.iter().enumerate() {
+            assert_eq!(a.segs(i), &[seg]);
         }
-        a.check_rev_invariants();
-    }
-
-    #[test]
-    fn reverse_index_tracks_membership() {
-        let mut a = FlowArena::new();
-        a.push(&ids(&[0, 1]), f64::INFINITY); // flow 0
-        a.push(&ids(&[1, 2]), f64::INFINITY); // flow 1
-        a.push(&ids(&[2]), f64::INFINITY); // flow 2
-        assert_eq!(flows_on_sorted(&a, 0), vec![0]);
-        assert_eq!(flows_on_sorted(&a, 1), vec![0, 1]);
-        assert_eq!(flows_on_sorted(&a, 2), vec![1, 2]);
-        assert_eq!(a.active_segments(), 3);
-
-        // Remove flow 0: flow 2 takes dense index 0.
-        a.swap_remove(0);
-        assert_eq!(flows_on_sorted(&a, 0), Vec::<u32>::new());
-        assert_eq!(flows_on_sorted(&a, 1), vec![1]);
-        assert_eq!(flows_on_sorted(&a, 2), vec![0, 1]);
-        assert_eq!(a.active_segments(), 2);
-        assert_eq!(a.flows_on_len(1), 1);
-        a.check_rev_invariants();
-    }
-
-    #[test]
-    fn reverse_index_survives_compaction_churn() {
-        let mut a = FlowArena::new();
-        // Enough churn to trip compaction several times, with overlapping
-        // multi-segment routes so buckets stay populated.
-        for round in 0..50u32 {
-            for i in 0..8u32 {
-                a.push(&ids(&[i % 5, (i + 1) % 5, (i + 2) % 5]), f64::INFINITY);
-            }
-            for _ in 0..8 {
-                a.swap_remove((round as usize) % a.len().max(1));
-            }
-            a.check_rev_invariants();
-        }
-    }
-
-    #[test]
-    fn dirty_stamps_report_changes_since_a_solve() {
-        let mut a = FlowArena::new();
-        a.push(&ids(&[4]), f64::INFINITY);
-        a.push(&ids(&[7]), f64::INFINITY);
-        let solved = a.change_stamp();
-        let mut dirty = Vec::new();
-        a.collect_dirty_since(solved, &mut dirty);
-        assert!(dirty.is_empty(), "nothing changed since the stamp");
-
-        a.swap_remove(0); // touches seg 4
-        a.mark_dirty(7); // capacity event on seg 7
-        a.collect_dirty_since(solved, &mut dirty);
-        dirty.sort_unstable();
-        assert_eq!(dirty, vec![4, 7]);
-
-        // Older stamps see everything ever touched.
-        let mut all = Vec::new();
-        a.collect_dirty_since(0, &mut all);
-        all.sort_unstable();
-        assert_eq!(all, vec![4, 7]);
     }
 }

@@ -8,14 +8,10 @@
 //! the flow's current binding constraint — and folds the result into a
 //! [`BottleneckAttribution`] attached to the flow's completion event.
 //!
-//! Bindings survive incremental re-solves: [`crate::FlowNet`] keeps a
-//! persistent per-flow binding vector in lockstep with its entry table, and
-//! a subgraph pass ([`crate::fairshare::max_min_rates_incremental`])
-//! rewrites only the affected flows' slots. A flow outside the dirty
-//! closure keeps both its rate *and* its binding constraint — which is
-//! exactly right, since nothing about its component changed — so accrual
-//! intervals keep partitioning lifetimes at 1e-6 no matter how the solves
-//! were scoped.
+//! Every pass is a full water-fill, so each flow's binding is re-decided at
+//! every epoch. When two saturated segments hold a flow at the same level
+//! (an xGMI direction and its duplex pool, say), the epoch charges the one
+//! the solver froze it on first.
 //!
 //! This is the simulator-side analogue of the paper's explanatory method:
 //! the ~75 % unidirectional ceiling is an *SDMA cap* story, the duplex

@@ -159,34 +159,6 @@ pub struct FairshareScratch {
     /// when the flow's own wire cap bound it, otherwise the index of the
     /// saturated segment whose freeze fixed the flow's rate.
     binding: Vec<u32>,
-
-    // ---- persistent dirty-set state for `max_min_rates_incremental` ----
-    // Visited marks are epoch-stamped so clearing between solves is a single
-    // counter bump, not a memset over topology- or flow-sized arrays.
-    /// Epoch stamp per segment (`== seen_epoch` ⇒ in the affected set).
-    seg_seen: Vec<u32>,
-    /// Epoch stamp per flow (`== seen_epoch` ⇒ in the affected set).
-    flow_seen: Vec<u32>,
-    /// Current visited epoch.
-    seen_epoch: u32,
-    /// Affected segments in BFS discovery order (doubles as the BFS queue).
-    aff_segs: Vec<u32>,
-    /// Affected flows, sorted ascending after the walk.
-    aff_flows: Vec<u32>,
-    /// Local (subproblem) id of each affected segment; valid where
-    /// `seg_seen == seen_epoch`.
-    seg_local: Vec<u32>,
-    /// Subproblem capacity vector, one entry per affected segment.
-    sub_caps: Vec<f64>,
-    /// Subproblem CSR buffer (local segment ids).
-    sub_buf: Vec<u32>,
-    /// Subproblem spans, parallel to `aff_flows`.
-    sub_spans: Vec<crate::arena::Span>,
-    /// Subproblem wire rates, parallel to `aff_flows`.
-    sub_out: Vec<f64>,
-    /// Subproblem bindings mapped back to *global* segment ids, parallel to
-    /// `aff_flows`.
-    sub_bind: Vec<u32>,
 }
 
 impl FairshareScratch {
@@ -202,28 +174,6 @@ impl FairshareScratch {
     /// bound). Valid until the next solve over this scratch.
     pub fn binding(&self) -> &[u32] {
         &self.binding
-    }
-
-    /// Results of the most recent successful
-    /// [`max_min_rates_incremental`] call: `(affected_flows, wire_rates,
-    /// bindings)`, three parallel slices. Flows are dense engine indices
-    /// sorted ascending; bindings use *global* segment ids (or
-    /// [`CAP_BOUND`]). Valid until the next solve over this scratch.
-    pub fn incremental_results(&self) -> (&[u32], &[f64], &[u32]) {
-        (&self.aff_flows, &self.sub_out, &self.sub_bind)
-    }
-
-    /// Bump (and wrap-protect) the visited epoch for a new dirty walk.
-    fn next_epoch(&mut self) -> u32 {
-        self.seen_epoch = self.seen_epoch.wrapping_add(1);
-        if self.seen_epoch == 0 {
-            // One reset every 2³² walks: wipe the stamps so stale marks from
-            // the previous wrap cannot alias the fresh epoch.
-            self.seg_seen.iter_mut().for_each(|x| *x = 0);
-            self.flow_seen.iter_mut().for_each(|x| *x = 0);
-            self.seen_epoch = 1;
-        }
-        self.seen_epoch
     }
 }
 
@@ -484,140 +434,6 @@ fn retire_flow_load(scratch: &mut FairshareScratch, segs: &[u32], round: u32) {
     }
 }
 
-/// Incremental max-min re-solve over the dirty-set closure.
-///
-/// Max-min fair allocation decomposes exactly over the connected components
-/// of the bipartite flow↔segment incidence graph: a flow's rate depends only
-/// on the segments it (transitively) shares with other flows. When a change
-/// touches only a few segments — one flow drained, one link derated — the
-/// rates of every flow outside the affected components are provably
-/// unchanged, so re-solving the affected subgraph alone reproduces the full
-/// water-fill (up to floating-point round-off from the different Δ-step
-/// partition; the differential proptests hold both paths to 1e-6).
-///
-/// `dirty` seeds the walk with the segments changed since the last solve
-/// (from [`crate::arena::FlowArena::collect_dirty_since`]). The walk
-/// alternates segment → flows (via the arena's persistent reverse index) and
-/// flow → segments (via its spans) until closure. Two outcomes:
-///
-/// - the affected-segment frontier stays within `max_frontier`: the
-///   subproblem is extracted with remapped dense segment ids, solved by
-///   [`max_min_rates_arena`] over this same scratch (the sub-solve fields
-///   and the walk fields are disjoint), and `true` is returned. Read the
-///   new rates via [`FairshareScratch::incremental_results`]; rates of
-///   unaffected flows are untouched by construction. Dirty segments that no
-///   live flow crosses are skipped — they can affect nothing — so a purely
-///   idle change yields an empty (but successful) result.
-/// - the frontier exceeds `max_frontier` (the change coupled too much of
-///   the network for a partial solve to win): `false` is returned and the
-///   caller should run the full water-fill instead. `max_frontier == 0`
-///   therefore disables the incremental path outright.
-pub fn max_min_rates_incremental(
-    caps: &[f64],
-    arena: &crate::arena::FlowArena,
-    dirty: &[u32],
-    max_frontier: usize,
-    scratch: &mut FairshareScratch,
-) -> bool {
-    let epoch = scratch.next_epoch();
-    if scratch.seg_seen.len() < caps.len() {
-        scratch.seg_seen.resize(caps.len(), 0);
-        scratch.seg_local.resize(caps.len(), 0);
-    }
-    if scratch.flow_seen.len() < arena.len() {
-        scratch.flow_seen.resize(arena.len(), 0);
-    }
-    scratch.aff_segs.clear();
-    scratch.aff_flows.clear();
-    for &s in dirty {
-        // A dirty segment with no live flows (drained, or an idle link's
-        // capacity event) cannot influence any rate: skip it rather than
-        // inflating the frontier.
-        if arena.flows_on_len(s) == 0 {
-            continue;
-        }
-        if scratch.seg_seen[s as usize] != epoch {
-            scratch.seg_seen[s as usize] = epoch;
-            scratch.aff_segs.push(s);
-        }
-    }
-    if scratch.aff_segs.len() > max_frontier {
-        return false;
-    }
-    // BFS to the component closure; `aff_segs` is its own queue.
-    let mut cursor = 0;
-    while cursor < scratch.aff_segs.len() {
-        let s = scratch.aff_segs[cursor];
-        cursor += 1;
-        for f in arena.flows_on(s) {
-            if scratch.flow_seen[f as usize] == epoch {
-                continue;
-            }
-            scratch.flow_seen[f as usize] = epoch;
-            scratch.aff_flows.push(f);
-            for &s2 in arena.segs(f as usize) {
-                if scratch.seg_seen[s2 as usize] != epoch {
-                    scratch.seg_seen[s2 as usize] = epoch;
-                    scratch.aff_segs.push(s2);
-                    if scratch.aff_segs.len() > max_frontier {
-                        return false;
-                    }
-                }
-            }
-        }
-    }
-    if scratch.aff_flows.is_empty() {
-        scratch.sub_out.clear();
-        scratch.sub_bind.clear();
-        return true;
-    }
-    // Ascending dense order keeps the apply loop's memory access sequential
-    // and the result deterministic regardless of bucket iteration order.
-    scratch.aff_flows.sort_unstable();
-
-    // Extract the subproblem with remapped segment ids. The sub-vectors are
-    // moved out so the arena solver can borrow the scratch mutably.
-    let mut sub_caps = std::mem::take(&mut scratch.sub_caps);
-    let mut sub_buf = std::mem::take(&mut scratch.sub_buf);
-    let mut sub_spans = std::mem::take(&mut scratch.sub_spans);
-    let mut sub_out = std::mem::take(&mut scratch.sub_out);
-    let mut sub_bind = std::mem::take(&mut scratch.sub_bind);
-    sub_caps.clear();
-    for (k, &s) in scratch.aff_segs.iter().enumerate() {
-        scratch.seg_local[s as usize] = k as u32;
-        sub_caps.push(caps[s as usize]);
-    }
-    sub_buf.clear();
-    sub_spans.clear();
-    let spans = arena.spans();
-    for &f in &scratch.aff_flows {
-        let start = sub_buf.len() as u32;
-        for &s in arena.segs(f as usize) {
-            sub_buf.push(scratch.seg_local[s as usize]);
-        }
-        sub_spans.push(crate::arena::Span {
-            start,
-            len: sub_buf.len() as u32 - start,
-            wire_cap: spans[f as usize].wire_cap,
-        });
-    }
-    max_min_rates_arena(&sub_caps, &sub_buf, &sub_spans, scratch, &mut sub_out);
-    sub_bind.clear();
-    sub_bind.extend(scratch.binding.iter().map(|&b| {
-        if b == CAP_BOUND {
-            CAP_BOUND
-        } else {
-            scratch.aff_segs[b as usize]
-        }
-    }));
-    scratch.sub_caps = sub_caps;
-    scratch.sub_buf = sub_buf;
-    scratch.sub_spans = sub_spans;
-    scratch.sub_out = sub_out;
-    scratch.sub_bind = sub_bind;
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -798,130 +614,6 @@ mod tests {
         for (f, &x) in fl.iter().zip(&r) {
             assert!(x <= f.wire_cap + 1e-6);
             assert!(x > 0.0);
-        }
-    }
-
-    fn build_arena(defs: &[(Vec<u32>, f64)]) -> crate::arena::FlowArena {
-        use crate::seg::SegId;
-        let mut arena = crate::arena::FlowArena::new();
-        for (segs, cap) in defs {
-            let segs: Vec<SegId> = segs.iter().map(|&s| SegId(s)).collect();
-            arena.push(&segs, *cap);
-        }
-        arena
-    }
-
-    #[test]
-    fn incremental_resolves_only_the_affected_component() {
-        // Two disjoint components: flows {0,1} on segs {0,1}, flows {2,3}
-        // on seg 3. Dirtying seg 0 must re-solve exactly the first.
-        let caps = [50.0, 80.0, 20.0, 100.0];
-        let defs = [
-            (vec![0u32, 1], INF),
-            (vec![1], INF),
-            (vec![3], 30.0),
-            (vec![3], INF),
-        ];
-        let arena = build_arena(&defs);
-        let mut scratch = FairshareScratch::new();
-        let ok = max_min_rates_incremental(&caps, &arena, &[0], 3, &mut scratch);
-        assert!(ok, "frontier of 2 segs fits in 3");
-        let (aff, rates, bind) = scratch.incremental_results();
-        assert_eq!(aff, &[0, 1], "component closure over segs 0-1");
-        // Full solve over the whole table for comparison.
-        let full = max_min_rates(&caps, &flows(&defs));
-        for (k, &f) in aff.iter().enumerate() {
-            let want = full[f as usize];
-            assert!(
-                (rates[k] - want).abs() <= 1e-9 * want.max(1.0),
-                "flow {f}: {} vs {want}",
-                rates[k]
-            );
-        }
-        // Bindings come back in global segment ids.
-        for ((segs, _), &b) in aff.iter().map(|&f| &defs[f as usize]).zip(bind) {
-            if b != CAP_BOUND {
-                assert!(segs.contains(&b), "binding {b} not on route {segs:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_reports_fallback_when_frontier_blows_past_threshold() {
-        // One shared segment couples every flow: any dirty seed closes over
-        // all four segments, which a max_frontier of 2 cannot hold.
-        let caps = [50.0, 80.0, 20.0, 100.0];
-        let defs = [
-            (vec![0u32, 1], INF),
-            (vec![1, 2], INF),
-            (vec![2, 3], INF),
-            (vec![3, 0], INF),
-        ];
-        let arena = build_arena(&defs);
-        let mut scratch = FairshareScratch::new();
-        assert!(!max_min_rates_incremental(
-            &caps,
-            &arena,
-            &[0],
-            2,
-            &mut scratch
-        ));
-        // max_frontier == 0 disables the incremental path outright.
-        assert!(!max_min_rates_incremental(
-            &caps,
-            &arena,
-            &[0],
-            0,
-            &mut scratch
-        ));
-    }
-
-    #[test]
-    fn incremental_skips_idle_dirty_segments() {
-        let caps = [50.0, 80.0];
-        let defs = [(vec![0u32], INF)];
-        let arena = build_arena(&defs);
-        let mut scratch = FairshareScratch::new();
-        // Seg 1 is dirty but carries no flow: nothing is affected, and the
-        // call succeeds with an empty result even under a zero frontier.
-        let ok = max_min_rates_incremental(&caps, &arena, &[1], 0, &mut scratch);
-        assert!(ok);
-        let (aff, rates, bind) = scratch.incremental_results();
-        assert!(aff.is_empty() && rates.is_empty() && bind.is_empty());
-    }
-
-    #[test]
-    fn incremental_scratch_reuse_does_not_leak_state() {
-        let caps = [40.0, 60.0, 90.0];
-        let defs = [
-            (vec![0u32], INF),
-            (vec![0, 1], 25.0),
-            (vec![1], INF),
-            (vec![2], INF),
-        ];
-        let arena = build_arena(&defs);
-        let full = max_min_rates(&caps, &flows(&defs));
-        let mut scratch = FairshareScratch::new();
-        for round in 0..3 {
-            // Alternate seeds across rounds; results must stay stable.
-            let seed = [if round % 2 == 0 { 0u32 } else { 1 }];
-            assert!(max_min_rates_incremental(
-                &caps,
-                &arena,
-                &seed,
-                3,
-                &mut scratch
-            ));
-            let (aff, rates, _) = scratch.incremental_results();
-            assert_eq!(aff, &[0, 1, 2], "segs 0-1 close over flows 0-2");
-            for (k, &f) in aff.iter().enumerate() {
-                let want = full[f as usize];
-                assert!(
-                    (rates[k] - want).abs() <= 1e-9 * want.max(1.0),
-                    "round {round}, flow {f}: {} vs {want}",
-                    rates[k]
-                );
-            }
         }
     }
 }

@@ -34,22 +34,15 @@
 //!   only re-pushes flows whose rate actually changed (bumping a per-flow
 //!   generation that orphans the old entry). The drain loop is O(F log F)
 //!   instead of the former O(F²) scan.
-//! - The deferred pass itself is **incremental** when the change is local:
-//!   the segments dirtied since the last solve (tracked by the arena's
-//!   per-segment change stamps) seed a walk over the shared-segment graph,
-//!   and only the affected subgraph is re-solved
-//!   ([`fairshare::max_min_rates_incremental`]); untouched flows keep
-//!   their frozen rates, heap projections, and bindings. When the dirty
-//!   frontier exceeds a configurable fraction of the active segments
-//!   ([`FlowNet::set_incremental_threshold`]), the full arena water-fill
-//!   runs instead — a change that couples most of the network is solved
-//!   fastest in one pass.
+//! - Every deferred pass is **one full water-fill** over the arena. At the
+//!   flow counts real workloads reach (at most 16 concurrent flows per
+//!   runtime on the 8-GCD node) that solve is cheap, so the pass carries no
+//!   machinery for skipping or scoping it — see "Recompute: one full
+//!   water-fill" in `docs/PERFORMANCE.md`.
 
 use crate::arena::FlowArena;
 use crate::attr::AttrAcc;
-use crate::fairshare::{
-    max_min_rates_arena, max_min_rates_incremental, FairshareScratch, CAP_BOUND,
-};
+use crate::fairshare::{max_min_rates_arena, FairshareScratch};
 use crate::flow::{FlowId, FlowSpec};
 use crate::flowlog::{FlowEvent, FlowEventKind, FlowLog};
 use crate::recorder::{FlightRecorder, UtilSeries};
@@ -114,44 +107,14 @@ struct RateState {
     gens: Vec<u32>,
     /// Projected completions, min-ordered; may hold orphaned entries.
     heap: BinaryHeap<Reverse<HeapEntry>>,
-    /// Reusable fair-share working set.
+    /// Reusable fair-share working set. After a pass, its
+    /// [`FairshareScratch::binding`] holds each flow's binding constraint
+    /// in dense order.
     scratch: FairshareScratch,
-    /// Current wire rate per dense entry, maintained in swap-remove
-    /// lockstep: an incremental solve rewrites only the affected flows, so
-    /// the vector must persist across passes (it also feeds the recorder's
-    /// per-flow deltas).
+    /// Wire rate per dense entry, written by each pass.
     wire: Vec<f64>,
-    /// Binding constraint per dense entry ([`CAP_BOUND`] or a segment
-    /// index), same lockstep. Persistent for the same reason: an
-    /// incremental solve leaves unaffected flows' bindings untouched.
-    bindings: Vec<u32>,
-    /// Full arena water-fills executed (over a non-empty table).
-    full_recomputes: u64,
-    /// Incremental subgraph re-solves executed (≥ 1 affected flow).
-    incremental_recomputes: u64,
-    /// Arena change stamp at the last solve; segments stamped later form
-    /// the next dirty set.
-    solved_stamp: u64,
-    /// Reusable dirty-segment seed buffer.
-    dirty_segs: Vec<u32>,
-    /// Fallback threshold: the incremental path is attempted while the
-    /// dirty frontier stays within this fraction of the active segments.
-    /// `0.0` disables incremental solving outright.
-    incr_threshold: f64,
-    /// Force the next pass to be a full solve (recorder just enabled, so
-    /// its persistent load table must be seeded from the live CSR).
-    force_full: bool,
-    /// Persistent wire load per segment (sum of `wire` over the flows that
-    /// traverse it). Rebuilt by full solves, delta-maintained by
-    /// incremental solves and removals; feeds the rate-neutrality test
-    /// that lets a pass skip the solver outright.
-    seg_load: Vec<f64>,
-    /// Whether any event since the last solve could actually move a rate.
-    /// Admissions always set it; removals and capacity changes only when
-    /// they touch a saturated (hence possibly binding) segment. While it
-    /// stays false the pass is elided: the previous rate vector is provably
-    /// still the max-min optimum.
-    needs_solve: bool,
+    /// Fair-share passes executed (over a non-empty table).
+    recomputes: u64,
     /// Epoch-sampled utilization time series (disabled by default). Lives
     /// here because the flush that feeds it runs under `&self`.
     recorder: Option<FlightRecorder>,
@@ -175,20 +138,6 @@ pub struct LinkLoad {
     /// Mean utilization over `[0, now]` (carried / capacity × elapsed).
     pub utilization: f64,
 }
-
-/// Default incremental-solve fallback threshold: attempt the subgraph
-/// re-solve while the dirty frontier covers at most half the active
-/// segments. Past that point the walk plus sub-solve costs about as much as
-/// one full water-fill, so falling back is cheaper. Tunable per net via
-/// [`FlowNet::set_incremental_threshold`].
-pub const DEFAULT_INCREMENTAL_THRESHOLD: f64 = 0.5;
-
-/// Relative slack below which a segment is treated as possibly binding.
-/// The water-fill freezes flows only on segments filled to within
-/// `EPS = 1e-7` of capacity, so any segment loaded under
-/// `cap * (1 - SLACK_MARGIN)` provably bound nobody; the wider margin also
-/// absorbs the bounded drift of the delta-maintained load table.
-const SLACK_MARGIN: f64 = 1e-6;
 
 /// Fluid network state. See module docs for the driving protocol.
 pub struct FlowNet {
@@ -252,15 +201,7 @@ impl FlowNet {
                 heap: BinaryHeap::new(),
                 scratch: FairshareScratch::new(),
                 wire: Vec::new(),
-                bindings: Vec::new(),
-                full_recomputes: 0,
-                incremental_recomputes: 0,
-                solved_stamp: 0,
-                dirty_segs: Vec::new(),
-                incr_threshold: DEFAULT_INCREMENTAL_THRESHOLD,
-                force_full: false,
-                seg_load: vec![0.0; n],
-                needs_solve: false,
+                recomputes: 0,
                 recorder: None,
             }),
         }
@@ -298,12 +239,7 @@ impl FlowNet {
     /// The recorder only observes — rates, completion times and artifact
     /// outputs are identical with it on or off.
     pub fn enable_flight_recorder(&mut self, capacity: usize) {
-        let rs = self.rs.get_mut();
-        rs.recorder = Some(FlightRecorder::new(&self.segmap, capacity));
-        // The fresh recorder's persistent load table starts at zero; the
-        // next pass must be a full solve so its rebuild seeds the table
-        // from the live CSR before any incremental delta lands on it.
-        rs.force_full = true;
+        self.rs.get_mut().recorder = Some(FlightRecorder::new(&self.segmap, capacity));
     }
 
     /// Snapshot of the recorded utilization series, if the recorder is on.
@@ -453,47 +389,31 @@ impl FlowNet {
         self.entries.len()
     }
 
-    /// Fair-share passes actually executed so far, full and incremental
-    /// combined (a performance counter exercised by the Criterion component
-    /// benches). Deferred-recompute coalescing means this counts *solver
-    /// runs*, not membership changes; a pass is never charged for an empty
-    /// flow table, nor for a dirty set whose closure contains no flow.
+    /// Fair-share passes actually executed so far (a performance counter).
+    /// Deferred-recompute coalescing means this counts *solver runs*, not
+    /// membership changes; a pass is never charged for an empty flow table.
     pub fn recomputes(&self) -> u64 {
-        let rs = self.rs.borrow();
-        rs.full_recomputes + rs.incremental_recomputes
+        self.rs.borrow().recomputes
     }
 
-    /// Full arena water-fills executed (first solves, threshold fallbacks,
-    /// and forced-full passes).
+    /// Same as [`FlowNet::recomputes`]; every pass is a full solve. Only
+    /// caller: the stack bench (`crates/bench/examples/stack/layers.rs`).
+    #[doc(hidden)]
     pub fn recomputes_full(&self) -> u64 {
-        self.rs.borrow().full_recomputes
+        self.recomputes()
     }
 
-    /// Incremental subgraph re-solves executed (dirty-set closure solved,
-    /// untouched flows' rates reused frozen).
+    /// Always 0: the engine has no incremental solve. Only caller: the
+    /// stack bench (`crates/bench/examples/stack/layers.rs`).
+    #[doc(hidden)]
     pub fn recomputes_incremental(&self) -> u64 {
-        self.rs.borrow().incremental_recomputes
+        0
     }
 
-    /// Tune the incremental-solve fallback threshold: the dirty-frontier
-    /// walk aborts to a full water-fill once it has marked more than
-    /// `frac × active_segments` segments. `0.0` disables the incremental
-    /// path (every pass is a full solve — the baseline the scaling benches
-    /// measure against); `1.0` only falls back when a change closes over
-    /// strictly more segments than are active (i.e. never). Default is
-    /// [`DEFAULT_INCREMENTAL_THRESHOLD`].
-    pub fn set_incremental_threshold(&mut self, frac: f64) {
-        assert!(
-            (0.0..=1.0).contains(&frac),
-            "threshold is a fraction of active segments, got {frac}"
-        );
-        self.rs.get_mut().incr_threshold = frac;
-    }
-
-    /// Current incremental-solve fallback threshold.
-    pub fn incremental_threshold(&self) -> f64 {
-        self.rs.borrow().incr_threshold
-    }
+    /// No-op: the engine has no incremental-solve threshold. Only caller:
+    /// the stack bench (`crates/bench/examples/stack/layers.rs`).
+    #[doc(hidden)]
+    pub fn set_incremental_threshold(&mut self, _frac: f64) {}
 
     /// Start a flow at time `now` (must not precede network time).
     pub fn add_flow(&mut self, now: Time, spec: FlowSpec) -> FlowId {
@@ -575,13 +495,13 @@ impl FlowNet {
             self.busy_gen += 1;
             let gen = self.busy_gen;
             let rs = self.rs.borrow();
-            // The persistent binding vector is maintained in swap-remove
-            // lockstep with the entry table and rewritten (fully or for the
-            // affected subset) by every solve, so it is always aligned here
-            // — including after incremental passes that left most flows
-            // untouched.
-            let bindings = self.attr_enabled.then(|| rs.bindings.as_slice());
-            debug_assert!(bindings.is_none_or(|b| b.len() == self.entries.len()));
+            // Every caller flushed first, and every membership change
+            // forces a pass, so the last solve's bindings are in dense
+            // order for exactly the current table.
+            let bindings = self.attr_enabled.then(|| rs.scratch.binding());
+            debug_assert!(
+                bindings.is_none_or(|b| self.entries.is_empty() || b.len() == self.entries.len())
+            );
             for (i, e) in self.entries.iter_mut().enumerate() {
                 let rate = rs.rates[i];
                 e.delivered = (e.delivered + rate * dt).min(e.spec.payload_bytes);
@@ -728,12 +648,7 @@ impl FlowNet {
         // pushes this flow's projection.
         rs.rates.push(-1.0);
         rs.gens.push(0);
-        rs.wire.push(0.0);
-        rs.bindings.push(CAP_BOUND);
         rs.dirty = true;
-        // A new flow has no rate yet, so the pending pass can never be
-        // elided as rate-neutral.
-        rs.needs_solve = true;
         self.peak_active = self.peak_active.max(self.entries.len());
         if let Some(ev) = created {
             self.log.push(ev);
@@ -747,42 +662,12 @@ impl FlowNet {
     /// valid because its generation moves with it.
     fn remove_flow(&mut self, id: FlowId) -> Option<(Entry, AttrAcc)> {
         let idx = self.ids.remove(&id)? as usize;
-        {
-            // Retire the flow's wire contribution from the recorder's
-            // persistent load before the arena forgets its route. The next
-            // epoch (full or incremental) then samples the drained links
-            // without rescanning the table.
-            let RateState {
-                wire,
-                recorder,
-                seg_load,
-                needs_solve,
-                ..
-            } = self.rs.get_mut();
-            if let Some(rec) = recorder.as_mut() {
-                rec.apply_delta(self.arena.segs(idx), wire[idx], 0.0);
-            }
-            // Rate-neutrality test: a departure can lift a survivor only
-            // through a segment that was binding someone, and a binding
-            // segment is saturated. Judged on the pre-departure load —
-            // removing the last sharer of a saturated segment must still
-            // trigger a solve for whoever it was holding back.
-            for &s in self.arena.segs(idx) {
-                let si = s as usize;
-                if seg_load[si] >= self.caps[si] * (1.0 - SLACK_MARGIN) {
-                    *needs_solve = true;
-                }
-                seg_load[si] -= wire[idx];
-            }
-        }
         let e = self.entries.swap_remove(idx);
         let acc = self.attr.swap_remove(idx);
         self.arena.swap_remove(idx);
         let rs = self.rs.get_mut();
         rs.rates.swap_remove(idx);
         rs.gens.swap_remove(idx);
-        rs.wire.swap_remove(idx);
-        rs.bindings.swap_remove(idx);
         rs.dirty = true;
         if idx < self.entries.len() {
             let moved = self.entries[idx].id;
@@ -792,202 +677,80 @@ impl FlowNet {
     }
 
     /// Re-cache segment capacities after a link-factor change and schedule a
-    /// re-share. Segments whose capacity actually moved are stamped dirty so
-    /// the next pass can scope its re-solve to the flows they touch.
+    /// re-share.
     fn refresh_caps(&mut self) {
-        let RateState {
-            seg_load,
-            needs_solve,
-            dirty,
-            ..
-        } = self.rs.get_mut();
         for (i, c) in self.caps.iter_mut().enumerate() {
-            let cap = self.segmap.capacity(SegId(i as u32));
-            if cap != *c {
-                // A capacity move is rate-neutral only on a segment that
-                // carries traffic well below both the old and the new
-                // ceiling: raising a binding (saturated) cap lifts flows,
-                // and dropping a cap under the current load squeezes them.
-                let load = seg_load[i];
-                if load > 0.0 && load >= c.min(cap) * (1.0 - SLACK_MARGIN) {
-                    *needs_solve = true;
-                }
-                *c = cap;
-                self.arena.mark_dirty(i as u32);
-            }
+            *c = self.segmap.capacity(SegId(i as u32));
         }
-        *dirty = true;
+        self.rs.get_mut().dirty = true;
     }
 
-    /// Run the deferred fair-share pass, if one is pending.
-    ///
-    /// Cheapest tier first: when every event since the last solve was
-    /// provably rate-neutral (departures and capacity moves confined to
-    /// slack, non-binding segments — no admissions), the pass is elided
-    /// outright and the standing rates, bindings, and heap projections
-    /// carry over untouched.
-    ///
-    /// Otherwise the segments stamped dirty since the last pass seed an incremental
-    /// subgraph re-solve first ([`max_min_rates_incremental`]); max-min
-    /// allocation decomposes exactly over connected components of the
-    /// segment↔flow incidence graph, so untouched flows keep their frozen
-    /// rates, heap projections, and bindings. When the dirty frontier blows
-    /// past the configured fraction of active segments — or a full pass is
-    /// forced (first solve for a fresh recorder) — the whole-arena
-    /// water-fill runs instead. Either way, heap projections are re-pushed
-    /// for exactly the flows whose rate changed (an unchanged rate means
-    /// the existing absolute-time projection is still exact).
+    /// Run the deferred fair-share pass, if one is pending: one full
+    /// water-fill, then a recorder sample, then the heap re-projection. An
+    /// empty table skips the solve but still gets its (all-zero) sample.
     fn flush(&self) {
-        let mut rs = self.rs.borrow_mut();
-        if !rs.dirty {
+        let mut guard = self.rs.borrow_mut();
+        let rs = &mut *guard;
+        if !std::mem::take(&mut rs.dirty) {
             return;
         }
-        rs.dirty = false;
+        let now_ns = self.now.as_ns();
         if self.entries.is_empty() {
             // No solver pass happens (and none is counted) for an empty
-            // table; stale projections can be dropped wholesale. The
-            // recorder still gets an all-zero epoch so the series shows
-            // traffic dropping to idle.
-            let RateState {
-                heap,
-                recorder,
-                solved_stamp,
-                seg_load,
-                needs_solve,
-                ..
-            } = &mut *rs;
-            heap.clear();
-            *solved_stamp = self.arena.change_stamp();
-            seg_load.fill(0.0);
-            *needs_solve = false;
-            if let Some(rec) = recorder.as_mut() {
-                rec.rebuild(self.now.as_ns(), &self.caps, &[], &[], &[]);
-            }
-            return;
+            // table; stale projections can be dropped wholesale.
+            rs.heap.clear();
+        } else {
+            rs.solve(&self.caps, &self.arena);
         }
+        rs.sample(now_ns, &self.caps, &self.arena);
+        rs.reproject(&self.entries, now_ns);
+    }
+}
+
+impl RateState {
+    /// One max-min water-fill over the whole arena, into `wire` and the
+    /// scratch's bindings.
+    fn solve(&mut self, caps: &[f64], arena: &FlowArena) {
+        self.recomputes += 1;
+        max_min_rates_arena(
+            caps,
+            arena.buf(),
+            arena.spans(),
+            &mut self.scratch,
+            &mut self.wire,
+        );
+    }
+
+    /// Append this epoch's link utilization to the flight recorder, if on.
+    /// After the table empties this is the all-zero epoch that shows
+    /// traffic dropping to idle.
+    fn sample(&mut self, now_ns: f64, caps: &[f64], arena: &FlowArena) {
+        if let Some(rec) = self.recorder.as_mut() {
+            rec.rebuild(now_ns, caps, arena.buf(), arena.spans(), &self.wire);
+        }
+    }
+
+    /// Adopt the solved rates and re-project completions. Only flows whose
+    /// rate changed get a new heap entry: an unchanged rate means the
+    /// existing absolute-time projection is still exact.
+    fn reproject(&mut self, entries: &[Entry], now_ns: f64) {
         let RateState {
             rates,
             gens,
             heap,
-            scratch,
             wire,
-            bindings,
-            full_recomputes,
-            incremental_recomputes,
-            solved_stamp,
-            dirty_segs,
-            incr_threshold,
-            force_full,
-            seg_load,
-            needs_solve,
-            recorder,
             ..
-        } = &mut *rs;
-        dirty_segs.clear();
-        self.arena.collect_dirty_since(*solved_stamp, dirty_segs);
-        *solved_stamp = self.arena.change_stamp();
-        let now_ns = self.now.as_ns();
-        if !std::mem::take(needs_solve) && !*force_full && *incr_threshold > 0.0 {
-            // Rate-neutral pass: every event since the last solve was a
-            // departure or capacity move on slack, non-binding segments, so
-            // the standing rate vector is still the exact max-min optimum —
-            // no solver runs and neither recompute counter is charged. The
-            // recorder still samples an epoch (departures already retired
-            // their load deltas), so the series shows traffic draining.
-            // Threshold 0.0 turns this off along with the rest of the
-            // incremental machinery: that configuration is the
-            // full-recompute-per-change reference behaviour.
-            if let Some(rec) = recorder.as_mut() {
-                rec.commit(now_ns, &self.caps);
-            }
-            return;
-        }
-        let n = self.entries.len();
-        let max_frontier = (self.arena.active_segments() as f64 * *incr_threshold) as usize;
-        if !std::mem::take(force_full)
-            && max_min_rates_incremental(&self.caps, &self.arena, dirty_segs, max_frontier, scratch)
-        {
-            let (aff, sub_wire, sub_bind) = scratch.incremental_results();
-            if !aff.is_empty() {
-                *incremental_recomputes += 1;
-            }
-            for (k, &fi) in aff.iter().enumerate() {
-                let i = fi as usize;
-                let e = &self.entries[i];
-                bindings[i] = sub_bind[k];
-                if let Some(rec) = recorder.as_mut() {
-                    rec.apply_delta(self.arena.segs(i), wire[i], sub_wire[k]);
-                }
-                for &s in self.arena.segs(i) {
-                    seg_load[s as usize] += sub_wire[k] - wire[i];
-                }
-                wire[i] = sub_wire[k];
-                let rate = sub_wire[k] * e.spec.efficiency;
-                if rate != rates[i] {
-                    rates[i] = rate;
-                    gens[i] = gens[i].wrapping_add(1);
-                    let remaining = (e.spec.payload_bytes - e.delivered).max(0.0);
-                    let ns = now_ns + Dur::for_bytes(remaining, rate).as_ns();
-                    heap.push(Reverse(HeapEntry {
-                        ns,
-                        flow: e.id,
-                        gen: gens[i],
-                    }));
-                }
-            }
-            if let Some(rec) = recorder.as_mut() {
-                rec.commit(now_ns, &self.caps);
-            }
-            if heap.len() > 2 * n + 64 {
-                // An incremental pass touches few flows, so the
-                // changed-majority rebuild heuristic of the full path does
-                // not apply — but orphaned projections still pile up across
-                // passes, so the size backstop stays.
-                let mut v = std::mem::take(heap).into_vec();
-                v.clear();
-                for (i, e) in self.entries.iter().enumerate() {
-                    let remaining = (e.spec.payload_bytes - e.delivered).max(0.0);
-                    let ns = now_ns + Dur::for_bytes(remaining, rates[i]).as_ns();
-                    v.push(Reverse(HeapEntry {
-                        ns,
-                        flow: e.id,
-                        gen: gens[i],
-                    }));
-                }
-                *heap = BinaryHeap::from(v);
-            }
-            return;
-        }
-        *full_recomputes += 1;
-        max_min_rates_arena(
-            &self.caps,
-            self.arena.buf(),
-            self.arena.spans(),
-            scratch,
-            wire,
-        );
-        bindings.clear();
-        bindings.extend_from_slice(scratch.binding());
-        // A full pass rewrites every wire rate, so rebuild the per-segment
-        // load table exactly — this also squashes any drift the
-        // delta-maintained path accumulated.
-        seg_load.fill(0.0);
-        for (i, &w) in wire.iter().enumerate() {
-            for &s in self.arena.segs(i) {
-                seg_load[s as usize] += w;
-            }
-        }
-        if let Some(rec) = recorder.as_mut() {
-            rec.rebuild(
-                self.now.as_ns(),
-                &self.caps,
-                self.arena.buf(),
-                self.arena.spans(),
-                wire,
-            );
-        }
-        let changed = self
-            .entries
+        } = self;
+        let n = entries.len();
+        let project = |e: &Entry, rate: f64, gen: u32| {
+            let remaining = (e.spec.payload_bytes - e.delivered).max(0.0);
+            Reverse(HeapEntry {
+                ns: now_ns + Dur::for_bytes(remaining, rate).as_ns(),
+                flow: e.id,
+                gen,
+            })
+        };
+        let changed = entries
             .iter()
             .enumerate()
             .filter(|(i, e)| wire[*i] * e.spec.efficiency != rates[*i])
@@ -1001,30 +764,18 @@ impl FlowNet {
             // stale behind and allocates nothing at steady state.
             let mut v = std::mem::take(heap).into_vec();
             v.clear();
-            for (i, e) in self.entries.iter().enumerate() {
+            for (i, e) in entries.iter().enumerate() {
                 rates[i] = wire[i] * e.spec.efficiency;
-                let remaining = (e.spec.payload_bytes - e.delivered).max(0.0);
-                let ns = now_ns + Dur::for_bytes(remaining, rates[i]).as_ns();
-                v.push(Reverse(HeapEntry {
-                    ns,
-                    flow: e.id,
-                    gen: gens[i],
-                }));
+                v.push(project(e, rates[i], gens[i]));
             }
             *heap = BinaryHeap::from(v);
         } else {
-            for (i, e) in self.entries.iter().enumerate() {
+            for (i, e) in entries.iter().enumerate() {
                 let rate = wire[i] * e.spec.efficiency;
                 if rate != rates[i] {
                     rates[i] = rate;
                     gens[i] = gens[i].wrapping_add(1);
-                    let remaining = (e.spec.payload_bytes - e.delivered).max(0.0);
-                    let ns = now_ns + Dur::for_bytes(remaining, rate).as_ns();
-                    heap.push(Reverse(HeapEntry {
-                        ns,
-                        flow: e.id,
-                        gen: gens[i],
-                    }));
+                    heap.push(project(e, rate, gens[i]));
                 }
             }
         }
@@ -1653,121 +1404,10 @@ mod tests {
     }
 
     #[test]
-    fn incremental_pass_leaves_disjoint_component_untouched() {
-        let (t, r, mut n) = net();
-        n.set_incremental_threshold(1.0);
-        let ab = peer_segs(&t, &r, &n, 0, 2, false);
-        let cd = peer_segs(&t, &r, &n, 4, 6, false);
-        // First solve covers the whole (one-flow) network.
-        let fa = n.add_flow(Time::ZERO, FlowSpec::new(ab.clone(), 1e9, 1.0));
-        assert!((n.rate_of(fa).unwrap() - gbps(50.0)).abs() < 1.0);
-        let after_first = n.recomputes();
-        // A flow on a disjoint GCD pair dirties only its own segments; the
-        // subgraph walk never reaches `fa`, whose rate and projection stay
-        // frozen.
-        let fc = n.add_flow(Time::ZERO, FlowSpec::new(cd, 1e9, 1.0));
-        assert!((n.rate_of(fc).unwrap() - gbps(50.0)).abs() < 1.0);
-        assert!((n.rate_of(fa).unwrap() - gbps(50.0)).abs() < 1.0);
-        assert_eq!(n.recomputes(), after_first + 1);
-        assert_eq!(n.recomputes_incremental(), n.recomputes());
-        assert_eq!(n.recomputes_full(), 0);
-        // A second sharer on `ab` must re-split that component only.
-        let fb = n.add_flow(Time::ZERO, FlowSpec::new(ab, 1e9, 1.0));
-        assert!((n.rate_of(fa).unwrap() - gbps(25.0)).abs() < 1.0);
-        assert!((n.rate_of(fb).unwrap() - gbps(25.0)).abs() < 1.0);
-        assert!((n.rate_of(fc).unwrap() - gbps(50.0)).abs() < 1.0);
-        assert_eq!(n.recomputes_full(), 0);
-    }
-
-    #[test]
-    fn threshold_zero_disables_the_incremental_path() {
-        let (t, r, mut n) = net();
-        n.set_incremental_threshold(0.0);
-        assert_eq!(n.incremental_threshold(), 0.0);
-        let segs = peer_segs(&t, &r, &n, 0, 2, false);
-        n.add_flow(Time::ZERO, FlowSpec::new(segs.clone(), 1e9, 1.0));
-        n.add_flow(Time::ZERO, FlowSpec::new(segs, 1e9, 1.0));
-        while n.complete_next().is_some() {}
-        assert!(n.recomputes_full() > 0);
-        assert_eq!(n.recomputes_incremental(), 0);
-        assert_eq!(n.recomputes(), n.recomputes_full());
-    }
-
-    #[test]
-    fn incremental_mid_flight_fault_matches_full_engine() {
-        // Same fault scenario as `mid_flight_degradation_slows_active_flows`,
-        // but with a disjoint bystander flow and the incremental path pinned
-        // on: the capacity change re-solves only the degraded component and
-        // the completion times match the always-full engine exactly.
-        let run = |threshold: f64| {
-            let (t, r, mut n) = net();
-            n.set_incremental_threshold(threshold);
-            let ab = peer_segs(&t, &r, &n, 0, 2, false);
-            let cd = peer_segs(&t, &r, &n, 4, 6, false);
-            let lid = r
-                .gcd_route(GcdId(0), GcdId(2), RoutePolicy::MaxBandwidth)
-                .links[0];
-            n.add_flow(Time::ZERO, FlowSpec::new(ab, 1e9, 1.0));
-            n.add_flow(Time::ZERO, FlowSpec::new(cd, 1e9, 1.0));
-            n.advance_to(Time::from_ns(10e6));
-            n.set_link_factor(lid, 0.5);
-            let mut times = Vec::new();
-            while let Some((tc, id)) = n.complete_next() {
-                times.push((tc, id));
-            }
-            (times, n.recomputes_incremental())
-        };
-        let (full_times, full_incr) = run(0.0);
-        let (incr_times, incr_incr) = run(1.0);
-        assert_eq!(full_incr, 0);
-        assert!(incr_incr > 0, "threshold 1.0 never took the fast path");
-        assert_eq!(full_times.len(), incr_times.len());
-        for ((tf, idf), (ti, idi)) in full_times.iter().zip(&incr_times) {
-            assert_eq!(idf, idi);
-            assert!((tf.as_ns() - ti.as_ns()).abs() <= tolerance_ns(*tf));
-        }
-    }
-
-    #[test]
-    fn recorder_series_is_identical_under_incremental_solves() {
-        // The delta-maintained recorder must produce the same utilization
-        // series as the rebuild-every-epoch full path, including the drain
-        // epoch fed by `remove_flow` deltas.
-        let run = |threshold: f64| {
-            let (t, r, mut n) = net();
-            n.set_incremental_threshold(threshold);
-            n.enable_flight_recorder(64);
-            let ab = peer_segs(&t, &r, &n, 0, 2, false);
-            let cd = peer_segs(&t, &r, &n, 4, 5, false);
-            n.add_flow(Time::ZERO, FlowSpec::new(ab.clone(), 1e9, 1.0));
-            n.add_flow(Time::ZERO, FlowSpec::new(cd, 0.5e9, 1.0));
-            n.add_flow(Time::ZERO, FlowSpec::new(ab, 0.25e9, 1.0));
-            while n.complete_next().is_some() {}
-            n.advance_to(Time::from_ns(100e6));
-            let series = n.recorder_series().expect("recorder enabled");
-            series
-                .samples
-                .into_iter()
-                .map(|s| (s.ts_ns, s.util))
-                .collect::<Vec<_>>()
-        };
-        let full = run(0.0);
-        let incr = run(1.0);
-        assert_eq!(full.len(), incr.len());
-        for ((tf, uf), (ti, ui)) in full.iter().zip(&incr) {
-            assert_eq!(tf, ti);
-            for (a, b) in uf.iter().zip(ui) {
-                assert!((a - b).abs() < 1e-9, "util drift {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn rate_neutral_drain_elides_the_solver() {
-        // Two engine-capped flows under-subscribe a 50 GB/s link: the
-        // segment binds nobody, so departures cannot move any surviving
-        // rate and the pass skips the solver without charging either
-        // recompute counter.
+    fn slack_segment_departure_keeps_survivor_completion_exact() {
+        // Two engine-capped flows under-subscribe a 50 GB/s link, so the
+        // first departure leaves the survivor's rate where it was; the
+        // survivor must still finish exactly on time: 8 MB at 10 GB/s.
         let (t, r, mut n) = net();
         let segs = peer_segs(&t, &r, &n, 0, 2, false);
         let a = n.add_flow(
@@ -1779,67 +1419,12 @@ mod tests {
             FlowSpec::new(segs, 8e6, 1.0).with_cap(gbps(10.0)),
         );
         assert!((n.rate_of(a).unwrap() - gbps(10.0)).abs() < 1.0);
-        let after_admit = n.recomputes();
         let (_, first) = n.complete_next().expect("flow a finishes first");
         assert_eq!(first, a);
-        assert_eq!(
-            n.recomputes(),
-            after_admit,
-            "slack-segment departure must elide the solver pass"
-        );
         assert!((n.rate_of(b).unwrap() - gbps(10.0)).abs() < 1.0);
         let (end, second) = n.complete_next().expect("flow b finishes");
         assert_eq!(second, b);
-        assert_eq!(n.recomputes(), after_admit);
-        // The elided pass kept b's projection exact: 8 MB at 10 GB/s.
         let expect = 8e6 / gbps(10.0) * 1e9;
         assert!((end.as_ns() - expect).abs() < tolerance_ns(end));
-    }
-
-    #[test]
-    fn threshold_zero_also_disables_drain_elision() {
-        // At threshold 0.0 the net is the full-recompute-per-change
-        // reference: even provably rate-neutral departures pay a full
-        // water-fill, which is exactly what the scaling benches use as
-        // their baseline.
-        let (t, r, mut n) = net();
-        n.set_incremental_threshold(0.0);
-        let segs = peer_segs(&t, &r, &n, 0, 2, false);
-        n.add_flow(
-            Time::ZERO,
-            FlowSpec::new(segs.clone(), 1e6, 1.0).with_cap(gbps(10.0)),
-        );
-        let b = n.add_flow(
-            Time::ZERO,
-            FlowSpec::new(segs, 8e6, 1.0).with_cap(gbps(10.0)),
-        );
-        n.flush();
-        let before = n.recomputes_full();
-        n.complete_next().expect("first flow finishes");
-        assert!(n.rate_of(b).is_some());
-        assert!(
-            n.recomputes_full() > before,
-            "threshold 0.0 must recompute on every change"
-        );
-        assert_eq!(n.recomputes_incremental(), 0);
-    }
-
-    #[test]
-    fn saturated_segment_departure_still_resolves() {
-        // The elision guard must not swallow the classic free-capacity
-        // case: two uncapped flows split a saturated link, so the first
-        // departure has to re-solve and double the survivor's rate.
-        let (t, r, mut n) = net();
-        let segs = peer_segs(&t, &r, &n, 0, 2, false);
-        n.add_flow(Time::ZERO, FlowSpec::new(segs.clone(), 1e6, 1.0));
-        let b = n.add_flow(Time::ZERO, FlowSpec::new(segs, 8e6, 1.0));
-        assert!((n.rate_of(b).unwrap() - gbps(25.0)).abs() < 1.0);
-        let after_admit = n.recomputes();
-        n.complete_next().expect("short flow finishes");
-        assert!((n.rate_of(b).unwrap() - gbps(50.0)).abs() < 1.0);
-        assert!(
-            n.recomputes() > after_admit,
-            "saturated-segment departure must trigger a solve"
-        );
     }
 }

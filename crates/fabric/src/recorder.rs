@@ -73,17 +73,9 @@ impl UtilSeries {
 }
 
 /// Bounded epoch-sampled utilization recorder, owned by
-/// [`crate::FlowNet`]'s rate state and fed by its fair-share flush.
-///
-/// The per-segment wire load is maintained **incrementally**: the engine
-/// reports each flow's rate change (or removal) as a delta, and an epoch
-/// commit refreshes only the tracked columns whose load actually moved
-/// since the last sample. A full [`rebuild`](Self::rebuild) — run at every
-/// full (non-incremental) solve — recomputes the load from the live CSR,
-/// squashing any accumulated floating-point drift from long delta chains.
-/// Samples stay dense (one value per tracked column, ring/drop semantics
-/// unchanged); it is the per-epoch *work* that scales with the number of
-/// changed links instead of `flows × route length`.
+/// [`crate::FlowNet`]'s rate state and fed by its fair-share flush: every
+/// recompute epoch rebuilds the per-segment wire load from the live CSR and
+/// appends one dense sample row.
 #[derive(Clone, Debug)]
 pub struct FlightRecorder {
     /// Dense segment index per tracked column.
@@ -92,17 +84,8 @@ pub struct FlightRecorder {
     capacity: usize,
     ring: VecDeque<UtilSample>,
     dropped: u64,
-    /// Instantaneous wire rate per segment (all segments, so CSR walks and
-    /// deltas index directly). Persistent across epochs.
+    /// Per-segment wire load of the epoch being sampled (reused buffer).
     load: Vec<f64>,
-    /// Current utilization per tracked column, refreshed lazily.
-    util: Vec<f64>,
-    /// Tracked-column index per segment (`u32::MAX` for untracked).
-    col_of: Vec<u32>,
-    /// Columns whose load changed since the last commit.
-    touched: Vec<u32>,
-    /// Dedup marks for `touched`, per column.
-    touched_mark: Vec<bool>,
 }
 
 impl FlightRecorder {
@@ -115,11 +98,6 @@ impl FlightRecorder {
             tracked.push(seg.0);
             labels.push(segmap.label(seg).to_string());
         }
-        let mut col_of = vec![u32::MAX; segmap.len()];
-        for (col, &seg) in tracked.iter().enumerate() {
-            col_of[seg as usize] = col as u32;
-        }
-        let ncols = tracked.len();
         FlightRecorder {
             tracked,
             labels,
@@ -127,18 +105,12 @@ impl FlightRecorder {
             ring: VecDeque::new(),
             dropped: 0,
             load: vec![0.0; segmap.len()],
-            util: vec![0.0; ncols],
-            col_of,
-            touched: Vec::new(),
-            touched_mark: vec![false; ncols],
         }
     }
 
-    /// Record one *full-solve* epoch: per-flow wire rates (`wire`, span
-    /// order) spread over their CSR segment lists, normalized by `caps`.
-    /// Rebuilding from the live table resets the persistent load exactly,
-    /// so delta-maintenance drift never outlives a full solve. A repeated
-    /// epoch at the same timestamp (several flushes before time advances)
+    /// Record one epoch: per-flow wire rates (`wire`, span order) spread
+    /// over their CSR segment lists, normalized by `caps`. A repeated epoch
+    /// at the same timestamp (several flushes before time advances)
     /// overwrites the previous sample — the last solve at a timestamp is
     /// the one that governs the following interval.
     pub(crate) fn rebuild(
@@ -157,58 +129,21 @@ impl FlightRecorder {
                 self.load[s as usize] += wire[i];
             }
         }
-        for (col, &s) in self.tracked.iter().enumerate() {
-            self.util[col] = Self::norm(self.load[s as usize], caps[s as usize]);
-        }
-        self.touched.clear();
-        self.touched_mark.iter_mut().for_each(|m| *m = false);
-        self.push_sample(ts_ns);
-    }
-
-    /// Report one flow's wire-rate change over its route (`new == 0.0` for
-    /// a removal, `old == 0.0` for an admission). Touched tracked columns
-    /// are queued for the next [`commit`](Self::commit); untracked
-    /// segments only update the persistent load.
-    pub(crate) fn apply_delta(&mut self, segs: &[u32], old: f64, new: f64) {
-        for &s in segs {
-            let s = s as usize;
-            self.load[s] += new - old;
-            let col = self.col_of[s];
-            if col != u32::MAX && !self.touched_mark[col as usize] {
-                self.touched_mark[col as usize] = true;
-                self.touched.push(col);
-            }
-        }
-    }
-
-    /// Record one *incremental-solve* epoch: refresh only the columns
-    /// marked by [`apply_delta`](Self::apply_delta) since the last sample,
-    /// then emit a dense sample row (same ring/overwrite semantics as
-    /// [`rebuild`](Self::rebuild)).
-    pub(crate) fn commit(&mut self, ts_ns: f64, caps: &[f64]) {
-        while let Some(col) = self.touched.pop() {
-            self.touched_mark[col as usize] = false;
-            let s = self.tracked[col as usize] as usize;
-            self.util[col as usize] = Self::norm(self.load[s], caps[s]);
-        }
-        self.push_sample(ts_ns);
-    }
-
-    #[inline]
-    fn norm(load: f64, cap: f64) -> f64 {
-        if cap > 0.0 {
-            // Clamp delta-chain dust: a drained segment's load is a sum of
-            // cancelling additions and may underflow zero by round-off.
-            (load / cap).max(0.0)
-        } else {
-            0.0
-        }
-    }
-
-    fn push_sample(&mut self, ts_ns: f64) {
+        let util = self
+            .tracked
+            .iter()
+            .map(|&s| {
+                let cap = caps[s as usize];
+                if cap > 0.0 {
+                    self.load[s as usize] / cap
+                } else {
+                    0.0
+                }
+            })
+            .collect();
         if let Some(last) = self.ring.back_mut() {
             if last.ts_ns == ts_ns {
-                last.util.clone_from(&self.util);
+                last.util = util;
                 return;
             }
         }
@@ -216,10 +151,7 @@ impl FlightRecorder {
             self.ring.pop_front();
             self.dropped += 1;
         }
-        self.ring.push_back(UtilSample {
-            ts_ns,
-            util: self.util.clone(),
-        });
+        self.ring.push_back(UtilSample { ts_ns, util });
     }
 
     /// Number of samples currently held.
@@ -311,36 +243,6 @@ mod tests {
         assert_eq!(s.dropped, 2);
         assert_eq!(s.samples[0].ts_ns, 2.0);
         assert_eq!(s.samples[2].ts_ns, 4.0);
-    }
-
-    #[test]
-    fn delta_commit_matches_full_rebuild() {
-        let (m, mut r) = recorder(16);
-        let caps: Vec<f64> = (0..m.len()).map(|i| m.capacity(SegId(i as u32))).collect();
-        let mut segs = m.dir_segments().map(|(_, _, s)| s);
-        let (a, b) = (segs.next().unwrap(), segs.next().unwrap());
-        let mut arena = FlowArena::new();
-        arena.push(&[a], f64::INFINITY);
-        arena.push(&[a, b], f64::INFINITY);
-        // Full epoch at t=1 with wire rates 3.0 and 4.0.
-        r.rebuild(1.0, &caps, arena.buf(), arena.spans(), &[3.0, 4.0]);
-        // Incremental epoch at t=2: flow 0's rate moves 3.0 → 5.0.
-        r.apply_delta(arena.segs(0), 3.0, 5.0);
-        r.commit(2.0, &caps);
-        // Reference: rebuild a fresh recorder straight at the final rates.
-        let (_, mut fresh) = recorder(16);
-        fresh.rebuild(2.0, &caps, arena.buf(), arena.spans(), &[5.0, 4.0]);
-        let got = r.series();
-        let want = fresh.series();
-        assert_eq!(got.samples[1].util, want.samples[0].util);
-        // Untouched column b kept its old value without being rescanned.
-        let col_b = r.tracked.iter().position(|&s| s == b.0).unwrap();
-        assert!(got.samples[1].util[col_b] > 0.0);
-        // A removal delta drains the flow's contribution.
-        r.apply_delta(arena.segs(1), 4.0, 0.0);
-        r.commit(3.0, &caps);
-        let s3 = &r.series().samples[2];
-        assert!((s3.util[col_b] - 0.0).abs() < 1e-12);
     }
 
     #[test]

@@ -85,20 +85,13 @@ fn complete_lockstep(net: &mut FlowNet, refnet: &mut ReferenceNet) -> bool {
     true
 }
 
-/// Replay one randomized op tape on a production engine (at the given
-/// incremental-fallback threshold; `None` keeps the default) against a fresh
+/// Replay one randomized op tape on a production engine against a fresh
 /// reference engine, checking rates three ways after every step and draining
-/// both engines dry in lockstep. Two replays of the same tape are comparable
-/// because the reference computation is deterministic: if each production
-/// configuration matches its own `ReferenceNet`, they match each other.
-/// Returns the engine's `(full, incremental)` recompute counters.
-fn run_tape(ops: &[(u8, u8, u8, u32, u8)], threshold: Option<f64>) -> (u64, u64) {
+/// both engines dry in lockstep.
+fn run_tape(ops: &[(u8, u8, u8, u32, u8)]) {
     let topo = NodeTopology::frontier();
     let router = Router::new(&topo);
     let mut net = FlowNet::new(SegmentMap::new(&topo));
-    if let Some(t) = threshold {
-        net.set_incremental_threshold(t);
-    }
     let mut refnet = ReferenceNet::new(SegmentMap::new(&topo));
     let n_links = topo.links().len() as u8;
 
@@ -181,15 +174,13 @@ fn run_tape(ops: &[(u8, u8, u8, u32, u8)], threshold: Option<f64>) -> (u64, u64)
     }
     assert_eq!(net.active(), 0);
     assert_eq!(refnet.active(), 0);
-    (net.recomputes_full(), net.recomputes_incremental())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random op tapes: batch adds, completions, cancels, degradations, and
-    /// link failures keep both engines and the oracle in exact agreement at
-    /// the production default threshold (mixed incremental/full passes).
+    /// link failures keep both engines and the oracle in exact agreement.
     #[test]
     fn engine_matches_reference_and_oracle_under_churn(
         ops in proptest::collection::vec(
@@ -197,27 +188,7 @@ proptest! {
             1..36
         ),
     ) {
-        run_tape(&ops, None);
-    }
-
-    /// The same tape replayed at the incremental extremes: threshold 1.0
-    /// (subgraph re-solve always attempted — and with the frontier bounded
-    /// by the active-segment count it can never trip the fallback), 0.0
-    /// (incremental disabled outright), and 0.1 (a tight frontier, so
-    /// route-coupled changes randomly force the fallback mid-tape). Each
-    /// matches the reference engine step-for-step, hence each other.
-    #[test]
-    fn incremental_thresholds_agree_with_reference_under_churn(
-        ops in proptest::collection::vec(
-            (0u8..6, 0u8..8, 0u8..8, 1u32..5_000, 0u8..32),
-            1..24
-        ),
-    ) {
-        let (full_hi, _) = run_tape(&ops, Some(1.0));
-        prop_assert_eq!(full_hi, 0, "threshold 1.0 must never fall back");
-        let (_, incr_lo) = run_tape(&ops, Some(0.0));
-        prop_assert_eq!(incr_lo, 0, "threshold 0.0 must never go incremental");
-        run_tape(&ops, Some(0.1));
+        run_tape(&ops);
     }
 
     /// Pure add/drain cycles (the benchmarked hot path) agree flow-by-flow
@@ -248,66 +219,5 @@ proptest! {
         assert_rates_agree(&net, &refnet);
         while complete_lockstep(&mut net, &mut refnet) {}
         prop_assert_eq!(net.active(), 0);
-    }
-}
-
-/// Deterministic forced-fallback scenario: with four disjoint single-segment
-/// flows active (four active segments) and the threshold at 0.25, the dirty
-/// frontier budget is exactly one segment. A single-segment change then
-/// re-solves incrementally, while a duplex admission — whose route couples a
-/// directional segment *and* the shared duplex pool — blows the budget and
-/// falls back to the full water-fill. Rates agree with the reference engine
-/// throughout either way.
-#[test]
-fn duplex_admission_trips_the_fallback_threshold() {
-    let topo = NodeTopology::frontier();
-    let router = Router::new(&topo);
-    let mut net = FlowNet::new(SegmentMap::new(&topo));
-    net.set_incremental_threshold(0.25);
-    let mut refnet = ReferenceNet::new(SegmentMap::new(&topo));
-    let segmap = SegmentMap::new(&topo);
-    let route = |src: u8, dst: u8, duplex: bool| {
-        let p = router.gcd_route(GcdId(src), GcdId(dst), RoutePolicy::MaxBandwidth);
-        segmap.path_segments(&topo, p, duplex)
-    };
-    let admit = |net: &mut FlowNet, refnet: &mut ReferenceNet, segs: Vec<SegId>, bytes: f64| {
-        let spec = FlowSpec::new(segs, bytes, 1.0);
-        refnet.add_flow(refnet.now(), spec.clone());
-        net.add_flow(net.now(), spec)
-    };
-    // Four disjoint single-hop flows: the first batch solves however it
-    // likes; what matters is that afterwards four segments are active.
-    for (src, dst) in [(0, 2), (4, 6), (1, 3), (5, 7)] {
-        let segs = route(src, dst, false);
-        assert_eq!(segs.len(), 1, "expected single-hop route {src}->{dst}");
-        admit(&mut net, &mut refnet, segs, 1e9);
-    }
-    assert_rates_agree(&net, &refnet);
-    let full_before = net.recomputes_full();
-    let incr_before = net.recomputes_incremental();
-
-    // One more flow on an already-active segment dirties exactly one
-    // segment: closure size 1 ≤ budget ⌊4 × 0.25⌋ = 1, so this pass must be
-    // incremental.
-    admit(&mut net, &mut refnet, route(1, 3, false), 0.5e9);
-    assert_rates_agree(&net, &refnet);
-    assert_eq!(net.recomputes_full(), full_before);
-    assert_eq!(net.recomputes_incremental(), incr_before + 1);
-
-    // A duplex admission couples its directional segment with the duplex
-    // pool (closure ≥ 2 > budget): the walk aborts and the full water-fill
-    // runs — still exact.
-    let duplex_segs = route(0, 2, true);
-    assert!(
-        duplex_segs.len() >= 2,
-        "duplex route must span ≥ 2 segments"
-    );
-    admit(&mut net, &mut refnet, duplex_segs, 2e9);
-    assert_rates_agree(&net, &refnet);
-    assert_eq!(net.recomputes_full(), full_before + 1);
-    assert_eq!(net.recomputes_incremental(), incr_before + 1);
-
-    while complete_lockstep(&mut net, &mut refnet) {
-        assert_rates_agree(&net, &refnet);
     }
 }

@@ -7,68 +7,6 @@ use ifsim_fabric::{FlowNet, FlowSpec, SegmentMap};
 use ifsim_topology::{GcdId, NodeTopology, RoutePolicy, Router};
 use proptest::prelude::*;
 
-/// Shared body for the attribution-partition property: run a random flow
-/// mix to completion at the given incremental-fallback threshold (`None`
-/// keeps the default) and require every completion's attribution to
-/// partition its observed lifetime at 1e-6 relative.
-fn check_attribution_partitions(flow_defs: &[(u8, u8, u32)], threshold: Option<f64>) {
-    let topo = NodeTopology::frontier();
-    let router = Router::new(&topo);
-    let mut net = FlowNet::new(SegmentMap::new(&topo));
-    if let Some(t) = threshold {
-        net.set_incremental_threshold(t);
-    }
-    net.enable_flow_log();
-    net.enable_attribution();
-    for &(a, b, kb) in flow_defs {
-        let (a, b) = (a % 8, b % 8);
-        if a == b {
-            continue;
-        }
-        let p = router.gcd_route(GcdId(a), GcdId(b), RoutePolicy::MaxBandwidth);
-        let segs = net.segmap().path_segments(&topo, p, false);
-        net.add_flow(net.now(), FlowSpec::new(segs, kb as f64 * 1024.0, 0.9));
-    }
-    while net.complete_next().is_some() {}
-
-    let mut created: std::collections::HashMap<ifsim_fabric::FlowId, f64> =
-        std::collections::HashMap::new();
-    let mut completions = 0usize;
-    for ev in net.flow_log().events() {
-        match &ev.kind {
-            ifsim_fabric::FlowEventKind::Created { .. } => {
-                created.insert(ev.flow, ev.at.as_ns());
-            }
-            ifsim_fabric::FlowEventKind::Completed { attribution, .. } => {
-                completions += 1;
-                let a = attribution
-                    .as_ref()
-                    .expect("attribution enabled, so completions carry one");
-                let lifetime = ev.at.as_ns() - created[&ev.flow];
-                let tol = 1e-6 * lifetime.max(1.0);
-                prop_assert!(
-                    (a.total_ns - lifetime).abs() <= tol,
-                    "total_ns {} vs observed lifetime {lifetime}",
-                    a.total_ns
-                );
-                let accounted = a.cap_bound_ns + a.link_bound_ns();
-                prop_assert!(
-                    (accounted - a.total_ns).abs() <= tol,
-                    "cap {} + link {} does not partition total {}",
-                    a.cap_bound_ns,
-                    a.link_bound_ns(),
-                    a.total_ns
-                );
-                for &(_, ns) in &a.segments {
-                    prop_assert!(ns >= 0.0);
-                }
-            }
-            _ => {}
-        }
-    }
-    prop_assert_eq!(completions, created.len(), "every flow completed");
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -258,19 +196,58 @@ proptest! {
     fn attribution_partitions_flow_lifetime(
         flow_defs in proptest::collection::vec((0u8..8, 0u8..8, 1u32..5_000), 1..16),
     ) {
-        check_attribution_partitions(&flow_defs, None);
-    }
+        let topo = NodeTopology::frontier();
+        let router = Router::new(&topo);
+        let mut net = FlowNet::new(SegmentMap::new(&topo));
+        net.enable_flow_log();
+        net.enable_attribution();
+        for (a, b, kb) in flow_defs {
+            let (a, b) = (a % 8, b % 8);
+            if a == b {
+                continue;
+            }
+            let p = router.gcd_route(GcdId(a), GcdId(b), RoutePolicy::MaxBandwidth);
+            let segs = net.segmap().path_segments(&topo, p, false);
+            net.add_flow(net.now(), FlowSpec::new(segs, kb as f64 * 1024.0, 0.9));
+        }
+        while net.complete_next().is_some() {}
 
-    /// The same attribution-partition property with the incremental path
-    /// pinned on (threshold 1.0: every completion-driven pass is a subgraph
-    /// re-solve). Flows outside a dirty closure keep their previous binding
-    /// constraint — their component did not change — and their accruals must
-    /// still partition exactly.
-    #[test]
-    fn attribution_partitions_lifetime_under_incremental_solves(
-        flow_defs in proptest::collection::vec((0u8..8, 0u8..8, 1u32..5_000), 1..16),
-    ) {
-        check_attribution_partitions(&flow_defs, Some(1.0));
+        let mut created: std::collections::HashMap<ifsim_fabric::FlowId, f64> =
+            std::collections::HashMap::new();
+        let mut completions = 0usize;
+        for ev in net.flow_log().events() {
+            match &ev.kind {
+                ifsim_fabric::FlowEventKind::Created { .. } => {
+                    created.insert(ev.flow, ev.at.as_ns());
+                }
+                ifsim_fabric::FlowEventKind::Completed { attribution, .. } => {
+                    completions += 1;
+                    let a = attribution
+                        .as_ref()
+                        .expect("attribution enabled, so completions carry one");
+                    let lifetime = ev.at.as_ns() - created[&ev.flow];
+                    let tol = 1e-6 * lifetime.max(1.0);
+                    prop_assert!(
+                        (a.total_ns - lifetime).abs() <= tol,
+                        "total_ns {} vs observed lifetime {lifetime}",
+                        a.total_ns
+                    );
+                    let accounted = a.cap_bound_ns + a.link_bound_ns();
+                    prop_assert!(
+                        (accounted - a.total_ns).abs() <= tol,
+                        "cap {} + link {} does not partition total {}",
+                        a.cap_bound_ns,
+                        a.link_bound_ns(),
+                        a.total_ns
+                    );
+                    for &(_, ns) in &a.segments {
+                        prop_assert!(ns >= 0.0);
+                    }
+                }
+                _ => {}
+            }
+        }
+        prop_assert_eq!(completions, created.len(), "every flow completed");
     }
 
     /// The flight recorder and attribution are pure observers: running the

@@ -60,7 +60,7 @@ pub use kernel::KernelSpec;
 pub use op::{MemcpyKind, OpLabel};
 pub use runtime::{HipSim, MemAdvise};
 pub use stream::StreamId;
-pub use telemetry::{build_sim_telemetry, RecomputeCounts};
+pub use telemetry::build_sim_telemetry;
 pub use trace::{Trace, TraceEvent};
 
 // Re-exports the benchmarks lean on.

@@ -843,10 +843,7 @@ impl HipSim {
             self.inner.net.flow_log(),
             &self.inner.net.link_loads(),
             self.inner.net.peak_active_flows(),
-            crate::telemetry::RecomputeCounts {
-                full: self.inner.net.recomputes_full(),
-                incremental: self.inner.net.recomputes_incremental(),
-            },
+            self.inner.net.recomputes(),
             &self.inner.fault_stats,
             &self.inner.metrics,
             series.as_ref(),

@@ -39,18 +39,6 @@ fn flow_lane(flow: u64) -> u32 {
     FLOW_LANE_BASE + (flow % FLOW_LANE_COUNT) as u32
 }
 
-/// Fair-share solver pass counts, split by scope. The summed
-/// `fabric_rate_recomputes` counter keeps its historical meaning; the
-/// `_full`/`_incremental` counters expose how often the dirty-set path
-/// avoided a whole-network water-fill.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RecomputeCounts {
-    /// Whole-arena water-fills (first solves, threshold fallbacks).
-    pub full: u64,
-    /// Dirty-set subgraph re-solves.
-    pub incremental: u64,
-}
-
 /// Assemble the unified snapshot from the runtime's raw sources.
 #[allow(clippy::too_many_arguments)]
 pub fn build_sim_telemetry(
@@ -58,7 +46,7 @@ pub fn build_sim_telemetry(
     flow_log: &FlowLog,
     link_loads: &[LinkLoad],
     peak_active_flows: usize,
-    recomputes: RecomputeCounts,
+    recomputes: u64,
     fault_stats: &FaultStats,
     op_metrics: &MetricsRegistry,
     util_series: Option<&UtilSeries>,
@@ -264,17 +252,12 @@ pub fn build_sim_telemetry(
         MetricKey::new("fabric_peak_concurrent_flows"),
         peak_active_flows as f64,
     );
-    metrics.counter_add(
-        MetricKey::new("fabric_rate_recomputes"),
-        (recomputes.full + recomputes.incremental) as f64,
-    );
+    metrics.counter_add(MetricKey::new("fabric_rate_recomputes"), recomputes as f64);
+    // Same value under its old name; the stack bench
+    // (`crates/bench/examples/stack/layers.rs`) still reads it.
     metrics.counter_add(
         MetricKey::new("fabric_rate_recomputes_full"),
-        recomputes.full as f64,
-    );
-    metrics.counter_add(
-        MetricKey::new("fabric_rate_recomputes_incremental"),
-        recomputes.incremental as f64,
+        recomputes as f64,
     );
     if fault_stats.faults_applied > 0 {
         metrics.counter_add(
@@ -332,7 +315,7 @@ mod tests {
             &FlowLog::default(),
             &[],
             0,
-            RecomputeCounts::default(),
+            0,
             &FaultStats::default(),
             &MetricsRegistry::new(),
             None,
@@ -380,10 +363,7 @@ mod tests {
             &log,
             &[],
             1,
-            RecomputeCounts {
-                full: 2,
-                incremental: 0,
-            },
+            2,
             &FaultStats::default(),
             &MetricsRegistry::new(),
             None,
@@ -451,10 +431,7 @@ mod tests {
             &FlowLog::default(),
             &loads,
             7,
-            RecomputeCounts {
-                full: 40,
-                incremental: 2,
-            },
+            42,
             &stats,
             &MetricsRegistry::new(),
             None,
@@ -511,10 +488,7 @@ mod tests {
             &log,
             &[],
             1,
-            RecomputeCounts {
-                full: 1,
-                incremental: 0,
-            },
+            1,
             &FaultStats::default(),
             &MetricsRegistry::new(),
             None,
@@ -572,7 +546,7 @@ mod tests {
             &FlowLog::default(),
             &[],
             0,
-            RecomputeCounts::default(),
+            0,
             &FaultStats::default(),
             &MetricsRegistry::new(),
             Some(&series),

@@ -623,7 +623,11 @@ fn parse_fault(v: &Value, path: &str) -> Result<FaultSpec, FieldError> {
         a: gcd_field("a")?,
         b: gcd_field("b")?,
         gcd: gcd_field("gcd")?,
-        lanes: get_u64(obj, "lanes", path)?.map(|v| v as u32),
+        lanes: get_u64(obj, "lanes", path)?
+            .map(|v| {
+                u32::try_from(v).map_err(|_| err(join(path, "lanes"), "lane count out of range"))
+            })
+            .transpose()?,
         tax: get_f64(obj, "tax", path)?,
         added_latency_us: get_f64(obj, "added_latency_us", path)?,
     };
@@ -1137,5 +1141,27 @@ impl GeneratorSpec {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn with_lanes(lanes: &str) -> String {
+        format!(
+            r#"{{"schema": "ifsim-scenario-v1", "name": "x",
+                "faults": [{{"at_us": 1.0, "kind": "lane-loss", "a": 0, "b": 1, "lanes": {lanes}}}],
+                "workload": {{"type": "moe-alltoall"}}}}"#
+        )
+    }
+
+    #[test]
+    fn lane_count_beyond_u32_is_a_field_error() {
+        // 2^32 + 1 must not wrap around to one lost lane.
+        let e = Scenario::from_str(&with_lanes("4294967297")).unwrap_err();
+        assert_eq!(e.field, "faults[0].lanes", "{e}");
+        let ok = Scenario::from_str(&with_lanes("8")).expect("8 lanes parse");
+        assert_eq!(ok.faults[0].kind.wire_params().lanes, Some(8));
     }
 }
