@@ -16,7 +16,7 @@ cargo build --release
 echo "==> cargo test"
 cargo test -q --workspace
 
-echo "==> telemetry smoke: repro ext-fault-link-down --trace-out/--metrics-out/--critpath-out + lint"
+echo "==> telemetry smoke: repro ext-fault-link-down --trace-out/--metrics-out/--critpath-out + lint, plus the pinned trace"
 cargo build --release -p ifsim-bench
 TELEMETRY_TMP="$(mktemp -d)"
 trap 'rm -rf "$TELEMETRY_TMP"' EXIT
@@ -30,6 +30,7 @@ trap 'rm -rf "$TELEMETRY_TMP"' EXIT
     --metrics "$TELEMETRY_TMP/metrics.json" \
     --attr "$TELEMETRY_TMP/attr.json" \
     --critpath "$TELEMETRY_TMP/fault-critpath.json"
+./target/release/telemetry-lint --trace golden/traces/ext-fault-p2p-lanes.json
 
 echo "==> analyze smoke: critical path + what-if sweep, schema-linted"
 # The causal profiler must produce a report whose total equals the run

@@ -15,8 +15,11 @@
 //! metadata records, and — for the flight recorder's `ph: "C"` counter
 //! tracks — a numeric `args.value`, a `fabric util <link>` name matching
 //! a real Frontier-topology segment label, and non-decreasing timestamps
-//! per `(pid, name)` track); the metrics snapshot must hold counter/gauge
-//! arrays plus histograms carrying count/sum/min/max/mean/p50/p95/p99;
+//! per `(pid, name)` track) that keeps the exporter's ordering contract:
+//! every `ph: "M"` metadata record before the first event, and no event's
+//! `ts` earlier than the one before it; the metrics snapshot must hold
+//! counter/gauge arrays plus histograms carrying
+//! count/sum/min/max/mean/p50/p95/p99;
 //! the attribution document must be schema `ifsim-attr-v1` with a
 //! consistent cap/link split; and the bench summary must be
 //! `ifsim-bench-fabric-v2` (v1, which lacked the per-result `flows`
@@ -82,11 +85,33 @@ fn lint_trace(v: &Value) -> Result<usize, String> {
     let known = known_link_labels();
     // Last timestamp seen per (pid, counter-name) track.
     let mut last_ts: BTreeMap<(u64, String), f64> = BTreeMap::new();
+    // The first non-metadata record and the latest event timestamp.
+    let mut first_event: Option<usize> = None;
+    let mut prev_ts = f64::NEG_INFINITY;
     for (i, ev) in events.iter().enumerate() {
         for field in ["name", "ph", "ts", "pid", "tid"] {
             if ev.get(field).is_none() {
                 return Err(format!("event #{i} missing {field}: {ev:?}"));
             }
+        }
+        if ev.get("ph").and_then(|p| p.as_str()) == Some("M") {
+            if let Some(first) = first_event {
+                return Err(format!(
+                    "metadata record #{i} comes after the first event #{first}"
+                ));
+            }
+        } else {
+            first_event.get_or_insert(i);
+            let ts = ev
+                .get("ts")
+                .and_then(|t| t.as_f64())
+                .ok_or_else(|| format!("event #{i} has a non-numeric ts"))?;
+            if ts < prev_ts {
+                return Err(format!(
+                    "event #{i} goes back in time: ts {ts} after {prev_ts}"
+                ));
+            }
+            prev_ts = ts;
         }
         match ev.get("ph").and_then(|p| p.as_str()) {
             Some("X") => {

@@ -60,7 +60,8 @@ fn repro_writes_csv_artifacts() {
 fn repro_jobs_output_is_byte_identical_to_serial() {
     // The acceptance bar for the parallel driver: every artifact — stdout,
     // CSVs, per-experiment metrics snapshots, merged trace and metrics —
-    // must match a serial run byte for byte.
+    // must match a serial run byte for byte. The fault experiment puts
+    // instants and counter samples through the merge, not only spans.
     let run = |tag: &str, jobs: &str| {
         let dir = temp_dir(tag);
         let out = repro()
@@ -70,7 +71,7 @@ fn repro_jobs_output_is_byte_identical_to_serial() {
             .arg(dir.join("trace.json"))
             .arg("--metrics-out")
             .arg(dir.join("metrics.json"))
-            .args(["table1", "fig6a", "fig6b"])
+            .args(["table1", "fig6a", "fig6b", "ext-fault-p2p-lanes"])
             .output()
             .expect("run repro");
         assert!(out.status.success(), "exit ({tag}): {:?}", out.status);
@@ -439,6 +440,45 @@ fn telemetry_lint_rejects_malformed_artifacts() {
     // Nothing to lint at all is a usage error.
     let out = lint().output().expect("lint");
     assert_eq!(out.status.code(), Some(2));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn telemetry_lint_enforces_trace_ordering() {
+    let dir = temp_dir("lint-order");
+    let meta = r#"{"name":"process_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"p"}}"#;
+    let at = |ts: &str| format!(r#"{{"name":"e","ph":"i","ts":{ts},"pid":0,"tid":0}}"#);
+    let cases = [
+        (
+            "ordered",
+            vec![meta.to_string(), at("1"), at("1"), at("2.5")],
+            None,
+        ),
+        (
+            "backwards",
+            vec![meta.to_string(), at("2"), at("1.5")],
+            Some("event #2 goes back in time"),
+        ),
+        (
+            "late-metadata",
+            vec![at("1"), meta.to_string()],
+            Some("metadata record #1 comes after the first event #0"),
+        ),
+    ];
+    for (name, records, err) in cases {
+        let path = dir.join(format!("{name}.json"));
+        let doc = format!(r#"{{"traceEvents":[{}]}}"#, records.join(","));
+        std::fs::write(&path, doc).unwrap();
+        let out = lint().arg("--trace").arg(&path).output().expect("lint");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        match err {
+            None => assert!(out.status.success(), "{name} rejected: {stderr}"),
+            Some(msg) => {
+                assert!(!out.status.success(), "{name} accepted");
+                assert!(stderr.contains(msg), "{name}: {stderr}");
+            }
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

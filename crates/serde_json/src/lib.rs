@@ -298,34 +298,73 @@ fn newline(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
-fn write_number(out: &mut String, n: f64) {
+/// Append `n` as a JSON number, exactly as [`to_string`] prints one:
+/// integral values below 1e15 without a fractional part, other finite
+/// values in Rust's shortest round-trip form, and non-finite values as
+/// `null`.
+pub fn write_number(out: &mut String, n: f64) {
     use std::fmt::Write as _;
     if !n.is_finite() {
         // JSON has no NaN/Inf; null is the conventional degradation.
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 1e15 {
-        let _ = write!(out, "{}", n as i64);
+        write_integer(out, n as i64);
     } else {
         let _ = write!(out, "{n}");
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// `n` in decimal, as `{}` prints it, without the `fmt` machinery.
+fn write_integer(out: &mut String, n: i64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    let mut m = n.unsigned_abs();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (m % 10) as u8;
+        m /= 10;
+        if m == 0 {
+            break;
         }
     }
+    if n < 0 {
+        i -= 1;
+        buf[i] = b'-';
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"));
+}
+
+/// Append `s` as a quoted JSON string, exactly as [`to_string`] prints
+/// one: `"` and `\` are backslash-escaped, `\n`/`\r`/`\t` use their short
+/// escapes, other bytes below 0x20 become `\u00xx`, and everything else
+/// (multi-byte UTF-8 included) is copied as is. Runs of bytes that need no
+/// escape are copied with one `push_str` each.
+pub fn write_string(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'\n' => 'n',
+            b'\r' => 'r',
+            b'\t' => 't',
+            0..=0x1f => 'u',
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        out.push('\\');
+        out.push(escape);
+        if escape == 'u' {
+            out.push_str("00");
+            out.push(HEX[usize::from(b >> 4)] as char);
+            out.push(HEX[usize::from(b & 0xf)] as char);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -558,6 +597,99 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The char-by-char escaper [`write_string`] replaced, kept as its
+    /// byte-for-byte oracle.
+    fn write_string_oracle(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    use std::fmt::Write as _;
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    /// Characters the escaper treats specially or must copy intact: every
+    /// control byte, the two escaped printables, `/` (escapable in JSON but
+    /// never escaped here), DEL, and 2-, 3- and 4-byte UTF-8.
+    fn tricky_char() -> impl Strategy<Value = char> {
+        prop_oneof![
+            (0u32..0x20).prop_map(|c| char::from_u32(c).unwrap()),
+            (0usize..8).prop_map(|i| ['"', '\\', '/', '\u{7f}', 'a', 'é', '€', '😀'][i]),
+            (0u32..0x11_0000)
+                .prop_filter("a scalar value", |&c| char::from_u32(c).is_some())
+                .prop_map(|c| char::from_u32(c).unwrap()),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn write_string_round_trips_and_matches_the_oracle(
+            chars in proptest::collection::vec(tricky_char(), 0..48),
+        ) {
+            let s: String = chars.into_iter().collect();
+            let text = to_string(&Value::String(s.clone()));
+            prop_assert_eq!(from_str(&text).unwrap(), Value::String(s.clone()));
+            let mut oracle = String::new();
+            write_string_oracle(&mut oracle, &s);
+            prop_assert_eq!(text, oracle);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn integral_numbers_print_like_fmt(n in -999_999_999_999_999i64..1_000_000_000_000_000) {
+            let mut out = String::new();
+            write_number(&mut out, n as f64);
+            prop_assert_eq!(out, n.to_string());
+        }
+    }
+
+    #[test]
+    fn integer_edges_print_like_fmt() {
+        for n in [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            9.0,
+            10.0,
+            -10.0,
+            999_999_999_999_999.0,
+            -999_999_999_999_999.0,
+        ] {
+            let mut out = String::new();
+            write_number(&mut out, n);
+            assert_eq!(out, format!("{}", n as i64), "{n}");
+        }
+        let mut out = String::new();
+        write_number(&mut out, 1e15);
+        assert_eq!(out, "1000000000000000");
+    }
+
+    #[test]
+    fn every_control_byte_escapes_like_the_oracle() {
+        let s: String = (0u8..0x80).map(char::from).collect();
+        let (mut fast, mut oracle) = (String::new(), String::new());
+        write_string(&mut fast, &s);
+        write_string_oracle(&mut oracle, &s);
+        assert_eq!(fast, oracle);
+        assert!(fast.starts_with(r#""\u0000\u0001"#), "{fast}");
+        assert_eq!(from_str(&fast).unwrap().as_str(), Some(s.as_str()));
+    }
 
     #[test]
     fn parses_scalars() {

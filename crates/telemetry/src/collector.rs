@@ -91,7 +91,7 @@ impl CollectedTelemetry {
         for ((pid, tid), name) in other.threads {
             self.threads.push(((base + pid, tid), name));
         }
-        for mut ev in other.sink.sorted() {
+        for mut ev in other.sink.into_sorted() {
             ev.pid += base;
             self.sink.push(ev);
         }
@@ -100,9 +100,9 @@ impl CollectedTelemetry {
         self.next_pid = base + other.next_pid;
     }
 
-    /// The merged timeline in deterministic time order.
-    pub fn events(&self) -> Vec<TimelineEvent> {
-        self.sink.sorted()
+    /// The merged timeline in deterministic time order, borrowed.
+    pub fn events(&self) -> Vec<&TimelineEvent> {
+        self.sink.ordered()
     }
 
     /// `(pid, name)` process lane groups, in ingestion order.
@@ -136,15 +136,10 @@ impl CollectedTelemetry {
         self.sink.is_empty() && self.metrics.is_empty() && self.dags.is_empty()
     }
 
-    /// The timeline as a Chrome trace-event JSON value.
-    pub fn chrome_trace(&self) -> Value {
-        crate::chrome::chrome_trace(self)
-    }
-
     /// The timeline as Chrome trace-event JSON text, ready to load in
-    /// Perfetto or `chrome://tracing`.
+    /// Perfetto or `chrome://tracing` ([`crate::chrome`]).
     pub fn chrome_trace_string(&self) -> String {
-        serde_json::to_string(&self.chrome_trace())
+        crate::chrome::chrome_trace_string(self)
     }
 
     /// The metrics snapshot as JSON text.

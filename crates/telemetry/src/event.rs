@@ -143,18 +143,27 @@ impl EventSink {
         &self.events
     }
 
-    /// The merged timeline: sorted by timestamp, then pid, then tid, with
-    /// insertion order as the final (stable) tie-break.
-    pub fn sorted(&self) -> Vec<TimelineEvent> {
-        let mut out = self.events.clone();
-        out.sort_by(|a, b| {
-            a.ts_ns
-                .total_cmp(&b.ts_ns)
-                .then(a.pid.cmp(&b.pid))
-                .then(a.tid.cmp(&b.tid))
-        });
+    /// The merged timeline, borrowed: sorted by timestamp, then pid, then
+    /// tid, with insertion order as the final (stable) tie-break.
+    pub fn ordered(&self) -> Vec<&TimelineEvent> {
+        let mut out: Vec<&TimelineEvent> = self.events.iter().collect();
+        out.sort_by(|a, b| timeline_order(a, b));
         out
     }
+
+    /// The merged timeline by value, in [`EventSink::ordered`]'s order,
+    /// sorted in place without copying an event.
+    pub fn into_sorted(mut self) -> Vec<TimelineEvent> {
+        self.events.sort_by(timeline_order);
+        self.events
+    }
+}
+
+fn timeline_order(a: &TimelineEvent, b: &TimelineEvent) -> std::cmp::Ordering {
+    a.ts_ns
+        .total_cmp(&b.ts_ns)
+        .then(a.pid.cmp(&b.pid))
+        .then(a.tid.cmp(&b.tid))
 }
 
 #[cfg(test)]
@@ -174,13 +183,12 @@ mod tests {
     }
 
     #[test]
-    fn sorted_orders_by_time_then_lane() {
+    fn ordered_sorts_by_time_then_lane() {
         let mut s = EventSink::new();
         s.push(ev(5.0, 0, 1, "c"));
         s.push(ev(1.0, 1, 0, "b"));
         s.push(ev(1.0, 0, 2, "a"));
-        let sorted = s.sorted();
-        let names: Vec<&str> = sorted.iter().map(|e| e.name.as_str()).collect();
+        let names: Vec<&str> = s.ordered().iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, ["a", "b", "c"]);
     }
 
@@ -188,10 +196,20 @@ mod tests {
     fn exact_ties_keep_insertion_order() {
         let mut s = EventSink::new();
         s.push(ev(2.0, 0, 0, "first"));
+        s.push(ev(1.0, 0, 0, "early"));
         s.push(ev(2.0, 0, 0, "second"));
-        let sorted = s.sorted();
-        let names: Vec<&str> = sorted.iter().map(|e| e.name.as_str()).collect();
-        assert_eq!(names, ["first", "second"]);
+        let names: Vec<&str> = s.ordered().iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["early", "first", "second"]);
+    }
+
+    #[test]
+    fn into_sorted_matches_the_borrowed_order() {
+        let mut s = EventSink::new();
+        for (i, ts) in [3.0, 1.0, 3.0, 2.0, 1.0, 3.0].into_iter().enumerate() {
+            s.push(ev(ts, (i % 2) as u32, 0, &i.to_string()));
+        }
+        let borrowed: Vec<TimelineEvent> = s.ordered().into_iter().cloned().collect();
+        assert_eq!(s.into_sorted(), borrowed);
     }
 
     #[test]

@@ -13,9 +13,15 @@
 //! The pinned configuration is `BenchConfig::quick()` with `reps = 1` and
 //! the default seed — what `repro --quick --reps 1` runs, so the CSVs
 //! equal the files `repro --quick --reps 1 --csv DIR` writes.
+//!
+//! One Chrome trace is pinned too: `golden/traces/<id>.json` is what
+//! `repro --quick --reps 1 <id> --trace-out FILE` writes, so the exporter's
+//! every byte (field order, number printing, escaping, record order) is
+//! fixed across rewrites of it.
 
 use ifsim::registry;
-use ifsim::BenchConfig;
+use ifsim::telemetry::CollectedTelemetry;
+use ifsim::{BenchConfig, Capture, RunOpts};
 use std::path::PathBuf;
 
 fn pinned_cfg() -> BenchConfig {
@@ -35,6 +41,37 @@ fn report_path(id: &str) -> PathBuf {
 fn read_golden(path: &PathBuf) -> String {
     std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()))
+}
+
+fn trace_path(id: &str) -> PathBuf {
+    golden_dir().join("traces").join(format!("{id}.json"))
+}
+
+/// The merged Chrome trace `repro --trace-out` writes for `id` alone.
+fn trace_of(id: &str) -> String {
+    let exp = registry::by_id(id).expect("registered experiment");
+    let (_, telemetry) = exp
+        .run_with(&pinned_cfg(), &RunOpts::capture(Capture::Telemetry))
+        .expect("no token, no cancellation");
+    let mut merged = CollectedTelemetry::new();
+    merged.absorb(telemetry);
+    merged.chrome_trace_string()
+}
+
+/// Ids whose Chrome trace is pinned: one fault experiment covers every
+/// record phase (`M`, `X`, `i`, `C`) and span args.
+const PINNED_TRACES: &[&str] = &["ext-fault-p2p-lanes"];
+
+#[test]
+fn chrome_traces_are_pinned() {
+    for id in PINNED_TRACES {
+        assert_eq!(
+            trace_of(id),
+            read_golden(&trace_path(id)),
+            "{id}: Chrome trace drifted from the pinned output; if the change \
+             is intentional, regenerate golden/ (see this file's header)"
+        );
+    }
 }
 
 fn check_golden(id: &str) {
@@ -118,5 +155,9 @@ fn bless_golden_outputs() {
             std::fs::write(golden_dir().join(name), contents).unwrap();
         }
         std::fs::write(report_path(id), result.report()).unwrap();
+    }
+    std::fs::create_dir_all(golden_dir().join("traces")).unwrap();
+    for id in PINNED_TRACES {
+        std::fs::write(trace_path(id), trace_of(id)).unwrap();
     }
 }
