@@ -71,11 +71,12 @@ if [ ! -s "$TELEMETRY_TMP/scenario-repro/scenario_moe-alltoall.csv" ]; then
     exit 1
 fi
 
-echo "==> serve smoke: cache replay byte-identical to repro, stats lint, http plane, clean drain"
+echo "==> serve smoke: cache replay byte-identical to repro, stats lint, http plane, clean drain, request trace"
 cargo build --release -p ifsim-serve
 SERVE_SOCK="$TELEMETRY_TMP/serve.sock"
 ./target/release/ifsim-serve --socket "$SERVE_SOCK" --workers 4 --queue-depth 16 \
-    --http 127.0.0.1:0 > "$TELEMETRY_TMP/serve-stdout.log" &
+    --http 127.0.0.1:0 --trace-out "$TELEMETRY_TMP/serve-trace.json" \
+    > "$TELEMETRY_TMP/serve-stdout.log" &
 SERVE_PID=$!
 for _ in $(seq 1 100); do
     [ -S "$SERVE_SOCK" ] && break
@@ -147,6 +148,13 @@ if [ "${HITS:-0}" -lt 1 ]; then
 fi
 ./target/release/ifsim-client --socket "$SERVE_SOCK" shutdown > /dev/null
 wait "$SERVE_PID"
+# Request spans are kept only for --trace-out; the export written after
+# the drain must lint and carry them.
+./target/release/telemetry-lint --trace "$TELEMETRY_TMP/serve-trace.json"
+if ! grep -q '"cat":"serve_request"' "$TELEMETRY_TMP/serve-trace.json"; then
+    echo "serve --trace-out export has no serve_request span" >&2
+    exit 1
+fi
 
 echo "==> chaos soak: SIGKILL mid-write, cache corruption, coalescing, deadlines, signals"
 # Seeded fault scripts against a scratch daemon: after a kill + restart

@@ -3,7 +3,8 @@
 //! RCCL builds its rings from a topology search at communicator creation.
 //! On the MI250X node the full eight-GCD set admits Hamiltonian cycles that
 //! use only direct xGMI links; we find the best one by brute force
-//! (minimize the worst edge, then total cost). Sub-node communicators fall
+//! (minimize the worst edge, then total cost), scoring every candidate from
+//! one table of edge costs filled once per search. Sub-node communicators fall
 //! back to a generic device-order ring whose edges may need multi-hop
 //! routes — reproducing the paper's Fig. 12 observation that Reduce,
 //! Broadcast and AllReduce get *faster* when going from seven to eight
@@ -76,34 +77,44 @@ fn edge_cost(topo: &NodeTopology, router: &Router, a: GcdId, b: GcdId) -> (usize
 }
 
 fn optimal_ring(topo: &NodeTopology, router: &Router, members: &[GcdId]) -> Ring {
+    // One `(hops, 1/bw)` entry per ordered pair of member positions,
+    // filled once; every candidate is scored from this table.
+    let n = members.len();
+    let mut cost = vec![(0, 0.0); n * n];
+    for (i, &a) in members.iter().enumerate() {
+        for (j, &b) in members.iter().enumerate() {
+            if i != j {
+                cost[i * n + j] = edge_cost(topo, router, a, b);
+            }
+        }
+    }
     // Fix the first member; permute the rest. n = 8 → 7! = 5040 candidates.
-    let first = members[0];
-    let mut rest: Vec<GcdId> = members[1..].to_vec();
-    let mut best: Option<(RingScore, Vec<GcdId>)> = None;
-    permute(&mut rest, 0, &mut |perm| {
-        let mut order = Vec::with_capacity(members.len());
-        order.push(first);
-        order.extend_from_slice(perm);
-        let score = score_ring(topo, router, &order);
+    let mut order: Vec<usize> = (0..n).collect();
+    let mut best: Option<(RingScore, Vec<usize>)> = None;
+    permute(&mut order, 1, &mut |perm| {
+        let score = score_ring(&cost, perm);
         match &best {
             Some((bs, _)) if *bs <= score => {}
-            _ => best = Some((score, order)),
+            _ => best = Some((score, perm.to_vec())),
         }
     });
+    let (_, order) = best.expect("at least one permutation");
     Ring {
-        order: best.expect("at least one permutation").1,
+        order: order.into_iter().map(|i| members[i]).collect(),
     }
 }
 
 /// `(worst hops, worst 1/bw bits, total hops)` — lower is better.
 type RingScore = (usize, u64, usize);
 
-fn score_ring(topo: &NodeTopology, router: &Router, order: &[GcdId]) -> RingScore {
+/// Score a ring of member positions from the `n × n` edge-cost table.
+fn score_ring(cost: &[(usize, f64)], order: &[usize]) -> RingScore {
+    let n = order.len();
     let mut worst_hops = 0;
     let mut worst_inv_bw: f64 = 0.0;
     let mut total_hops = 0;
-    for i in 0..order.len() {
-        let (h, inv) = edge_cost(topo, router, order[i], order[(i + 1) % order.len()]);
+    for i in 0..n {
+        let (h, inv) = cost[order[i] * n + order[(i + 1) % n]];
         worst_hops = worst_hops.max(h);
         worst_inv_bw = worst_inv_bw.max(inv);
         total_hops += h;
@@ -111,7 +122,8 @@ fn score_ring(topo: &NodeTopology, router: &Router, order: &[GcdId]) -> RingScor
     (worst_hops, worst_inv_bw.to_bits(), total_hops)
 }
 
-fn permute(items: &mut Vec<GcdId>, k: usize, f: &mut impl FnMut(&[GcdId])) {
+/// Visit every permutation of `items[k..]`, swapping in place.
+fn permute<T>(items: &mut [T], k: usize, f: &mut impl FnMut(&[T])) {
     if k == items.len() {
         f(items);
         return;
@@ -120,6 +132,46 @@ fn permute(items: &mut Vec<GcdId>, k: usize, f: &mut impl FnMut(&[GcdId])) {
         items.swap(k, i);
         permute(items, k + 1, f);
         items.swap(k, i);
+    }
+}
+
+/// The per-edge brute force the edge table replaced, kept as the
+/// differential oracle: one route lookup and bottleneck walk per edge of
+/// every candidate.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    pub(super) fn optimal_ring(topo: &NodeTopology, router: &Router, members: &[GcdId]) -> Ring {
+        let first = members[0];
+        let mut rest: Vec<GcdId> = members[1..].to_vec();
+        let mut best: Option<(RingScore, Vec<GcdId>)> = None;
+        permute(&mut rest, 0, &mut |perm| {
+            let mut order = Vec::with_capacity(members.len());
+            order.push(first);
+            order.extend_from_slice(perm);
+            let score = score_ring(topo, router, &order);
+            match &best {
+                Some((bs, _)) if *bs <= score => {}
+                _ => best = Some((score, order)),
+            }
+        });
+        Ring {
+            order: best.expect("at least one permutation").1,
+        }
+    }
+
+    fn score_ring(topo: &NodeTopology, router: &Router, order: &[GcdId]) -> RingScore {
+        let mut worst_hops = 0;
+        let mut worst_inv_bw: f64 = 0.0;
+        let mut total_hops = 0;
+        for i in 0..order.len() {
+            let (h, inv) = edge_cost(topo, router, order[i], order[(i + 1) % order.len()]);
+            worst_hops = worst_hops.max(h);
+            worst_inv_bw = worst_inv_bw.max(inv);
+            total_hops += h;
+        }
+        (worst_hops, worst_inv_bw.to_bits(), total_hops)
     }
 }
 
@@ -203,5 +255,51 @@ mod tests {
     fn singleton_ring_rejected() {
         let (t, r) = setup();
         let _ = build_ring(&t, &r, &[GcdId(0)]);
+    }
+
+    #[test]
+    fn healthy_full_node_ring_is_pinned() {
+        // Quad, single, quad, dual, quad, single, quad, dual: every package
+        // crossed over its quad, the two duals closing the cycle.
+        let (t, r) = setup();
+        let ring = build_ring(&t, &r, &all_gcds(&t));
+        let order: Vec<u8> = ring.order.iter().map(|g| g.0).collect();
+        assert_eq!(order, [0, 1, 3, 2, 4, 5, 7, 6]);
+    }
+
+    #[test]
+    fn edge_table_matches_the_oracle_on_every_single_fault() {
+        use ifsim_topology::{HealthMap, LinkHealth, LinkId, LinkKind};
+        let t = NodeTopology::frontier();
+        let members = all_gcds(&t);
+        let mut routers = vec![Router::new(&t)];
+        for l in (0..t.links().len() as u32).map(LinkId) {
+            if !matches!(t.link(l).kind, LinkKind::Xgmi(_)) {
+                continue;
+            }
+            for state in [
+                LinkHealth::Down,
+                LinkHealth::Degraded { lanes: 1 },
+                LinkHealth::Degraded { lanes: 2 },
+                LinkHealth::Degraded { lanes: 3 },
+            ] {
+                let mut h = HealthMap::healthy(&t);
+                h.set(l, state);
+                routers.push(Router::new_with_health(&t, &h));
+            }
+        }
+        assert_eq!(routers.len(), 49);
+        for r in &routers {
+            let connected = members.iter().all(|&a| {
+                members
+                    .iter()
+                    .all(|&b| a == b || r.try_gcd_route(a, b, RoutePolicy::MaxBandwidth).is_some())
+            });
+            assert!(connected, "one fault never partitions the Frontier node");
+            assert_eq!(
+                build_ring(&t, r, &members),
+                oracle::optimal_ring(&t, r, &members)
+            );
+        }
     }
 }

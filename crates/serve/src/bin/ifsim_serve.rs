@@ -34,7 +34,6 @@ use std::process::ExitCode;
 struct Args {
     addr: ServeAddr,
     opts: ServeOptions,
-    trace_out: Option<PathBuf>,
     metrics_out: Option<PathBuf>,
     http: Option<String>,
 }
@@ -53,7 +52,6 @@ fn usage(msg: &str) -> ! {
 fn parse_args() -> Args {
     let mut addr: Option<ServeAddr> = None;
     let mut opts = ServeOptions::default();
-    let mut trace_out = None;
     let mut metrics_out = None;
     let mut http = None;
     let mut it = std::env::args().skip(1);
@@ -91,7 +89,7 @@ fn parse_args() -> Args {
                 opts.request_timeout_ms =
                     parse_num("--request-timeout-ms", next("--request-timeout-ms")) as u64;
             }
-            "--trace-out" => trace_out = Some(PathBuf::from(next("--trace-out"))),
+            "--trace-out" => opts.trace_out = Some(PathBuf::from(next("--trace-out"))),
             "--metrics-out" => metrics_out = Some(PathBuf::from(next("--metrics-out"))),
             "--http" => http = Some(next("--http")),
             "--help" | "-h" => usage("help requested"),
@@ -104,7 +102,6 @@ fn parse_args() -> Args {
     Args {
         addr,
         opts,
-        trace_out,
         metrics_out,
         http,
     }
@@ -119,7 +116,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    server.trace_out = args.trace_out;
     server.metrics_out = args.metrics_out;
     if let Some(http_addr) = &args.http {
         match HttpPlane::bind(server.core(), http_addr) {

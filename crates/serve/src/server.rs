@@ -70,6 +70,9 @@ pub struct ServeOptions {
     /// Hard per-request wall-clock budget in milliseconds applied even
     /// to requests without a `deadline_ms`; `0` disables it.
     pub request_timeout_ms: u64,
+    /// Chrome trace of request lifecycles, written at exit. Request spans
+    /// are kept in memory only when this is set.
+    pub trace_out: Option<PathBuf>,
 }
 
 impl Default for ServeOptions {
@@ -81,6 +84,7 @@ impl Default for ServeOptions {
             cache_bytes: 256 << 20,
             cache_dir: None,
             request_timeout_ms: 0,
+            trace_out: None,
         }
     }
 }
@@ -969,8 +973,8 @@ impl ServerCore {
 
     /// Account one handled request into metrics and the trace timeline:
     /// the request counter, the latency histogram (with a trace-id
-    /// exemplar), and a span carrying the trace id plus the per-phase
-    /// breakdown for run requests.
+    /// exemplar), and — only when `trace_out` will export it — a span
+    /// carrying the trace id plus the per-phase breakdown for run requests.
     fn observe_request(
         &self,
         op: &str,
@@ -996,6 +1000,9 @@ impl ServerCore {
                 latency_ns,
                 trace_id,
             );
+        }
+        if self.opts.trace_out.is_none() {
+            return;
         }
         let start = ifsim_core::des::Time::from_ns(start_ns);
         let end = ifsim_core::des::Time::from_ns(start_ns + latency_ns);
@@ -1122,8 +1129,6 @@ pub struct Server {
     /// What the persistent-cache recovery scan found at bind time
     /// (`None` without a `cache_dir`).
     pub scan_report: Option<ScanReport>,
-    /// Chrome trace of request lifecycles, written at exit.
-    pub trace_out: Option<PathBuf>,
     /// Metrics snapshot (stats schema), written at exit.
     pub metrics_out: Option<PathBuf>,
     /// The bound observability plane (`--http`), spawned when `run`
@@ -1158,7 +1163,6 @@ impl Server {
             listener,
             addr,
             scan_report,
-            trace_out: None,
             metrics_out: None,
             http: None,
         })
@@ -1236,7 +1240,7 @@ impl Server {
         if let Some(h) = http {
             h.shutdown();
         }
-        if let Some(path) = &self.trace_out {
+        if let Some(path) = &self.core.opts.trace_out {
             std::fs::write(path, self.core.collected_telemetry().chrome_trace_string())?;
         }
         if let Some(path) = &self.metrics_out {

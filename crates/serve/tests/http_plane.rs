@@ -195,7 +195,14 @@ fn sse_stream_backfills_and_ticks_json_samples() {
 
 #[test]
 fn trace_id_is_echoed_and_lands_in_the_chrome_trace_export() {
-    let core = quick_core();
+    // Request spans are kept only for a trace export; a bare core never
+    // writes the file itself (`Server::run` does, at exit).
+    let core = ServerCore::new(ServeOptions {
+        workers: 2,
+        queue_depth: 4,
+        trace_out: Some("trace.json".into()),
+        ..ServeOptions::default()
+    });
     let line = r#"{"op":"run","experiment_id":"fig1","overrides":{"quick":true,"reps":1,"seed":"11"},"trace_id":"e2e-trace-00aa"}"#;
     let resp: Value = serde_json::from_str(&core.handle_line(line)).unwrap();
     assert_eq!(

@@ -476,3 +476,37 @@ fn scenario_errors_name_the_offending_field() {
     assert_eq!(v.get("code").and_then(Value::as_u64), Some(400));
     assert_eq!(v.get("field").and_then(Value::as_str), Some("artifacts[0]"));
 }
+
+/// Request spans exist only to be exported: without `trace_out` the core
+/// keeps none however many requests it serves; with it, one per request.
+#[test]
+fn request_spans_are_kept_only_for_a_trace_export() {
+    const N: usize = 60;
+    let spans = |core: &ServerCore| {
+        let telemetry = core.collected_telemetry();
+        let events = telemetry.events();
+        let requests = events.iter().filter(|e| e.cat == "serve_request").count();
+        (events.len(), requests)
+    };
+    let serve = |core: &ServerCore| {
+        for i in 0..N {
+            let line = match i % 3 {
+                0 => r#"{"op":"ping"}"#.to_string(),
+                1 => r#"{"op":"stats"}"#.to_string(),
+                _ => run_line("fig1"),
+            };
+            core.handle_line(&line);
+        }
+    };
+    let untraced = small_core();
+    serve(&untraced);
+    assert_eq!(spans(&untraced), (0, 0));
+    let traced = ServerCore::new(ServeOptions {
+        workers: 2,
+        queue_depth: 4,
+        trace_out: Some("trace.json".into()),
+        ..ServeOptions::default()
+    });
+    serve(&traced);
+    assert_eq!(spans(&traced), (N, N));
+}

@@ -19,6 +19,7 @@ use crate::health::HealthMap;
 use crate::ids::{GcdId, LinkId, NumaId, PortId};
 use crate::link::LinkKind;
 use crate::node::NodeTopology;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// Route selection policy.
@@ -146,17 +147,20 @@ impl Router {
     pub fn new_with_health(topo: &NodeTopology, health: &HealthMap) -> Self {
         let mut gcd_routes = BTreeMap::new();
         for a in topo.gcds() {
-            for b in topo.gcds() {
-                if a == b {
-                    continue;
-                }
-                let paths = enumerate_xgmi_paths(topo, health, a, b);
-                if paths.is_empty() {
-                    continue;
-                }
-                for policy in [RoutePolicy::ShortestHop, RoutePolicy::MaxBandwidth] {
-                    let best = select(topo, health, &paths, policy).clone();
-                    gcd_routes.insert((a, b, policy), best);
+            let mut walk = Walk {
+                topo,
+                health,
+                hop_limit: max_hops(topo),
+                ports: vec![PortId::Gcd(a)],
+                links: Vec::new(),
+                best: vec![[None, None]; topo.n_gcds()],
+            };
+            walk.extend(f64::INFINITY);
+            for (b, slots) in walk.best.into_iter().enumerate() {
+                for (policy, slot) in POLICIES.into_iter().zip(slots) {
+                    if let Some((_, path)) = slot {
+                        gcd_routes.insert((a, GcdId(b as u8), policy), path);
+                    }
                 }
             }
         }
@@ -202,100 +206,91 @@ impl Router {
     }
 }
 
-/// All simple xGMI-only paths between two GCDs up to [`max_hops`],
-/// never crossing a downed link.
-fn enumerate_xgmi_paths(
-    topo: &NodeTopology,
-    health: &HealthMap,
-    from: GcdId,
-    to: GcdId,
-) -> Vec<Path> {
-    let mut out = Vec::new();
-    let mut ports = vec![PortId::Gcd(from)];
-    let mut links = Vec::new();
-    dfs(
-        topo,
-        health,
-        PortId::Gcd(to),
-        max_hops(topo),
-        &mut ports,
-        &mut links,
-        &mut out,
-    );
-    out
-}
+/// Both policies, in the order of [`Walk::best`]'s slots.
+const POLICIES: [RoutePolicy; 2] = [RoutePolicy::ShortestHop, RoutePolicy::MaxBandwidth];
 
-#[allow(clippy::too_many_arguments)]
-fn dfs(
-    topo: &NodeTopology,
-    health: &HealthMap,
-    target: PortId,
+/// One depth-first walk over the simple xGMI-only paths out of a source
+/// GCD, up to [`max_hops`] and never crossing a downed link. Every GCD the
+/// walk reaches is a candidate endpoint: the path is offered to that
+/// target's slots and the walk keeps expanding past it, so one walk sees
+/// every path a per-pair enumeration would.
+struct Walk<'t> {
+    topo: &'t NodeTopology,
+    health: &'t HealthMap,
     hop_limit: usize,
-    ports: &mut Vec<PortId>,
-    links: &mut Vec<LinkId>,
-    out: &mut Vec<Path>,
-) {
-    let here = *ports.last().unwrap();
-    if here == target {
-        out.push(Path {
-            ports: ports.clone(),
-            links: links.clone(),
-        });
-        return;
+    ports: Vec<PortId>,
+    links: Vec<LinkId>,
+    /// Per target GCD, per policy: the best path so far and its effective
+    /// bottleneck.
+    best: Vec<[Option<(f64, Path)>; 2]>,
+}
+
+impl Walk<'_> {
+    /// Expand the current path by every usable link; `bottleneck` is the
+    /// smallest effective (post-degradation) per-direction bandwidth along
+    /// it, bytes/s.
+    fn extend(&mut self, bottleneck: f64) {
+        let topo = self.topo;
+        let here = *self.ports.last().expect("walk starts at its source");
+        for &(lid, next) in topo.neighbors(here) {
+            if !matches!(topo.link(lid).kind, LinkKind::Xgmi(_))
+                || self.health.is_down(lid)
+                || self.ports.contains(&next)
+            {
+                continue;
+            }
+            let bottleneck = bottleneck.min(self.health.effective_peak_per_dir(topo, lid));
+            self.ports.push(next);
+            self.links.push(lid);
+            self.offer(next, bottleneck);
+            if self.links.len() < self.hop_limit {
+                self.extend(bottleneck);
+            }
+            self.ports.pop();
+            self.links.pop();
+        }
     }
-    if links.len() == hop_limit {
-        return;
-    }
-    for &(lid, next) in topo.neighbors(here) {
-        if !matches!(topo.link(lid).kind, LinkKind::Xgmi(_)) {
-            continue;
+
+    /// Keep the current path for `target` under each policy it strictly
+    /// beats, so on a full tie the first path found stays.
+    fn offer(&mut self, target: PortId, bottleneck: f64) {
+        let g = target.as_gcd().expect("xGMI links join GCDs");
+        let hops = self.links.len();
+        for (policy, slot) in POLICIES.into_iter().zip(&mut self.best[g.0 as usize]) {
+            match slot {
+                Some((kept_bn, kept)) => {
+                    let better = rank(policy, (hops, bottleneck), (kept.hops(), *kept_bn))
+                        .then_with(|| self.ports.cmp(&kept.ports))
+                        .is_lt();
+                    if better {
+                        *kept_bn = bottleneck;
+                        kept.ports.clone_from(&self.ports);
+                        kept.links.clone_from(&self.links);
+                    }
+                }
+                None => {
+                    *slot = Some((
+                        bottleneck,
+                        Path {
+                            ports: self.ports.clone(),
+                            links: self.links.clone(),
+                        },
+                    ))
+                }
+            }
         }
-        if health.is_down(lid) {
-            continue;
-        }
-        if ports.contains(&next) {
-            continue;
-        }
-        ports.push(next);
-        links.push(lid);
-        dfs(topo, health, target, hop_limit, ports, links, out);
-        ports.pop();
-        links.pop();
     }
 }
 
-/// The smallest *effective* (post-degradation) per-direction bandwidth
-/// along a path, bytes/s.
-fn effective_bottleneck(topo: &NodeTopology, health: &HealthMap, path: &Path) -> f64 {
-    path.links
-        .iter()
-        .map(|l| health.effective_peak_per_dir(topo, *l))
-        .fold(f64::INFINITY, f64::min)
-}
-
-/// Pick the best path under a policy. Deterministic: full tie-break chain
-/// ends at the lexicographically smallest port sequence.
-fn select<'p>(
-    topo: &NodeTopology,
-    health: &HealthMap,
-    paths: &'p [Path],
-    policy: RoutePolicy,
-) -> &'p Path {
-    paths
-        .iter()
-        .min_by(|x, y| {
-            let (hx, hy) = (x.hops(), y.hops());
-            let (bx, by) = (
-                ordered(effective_bottleneck(topo, health, x)),
-                ordered(effective_bottleneck(topo, health, y)),
-            );
-            let primary = match policy {
-                RoutePolicy::ShortestHop => hx.cmp(&hy).then(by.cmp(&bx)),
-                RoutePolicy::MaxBandwidth => by.cmp(&bx).then(hx.cmp(&hy)),
-            };
-            primary.then_with(|| x.ports.cmp(&y.ports))
-        })
-        .expect("select called with at least one path")
+/// Order two `(hops, bottleneck)` route costs under a policy, best first.
+/// Callers break a tie by the lexicographically smallest port sequence.
+fn rank(policy: RoutePolicy, x: (usize, f64), y: (usize, f64)) -> Ordering {
+    let (hx, hy) = (x.0, y.0);
+    let (bx, by) = (ordered(x.1), ordered(y.1));
+    match policy {
+        RoutePolicy::ShortestHop => hx.cmp(&hy).then(by.cmp(&bx)),
+        RoutePolicy::MaxBandwidth => by.cmp(&bx).then(hx.cmp(&hy)),
+    }
 }
 
 /// Totally ordered f64 wrapper for tie-break keys (no NaNs by construction).
@@ -321,10 +316,143 @@ fn host_path(topo: &NodeTopology, g: GcdId, n: NumaId) -> Path {
     Path { ports, links }
 }
 
+/// The brute-force router the per-source walk replaced, kept as the
+/// differential oracle: one DFS per ordered GCD pair collecting every
+/// simple path, then a `min_by` over the full tie-break key.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    pub(super) fn router(topo: &NodeTopology, health: &HealthMap) -> Router {
+        let mut gcd_routes = BTreeMap::new();
+        for a in topo.gcds() {
+            for b in topo.gcds() {
+                if a == b {
+                    continue;
+                }
+                let paths = enumerate_xgmi_paths(topo, health, a, b);
+                if paths.is_empty() {
+                    continue;
+                }
+                for policy in POLICIES {
+                    let best = select(topo, health, &paths, policy).clone();
+                    gcd_routes.insert((a, b, policy), best);
+                }
+            }
+        }
+        let mut host_routes = BTreeMap::new();
+        for g in topo.gcds() {
+            for n in topo.numa_domains() {
+                host_routes.insert((g, n), host_path(topo, g, n));
+            }
+        }
+        Router {
+            gcd_routes,
+            host_routes,
+        }
+    }
+
+    /// All simple xGMI-only paths between two GCDs up to [`max_hops`],
+    /// never crossing a downed link.
+    fn enumerate_xgmi_paths(
+        topo: &NodeTopology,
+        health: &HealthMap,
+        from: GcdId,
+        to: GcdId,
+    ) -> Vec<Path> {
+        let mut out = Vec::new();
+        let mut ports = vec![PortId::Gcd(from)];
+        let mut links = Vec::new();
+        dfs(
+            topo,
+            health,
+            PortId::Gcd(to),
+            max_hops(topo),
+            &mut ports,
+            &mut links,
+            &mut out,
+        );
+        out
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn dfs(
+        topo: &NodeTopology,
+        health: &HealthMap,
+        target: PortId,
+        hop_limit: usize,
+        ports: &mut Vec<PortId>,
+        links: &mut Vec<LinkId>,
+        out: &mut Vec<Path>,
+    ) {
+        let here = *ports.last().unwrap();
+        if here == target {
+            out.push(Path {
+                ports: ports.clone(),
+                links: links.clone(),
+            });
+            return;
+        }
+        if links.len() == hop_limit {
+            return;
+        }
+        for &(lid, next) in topo.neighbors(here) {
+            if !matches!(topo.link(lid).kind, LinkKind::Xgmi(_)) {
+                continue;
+            }
+            if health.is_down(lid) {
+                continue;
+            }
+            if ports.contains(&next) {
+                continue;
+            }
+            ports.push(next);
+            links.push(lid);
+            dfs(topo, health, target, hop_limit, ports, links, out);
+            ports.pop();
+            links.pop();
+        }
+    }
+
+    /// The smallest *effective* (post-degradation) per-direction bandwidth
+    /// along a path, bytes/s.
+    fn effective_bottleneck(topo: &NodeTopology, health: &HealthMap, path: &Path) -> f64 {
+        path.links
+            .iter()
+            .map(|l| health.effective_peak_per_dir(topo, *l))
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// Pick the best path under a policy; the first of equal minima wins.
+    fn select<'p>(
+        topo: &NodeTopology,
+        health: &HealthMap,
+        paths: &'p [Path],
+        policy: RoutePolicy,
+    ) -> &'p Path {
+        paths
+            .iter()
+            .min_by(|x, y| {
+                let (hx, hy) = (x.hops(), y.hops());
+                let (bx, by) = (
+                    ordered(effective_bottleneck(topo, health, x)),
+                    ordered(effective_bottleneck(topo, health, y)),
+                );
+                let primary = match policy {
+                    RoutePolicy::ShortestHop => hx.cmp(&hy).then(by.cmp(&bx)),
+                    RoutePolicy::MaxBandwidth => by.cmp(&bx).then(hx.cmp(&hy)),
+                };
+                primary.then_with(|| x.ports.cmp(&y.ports))
+            })
+            .expect("select called with at least one path")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use ifsim_des::units::gbps;
+    use proptest::prelude::*;
 
     fn router() -> (NodeTopology, Router) {
         let t = NodeTopology::frontier();
@@ -592,6 +720,178 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    fn xgmi_links(t: &NodeTopology) -> Vec<LinkId> {
+        (0..t.links().len() as u32)
+            .map(LinkId)
+            .filter(|&l| matches!(t.link(l).kind, LinkKind::Xgmi(_)))
+            .collect()
+    }
+
+    /// Assert the walk and the brute-force oracle agree on every route,
+    /// partitions (`None`) included.
+    fn assert_matches_oracle(t: &NodeTopology, h: &HealthMap) {
+        let walk = Router::new_with_health(t, h);
+        let oracle = oracle::router(t, h);
+        for a in t.gcds() {
+            for b in t.gcds() {
+                for p in POLICIES {
+                    assert_eq!(
+                        walk.try_gcd_route(a, b, p),
+                        oracle.try_gcd_route(a, b, p),
+                        "{a}->{b} {p:?} under {:?}",
+                        h.impaired().collect::<Vec<_>>()
+                    );
+                }
+            }
+            for n in t.numa_domains() {
+                assert_eq!(walk.host_route(a, n), oracle.host_route(a, n));
+            }
+        }
+    }
+
+    #[test]
+    fn walk_matches_the_oracle_on_every_single_and_paired_fault() {
+        // Healthy; each xGMI link down or on 1, 2 or 3 lanes; every pair of
+        // links down/down and degraded(1)/down — 181 maps.
+        use crate::health::LinkHealth;
+        let t = NodeTopology::frontier();
+        let xgmi = xgmi_links(&t);
+        assert_eq!(xgmi.len(), 12);
+        let mut maps = vec![HealthMap::healthy(&t)];
+        for &l in &xgmi {
+            for state in [
+                LinkHealth::Down,
+                LinkHealth::Degraded { lanes: 1 },
+                LinkHealth::Degraded { lanes: 2 },
+                LinkHealth::Degraded { lanes: 3 },
+            ] {
+                let mut h = HealthMap::healthy(&t);
+                h.set(l, state);
+                maps.push(h);
+            }
+        }
+        for (i, &x) in xgmi.iter().enumerate() {
+            for &y in &xgmi[i + 1..] {
+                for first in [LinkHealth::Down, LinkHealth::Degraded { lanes: 1 }] {
+                    let mut h = HealthMap::healthy(&t);
+                    h.set(x, first);
+                    h.set(y, LinkHealth::Down);
+                    maps.push(h);
+                }
+            }
+        }
+        assert_eq!(maps.len(), 181);
+        for h in &maps {
+            assert_matches_oracle(&t, h);
+        }
+    }
+
+    /// A health map from one random draw per xGMI link: healthy, down,
+    /// or degraded to `1..=lanes`.
+    fn random_health(t: &NodeTopology, draws: &[(u8, u32)]) -> HealthMap {
+        use crate::health::LinkHealth;
+        let mut h = HealthMap::healthy(t);
+        for (l, &(state, raw)) in xgmi_links(t).into_iter().zip(draws) {
+            let LinkKind::Xgmi(w) = t.link(l).kind else {
+                unreachable!("filtered to xGMI")
+            };
+            match state {
+                0 => {}
+                1 => h.set(l, LinkHealth::Down),
+                _ => h.set(
+                    l,
+                    LinkHealth::Degraded {
+                        lanes: 1 + raw % w.lanes(),
+                    },
+                ),
+            }
+        }
+        h
+    }
+
+    /// A random connected node with 4, 6 or 8 GCDs — a random spanning
+    /// tree plus random extra xGMI links, each of a random width, with CPU
+    /// links and a NUMA mesh — under a random health map.
+    fn arb_custom_node() -> impl Strategy<Value = (NodeTopology, HealthMap)> {
+        use crate::link::{LinkSpec, XgmiWidth};
+        const WIDTHS: [XgmiWidth; 3] = [XgmiWidth::Single, XgmiWidth::Dual, XgmiWidth::Quad];
+        (
+            2u8..=4,
+            proptest::collection::vec((any::<u8>(), 0usize..3), 7),
+            proptest::collection::vec((any::<u8>(), any::<u8>(), 0usize..3), 0..12),
+            proptest::collection::vec((0u8..3, any::<u32>()), 20),
+        )
+            .prop_map(|(n_gpus, tree, extra, draws)| {
+                let n = n_gpus * 2;
+                let mut links: Vec<LinkSpec> = Vec::new();
+                let mut add = |a: u8, b: u8, w: usize| {
+                    if a == b {
+                        return;
+                    }
+                    let spec = LinkSpec::new(
+                        PortId::Gcd(GcdId(a)),
+                        PortId::Gcd(GcdId(b)),
+                        LinkKind::Xgmi(WIDTHS[w]),
+                    );
+                    if !links.iter().any(|l| l.a == spec.a && l.b == spec.b) {
+                        links.push(spec);
+                    }
+                };
+                // GCD i attaches to a random earlier GCD, so the graph is
+                // connected before any link fails.
+                for (i, &(parent, w)) in (1..n).zip(&tree) {
+                    add(i, parent % i, w);
+                }
+                for &(a, b, w) in &extra {
+                    add(a % n, b % n, w);
+                }
+                for g in 0..n {
+                    links.push(LinkSpec::new(
+                        PortId::Gcd(GcdId(g)),
+                        PortId::Numa(NumaId(g / 2)),
+                        LinkKind::CpuGpu,
+                    ));
+                }
+                for a in 0..n_gpus {
+                    for b in (a + 1)..n_gpus {
+                        links.push(LinkSpec::new(
+                            PortId::Numa(NumaId(a)),
+                            PortId::Numa(NumaId(b)),
+                            LinkKind::NumaFabric,
+                        ));
+                    }
+                }
+                let t = NodeTopology::custom(
+                    crate::node::NodeConfig {
+                        n_gpus,
+                        n_numa: n_gpus,
+                    },
+                    links,
+                );
+                let h = random_health(&t, &draws);
+                (t, h)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn walk_matches_the_oracle_on_random_frontier_health(
+            draws in proptest::collection::vec((0u8..3, any::<u32>()), 12)
+        ) {
+            let t = NodeTopology::frontier();
+            assert_matches_oracle(&t, &random_health(&t, &draws));
+        }
+
+        #[test]
+        fn walk_matches_the_oracle_on_random_custom_graphs(
+            (t, h) in arb_custom_node()
+        ) {
+            assert_matches_oracle(&t, &h);
         }
     }
 }
