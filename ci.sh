@@ -16,6 +16,13 @@ cargo build --release
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> page-table oracle under extra proptest seeds"
+# The proptest shim seeds each test from its name; extra seeds draw fresh
+# cases for the run-table vs per-page differential.
+for seed in 1 2 3; do
+    PROPTEST_SEED="$seed" cargo test -q --release -p ifsim-memory runs_match_the_dense_oracle
+done
+
 echo "==> telemetry smoke: repro ext-fault-link-down --trace-out/--metrics-out/--critpath-out + lint, plus the pinned trace"
 cargo build --release -p ifsim-bench
 TELEMETRY_TMP="$(mktemp -d)"

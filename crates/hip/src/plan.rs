@@ -125,8 +125,9 @@ pub struct PlanCtx<'a> {
 impl<'a> PlanCtx<'a> {
     /// Where an allocation's bytes effectively live. Managed memory with a
     /// split residency is attributed to the space holding the most bytes
-    /// (ties broken toward the home space) — a deliberate fluid-model
-    /// simplification, documented in DESIGN.md.
+    /// (ties broken toward the home space, then GCD order, then NUMA order)
+    /// — a deliberate fluid-model simplification, documented in DESIGN.md
+    /// §5 ("Managed residency").
     pub fn dominant_space(&self, alloc: &Allocation) -> MemSpace {
         match &alloc.pages {
             None => alloc.home,

@@ -78,7 +78,7 @@ pub struct Allocation {
 }
 
 impl Allocation {
-    /// Current residency of the byte range, as the set of distinct spaces.
+    /// Whether every page of the byte range is resident in `space`.
     /// Non-managed memory is wholly in `home`.
     pub fn is_fully_resident_in(&self, space: MemSpace, offset: u64, len: u64) -> bool {
         match &self.pages {

@@ -212,3 +212,76 @@ fn xnack_migration_is_visible_across_the_stack() {
         "migration dominates the first touch: {first} vs {second}"
     );
 }
+
+/// Managed residency at the paper's 1 GiB sweep end (Figs. 2-3), through
+/// the facade: a first XNACK touch moves every byte to the toucher's HBM,
+/// a second touch plans no migration, and a prefetch restores home.
+#[test]
+fn managed_residency_at_paper_scale_moves_whole_ranges() {
+    use ifsim::hip::plan::{plan_kernel, Effect};
+    use ifsim::memory::MemSpace;
+
+    let gib = 1u64 << 30;
+    let mut hip = HipSim::new(EnvConfig::with_xnack());
+    let managed = hip.malloc_managed(gib).unwrap();
+    let dev = hip.malloc(gib).unwrap();
+    let home = hip.mem().get(managed).unwrap().home;
+    let hbm0 = MemSpace::Hbm(hip.gcd_of(0).unwrap());
+    let touch = KernelSpec::StreamCopy {
+        src: managed,
+        dst: dev,
+        elems: (gib / 4) as usize,
+    };
+    let resident = |hip: &HipSim, space| {
+        let pages = hip.mem().get(managed).unwrap().pages.as_ref().unwrap();
+        pages.resident_bytes(space)
+    };
+    let plans_migration = |hip: &HipSim| {
+        let plan = plan_kernel(
+            &hip.plan_ctx(),
+            hip.gcd_of(0).unwrap(),
+            &touch,
+            &mut ifsim::des::Rng::new(1),
+        )
+        .unwrap();
+        plan.effects
+            .iter()
+            .any(|e| matches!(e, Effect::Migrate { .. }))
+    };
+
+    assert!(plans_migration(&hip), "first touch faults");
+    hip.launch_kernel(touch.clone()).unwrap();
+    hip.device_synchronize().unwrap();
+    assert_eq!(resident(&hip, hbm0), gib);
+    assert_eq!(resident(&hip, home), 0);
+    assert!(!plans_migration(&hip), "second touch is resident");
+
+    let stream = hip.default_stream(0).unwrap();
+    hip.mem_prefetch_async(managed, None, stream).unwrap();
+    hip.device_synchronize().unwrap();
+    assert_eq!(resident(&hip, home), gib);
+    assert_eq!(resident(&hip, hbm0), 0);
+    assert!(hip
+        .mem()
+        .get(managed)
+        .unwrap()
+        .is_fully_resident_in(home, 0, gib));
+
+    // A buffer of two pages and a 100-byte tail: a migration straddling
+    // the last page boundary moves pages 1 and 2, and the tail page
+    // counts only its 100 bytes.
+    let page = hip.mem().managed_page_size();
+    let bytes = 2 * page + 100;
+    let small = hip.malloc_managed(bytes).unwrap();
+    let pages = hip
+        .mem_mut()
+        .get_mut(small)
+        .unwrap()
+        .pages
+        .as_mut()
+        .unwrap();
+    assert_eq!(pages.migrate_range(2 * page - 50, 100, hbm0), 2);
+    assert_eq!(pages.resident_bytes(hbm0), page + 100);
+    assert_eq!(pages.resident_bytes(home), page);
+    assert_eq!(pages.non_resident_pages(0, bytes, hbm0), 1);
+}
