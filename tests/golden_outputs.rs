@@ -18,9 +18,17 @@
 //! `repro --quick --reps 1 <id> --trace-out FILE` writes, so the exporter's
 //! every byte (field order, number printing, escaping, record order) is
 //! fixed across rewrites of it.
+//!
+//! One id is pinned under a full DAG capture as well:
+//! `golden/capture/<id>.{trace,metrics,critpath}.json` are what
+//! `repro --quick --reps 1 <id> --trace-out T --metrics-out M
+//! --critpath-out C` writes. `ext-fault-link-down` carries fault instants,
+//! a retry span, a `reroute:` instant, `route`/`bound_by` span args,
+//! attribution counters and the DAG's route labels, so every name the
+//! capture path renders is fixed.
 
 use ifsim::registry;
-use ifsim::telemetry::CollectedTelemetry;
+use ifsim::telemetry::{self, json, CollectedTelemetry};
 use ifsim::{BenchConfig, Capture, RunOpts};
 use std::path::PathBuf;
 
@@ -71,6 +79,50 @@ fn chrome_traces_are_pinned() {
             "{id}: Chrome trace drifted from the pinned output; if the change \
              is intentional, regenerate golden/ (see this file's header)"
         );
+    }
+}
+
+fn capture_path(id: &str, artifact: &str) -> PathBuf {
+    golden_dir()
+        .join("capture")
+        .join(format!("{id}.{artifact}.json"))
+}
+
+/// The trace, metrics and critical-path artifacts `repro` writes for `id`
+/// alone when all three are asked for (a DAG capture), by artifact name.
+fn capture_of(id: &str) -> [(&'static str, String); 3] {
+    let exp = registry::by_id(id).expect("registered experiment");
+    let (_, t) = exp
+        .run_with(&pinned_cfg(), &RunOpts::capture(Capture::Dag))
+        .expect("no token, no cancellation");
+    let mut merged = CollectedTelemetry::new();
+    merged.absorb(t);
+    let critpath = telemetry::critpath::report(merged.dags(), 10);
+    [
+        ("trace", merged.chrome_trace_string()),
+        ("metrics", merged.metrics_json_string()),
+        (
+            "critpath",
+            json::to_string_pretty(&telemetry::critpath_json(&critpath)),
+        ),
+    ]
+}
+
+/// Ids whose full-capture artifacts are pinned.
+const PINNED_CAPTURES: &[&str] = &["ext-fault-link-down"];
+
+#[test]
+fn dag_capture_artifacts_are_pinned() {
+    for id in PINNED_CAPTURES {
+        for (artifact, got) in capture_of(id) {
+            assert_eq!(
+                got,
+                read_golden(&capture_path(id, artifact)),
+                "{id}: {artifact} artifact drifted from the pinned output; if \
+                 the change is intentional, regenerate golden/ (see this \
+                 file's header)"
+            );
+        }
     }
 }
 
@@ -159,5 +211,11 @@ fn bless_golden_outputs() {
     std::fs::create_dir_all(golden_dir().join("traces")).unwrap();
     for id in PINNED_TRACES {
         std::fs::write(trace_path(id), trace_of(id)).unwrap();
+    }
+    std::fs::create_dir_all(golden_dir().join("capture")).unwrap();
+    for id in PINNED_CAPTURES {
+        for (artifact, contents) in capture_of(id) {
+            std::fs::write(capture_path(id, artifact), contents).unwrap();
+        }
     }
 }
