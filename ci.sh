@@ -23,7 +23,7 @@ for seed in 1 2 3; do
     PROPTEST_SEED="$seed" cargo test -q --release -p ifsim-memory runs_match_the_dense_oracle
 done
 
-echo "==> telemetry smoke: repro ext-fault-link-down --trace-out/--metrics-out/--critpath-out + lint, plus the pinned trace"
+echo "==> telemetry smoke: repro ext-fault-link-down --trace-out/--metrics-out/--critpath-out + lint, byte-equal to the pinned capture, plus the pinned trace"
 cargo build --release -p ifsim-bench
 TELEMETRY_TMP="$(mktemp -d)"
 trap 'rm -rf "$TELEMETRY_TMP"' EXIT
@@ -37,6 +37,11 @@ trap 'rm -rf "$TELEMETRY_TMP"' EXIT
     --metrics "$TELEMETRY_TMP/metrics.json" \
     --attr "$TELEMETRY_TMP/attr.json" \
     --critpath "$TELEMETRY_TMP/fault-critpath.json"
+# The CLI's artifact writer must emit exactly the bytes tests/golden_outputs.rs
+# pins for the same capture.
+cmp "$TELEMETRY_TMP/trace.json" golden/capture/ext-fault-link-down.trace.json
+cmp "$TELEMETRY_TMP/metrics.json" golden/capture/ext-fault-link-down.metrics.json
+cmp "$TELEMETRY_TMP/fault-critpath.json" golden/capture/ext-fault-link-down.critpath.json
 ./target/release/telemetry-lint --trace golden/traces/ext-fault-p2p-lanes.json
 
 echo "==> analyze smoke: critical path + what-if sweep, schema-linted"

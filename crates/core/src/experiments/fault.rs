@@ -8,7 +8,7 @@ use ifsim_coll::schedule::RankBuffers;
 use ifsim_coll::{Collective, RcclComm};
 use ifsim_des::units::{GIB, MIB};
 use ifsim_des::{Dur, Time};
-use ifsim_hip::{EnvConfig, FaultKind, FaultPlan, GcdId, HipSim, NodeTopology};
+use ifsim_hip::{EnvConfig, FaultKind, FaultPlan, GcdId, HipSim, NodeTopology, TraceKind};
 use ifsim_microbench::report::{render_series_csv, render_series_table_counts, Series};
 use ifsim_microbench::BenchConfig;
 use std::fmt::Write as _;
@@ -130,16 +130,13 @@ pub fn ext_fault_link_down(cfg: &BenchConfig) -> ExperimentResult {
             .expect("copy must survive the fault via retry");
         let ms = (hip.now() - t0).as_ms();
         let stats = hip.fault_stats().clone();
-        let fault_marked = hip
-            .trace()
-            .events()
+        let events = hip.trace().events();
+        let fault_marked = events
             .iter()
-            .any(|e| e.label.contains("!fault: link down"));
-        let retry_marked = hip
-            .trace()
-            .events()
+            .any(|e| matches!(e.kind, TraceKind::Fault(FaultKind::LinkDown { .. })));
+        let retry_marked = events
             .iter()
-            .any(|e| e.label.contains("[aborted; retry"));
+            .any(|e| matches!(e.kind, TraceKind::Aborted { .. }));
         (
             ms,
             stats.retries,

@@ -1,13 +1,16 @@
 //! Flow lifecycle log: the fabric side of the telemetry timeline.
 //!
 //! When enabled, [`crate::FlowNet`] records one [`FlowEvent`] per lifecycle
-//! transition — created (with the route taken), completed, aborted — and
-//! the runtime layer appends reroute notes when a fault-aborted op is
-//! re-planned. Disabled (the default) it costs one branch per transition
-//! and allocates nothing.
+//! transition — created (with the segment ids the flow traverses),
+//! completed, aborted — and the runtime layer appends reroute notes when a
+//! fault-aborted op is re-planned. The log holds ids, not names: a route
+//! becomes text only at export, through
+//! [`crate::SegmentMap::route_label`]. Disabled (the default) it costs one
+//! branch per transition and allocates nothing.
 
 use crate::attr::BottleneckAttribution;
 use crate::flow::FlowId;
+use crate::seg::SegId;
 use ifsim_des::Time;
 
 /// What happened to a flow.
@@ -17,8 +20,8 @@ pub enum FlowEventKind {
     Created {
         /// Payload size in bytes.
         payload_bytes: f64,
-        /// Human-readable route: the segment labels the flow traverses.
-        route: String,
+        /// The segments the flow traverses, in route order.
+        segs: Vec<SegId>,
     },
     /// The flow delivered its full payload.
     Completed {
@@ -149,7 +152,7 @@ mod tests {
             0,
             FlowEventKind::Created {
                 payload_bytes: 8.0,
-                route: "a,b".into(),
+                segs: vec![SegId(0), SegId(1)],
             },
         ));
         log.push(ev(

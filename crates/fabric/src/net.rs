@@ -617,19 +617,14 @@ impl FlowNet {
         }
         let id = FlowId(self.next_id);
         self.next_id += 1;
-        // Build the route string only when the log is live — the segment
-        // labels exist for exactly this purpose, and the disabled path must
-        // not allocate.
-        let created = self.log.is_enabled().then(|| {
-            let route: Vec<&str> = spec.segs.iter().map(|&s| self.segmap.label(s)).collect();
-            FlowEvent {
-                at: self.now,
-                flow: id,
-                kind: FlowEventKind::Created {
-                    payload_bytes: spec.payload_bytes,
-                    route: route.join(" + "),
-                },
-            }
+        // The log keeps segment ids; names are rendered at export.
+        self.log.push_with(|| FlowEvent {
+            at: self.now,
+            flow: id,
+            kind: FlowEventKind::Created {
+                payload_bytes: spec.payload_bytes,
+                segs: spec.segs.clone(),
+            },
         });
         self.arena.push(&spec.segs, spec.wire_cap());
         self.ids.insert(id, self.entries.len() as u32);
@@ -650,9 +645,6 @@ impl FlowNet {
         rs.gens.push(0);
         rs.dirty = true;
         self.peak_active = self.peak_active.max(self.entries.len());
-        if let Some(ev) = created {
-            self.log.push(ev);
-        }
         id
     }
 
@@ -1048,7 +1040,7 @@ mod tests {
             .links[0];
         let done = n.add_flow(Time::ZERO, FlowSpec::new(segs.clone(), 1e6, 1.0));
         n.complete_next().unwrap();
-        let doomed = n.add_flow(n.now(), FlowSpec::new(segs, 1e9, 1.0));
+        let doomed = n.add_flow(n.now(), FlowSpec::new(segs.clone(), 1e9, 1.0));
         let aborted = n.fail_link(lid);
         assert_eq!(aborted.len(), 1);
         let log = n.flow_log();
@@ -1060,9 +1052,11 @@ mod tests {
         match &created.kind {
             FlowEventKind::Created {
                 payload_bytes,
-                route,
+                segs: logged,
             } => {
                 assert_eq!(*payload_bytes, 1e6);
+                assert_eq!(logged, &segs);
+                let route = n.segmap().route_label(logged);
                 assert!(route.contains("GCD"), "route labels segments: {route}");
             }
             other => panic!("expected Created, got {other:?}"),

@@ -4,9 +4,9 @@
 //! changes, so between two recomputes every per-segment wire rate is
 //! constant. Sampling at exactly those epochs therefore captures the full
 //! utilization timeline with no extra clock and no sampling error: the
-//! recorder appends one row per recompute to a bounded ring buffer, and a
-//! run's series can be exported as CSV ([`UtilSeries::to_csv`]) or bridged
-//! into Chrome trace counter tracks by the telemetry layer.
+//! recorder appends one row per recompute to a bounded ring buffer, and the
+//! telemetry layer bridges a run's series into Chrome trace counter tracks
+//! (and `--timeseries-out` CSV).
 //!
 //! Tracked columns are the *directed link segments* (one per direction of
 //! every topology link, in [`crate::SegmentMap::dir_segments`] order) —
@@ -50,25 +50,6 @@ impl UtilSeries {
     /// Whether nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
-    }
-
-    /// Render the series as CSV: `ts_ns` followed by one column per
-    /// tracked segment, one row per recompute epoch.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("ts_ns");
-        for l in &self.labels {
-            out.push(',');
-            out.push_str(l);
-        }
-        out.push('\n');
-        for s in &self.samples {
-            out.push_str(&format!("{:.1}", s.ts_ns));
-            for &u in &s.util {
-                out.push_str(&format!(",{u:.6}"));
-            }
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -243,20 +224,5 @@ mod tests {
         assert_eq!(s.dropped, 2);
         assert_eq!(s.samples[0].ts_ns, 2.0);
         assert_eq!(s.samples[2].ts_ns, 4.0);
-    }
-
-    #[test]
-    fn csv_has_header_and_one_row_per_epoch() {
-        let (m, mut r) = recorder(8);
-        let caps: Vec<f64> = (0..m.len()).map(|i| m.capacity(SegId(i as u32))).collect();
-        let arena = FlowArena::new();
-        r.rebuild(1.0, &caps, arena.buf(), arena.spans(), &[]);
-        r.rebuild(2.0, &caps, arena.buf(), arena.spans(), &[]);
-        let csv = r.series().to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("ts_ns,"));
-        assert_eq!(lines[0].split(',').count(), 1 + r.labels.len());
-        assert!(lines[1].starts_with("1.0,"));
     }
 }

@@ -201,6 +201,21 @@ impl SegmentMap {
         &self.labels[seg.idx()]
     }
 
+    /// The display name of a route: its segment labels joined by `" + "`
+    /// (`GCD0->GCD2 + HBM GCD0 + HBM GCD2`). Flow spans' `route` arg and
+    /// the dependency DAG's flow nodes both carry this string; it is the
+    /// one place the format lives.
+    pub fn route_label(&self, segs: &[SegId]) -> String {
+        let mut out = String::new();
+        for (i, &s) in segs.iter().enumerate() {
+            if i > 0 {
+                out.push_str(" + ");
+            }
+            out.push_str(self.label(s));
+        }
+        out
+    }
+
     /// The directed segment for traversing `link` in direction `dir`.
     pub fn dir_seg(&self, link: LinkId, dir: Dir) -> SegId {
         self.dir_segs[&(link, dir)]

@@ -14,7 +14,9 @@
 //! - **flow start → completion** — an op with fabric flows decomposes
 //!   into an *issue* node (launch latency, `sync`) plus one node per
 //!   flow (`transfer`, or `compute` for a kernel's memory traffic),
-//!   spanning admission to completion.
+//!   spanning admission to completion. A flow node keeps its segment ids
+//!   while the run goes on; [`DagBuilder::snapshot`] names it by its
+//!   route ([`SegmentMap::route_label`]).
 //!
 //! The builder is observation-only: it never influences scheduling, so
 //! runs are bitwise-identical with capture on or off (regression-tested
@@ -25,7 +27,7 @@
 use crate::op::OpLabel;
 use crate::stream::StreamId;
 use ifsim_des::Time;
-use ifsim_fabric::FlowId;
+use ifsim_fabric::{FlowId, FlowNet, SegId, SegmentMap};
 use ifsim_telemetry::critpath::{DepGraph, NodeCategory};
 use std::collections::BTreeMap;
 
@@ -74,6 +76,8 @@ pub struct DagBuilder {
     barrier_gen: u64,
     /// Which barrier generation each stream has already joined.
     stream_gen: BTreeMap<u64, u64>,
+    /// Each flow node's route, named at [`DagBuilder::snapshot`].
+    routes: Vec<(u32, Vec<SegId>)>,
 }
 
 impl DagBuilder {
@@ -105,9 +109,8 @@ impl DagBuilder {
         }
     }
 
-    /// An op's flows were admitted to the fabric: record the issue node
+    /// An op's flows were admitted to `net`: record the issue node
     /// (launch window, `sync`) and one node per flow, edges issue → flow.
-    /// `routes` pairs positionally with `fids`.
     pub fn op_flows_admitted(
         &mut self,
         sid: StreamId,
@@ -115,7 +118,7 @@ impl DagBuilder {
         admitted: Time,
         label: &OpLabel,
         fids: &[FlowId],
-        routes: Vec<String>,
+        net: &FlowNet,
     ) {
         let cat = flow_category(label);
         let issue = self.graph.add_node(
@@ -126,12 +129,14 @@ impl DagBuilder {
         );
         self.attach_incoming(sid.0, issue);
         let mut flow_nodes = Vec::with_capacity(fids.len());
-        for (fid, route) in fids.iter().zip(routes) {
+        for &fid in fids {
             // End stays at the admission instant until the flow
             // completes; aborted flows keep the zero-length record.
             let n = self
                 .graph
-                .add_node(admitted.as_ns(), admitted.as_ns(), cat, route);
+                .add_node(admitted.as_ns(), admitted.as_ns(), cat, String::new());
+            let spec = net.spec_of(fid).expect("flow just admitted");
+            self.routes.push((n, spec.segs.clone()));
             self.graph.add_edge(issue, n);
             self.open_flows.insert(fid.0, n);
             flow_nodes.push(n);
@@ -202,24 +207,36 @@ impl DagBuilder {
         self.barrier_gen += 1;
     }
 
-    /// The graph built so far.
-    pub fn graph(&self) -> &DepGraph {
-        &self.graph
-    }
-
-    /// A finished copy of the graph for the telemetry snapshot.
-    pub fn snapshot(&self) -> DepGraph {
-        self.graph.clone()
+    /// A finished copy of the graph for the telemetry snapshot, with every
+    /// flow node named by its route on `segmap`.
+    pub fn snapshot(&self, segmap: &SegmentMap) -> DepGraph {
+        let mut graph = self.graph.clone();
+        for (n, segs) in &self.routes {
+            graph.nodes[*n as usize].label = segmap.route_label(segs);
+        }
+        graph
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ifsim_fabric::FlowSpec;
     use ifsim_telemetry::critpath;
+    use ifsim_topology::{GcdId, NodeTopology};
 
     fn t(ns: f64) -> Time {
         Time::from_ns(ns)
+    }
+
+    fn net() -> FlowNet {
+        FlowNet::new(SegmentMap::new(&NodeTopology::frontier()))
+    }
+
+    /// A flow over GCD0's HBM (route label `HBM GCD0`).
+    fn hbm_flow(net: &mut FlowNet) -> FlowId {
+        let segs = vec![net.segmap().hbm_seg(GcdId(0))];
+        net.add_flow(Time::ZERO, FlowSpec::new(segs, 1e6, 1.0))
     }
 
     #[test]
@@ -229,10 +246,10 @@ mod tests {
         let k = OpLabel::Kernel { name: "k" };
         d.op_finished(sid, t(0.0), t(10.0), &k, None);
         d.op_finished(sid, t(10.0), t(30.0), &k, None);
-        let g = d.graph();
+        let g = d.snapshot(net().segmap());
         assert_eq!(g.nodes.len(), 2);
         assert_eq!(g.edges, vec![(0, 1)]);
-        let p = critpath::analyze(g);
+        let p = critpath::analyze(&g);
         assert_eq!(p.makespan_ns, 30.0);
         let sum: f64 = p.steps.iter().map(|s| s.dur_ns()).sum();
         assert!((sum - 30.0).abs() < 1e-9);
@@ -243,22 +260,17 @@ mod tests {
         let mut d = DagBuilder::new();
         let sid = StreamId(0);
         let label = OpLabel::MemcpyPeer { bytes: 1 << 20 };
-        d.op_flows_admitted(
-            sid,
-            t(0.0),
-            t(2.0),
-            &label,
-            &[FlowId(7)],
-            vec!["GCD0->GCD1".into()],
-        );
-        d.flow_done(FlowId(7), t(50.0));
+        let mut net = net();
+        let fid = hbm_flow(&mut net);
+        d.op_flows_admitted(sid, t(0.0), t(2.0), &label, &[fid], &net);
+        d.flow_done(fid, t(50.0));
         d.op_finished(sid, t(0.0), t(50.0), &label, None);
         // Next op sees the flow node (not the issue node) as frontier.
         d.op_finished(sid, t(50.0), t(60.0), &OpLabel::Kernel { name: "k" }, None);
-        let g = d.graph();
+        let g = d.snapshot(net.segmap());
         assert_eq!(g.nodes.len(), 3);
         assert_eq!(g.nodes[0].label, "launch memcpy_peer 1048576B");
-        assert_eq!(g.nodes[1].label, "GCD0->GCD1");
+        assert_eq!(g.nodes[1].label, "HBM GCD0");
         assert_eq!(g.nodes[1].end_ns, 50.0);
         assert!(g.edges.contains(&(0, 1)), "issue -> flow");
         assert!(g.edges.contains(&(1, 2)), "flow -> next op");
@@ -284,9 +296,9 @@ mod tests {
             &OpLabel::Kernel { name: "consume" },
             None,
         );
-        let g = d.graph();
+        let g = d.snapshot(net().segmap());
         assert!(g.edges.contains(&(0, 1)), "record -> wait edge");
-        let p = critpath::analyze(g);
+        let p = critpath::analyze(&g);
         // The path crosses both streams with no queue gap.
         assert_eq!(p.by_category()["queue"], 0.0);
         assert_eq!(p.makespan_ns, 90.0);
@@ -301,7 +313,7 @@ mod tests {
         d.host_barrier();
         d.op_finished(StreamId(0), t(25.0), t(40.0), &k, None);
         d.op_finished(StreamId(0), t(40.0), t(45.0), &k, None);
-        let g = d.graph();
+        let g = d.snapshot(net().segmap());
         // First post-barrier op on stream 0 depends on both frontiers…
         assert!(g.edges.contains(&(0, 2)));
         assert!(g.edges.contains(&(1, 2)));
@@ -309,7 +321,7 @@ mod tests {
         assert!(g.edges.contains(&(2, 3)));
         assert!(!g.edges.contains(&(1, 3)));
         // Critical path runs through the slower stream's round.
-        let p = critpath::analyze(g);
+        let p = critpath::analyze(&g);
         assert!(p
             .steps
             .iter()
@@ -322,10 +334,12 @@ mod tests {
         let sid = StreamId(0);
         let label = OpLabel::MemcpyPeer { bytes: 1024 };
         // Attempt 1 admits a flow that never completes (fault abort).
-        d.op_flows_admitted(sid, t(0.0), t(1.0), &label, &[FlowId(1)], vec!["r".into()]);
+        let mut net = net();
+        let fid = hbm_flow(&mut net);
+        d.op_flows_admitted(sid, t(0.0), t(1.0), &label, &[fid], &net);
         // Retry finishes as a different attempt (different start time).
         d.op_finished(sid, t(5.0), t(9.0), &label, None);
-        let g = d.graph();
+        let g = d.snapshot(net.segmap());
         // issue + aborted flow + retry node.
         assert_eq!(g.nodes.len(), 3);
         assert_eq!(

@@ -61,7 +61,7 @@ pub use op::{MemcpyKind, OpLabel};
 pub use runtime::{HipSim, MemAdvise};
 pub use stream::StreamId;
 pub use telemetry::build_sim_telemetry;
-pub use trace::{Trace, TraceEvent};
+pub use trace::{Trace, TraceEvent, TraceKind};
 
 // Re-exports the benchmarks lean on.
 pub use ifsim_fabric::{Calibration, FaultEvent, FaultKind, FaultPlan};

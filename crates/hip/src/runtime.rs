@@ -10,6 +10,7 @@ use crate::kernel::KernelSpec;
 use crate::op::{MemcpyKind, OpLabel};
 use crate::plan::{plan_kernel, plan_memcpy, plan_prefetch, Effect, OpPlan, PlanCtx};
 use crate::stream::{OpRequest, QueuedOp, RunningOp, StreamId, StreamState, Work};
+use crate::trace::TraceKind;
 use ifsim_des::{Dur, Engine, Rng, Time};
 use ifsim_fabric::{Calibration, FaultEvent, FaultKind, FaultPlan, FlowId, FlowNet, SegmentMap};
 use ifsim_memory::{BufferId, HostAllocFlags, MemKind, MemSpace, MemorySystem};
@@ -821,49 +822,32 @@ impl HipSim {
         }
     }
 
-    /// The causal dependency graph captured so far, when enabled.
-    pub fn dag(&self) -> Option<&ifsim_telemetry::critpath::DepGraph> {
-        self.inner.dag.as_ref().map(|d| d.graph())
-    }
-
     /// Per-op metrics recorded so far (empty unless telemetry is enabled).
     pub fn metrics(&self) -> &ifsim_telemetry::MetricsRegistry {
         &self.inner.metrics
     }
 
-    /// Build this runtime's unified telemetry snapshot: the merged
-    /// hip-op / fault / fabric-flow timeline, the flight recorder's
-    /// link-utilization counter tracks, plus the metrics registry
-    /// (op durations, per-link byte counters, bottleneck attribution,
-    /// fault statistics).
-    pub fn telemetry_snapshot(&self) -> ifsim_telemetry::SimTelemetry {
-        let series = self.inner.net.recorder_series();
-        crate::telemetry::build_sim_telemetry(
-            self.inner.trace.events(),
-            self.inner.net.flow_log(),
-            &self.inner.net.link_loads(),
-            self.inner.net.peak_active_flows(),
-            self.inner.net.recomputes(),
-            &self.inner.fault_stats,
-            &self.inner.metrics,
-            series.as_ref(),
-            Some(self.inner.net.segmap()),
-        )
-    }
-
     /// Contribute this runtime's telemetry snapshot to the collector stack
     /// (no-op without one, or when telemetry is off), at most once per
-    /// runtime. Called automatically on drop; call it earlier to snapshot
-    /// before further work.
+    /// runtime: the merged hip-op / fault / fabric-flow timeline, the
+    /// flight recorder's link-utilization counter tracks, the metrics
+    /// registry (op durations, per-link byte counters, bottleneck
+    /// attribution, fault statistics) and the dependency DAG when captured.
+    /// Called automatically on drop; call it earlier to snapshot before
+    /// further work.
     pub fn flush_telemetry(&mut self) {
         if self.inner.telemetry_flushed || (!self.inner.telemetry && self.inner.dag.is_none()) {
             return;
         }
         self.inner.telemetry_flushed = true;
-        let mut snap = self.telemetry_snapshot();
-        if let Some(dag) = self.inner.dag.as_ref() {
-            snap.dag = Some(dag.snapshot());
-        }
+        let inner = &self.inner;
+        let mut snap = crate::telemetry::build_sim_telemetry(
+            inner.trace.events(),
+            &inner.net,
+            &inner.fault_stats,
+            &inner.metrics,
+        );
+        snap.dag = inner.dag.as_ref().map(|d| d.snapshot(inner.net.segmap()));
         ifsim_telemetry::collector::contribute(snap);
     }
 
@@ -1364,29 +1348,15 @@ impl Inner {
                 // same-timestamp admissions) share one deferred fair-share
                 // recompute instead of paying one per flow.
                 let now = engine.now();
-                // Observation-only: render the flows' routes for the
-                // dependency DAG before the specs move into the fabric.
-                let routes: Option<Vec<String>> = inner.dag.is_some().then(|| {
-                    flows
-                        .iter()
-                        .map(|f| {
-                            f.segs
-                                .iter()
-                                .map(|&s| inner.net.segmap().label(s))
-                                .collect::<Vec<&str>>()
-                                .join(" + ")
-                        })
-                        .collect()
-                });
                 let fids = inner.net.add_flows(now, flows);
-                if let (Some(dag), Some(routes)) = (inner.dag.as_mut(), routes) {
+                if let Some(dag) = inner.dag.as_mut() {
                     let label = inner
                         .streams
                         .get(&sid)
                         .and_then(|s| s.running.as_ref())
                         .map(|r| &r.label)
                         .expect("op in flight");
-                    dag.op_flows_admitted(sid, started, now, label, &fids, routes);
+                    dag.op_flows_admitted(sid, started, now, label, &fids, &inner.net);
                 }
                 for fid in fids {
                     inner.flow_owner.insert(fid, sid);
@@ -1441,13 +1411,6 @@ impl Inner {
                 1.0,
             );
         }
-        inner.trace.record_with(|| crate::trace::TraceEvent {
-            dev,
-            stream: sid,
-            start: run.started,
-            end,
-            label: run.label.to_string(),
-        });
         if let Some(dag) = inner.dag.as_mut() {
             dag.op_finished(
                 sid,
@@ -1457,6 +1420,13 @@ impl Inner {
                 recorded_event.map(|e| e.0),
             );
         }
+        inner.trace.record_with(|| crate::trace::TraceEvent {
+            dev,
+            stream: sid,
+            start: run.started,
+            end,
+            kind: TraceKind::Done(run.label),
+        });
         Inner::start_next(inner, engine, sid);
         // Wake any streams parked on the event that just recorded.
         if let Some(ev) = recorded_event {
@@ -1506,7 +1476,7 @@ impl Inner {
             stream: stream0,
             start: now,
             end: now,
-            label: format!("!fault: {kind}"),
+            kind: TraceKind::Fault(kind),
         });
         match kind {
             FaultKind::LaneLoss { lanes, .. } => {
@@ -1708,7 +1678,10 @@ impl Inner {
             stream: sid,
             start: started,
             end: now,
-            label: format!("{label} [aborted; retry {next_attempt}]"),
+            kind: TraceKind::Aborted {
+                op: label.clone(),
+                retry: next_attempt,
+            },
         });
         let st = inner.streams.get_mut(&sid).expect("stream exists");
         st.queue.push_front(QueuedOp {
@@ -1749,7 +1722,10 @@ impl Inner {
             stream: sid,
             start: started,
             end: now,
-            label: format!("{label} [failed: {err}]"),
+            kind: TraceKind::Failed {
+                op: label.clone(),
+                err,
+            },
         });
     }
 
@@ -2437,8 +2413,8 @@ mod tests {
         hip.device_synchronize().unwrap();
         let events = hip.trace().events();
         assert_eq!(events.len(), 2);
-        assert!(events[0].label.contains("memcpy"));
-        assert!(events[1].label.contains("kernel"));
+        assert!(events[0].kind.to_string().contains("memcpy"));
+        assert!(events[1].kind.to_string().contains("kernel"));
         assert!(events[0].end <= events[1].start, "stream order preserved");
         assert!(hip.trace().busy_time(crate::device::DeviceId(0)).as_us() > 0.0);
         // Gantt renders without panicking and mentions the device.
@@ -2563,14 +2539,14 @@ mod tests {
             .trace()
             .events()
             .iter()
-            .find(|e| e.label.contains("memcpy"))
+            .find(|e| e.kind.to_string().contains("memcpy"))
             .unwrap()
             .end;
         let kernel_start = hip
             .trace()
             .events()
             .iter()
-            .find(|e| e.label.contains("kernel"))
+            .find(|e| e.kind.to_string().contains("kernel"))
             .unwrap()
             .start;
         assert!(
@@ -2719,19 +2695,18 @@ mod tests {
             elapsed.as_ms()
         );
         // The abort, the retry, and the fault itself are all on the timeline.
-        let labels: Vec<&str> = hip
-            .trace()
-            .events()
-            .iter()
-            .map(|e| e.label.as_str())
-            .collect();
+        let kinds: Vec<&TraceKind> = hip.trace().events().iter().map(|e| &e.kind).collect();
         assert!(
-            labels.iter().any(|l| l.starts_with("!fault: link down")),
-            "{labels:?}"
+            kinds
+                .iter()
+                .any(|k| matches!(k, TraceKind::Fault(FaultKind::LinkDown { .. }))),
+            "{kinds:?}"
         );
         assert!(
-            labels.iter().any(|l| l.contains("[aborted; retry 1]")),
-            "{labels:?}"
+            kinds
+                .iter()
+                .any(|k| matches!(k, TraceKind::Aborted { retry: 1, .. })),
+            "{kinds:?}"
         );
     }
 

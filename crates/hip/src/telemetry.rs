@@ -1,30 +1,44 @@
 //! Bridging the runtime's observability sources into the unified
 //! telemetry model.
 //!
-//! Three streams merge into one [`SimTelemetry`] snapshot:
+//! Four sources merge into one [`SimTelemetry`] snapshot. While the run
+//! goes on each records ids and typed data, never display text; names are
+//! rendered here, once, when the snapshot is built:
 //!
-//! - the op [`Trace`](crate::trace::Trace) — completed ops become spans
-//!   (cat `hip_op`) on one thread lane per stream; zero-length `!fault:`
-//!   markers become instants (cat `fault`);
-//! - the fabric [`FlowLog`] — each flow's created→completed/aborted pair
-//!   becomes a span (cat `fabric_flow`) carrying the route taken, with
-//!   reroute notes as instants, making PR 1's mid-flight reroutes visible
-//!   on the timeline; completion attributions fold into the
-//!   `fabric_attr_*` counters behind `ifsim_telemetry::attribution`;
-//! - the flight recorder's [`UtilSeries`] — per-link utilization samples
-//!   become counter tracks (cat `fabric_util`, Chrome `ph: "C"`), one per
-//!   link direction that ever carried traffic;
-//! - the metrics registries — per-op duration histograms recorded by the
-//!   runtime, joined here by per-link byte/busy/utilization counters and
-//!   fault statistics.
+//! - the op [`Trace`](crate::trace::Trace) records each completed op,
+//!   aborted attempt and failed op as a typed
+//!   [`TraceKind`](crate::trace::TraceKind) holding its `OpLabel` (and
+//!   `HipError`), and each applied fault as a `TraceKind::Fault`. Ops
+//!   become spans (cat `hip_op`) on one thread lane per stream; faults
+//!   become instants (cat `fault`) on the fault lane. Both are named by
+//!   `TraceKind`'s `Display`;
+//! - the fabric [`FlowLog`](ifsim_fabric::FlowLog) records each flow's
+//!   creation with its segment ids, its completion (with the bottleneck
+//!   attribution, by segment id) or abort, and the runtime's reroute notes.
+//!   Each created→completed/aborted pair becomes a span (cat
+//!   `fabric_flow`) whose `route` arg is named by
+//!   [`SegmentMap::route_label`](ifsim_fabric::SegmentMap::route_label) and
+//!   whose `bound_by` arg names the segment that bound it longest; reroute
+//!   notes become instants. Attributions fold into the `fabric_attr_*`
+//!   counters behind `ifsim_telemetry::attribution`;
+//! - the flight recorder's [`UtilSeries`](ifsim_fabric::UtilSeries)
+//!   records per-link utilization at every recompute epoch; each link
+//!   direction that ever carried traffic becomes a counter track (cat
+//!   `fabric_util`, Chrome `ph: "C"`);
+//! - the metrics registry holds the per-op duration histograms the runtime
+//!   records, joined here by per-link byte/busy/utilization counters, the
+//!   fabric's solver counters and fault statistics.
+//!
+//! The dependency DAG rides the same snapshot; its flow nodes are named by
+//! route in [`DagBuilder::snapshot`](crate::dag::DagBuilder::snapshot).
 
 use crate::fault::FaultStats;
-use crate::trace::TraceEvent;
+use crate::trace::{TraceEvent, TraceKind};
 use ifsim_des::Time;
-use ifsim_fabric::{FlowEventKind, FlowLog, LinkLoad, SegmentMap, UtilSeries};
+use ifsim_fabric::{FlowEventKind, FlowNet, SegId};
 use ifsim_telemetry::attribution::{ATTR_BOUND_NS, ATTR_FLOWS, ATTR_TOTAL_NS};
 use ifsim_telemetry::{MetricKey, MetricsRegistry, SimTelemetry, TimelineEvent};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Thread-lane offset for fabric flow spans: flows share a rotating pool of
 /// lanes above every plausible stream id, keeping concurrent flows visually
@@ -39,56 +53,52 @@ fn flow_lane(flow: u64) -> u32 {
     FLOW_LANE_BASE + (flow % FLOW_LANE_COUNT) as u32
 }
 
-/// Assemble the unified snapshot from the runtime's raw sources.
-#[allow(clippy::too_many_arguments)]
+/// Assemble the unified snapshot from the runtime's op trace, its fabric
+/// (flow log, flight recorder, link loads, solver counters), its fault
+/// statistics and its per-op metrics.
 pub fn build_sim_telemetry(
-    trace_events: &[TraceEvent],
-    flow_log: &FlowLog,
-    link_loads: &[LinkLoad],
-    peak_active_flows: usize,
-    recomputes: u64,
-    fault_stats: &FaultStats,
+    trace: &[TraceEvent],
+    net: &FlowNet,
+    faults: &FaultStats,
     op_metrics: &MetricsRegistry,
-    util_series: Option<&UtilSeries>,
-    segmap: Option<&SegmentMap>,
 ) -> SimTelemetry {
-    let seg_label = |seg: ifsim_fabric::SegId| -> String {
-        match segmap {
-            Some(m) if seg.idx() < m.len() => m.label(seg).to_string(),
-            _ => format!("seg{}", seg.idx()),
-        }
-    };
+    // First, as it flushes: a recompute deferred to this point is sampled
+    // and counted below.
+    let util_series = net.recorder_series();
+    let segmap = net.segmap();
     let mut events: Vec<TimelineEvent> = Vec::new();
     let mut threads: Vec<(u32, String)> = Vec::new();
-    let mut seen_lanes: BTreeMap<u32, ()> = BTreeMap::new();
+    let mut seen_lanes: BTreeSet<u32> = BTreeSet::new();
+    // Name each thread lane the first time it carries an event.
+    let mut lane = |tid: u32, name: &dyn Fn() -> String| {
+        if seen_lanes.insert(tid) {
+            threads.push((tid, name()));
+        }
+    };
+    let flow_lane_name = |tid: u32| format!("fabric flows %{}", tid - FLOW_LANE_BASE);
 
     // --- hip ops and fault markers, from the trace -----------------------
-    for ev in trace_events {
-        let tid = ev.stream.0 as u32;
-        if ev.label.starts_with("!fault: ") {
-            events.push(
-                TimelineEvent::instant(ev.start, ev.label.clone(), "fault").on_tid(FAULT_LANE),
-            );
-            if seen_lanes.insert(FAULT_LANE, ()).is_none() {
-                threads.push((FAULT_LANE, "faults".to_string()));
-            }
+    for ev in trace {
+        let name = ev.kind.to_string();
+        if let TraceKind::Fault(_) = ev.kind {
+            events.push(TimelineEvent::instant(ev.start, name, "fault").on_tid(FAULT_LANE));
+            lane(FAULT_LANE, &|| "faults".to_string());
             continue;
         }
+        let tid = ev.stream.0 as u32;
         events.push(
-            TimelineEvent::span(ev.start, ev.end, ev.label.clone(), "hip_op")
+            TimelineEvent::span(ev.start, ev.end, name, "hip_op")
                 .on_tid(tid)
                 .with_arg("dev", ev.dev.idx().to_string()),
         );
-        if seen_lanes.insert(tid, ()).is_none() {
-            threads.push((tid, format!("dev{}/{:?}", ev.dev.idx(), ev.stream)));
-        }
+        lane(tid, &|| format!("dev{}/{:?}", ev.dev.idx(), ev.stream));
     }
 
     // --- fabric flow lifecycle, paired into spans ------------------------
-    struct Open {
-        at: ifsim_des::Time,
+    struct Open<'a> {
+        at: Time,
         payload_bytes: f64,
-        route: String,
+        segs: &'a [SegId],
     }
     let mut open: BTreeMap<u64, Open> = BTreeMap::new();
     let mut flow_durations: Vec<f64> = Vec::new();
@@ -96,83 +106,70 @@ pub fn build_sim_telemetry(
     let mut attr_flows = 0u64;
     let mut attr_total_ns = 0.0;
     let mut attr_cap_ns = 0.0;
-    let mut attr_seg_ns: BTreeMap<String, f64> = BTreeMap::new();
-    for ev in flow_log.events() {
-        match &ev.kind {
+    let mut attr_seg_ns: BTreeMap<&str, f64> = BTreeMap::new();
+    for ev in net.flow_log().events() {
+        let tid = flow_lane(ev.flow.0);
+        let (delivered_bytes, attribution) = match &ev.kind {
             FlowEventKind::Created {
                 payload_bytes,
-                route,
+                segs,
             } => {
                 open.insert(
                     ev.flow.0,
                     Open {
                         at: ev.at,
                         payload_bytes: *payload_bytes,
-                        route: route.clone(),
+                        segs,
                     },
                 );
-            }
-            FlowEventKind::Completed { .. } | FlowEventKind::Aborted { .. } => {
-                let (delivered_bytes, attribution) = match &ev.kind {
-                    FlowEventKind::Completed {
-                        delivered_bytes,
-                        attribution,
-                    } => (*delivered_bytes, attribution.as_ref()),
-                    FlowEventKind::Aborted { delivered_bytes } => (*delivered_bytes, None),
-                    _ => unreachable!("outer match narrowed the kind"),
-                };
-                let outcome = ev.kind.tag();
-                // Fold the lifetime's binding-constraint split into the
-                // fabric_attr_* counters, and name what bound this flow
-                // longest on its span for Perfetto inspection.
-                let mut bound_by = None;
-                if let Some(a) = attribution {
-                    attr_flows += 1;
-                    attr_total_ns += a.total_ns;
-                    attr_cap_ns += a.cap_bound_ns;
-                    for &(seg, ns) in &a.segments {
-                        *attr_seg_ns.entry(seg_label(seg)).or_insert(0.0) += ns;
-                    }
-                    bound_by = Some(match a.dominant_segment() {
-                        Some((seg, _)) => seg_label(seg),
-                        None => "engine-cap".to_string(),
-                    });
-                }
-                if let Some(o) = open.remove(&ev.flow.0) {
-                    let tid = flow_lane(ev.flow.0);
-                    let mut span = TimelineEvent::span(
-                        o.at,
-                        ev.at,
-                        format!("flow#{} {}B [{outcome}]", ev.flow.0, o.payload_bytes),
-                        "fabric_flow",
-                    )
-                    .on_tid(tid)
-                    .with_arg("route", o.route)
-                    .with_arg("payload_bytes", format!("{}", o.payload_bytes))
-                    .with_arg("delivered_bytes", format!("{delivered_bytes}"))
-                    .with_arg("outcome", outcome);
-                    if let Some(b) = bound_by {
-                        span = span.with_arg("bound_by", b);
-                    }
-                    events.push(span);
-                    if seen_lanes.insert(tid, ()).is_none() {
-                        threads.push((tid, format!("fabric flows %{}", tid - FLOW_LANE_BASE)));
-                    }
-                    if outcome == "completed" {
-                        flow_durations.push((ev.at - o.at).as_ns());
-                    }
-                }
+                continue;
             }
             FlowEventKind::Rerouted { note } => {
-                let tid = flow_lane(ev.flow.0);
-                events.push(
-                    TimelineEvent::instant(ev.at, format!("reroute: {note}"), "fabric_flow")
-                        .on_tid(tid),
-                );
-                if seen_lanes.insert(tid, ()).is_none() {
-                    threads.push((tid, format!("fabric flows %{}", tid - FLOW_LANE_BASE)));
-                }
+                let name = format!("reroute: {note}");
+                events.push(TimelineEvent::instant(ev.at, name, "fabric_flow").on_tid(tid));
+                lane(tid, &|| flow_lane_name(tid));
+                continue;
             }
+            FlowEventKind::Completed {
+                delivered_bytes,
+                attribution,
+            } => (*delivered_bytes, attribution.as_ref()),
+            FlowEventKind::Aborted { delivered_bytes } => (*delivered_bytes, None),
+        };
+        let outcome = ev.kind.tag();
+        // Fold the lifetime's binding-constraint split into the
+        // fabric_attr_* counters, and name what bound this flow longest on
+        // its span for Perfetto inspection.
+        let mut bound_by = None;
+        if let Some(a) = attribution {
+            attr_flows += 1;
+            attr_total_ns += a.total_ns;
+            attr_cap_ns += a.cap_bound_ns;
+            for &(seg, ns) in &a.segments {
+                *attr_seg_ns.entry(segmap.label(seg)).or_insert(0.0) += ns;
+            }
+            bound_by = Some(match a.dominant_segment() {
+                Some((seg, _)) => segmap.label(seg),
+                None => "engine-cap",
+            });
+        }
+        let Some(o) = open.remove(&ev.flow.0) else {
+            continue;
+        };
+        let name = format!("flow#{} {}B [{outcome}]", ev.flow.0, o.payload_bytes);
+        let mut span = TimelineEvent::span(o.at, ev.at, name, "fabric_flow")
+            .on_tid(tid)
+            .with_arg("route", segmap.route_label(o.segs))
+            .with_arg("payload_bytes", o.payload_bytes.to_string())
+            .with_arg("delivered_bytes", delivered_bytes.to_string())
+            .with_arg("outcome", outcome);
+        if let Some(b) = bound_by {
+            span = span.with_arg("bound_by", b);
+        }
+        events.push(span);
+        lane(tid, &|| flow_lane_name(tid));
+        if outcome == "completed" {
+            flow_durations.push((ev.at - o.at).as_ns());
         }
     }
     // Flows still in flight at snapshot time stay off the timeline (they
@@ -182,7 +179,7 @@ pub fn build_sim_telemetry(
     // --- flight recorder counter tracks ----------------------------------
     // One counter track per link direction that ever carried traffic;
     // all-zero columns would add 50+ flat tracks to every Perfetto view.
-    if let Some(series) = util_series {
+    if let Some(series) = &util_series {
         let active: Vec<usize> = (0..series.labels.len())
             .filter(|&j| series.samples.iter().any(|s| s.util[j] > 0.0))
             .collect();
@@ -215,13 +212,13 @@ pub fn build_sim_telemetry(
                 metrics.counter_add(
                     MetricKey::new(ATTR_BOUND_NS)
                         .with("cause", "link")
-                        .with("segment", label.clone()),
+                        .with("segment", *label),
                     *ns,
                 );
             }
         }
     }
-    if let Some(series) = util_series {
+    if let Some(series) = &util_series {
         metrics.gauge_set(
             MetricKey::new("fabric_recorder_samples"),
             series.samples.len() as f64,
@@ -234,7 +231,7 @@ pub fn build_sim_telemetry(
             series.dropped as f64,
         );
     }
-    for l in link_loads {
+    for l in net.link_loads() {
         if l.wire_bytes <= 0.0 {
             continue;
         }
@@ -250,8 +247,9 @@ pub fn build_sim_telemetry(
     }
     metrics.gauge_set(
         MetricKey::new("fabric_peak_concurrent_flows"),
-        peak_active_flows as f64,
+        net.peak_active_flows() as f64,
     );
+    let recomputes = net.recomputes();
     metrics.counter_add(MetricKey::new("fabric_rate_recomputes"), recomputes as f64);
     // Same value under its old name; the stack bench
     // (`crates/bench/examples/stack/layers.rs`) still reads it.
@@ -259,20 +257,17 @@ pub fn build_sim_telemetry(
         MetricKey::new("fabric_rate_recomputes_full"),
         recomputes as f64,
     );
-    if fault_stats.faults_applied > 0 {
+    if faults.faults_applied > 0 {
         metrics.counter_add(
             MetricKey::new("fault_events_applied"),
-            fault_stats.faults_applied as f64,
+            faults.faults_applied as f64,
         );
         metrics.counter_add(
             MetricKey::new("fault_aborted_flows"),
-            fault_stats.aborted_flows as f64,
+            faults.aborted_flows as f64,
         );
-        metrics.counter_add(MetricKey::new("fault_retries"), fault_stats.retries as f64);
-        metrics.counter_add(
-            MetricKey::new("fault_failed_ops"),
-            fault_stats.failed_ops as f64,
-        );
+        metrics.counter_add(MetricKey::new("fault_retries"), faults.retries as f64);
+        metrics.counter_add(MetricKey::new("fault_failed_ops"), faults.failed_ops as f64);
     }
 
     SimTelemetry {
@@ -290,36 +285,64 @@ pub fn build_sim_telemetry(
 mod tests {
     use super::*;
     use crate::device::DeviceId;
+    use crate::op::OpLabel;
     use crate::stream::StreamId;
-    use ifsim_des::Time;
-    use ifsim_fabric::{FlowEvent, FlowId};
+    use ifsim_fabric::{FaultKind, FlowSpec, SegmentMap};
+    use ifsim_topology::{GcdId, NodeTopology, RoutePolicy, Router};
 
-    fn trace_ev(stream: u64, start: f64, end: f64, label: &str) -> TraceEvent {
+    fn trace_ev(stream: u64, start: f64, end: f64, kind: TraceKind) -> TraceEvent {
         TraceEvent {
             dev: DeviceId(0),
             stream: StreamId(stream),
             start: Time::from_ns(start),
             end: Time::from_ns(end),
-            label: label.into(),
+            kind,
         }
+    }
+
+    fn net() -> FlowNet {
+        FlowNet::new(SegmentMap::new(&NodeTopology::frontier()))
+    }
+
+    /// A peer copy's segments: the max-bandwidth route from GCD `a` to GCD
+    /// `b`, then both ends' HBM.
+    fn peer_segs(net: &FlowNet, a: u8, b: u8) -> Vec<SegId> {
+        let topo = NodeTopology::frontier();
+        let router = Router::new(&topo);
+        let path = router.gcd_route(GcdId(a), GcdId(b), RoutePolicy::MaxBandwidth);
+        let mut segs = net.segmap().path_segments(&topo, path, false);
+        segs.extend([GcdId(a), GcdId(b)].map(|g| net.segmap().hbm_seg(g)));
+        segs
+    }
+
+    fn snapshot(net: &FlowNet, faults: &FaultStats) -> SimTelemetry {
+        build_sim_telemetry(&[], net, faults, &MetricsRegistry::new())
     }
 
     #[test]
     fn trace_ops_become_spans_and_fault_markers_instants() {
         let evs = vec![
-            trace_ev(0, 0.0, 100.0, "memcpy 64B"),
-            trace_ev(0, 50.0, 50.0, "!fault: link down GCD0<->GCD2"),
+            trace_ev(
+                0,
+                0.0,
+                100.0,
+                TraceKind::Done(OpLabel::Memcpy { bytes: 64 }),
+            ),
+            trace_ev(
+                0,
+                50.0,
+                50.0,
+                TraceKind::Fault(FaultKind::LinkDown {
+                    a: GcdId(0),
+                    b: GcdId(2),
+                }),
+            ),
         ];
         let t = build_sim_telemetry(
             &evs,
-            &FlowLog::default(),
-            &[],
-            0,
-            0,
+            &net(),
             &FaultStats::default(),
             &MetricsRegistry::new(),
-            None,
-            None,
         );
         assert_eq!(t.events.len(), 2);
         let span = &t.events[0];
@@ -327,59 +350,38 @@ mod tests {
         assert_eq!(span.name, "memcpy 64B");
         let fault = &t.events[1];
         assert_eq!(fault.cat, "fault");
+        assert_eq!(fault.name, "!fault: link down GCD0<->GCD2");
         assert_eq!(fault.tid, FAULT_LANE);
         assert!(t.threads.iter().any(|(tid, _)| *tid == FAULT_LANE));
     }
 
     #[test]
     fn flow_lifecycle_pairs_into_spans_with_route() {
-        let mut log = FlowLog::default();
-        log.enable();
-        log.push(FlowEvent {
-            at: Time::from_ns(10.0),
-            flow: FlowId(3),
-            kind: FlowEventKind::Created {
-                payload_bytes: 256.0,
-                route: "GCD0->GCD2".into(),
-            },
-        });
-        log.push(FlowEvent {
-            at: Time::from_ns(90.0),
-            flow: FlowId(3),
-            kind: FlowEventKind::Completed {
-                delivered_bytes: 256.0,
-                attribution: None,
-            },
-        });
-        log.push(FlowEvent {
-            at: Time::from_ns(95.0),
-            flow: FlowId(3),
+        let mut n = net();
+        n.enable_flow_log();
+        let segs = peer_segs(&n, 0, 2);
+        let start = Time::from_ns(10.0);
+        let fid = n.add_flow(start, FlowSpec::new(segs, 256.0, 1.0));
+        let (end, _) = n.complete_next().expect("one flow");
+        n.flow_log_mut().push(ifsim_fabric::FlowEvent {
+            at: end,
+            flow: fid,
             kind: FlowEventKind::Rerouted {
                 note: "retry 1".into(),
             },
         });
-        let t = build_sim_telemetry(
-            &[],
-            &log,
-            &[],
-            1,
-            2,
-            &FaultStats::default(),
-            &MetricsRegistry::new(),
-            None,
-            None,
-        );
+        let t = snapshot(&n, &FaultStats::default());
         let span = t
             .events
             .iter()
             .find(|e| matches!(e.kind, ifsim_telemetry::EventKind::Span { .. }))
             .expect("flow span");
         assert_eq!(span.cat, "fabric_flow");
-        assert!(span.name.contains("flow#3"));
+        assert!(span.name.contains(&format!("flow#{}", fid.0)));
         assert!(span
             .args
             .iter()
-            .any(|(k, v)| k == "route" && v == "GCD0->GCD2"));
+            .any(|(k, v)| k == "route" && v == "GCD0->GCD2 + HBM GCD0 + HBM GCD2"));
         let reroute = t
             .events
             .iter()
@@ -392,33 +394,16 @@ mod tests {
             .histogram(&MetricKey::new("fabric_flow_duration_ns"))
             .expect("duration histogram");
         assert_eq!(h.count(), 1);
-        assert!((h.mean() - 80.0).abs() < 1e-9);
+        assert!((h.mean() - (end - start).as_ns()).abs() < 1e-9);
     }
 
     #[test]
     fn link_loads_and_fault_stats_land_in_metrics() {
-        use ifsim_fabric::Dir;
-        use ifsim_topology::LinkId;
-        let loads = vec![
-            LinkLoad {
-                link: LinkId(0),
-                dir: Dir::Forward,
-                label: "GCD0->GCD1".into(),
-                xgmi: true,
-                wire_bytes: 1e6,
-                busy_ns: 5e3,
-                utilization: 0.5,
-            },
-            LinkLoad {
-                link: LinkId(1),
-                dir: Dir::Forward,
-                label: "idle".into(),
-                xgmi: false,
-                wire_bytes: 0.0,
-                busy_ns: 0.0,
-                utilization: 0.0,
-            },
-        ];
+        let mut n = net();
+        for _ in 0..2 {
+            n.add_flow(Time::ZERO, FlowSpec::new(peer_segs(&n, 0, 1), 1e6, 1.0));
+        }
+        while n.complete_next().is_some() {}
         let stats = FaultStats {
             faults_applied: 2,
             aborted_flows: 3,
@@ -426,31 +411,26 @@ mod tests {
             failed_ops: 0,
             ..Default::default()
         };
-        let t = build_sim_telemetry(
-            &[],
-            &FlowLog::default(),
-            &loads,
-            7,
-            42,
-            &stats,
-            &MetricsRegistry::new(),
-            None,
-            None,
-        );
+        let t = snapshot(&n, &stats);
         let key = MetricKey::new("fabric_link_wire_bytes")
             .with("link", "GCD0->GCD1")
             .with("dir", "Forward")
             .with("xgmi", "1");
-        assert_eq!(t.metrics.counter(&key), 1e6);
+        assert!((t.metrics.counter(&key) - 2e6).abs() < 1e-6);
         // Idle links are omitted, not zero-filled.
-        assert!(t
-            .metrics
-            .counters()
-            .all(|(k, _)| !k.labels().iter().any(|(_, v)| v == "idle")));
+        let loaded = n.link_loads().iter().filter(|l| l.wire_bytes > 0.0).count();
+        assert!(loaded < n.link_loads().len());
+        assert_eq!(
+            t.metrics
+                .counters()
+                .filter(|(k, _)| k.name() == "fabric_link_wire_bytes")
+                .count(),
+            loaded
+        );
         assert_eq!(
             t.metrics
                 .gauge(&MetricKey::new("fabric_peak_concurrent_flows")),
-            Some(7.0)
+            Some(2.0)
         );
         assert_eq!(
             t.metrics.counter(&MetricKey::new("fault_events_applied")),
@@ -460,55 +440,40 @@ mod tests {
 
     #[test]
     fn attributions_fold_into_fabric_attr_counters_and_span_args() {
-        use ifsim_fabric::{BottleneckAttribution, SegId};
-        let mut log = FlowLog::default();
-        log.enable();
-        log.push(FlowEvent {
-            at: Time::from_ns(0.0),
-            flow: FlowId(1),
-            kind: FlowEventKind::Created {
-                payload_bytes: 64.0,
-                route: "GCD0->GCD1".into(),
-            },
-        });
-        log.push(FlowEvent {
-            at: Time::from_ns(100.0),
-            flow: FlowId(1),
-            kind: FlowEventKind::Completed {
-                delivered_bytes: 64.0,
-                attribution: Some(BottleneckAttribution {
-                    total_ns: 100.0,
-                    cap_bound_ns: 30.0,
-                    segments: vec![(SegId(4), 70.0)],
-                }),
-            },
-        });
-        let t = build_sim_telemetry(
-            &[],
-            &log,
-            &[],
-            1,
-            1,
-            &FaultStats::default(),
-            &MetricsRegistry::new(),
-            None,
-            None,
-        );
+        let mut n = net();
+        n.enable_flow_log();
+        n.enable_attribution();
+        n.add_flow(Time::ZERO, FlowSpec::new(peer_segs(&n, 0, 2), 1e6, 1.0));
+        n.complete_next().expect("one flow");
+        let a = n
+            .flow_log()
+            .events()
+            .iter()
+            .find_map(|e| match &e.kind {
+                FlowEventKind::Completed { attribution, .. } => attribution.clone(),
+                _ => None,
+            })
+            .expect("attributed completion");
+        let (seg, seg_ns) = a.dominant_segment().expect("a link bound the flow");
+        let label = n.segmap().label(seg);
+        let t = snapshot(&n, &FaultStats::default());
         assert_eq!(t.metrics.counter(&MetricKey::new(ATTR_FLOWS)), 1.0);
-        assert_eq!(t.metrics.counter(&MetricKey::new(ATTR_TOTAL_NS)), 100.0);
+        assert_eq!(
+            t.metrics.counter(&MetricKey::new(ATTR_TOTAL_NS)),
+            a.total_ns
+        );
         assert_eq!(
             t.metrics
                 .counter(&MetricKey::new(ATTR_BOUND_NS).with("cause", "engine-cap")),
-            30.0
+            a.cap_bound_ns
         );
-        // No segmap supplied: segment 4 falls back to a positional label.
         assert_eq!(
             t.metrics.counter(
                 &MetricKey::new(ATTR_BOUND_NS)
                     .with("cause", "link")
-                    .with("segment", "seg4")
+                    .with("segment", label)
             ),
-            70.0
+            seg_ns
         );
         let span = t
             .events
@@ -516,9 +481,7 @@ mod tests {
             .find(|e| e.cat == "fabric_flow")
             .expect("flow span");
         assert!(
-            span.args
-                .iter()
-                .any(|(k, v)| k == "bound_by" && v == "seg4"),
+            span.args.iter().any(|(k, v)| k == "bound_by" && v == label),
             "{:?}",
             span.args
         );
@@ -526,39 +489,23 @@ mod tests {
 
     #[test]
     fn util_series_becomes_counter_tracks_for_active_links_only() {
-        use ifsim_fabric::{UtilSample, UtilSeries};
-        let series = UtilSeries {
-            labels: vec!["GCD0->GCD1".into(), "GCD1->GCD0".into()],
-            samples: vec![
-                UtilSample {
-                    ts_ns: 0.0,
-                    util: vec![0.8, 0.0],
-                },
-                UtilSample {
-                    ts_ns: 50.0,
-                    util: vec![0.0, 0.0],
-                },
-            ],
-            dropped: 3,
-        };
-        let t = build_sim_telemetry(
-            &[],
-            &FlowLog::default(),
-            &[],
-            0,
-            0,
-            &FaultStats::default(),
-            &MetricsRegistry::new(),
-            Some(&series),
-            None,
-        );
+        let mut n = net();
+        // Two epochs fit: the reverse-direction flow's epochs are dropped,
+        // the forward flow's admission and idle tail are kept.
+        n.enable_flight_recorder(2);
+        n.add_flow(Time::ZERO, FlowSpec::new(peer_segs(&n, 1, 0), 1e6, 1.0));
+        let (end, _) = n.complete_next().expect("one flow");
+        let later = end + ifsim_des::Dur::from_us(1.0);
+        n.add_flow(later, FlowSpec::new(peer_segs(&n, 0, 1), 1e6, 1.0));
+        n.complete_next().expect("one flow");
+        let t = snapshot(&n, &FaultStats::default());
         let counters: Vec<_> = t
             .events
             .iter()
             .filter(|e| matches!(e.kind, ifsim_telemetry::EventKind::Counter { .. }))
             .collect();
-        // Only the link that ever carried traffic gets a track — both its
-        // samples, including the trailing zero.
+        // Only the link that carried traffic in the kept samples gets a
+        // track — both its samples, including the trailing zero.
         assert_eq!(counters.len(), 2);
         assert!(counters
             .iter()
@@ -570,7 +517,7 @@ mod tests {
         assert_eq!(
             t.metrics
                 .counter(&MetricKey::new("fabric_recorder_dropped_samples")),
-            3.0
+            2.0
         );
     }
 }

@@ -1,17 +1,58 @@
 //! Execution tracing: a per-op timeline of what ran where and when.
 //!
 //! Tracing is off by default (zero overhead beyond a branch); enabling it
-//! records one [`TraceEvent`] per completed op. The timeline powers
+//! records one [`TraceEvent`] per completed op, aborted attempt, failed op
+//! and applied fault. Events hold typed data ([`TraceKind`]); the label
+//! text is rendered only when a timeline is exported. The timeline powers
 //! profiler-style analysis in tests and the `fabric_heatmap` example, and
 //! renders as an ASCII Gantt chart for quick inspection — the simulator's
 //! answer to `rocprof`.
 
 use crate::device::DeviceId;
+use crate::error::HipError;
+use crate::op::OpLabel;
 use crate::stream::StreamId;
 use ifsim_des::Time;
-use std::fmt::Write as _;
+use ifsim_fabric::FaultKind;
+use std::fmt::{self, Write as _};
 
-/// One completed operation on the timeline.
+/// What a timeline entry records. `Display` renders its label.
+#[derive(Clone, Debug, PartialEq)]
+pub enum TraceKind {
+    /// An op that completed (`memcpy_peer 16B`).
+    Done(OpLabel),
+    /// An attempt a fault tore down; the op runs again as attempt
+    /// `retry` (`memcpy_peer 16B [aborted; retry 1]`).
+    Aborted {
+        /// The op.
+        op: OpLabel,
+        /// The attempt that follows.
+        retry: u32,
+    },
+    /// An op that failed its stream (`memcpy_peer 16B [failed: ...]`).
+    Failed {
+        /// The op.
+        op: OpLabel,
+        /// The stream's sticky error.
+        err: HipError,
+    },
+    /// A fault applied to the fabric, as a zero-length marker
+    /// (`!fault: link down GCD0<->GCD6`).
+    Fault(FaultKind),
+}
+
+impl fmt::Display for TraceKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TraceKind::Done(op) => write!(f, "{op}"),
+            TraceKind::Aborted { op, retry } => write!(f, "{op} [aborted; retry {retry}]"),
+            TraceKind::Failed { op, err } => write!(f, "{op} [failed: {err}]"),
+            TraceKind::Fault(kind) => write!(f, "!fault: {kind}"),
+        }
+    }
+}
+
+/// One entry on the timeline.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceEvent {
     /// Logical device the op ran on.
@@ -22,8 +63,8 @@ pub struct TraceEvent {
     pub start: Time,
     /// When the op completed (effects applied).
     pub end: Time,
-    /// Op label (`kernel stream_copy`, `memcpy_peer 16B`, ...).
-    pub label: String,
+    /// What happened.
+    pub kind: TraceKind,
 }
 
 impl TraceEvent {
@@ -69,8 +110,8 @@ impl Trace {
     }
 
     /// As [`Trace::record`], but the event is built lazily: with tracing
-    /// disabled the closure never runs, so label rendering (and its
-    /// allocations) cost nothing.
+    /// disabled the closure never runs, so building the event (cloning its
+    /// op label) costs nothing.
     pub fn record_with(&mut self, f: impl FnOnce() -> TraceEvent) {
         if self.enabled {
             self.events.push(f());
@@ -153,7 +194,7 @@ impl Trace {
             {
                 let a = (((e.start.as_ns() - t0) / span) * width as f64).floor() as usize;
                 let b = (((e.end.as_ns() - t0) / span) * width as f64).ceil() as usize;
-                let glyph = e.label.chars().next().unwrap_or('#');
+                let glyph = e.kind.to_string().chars().next().unwrap_or('#');
                 for c in lane.iter_mut().take(b.min(width)).skip(a.min(width - 1)) {
                     *c = glyph;
                 }
@@ -180,7 +221,7 @@ mod tests {
             stream: StreamId(stream),
             start: Time::from_ns(start),
             end: Time::from_ns(end),
-            label: label.into(),
+            kind: TraceKind::Done(label.into()),
         }
     }
 
@@ -227,6 +268,36 @@ mod tests {
     }
 
     #[test]
+    fn kinds_render_the_timeline_labels() {
+        use ifsim_topology::GcdId;
+        let op = || OpLabel::MemcpyPeer { bytes: 1 << 30 };
+        assert_eq!(TraceKind::Done(op()).to_string(), "memcpy_peer 1073741824B");
+        assert_eq!(
+            TraceKind::Aborted { op: op(), retry: 1 }.to_string(),
+            "memcpy_peer 1073741824B [aborted; retry 1]"
+        );
+        assert_eq!(
+            TraceKind::Failed {
+                op: op(),
+                err: HipError::InvalidValue("x".into()),
+            }
+            .to_string(),
+            format!(
+                "memcpy_peer 1073741824B [failed: {}]",
+                HipError::InvalidValue("x".into())
+            )
+        );
+        let down = FaultKind::LinkDown {
+            a: GcdId(0),
+            b: GcdId(6),
+        };
+        assert_eq!(
+            TraceKind::Fault(down).to_string(),
+            "!fault: link down GCD0<->GCD6"
+        );
+    }
+
+    #[test]
     fn empty_trace_renders_gracefully() {
         let t = Trace::default();
         assert!(t.render_gantt(40).contains("no events"));
@@ -239,6 +310,9 @@ mod tests {
         t.record(ev(0, 0, 0.0, 1.0, "a"));
         t.record(ev(3, 3, 0.0, 1.0, "b"));
         assert_eq!(t.events_on(DeviceId(3)).count(), 1);
-        assert_eq!(t.events_on(DeviceId(0)).next().unwrap().label, "a");
+        assert_eq!(
+            t.events_on(DeviceId(0)).next().unwrap().kind,
+            TraceKind::Done("a".into())
+        );
     }
 }

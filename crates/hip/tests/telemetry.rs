@@ -240,3 +240,37 @@ fn manual_snapshot_matches_flush_semantics() {
         .count();
     assert!(spans >= 1);
 }
+
+#[test]
+fn custom_op_labels_are_never_mistaken_for_fault_markers() {
+    // A library op may carry any label, including one that reads like the
+    // fault marker's text; it is still an op with a duration.
+    let collector = Collector::install();
+    {
+        let mut hip = HipSim::new(EnvConfig::default());
+        let stream = hip.default_stream(0).unwrap();
+        let plan = ifsim_hip::plan::OpPlan {
+            latency: ifsim_des::Dur::from_us(5.0),
+            flows: Vec::new(),
+            effects: Vec::new(),
+        };
+        hip.submit_plan(stream, plan, "!fault: not a fault")
+            .unwrap();
+        hip.stream_synchronize(stream).unwrap();
+    }
+    let t = collector.take();
+    let events = t.events();
+    let ev = events
+        .iter()
+        .find(|e| e.name == "!fault: not a fault")
+        .expect("the op is on the timeline");
+    assert_eq!(ev.cat, "hip_op");
+    match ev.kind {
+        EventKind::Span { dur_ns } => assert!((dur_ns - 5_000.0).abs() < 1e-6, "{dur_ns}"),
+        ref other => panic!("expected a span, got {other:?}"),
+    }
+    assert!(
+        events.iter().all(|e| e.cat != "fault"),
+        "no fault was injected"
+    );
+}

@@ -27,9 +27,13 @@
 //! attribution counters and the DAG's route labels, so every name the
 //! capture path renders is fixed.
 
+use ifsim::fabric::SegId;
+use ifsim::hip::EnvConfig;
 use ifsim::registry;
-use ifsim::telemetry::{self, json, CollectedTelemetry};
+use ifsim::telemetry::critpath::NodeCategory;
+use ifsim::telemetry::{self, json, CollectedTelemetry, EventKind};
 use ifsim::{BenchConfig, Capture, RunOpts};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 fn pinned_cfg() -> BenchConfig {
@@ -123,6 +127,55 @@ fn dag_capture_artifacts_are_pinned() {
                  file's header)"
             );
         }
+    }
+}
+
+/// The route format trace consumers parse (the stack bench's replay
+/// among them): a flow span's `route` arg is its segment labels joined by
+/// `" + "`, and the dependency DAG names the flow's node by the same string.
+#[test]
+fn captured_routes_resolve_to_segments_and_dag_flow_nodes() {
+    let (_, t) = registry::by_id("ext-fault-link-down")
+        .expect("registered experiment")
+        .run_with(&pinned_cfg(), &RunOpts::capture(Capture::Dag))
+        .expect("no token, no cancellation");
+    let hip = pinned_cfg().runtime(EnvConfig::default());
+    let segmap = hip.fabric().segmap();
+    let seg_labels: BTreeSet<&str> = (0..segmap.len())
+        .map(|i| segmap.label(SegId(i as u32)))
+        .collect();
+    let flow_nodes: BTreeSet<&str> = t
+        .dags()
+        .iter()
+        .flat_map(|g| &g.nodes)
+        .filter(|n| n.category != NodeCategory::Sync)
+        .map(|n| n.label.as_str())
+        .collect();
+    let events = t.events();
+    let spans: Vec<_> = events
+        .iter()
+        .filter(|e| e.cat == "fabric_flow" && matches!(e.kind, EventKind::Span { .. }))
+        .collect();
+    assert!(!spans.is_empty(), "the capture has flow spans");
+    for span in spans {
+        let route = span
+            .args
+            .iter()
+            .find(|(k, _)| k == "route")
+            .map(|(_, v)| v.as_str())
+            .unwrap_or_else(|| panic!("{}: no route arg", span.name));
+        for label in route.split(" + ") {
+            assert!(
+                seg_labels.contains(label),
+                "{}: {label:?} names no segment",
+                span.name
+            );
+        }
+        assert!(
+            flow_nodes.contains(route),
+            "{}: no DAG flow node is named {route:?}",
+            span.name
+        );
     }
 }
 
