@@ -1,8 +1,9 @@
 //! Flow lifecycle log: the fabric side of the telemetry timeline.
 //!
-//! When enabled, [`crate::FlowNet`] records one [`FlowEvent`] per lifecycle
-//! transition — created (with the segment ids the flow traverses),
-//! completed, aborted — and the runtime layer appends reroute notes when a
+//! Under [`crate::FlowNet::enable_capture`], the network records one
+//! [`FlowEvent`] per lifecycle transition — created (with the segment ids
+//! the flow traverses), completed (with its bottleneck attribution),
+//! aborted — and the runtime layer appends reroute notes when a
 //! fault-aborted op is re-planned. The log holds ids, not names: a route
 //! becomes text only at export, through
 //! [`crate::SegmentMap::route_label`]. Disabled (the default) it costs one
@@ -27,9 +28,8 @@ pub enum FlowEventKind {
     Completed {
         /// Bytes delivered (equals the payload up to numeric epsilon).
         delivered_bytes: f64,
-        /// Where the flow's lifetime went, by binding constraint — present
-        /// when the network had attribution enabled.
-        attribution: Option<BottleneckAttribution>,
+        /// Where the flow's lifetime went, by binding constraint.
+        attribution: BottleneckAttribution,
     },
     /// The flow was torn down early (fault, cancellation).
     Aborted {
@@ -86,20 +86,8 @@ impl FlowLog {
         self.enabled
     }
 
-    /// Discard recorded events.
-    pub fn clear(&mut self) {
-        self.events.clear();
-    }
-
-    /// Record one transition (no-op when disabled).
-    pub fn push(&mut self, ev: FlowEvent) {
-        if self.enabled {
-            self.events.push(ev);
-        }
-    }
-
-    /// As [`FlowLog::push`], building the event lazily so the disabled
-    /// path allocates nothing.
+    /// Record one transition, built lazily so the disabled path allocates
+    /// nothing (no-op when disabled).
     pub fn push_with(&mut self, f: impl FnOnce() -> FlowEvent) {
         if self.enabled {
             self.events.push(f());
@@ -132,13 +120,6 @@ mod tests {
     #[test]
     fn disabled_log_records_nothing() {
         let mut log = FlowLog::default();
-        log.push(ev(
-            0,
-            FlowEventKind::Completed {
-                delivered_bytes: 1.0,
-                attribution: None,
-            },
-        ));
         log.push_with(|| panic!("must not be built while disabled"));
         assert!(log.events().is_empty());
         assert!(!log.is_enabled());
@@ -148,31 +129,35 @@ mod tests {
     fn enabled_log_records_and_counts_by_tag() {
         let mut log = FlowLog::default();
         log.enable();
-        log.push(ev(
-            0,
-            FlowEventKind::Created {
-                payload_bytes: 8.0,
-                segs: vec![SegId(0), SegId(1)],
-            },
-        ));
-        log.push(ev(
-            0,
-            FlowEventKind::Aborted {
-                delivered_bytes: 4.0,
-            },
-        ));
-        log.push(ev(
-            1,
-            FlowEventKind::Rerouted {
-                note: "retry 1".into(),
-            },
-        ));
+        log.push_with(|| {
+            ev(
+                0,
+                FlowEventKind::Created {
+                    payload_bytes: 8.0,
+                    segs: vec![SegId(0), SegId(1)],
+                },
+            )
+        });
+        log.push_with(|| {
+            ev(
+                0,
+                FlowEventKind::Aborted {
+                    delivered_bytes: 4.0,
+                },
+            )
+        });
+        log.push_with(|| {
+            ev(
+                1,
+                FlowEventKind::Rerouted {
+                    note: "retry 1".into(),
+                },
+            )
+        });
         assert_eq!(log.events().len(), 3);
         assert_eq!(log.count("created"), 1);
         assert_eq!(log.count("aborted"), 1);
         assert_eq!(log.count("rerouted"), 1);
         assert_eq!(log.count("completed"), 0);
-        log.clear();
-        assert!(log.events().is_empty());
     }
 }

@@ -22,7 +22,7 @@
 //!   removal is `swap_remove`. Segment lists live in a persistent CSR
 //!   [`FlowArena`] maintained incrementally, so a recompute walks
 //!   contiguous memory and allocates nothing
-//!   ([`fairshare::max_min_rates_arena`]).
+//!   ([`crate::fairshare::max_min_rates_arena`]).
 //! - Recomputes are **deferred**: membership and capacity changes set a
 //!   dirty flag, and the fair-share pass runs once at the next rate-sensitive
 //!   observation (`peek_completion`, `rate_of`, or a time advance). Admitting
@@ -115,8 +115,8 @@ struct RateState {
     wire: Vec<f64>,
     /// Fair-share passes executed (over a non-empty table).
     recomputes: u64,
-    /// Epoch-sampled utilization time series (disabled by default). Lives
-    /// here because the flush that feeds it runs under `&self`.
+    /// Epoch-sampled utilization time series (off until capture is on).
+    /// Lives here because the flush that feeds it runs under `&self`.
     recorder: Option<FlightRecorder>,
 }
 
@@ -162,14 +162,12 @@ pub struct FlowNet {
     busy_gen: u64,
     /// High-water mark of concurrently active flows.
     peak_active: usize,
-    /// Lifecycle event stream (disabled by default).
+    /// Lifecycle event stream (off until capture is on).
     log: FlowLog,
     /// Per-flow binding-constraint accumulators, parallel to `entries`.
     /// Maintained in swap-remove lockstep always (an empty accumulator
-    /// never allocates); *charged* only when `attr_enabled`.
+    /// never allocates); *charged* only while the log records.
     attr: Vec<AttrAcc>,
-    /// Whether accrual intervals are charged to binding constraints.
-    attr_enabled: bool,
     rs: RefCell<RateState>,
 }
 
@@ -193,7 +191,6 @@ impl FlowNet {
             peak_active: 0,
             log: FlowLog::default(),
             attr: Vec::new(),
-            attr_enabled: false,
             rs: RefCell::new(RateState {
                 dirty: false,
                 rates: Vec::new(),
@@ -207,42 +204,23 @@ impl FlowNet {
         }
     }
 
-    /// Start recording flow lifecycle events (created / completed / aborted
-    /// / rerouted). Off by default: disabled, the log costs one branch per
-    /// transition and never allocates.
-    pub fn enable_flow_log(&mut self) {
+    /// Start capture, before the first flow is admitted. The flow log then
+    /// records every lifecycle transition (created / completed / aborted /
+    /// rerouted); every accrual interval is charged to each flow's binding
+    /// constraint (the segment that saturated under it, or its own wire
+    /// cap), so each completion carries a
+    /// [`crate::attr::BottleneckAttribution`]; and the flight recorder
+    /// appends one per-directed-link utilization sample per fair-share
+    /// epoch to a ring of [`crate::recorder::DEFAULT_RING_CAPACITY`]
+    /// epochs. Capture only observes: rates and completion times are
+    /// identical with it on or off. Off, it costs one branch per
+    /// transition and allocates nothing.
+    pub fn enable_capture(&mut self) {
         self.log.enable();
+        self.rs.get_mut().recorder = Some(FlightRecorder::new(&self.segmap));
     }
 
-    /// Start charging every accrual interval to each flow's current
-    /// binding constraint (the segment that saturated under it, or its own
-    /// wire cap). Completed flows then carry a
-    /// [`crate::attr::BottleneckAttribution`] on their log event. Flows
-    /// already active restart their lifetime clock at `now` so charged
-    /// time still partitions the reported lifetime.
-    pub fn enable_attribution(&mut self) {
-        self.attr_enabled = true;
-        let now_ns = self.now.as_ns();
-        for a in &mut self.attr {
-            a.started_ns = now_ns;
-        }
-    }
-
-    /// Whether binding-constraint time is being charged.
-    pub fn attribution_enabled(&self) -> bool {
-        self.attr_enabled
-    }
-
-    /// Start the flight recorder: every fair-share recompute epoch appends
-    /// one per-directed-link utilization sample to a ring holding at most
-    /// `capacity` epochs (see [`crate::recorder::DEFAULT_RING_CAPACITY`]).
-    /// The recorder only observes — rates, completion times and artifact
-    /// outputs are identical with it on or off.
-    pub fn enable_flight_recorder(&mut self, capacity: usize) {
-        self.rs.get_mut().recorder = Some(FlightRecorder::new(&self.segmap, capacity));
-    }
-
-    /// Snapshot of the recorded utilization series, if the recorder is on.
+    /// Snapshot of the recorded utilization series, if capture is on.
     /// Flushes any deferred recompute first so a membership change right
     /// before the snapshot (e.g. the last completion) is sampled.
     pub fn recorder_series(&self) -> Option<UtilSeries> {
@@ -355,16 +333,13 @@ impl FlowNet {
                 (id, e.delivered)
             })
             .collect();
-        if self.log.is_enabled() {
-            for &(id, delivered) in &aborted {
-                self.log.push(FlowEvent {
-                    at: self.now,
-                    flow: id,
-                    kind: FlowEventKind::Aborted {
-                        delivered_bytes: delivered,
-                    },
-                });
-            }
+        let at = self.now;
+        for &(flow, delivered_bytes) in &aborted {
+            self.log.push_with(|| FlowEvent {
+                at,
+                flow,
+                kind: FlowEventKind::Aborted { delivered_bytes },
+            });
         }
         aborted
     }
@@ -498,7 +473,7 @@ impl FlowNet {
             // Every caller flushed first, and every membership change
             // forces a pass, so the last solve's bindings are in dense
             // order for exactly the current table.
-            let bindings = self.attr_enabled.then(|| rs.scratch.binding());
+            let bindings = self.log.is_enabled().then(|| rs.scratch.binding());
             debug_assert!(
                 bindings.is_none_or(|b| self.entries.is_empty() || b.len() == self.entries.len())
             );
@@ -556,13 +531,12 @@ impl FlowNet {
             e.delivered,
             e.spec.payload_bytes
         );
-        let attributed = self.attr_enabled;
         self.log.push_with(|| FlowEvent {
             at: t,
             flow: id,
             kind: FlowEventKind::Completed {
                 delivered_bytes: e.delivered,
-                attribution: attributed.then(|| acc.finish(t.as_ns())),
+                attribution: acc.finish(t.as_ns()),
             },
         });
         Some((t, id))
@@ -1033,7 +1007,7 @@ mod tests {
     fn flow_log_records_full_lifecycle_with_route() {
         use crate::flowlog::FlowEventKind;
         let (t, r, mut n) = net();
-        n.enable_flow_log();
+        n.enable_capture();
         let segs = peer_segs(&t, &r, &n, 0, 2, false);
         let lid = r
             .gcd_route(GcdId(0), GcdId(2), RoutePolicy::MaxBandwidth)
@@ -1232,20 +1206,16 @@ mod tests {
             .events()
             .iter()
             .find_map(|e| match &e.kind {
-                FlowEventKind::Completed {
-                    attribution: Some(a),
-                    ..
-                } => Some(a.clone()),
+                FlowEventKind::Completed { attribution, .. } => Some(attribution.clone()),
                 _ => None,
             })
-            .expect("a completed event with attribution")
+            .expect("a completed event")
     }
 
     #[test]
     fn capped_exclusive_flow_attributes_to_its_cap() {
         let (t, r, mut n) = net();
-        n.enable_flow_log();
-        n.enable_attribution();
+        n.enable_capture();
         // Quad link (200 GB/s) with an SDMA-like cap: the cap binds the
         // whole lifetime; no segment ever saturates.
         let segs = peer_segs(&t, &r, &n, 0, 1, false);
@@ -1268,8 +1238,7 @@ mod tests {
     #[test]
     fn contended_flows_attribute_to_the_shared_segment() {
         let (t, r, mut n) = net();
-        n.enable_flow_log();
-        n.enable_attribution();
+        n.enable_capture();
         let segs = peer_segs(&t, &r, &n, 0, 2, false);
         let shared = segs[0];
         n.add_flow(Time::ZERO, FlowSpec::new(segs.clone(), 1e9, 1.0));
@@ -1293,8 +1262,7 @@ mod tests {
         // flips it to link-bound. Both phases must be charged, and their
         // sum must equal the lifetime.
         let (t, r, mut n) = net();
-        n.enable_flow_log();
-        n.enable_attribution();
+        n.enable_capture();
         let segs = peer_segs(&t, &r, &n, 0, 2, false);
         let seg = segs[0];
         let lid = r
@@ -1321,33 +1289,16 @@ mod tests {
     }
 
     #[test]
-    fn attribution_disabled_leaves_completed_events_bare() {
-        let (t, r, mut n) = net();
-        n.enable_flow_log();
-        let segs = peer_segs(&t, &r, &n, 0, 2, false);
-        n.add_flow(Time::ZERO, FlowSpec::new(segs, 1e6, 1.0));
-        n.complete_next().unwrap();
-        let completed = &n.flow_log().events()[1];
-        assert!(matches!(
-            completed.kind,
-            FlowEventKind::Completed {
-                attribution: None,
-                ..
-            }
-        ));
-    }
-
-    #[test]
     fn recorder_samples_each_recompute_epoch_and_idle_tail() {
         let (t, r, mut n) = net();
-        n.enable_flight_recorder(64);
+        n.enable_capture();
         let segs = peer_segs(&t, &r, &n, 0, 2, false);
         let seg = segs[0];
         n.add_flow(Time::ZERO, FlowSpec::new(segs.clone(), 0.5e9, 1.0));
         n.add_flow(Time::ZERO, FlowSpec::new(segs, 1e9, 1.0));
         n.complete_next().unwrap();
         n.complete_next().unwrap();
-        let s = n.recorder_series().expect("recorder enabled");
+        let s = n.recorder_series().expect("capture on");
         // Admission epoch (both flows), post-first-completion epoch (the
         // survivor alone), and the all-zero epoch after the table empties
         // (flushed by the snapshot itself).
@@ -1367,12 +1318,12 @@ mod tests {
 
     #[test]
     fn recorder_is_observation_only() {
-        // Same scenario with and without the recorder: identical
-        // completion times, rates, and segment accounting.
+        // Same scenario with and without capture: identical completion
+        // times, rates, and segment accounting.
         let run = |record: bool| {
             let (t, r, mut n) = net();
             if record {
-                n.enable_flight_recorder(8);
+                n.enable_capture();
             }
             let segs = peer_segs(&t, &r, &n, 0, 2, false);
             let seg = segs[0];

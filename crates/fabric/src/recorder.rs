@@ -19,7 +19,7 @@ use crate::arena::Span;
 use crate::seg::SegmentMap;
 use std::collections::VecDeque;
 
-/// Default ring capacity: enough for every recompute of the repo's
+/// Ring capacity: enough for every recompute of the repo's
 /// experiments at `--quick`, small enough to stay O(MB) when a scenario
 /// churns flows for millions of epochs.
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
@@ -62,7 +62,6 @@ pub struct FlightRecorder {
     /// Dense segment index per tracked column.
     tracked: Vec<u32>,
     labels: Vec<String>,
-    capacity: usize,
     ring: VecDeque<UtilSample>,
     dropped: u64,
     /// Per-segment wire load of the epoch being sampled (reused buffer).
@@ -71,8 +70,8 @@ pub struct FlightRecorder {
 
 impl FlightRecorder {
     /// A recorder tracking every directed link segment of `segmap`,
-    /// keeping at most `capacity` epochs (0 is clamped to 1).
-    pub fn new(segmap: &SegmentMap, capacity: usize) -> Self {
+    /// keeping at most [`DEFAULT_RING_CAPACITY`] epochs.
+    pub fn new(segmap: &SegmentMap) -> Self {
         let mut tracked = Vec::new();
         let mut labels = Vec::new();
         for (_, _, seg) in segmap.dir_segments() {
@@ -82,7 +81,6 @@ impl FlightRecorder {
         FlightRecorder {
             tracked,
             labels,
-            capacity: capacity.max(1),
             ring: VecDeque::new(),
             dropped: 0,
             load: vec![0.0; segmap.len()],
@@ -128,7 +126,7 @@ impl FlightRecorder {
                 return;
             }
         }
-        if self.ring.len() == self.capacity {
+        if self.ring.len() == DEFAULT_RING_CAPACITY {
             self.ring.pop_front();
             self.dropped += 1;
         }
@@ -167,15 +165,15 @@ mod tests {
     use crate::seg::SegId;
     use ifsim_topology::NodeTopology;
 
-    fn recorder(cap: usize) -> (SegmentMap, FlightRecorder) {
+    fn recorder() -> (SegmentMap, FlightRecorder) {
         let m = SegmentMap::new(&NodeTopology::frontier());
-        let r = FlightRecorder::new(&m, cap);
+        let r = FlightRecorder::new(&m);
         (m, r)
     }
 
     #[test]
     fn tracks_every_directed_link_segment() {
-        let (m, r) = recorder(16);
+        let (m, r) = recorder();
         assert_eq!(r.labels.len(), m.dir_segments().count());
         assert!(r.labels.iter().any(|l| l.contains("GCD")));
         assert!(r.is_empty());
@@ -183,7 +181,7 @@ mod tests {
 
     #[test]
     fn records_normalized_utilization() {
-        let (m, mut r) = recorder(16);
+        let (m, mut r) = recorder();
         let caps: Vec<f64> = (0..m.len()).map(|i| m.capacity(SegId(i as u32))).collect();
         let (_, _, seg) = m.dir_segments().next().expect("frontier has links");
         let mut arena = FlowArena::new();
@@ -200,7 +198,7 @@ mod tests {
 
     #[test]
     fn same_timestamp_overwrites_last_sample() {
-        let (m, mut r) = recorder(16);
+        let (m, mut r) = recorder();
         let caps: Vec<f64> = (0..m.len()).map(|i| m.capacity(SegId(i as u32))).collect();
         let arena = FlowArena::new();
         r.rebuild(5.0, &caps, arena.buf(), arena.spans(), &[]);
@@ -212,17 +210,18 @@ mod tests {
 
     #[test]
     fn ring_bounds_memory_and_counts_evictions() {
-        let (m, mut r) = recorder(3);
+        let (m, mut r) = recorder();
         let caps: Vec<f64> = (0..m.len()).map(|i| m.capacity(SegId(i as u32))).collect();
         let arena = FlowArena::new();
-        for t in 0..5 {
+        let cap = DEFAULT_RING_CAPACITY;
+        for t in 0..cap + 2 {
             r.rebuild(t as f64, &caps, arena.buf(), arena.spans(), &[]);
         }
-        assert_eq!(r.len(), 3);
+        assert_eq!(r.len(), cap);
         assert_eq!(r.dropped(), 2);
         let s = r.series();
         assert_eq!(s.dropped, 2);
         assert_eq!(s.samples[0].ts_ns, 2.0);
-        assert_eq!(s.samples[2].ts_ns, 4.0);
+        assert_eq!(s.samples[cap - 1].ts_ns, (cap + 1) as f64);
     }
 }

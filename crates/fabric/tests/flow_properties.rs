@@ -199,8 +199,7 @@ proptest! {
         let topo = NodeTopology::frontier();
         let router = Router::new(&topo);
         let mut net = FlowNet::new(SegmentMap::new(&topo));
-        net.enable_flow_log();
-        net.enable_attribution();
+        net.enable_capture();
         for (a, b, kb) in flow_defs {
             let (a, b) = (a % 8, b % 8);
             if a == b {
@@ -220,11 +219,8 @@ proptest! {
                 ifsim_fabric::FlowEventKind::Created { .. } => {
                     created.insert(ev.flow, ev.at.as_ns());
                 }
-                ifsim_fabric::FlowEventKind::Completed { attribution, .. } => {
+                ifsim_fabric::FlowEventKind::Completed { attribution: a, .. } => {
                     completions += 1;
-                    let a = attribution
-                        .as_ref()
-                        .expect("attribution enabled, so completions carry one");
                     let lifetime = ev.at.as_ns() - created[&ev.flow];
                     let tol = 1e-6 * lifetime.max(1.0);
                     prop_assert!(
@@ -261,9 +257,7 @@ proptest! {
         let router = Router::new(&topo);
         let mut bare = FlowNet::new(SegmentMap::new(&topo));
         let mut observed = FlowNet::new(SegmentMap::new(&topo));
-        observed.enable_flow_log();
-        observed.enable_attribution();
-        observed.enable_flight_recorder(ifsim_fabric::recorder::DEFAULT_RING_CAPACITY);
+        observed.enable_capture();
         for (a, b, kb) in flow_defs {
             let (a, b) = (a % 8, b % 8);
             if a == b {

@@ -1,8 +1,7 @@
 //! Causal dependency-DAG capture.
 //!
-//! When enabled (see `HipSim::dag_enable`, turned on automatically under
-//! `Collector::install_with_dag`), the runtime's event loop reports every
-//! causal ordering it enforces into a [`DagBuilder`]:
+//! Under `Collector::install_with_dag`, the runtime's event loop reports
+//! every causal ordering it enforces into a [`DagBuilder`]:
 //!
 //! - **stream program order** — an op's nodes depend on the previous
 //!   op's nodes on the same stream;
@@ -14,20 +13,27 @@
 //! - **flow start → completion** — an op with fabric flows decomposes
 //!   into an *issue* node (launch latency, `sync`) plus one node per
 //!   flow (`transfer`, or `compute` for a kernel's memory traffic),
-//!   spanning admission to completion. A flow node keeps its segment ids
-//!   while the run goes on; [`DagBuilder::snapshot`] names it by its
-//!   route ([`SegmentMap::route_label`]).
+//!   spanning admission to completion.
+//!
+//! While the run goes on the builder keeps only edges, start times, the
+//! typed [`OpLabel`] of each op node and the [`FlowId`] of each flow node.
+//! [`DagBuilder::snapshot`] reads each flow node's end and route from the
+//! fabric's flow log (an aborted or unfinished flow stays zero-length at
+//! its admission instant) and renders every node name there: `launch
+//! {label}`, the op label, or the route ([`SegmentMap::route_label`]).
 //!
 //! The builder is observation-only: it never influences scheduling, so
 //! runs are bitwise-identical with capture on or off (regression-tested
 //! in `crates/hip/tests/critpath.rs`). The captured [`DepGraph`] rides
 //! the telemetry snapshot to the collector, where
 //! `ifsim_telemetry::critpath` turns it into critical-path reports.
+//!
+//! [`SegmentMap::route_label`]: ifsim_fabric::SegmentMap::route_label
 
 use crate::op::OpLabel;
 use crate::stream::StreamId;
 use ifsim_des::Time;
-use ifsim_fabric::{FlowId, FlowNet, SegId, SegmentMap};
+use ifsim_fabric::{FlowEventKind, FlowId, FlowNet, SegId};
 use ifsim_telemetry::critpath::{DepGraph, NodeCategory};
 use std::collections::BTreeMap;
 
@@ -51,11 +57,33 @@ fn flow_category(label: &OpLabel) -> NodeCategory {
     }
 }
 
+/// What a node stands for; named at [`DagBuilder::snapshot`].
+#[derive(Debug)]
+enum NodeKind {
+    /// An op's issue window, up to its flows' admission.
+    Launch(OpLabel),
+    /// A flow-less op, as one interval.
+    Op(OpLabel),
+    /// One fabric flow; its end and route come from the flow log.
+    Flow(FlowId),
+}
+
+/// One captured interval.
+#[derive(Debug)]
+struct Node {
+    start_ns: f64,
+    /// Unused for flow nodes.
+    end_ns: f64,
+    cat: NodeCategory,
+    kind: NodeKind,
+}
+
 /// Incremental builder for the per-run dependency graph. One per runtime,
 /// fed by hooks in the event loop.
 #[derive(Debug, Default)]
 pub struct DagBuilder {
-    graph: DepGraph,
+    nodes: Vec<Node>,
+    edges: Vec<(u32, u32)>,
     /// Last completed node(s) per stream — program-order edge sources.
     frontier: BTreeMap<u64, Vec<u32>>,
     /// Cross-stream edges (event waits) to attach to the next node
@@ -63,10 +91,6 @@ pub struct DagBuilder {
     pending: BTreeMap<u64, Vec<u32>>,
     /// Nodes whose op completion recorded each event id.
     event_nodes: BTreeMap<u64, Vec<u32>>,
-    /// Flow nodes still awaiting completion, by flow id. Flows aborted by
-    /// a fault simply never close; their nodes stay zero-length at the
-    /// admission instant.
-    open_flows: BTreeMap<u64, u32>,
     /// Flow nodes of the op currently running on each stream, tagged
     /// with the op's start time so a retried attempt never inherits a
     /// previous attempt's nodes.
@@ -76,14 +100,22 @@ pub struct DagBuilder {
     barrier_gen: u64,
     /// Which barrier generation each stream has already joined.
     stream_gen: BTreeMap<u64, u64>,
-    /// Each flow node's route, named at [`DagBuilder::snapshot`].
-    routes: Vec<(u32, Vec<SegId>)>,
 }
 
 impl DagBuilder {
     /// A fresh, empty builder.
     pub fn new() -> DagBuilder {
         DagBuilder::default()
+    }
+
+    fn add_node(&mut self, start: Time, end: Time, cat: NodeCategory, kind: NodeKind) -> u32 {
+        self.nodes.push(Node {
+            start_ns: start.as_ns(),
+            end_ns: end.as_ns(),
+            cat,
+            kind,
+        });
+        (self.nodes.len() - 1) as u32
     }
 
     /// Collect and attach every inbound edge owed to a stream's new node:
@@ -104,13 +136,11 @@ impl DagBuilder {
         }
         preds.sort_unstable();
         preds.dedup();
-        for s in preds {
-            self.graph.add_edge(s, node);
-        }
+        self.edges.extend(preds.into_iter().map(|s| (s, node)));
     }
 
-    /// An op's flows were admitted to `net`: record the issue node
-    /// (launch window, `sync`) and one node per flow, edges issue → flow.
+    /// An op's flows were admitted: record the issue node (launch window,
+    /// `sync`) and one node per flow, edges issue → flow.
     pub fn op_flows_admitted(
         &mut self,
         sid: StreamId,
@@ -118,37 +148,22 @@ impl DagBuilder {
         admitted: Time,
         label: &OpLabel,
         fids: &[FlowId],
-        net: &FlowNet,
     ) {
         let cat = flow_category(label);
-        let issue = self.graph.add_node(
-            started.as_ns(),
-            admitted.as_ns(),
+        let issue = self.add_node(
+            started,
+            admitted,
             NodeCategory::Sync,
-            format!("launch {label}"),
+            NodeKind::Launch(label.clone()),
         );
         self.attach_incoming(sid.0, issue);
         let mut flow_nodes = Vec::with_capacity(fids.len());
         for &fid in fids {
-            // End stays at the admission instant until the flow
-            // completes; aborted flows keep the zero-length record.
-            let n = self
-                .graph
-                .add_node(admitted.as_ns(), admitted.as_ns(), cat, String::new());
-            let spec = net.spec_of(fid).expect("flow just admitted");
-            self.routes.push((n, spec.segs.clone()));
-            self.graph.add_edge(issue, n);
-            self.open_flows.insert(fid.0, n);
+            let n = self.add_node(admitted, admitted, cat, NodeKind::Flow(fid));
+            self.edges.push((issue, n));
             flow_nodes.push(n);
         }
         self.in_flight.insert(sid.0, (started.as_ns(), flow_nodes));
-    }
-
-    /// A fabric flow completed: close its node.
-    pub fn flow_done(&mut self, fid: FlowId, now: Time) {
-        if let Some(n) = self.open_flows.remove(&fid.0) {
-            self.graph.nodes[n as usize].end_ns = now.as_ns();
-        }
     }
 
     /// An op finished. Flow-bearing ops resolve to their flow nodes
@@ -169,11 +184,11 @@ impl DagBuilder {
             // different start time and is dropped.
             Some((s, nodes)) if s == started.as_ns() && !nodes.is_empty() => nodes,
             _ => {
-                let n = self.graph.add_node(
-                    started.as_ns(),
-                    end.as_ns(),
+                let n = self.add_node(
+                    started,
+                    end,
                     op_category(label),
-                    label.to_string(),
+                    NodeKind::Op(label.clone()),
                 );
                 self.attach_incoming(sid.0, n);
                 vec![n]
@@ -207,12 +222,42 @@ impl DagBuilder {
         self.barrier_gen += 1;
     }
 
-    /// A finished copy of the graph for the telemetry snapshot, with every
-    /// flow node named by its route on `segmap`.
-    pub fn snapshot(&self, segmap: &SegmentMap) -> DepGraph {
-        let mut graph = self.graph.clone();
-        for (n, segs) in &self.routes {
-            graph.nodes[*n as usize].label = segmap.route_label(segs);
+    /// The finished graph for the telemetry snapshot: each flow node ends
+    /// where `net`'s flow log completed it and is named by its route; op
+    /// nodes are named by their labels. Consumes the builder, as a runtime
+    /// contributes its snapshot once.
+    pub fn snapshot(self, net: &FlowNet) -> DepGraph {
+        // Each flow's route and completion instant, by flow id: ids count
+        // up from 0 and capture starts before the first flow, so the log
+        // creates them in id order.
+        let mut flows: Vec<(&[SegId], Option<f64>)> = Vec::new();
+        for ev in net.flow_log().events() {
+            match &ev.kind {
+                FlowEventKind::Created { segs, .. } => {
+                    debug_assert_eq!(ev.flow.0, flows.len() as u64);
+                    flows.push((segs, None));
+                }
+                FlowEventKind::Completed { .. } => {
+                    flows[ev.flow.0 as usize].1 = Some(ev.at.as_ns());
+                }
+                _ => {}
+            }
+        }
+        let segmap = net.segmap();
+        let mut graph = DepGraph {
+            nodes: Vec::with_capacity(self.nodes.len()),
+            edges: self.edges,
+        };
+        for n in self.nodes {
+            let (end_ns, label) = match n.kind {
+                NodeKind::Launch(op) => (n.end_ns, format!("launch {op}")),
+                NodeKind::Op(op) => (n.end_ns, op.to_string()),
+                NodeKind::Flow(fid) => {
+                    let (segs, end) = flows[fid.0 as usize];
+                    (end.unwrap_or(n.start_ns), segmap.route_label(segs))
+                }
+            };
+            graph.add_node(n.start_ns, end_ns, n.cat, label);
         }
         graph
     }
@@ -221,7 +266,7 @@ impl DagBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ifsim_fabric::FlowSpec;
+    use ifsim_fabric::{FlowSpec, SegmentMap};
     use ifsim_telemetry::critpath;
     use ifsim_topology::{GcdId, NodeTopology};
 
@@ -230,13 +275,15 @@ mod tests {
     }
 
     fn net() -> FlowNet {
-        FlowNet::new(SegmentMap::new(&NodeTopology::frontier()))
+        let mut net = FlowNet::new(SegmentMap::new(&NodeTopology::frontier()));
+        net.enable_capture();
+        net
     }
 
-    /// A flow over GCD0's HBM (route label `HBM GCD0`).
-    fn hbm_flow(net: &mut FlowNet) -> FlowId {
+    /// A flow over GCD0's HBM (route label `HBM GCD0`), admitted at `at`.
+    fn hbm_flow(net: &mut FlowNet, at: Time) -> FlowId {
         let segs = vec![net.segmap().hbm_seg(GcdId(0))];
-        net.add_flow(Time::ZERO, FlowSpec::new(segs, 1e6, 1.0))
+        net.add_flow(at, FlowSpec::new(segs, 1e6, 1.0))
     }
 
     #[test]
@@ -246,7 +293,7 @@ mod tests {
         let k = OpLabel::Kernel { name: "k" };
         d.op_finished(sid, t(0.0), t(10.0), &k, None);
         d.op_finished(sid, t(10.0), t(30.0), &k, None);
-        let g = d.snapshot(net().segmap());
+        let g = d.snapshot(&net());
         assert_eq!(g.nodes.len(), 2);
         assert_eq!(g.edges, vec![(0, 1)]);
         let p = critpath::analyze(&g);
@@ -261,17 +308,21 @@ mod tests {
         let sid = StreamId(0);
         let label = OpLabel::MemcpyPeer { bytes: 1 << 20 };
         let mut net = net();
-        let fid = hbm_flow(&mut net);
-        d.op_flows_admitted(sid, t(0.0), t(2.0), &label, &[fid], &net);
-        d.flow_done(fid, t(50.0));
-        d.op_finished(sid, t(0.0), t(50.0), &label, None);
+        let fid = hbm_flow(&mut net, t(2.0));
+        d.op_flows_admitted(sid, t(0.0), t(2.0), &label, &[fid]);
+        let (end, done) = net.complete_next().expect("one flow");
+        assert_eq!(done, fid);
+        d.op_finished(sid, t(0.0), end, &label, None);
         // Next op sees the flow node (not the issue node) as frontier.
-        d.op_finished(sid, t(50.0), t(60.0), &OpLabel::Kernel { name: "k" }, None);
-        let g = d.snapshot(net.segmap());
+        let next = end + ifsim_des::Dur::from_ns(10.0);
+        d.op_finished(sid, end, next, &OpLabel::Kernel { name: "k" }, None);
+        let g = d.snapshot(&net);
         assert_eq!(g.nodes.len(), 3);
         assert_eq!(g.nodes[0].label, "launch memcpy_peer 1048576B");
         assert_eq!(g.nodes[1].label, "HBM GCD0");
-        assert_eq!(g.nodes[1].end_ns, 50.0);
+        assert_eq!(g.nodes[1].start_ns, 2.0);
+        assert_eq!(g.nodes[1].end_ns, end.as_ns(), "ends at its completion");
+        assert_eq!(g.nodes[2].label, "kernel k");
         assert!(g.edges.contains(&(0, 1)), "issue -> flow");
         assert!(g.edges.contains(&(1, 2)), "flow -> next op");
         assert!(!g.edges.contains(&(0, 2)), "issue is not the frontier");
@@ -296,7 +347,7 @@ mod tests {
             &OpLabel::Kernel { name: "consume" },
             None,
         );
-        let g = d.snapshot(net().segmap());
+        let g = d.snapshot(&net());
         assert!(g.edges.contains(&(0, 1)), "record -> wait edge");
         let p = critpath::analyze(&g);
         // The path crosses both streams with no queue gap.
@@ -313,7 +364,7 @@ mod tests {
         d.host_barrier();
         d.op_finished(StreamId(0), t(25.0), t(40.0), &k, None);
         d.op_finished(StreamId(0), t(40.0), t(45.0), &k, None);
-        let g = d.snapshot(net().segmap());
+        let g = d.snapshot(&net());
         // First post-barrier op on stream 0 depends on both frontiers…
         assert!(g.edges.contains(&(0, 2)));
         assert!(g.edges.contains(&(1, 2)));
@@ -333,19 +384,23 @@ mod tests {
         let mut d = DagBuilder::new();
         let sid = StreamId(0);
         let label = OpLabel::MemcpyPeer { bytes: 1024 };
-        // Attempt 1 admits a flow that never completes (fault abort).
+        // Attempt 1 admits a flow that a fault aborts.
         let mut net = net();
-        let fid = hbm_flow(&mut net);
-        d.op_flows_admitted(sid, t(0.0), t(1.0), &label, &[fid], &net);
+        let fid = hbm_flow(&mut net, t(1.0));
+        d.op_flows_admitted(sid, t(0.0), t(1.0), &label, &[fid]);
+        net.advance_to(t(3.0));
+        net.cancel(fid).expect("flow in flight");
         // Retry finishes as a different attempt (different start time).
         d.op_finished(sid, t(5.0), t(9.0), &label, None);
-        let g = d.snapshot(net.segmap());
+        let g = d.snapshot(&net);
         // issue + aborted flow + retry node.
         assert_eq!(g.nodes.len(), 3);
         assert_eq!(
             g.nodes[1].end_ns, g.nodes[1].start_ns,
             "aborted flow zero-length"
         );
+        assert_eq!(g.nodes[1].start_ns, 1.0);
         assert_eq!(g.nodes[2].start_ns, 5.0);
+        assert_eq!(g.nodes[2].label, "memcpy_peer 1024B");
     }
 }

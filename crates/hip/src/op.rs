@@ -1,8 +1,6 @@
 //! Operation descriptors and copy kinds.
 
-use crate::event::EventId;
-use crate::kernel::KernelSpec;
-use ifsim_memory::{BufferId, MemSpace};
+use ifsim_memory::MemSpace;
 use std::fmt;
 
 /// Direction declaration of a `hipMemcpy`, as in the HIP API. The runtime
@@ -19,41 +17,6 @@ pub enum MemcpyKind {
     HostToHost,
     /// Infer from the buffer locations (`hipMemcpyDefault`).
     Default,
-}
-
-/// A user-visible operation submitted to a stream.
-#[derive(Clone, Debug)]
-pub enum Op {
-    /// An explicit copy.
-    Memcpy {
-        /// Destination buffer.
-        dst: BufferId,
-        /// Destination byte offset.
-        dst_off: u64,
-        /// Source buffer.
-        src: BufferId,
-        /// Source byte offset.
-        src_off: u64,
-        /// Bytes to copy.
-        bytes: u64,
-        /// Declared direction.
-        kind: MemcpyKind,
-    },
-    /// A kernel launch.
-    Kernel(KernelSpec),
-    /// An event record marker.
-    EventRecord(EventId),
-}
-
-impl Op {
-    /// Short label for traces and panics.
-    pub fn label(&self) -> String {
-        match self {
-            Op::Memcpy { bytes, kind, .. } => format!("memcpy[{kind:?}, {bytes} B]"),
-            Op::Kernel(k) => format!("kernel[{}]", k.name()),
-            Op::EventRecord(e) => format!("event[{e:?}]"),
-        }
-    }
 }
 
 /// Structured trace label of a queued/running op.
@@ -174,19 +137,5 @@ mod tests {
         assert_eq!(OpLabel::Memcpy { bytes: 1 }.kind(), "memcpy");
         assert_eq!(OpLabel::Kernel { name: "x" }.kind(), "kernel");
         assert_eq!(OpLabel::from("anything").kind(), "lib");
-    }
-
-    #[test]
-    fn labels_are_descriptive() {
-        let op = Op::Memcpy {
-            dst: BufferId(1),
-            dst_off: 0,
-            src: BufferId(0),
-            src_off: 0,
-            bytes: 64,
-            kind: MemcpyKind::HostToDevice,
-        };
-        assert!(op.label().contains("HostToDevice"));
-        assert!(Op::EventRecord(EventId(3)).label().contains("event"));
     }
 }

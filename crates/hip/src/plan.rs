@@ -406,6 +406,12 @@ fn plan_migration(
     Ok(())
 }
 
+/// Whether `[off, off + len)` lies inside a `size`-byte buffer; an end past
+/// `u64::MAX` does not.
+fn fits(off: u64, len: u64, size: u64) -> bool {
+    off.checked_add(len).is_some_and(|end| end <= size)
+}
+
 /// Plan an explicit copy (`hipMemcpy` / `hipMemcpyPeer`).
 #[allow(clippy::too_many_arguments)]
 pub fn plan_memcpy(
@@ -421,7 +427,7 @@ pub fn plan_memcpy(
     let calib = ctx.calib;
     let src_alloc = ctx.mem.get(src)?;
     let dst_alloc = ctx.mem.get(dst)?;
-    if src_off + bytes > src_alloc.bytes || dst_off + bytes > dst_alloc.bytes {
+    if !fits(src_off, bytes, src_alloc.bytes) || !fits(dst_off, bytes, dst_alloc.bytes) {
         return Err(HipError::InvalidValue(format!(
             "memcpy of {bytes} B exceeds buffer bounds (src {} B @{src_off}, dst {} B @{dst_off})",
             src_alloc.bytes, dst_alloc.bytes
@@ -517,7 +523,7 @@ pub fn plan_memset(
 ) -> HipResult<OpPlan> {
     let calib = ctx.calib;
     let alloc = ctx.mem.get(dst)?;
-    if offset + len > alloc.bytes {
+    if !fits(offset, len, alloc.bytes) {
         return Err(HipError::InvalidValue(format!(
             "memset of {len} B at {offset} exceeds {} B buffer",
             alloc.bytes

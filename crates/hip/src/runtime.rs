@@ -39,10 +39,7 @@ pub struct Inner {
     fault_plan: FaultPlan,
     retry: RetryPolicy,
     fault_stats: FaultStats,
-    /// Per-op metrics (durations, completion counters), populated only
-    /// while telemetry is enabled.
-    metrics: ifsim_telemetry::MetricsRegistry,
-    /// Master switch for the unified telemetry layer.
+    /// Whether the runtime captures itself for a telemetry collector.
     telemetry: bool,
     /// Whether this runtime already contributed its snapshot to a collector.
     telemetry_flushed: bool,
@@ -140,20 +137,27 @@ impl HipSim {
                 fault_plan: FaultPlan::new(),
                 retry: RetryPolicy::default(),
                 fault_stats: FaultStats::default(),
-                metrics: ifsim_telemetry::MetricsRegistry::new(),
                 telemetry: false,
                 telemetry_flushed: false,
                 dag: None,
             },
         };
-        // Under an installed telemetry collector the runtime observes
-        // itself without the call site having to know: trace, flow log,
-        // and metrics all go live, and `Drop` contributes the snapshot.
+        // Capture's one switch: under an installed telemetry collector the
+        // runtime observes itself without the call site having to know,
+        // and `Drop` contributes the snapshot. The op trace and the
+        // fabric's capture (flow log, bottleneck attribution, flight
+        // recorder) record the run; a DAG-requesting collector also gets
+        // the event loop's causal orderings (see `crate::dag`). Capture
+        // never influences scheduling: runs are bitwise-identical with it
+        // on or off.
         if ifsim_telemetry::collector::active() {
-            sim.telemetry_enable();
-        }
-        if ifsim_telemetry::collector::dag_requested() {
-            sim.dag_enable();
+            let inner = &mut sim.inner;
+            inner.telemetry = true;
+            inner.trace.enable();
+            inner.net.enable_capture();
+            if ifsim_telemetry::collector::dag_requested() {
+                inner.dag = Some(crate::dag::DagBuilder::new());
+            }
         }
         sim
     }
@@ -766,16 +770,6 @@ impl HipSim {
         self.inner.trace.enable();
     }
 
-    /// Stop recording (events kept).
-    pub fn trace_disable(&mut self) {
-        self.inner.trace.disable();
-    }
-
-    /// Discard recorded trace events.
-    pub fn trace_clear(&mut self) {
-        self.inner.trace.clear();
-    }
-
     /// The recorded timeline.
     pub fn trace(&self) -> &crate::trace::Trace {
         &self.inner.trace
@@ -789,65 +783,33 @@ impl HipSim {
 
     // ---------------- unified telemetry ----------------
 
-    /// Turn on the unified telemetry layer: op tracing, fabric flow
-    /// lifecycle logging, per-flow bottleneck attribution, the link
-    /// flight recorder, and per-op metrics all go live. Enabled
-    /// automatically when the runtime is constructed while a telemetry
-    /// collector is installed on this thread.
-    pub fn telemetry_enable(&mut self) {
-        self.inner.telemetry = true;
-        self.inner.trace.enable();
-        self.inner.net.enable_flow_log();
-        self.inner.net.enable_attribution();
-        self.inner
-            .net
-            .enable_flight_recorder(ifsim_fabric::recorder::DEFAULT_RING_CAPACITY);
-    }
-
-    /// Whether the unified telemetry layer is on.
+    /// Whether the runtime captures itself (it was constructed under an
+    /// installed telemetry collector).
     pub fn telemetry_enabled(&self) -> bool {
         self.inner.telemetry
     }
 
-    /// Turn on causal dependency-DAG capture. The event loop then records
-    /// stream program order, event waits, host barriers, and flow
-    /// start→completion into a per-run `DepGraph` that rides the telemetry
-    /// snapshot (see `ifsim_telemetry::critpath`). Enabled automatically
-    /// when the runtime is constructed while a DAG-requesting collector
-    /// (`Collector::install_with_dag`) is installed. Capture never
-    /// influences scheduling: runs are bitwise-identical with it on or off.
-    pub fn dag_enable(&mut self) {
-        if self.inner.dag.is_none() {
-            self.inner.dag = Some(crate::dag::DagBuilder::new());
-        }
-    }
-
-    /// Per-op metrics recorded so far (empty unless telemetry is enabled).
-    pub fn metrics(&self) -> &ifsim_telemetry::MetricsRegistry {
-        &self.inner.metrics
-    }
-
     /// Contribute this runtime's telemetry snapshot to the collector stack
-    /// (no-op without one, or when telemetry is off), at most once per
-    /// runtime: the merged hip-op / fault / fabric-flow timeline, the
-    /// flight recorder's link-utilization counter tracks, the metrics
-    /// registry (op durations, per-link byte counters, bottleneck
-    /// attribution, fault statistics) and the dependency DAG when captured.
-    /// Called automatically on drop; call it earlier to snapshot before
-    /// further work.
+    /// (no-op without one), at most once per runtime: the merged hip-op /
+    /// fault / fabric-flow timeline, the flight recorder's
+    /// link-utilization counter tracks, the metrics registry (op
+    /// durations, per-link byte counters, bottleneck attribution, fault
+    /// statistics) and the dependency DAG when captured. Called
+    /// automatically on drop; call it earlier to snapshot before further
+    /// work.
     pub fn flush_telemetry(&mut self) {
-        if self.inner.telemetry_flushed || (!self.inner.telemetry && self.inner.dag.is_none()) {
+        if self.inner.telemetry_flushed || !self.inner.telemetry {
             return;
         }
         self.inner.telemetry_flushed = true;
+        let dag = self.inner.dag.take();
         let inner = &self.inner;
         let mut snap = crate::telemetry::build_sim_telemetry(
             inner.trace.events(),
             &inner.net,
             &inner.fault_stats,
-            &inner.metrics,
         );
-        snap.dag = inner.dag.as_ref().map(|d| d.snapshot(inner.net.segmap()));
+        snap.dag = dag.map(|d| d.snapshot(&inner.net));
         ifsim_telemetry::collector::contribute(snap);
     }
 
@@ -1356,7 +1318,7 @@ impl Inner {
                         .and_then(|s| s.running.as_ref())
                         .map(|r| &r.label)
                         .expect("op in flight");
-                    dag.op_flows_admitted(sid, started, now, label, &fids, &inner.net);
+                    dag.op_flows_admitted(sid, started, now, label, &fids);
                 }
                 for fid in fids {
                     inner.flow_owner.insert(fid, sid);
@@ -1371,9 +1333,6 @@ impl Inner {
             .flow_owner
             .remove(&fid)
             .expect("completed flow has an owner");
-        if let Some(dag) = inner.dag.as_mut() {
-            dag.flow_done(fid, engine.now());
-        }
         let st = inner.streams.get_mut(&sid).expect("stream exists");
         let run = st.running.as_mut().expect("op in flight");
         run.pending_flows -= 1;
@@ -1398,19 +1357,6 @@ impl Inner {
                 .expect("event created by this runtime");
         }
         let end = engine.now();
-        if inner.telemetry {
-            let op = run.label.kind();
-            inner.metrics.observe(
-                ifsim_telemetry::MetricKey::new("hip_op_duration_ns")
-                    .with("op", op)
-                    .with("dev", dev.idx().to_string()),
-                (end - run.started).as_ns(),
-            );
-            inner.metrics.counter_add(
-                ifsim_telemetry::MetricKey::new("hip_ops_completed").with("op", op),
-                1.0,
-            );
-        }
         if let Some(dag) = inner.dag.as_mut() {
             dag.op_finished(
                 sid,
@@ -2419,8 +2365,6 @@ mod tests {
         assert!(hip.trace().busy_time(crate::device::DeviceId(0)).as_us() > 0.0);
         // Gantt renders without panicking and mentions the device.
         assert!(hip.trace().render_gantt(60).contains("dev0"));
-        hip.trace_clear();
-        assert!(hip.trace().events().is_empty());
     }
 
     #[test]

@@ -1,17 +1,20 @@
-//! Bridging the runtime's observability sources into the unified
+//! Bridging the runtime's observability records into the unified
 //! telemetry model.
 //!
-//! Four sources merge into one [`SimTelemetry`] snapshot. While the run
-//! goes on each records ids and typed data, never display text; names are
-//! rendered here, once, when the snapshot is built:
+//! A captured run keeps two records, and both hold ids and typed data,
+//! never display text. Everything else in the [`SimTelemetry`] snapshot is
+//! derived from them, or read from the fabric's counters, here, once, when
+//! the snapshot is built:
 //!
 //! - the op [`Trace`](crate::trace::Trace) records each completed op,
 //!   aborted attempt and failed op as a typed
-//!   [`TraceKind`](crate::trace::TraceKind) holding its `OpLabel` (and
+//!   [`TraceKind`] holding its `OpLabel` (and
 //!   `HipError`), and each applied fault as a `TraceKind::Fault`. Ops
 //!   become spans (cat `hip_op`) on one thread lane per stream; faults
 //!   become instants (cat `fault`) on the fault lane. Both are named by
-//!   `TraceKind`'s `Display`;
+//!   `TraceKind`'s `Display`. Each completed op also feeds the
+//!   `hip_op_duration_ns{op,dev}` histogram and the `hip_ops_completed{op}`
+//!   counter, in trace order;
 //! - the fabric [`FlowLog`](ifsim_fabric::FlowLog) records each flow's
 //!   creation with its segment ids, its completion (with the bottleneck
 //!   attribution, by segment id) or abort, and the runtime's reroute notes.
@@ -20,17 +23,18 @@
 //!   [`SegmentMap::route_label`](ifsim_fabric::SegmentMap::route_label) and
 //!   whose `bound_by` arg names the segment that bound it longest; reroute
 //!   notes become instants. Attributions fold into the `fabric_attr_*`
-//!   counters behind `ifsim_telemetry::attribution`;
-//! - the flight recorder's [`UtilSeries`](ifsim_fabric::UtilSeries)
-//!   records per-link utilization at every recompute epoch; each link
-//!   direction that ever carried traffic becomes a counter track (cat
-//!   `fabric_util`, Chrome `ph: "C"`);
-//! - the metrics registry holds the per-op duration histograms the runtime
-//!   records, joined here by per-link byte/busy/utilization counters, the
-//!   fabric's solver counters and fault statistics.
+//!   counters behind `ifsim_telemetry::attribution`.
 //!
-//! The dependency DAG rides the same snapshot; its flow nodes are named by
-//! route in [`DagBuilder::snapshot`](crate::dag::DagBuilder::snapshot).
+//! The fabric's counters join them: the flight recorder's
+//! [`UtilSeries`](ifsim_fabric::UtilSeries) (per-link utilization at every
+//! recompute epoch; each link direction that ever carried traffic becomes a
+//! counter track, cat `fabric_util`, Chrome `ph: "C"`), per-link
+//! byte/busy/utilization counters, the solver counters and the fault
+//! statistics.
+//!
+//! The dependency DAG rides the same snapshot; it reads its flow nodes'
+//! ends and routes from the same flow log in
+//! [`DagBuilder::snapshot`](crate::dag::DagBuilder::snapshot).
 
 use crate::fault::FaultStats;
 use crate::trace::{TraceEvent, TraceKind};
@@ -54,19 +58,31 @@ fn flow_lane(flow: u64) -> u32 {
 }
 
 /// Assemble the unified snapshot from the runtime's op trace, its fabric
-/// (flow log, flight recorder, link loads, solver counters), its fault
-/// statistics and its per-op metrics.
+/// (flow log, flight recorder, link loads, solver counters) and its fault
+/// statistics.
 pub fn build_sim_telemetry(
     trace: &[TraceEvent],
     net: &FlowNet,
     faults: &FaultStats,
-    op_metrics: &MetricsRegistry,
 ) -> SimTelemetry {
     // First, as it flushes: a recompute deferred to this point is sampled
     // and counted below.
     let util_series = net.recorder_series();
     let segmap = net.segmap();
-    let mut events: Vec<TimelineEvent> = Vec::new();
+    // One counter track per link direction that ever carried traffic;
+    // all-zero columns would add 50+ flat tracks to every Perfetto view.
+    let active: Vec<usize> = util_series.as_ref().map_or_else(Vec::new, |series| {
+        (0..series.labels.len())
+            .filter(|&j| series.samples.iter().any(|s| s.util[j] > 0.0))
+            .collect()
+    });
+    let counters = util_series
+        .as_ref()
+        .map_or(0, |series| series.samples.len() * active.len());
+    // Sized once: counter samples dominate a captured timeline, and growing
+    // by doubling would briefly hold two copies of it.
+    let mut events: Vec<TimelineEvent> =
+        Vec::with_capacity(trace.len() + net.flow_log().events().len() + counters);
     let mut threads: Vec<(u32, String)> = Vec::new();
     let mut seen_lanes: BTreeSet<u32> = BTreeSet::new();
     // Name each thread lane the first time it carries an event.
@@ -133,7 +149,7 @@ pub fn build_sim_telemetry(
             FlowEventKind::Completed {
                 delivered_bytes,
                 attribution,
-            } => (*delivered_bytes, attribution.as_ref()),
+            } => (*delivered_bytes, Some(attribution)),
             FlowEventKind::Aborted { delivered_bytes } => (*delivered_bytes, None),
         };
         let outcome = ev.kind.tag();
@@ -177,12 +193,7 @@ pub fn build_sim_telemetry(
     // count them via peak/active statistics.
 
     // --- flight recorder counter tracks ----------------------------------
-    // One counter track per link direction that ever carried traffic;
-    // all-zero columns would add 50+ flat tracks to every Perfetto view.
     if let Some(series) = &util_series {
-        let active: Vec<usize> = (0..series.labels.len())
-            .filter(|&j| series.samples.iter().any(|s| s.util[j] > 0.0))
-            .collect();
         for s in &series.samples {
             for &j in &active {
                 events.push(TimelineEvent::counter(
@@ -196,7 +207,20 @@ pub fn build_sim_telemetry(
     }
 
     // --- metrics ---------------------------------------------------------
-    let mut metrics = op_metrics.clone();
+    // Per-op metrics, from the trace's completed ops in trace order.
+    let mut metrics = MetricsRegistry::new();
+    for ev in trace {
+        if let TraceKind::Done(op) = &ev.kind {
+            let op = op.kind();
+            metrics.observe(
+                MetricKey::new("hip_op_duration_ns")
+                    .with("op", op)
+                    .with("dev", ev.dev.idx().to_string()),
+                ev.duration().as_ns(),
+            );
+            metrics.counter_add(MetricKey::new("hip_ops_completed").with("op", op), 1.0);
+        }
+    }
     for d in flow_durations {
         metrics.observe(MetricKey::new("fabric_flow_duration_ns"), d);
     }
@@ -316,7 +340,7 @@ mod tests {
     }
 
     fn snapshot(net: &FlowNet, faults: &FaultStats) -> SimTelemetry {
-        build_sim_telemetry(&[], net, faults, &MetricsRegistry::new())
+        build_sim_telemetry(&[], net, faults)
     }
 
     #[test]
@@ -338,16 +362,26 @@ mod tests {
                 }),
             ),
         ];
-        let t = build_sim_telemetry(
-            &evs,
-            &net(),
-            &FaultStats::default(),
-            &MetricsRegistry::new(),
-        );
+        let t = build_sim_telemetry(&evs, &net(), &FaultStats::default());
         assert_eq!(t.events.len(), 2);
         let span = &t.events[0];
         assert_eq!(span.cat, "hip_op");
         assert_eq!(span.name, "memcpy 64B");
+        // The completed op also feeds the per-op metrics.
+        let h = t
+            .metrics
+            .histogram(
+                &MetricKey::new("hip_op_duration_ns")
+                    .with("op", "memcpy")
+                    .with("dev", "0"),
+            )
+            .expect("op duration histogram");
+        assert_eq!((h.count(), h.mean()), (1, 100.0));
+        assert_eq!(
+            t.metrics
+                .counter(&MetricKey::new("hip_ops_completed").with("op", "memcpy")),
+            1.0
+        );
         let fault = &t.events[1];
         assert_eq!(fault.cat, "fault");
         assert_eq!(fault.name, "!fault: link down GCD0<->GCD2");
@@ -358,12 +392,12 @@ mod tests {
     #[test]
     fn flow_lifecycle_pairs_into_spans_with_route() {
         let mut n = net();
-        n.enable_flow_log();
+        n.enable_capture();
         let segs = peer_segs(&n, 0, 2);
         let start = Time::from_ns(10.0);
         let fid = n.add_flow(start, FlowSpec::new(segs, 256.0, 1.0));
         let (end, _) = n.complete_next().expect("one flow");
-        n.flow_log_mut().push(ifsim_fabric::FlowEvent {
+        n.flow_log_mut().push_with(|| ifsim_fabric::FlowEvent {
             at: end,
             flow: fid,
             kind: FlowEventKind::Rerouted {
@@ -441,8 +475,7 @@ mod tests {
     #[test]
     fn attributions_fold_into_fabric_attr_counters_and_span_args() {
         let mut n = net();
-        n.enable_flow_log();
-        n.enable_attribution();
+        n.enable_capture();
         n.add_flow(Time::ZERO, FlowSpec::new(peer_segs(&n, 0, 2), 1e6, 1.0));
         n.complete_next().expect("one flow");
         let a = n
@@ -450,7 +483,7 @@ mod tests {
             .events()
             .iter()
             .find_map(|e| match &e.kind {
-                FlowEventKind::Completed { attribution, .. } => attribution.clone(),
+                FlowEventKind::Completed { attribution, .. } => Some(attribution.clone()),
                 _ => None,
             })
             .expect("attributed completion");
@@ -489,15 +522,19 @@ mod tests {
 
     #[test]
     fn util_series_becomes_counter_tracks_for_active_links_only() {
+        let cap = ifsim_fabric::recorder::DEFAULT_RING_CAPACITY;
         let mut n = net();
-        // Two epochs fit: the reverse-direction flow's epochs are dropped,
-        // the forward flow's admission and idle tail are kept.
-        n.enable_flight_recorder(2);
-        n.add_flow(Time::ZERO, FlowSpec::new(peer_segs(&n, 1, 0), 1e6, 1.0));
-        let (end, _) = n.complete_next().expect("one flow");
-        let later = end + ifsim_des::Dur::from_us(1.0);
-        n.add_flow(later, FlowSpec::new(peer_segs(&n, 0, 1), 1e6, 1.0));
-        n.complete_next().expect("one flow");
+        n.enable_capture();
+        // Each flow run alone costs two epochs (admission, idle tail). The
+        // ring overflows by exactly the reverse-direction flow's two
+        // epochs; the forward flows' epochs are kept.
+        let mut segs = peer_segs(&n, 1, 0);
+        for _ in 0..=cap / 2 {
+            let at = n.now() + ifsim_des::Dur::from_us(1.0);
+            n.add_flow(at, FlowSpec::new(segs, 1e6, 1.0));
+            n.complete_next().expect("one flow");
+            segs = peer_segs(&n, 0, 1);
+        }
         let t = snapshot(&n, &FaultStats::default());
         let counters: Vec<_> = t
             .events
@@ -505,14 +542,14 @@ mod tests {
             .filter(|e| matches!(e.kind, ifsim_telemetry::EventKind::Counter { .. }))
             .collect();
         // Only the link that carried traffic in the kept samples gets a
-        // track — both its samples, including the trailing zero.
-        assert_eq!(counters.len(), 2);
+        // track — all its samples, including the trailing zero.
+        assert_eq!(counters.len(), cap);
         assert!(counters
             .iter()
             .all(|e| e.name == "fabric util GCD0->GCD1" && e.cat == "fabric_util"));
         assert_eq!(
             t.metrics.gauge(&MetricKey::new("fabric_recorder_samples")),
-            Some(2.0)
+            Some(cap as f64)
         );
         assert_eq!(
             t.metrics

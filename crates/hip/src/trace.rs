@@ -87,31 +87,14 @@ impl Trace {
         self.enabled = true;
     }
 
-    /// Stop recording (events are kept).
-    pub fn disable(&mut self) {
-        self.enabled = false;
-    }
-
     /// Whether events are being recorded.
     pub fn is_enabled(&self) -> bool {
         self.enabled
     }
 
-    /// Discard all recorded events.
-    pub fn clear(&mut self) {
-        self.events.clear();
-    }
-
-    /// Record one event (no-op when disabled).
-    pub fn record(&mut self, ev: TraceEvent) {
-        if self.enabled {
-            self.events.push(ev);
-        }
-    }
-
-    /// As [`Trace::record`], but the event is built lazily: with tracing
-    /// disabled the closure never runs, so building the event (cloning its
-    /// op label) costs nothing.
+    /// Record one event, built lazily: with tracing disabled the closure
+    /// never runs, so building the event (cloning its op label) costs
+    /// nothing.
     pub fn record_with(&mut self, f: impl FnOnce() -> TraceEvent) {
         if self.enabled {
             self.events.push(f());
@@ -228,27 +211,21 @@ mod tests {
     #[test]
     fn disabled_trace_records_nothing() {
         let mut t = Trace::default();
-        t.record(ev(0, 0, 0.0, 10.0, "kernel"));
         t.record_with(|| panic!("lazy event must not be built while disabled"));
         assert!(t.events().is_empty());
         t.enable();
         t.record_with(|| ev(0, 0, 0.0, 10.0, "kernel"));
         assert_eq!(t.events().len(), 1);
-        t.disable();
-        t.record(ev(0, 0, 10.0, 20.0, "kernel"));
-        assert_eq!(t.events().len(), 1);
-        t.clear();
-        assert!(t.events().is_empty());
     }
 
     #[test]
     fn busy_time_merges_overlaps() {
         let mut t = Trace::default();
         t.enable();
-        t.record(ev(0, 0, 0.0, 10.0, "a"));
-        t.record(ev(0, 1, 5.0, 15.0, "b")); // overlaps on another stream
-        t.record(ev(0, 0, 20.0, 25.0, "c"));
-        t.record(ev(1, 2, 0.0, 100.0, "other device"));
+        t.record_with(|| ev(0, 0, 0.0, 10.0, "a"));
+        t.record_with(|| ev(0, 1, 5.0, 15.0, "b")); // overlaps on another stream
+        t.record_with(|| ev(0, 0, 20.0, 25.0, "c"));
+        t.record_with(|| ev(1, 2, 0.0, 100.0, "other device"));
         assert_eq!(t.busy_time(DeviceId(0)).as_ns(), 20.0); // [0,15] + [20,25]
         assert_eq!(t.busy_time(DeviceId(1)).as_ns(), 100.0);
         assert_eq!(t.busy_time(DeviceId(2)).as_ns(), 0.0);
@@ -258,8 +235,8 @@ mod tests {
     fn gantt_renders_one_lane_per_stream() {
         let mut t = Trace::default();
         t.enable();
-        t.record(ev(0, 0, 0.0, 50.0, "kernel x"));
-        t.record(ev(0, 1, 50.0, 100.0, "memcpy"));
+        t.record_with(|| ev(0, 0, 0.0, 50.0, "kernel x"));
+        t.record_with(|| ev(0, 1, 50.0, 100.0, "memcpy"));
         let g = t.render_gantt(40);
         assert!(g.contains("dev0"));
         assert_eq!(g.lines().count(), 3); // header + 2 lanes
@@ -307,8 +284,8 @@ mod tests {
     fn events_filter_by_device() {
         let mut t = Trace::default();
         t.enable();
-        t.record(ev(0, 0, 0.0, 1.0, "a"));
-        t.record(ev(3, 3, 0.0, 1.0, "b"));
+        t.record_with(|| ev(0, 0, 0.0, 1.0, "a"));
+        t.record_with(|| ev(3, 3, 0.0, 1.0, "b"));
         assert_eq!(t.events_on(DeviceId(3)).count(), 1);
         assert_eq!(
             t.events_on(DeviceId(0)).next().unwrap().kind,

@@ -2,14 +2,20 @@
 //! deterministic timeline merging, and Chrome trace-event export.
 
 use ifsim_hip::{EnvConfig, FaultKind, FaultPlan, GcdId, HipSim, MemcpyKind};
-use ifsim_telemetry::{json, Collector, EventKind, MetricKey};
+use ifsim_telemetry::critpath::NodeCategory;
+use ifsim_telemetry::{json, CollectedTelemetry, Collector, EventKind, MetricKey};
+use std::collections::BTreeMap;
 
 const MIB: u64 = 1 << 20;
 
 /// Drive two streams on different devices plus a mid-flight link fault, the
 /// whole run observed by an installed collector.
-fn faulted_two_stream_run() -> ifsim_telemetry::CollectedTelemetry {
-    let collector = Collector::install();
+fn faulted_two_stream_run() -> CollectedTelemetry {
+    faulted_two_stream_run_under(Collector::install())
+}
+
+/// As [`faulted_two_stream_run`], observed by `collector`.
+fn faulted_two_stream_run_under(collector: Collector) -> CollectedTelemetry {
     {
         let mut hip = HipSim::new(EnvConfig::default());
         assert!(
@@ -195,7 +201,81 @@ fn without_a_collector_telemetry_stays_off() {
         .unwrap();
     assert!(hip.trace().events().is_empty());
     assert!(hip.fabric().flow_log().events().is_empty());
-    assert!(hip.metrics().is_empty());
+}
+
+#[test]
+fn dag_flow_nodes_and_op_metrics_derive_from_the_two_records() {
+    let t = faulted_two_stream_run_under(Collector::install_with_dag());
+    let arg = |e: &ifsim_telemetry::TimelineEvent, key: &str| -> String {
+        let (_, v) = e.args.iter().find(|(k, _)| k == key).expect("arg present");
+        v.clone()
+    };
+    // Every fabric flow span: (start, end, route, outcome), unmatched.
+    let mut spans: Vec<(f64, f64, String, String)> = t
+        .events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Span { dur_ns } if e.cat == "fabric_flow" => Some((
+                e.ts_ns,
+                e.ts_ns + dur_ns,
+                arg(e, "route"),
+                arg(e, "outcome"),
+            )),
+            _ => None,
+        })
+        .collect();
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(1.0);
+    let dags = t.dags();
+    assert_eq!(dags.len(), 1);
+    let mut aborted = 0;
+    for n in &dags[0].nodes {
+        if !matches!(n.category, NodeCategory::Transfer | NodeCategory::Compute) {
+            continue;
+        }
+        // A completed flow's node spans its flow span exactly; an aborted
+        // flow's node stays zero-length at the span's start.
+        let i = spans
+            .iter()
+            .position(|(start, end, route, outcome)| {
+                *route == n.label
+                    && close(*start, n.start_ns)
+                    && match outcome.as_str() {
+                        "completed" => close(*end, n.end_ns),
+                        _ => n.end_ns == n.start_ns,
+                    }
+            })
+            .unwrap_or_else(|| panic!("no flow span for DAG node {n:?} in {spans:?}"));
+        if spans.swap_remove(i).3 == "aborted" {
+            aborted += 1;
+        }
+    }
+    assert!(aborted >= 1, "the link fault aborts a flow");
+    assert!(spans.is_empty(), "flow spans without a DAG node: {spans:?}");
+
+    // Each completed hip op span counts once in its kind's metrics.
+    let mut spans_per_kind: BTreeMap<String, f64> = BTreeMap::new();
+    for e in t.events().iter().filter(|e| e.cat == "hip_op") {
+        if e.name.contains(" [aborted; ") || e.name.contains(" [failed: ") {
+            continue;
+        }
+        let kind = e.name.split(' ').next().expect("named op").to_string();
+        *spans_per_kind.entry(kind).or_insert(0.0) += 1.0;
+    }
+    assert!(spans_per_kind.contains_key("memcpy_peer"));
+    let m = t.metrics();
+    let completed: BTreeMap<String, f64> = m
+        .counters()
+        .filter(|(k, _)| k.name() == "hip_ops_completed")
+        .map(|(k, v)| {
+            let (_, op) = k
+                .labels()
+                .iter()
+                .find(|(l, _)| l == "op")
+                .expect("op label");
+            (op.clone(), v)
+        })
+        .collect();
+    assert_eq!(completed, spans_per_kind);
 }
 
 #[test]

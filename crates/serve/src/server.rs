@@ -12,7 +12,7 @@
 //! Robustness machinery layered onto the PR 5 core:
 //!
 //! - **persistent cache** — with `cache_dir` set, results survive
-//!   restarts via the crash-safe [`DiskStore`](crate::store::DiskStore);
+//!   restarts via the crash-safe [`DiskStore`];
 //! - **single-flight coalescing** — N concurrent requests for one digest
 //!   attach to a single computation; one leader computes, every follower
 //!   receives the same result (or the same error);
@@ -209,10 +209,6 @@ pub struct ServerCore {
     last_fabric_sample_ms: AtomicU64,
 }
 
-/// `(link, mean_util, peak_util)` per directed fabric link, extracted
-/// from the `fabric_util` counter track of an instrumented run. The
-/// flight recorder emits `fabric util <link>` counters; this folds them
-/// into one mean/peak pair per link for the live gauges.
 /// Total `fabric_recorder_dropped_samples` across an instrumented run's
 /// simulators — the ring-drop counter the flight recorder always emits
 /// (0.0 when nothing overflowed).
@@ -225,6 +221,12 @@ fn recorder_dropped_samples(telemetry: &CollectedTelemetry) -> f64 {
         .sum()
 }
 
+/// `(link, mean_util, peak_util)` per directed fabric link, extracted
+/// from the `fabric_util` counter track of an instrumented run. The
+/// flight recorder emits `fabric util <link>` counters; this folds them
+/// into one mean/peak pair per link for the live gauges. The mean is
+/// taken per sample, so it weights recompute epochs equally rather than
+/// by the time each epoch lasted.
 fn fabric_link_utils(telemetry: &CollectedTelemetry) -> Vec<(String, f64, f64)> {
     let mut acc: std::collections::BTreeMap<String, (f64, f64, u64)> = Default::default();
     for ev in telemetry.events() {

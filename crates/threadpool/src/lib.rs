@@ -12,7 +12,7 @@
 //! Panicking jobs do not shrink the pool. Jobs run without a
 //! `catch_unwind` wrapper (so the panic payload unwinds and drops
 //! normally, exactly as in the real crate); instead each worker thread
-//! holds a [`Sentinel`] guard whose `Drop`, when the thread is unwinding,
+//! holds a `Sentinel` guard whose `Drop`, when the thread is unwinding,
 //! books the lost job, spawns a replacement worker, and registers the
 //! replacement's handle so `Drop for ThreadPool` still reaps every thread.
 //!

@@ -285,3 +285,25 @@ fn managed_residency_at_paper_scale_moves_whole_ranges() {
     assert_eq!(pages.resident_bytes(home), page);
     assert_eq!(pages.non_resident_pages(0, bytes, hbm0), 1);
 }
+
+/// An offset near `u64::MAX` makes `offset + len` overflow: the API must
+/// reject the range as an invalid value, in debug and release builds alike,
+/// and the runtime must stay usable afterwards.
+#[test]
+fn offsets_that_overflow_the_range_are_invalid_values() {
+    use ifsim::hip::HipError;
+    let mut hip = HipSim::new(EnvConfig::default());
+    hip.set_device(0).unwrap();
+    let a = hip.malloc(MIB).unwrap();
+    let b = hip.malloc(MIB).unwrap();
+    let copy = hip.memcpy(b, 0, a, u64::MAX, 2, MemcpyKind::DeviceToDevice);
+    assert!(matches!(copy, Err(HipError::InvalidValue(_))), "{copy:?}");
+    let copy = hip.memcpy(b, u64::MAX, a, 0, 2, MemcpyKind::DeviceToDevice);
+    assert!(matches!(copy, Err(HipError::InvalidValue(_))), "{copy:?}");
+    let fill = hip.memset(a, u64::MAX, 0, 2);
+    assert!(matches!(fill, Err(HipError::InvalidValue(_))), "{fill:?}");
+    hip.memset(a, MIB - 2, 7, 2).unwrap();
+    hip.memcpy(b, 0, a, MIB - 2, 2, MemcpyKind::DeviceToDevice)
+        .unwrap();
+    hip.device_synchronize().unwrap();
+}
