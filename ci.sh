@@ -27,6 +27,14 @@ for seed in 1 2 3; do
     PROPTEST_SEED="$seed" cargo test -q --release -p ifsim-memory runs_match_the_dense_oracle
 done
 
+echo "==> bounded-wait replay under extra proptest seeds"
+# Fresh fault schedules and timeout steps for the bounded-vs-unbounded
+# synchronize differential (the event loop's deadline branch under faults).
+for seed in 1 2 3; do
+    PROPTEST_SEED="$seed" cargo test -q --release -p ifsim-hip --test stream_semantics \
+        bounded_waits_replay_the_unbounded_schedule
+done
+
 echo "==> telemetry smoke: repro ext-fault-link-down --trace-out/--metrics-out/--critpath-out + lint, byte-equal to the pinned capture, plus the pinned trace"
 cargo build --release -p ifsim-bench
 TELEMETRY_TMP="$(mktemp -d)"

@@ -40,6 +40,7 @@
 //! same bytes a one-shot `repro` invocation would produce. Exit code 0
 //! only when every requested script passes.
 
+use ifsim_core::des::Rng;
 use ifsim_serve::proto::RunRequest;
 use ifsim_serve::store::{self, QUARANTINE_DIR};
 use ifsim_serve::{ClientAddr, Connection, Status};
@@ -133,16 +134,6 @@ fn parse_args() -> Args {
         serve_bin,
         workdir,
     }
-}
-
-/// SplitMix64 — the repo's standard seeded generator; fault timings and
-/// corruption offsets all come from this one stream.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
 }
 
 /// One daemon life: the spawned child plus how to reach and kill it.
@@ -311,7 +302,7 @@ fn committed_entries(cache_dir: &Path) -> Vec<PathBuf> {
 /// recovery scan, every previously committed digest replays
 /// byte-identical from cache, and the interrupted digest is recomputed
 /// correctly — never served corrupt.
-fn script_kill_mid_write(args: &Args, dir: &Path, rng: &mut u64) -> Result<(), String> {
+fn script_kill_mid_write(args: &Args, dir: &Path, rng: &mut Rng) -> Result<(), String> {
     let cache_dir = dir.join("cache-kill");
     let _ = std::fs::remove_dir_all(&cache_dir);
 
@@ -346,7 +337,7 @@ fn script_kill_mid_write(args: &Args, dir: &Path, rng: &mut u64) -> Result<(), S
             }
         })
     };
-    std::thread::sleep(Duration::from_millis(splitmix64(rng) % 40));
+    std::thread::sleep(Duration::from_millis(rng.next_u64() % 40));
     daemon.kill();
     let _ = firing.join();
 
@@ -360,7 +351,7 @@ fn script_kill_mid_write(args: &Args, dir: &Path, rng: &mut u64) -> Result<(), S
         checks_total: 0,
         critpath: None,
     });
-    let cut = 1 + (splitmix64(rng) as usize % (torn.len() - 1));
+    let cut = 1 + (rng.next_u64() as usize % (torn.len() - 1));
     std::fs::write(cache_dir.join("tmp-chaos-1"), &torn[..cut]).map_err(|e| e.to_string())?;
 
     // Restart onto the same directory.
@@ -412,7 +403,7 @@ fn script_kill_mid_write(args: &Args, dir: &Path, rng: &mut u64) -> Result<(), S
 /// bit-flip another at seeded offsets). The restarted daemon must
 /// quarantine them — keeping the evidence — and serve every digest
 /// byte-identical: intact ones from cache, corrupted ones recomputed.
-fn script_corrupt_cache(args: &Args, dir: &Path, rng: &mut u64) -> Result<(), String> {
+fn script_corrupt_cache(args: &Args, dir: &Path, rng: &mut Rng) -> Result<(), String> {
     let cache_dir = dir.join("cache-corrupt");
     let _ = std::fs::remove_dir_all(&cache_dir);
 
@@ -433,11 +424,11 @@ fn script_corrupt_cache(args: &Args, dir: &Path, rng: &mut u64) -> Result<(), St
     }
     // Truncate the first, bit-flip the second, leave the rest intact.
     let bytes = std::fs::read(&committed[0]).map_err(|e| e.to_string())?;
-    let cut = splitmix64(rng) as usize % bytes.len();
+    let cut = rng.next_u64() as usize % bytes.len();
     std::fs::write(&committed[0], &bytes[..cut]).map_err(|e| e.to_string())?;
     let mut bytes = std::fs::read(&committed[1]).map_err(|e| e.to_string())?;
-    let pos = splitmix64(rng) as usize % bytes.len();
-    bytes[pos] ^= 1 << (splitmix64(rng) % 8);
+    let pos = rng.next_u64() as usize % bytes.len();
+    bytes[pos] ^= 1 << (rng.next_u64() % 8);
     std::fs::write(&committed[1], &bytes).map_err(|e| e.to_string())?;
 
     let daemon2 = Daemon::spawn(&args.serve_bin, dir, &cache_args(&cache_dir))?;
@@ -475,7 +466,7 @@ fn script_corrupt_cache(args: &Args, dir: &Path, rng: &mut u64) -> Result<(), St
 
 /// 8 concurrent connections fire the same cold request; the daemon must
 /// run exactly one computation and answer all 8 byte-identically.
-fn script_singleflight(args: &Args, dir: &Path, rng: &mut u64) -> Result<(), String> {
+fn script_singleflight(args: &Args, dir: &Path, rng: &mut Rng) -> Result<(), String> {
     let daemon = Daemon::spawn(
         &args.serve_bin,
         dir,
@@ -486,7 +477,7 @@ fn script_singleflight(args: &Args, dir: &Path, rng: &mut u64) -> Result<(), Str
             "16".into(),
         ],
     )?;
-    let req = quick_req("fig6a", 1000 + splitmix64(rng) % 1000);
+    let req = quick_req("fig6a", 1000 + rng.next_u64() % 1000);
     let mut threads = Vec::new();
     let barrier = std::sync::Arc::new(std::sync::Barrier::new(8));
     for _ in 0..8 {
@@ -537,7 +528,7 @@ fn script_singleflight(args: &Args, dir: &Path, rng: &mut u64) -> Result<(), Str
 /// A burst of tiny (and zero) deadlines mixed with sane ones: every
 /// answer is Ok-and-byte-identical or an explicit 504 — never a 500,
 /// never a wedged connection — and the daemon survives the storm.
-fn script_deadline_storm(args: &Args, dir: &Path, rng: &mut u64) -> Result<(), String> {
+fn script_deadline_storm(args: &Args, dir: &Path, rng: &mut Rng) -> Result<(), String> {
     let daemon = Daemon::spawn(
         &args.serve_bin,
         dir,
@@ -553,10 +544,10 @@ fn script_deadline_storm(args: &Args, dir: &Path, rng: &mut u64) -> Result<(), S
     let mut expired = 0u64;
     for i in 0..40u64 {
         let mut req = quick_req("fig1", 100 + i % 5);
-        req.deadline_ms = match splitmix64(rng) % 3 {
-            0 => Some(0),                   // dead on arrival
-            1 => Some(splitmix64(rng) % 4), // a few ms: races compute
-            _ => Some(60_000),              // generous
+        req.deadline_ms = match rng.next_u64() % 3 {
+            0 => Some(0),                  // dead on arrival
+            1 => Some(rng.next_u64() % 4), // a few ms: races compute
+            _ => Some(60_000),             // generous
         };
         let resp = conn.run(&req).map_err(|e| format!("run: {e}"))?;
         match resp.status {
@@ -589,7 +580,7 @@ fn script_deadline_storm(args: &Args, dir: &Path, rng: &mut u64) -> Result<(), S
 
 /// Half-written request lines, garbage bytes, and abrupt disconnects:
 /// none may wedge the daemon or poison later, well-formed requests.
-fn script_socket_reset(args: &Args, dir: &Path, rng: &mut u64) -> Result<(), String> {
+fn script_socket_reset(args: &Args, dir: &Path, rng: &mut Rng) -> Result<(), String> {
     use std::io::Write as _;
     let daemon = Daemon::spawn(&args.serve_bin, dir, &[])?;
     #[cfg(unix)]
@@ -604,11 +595,11 @@ fn script_socket_reset(args: &Args, dir: &Path, rng: &mut u64) -> Result<(), Str
     #[cfg(unix)]
     for round in 0..10 {
         let mut raw = connect_raw(&daemon)?;
-        match splitmix64(rng) % 3 {
+        match rng.next_u64() % 3 {
             0 => {
                 // Half a request line, then hang up mid-message.
                 let line = serde_json::to_string(&quick_req("fig1", round).to_json());
-                let cut = 1 + splitmix64(rng) as usize % (line.len() - 1);
+                let cut = 1 + rng.next_u64() as usize % (line.len() - 1);
                 let _ = raw.write_all(&line.as_bytes()[..cut]);
             }
             1 => {
@@ -631,7 +622,7 @@ fn script_socket_reset(args: &Args, dir: &Path, rng: &mut u64) -> Result<(), Str
 
 /// One SIGINT drains gracefully (exit 0, socket removed); two in a row
 /// force an immediate exit with code 130.
-fn script_signal_drain(args: &Args, dir: &Path, _rng: &mut u64) -> Result<(), String> {
+fn script_signal_drain(args: &Args, dir: &Path, _rng: &mut Rng) -> Result<(), String> {
     #[cfg(unix)]
     {
         extern "C" {
@@ -703,7 +694,7 @@ fn main() -> ExitCode {
         args.serve_bin.display(),
         args.workdir.display()
     );
-    let mut rng = args.seed;
+    let mut rng = Rng::new(args.seed);
     let mut failures = 0;
     for script in &args.scripts {
         let t0 = Instant::now();

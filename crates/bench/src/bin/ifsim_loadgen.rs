@@ -24,7 +24,7 @@
 //! plus the observed cache hit rate. Exit code 0 when every request
 //! eventually succeeded.
 
-use ifsim_core::des::Summary;
+use ifsim_core::des::{Rng, Summary};
 use ifsim_core::telemetry::json::{self, Value};
 use ifsim_serve::proto::RunRequest;
 use ifsim_serve::{ClientAddr, Connection, Status};
@@ -145,32 +145,21 @@ const BACKOFF_CAP_MS: u64 = 250;
 /// same backoff schedule — load tests stay reproducible — while
 /// concurrent workers still decorrelate instead of thundering back in
 /// lockstep the way the old `5ms * attempt` linear ramp did.
-fn next_backoff_ms(rng: &mut u64, prev_ms: u64) -> u64 {
+fn next_backoff_ms(rng: &mut Rng, prev_ms: u64) -> u64 {
     let hi = prev_ms
         .saturating_mul(3)
         .clamp(BACKOFF_BASE_MS + 1, BACKOFF_CAP_MS);
-    BACKOFF_BASE_MS + splitmix64(rng) % (hi - BACKOFF_BASE_MS)
-}
-
-/// SplitMix64 — the same tiny deterministic generator the simulator's
-/// jitter model uses, so the mix is reproducible everywhere.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
+    BACKOFF_BASE_MS + rng.next_u64() % (hi - BACKOFF_BASE_MS)
 }
 
 /// The seeded request mix: `n` quick single-rep runs drawn from the
 /// experiment × seed pools.
 fn build_mix(seed: u64, n: usize) -> Vec<RunRequest> {
-    let mut state = seed;
+    let mut rng = Rng::new(seed);
     (0..n)
         .map(|_| {
-            let exp =
-                EXPERIMENT_POOL[(splitmix64(&mut state) % EXPERIMENT_POOL.len() as u64) as usize];
-            let jitter_seed = SEED_POOL[(splitmix64(&mut state) % SEED_POOL.len() as u64) as usize];
+            let exp = EXPERIMENT_POOL[(rng.next_u64() % EXPERIMENT_POOL.len() as u64) as usize];
+            let jitter_seed = SEED_POOL[(rng.next_u64() % SEED_POOL.len() as u64) as usize];
             let mut req = RunRequest::new(exp);
             req.overrides.quick = true;
             req.overrides.reps = Some(1);
@@ -214,7 +203,7 @@ fn main() -> ExitCode {
         // Per-worker jitter stream: derived from the mix seed so runs
         // replay deterministically, distinct per worker so they don't
         // share a backoff schedule.
-        let mut rng = args.seed ^ (worker as u64).wrapping_mul(0x9E3779B97F4A7C15);
+        let mut rng = Rng::new(args.seed ^ (worker as u64).wrapping_mul(0x9E3779B97F4A7C15));
         workers.push(std::thread::spawn(move || {
             let mut conn = match Connection::connect(&addr) {
                 Ok(c) => c,
@@ -399,7 +388,7 @@ fn summary_json(
 
 /// Issue one request, retrying Overloaded answers with seeded
 /// decorrelated-jitter backoff.
-fn drive_one(conn: &mut Connection, req: &RunRequest, retries: usize, rng: &mut u64) -> Outcome {
+fn drive_one(conn: &mut Connection, req: &RunRequest, retries: usize, rng: &mut Rng) -> Outcome {
     let mut overloaded_retries = 0usize;
     let mut backoff_ms = BACKOFF_BASE_MS;
     let t0 = Instant::now();
@@ -465,8 +454,8 @@ mod tests {
 
     #[test]
     fn backoff_is_bounded_and_seed_deterministic() {
-        let mut a = 0xC0FFEEu64;
-        let mut b = 0xC0FFEEu64;
+        let mut a = Rng::new(0xC0FFEE);
+        let mut b = Rng::new(0xC0FFEE);
         let mut prev_a = BACKOFF_BASE_MS;
         let mut prev_b = BACKOFF_BASE_MS;
         for _ in 0..1000 {
@@ -475,14 +464,14 @@ mod tests {
             assert_eq!(prev_a, prev_b, "same seed, same schedule");
             assert!((BACKOFF_BASE_MS..BACKOFF_CAP_MS).contains(&prev_a));
         }
-        let mut c = 0xDEADBEEFu64;
+        let mut c = Rng::new(0xDEADBEEF);
         let schedule_c: Vec<u64> = (0..8)
             .scan(BACKOFF_BASE_MS, |p, _| {
                 *p = next_backoff_ms(&mut c, *p);
                 Some(*p)
             })
             .collect();
-        let mut a = 0xC0FFEEu64;
+        let mut a = Rng::new(0xC0FFEE);
         let schedule_a: Vec<u64> = (0..8)
             .scan(BACKOFF_BASE_MS, |p, _| {
                 *p = next_backoff_ms(&mut a, *p);

@@ -131,6 +131,25 @@ fn mgpu_bench_doctor_exit_code_reflects_health() {
         .expect("run doctor");
     assert!(!sick.status.success(), "degraded node exits non-zero");
     assert!(String::from_utf8_lossy(&sick.stdout).contains("DEGRADED"));
+    // A factor outside (0, 1] is a usage error that names the factor.
+    for (factor, shown) in [
+        ("0", "factor 0 "),
+        ("nan", "factor NaN "),
+        ("1.5", "factor 1.5 "),
+    ] {
+        let bad = mgpu()
+            .args(["doctor", "--reps", "1", "--size", "16777216", "--derate"])
+            .arg(format!("0,1,{factor}"))
+            .output()
+            .expect("run doctor");
+        let stderr = String::from_utf8_lossy(&bad.stderr);
+        assert_eq!(
+            bad.status.code(),
+            Some(2),
+            "--derate 0,1,{factor}: {stderr}"
+        );
+        assert!(stderr.contains(shown), "--derate 0,1,{factor}: {stderr}");
+    }
 }
 
 #[test]

@@ -106,14 +106,7 @@ impl MpiComm {
         for attempt in 0..=max_retries {
             match self.try_send_recv(hip, from_rank, to_rank, src, dst, bytes, attempt_timeout) {
                 Ok(_) => return Ok(hip.now() - t0),
-                Err(e)
-                    if matches!(
-                        e,
-                        HipError::LinkDown(_)
-                            | HipError::EccUncorrectable(_)
-                            | HipError::Timeout(_)
-                    ) =>
-                {
+                Err(e) if e.is_fault() => {
                     last_err = Some(e);
                     if attempt < max_retries {
                         hip.host_sleep(backoff.backoff(attempt + 1));

@@ -275,26 +275,31 @@ impl RunOpts<'_> {
 }
 
 /// Digest a key/value set into 32 hex characters, independent of the order
-/// the pairs are supplied in (they are sorted by key, then value, before
-/// hashing). Two FNV-1a streams with distinct offset bases give a 128-bit
-/// identifier without external hash dependencies.
+/// the pairs are supplied in (they are sorted by key, then value, and
+/// hashed as `key=value` lines with [`fnv128_hex`]).
 pub fn digest_kv(pairs: &[(String, String)]) -> String {
     let mut sorted: Vec<&(String, String)> = pairs.iter().collect();
     sorted.sort();
+    let mut lines = Vec::new();
+    for (k, v) in sorted {
+        lines.extend_from_slice(k.as_bytes());
+        lines.push(b'=');
+        lines.extend_from_slice(v.as_bytes());
+        lines.push(b'\n');
+    }
+    fnv128_hex(&lines)
+}
+
+/// 128-bit digest of raw bytes as 32 hex characters: two FNV-1a streams
+/// with distinct offset bases, without external hash dependencies. Config
+/// digests ([`digest_kv`]) and the serve store's entry checksums.
+pub fn fnv128_hex(bytes: &[u8]) -> String {
     const PRIME: u64 = 0x100000001b3;
     let mut h1: u64 = 0xcbf29ce484222325;
     let mut h2: u64 = h1 ^ 0x9e3779b97f4a7c15;
-    for (k, v) in sorted {
-        for b in k
-            .as_bytes()
-            .iter()
-            .chain(b"=")
-            .chain(v.as_bytes())
-            .chain(b"\n")
-        {
-            h1 = (h1 ^ u64::from(*b)).wrapping_mul(PRIME);
-            h2 = (h2 ^ u64::from(*b)).wrapping_mul(PRIME);
-        }
+    for &b in bytes {
+        h1 = (h1 ^ u64::from(b)).wrapping_mul(PRIME);
+        h2 = (h2 ^ u64::from(b)).wrapping_mul(PRIME);
     }
     format!("{h1:016x}{h2:016x}")
 }

@@ -272,23 +272,15 @@ impl FlowNet {
         &self.segmap
     }
 
-    /// Derate a link's capacity (fault injection). Requires an idle network
-    /// so no in-flight completion estimate is invalidated.
-    pub fn derate_link(&mut self, link: LinkId, factor: f64) {
-        assert_eq!(
-            self.active(),
-            0,
-            "derate the fabric only while no flows are active"
-        );
-        self.segmap.derate_link(link, factor);
-        self.refresh_caps();
-    }
-
     /// Apply an absolute health factor (fraction of *healthy* capacity) to a
     /// link **mid-flight**: active flows keep running and their max-min fair
-    /// shares are recomputed against the new capacities. The factor must be
-    /// positive — a dead link must first have its flows removed; use
-    /// [`FlowNet::fail_link`] for that.
+    /// shares are recomputed against the new capacities. This is the only
+    /// way a live link's capacity changes, and it replaces the previous
+    /// factor rather than scaling it, so the caller passes every impairment
+    /// at once (the runtime passes `FabricHealth::link_factor`: lane loss ×
+    /// bit-error tax × retrain derate). The factor must be positive — a dead
+    /// link must first have its flows removed; use [`FlowNet::fail_link`]
+    /// for that.
     pub fn set_link_factor(&mut self, link: LinkId, factor: f64) {
         assert!(
             factor > 0.0,
@@ -306,12 +298,6 @@ impl FlowNet {
         self.segmap.set_link_factor(link, 0.0);
         self.refresh_caps();
         aborted
-    }
-
-    /// Restore a failed or degraded link to full healthy capacity.
-    pub fn restore_link(&mut self, link: LinkId) {
-        self.segmap.set_link_factor(link, 1.0);
-        self.refresh_caps();
     }
 
     /// Abort every active flow traversing any of `segs` (e.g. an
@@ -941,13 +927,13 @@ mod tests {
     }
 
     #[test]
-    fn restore_link_brings_capacity_back() {
+    fn a_failed_link_restores_to_full_capacity() {
         let (t, r, mut n) = net();
         let lid = r
             .gcd_route(GcdId(0), GcdId(2), RoutePolicy::MaxBandwidth)
             .links[0];
         n.fail_link(lid);
-        n.restore_link(lid);
+        n.set_link_factor(lid, 1.0);
         let segs = peer_segs(&t, &r, &n, 0, 2, false);
         let id = n.add_flow(n.now(), FlowSpec::new(segs, 1e9, 1.0));
         assert!((n.rate_of(id).unwrap() - gbps(50.0)).abs() < 1.0);

@@ -144,19 +144,10 @@ impl SegmentMap {
         self.base_caps[seg.idx()]
     }
 
-    /// Scale one segment's capacity (fault injection / degraded links).
-    pub fn scale_capacity(&mut self, seg: SegId, factor: f64) {
-        assert!(
-            factor > 0.0 && factor.is_finite(),
-            "bad derate factor {factor}"
-        );
-        self.caps[seg.idx()] *= factor;
-    }
-
     /// Set one segment's capacity to `factor` × its *healthy* capacity.
-    /// Unlike [`SegmentMap::scale_capacity`] this is absolute, so repeated
-    /// health transitions (degrade, degrade further, restore) do not
-    /// compound. `factor` 0 marks a dead segment no flow may traverse.
+    /// Every capacity change is absolute, so repeated health transitions
+    /// (degrade, degrade further, restore) do not compound. `factor` 0
+    /// marks a dead segment no flow may traverse.
     pub fn set_capacity_factor(&mut self, seg: SegId, factor: f64) {
         assert!(
             (0.0..=1.0).contains(&factor),
@@ -166,7 +157,8 @@ impl SegmentMap {
     }
 
     /// Apply an absolute health factor to every segment of a link (both
-    /// directions and, for xGMI, the duplex pool).
+    /// directions and, for xGMI, the duplex pool), replacing the previous
+    /// one: impairments compose in the caller's factor, never here.
     pub fn set_link_factor(&mut self, link: LinkId, factor: f64) {
         self.set_capacity_factor(self.dir_seg(link, Dir::Forward), factor);
         self.set_capacity_factor(self.dir_seg(link, Dir::Backward), factor);
@@ -184,16 +176,6 @@ impl SegmentMap {
         ];
         segs.extend(self.duplex_seg(link));
         segs
-    }
-
-    /// Derate every segment of a link (both directions and, for xGMI, the
-    /// duplex pool) — models a link that retrained at reduced speed.
-    pub fn derate_link(&mut self, link: LinkId, factor: f64) {
-        self.scale_capacity(self.dir_seg(link, Dir::Forward), factor);
-        self.scale_capacity(self.dir_seg(link, Dir::Backward), factor);
-        if let Some(d) = self.duplex_seg(link) {
-            self.scale_capacity(d, factor);
-        }
     }
 
     /// Diagnostic label of a segment.

@@ -59,6 +59,19 @@ impl fmt::Display for HipError {
     }
 }
 
+impl HipError {
+    /// Whether this is a fault-class error — a downed link, uncorrectable
+    /// ECC, or an expired wait — that a retry over a repaired or rerouted
+    /// fabric may clear. The runtime's op retry and MPI's application-level
+    /// retry both decide on this.
+    pub fn is_fault(&self) -> bool {
+        matches!(
+            self,
+            HipError::LinkDown(_) | HipError::EccUncorrectable(_) | HipError::Timeout(_)
+        )
+    }
+}
+
 impl std::error::Error for HipError {}
 
 impl From<AllocError> for HipError {

@@ -9,7 +9,7 @@
 //! copies, and bit-error taxes add per-hop retransmission latency.
 
 use ifsim_des::Dur;
-use ifsim_topology::{GcdId, HealthMap, LinkId, NodeTopology, Path};
+use ifsim_topology::{GcdId, HealthMap, LinkHealth, LinkId, NodeTopology, Path};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Fabric condition derived from applied fault events, consulted at
@@ -25,6 +25,9 @@ pub struct FabricHealth {
     pub(crate) ber_tax: BTreeMap<LinkId, f64>,
     /// GCDs whose SDMA engines have failed.
     pub(crate) sdma_failed: BTreeSet<GcdId>,
+    /// Per-link retrain derate set by [`crate::HipSim::derate_xgmi_link`],
+    /// a fraction of healthy capacity in (0, 1].
+    pub(crate) derate: BTreeMap<LinkId, f64>,
 }
 
 impl FabricHealth {
@@ -35,7 +38,17 @@ impl FabricHealth {
             ber_latency: BTreeMap::new(),
             ber_tax: BTreeMap::new(),
             sdma_failed: BTreeSet::new(),
+            derate: BTreeMap::new(),
         }
+    }
+
+    /// A link restore: healthy again, with its bit-error tax and derate
+    /// cleared.
+    pub(crate) fn restore(&mut self, link: LinkId) {
+        self.health.set(link, LinkHealth::Healthy);
+        self.ber_tax.remove(&link);
+        self.ber_latency.remove(&link);
+        self.derate.remove(&link);
     }
 
     /// The per-link health map (drives route recomputation).
@@ -71,9 +84,12 @@ impl FabricHealth {
     }
 
     /// Effective capacity factor of a link: lane-degradation fraction
-    /// reduced further by the bit-error retransmission tax.
+    /// reduced further by the bit-error retransmission tax and any retrain
+    /// derate. Every factor is relative to healthy capacity, so the
+    /// impairments compose in any order.
     pub fn link_factor(&self, topo: &NodeTopology, link: LinkId) -> f64 {
-        self.health.capacity_factor(topo, link) * (1.0 - self.ber_tax(link))
+        let derate = self.derate.get(&link).copied().unwrap_or(1.0);
+        self.health.capacity_factor(topo, link) * (1.0 - self.ber_tax(link)) * derate
     }
 }
 
@@ -145,7 +161,7 @@ impl FaultStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ifsim_topology::{LinkHealth, NodeTopology, PortId, RoutePolicy, Router};
+    use ifsim_topology::{NodeTopology, PortId, RoutePolicy, Router};
 
     #[test]
     fn healthy_fabric_reports_no_impairments() {

@@ -48,27 +48,6 @@ pub struct Inner {
     dag: Option<crate::dag::DagBuilder>,
 }
 
-/// Why a fault tore down an op's in-flight flows (selects the error code
-/// surfaced once retries are exhausted).
-#[derive(Clone, Copy)]
-enum AbortCause {
-    LinkDown,
-    Ecc,
-}
-
-impl AbortCause {
-    fn error(self, kind: &FaultKind) -> HipError {
-        match self {
-            AbortCause::LinkDown => {
-                HipError::LinkDown(format!("transfer aborted mid-flight: {kind}"))
-            }
-            AbortCause::Ecc => {
-                HipError::EccUncorrectable(format!("transfer aborted mid-flight: {kind}"))
-            }
-        }
-    }
-}
-
 /// `hipMemAdvise` advice values the simulator models.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MemAdvise {
@@ -382,23 +361,7 @@ impl HipSim {
 
     /// `hipEventSynchronize`.
     pub fn event_synchronize(&mut self, ev: EventId) -> HipResult<()> {
-        // Valid handle?
-        self.inner.events.timestamp(ev)?;
-        self.pump_until(|inner| {
-            matches!(inner.events.timestamp(ev), Ok(Some(_)))
-                // A fault-failed stream drops its queued record markers; once
-                // everything is idle the event can no longer record, so stop
-                // and surface the failure instead of spinning forever.
-                || (inner.streams.values().any(|s| s.failed.is_some())
-                    && inner.streams.values().all(|s| s.idle()))
-        })?;
-        if matches!(self.inner.events.timestamp(ev), Ok(Some(_))) {
-            return Ok(());
-        }
-        // Report the stream failure without clearing it: the stream-level
-        // synchronize owns the clear, as in HIP.
-        let e = self.inner.streams.values().find_map(|s| s.failed.clone());
-        Err(e.expect("escape condition implies a failed stream"))
+        self.event_wait(ev, None)
     }
 
     /// [`HipSim::event_synchronize`] with a bound on *virtual* wait time.
@@ -406,26 +369,34 @@ impl HipSim {
     /// at the deadline, pending work keeps running, and
     /// [`HipError::Timeout`] is returned (call again to keep waiting).
     pub fn event_synchronize_timeout(&mut self, ev: EventId, timeout: Dur) -> HipResult<()> {
-        self.inner.events.timestamp(ev)?;
-        let deadline = self.engine.now() + timeout;
-        loop {
-            if matches!(self.inner.events.timestamp(ev), Ok(Some(_))) {
-                return Ok(());
-            }
-            match self.next_pending_time() {
-                Some(t) if t <= deadline => {
-                    self.pump_one();
-                }
-                _ => {
-                    self.engine.advance_to(deadline);
-                    self.inner.net.advance_to(deadline);
-                    return Err(HipError::Timeout(format!(
-                        "event not recorded after {:.3} ms",
-                        timeout.as_ms()
-                    )));
-                }
-            }
+        self.event_wait(ev, Some(timeout))
+    }
+
+    fn event_wait(&mut self, ev: EventId, timeout: Option<Dur>) -> HipResult<()> {
+        self.inner.events.timestamp(ev)?; // valid handle?
+        let recorded = |inner: &Inner| matches!(inner.events.timestamp(ev), Ok(Some(_)));
+        let deadline = timeout.map(|t| self.engine.now() + t);
+        let waited = self.run_until(
+            |inner| {
+                recorded(inner)
+                    // A fault-failed stream drops its queued record markers;
+                    // once everything is idle the event can no longer record,
+                    // so stop and surface the failure instead of spinning on.
+                    || (inner.streams.values().any(|s| s.failed.is_some())
+                        && inner.streams.values().all(|s| s.idle()))
+            },
+            deadline,
+        );
+        if recorded(&self.inner) {
+            return Ok(());
         }
+        if let (false, Some(t)) = (waited, timeout) {
+            return Err(timeout_error("event not recorded", t));
+        }
+        // Report the stream failure without clearing it: the stream-level
+        // synchronize owns the clear, as in HIP.
+        let e = self.inner.streams.values().find_map(|s| s.failed.clone());
+        Err(e.expect("escape condition implies a failed stream"))
     }
 
     /// `hipEventElapsedTime`, in milliseconds.
@@ -437,9 +408,7 @@ impl HipSim {
     /// (retries exhausted) reports — and clears — its sticky error here,
     /// mirroring how HIP surfaces asynchronous failures.
     pub fn stream_synchronize(&mut self, stream: StreamId) -> HipResult<()> {
-        self.check_stream(stream)?;
-        self.pump_until(|inner| inner.streams[&stream].idle())?;
-        self.take_stream_error(stream)
+        self.stream_wait(stream, None)
     }
 
     /// [`HipSim::stream_synchronize`] with a bound on *virtual* wait time.
@@ -447,85 +416,61 @@ impl HipSim {
     /// keeps running, and [`HipError::Timeout`] is returned — the bounded
     /// wait a fault-tolerant caller needs over a flaky fabric.
     pub fn stream_synchronize_timeout(&mut self, stream: StreamId, timeout: Dur) -> HipResult<()> {
+        self.stream_wait(stream, Some(timeout))
+    }
+
+    fn stream_wait(&mut self, stream: StreamId, timeout: Option<Dur>) -> HipResult<()> {
         self.check_stream(stream)?;
-        let deadline = self.engine.now() + timeout;
-        loop {
-            if self.inner.streams[&stream].idle() {
-                return self.take_stream_error(stream);
-            }
-            match self.next_pending_time() {
-                Some(t) if t <= deadline => {
-                    self.pump_one();
-                }
-                _ => {
-                    self.engine.advance_to(deadline);
-                    self.inner.net.advance_to(deadline);
-                    return Err(HipError::Timeout(format!(
-                        "{stream:?} still busy after {:.3} ms",
-                        timeout.as_ms()
-                    )));
-                }
-            }
+        let deadline = timeout.map(|t| self.engine.now() + t);
+        let waited = self.run_until(|inner| inner.streams[&stream].idle(), deadline);
+        if let (false, Some(t)) = (waited, timeout) {
+            return Err(timeout_error(&format!("{stream:?} still busy"), t));
         }
+        self.take_errors(|sid, _| sid == stream)
     }
 
     /// `hipDeviceSynchronize` (current device). Surfaces the first sticky
     /// fault error among the device's streams, clearing all of them.
     pub fn device_synchronize(&mut self) -> HipResult<()> {
         let dev = self.inner.current;
-        self.pump_until(|inner| {
-            inner
-                .streams
-                .values()
-                .filter(|s| s.dev == dev)
-                .all(|s| s.idle())
-        })?;
-        let mut first = None;
-        for s in self.inner.streams.values_mut().filter(|s| s.dev == dev) {
-            if let Some(e) = s.failed.take() {
-                first.get_or_insert(e);
-            }
-        }
-        match first {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.run_until(
+            |inner| {
+                inner
+                    .streams
+                    .values()
+                    .filter(|s| s.dev == dev)
+                    .all(|s| s.idle())
+            },
+            None,
+        );
+        self.take_errors(|_, s| s.dev == dev)
     }
 
     /// Synchronize every stream of every device. Surfaces the first sticky
     /// fault error across the node, clearing all of them.
     pub fn synchronize_all(&mut self) -> HipResult<()> {
-        self.pump_until(|inner| inner.streams.values().all(|s| s.idle()))?;
+        self.run_until(|inner| inner.streams.values().all(|s| s.idle()), None);
         // A full host barrier: everything submitted after this point
         // causally depends on everything that just drained (this is how
         // collective round boundaries enter the dependency DAG).
         if let Some(dag) = self.inner.dag.as_mut() {
             dag.host_barrier();
         }
-        let mut first = None;
-        for s in self.inner.streams.values_mut() {
-            if let Some(e) = s.failed.take() {
-                first.get_or_insert(e);
-            }
-        }
-        match first {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.take_errors(|_, _| true)
     }
 
-    fn take_stream_error(&mut self, stream: StreamId) -> HipResult<()> {
-        match self
-            .inner
-            .streams
-            .get_mut(&stream)
-            .expect("checked stream")
-            .failed
-            .take()
-        {
-            Some(e) => Err(e),
-            None => Ok(()),
+    /// Clear the sticky errors of the streams `pick` selects and report the
+    /// first of them.
+    fn take_errors(&mut self, pick: impl Fn(StreamId, &StreamState) -> bool) -> HipResult<()> {
+        let mut first = None;
+        for (&sid, s) in self.inner.streams.iter_mut() {
+            if pick(sid, s) {
+                if let Some(e) = s.failed.take() {
+                    first.get_or_insert(e);
+                }
+            }
         }
+        first.map_or(Ok(()), Err)
     }
 
     // ---------------- data movement ----------------
@@ -696,7 +641,7 @@ impl HipSim {
     /// Advance the host clock without doing anything (think `usleep` in a
     /// benchmark loop).
     pub fn host_sleep(&mut self, d: Dur) {
-        self.advance_host(d);
+        self.run_until(|_| false, Some(self.engine.now() + d));
     }
 
     /// `hipMemGetInfo`: `(free, total)` bytes of a device's HBM.
@@ -814,26 +759,32 @@ impl HipSim {
     }
 
     /// Fault injection: derate the xGMI link between two GCDs to `factor`
-    /// of its capacity, as when a link retrains at reduced speed. The node
-    /// must be idle (no in-flight ops). Returns `InvalidValue` if the GCDs
-    /// are not directly linked.
+    /// of its healthy capacity, as when a link retrains at reduced speed.
+    /// The derate is an absolute impairment kept in [`FabricHealth`]: it
+    /// composes multiplicatively with the fault plan's lane loss and
+    /// bit-error tax (derate 0.5 then one of four lanes lost leaves
+    /// 0.375×), a later derate of the same link replaces it, a
+    /// [`FaultKind::LinkRestore`] clears it, and flows already in flight
+    /// re-share at the new capacity. Returns `InvalidValue` if `factor` is
+    /// outside (0, 1] (NaN included) or the GCDs are not directly linked.
     pub fn derate_xgmi_link(&mut self, a: GcdId, b: GcdId, factor: f64) -> HipResult<()> {
-        if !self.all_idle() {
-            return Err(HipError::InvalidValue(
-                "derate requires an idle node".into(),
-            ));
+        if !(factor > 0.0 && factor <= 1.0) {
+            return Err(HipError::InvalidValue(format!(
+                "derate factor {factor} outside (0, 1]"
+            )));
         }
         let link = self
             .inner
             .topo
-            .link_between(
-                ifsim_topology::PortId::Gcd(a),
-                ifsim_topology::PortId::Gcd(b),
-            )
+            .link_between(PortId::Gcd(a), PortId::Gcd(b))
             .ok_or_else(|| {
                 HipError::InvalidValue(format!("{a} and {b} are not directly linked"))
             })?;
-        self.inner.net.derate_link(link, factor);
+        // The fabric clock lags the engine between flow events; bring it
+        // up first so in-flight bytes accrue at the old rate until now.
+        self.inner.net.advance_to(self.engine.now());
+        self.inner.fabric_health.derate.insert(link, factor);
+        self.inner.refresh_link(link);
         Ok(())
     }
 
@@ -903,7 +854,7 @@ impl HipSim {
 
     /// A planning context over the runtime's current state. Communication
     /// libraries (`ifsim-coll`) use this to build custom traffic plans with
-    /// their own protocol mechanics, then submit via [`HipSim::submit_plan`].
+    /// their own protocol mechanics, then submit via [`HipSim::submit_plans`].
     pub fn plan_ctx(&self) -> PlanCtx<'_> {
         PlanCtx {
             topo: &self.inner.topo,
@@ -917,38 +868,17 @@ impl HipSim {
         }
     }
 
-    /// Submit a custom [`OpPlan`] to a stream. The plan's flows and effects
-    /// must reference valid segments and buffers; effects are applied at
-    /// completion exactly like built-in ops.
+    /// Submit custom [`OpPlan`]s — e.g. every transfer of a collective
+    /// round — in one call. The plans' flows and effects must reference
+    /// valid segments and buffers; effects are applied at completion exactly
+    /// like built-in ops. Entries are enqueued in order and their streams
+    /// started afterwards, so the fabric coalesces all same-timestamp flow
+    /// admissions into a single fair-share recompute.
     ///
     /// Unlike user-facing submissions this does **not** advance the host
     /// clock: a communication library issues many internal transfers per
     /// user call and accounts its own software overheads in the plans'
     /// latencies.
-    pub fn submit_plan(
-        &mut self,
-        stream: StreamId,
-        plan: OpPlan,
-        label: impl Into<OpLabel>,
-    ) -> HipResult<()> {
-        self.check_stream(stream)?;
-        let st = self.inner.streams.get_mut(&stream).expect("checked stream");
-        st.queue.push_back(QueuedOp {
-            work: Work::Planned(plan),
-            event: None,
-            label: label.into(),
-            attempts: 0,
-        });
-        Inner::start_next(&mut self.inner, &mut self.engine, stream);
-        Ok(())
-    }
-
-    /// Submit a whole batch of custom [`OpPlan`]s — e.g. every transfer of a
-    /// collective round — in one call. Entries are enqueued in order and
-    /// their streams started afterwards, which is timing-identical to
-    /// consecutive [`HipSim::submit_plan`] calls (the event queue breaks
-    /// time ties by insertion order) but lets the fabric coalesce all
-    /// same-timestamp flow admissions into a single fair-share recompute.
     ///
     /// On an invalid stream the batch stops there: earlier entries stay
     /// submitted and their streams are still started before the error
@@ -1013,7 +943,7 @@ impl HipSim {
         let gcd = self.inner.streams[&sid].gcd;
         // Synchronous argument validation, as the HIP entry points do.
         self.inner.build_plan(gcd, &req)?;
-        self.advance_host(self.inner.calib.host_api_overhead);
+        self.host_sleep(self.inner.calib.host_api_overhead);
         let st = self.inner.streams.get_mut(&sid).expect("checked stream");
         st.queue.push_back(QueuedOp {
             work: Work::Request(req),
@@ -1025,117 +955,55 @@ impl HipSim {
         Ok(())
     }
 
-    /// Earliest pending happening across the engine, the fabric network,
-    /// and the fault schedule.
-    fn next_pending_time(&self) -> Option<Time> {
-        let mut next: Option<Time> = None;
-        for t in [
-            self.engine.peek_time(),
-            self.inner.net.peek_completion().map(|(t, _)| t),
-            self.inner.fault_plan.peek_time(),
-        ]
-        .into_iter()
-        .flatten()
-        {
-            next = Some(match next {
-                Some(n) => n.min(t),
-                None => t,
-            });
-        }
-        next
-    }
-
-    /// Process the single earliest pending happening. `false` when fully idle.
-    fn pump_one(&mut self) -> bool {
-        let tq = self.engine.peek_time();
-        let tf = self.inner.net.peek_completion().map(|(t, _)| t);
-        let tv = self.inner.fault_plan.peek_time();
-        let min_other = match (tq, tf) {
-            (None, None) => None,
-            (Some(a), None) => Some(a),
-            (None, Some(b)) => Some(b),
-            (Some(a), Some(b)) => Some(a.min(b)),
-        };
-        // Faults apply first at ties so simultaneous completions and op
-        // starts already see the degraded fabric.
-        let fault_first = match (tv, min_other) {
-            (Some(t), Some(o)) => t <= o,
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        if fault_first {
-            self.apply_next_fault();
-            return true;
-        }
-        match (tq, tf) {
-            (None, None) => false,
-            (Some(_), None) => {
-                self.engine.step(&mut self.inner);
-                true
-            }
-            (None, Some(_)) => {
-                self.complete_flow();
-                true
-            }
-            (Some(a), Some(b)) => {
-                if a <= b {
-                    self.engine.step(&mut self.inner);
-                } else {
-                    self.complete_flow();
-                }
-                true
-            }
-        }
-    }
-
-    /// Advance the clocks to the next scheduled fault and apply it.
-    fn apply_next_fault(&mut self) {
-        let ev = self
-            .inner
-            .fault_plan
-            .pop_next()
-            .expect("peeked fault exists");
-        let t = ev.at.max(self.engine.now());
-        self.engine.advance_to(t);
-        self.inner.net.advance_to(t);
-        Inner::apply_fault(&mut self.inner, &mut self.engine, ev);
-    }
-
-    fn complete_flow(&mut self) {
-        let (t, fid) = self
-            .inner
-            .net
-            .complete_next()
-            .expect("peeked completion exists");
-        self.engine.advance_to(t);
-        Inner::on_flow_done(&mut self.inner, &mut self.engine, fid);
-    }
-
-    fn pump_until(&mut self, pred: impl Fn(&Inner) -> bool) -> HipResult<()> {
+    /// The event loop, and the only place the runtime drives the DES engine,
+    /// the fabric's flow completions and the fault schedule. Processes
+    /// happenings in time order until `done` holds (checked before each)
+    /// and reports whether it did. At equal times a scheduled fault applies
+    /// first, so simultaneous op starts and completions already see the
+    /// degraded fabric; then a DES event; then a flow completion. With a
+    /// `deadline` the loop stops before any later happening and moves the
+    /// clocks to the deadline; without one, running out of happenings
+    /// before `done` holds is a deadlock.
+    fn run_until(&mut self, done: impl Fn(&Inner) -> bool, deadline: Option<Time>) -> bool {
         loop {
-            if pred(&self.inner) {
-                return Ok(());
+            if done(&self.inner) {
+                return true;
             }
-            if !self.pump_one() {
-                panic!(
-                    "simulation deadlock: waiting on a condition with no pending events \
-                     (a stream is waiting for work that was never submitted)"
-                );
+            let fault = self.inner.fault_plan.peek_time();
+            let event = self.engine.peek_time();
+            let flow = self.inner.net.peek_completion().map(|(t, _)| t);
+            let next = [fault, event, flow].into_iter().flatten().reduce(Time::min);
+            let Some(next) = next.filter(|&t| deadline.is_none_or(|d| t <= d)) else {
+                let Some(d) = deadline else {
+                    panic!(
+                        "simulation deadlock: waiting on a condition with no pending events \
+                         (a stream is waiting for work that was never submitted)"
+                    );
+                };
+                self.engine.advance_to(d);
+                self.inner.net.advance_to(d);
+                return false;
+            };
+            if fault == Some(next) {
+                let ev = self.inner.fault_plan.pop_next().expect("peeked fault");
+                let t = ev.at.max(self.engine.now());
+                self.engine.advance_to(t);
+                self.inner.net.advance_to(t);
+                Inner::apply_fault(&mut self.inner, &mut self.engine, ev);
+            } else if event == Some(next) {
+                self.engine.step(&mut self.inner);
+            } else {
+                let (t, fid) = self.inner.net.complete_next().expect("peeked flow");
+                self.engine.advance_to(t);
+                Inner::on_flow_done(&mut self.inner, &mut self.engine, fid);
             }
         }
     }
+}
 
-    fn advance_host(&mut self, d: Dur) {
-        let target = self.engine.now() + d;
-        while let Some(next) = self.next_pending_time() {
-            if next > target {
-                break;
-            }
-            self.pump_one();
-        }
-        self.engine.advance_to(target);
-        self.inner.net.advance_to(target);
-    }
+/// The error a bounded wait on `what` returns when its `timeout` expires.
+fn timeout_error(what: &str, timeout: Dur) -> HipError {
+    HipError::Timeout(format!("{what} after {:.3} ms", timeout.as_ms()))
 }
 
 impl Inner {
@@ -1227,33 +1095,20 @@ impl Inner {
             Work::Planned(p) => (p, None),
             // Arguments were validated at submission, so an execution-time
             // planning failure means state changed underneath the queue —
-            // above all a fault that degraded the fabric. Fault-class
-            // failures retry with backoff (a scheduled repair or reroute may
-            // make the op plannable again); everything else, and exhausted
-            // retries, fail the stream with a sticky error.
+            // above all a fault that degraded the fabric.
             Work::Request(req) => match Inner::build_plan(inner, gcd, &req) {
                 Ok(p) => (p, Some(req)),
                 Err(e) => {
-                    let retryable = matches!(
-                        e,
-                        HipError::LinkDown(_)
-                            | HipError::EccUncorrectable(_)
-                            | HipError::Timeout(_)
-                    );
-                    if retryable && attempts < inner.retry.max_retries {
-                        Inner::schedule_retry(
-                            inner,
-                            engine,
-                            sid,
-                            req,
-                            op.event,
-                            op.label,
-                            engine.now(),
-                            attempts,
-                        );
-                    } else {
-                        Inner::fail_stream(inner, engine, sid, e, engine.now(), &op.label);
-                    }
+                    let run = RunningOp {
+                        pending_flows: 0,
+                        effects: Vec::new(),
+                        event: op.event,
+                        started: engine.now(),
+                        label: op.label,
+                        request: Some(req),
+                        attempts,
+                    };
+                    Inner::retry_or_fail(inner, engine, sid, run, e, None);
                     return;
                 }
             },
@@ -1265,10 +1120,17 @@ impl Inner {
             flows,
             effects,
         } = plan;
-        let event = op.event;
-        let label = op.label;
-        let started = engine.now();
+        let run = RunningOp {
+            pending_flows: flows.len(),
+            effects,
+            event: op.event,
+            started: engine.now(),
+            label: op.label,
+            request,
+            attempts,
+        };
         engine.schedule_in(latency, move |inner: &mut Inner, engine| {
+            inner.streams.get_mut(&sid).expect("stream exists").starting = false;
             // A fault may have struck while the launch latency elapsed:
             // flows planned over a now-dead segment divert to the retry
             // path instead of driving traffic into a downed link.
@@ -1277,32 +1139,17 @@ impl Inner {
                     .iter()
                     .any(|&s| inner.net.segmap().capacity(s) <= 0.0)
             });
-            let st = inner.streams.get_mut(&sid).expect("stream exists");
-            st.starting = false;
             if dead {
                 let err = HipError::LinkDown(format!(
-                    "op '{label}' planned over a link that failed before it started"
+                    "op '{}' planned over a link that failed before it started",
+                    run.label
                 ));
-                match request {
-                    Some(req) if attempts < inner.retry.max_retries => {
-                        Inner::schedule_retry(
-                            inner, engine, sid, req, event, label, started, attempts,
-                        );
-                    }
-                    _ => Inner::fail_stream(inner, engine, sid, err, started, &label),
-                }
+                Inner::retry_or_fail(inner, engine, sid, run, err, None);
                 return;
             }
+            let started = run.started;
             let st = inner.streams.get_mut(&sid).expect("stream exists");
-            st.running = Some(RunningOp {
-                pending_flows: flows.len(),
-                effects,
-                event,
-                started,
-                label,
-                request,
-                attempts,
-            });
+            let run = st.running.insert(run);
             if flows.is_empty() {
                 Inner::finish_op(inner, engine, sid);
             } else {
@@ -1312,13 +1159,7 @@ impl Inner {
                 let now = engine.now();
                 let fids = inner.net.add_flows(now, flows);
                 if let Some(dag) = inner.dag.as_mut() {
-                    let label = inner
-                        .streams
-                        .get(&sid)
-                        .and_then(|s| s.running.as_ref())
-                        .map(|r| &r.label)
-                        .expect("op in flight");
-                    dag.op_flows_admitted(sid, started, now, label, &fids);
+                    dag.op_flows_admitted(sid, started, now, &run.label, &fids);
                 }
                 for fid in fids {
                     inner.flow_owner.insert(fid, sid);
@@ -1394,6 +1235,16 @@ impl Inner {
 
     // ---------------- fault application & recovery ----------------
 
+    /// Set a live link's capacity to its [`FabricHealth::link_factor`] —
+    /// every impairment at once, relative to healthy capacity. A downed
+    /// link keeps its zero capacity until restored.
+    fn refresh_link(&mut self, link: LinkId) {
+        if !self.fabric_health.health().is_down(link) {
+            let f = self.fabric_health.link_factor(&self.topo, link);
+            self.net.set_link_factor(link, f);
+        }
+    }
+
     /// Recompute all routes against the current per-link health: the
     /// mid-flight reroute. Downed links disappear from the graph; degraded
     /// links lose bandwidth-ordering priority.
@@ -1444,8 +1295,7 @@ impl Inner {
                         .fabric_health
                         .health
                         .set(link, LinkHealth::Degraded { lanes: left });
-                    let f = inner.fabric_health.link_factor(&inner.topo, link);
-                    inner.net.set_link_factor(link, f);
+                    inner.refresh_link(link);
                     inner.rebuild_router();
                 }
             }
@@ -1455,10 +1305,8 @@ impl Inner {
             }
             FaultKind::LinkRestore { .. } => {
                 let link = link.expect("restore targets a link");
-                inner.fabric_health.health.set(link, LinkHealth::Healthy);
-                inner.fabric_health.ber_tax.remove(&link);
-                inner.fabric_health.ber_latency.remove(&link);
-                inner.net.restore_link(link);
+                inner.fabric_health.restore(link);
+                inner.refresh_link(link);
                 inner.rebuild_router();
             }
             FaultKind::SdmaFail { gcd } => {
@@ -1479,16 +1327,20 @@ impl Inner {
                 inner.fabric_health.ber_latency.insert(link, added_latency);
                 // The retransmission tax shrinks wire capacity; routes are
                 // unchanged (the router orders by lane-level bandwidth).
-                if !inner.fabric_health.health().is_down(link) {
-                    let f = inner.fabric_health.link_factor(&inner.topo, link);
-                    inner.net.set_link_factor(link, f);
-                }
+                inner.refresh_link(link);
             }
             FaultKind::EccBurst { .. } => {
                 let link = link.expect("ECC burst targets a link");
                 let segs = inner.net.segmap().link_segments(link);
                 let aborted = inner.net.abort_flows_using(&segs);
-                Inner::recover_aborted(inner, engine, link, &kind, aborted, AbortCause::Ecc);
+                Inner::recover_aborted(
+                    inner,
+                    engine,
+                    link,
+                    &kind,
+                    aborted,
+                    HipError::EccUncorrectable,
+                );
             }
         }
     }
@@ -1504,34 +1356,32 @@ impl Inner {
         inner.fabric_health.health.set(link, LinkHealth::Down);
         let aborted = inner.net.fail_link(link);
         inner.rebuild_router();
-        Inner::recover_aborted(inner, engine, link, kind, aborted, AbortCause::LinkDown);
+        Inner::recover_aborted(inner, engine, link, kind, aborted, HipError::LinkDown);
     }
 
     /// Route fault-aborted flows back to their owning ops: tear down each
-    /// op's surviving sibling flows, then re-queue the op for a backoff
-    /// retry (re-planned over the rerouted fabric) or fail its stream.
+    /// op's surviving sibling flows, then retry or fail the op.
     fn recover_aborted(
         inner: &mut Inner,
         engine: &mut Engine<Inner>,
         link: LinkId,
         kind: &FaultKind,
         aborted: Vec<(FlowId, f64)>,
-        cause: AbortCause,
+        cause: fn(String) -> HipError,
     ) {
         if aborted.is_empty() {
             return;
         }
-        let mut hit: BTreeSet<StreamId> = BTreeSet::new();
+        let err = cause(format!("transfer aborted mid-flight: {kind}"));
         let mut first_aborted: BTreeMap<StreamId, FlowId> = BTreeMap::new();
         for (fid, _delivered) in &aborted {
             if let Some(sid) = inner.flow_owner.remove(fid) {
-                hit.insert(sid);
                 first_aborted.entry(sid).or_insert(*fid);
             }
             *inner.fault_stats.link_errors.entry(link).or_insert(0) += 1;
         }
         inner.fault_stats.aborted_flows += aborted.len() as u64;
-        for sid in hit {
+        for (sid, flow) in first_aborted {
             // An op completes or restarts as a unit: cancel its flows that
             // survived the fault (they would deliver a torn transfer).
             let siblings: Vec<FlowId> = inner
@@ -1552,126 +1402,82 @@ impl Inner {
                 .running
                 .take()
                 .expect("aborted flow belongs to a running op");
-            match run.request {
-                Some(req) if run.attempts < inner.retry.max_retries => {
-                    // Make the mid-flight reroute visible on the flow
-                    // lifecycle stream: the aborted flow's op will re-plan
-                    // over the surviving fabric after backoff.
-                    if let Some(&flow) = first_aborted.get(&sid) {
-                        let next_attempt = run.attempts + 1;
-                        let at = engine.now();
-                        let label = &run.label;
-                        inner
-                            .net
-                            .flow_log_mut()
-                            .push_with(|| ifsim_fabric::FlowEvent {
-                                at,
-                                flow,
-                                kind: ifsim_fabric::FlowEventKind::Rerouted {
-                                    note: format!(
-                                        "{label}: retry {next_attempt} re-planned over \
-                                         surviving fabric"
-                                    ),
-                                },
-                            });
-                    }
-                    Inner::schedule_retry(
-                        inner,
-                        engine,
-                        sid,
-                        req,
-                        run.event,
-                        run.label,
-                        run.started,
-                        run.attempts,
-                    );
-                }
-                _ => {
-                    Inner::fail_stream(
-                        inner,
-                        engine,
-                        sid,
-                        cause.error(kind),
-                        run.started,
-                        &run.label,
-                    );
-                }
-            }
+            Inner::retry_or_fail(inner, engine, sid, run, err.clone(), Some(flow));
         }
     }
 
-    /// Re-queue a fault-aborted op at the head of its stream and hold the
-    /// stream through an exponential backoff; when the backoff expires the
-    /// op re-plans over the (possibly rerouted) fabric and starts again.
-    #[allow(clippy::too_many_arguments)]
-    fn schedule_retry(
+    /// The one retry-or-fail decision for an op a fault hit — its planning
+    /// failed at start, its route died during the launch latency, or its
+    /// flows were aborted mid-flight. A fault-class error
+    /// ([`HipError::is_fault`]) on a re-plannable op with retries left
+    /// re-queues the op at the head of its stream and holds the stream
+    /// through an exponential backoff, after which the op re-plans over the
+    /// (possibly rerouted) fabric; `rerouted` names the aborted flow to mark
+    /// on the flow lifecycle. Anything else fails the stream with a sticky
+    /// error: its queue is dropped (the in-order guarantee is void once an
+    /// op is lost) and `err` waits for the next synchronization.
+    fn retry_or_fail(
         inner: &mut Inner,
         engine: &mut Engine<Inner>,
         sid: StreamId,
-        req: OpRequest,
-        event: Option<EventId>,
-        label: OpLabel,
-        started: Time,
-        attempts: u32,
-    ) {
-        let next_attempt = attempts + 1;
-        inner.fault_stats.retries += 1;
-        let backoff = inner.retry.backoff(next_attempt);
-        let dev = inner.streams[&sid].dev;
-        let now = engine.now();
-        inner.trace.record_with(|| crate::trace::TraceEvent {
-            dev,
-            stream: sid,
-            start: started,
-            end: now,
-            kind: TraceKind::Aborted {
-                op: label.clone(),
-                retry: next_attempt,
-            },
-        });
-        let st = inner.streams.get_mut(&sid).expect("stream exists");
-        st.queue.push_front(QueuedOp {
-            work: Work::Request(req),
-            event,
-            label,
-            attempts: next_attempt,
-        });
-        st.starting = true; // hold the stream through the backoff
-        engine.schedule_in(backoff, move |inner: &mut Inner, engine| {
-            inner.streams.get_mut(&sid).expect("stream exists").starting = false;
-            Inner::start_next(inner, engine, sid);
-        });
-    }
-
-    /// Fail a stream with a sticky error: drop its queue (the in-order
-    /// guarantee is void once an op is lost), record the failure on the
-    /// timeline, and leave the error for the next synchronization.
-    fn fail_stream(
-        inner: &mut Inner,
-        engine: &mut Engine<Inner>,
-        sid: StreamId,
+        run: RunningOp,
         err: HipError,
-        started: Time,
-        label: &OpLabel,
+        rerouted: Option<FlowId>,
     ) {
-        inner.fault_stats.failed_ops += 1;
+        let now = engine.now();
         let st = inner.streams.get_mut(&sid).expect("stream exists");
         let dev = st.dev;
-        st.queue.clear();
-        st.running = None;
-        st.starting = false;
-        st.parked_on = None;
-        st.failed = Some(err.clone());
-        let now = engine.now();
+        let (label, started) = (run.label, run.started);
+        let kind = match run.request {
+            Some(req) if err.is_fault() && run.attempts < inner.retry.max_retries => {
+                let retry = run.attempts + 1;
+                inner.fault_stats.retries += 1;
+                if let Some(flow) = rerouted {
+                    inner
+                        .net
+                        .flow_log_mut()
+                        .push_with(|| ifsim_fabric::FlowEvent {
+                            at: now,
+                            flow,
+                            kind: ifsim_fabric::FlowEventKind::Rerouted {
+                                note: format!(
+                                    "{label}: retry {retry} re-planned over surviving fabric"
+                                ),
+                            },
+                        });
+                }
+                st.queue.push_front(QueuedOp {
+                    work: Work::Request(req),
+                    event: run.event,
+                    label: label.clone(),
+                    attempts: retry,
+                });
+                st.starting = true; // hold the stream through the backoff
+                engine.schedule_in(
+                    inner.retry.backoff(retry),
+                    move |inner: &mut Inner, engine| {
+                        inner.streams.get_mut(&sid).expect("stream exists").starting = false;
+                        Inner::start_next(inner, engine, sid);
+                    },
+                );
+                TraceKind::Aborted { op: label, retry }
+            }
+            _ => {
+                inner.fault_stats.failed_ops += 1;
+                st.queue.clear();
+                st.running = None;
+                st.starting = false;
+                st.parked_on = None;
+                st.failed = Some(err.clone());
+                TraceKind::Failed { op: label, err }
+            }
+        };
         inner.trace.record_with(|| crate::trace::TraceEvent {
             dev,
             stream: sid,
             start: started,
             end: now,
-            kind: TraceKind::Failed {
-                op: label.clone(),
-                err,
-            },
+            kind,
         });
     }
 
@@ -2542,6 +2348,60 @@ mod tests {
     }
 
     #[test]
+    fn derate_mid_flight_reshares_from_the_engine_clock() {
+        // A GCD0→GCD1 peer read is in flight while an event recorded on a
+        // second stream is waited for: the engine clock moves past the
+        // fabric clock. A derate there must charge the new rate only from
+        // that instant on, and raising it again must not project a
+        // completion into the past.
+        let bytes = 128u64 * MIB;
+        let elems = (bytes / 4) as usize;
+        let secs = |t: Time| t.as_secs();
+        // Returns the copy's end and the derate instants.
+        let run = |factors: &[f64]| {
+            let mut hip = HipSim::new(EnvConfig::default());
+            hip.mem_mut().set_phantom_threshold(0);
+            hip.enable_all_peer_access().unwrap();
+            hip.set_device(0).unwrap();
+            let src = hip.malloc(bytes).unwrap();
+            hip.set_device(1).unwrap();
+            let dst = hip.malloc(bytes).unwrap();
+            let side = hip.stream_create().unwrap();
+            hip.launch_kernel(KernelSpec::StreamCopy { src, dst, elems })
+                .unwrap();
+            let mut at = Vec::new();
+            for &f in factors {
+                // Past the copy's launch latency, so its flow is running.
+                hip.host_sleep(Dur::from_us(20.0));
+                let ev = hip.event_create();
+                hip.event_record(ev, side).unwrap();
+                hip.event_synchronize(ev).unwrap();
+                assert!(hip.fabric().now() < hip.now(), "fabric clock lags");
+                at.push(hip.now());
+                hip.derate_xgmi_link(GcdId(0), GcdId(1), f).unwrap();
+            }
+            hip.device_synchronize().unwrap();
+            (hip.now(), at)
+        };
+        let (healthy_end, _) = run(&[]);
+        // Derated to 0.25 at td: the time left at full rate takes 4×.
+        let (end, at) = run(&[0.25]);
+        let td = secs(at[0]);
+        let want = td + (secs(healthy_end) - td) / 0.25;
+        assert!((secs(end) - want).abs() < 1e-9, "{} vs {want}", secs(end));
+        // Then back to 1.0 at td2: the time left at 0.25 takes 0.25×.
+        let (end2, at) = run(&[0.25, 1.0]);
+        let td2 = secs(at[1]);
+        let want2 = td2 + (want - td2) * 0.25;
+        assert!(at[1] < end, "the second derate lands mid-flight");
+        assert!(
+            (secs(end2) - want2).abs() < 1e-9,
+            "{} vs {want2}",
+            secs(end2)
+        );
+    }
+
+    #[test]
     fn can_access_peer_is_true_for_distinct_gcds() {
         let hip = HipSim::new(EnvConfig::default());
         assert!(hip.device_can_access_peer(0, 7).unwrap());
@@ -2878,6 +2738,50 @@ mod tests {
             .gcd_route(GcdId(0), GcdId(1), RoutePolicy::MaxBandwidth)
             .links
             .contains(&link));
+    }
+
+    #[test]
+    fn derate_composes_with_fault_health() {
+        // A retrain derate and the fault plan's impairments are all factors
+        // of healthy capacity: they multiply, and a restore clears them all.
+        let mut hip = HipSim::new(EnvConfig::default());
+        let (a, b) = (GcdId(0), GcdId(1));
+        let link = hip
+            .topo()
+            .link_between(PortId::Gcd(a), PortId::Gcd(b))
+            .unwrap();
+        let fwd = hip
+            .fabric()
+            .segmap()
+            .dir_seg(link, ifsim_fabric::Dir::Forward);
+        let share = |hip: &HipSim| {
+            let m = hip.fabric().segmap();
+            m.capacity(fwd) / m.base_capacity(fwd)
+        };
+        let apply = |hip: &mut HipSim, kind: FaultKind| {
+            hip.set_fault_plan(FaultPlan::new().at(hip.now(), kind))
+                .unwrap();
+            hip.host_sleep(Dur::from_us(1.0));
+        };
+        hip.derate_xgmi_link(a, b, 0.5).unwrap();
+        assert_eq!(share(&hip), 0.5);
+        apply(&mut hip, FaultKind::LaneLoss { a, b, lanes: 1 });
+        // 3 of 4 lanes × the 0.5 derate.
+        assert!((share(&hip) - 0.375).abs() < 1e-12, "{}", share(&hip));
+        apply(&mut hip, FaultKind::LinkRestore { a, b });
+        assert_eq!(share(&hip), 1.0);
+        hip.derate_xgmi_link(a, b, 0.5).unwrap();
+        apply(
+            &mut hip,
+            FaultKind::BitErrorRate {
+                a,
+                b,
+                tax: 0.2,
+                added_latency: Dur::ZERO,
+            },
+        );
+        // The 0.5 derate × (1 − 0.2) retransmission tax.
+        assert!((share(&hip) - 0.4).abs() < 1e-12, "{}", share(&hip));
     }
 
     #[test]

@@ -26,7 +26,7 @@ impl fmt::Debug for StreamId {
 /// plans see the memory state left behind by earlier ops on the stream
 /// (an async prefetch must change the plan of the kernel queued after it).
 /// Submission still plans once for synchronous argument validation.
-/// Library-internal submissions (`submit_plan`) carry a ready-made plan.
+/// Library-internal submissions (`submit_plans`) carry a ready-made plan.
 pub enum Work {
     /// Re-plan at execution time.
     Request(OpRequest),

@@ -3,7 +3,12 @@
 //! execution rules every benchmark above relies on.
 
 use ifsim_des::units::MIB;
-use ifsim_hip::{EnvConfig, HipSim, HostAllocFlags, KernelSpec, MemcpyKind};
+use ifsim_des::{Dur, Time};
+use ifsim_hip::{
+    EnvConfig, FaultKind, FaultPlan, GcdId, HipError, HipSim, HostAllocFlags, KernelSpec,
+    MemcpyKind, StreamId,
+};
+use proptest::prelude::*;
 
 fn runtime() -> HipSim {
     let mut hip = HipSim::new(EnvConfig::default());
@@ -223,4 +228,87 @@ fn created_streams_belong_to_their_device() {
     // device_synchronize on device 3 must cover the created stream.
     hip.device_synchronize().unwrap();
     assert!(hip.all_idle());
+}
+
+/// A peer copy each way across the GCD0–GCD2 single link on two streams,
+/// plus a host-to-device copy on a third, under a random link-down /
+/// restore schedule for that link. Returns the streams to drain.
+fn faulted_two_way_workload(hip: &mut HipSim, faults: &[(bool, f64)]) -> Vec<StreamId> {
+    hip.trace_enable();
+    hip.enable_all_peer_access().unwrap();
+    let (a, b) = (GcdId(0), GcdId(2));
+    let mut plan = FaultPlan::new();
+    for &(down, ms) in faults {
+        let kind = if down {
+            FaultKind::LinkDown { a, b }
+        } else {
+            FaultKind::LinkRestore { a, b }
+        };
+        plan = plan.at(Time::ZERO + Dur::from_ms(ms), kind);
+    }
+    hip.set_fault_plan(plan).unwrap();
+    let mut on = |dev: usize, bytes: u64| {
+        hip.set_device(dev).unwrap();
+        (hip.malloc(bytes).unwrap(), hip.stream_create().unwrap())
+    };
+    let (big_src, forward) = on(0, 1 << 30);
+    let (big_dst, _) = on(2, 1 << 30);
+    let (small_src, backward) = on(2, 512 * MIB);
+    let (small_dst, _) = on(0, 512 * MIB);
+    let (h2d_dst, upload) = on(1, 256 * MIB);
+    let host = hip
+        .host_malloc(256 * MIB, HostAllocFlags::coherent())
+        .unwrap();
+    hip.memcpy_peer_async(big_dst, 2, big_src, 0, 1 << 30, forward)
+        .unwrap();
+    hip.memcpy_peer_async(small_dst, 0, small_src, 2, 512 * MIB, backward)
+        .unwrap();
+    hip.memcpy_async(
+        h2d_dst,
+        0,
+        host,
+        0,
+        256 * MIB,
+        MemcpyKind::HostToDevice,
+        upload,
+    )
+    .unwrap();
+    vec![forward, backward, upload]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Waiting in bounded steps only moves the host clock: draining with
+    /// repeated `stream_synchronize_timeout` replays exactly the schedule
+    /// one unbounded `synchronize_all` produces, faults, aborts and
+    /// retries included.
+    #[test]
+    fn bounded_waits_replay_the_unbounded_schedule(
+        faults in proptest::collection::vec((any::<bool>(), 0.0f64..40.0), 1..5),
+        step_ms in 0.01f64..10.0,
+    ) {
+        let mut unbounded = runtime();
+        faulted_two_way_workload(&mut unbounded, &faults);
+        let _ = unbounded.synchronize_all();
+        let mut bounded = runtime();
+        for stream in faulted_two_way_workload(&mut bounded, &faults) {
+            while let Err(HipError::Timeout(_)) =
+                bounded.stream_synchronize_timeout(stream, Dur::from_ms(step_ms))
+            {}
+        }
+        let (want, got) = (unbounded.trace().events(), bounded.trace().events());
+        prop_assert_eq!(want.len(), got.len());
+        let close = |x: Time, y: Time| {
+            (x.as_ns() - y.as_ns()).abs() <= 1e-9 * x.as_ns().abs().max(y.as_ns().abs())
+        };
+        for (w, g) in want.iter().zip(got) {
+            prop_assert_eq!(&w.kind, &g.kind);
+            prop_assert_eq!(w.stream, g.stream);
+            prop_assert!(
+                close(w.start, g.start) && close(w.end, g.end),
+                "{:?} vs {:?}", w, g
+            );
+        }
+    }
 }

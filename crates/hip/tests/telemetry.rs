@@ -334,7 +334,7 @@ fn custom_op_labels_are_never_mistaken_for_fault_markers() {
             flows: Vec::new(),
             effects: Vec::new(),
         };
-        hip.submit_plan(stream, plan, "!fault: not a fault")
+        hip.submit_plans([(stream, plan, "!fault: not a fault")])
             .unwrap();
         hip.stream_synchronize(stream).unwrap();
     }

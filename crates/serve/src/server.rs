@@ -28,6 +28,7 @@ use crate::cache::{CachedRun, ResultCache};
 use crate::proto::{self, Request, RunRequest, RunResponse, Status};
 use crate::store::{DiskStore, ScanReport};
 use ifsim_core::des::cancel::{CancelToken, Cancelled};
+use ifsim_core::des::Rng;
 use ifsim_core::registry;
 use ifsim_core::telemetry::{
     critpath, CollectedTelemetry, EventKind, MetricKey, MetricsRegistry, SimTelemetry,
@@ -265,15 +266,6 @@ fn compile_scenario(doc: &Value) -> Result<Experiment, proto::FieldError> {
         })
 }
 
-/// SplitMix64 finalizer: mixes a seed into a well-distributed 64-bit
-/// value (trace-id generation).
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
 /// Suppress the default panic hook's report for cooperative-cancellation
 /// unwinds ([`Cancelled`] payloads); real panics keep the full report.
 fn silence_cancelled_unwinds() {
@@ -413,7 +405,7 @@ impl ServerCore {
     }
 
     /// Generate a fresh 16-hex-digit trace id. Wall clock, pid, and a
-    /// process-local counter feed a SplitMix64 finalizer, so ids are
+    /// process-local counter seed one SplitMix64 draw, so ids are
     /// unique within a daemon and collide across daemons only by chance.
     pub fn gen_trace_id(&self) -> String {
         let nanos = SystemTime::now()
@@ -421,7 +413,7 @@ impl ServerCore {
             .map(|d| d.as_nanos() as u64)
             .unwrap_or(0);
         let n = self.trace_counter.fetch_add(1, Ordering::Relaxed);
-        let mixed = splitmix64(nanos ^ (u64::from(std::process::id()) << 32) ^ n);
+        let mixed = Rng::new(nanos ^ (u64::from(std::process::id()) << 32) ^ n).next_u64();
         format!("{mixed:016x}")
     }
 

@@ -29,6 +29,7 @@
 //! order while the store is live.
 
 use crate::cache::CachedRun;
+use ifsim_core::experiment::fnv128_hex;
 use serde_json::{Map, Value};
 use std::collections::HashMap;
 use std::fs::{self, File};
@@ -312,19 +313,6 @@ impl DiskStore {
     pub fn quarantined_total(&self) -> u64 {
         self.quarantined.load(Ordering::SeqCst)
     }
-}
-
-/// 128-bit dual-stream FNV-1a over raw bytes, as 32 hex characters — the
-/// entry checksum (same construction as `Experiment::config_digest`).
-pub fn fnv128_hex(bytes: &[u8]) -> String {
-    const PRIME: u64 = 0x100000001b3;
-    let mut h1: u64 = 0xcbf29ce484222325;
-    let mut h2: u64 = h1 ^ 0x9e3779b97f4a7c15;
-    for &b in bytes {
-        h1 = (h1 ^ u64::from(b)).wrapping_mul(PRIME);
-        h2 = (h2 ^ u64::from(b)).wrapping_mul(PRIME);
-    }
-    format!("{h1:016x}{h2:016x}")
 }
 
 /// Serialize one run to its on-disk entry bytes (header + JSON payload).

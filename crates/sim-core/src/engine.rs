@@ -119,19 +119,6 @@ impl<W> Engine<W> {
     pub fn run(&mut self, world: &mut W) {
         while self.step(world) {}
     }
-
-    /// Run until `pred(world)` holds (checked before each dispatch) or the
-    /// queue drains. Returns whether the predicate was satisfied.
-    pub fn run_until(&mut self, world: &mut W, mut pred: impl FnMut(&W) -> bool) -> bool {
-        loop {
-            if pred(world) {
-                return true;
-            }
-            if !self.step(world) {
-                return pred(world);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -170,28 +157,6 @@ mod tests {
         });
         eng.run(&mut w);
         assert_eq!(w.log, vec![(10.0, "chained")]);
-    }
-
-    #[test]
-    fn run_until_stops_at_predicate() {
-        let mut eng = Engine::<World>::new();
-        let mut w = World::default();
-        for i in 0..10 {
-            eng.schedule_at(Time::from_ns(i as f64), |w, _| w.log.push((0.0, "x")));
-        }
-        let hit = eng.run_until(&mut w, |w| w.log.len() >= 3);
-        assert!(hit);
-        assert_eq!(w.log.len(), 3);
-        assert_eq!(eng.pending(), 7);
-    }
-
-    #[test]
-    fn run_until_reports_failure_when_queue_drains() {
-        let mut eng = Engine::<World>::new();
-        let mut w = World::default();
-        eng.schedule_at(Time::from_ns(1.0), |w, _| w.log.push((0.0, "only")));
-        let hit = eng.run_until(&mut w, |w| w.log.len() >= 5);
-        assert!(!hit);
     }
 
     #[test]

@@ -24,7 +24,7 @@ fn main() {
             f * 100.0
         );
         hip.derate_xgmi_link(GcdId(a), GcdId(b), f)
-            .expect("GCDs must be directly linked");
+            .expect("directly linked GCDs and a factor in (0, 1]");
     }
 
     println!("=== fabric doctor: probing all 12 direct xGMI links ===\n");
