@@ -27,6 +27,13 @@ for seed in 1 2 3; do
     PROPTEST_SEED="$seed" cargo test -q --release -p ifsim-memory runs_match_the_dense_oracle
 done
 
+echo "==> flight-recorder change points under extra proptest seeds"
+# Fresh rebuild tapes for the change-point vs dense-row differential.
+for seed in 1 2 3; do
+    PROPTEST_SEED="$seed" cargo test -q --release -p ifsim-fabric --lib \
+        change_points_match_the_dense_oracle
+done
+
 echo "==> bounded-wait replay under extra proptest seeds"
 # Fresh fault schedules and timeout steps for the bounded-vs-unbounded
 # synchronize differential (the event loop's deadline branch under faults).
@@ -55,6 +62,7 @@ cmp "$TELEMETRY_TMP/trace.json" golden/capture/ext-fault-link-down.trace.json
 cmp "$TELEMETRY_TMP/metrics.json" golden/capture/ext-fault-link-down.metrics.json
 cmp "$TELEMETRY_TMP/fault-critpath.json" golden/capture/ext-fault-link-down.critpath.json
 ./target/release/telemetry-lint --trace golden/traces/ext-fault-p2p-lanes.json
+./target/release/telemetry-lint --trace golden/capture/ext-fault-link-down.trace.json
 
 echo "==> analyze smoke: critical path + what-if sweep, schema-linted"
 # The causal profiler must produce a report whose total equals the run

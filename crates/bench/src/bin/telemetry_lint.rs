@@ -14,8 +14,10 @@
 //! name/ph/ts/pid/tid, with `dur` on complete spans, `args.name` on
 //! metadata records, and — for the flight recorder's `ph: "C"` counter
 //! tracks — a numeric `args.value`, a `fabric util <link>` name matching
-//! a real Frontier-topology segment label, and non-decreasing timestamps
-//! per `(pid, name)` track) that keeps the exporter's ordering contract:
+//! a real Frontier-topology segment label, non-decreasing timestamps per
+//! `(pid, name)` track, and no sample that repeats its track's previous
+//! value unless it is the track's last, since a counter holds its value
+//! until the next sample) that keeps the exporter's ordering contract:
 //! every `ph: "M"` metadata record before the first event, and no event's
 //! `ts` earlier than the one before it; the metrics snapshot must hold
 //! counter/gauge arrays plus histograms carrying
@@ -83,8 +85,10 @@ fn lint_trace(v: &Value) -> Result<usize, String> {
         return Err("traceEvents is empty".into());
     }
     let known = known_link_labels();
-    // Last timestamp seen per (pid, counter-name) track.
-    let mut last_ts: BTreeMap<(u64, String), f64> = BTreeMap::new();
+    // Per (pid, counter-name) track: the last sample's timestamp and value,
+    // and the index of that sample if it repeated the value before it (an
+    // error unless no later sample follows on the track).
+    let mut tracks: BTreeMap<(u64, String), (f64, f64, Option<usize>)> = BTreeMap::new();
     // The first non-metadata record and the latest event timestamp.
     let mut first_event: Option<usize> = None;
     let mut prev_ts = f64::NEG_INFINITY;
@@ -127,14 +131,11 @@ fn lint_trace(v: &Value) -> Result<usize, String> {
                 }
             }
             Some("C") => {
-                if ev
+                let value = ev
                     .get("args")
                     .and_then(|a| a.get("value"))
                     .and_then(|v| v.as_f64())
-                    .is_none()
-                {
-                    return Err(format!("counter #{i} missing numeric args.value: {ev:?}"));
-                }
+                    .ok_or_else(|| format!("counter #{i} missing numeric args.value: {ev:?}"))?;
                 let name = ev.get("name").and_then(|n| n.as_str()).unwrap_or("");
                 let link = name
                     .strip_prefix("fabric util ")
@@ -145,15 +146,23 @@ fn lint_trace(v: &Value) -> Result<usize, String> {
                 let pid = ev.get("pid").and_then(|p| p.as_u64()).unwrap_or(0);
                 let ts = ev.get("ts").and_then(|t| t.as_f64()).unwrap_or(0.0);
                 let key = (pid, name.to_string());
-                if let Some(&prev) = last_ts.get(&key) {
-                    if ts < prev {
+                let mut repeat = None;
+                if let Some(&(prev_ts, prev_value, prev_repeat)) = tracks.get(&key) {
+                    if ts < prev_ts {
                         return Err(format!(
                             "counter track (pid {pid}, '{name}') goes back in time: \
-                             {ts} after {prev}"
+                             {ts} after {prev_ts}"
                         ));
                     }
+                    if let Some(j) = prev_repeat {
+                        return Err(format!(
+                            "counter #{j} on track (pid {pid}, '{name}') repeats the \
+                             track's previous value before its last sample"
+                        ));
+                    }
+                    repeat = (value.to_bits() == prev_value.to_bits()).then_some(i);
                 }
-                last_ts.insert(key, ts);
+                tracks.insert(key, (ts, value, repeat));
             }
             other => return Err(format!("event #{i} has unexpected phase {other:?}")),
         }

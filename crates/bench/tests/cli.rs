@@ -467,6 +467,11 @@ fn telemetry_lint_enforces_trace_ordering() {
     let dir = temp_dir("lint-order");
     let meta = r#"{"name":"process_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"p"}}"#;
     let at = |ts: &str| format!(r#"{{"name":"e","ph":"i","ts":{ts},"pid":0,"tid":0}}"#);
+    let util = |ts: u32, link: &str, v: &str| {
+        format!(
+            r#"{{"name":"fabric util {link}","cat":"fabric_util","ph":"C","ts":{ts},"pid":0,"tid":0,"args":{{"value":{v}}}}}"#
+        )
+    };
     let cases = [
         (
             "ordered",
@@ -482,6 +487,31 @@ fn telemetry_lint_enforces_trace_ordering() {
             "late-metadata",
             vec![at("1"), meta.to_string()],
             Some("metadata record #1 comes after the first event #0"),
+        ),
+        // A counter holds its value until the next sample, so a track may
+        // repeat a value only in its last sample.
+        (
+            "final-repeat",
+            vec![
+                meta.to_string(),
+                util(1, "GCD0->GCD1", "0.5"),
+                util(2, "GCD0->GCD2", "0.5"),
+                util(3, "GCD0->GCD1", "0"),
+                util(4, "GCD0->GCD1", "0"),
+                util(4, "GCD0->GCD2", "0.5"),
+            ],
+            None,
+        ),
+        (
+            "middle-repeat",
+            vec![
+                meta.to_string(),
+                util(1, "GCD0->GCD1", "0.5"),
+                util(2, "GCD0->GCD1", "0.5"),
+                util(3, "GCD0->GCD2", "0.5"),
+                util(4, "GCD0->GCD1", "0"),
+            ],
+            Some("counter #2 on track (pid 0, 'fabric util GCD0->GCD1') repeats"),
         ),
     ];
     for (name, records, err) in cases {

@@ -116,8 +116,9 @@ struct RateState {
     /// Fair-share passes executed (over a non-empty table).
     recomputes: u64,
     /// Epoch-sampled utilization time series (off until capture is on).
-    /// Lives here because the flush that feeds it runs under `&self`.
-    recorder: Option<FlightRecorder>,
+    /// Lives here because the flush that feeds it runs under `&self`;
+    /// boxed so an uncaptured run's rate state stays one pointer wide.
+    recorder: Option<Box<FlightRecorder>>,
 }
 
 /// Telemetry summary of one directed link segment over a run.
@@ -210,14 +211,17 @@ impl FlowNet {
     /// constraint (the segment that saturated under it, or its own wire
     /// cap), so each completion carries a
     /// [`crate::attr::BottleneckAttribution`]; and the flight recorder
-    /// appends one per-directed-link utilization sample per fair-share
-    /// epoch to a ring of [`crate::recorder::DEFAULT_RING_CAPACITY`]
-    /// epochs. Capture only observes: rates and completion times are
+    /// samples every directed link's utilization at each fair-share epoch,
+    /// storing only the columns whose value changed (as change points
+    /// after a base row) for the last
+    /// [`crate::recorder::DEFAULT_RING_CAPACITY`] epochs; evicting an
+    /// epoch folds its successor's change points into the base row.
+    /// Capture only observes: rates and completion times are
     /// identical with it on or off. Off, it costs one branch per
     /// transition and allocates nothing.
     pub fn enable_capture(&mut self) {
         self.log.enable();
-        self.rs.get_mut().recorder = Some(FlightRecorder::new(&self.segmap));
+        self.rs.get_mut().recorder = Some(Box::new(FlightRecorder::new(&self.segmap)));
     }
 
     /// Snapshot of the recorded utilization series, if capture is on.
@@ -1288,17 +1292,26 @@ mod tests {
         // Admission epoch (both flows), post-first-completion epoch (the
         // survivor alone), and the all-zero epoch after the table empties
         // (flushed by the snapshot itself).
-        assert_eq!(s.samples.len(), 3, "{:?}", s.samples);
+        assert_eq!(s.epochs().len(), 3, "{s:?}");
+        assert!(s.epochs().windows(2).all(|w| w[0] < w[1]));
         let col = n
             .segmap()
             .dir_segments()
             .position(|(_, _, sg)| sg == seg)
             .expect("tracked");
         assert_eq!(s.labels[col], n.segmap().label(seg));
-        assert!((s.samples[0].util[col] - 1.0).abs() < 1e-9, "{s:?}");
-        assert!((s.samples[1].util[col] - 1.0).abs() < 1e-9);
-        assert_eq!(s.samples[2].util[col], 0.0);
-        assert!(s.samples.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
+        // The link's track: saturated from admission on (the middle epoch
+        // is sampled only if the survivor's share moved it), then idle.
+        let track: Vec<(f64, f64)> = s
+            .samples()
+            .filter(|c| c.col == col)
+            .map(|c| (c.ts_ns, c.util))
+            .collect();
+        let at = |t: f64| track.iter().rev().find(|c| c.0 <= t).expect("tracked").1;
+        assert_eq!(track[0].0, s.epochs()[0]);
+        assert!((at(s.epochs()[0]) - 1.0).abs() < 1e-9, "{track:?}");
+        assert!((at(s.epochs()[1]) - 1.0).abs() < 1e-9, "{track:?}");
+        assert_eq!(track.last(), Some(&(s.epochs()[2], 0.0)));
         assert_eq!(s.dropped, 0);
     }
 

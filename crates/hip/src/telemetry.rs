@@ -26,9 +26,10 @@
 //!   counters behind `ifsim_telemetry::attribution`.
 //!
 //! The fabric's counters join them: the flight recorder's
-//! [`UtilSeries`](ifsim_fabric::UtilSeries) (per-link utilization at every
-//! recompute epoch; each link direction that ever carried traffic becomes a
-//! counter track, cat `fabric_util`, Chrome `ph: "C"`), per-link
+//! [`UtilSeries`](ifsim_fabric::UtilSeries) (per-link utilization as change
+//! points over the recompute epochs; each link direction that ever carried
+//! traffic becomes a counter track, cat `fabric_util`, Chrome `ph: "C"`,
+//! sampled where its value changed and at the first and final epochs), per-link
 //! byte/busy/utilization counters, the solver counters and the fault
 //! statistics.
 //!
@@ -69,16 +70,9 @@ pub fn build_sim_telemetry(
     // and counted below.
     let util_series = net.recorder_series();
     let segmap = net.segmap();
-    // One counter track per link direction that ever carried traffic;
-    // all-zero columns would add 50+ flat tracks to every Perfetto view.
-    let active: Vec<usize> = util_series.as_ref().map_or_else(Vec::new, |series| {
-        (0..series.labels.len())
-            .filter(|&j| series.samples.iter().any(|s| s.util[j] > 0.0))
-            .collect()
-    });
     let counters = util_series
         .as_ref()
-        .map_or(0, |series| series.samples.len() * active.len());
+        .map_or(0, |series| series.samples().count());
     // Sized once: counter samples dominate a captured timeline, and growing
     // by doubling would briefly hold two copies of it.
     let mut events: Vec<TimelineEvent> =
@@ -193,16 +187,18 @@ pub fn build_sim_telemetry(
     // count them via peak/active statistics.
 
     // --- flight recorder counter tracks ----------------------------------
+    // The recorder's change points, as they are: one track per link
+    // direction that ever carried traffic (all-zero columns would add 50+
+    // flat tracks to every Perfetto view), a sample only where the value
+    // changed, and every track closed at the final epoch.
     if let Some(series) = &util_series {
-        for s in &series.samples {
-            for &j in &active {
-                events.push(TimelineEvent::counter(
-                    Time::from_ns(s.ts_ns),
-                    format!("fabric util {}", series.labels[j]),
-                    "fabric_util",
-                    s.util[j],
-                ));
-            }
+        for s in series.samples() {
+            events.push(TimelineEvent::counter(
+                Time::from_ns(s.ts_ns),
+                format!("fabric util {}", series.labels[s.col]),
+                "fabric_util",
+                s.util,
+            ));
         }
     }
 
@@ -245,7 +241,7 @@ pub fn build_sim_telemetry(
     if let Some(series) = &util_series {
         metrics.gauge_set(
             MetricKey::new("fabric_recorder_samples"),
-            series.samples.len() as f64,
+            series.epochs().len() as f64,
         );
         // Always emitted, even at zero, so scrapes can tell "no drops"
         // from "recorder telemetry missing" (the serve /metrics plane
@@ -527,13 +523,16 @@ mod tests {
         n.enable_capture();
         // Each flow run alone costs two epochs (admission, idle tail). The
         // ring overflows by exactly the reverse-direction flow's two
-        // epochs; the forward flows' epochs are kept.
+        // epochs; the kept flows alternate between two forward links, so
+        // each link sits idle through the other's epochs.
+        let links = [(0, 1), (0, 2)];
         let mut segs = peer_segs(&n, 1, 0);
-        for _ in 0..=cap / 2 {
+        for k in 1..=cap / 2 + 1 {
             let at = n.now() + ifsim_des::Dur::from_us(1.0);
             n.add_flow(at, FlowSpec::new(segs, 1e6, 1.0));
             n.complete_next().expect("one flow");
-            segs = peer_segs(&n, 0, 1);
+            let (a, b) = links[k % 2];
+            segs = peer_segs(&n, a, b);
         }
         let t = snapshot(&n, &FaultStats::default());
         let counters: Vec<_> = t
@@ -541,12 +540,26 @@ mod tests {
             .iter()
             .filter(|e| matches!(e.kind, ifsim_telemetry::EventKind::Counter { .. }))
             .collect();
-        // Only the link that carried traffic in the kept samples gets a
-        // track — all its samples, including the trailing zero.
-        assert_eq!(counters.len(), cap);
-        assert!(counters
-            .iter()
-            .all(|e| e.name == "fabric util GCD0->GCD1" && e.cat == "fabric_util"));
+        // Only the links that carried traffic in the kept epochs get a
+        // track. Each holds its first epoch, its rises and falls, and its
+        // final epoch (a trailing idle repeat): half of the 2 * cap samples
+        // dense rows would write.
+        assert_eq!(counters.len(), cap + 2);
+        for link in ["GCD0->GCD1", "GCD0->GCD2"] {
+            let name = format!("fabric util {link}");
+            let track: Vec<_> = counters.iter().filter(|e| e.name == name).collect();
+            assert_eq!(track.len(), cap / 2 + 1, "{link}");
+            assert!(track.iter().all(|e| e.cat == "fabric_util"));
+            assert_eq!(track[0].ts_ns, counters[0].ts_ns);
+            assert_eq!(
+                track.last().map(|e| e.ts_ns),
+                counters.last().map(|e| e.ts_ns)
+            );
+            assert_eq!(
+                track.last().map(|e| &e.kind),
+                Some(&ifsim_telemetry::EventKind::Counter { value: 0.0 })
+            );
+        }
         assert_eq!(
             t.metrics.gauge(&MetricKey::new("fabric_recorder_samples")),
             Some(cap as f64)

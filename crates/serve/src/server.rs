@@ -223,13 +223,25 @@ fn recorder_dropped_samples(telemetry: &CollectedTelemetry) -> f64 {
 }
 
 /// `(link, mean_util, peak_util)` per directed fabric link, extracted
-/// from the `fabric_util` counter track of an instrumented run. The
-/// flight recorder emits `fabric util <link>` counters; this folds them
-/// into one mean/peak pair per link for the live gauges. The mean is
-/// taken per sample, so it weights recompute epochs equally rather than
-/// by the time each epoch lasted.
+/// from the `fabric_util` counter tracks of an instrumented run. The
+/// flight recorder emits `fabric util <link>` counters, one track per
+/// simulator (pid), sampled only where the value changed, so each track is
+/// a step function from its first to its last sample. The mean is weighted
+/// by time: each track's integral over its span, summed over the link's
+/// tracks and divided by their summed spans. A zero-span track (a single
+/// epoch) contributes its single value, but only to a link whose tracks
+/// all have zero span.
 fn fabric_link_utils(telemetry: &CollectedTelemetry) -> Vec<(String, f64, f64)> {
-    let mut acc: std::collections::BTreeMap<String, (f64, f64, u64)> = Default::default();
+    use std::collections::BTreeMap;
+    /// One `(link, pid)` track so far.
+    struct Track {
+        first_ns: f64,
+        at_ns: f64,
+        value: f64,
+        area: f64,
+        peak: f64,
+    }
+    let mut tracks: BTreeMap<(&str, u32), Track> = BTreeMap::new();
     for ev in telemetry.events() {
         let EventKind::Counter { value } = ev.kind else {
             continue;
@@ -240,13 +252,39 @@ fn fabric_link_utils(telemetry: &CollectedTelemetry) -> Vec<(String, f64, f64)> 
         let Some(link) = ev.name.strip_prefix("fabric util ") else {
             continue;
         };
-        let slot = acc.entry(link.to_string()).or_insert((0.0, 0.0, 0));
-        slot.0 += value;
-        slot.1 = slot.1.max(value);
-        slot.2 += 1;
+        let t = tracks.entry((link, ev.pid)).or_insert(Track {
+            first_ns: ev.ts_ns,
+            at_ns: ev.ts_ns,
+            value,
+            area: 0.0,
+            peak: 0.0,
+        });
+        t.area += t.value * (ev.ts_ns - t.at_ns);
+        t.at_ns = ev.ts_ns;
+        t.value = value;
+        t.peak = t.peak.max(value);
     }
-    acc.into_iter()
-        .map(|(link, (sum, peak, n))| (link, sum / n as f64, peak))
+    // Per link: spanned area, summed span, zero-span values and their
+    // count, peak.
+    let mut links: BTreeMap<&str, (f64, f64, f64, f64, f64)> = BTreeMap::new();
+    for ((link, _), t) in tracks {
+        let l = links.entry(link).or_default();
+        let span = t.at_ns - t.first_ns;
+        if span > 0.0 {
+            l.0 += t.area;
+            l.1 += span;
+        } else {
+            l.2 += t.value;
+            l.3 += 1.0;
+        }
+        l.4 = l.4.max(t.peak);
+    }
+    links
+        .into_iter()
+        .map(|(link, (area, span, points, n, peak))| {
+            let mean = if span > 0.0 { area / span } else { points / n };
+            (link.to_string(), mean, peak)
+        })
         .collect()
 }
 
@@ -1280,5 +1318,69 @@ fn handle_connection(core: Arc<ServerCore>, stream: Box<dyn Stream>) {
         if stream.write_all(response.as_bytes()).is_err() || stream.flush().is_err() {
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ifsim_core::des::Time;
+
+    fn util_telemetry(tracks: &[(&str, &[(f64, f64)])]) -> CollectedTelemetry {
+        let mut c = CollectedTelemetry::new();
+        for (link, samples) in tracks {
+            c.ingest(SimTelemetry {
+                process_name: "hipsim".into(),
+                events: samples
+                    .iter()
+                    .map(|&(ts, v)| {
+                        TimelineEvent::counter(
+                            Time::from_ns(ts),
+                            format!("fabric util {link}"),
+                            "fabric_util",
+                            v,
+                        )
+                    })
+                    .collect(),
+                threads: Vec::new(),
+                metrics: MetricsRegistry::new(),
+                dag: None,
+            });
+        }
+        c
+    }
+
+    /// A step function's mean weights each value by how long it held, not
+    /// by how many samples carry it.
+    #[test]
+    fn link_utilization_mean_is_time_weighted() {
+        let t = util_telemetry(&[("GCD0->GCD1", &[(0.0, 1.0), (10.0, 0.0), (100.0, 0.0)])]);
+        let utils = fabric_link_utils(&t);
+        assert_eq!(utils.len(), 1);
+        let (link, mean, peak) = &utils[0];
+        assert_eq!(link, "GCD0->GCD1");
+        assert!((mean - 0.1).abs() < 1e-12, "{mean}");
+        assert_eq!(*peak, 1.0);
+    }
+
+    /// Tracks of one link from several simulators weigh by their spans; a
+    /// single-epoch track counts only when no track of its link has a span.
+    #[test]
+    fn link_tracks_weigh_by_span() {
+        let t = util_telemetry(&[
+            ("GCD0->GCD1", &[(0.0, 1.0), (10.0, 1.0)]),
+            ("GCD0->GCD1", &[(0.0, 0.0), (30.0, 0.0)]),
+            ("GCD0->GCD1", &[(5.0, 0.9)]),
+            ("GCD0->GCD2", &[(5.0, 0.5)]),
+            ("GCD0->GCD2", &[(7.0, 0.25)]),
+        ]);
+        let utils = fabric_link_utils(&t);
+        assert_eq!(
+            utils,
+            vec![
+                ("GCD0->GCD1".to_string(), 0.25, 1.0),
+                ("GCD0->GCD2".to_string(), 0.375, 0.5),
+            ]
+        );
     }
 }

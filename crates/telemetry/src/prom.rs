@@ -103,7 +103,7 @@ fn help_text(name: &str) -> &'static str {
         "serve_cancelled_jobs_total" => "Computations cooperatively cancelled mid-flight.",
         "serve_cache_quarantined_total" => "Corrupt persistent-cache entries quarantined.",
         "serve_fabric_link_utilization" => {
-            "Mean per-directed-link fabric utilization over the last sampled compute."
+            "Time-weighted mean per-directed-link fabric utilization over the last sampled compute."
         }
         "serve_fabric_link_peak_utilization" => {
             "Peak per-directed-link fabric utilization over the last sampled compute."

@@ -33,7 +33,7 @@ use ifsim::registry;
 use ifsim::telemetry::critpath::NodeCategory;
 use ifsim::telemetry::{self, json, CollectedTelemetry, EventKind};
 use ifsim::{BenchConfig, Capture, RunOpts};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
 fn pinned_cfg() -> BenchConfig {
@@ -125,6 +125,70 @@ fn dag_capture_artifacts_are_pinned() {
                 "{id}: {artifact} artifact drifted from the pinned output; if \
                  the change is intentional, regenerate golden/ (see this \
                  file's header)"
+            );
+        }
+    }
+}
+
+/// The pinned traces hold the flight recorder's change points and nothing
+/// more: on each `(pid, name)` counter track, no sample repeats the value
+/// before it except the track's last, and every track of a simulator ends
+/// at that simulator's final epoch. A Chrome counter holds its value until
+/// the next sample, so a repeat would only restate the step function.
+#[test]
+fn pinned_traces_carry_only_change_points() {
+    let traces = PINNED_TRACES
+        .iter()
+        .map(|id| trace_path(id))
+        .chain(PINNED_CAPTURES.iter().map(|id| capture_path(id, "trace")));
+    for path in traces {
+        let doc = json::from_str(&read_golden(&path)).expect("pinned trace is JSON");
+        let events = doc
+            .get("traceEvents")
+            .and_then(|e| e.as_array())
+            .expect("traceEvents");
+        // Per track: (last ts, last value bits, index of a repeat so far).
+        let mut tracks: BTreeMap<(u64, &str), (f64, u64, Option<usize>)> = BTreeMap::new();
+        for (i, ev) in events.iter().enumerate() {
+            if ev.get("ph").and_then(|p| p.as_str()) != Some("C") {
+                continue;
+            }
+            let key = (
+                ev.get("pid").and_then(|p| p.as_u64()).expect("pid"),
+                ev.get("name").and_then(|n| n.as_str()).expect("name"),
+            );
+            let ts = ev.get("ts").and_then(|t| t.as_f64()).expect("ts");
+            let bits = ev
+                .get("args")
+                .and_then(|a| a.get("value"))
+                .and_then(|v| v.as_f64())
+                .expect("value")
+                .to_bits();
+            let repeat = match tracks.get(&key) {
+                Some(&(_, prev, earlier)) => {
+                    assert_eq!(
+                        earlier,
+                        None,
+                        "{}: counter #{} on {key:?} repeats its previous value \
+                         before the track's last sample",
+                        path.display(),
+                        earlier.unwrap_or(0)
+                    );
+                    (bits == prev).then_some(i)
+                }
+                None => None,
+            };
+            tracks.insert(key, (ts, bits, repeat));
+        }
+        assert!(!tracks.is_empty(), "{}: no counter tracks", path.display());
+        let mut final_epoch: BTreeMap<u64, f64> = BTreeMap::new();
+        for (&(pid, name), &(ts, _, _)) in &tracks {
+            let end = *final_epoch.entry(pid).or_insert(ts);
+            assert_eq!(
+                ts,
+                end,
+                "{}: track (pid {pid}, '{name}') ends before its simulator's final epoch",
+                path.display()
             );
         }
     }
