@@ -27,6 +27,14 @@ for seed in 1 2 3; do
     PROPTEST_SEED="$seed" cargo test -q --release -p ifsim-memory runs_match_the_dense_oracle
 done
 
+echo "==> functional data path oracle under extra proptest seeds"
+# Fresh op sequences for the in-place accessors vs the temporary-based
+# oracle (aliased overlaps, phantom buffers, out-of-range requests).
+for seed in 1 2 3; do
+    PROPTEST_SEED="$seed" cargo test -q --release -p ifsim-memory \
+        functional_ops_match_the_temporary_oracle
+done
+
 echo "==> flight-recorder change points under extra proptest seeds"
 # Fresh rebuild tapes for the change-point vs dense-row differential.
 for seed in 1 2 3; do

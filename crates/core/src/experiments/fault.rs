@@ -260,7 +260,7 @@ pub fn ext_fault_allreduce_flaky(cfg: &BenchConfig) -> ExperimentResult {
             let s = hip.malloc(elems as u64 * 4).expect("send");
             let d = hip.malloc(elems as u64 * 4).expect("recv");
             hip.mem_mut()
-                .write_f32s(s, 0, &vec![(r + 1) as f32; elems])
+                .fill_f32s(s, 0, elems, (r + 1) as f32)
                 .expect("fill");
             send.push(s);
             recv.push(d);

@@ -79,7 +79,9 @@ impl From<AllocError> for HipError {
         match e {
             AllocError::OutOfMemory { .. } => HipError::OutOfMemory(e.to_string()),
             AllocError::InvalidBuffer(_) => HipError::InvalidHandle(e.to_string()),
-            AllocError::ZeroSize => HipError::InvalidValue(e.to_string()),
+            AllocError::ZeroSize | AllocError::OutOfRange { .. } => {
+                HipError::InvalidValue(e.to_string())
+            }
         }
     }
 }
@@ -107,6 +109,16 @@ mod tests {
             HipError::from(AllocError::ZeroSize),
             HipError::InvalidValue(_)
         ));
+        let oor = AllocError::OutOfRange {
+            id: BufferId(3),
+            offset: 0,
+            len: 4096,
+            size: 1024,
+        };
+        assert_eq!(
+            HipError::from(oor),
+            HipError::InvalidValue("range 0+4096 B exceeds buf#3 of 1024 B".into())
+        );
     }
 
     #[test]

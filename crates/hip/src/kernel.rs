@@ -147,8 +147,7 @@ impl KernelSpec {
         }
         match *self {
             KernelSpec::StreamCopy { src, dst, elems } => {
-                let v = mem.read_f32s(src, 0, elems)?.expect("real");
-                mem.write_f32s(dst, 0, &v)?;
+                mem.copy(src, 0, dst, 0, elems as u64 * 4)?;
             }
             KernelSpec::StreamScale {
                 src,
@@ -156,17 +155,10 @@ impl KernelSpec {
                 scalar,
                 elems,
             } => {
-                let mut v = mem.read_f32s(src, 0, elems)?.expect("real");
-                for x in &mut v {
-                    *x *= scalar;
-                }
-                mem.write_f32s(dst, 0, &v)?;
+                mem.update_f32s(src, 0, dst, 0, elems, |_, x| x * scalar)?;
             }
             KernelSpec::StreamAdd { a, b, dst, elems } => {
-                let va = mem.read_f32s(a, 0, elems)?.expect("real");
-                let vb = mem.read_f32s(b, 0, elems)?.expect("real");
-                let out: Vec<f32> = va.iter().zip(&vb).map(|(x, y)| x + y).collect();
-                mem.write_f32s(dst, 0, &out)?;
+                zip_into(mem, a, b, dst, elems, |x, y| x + y)?;
             }
             KernelSpec::StreamTriad {
                 a,
@@ -175,18 +167,38 @@ impl KernelSpec {
                 scalar,
                 elems,
             } => {
-                let va = mem.read_f32s(a, 0, elems)?.expect("real");
-                let vb = mem.read_f32s(b, 0, elems)?.expect("real");
-                let out: Vec<f32> = va.iter().zip(&vb).map(|(x, y)| x + scalar * y).collect();
-                mem.write_f32s(dst, 0, &out)?;
+                zip_into(mem, a, b, dst, elems, |x, y| x + scalar * y)?;
             }
             KernelSpec::Init { dst, value, elems } => {
-                mem.write_f32s(dst, 0, &vec![value; elems])?;
+                mem.fill_f32s(dst, 0, elems, value)?;
             }
             KernelSpec::Touch { .. } => {}
         }
         Ok(true)
     }
+}
+
+/// `dst[i] = f(a[i], b[i])` over real backings, in place. `dst` may be `a`,
+/// `b` or both: `dst` starts as `a` (copied unless it is `a`) and folds in
+/// `b`, except when `dst` is `b` alone, which then folds in `a` with the
+/// operands kept in order.
+fn zip_into(
+    mem: &mut MemorySystem,
+    a: BufferId,
+    b: BufferId,
+    dst: BufferId,
+    elems: usize,
+    f: impl Fn(f32, f32) -> f32,
+) -> HipResult<()> {
+    if dst == b && dst != a {
+        mem.update_f32s(a, 0, dst, 0, elems, |y, x| f(x, y))?;
+    } else {
+        if dst != a {
+            mem.copy(a, 0, dst, 0, elems as u64 * 4)?;
+        }
+        mem.update_f32s(b, 0, dst, 0, elems, f)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -265,6 +277,90 @@ mod tests {
         .apply(&mut m)
         .unwrap();
         assert_eq!(m.read_f32s(b[2], 0, 4).unwrap().unwrap(), vec![9.0; 4]);
+    }
+
+    /// Runs `k` over buffers holding `[1, 2]`, `[10, 20]` and `[100, 200]`
+    /// and returns all three afterwards.
+    fn run_aliased(k: impl Fn(&[BufferId]) -> KernelSpec) -> Vec<Vec<f32>> {
+        let (mut m, b) = mem_with(3);
+        for (i, &id) in b.iter().enumerate() {
+            let base = 10f32.powi(i as i32);
+            m.write_f32s(id, 0, &[base, 2.0 * base]).unwrap();
+        }
+        assert!(k(&b).apply(&mut m).unwrap());
+        b.iter()
+            .map(|&id| m.read_f32s(id, 0, 2).unwrap().unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn scale_in_place_over_its_source() {
+        let out = run_aliased(|b| KernelSpec::StreamScale {
+            src: b[1],
+            dst: b[1],
+            scalar: 3.0,
+            elems: 2,
+        });
+        assert_eq!(out[1], [30.0, 60.0]);
+    }
+
+    #[test]
+    fn copy_onto_itself_keeps_the_data() {
+        let out = run_aliased(|b| KernelSpec::StreamCopy {
+            src: b[0],
+            dst: b[0],
+            elems: 2,
+        });
+        assert_eq!(out[0], [1.0, 2.0]);
+    }
+
+    #[test]
+    fn add_into_its_first_operand() {
+        let out = run_aliased(|b| KernelSpec::StreamAdd {
+            a: b[0],
+            b: b[1],
+            dst: b[0],
+            elems: 2,
+        });
+        assert_eq!(
+            out,
+            [vec![11.0, 22.0], vec![10.0, 20.0], vec![100.0, 200.0]]
+        );
+    }
+
+    #[test]
+    fn triad_into_its_scaled_operand() {
+        let out = run_aliased(|b| KernelSpec::StreamTriad {
+            a: b[0],
+            b: b[1],
+            dst: b[1],
+            scalar: 0.5,
+            elems: 2,
+        });
+        assert_eq!(out, [vec![1.0, 2.0], vec![6.0, 12.0], vec![100.0, 200.0]]);
+    }
+
+    #[test]
+    fn triad_with_every_operand_the_same_buffer() {
+        let out = run_aliased(|b| KernelSpec::StreamTriad {
+            a: b[2],
+            b: b[2],
+            dst: b[2],
+            scalar: 2.0,
+            elems: 2,
+        });
+        assert_eq!(out[2], [300.0, 600.0]);
+    }
+
+    #[test]
+    fn add_of_one_buffer_to_itself_into_another() {
+        let out = run_aliased(|b| KernelSpec::StreamAdd {
+            a: b[1],
+            b: b[1],
+            dst: b[2],
+            elems: 2,
+        });
+        assert_eq!(out, [vec![1.0, 2.0], vec![10.0, 20.0], vec![20.0, 40.0]]);
     }
 
     #[test]

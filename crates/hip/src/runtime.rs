@@ -1505,22 +1505,9 @@ impl Inner {
                 dst_off,
                 elems,
             } => {
-                let arriving = self
-                    .mem
-                    .read_f32s(src, src_off, elems)
+                self.mem
+                    .reduce_add_f32s(src, src_off, dst, dst_off, elems)
                     .expect("validated at planning time");
-                let local = self
-                    .mem
-                    .read_f32s(dst, dst_off, elems)
-                    .expect("validated at planning time");
-                if let (Some(a), Some(mut l)) = (arriving, local) {
-                    for (x, y) in l.iter_mut().zip(&a) {
-                        *x += *y;
-                    }
-                    self.mem
-                        .write_f32s(dst, dst_off, &l)
-                        .expect("validated at planning time");
-                }
             }
             Effect::Migrate {
                 buf,
@@ -1544,15 +1531,9 @@ impl Inner {
                 value,
                 len,
             } => {
-                // Only materialize the fill on real backings — a phantom
-                // 8 GiB sweep buffer must not allocate 8 GiB of fill bytes.
-                let a = self.mem.get(dst).expect("validated at planning time");
-                assert!(offset + len <= a.bytes, "validated at planning time");
-                if a.backing.is_real() {
-                    self.mem
-                        .write_bytes(dst, offset, &vec![value; len as usize])
-                        .expect("bounds checked above");
-                }
+                self.mem
+                    .fill_bytes(dst, offset, len, value)
+                    .expect("validated at planning time");
             }
         }
     }

@@ -6,6 +6,7 @@ use crate::page::PageTable;
 use crate::space::MemSpace;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 /// Handle to a live allocation (the simulator's analogue of a raw pointer).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -34,6 +35,18 @@ pub enum AllocError {
     /// Zero-byte allocations are rejected (as `hipMalloc(&p, 0)` yields no
     /// usable buffer).
     ZeroSize,
+    /// A byte range reaches past the end of its buffer (or its end
+    /// overflows `u64`).
+    OutOfRange {
+        /// Buffer accessed.
+        id: BufferId,
+        /// First byte of the range.
+        offset: u64,
+        /// Length of the range in bytes.
+        len: u64,
+        /// Size of the buffer in bytes.
+        size: u64,
+    },
 }
 
 impl fmt::Display for AllocError {
@@ -49,6 +62,12 @@ impl fmt::Display for AllocError {
             ),
             AllocError::InvalidBuffer(id) => write!(f, "invalid buffer {id:?}"),
             AllocError::ZeroSize => write!(f, "zero-size allocation"),
+            AllocError::OutOfRange {
+                id,
+                offset,
+                len,
+                size,
+            } => write!(f, "range {offset}+{len} B exceeds {id:?} of {size} B"),
         }
     }
 }
@@ -86,6 +105,40 @@ impl Allocation {
             Some(pt) => pt.non_resident_pages(offset, len, space) == 0,
         }
     }
+
+    /// The byte range `offset..offset + len` as slice indices, if it lies
+    /// inside the allocation.
+    fn range(&self, offset: u64, len: u64) -> Result<Range<usize>, AllocError> {
+        match offset.checked_add(len) {
+            Some(end) if end <= self.bytes => Ok(offset as usize..end as usize),
+            _ => Err(AllocError::OutOfRange {
+                id: self.id,
+                offset,
+                len,
+                size: self.bytes,
+            }),
+        }
+    }
+}
+
+/// Bytes spanned by `count` little-endian `f32`s (saturating, so an
+/// impossible count fails the range check instead of wrapping).
+fn f32_bytes(count: usize) -> u64 {
+    (count as u64).saturating_mul(4)
+}
+
+/// The little-endian `f32` in the first four bytes of `b`.
+fn le_f32(b: &[u8]) -> f32 {
+    f32::from_le_bytes([b[0], b[1], b[2], b[3]])
+}
+
+/// The two endpoints of a buffer-to-buffer access, borrowed from the table
+/// at once.
+enum Endpoints<'a> {
+    /// `src == dst`: one backing, read and written.
+    Aliased(&'a mut Backing),
+    /// Two distinct backings.
+    Distinct(&'a Backing, &'a mut Backing),
 }
 
 /// Default size above which allocations become phantom (timing-only):
@@ -210,6 +263,54 @@ impl MemorySystem {
         self.allocs.iter().filter(|s| s.is_some()).count()
     }
 
+    /// The checked byte range of a buffer; `None` when the backing is
+    /// phantom.
+    fn slice(&self, id: BufferId, offset: u64, len: u64) -> Result<Option<&[u8]>, AllocError> {
+        let a = self.get(id)?;
+        let r = a.range(offset, len)?;
+        Ok(a.backing.bytes().map(|b| &b[r]))
+    }
+
+    /// [`MemorySystem::slice`], mutably.
+    fn slice_mut(
+        &mut self,
+        id: BufferId,
+        offset: u64,
+        len: u64,
+    ) -> Result<Option<&mut [u8]>, AllocError> {
+        let a = self.get_mut(id)?;
+        let r = a.range(offset, len)?;
+        Ok(a.backing.bytes_mut().map(|b| &mut b[r]))
+    }
+
+    /// Check both endpoints of a buffer-to-buffer access (`src` first:
+    /// handle, then range) and borrow their backings at once. This is the
+    /// one split borrow of the table; `copy` and `update_f32s` share it.
+    fn endpoints(
+        &mut self,
+        src: BufferId,
+        src_off: u64,
+        dst: BufferId,
+        dst_off: u64,
+        len: u64,
+    ) -> Result<(Endpoints<'_>, Range<usize>, Range<usize>), AllocError> {
+        let s = self.get(src)?.range(src_off, len)?;
+        let d = self.get(dst)?.range(dst_off, len)?;
+        let (si, di) = (src.0 as usize, dst.0 as usize);
+        if si == di {
+            return Ok((Endpoints::Aliased(&mut self.get_mut(dst)?.backing), s, d));
+        }
+        let (lo, hi) = self.allocs.split_at_mut(si.max(di));
+        let (low, high) = (&mut lo[si.min(di)], &mut hi[0]);
+        let (s_slot, d_slot) = if si < di { (low, high) } else { (high, low) };
+        let live = "both handles checked above";
+        let pair = Endpoints::Distinct(
+            &s_slot.as_ref().expect(live).backing,
+            &mut d_slot.as_mut().expect(live).backing,
+        );
+        Ok((pair, s, d))
+    }
+
     /// Copy bytes between two (distinct or identical) buffers. Returns
     /// whether real bytes moved (`false` when a phantom endpoint made it a
     /// timing-only copy). Bounds are always checked.
@@ -221,49 +322,76 @@ impl MemorySystem {
         dst_off: u64,
         len: u64,
     ) -> Result<bool, AllocError> {
-        if len == 0 {
-            // Still validate the handles.
-            self.get(src)?;
-            self.get(dst)?;
-            return Ok(true);
-        }
-        if src == dst {
-            let a = self.get_mut(src)?;
-            assert!(src_off + len <= a.bytes && dst_off + len <= a.bytes);
-            let moved = match a.backing.bytes_mut() {
+        let (pair, s, d) = self.endpoints(src, src_off, dst, dst_off, len)?;
+        Ok(match pair {
+            Endpoints::Aliased(b) => match b.bytes_mut() {
                 Some(b) => {
-                    b.copy_within(src_off as usize..(src_off + len) as usize, dst_off as usize);
+                    b.copy_within(s, d.start);
                     true
                 }
                 None => false,
-            };
-            return Ok(moved);
+            },
+            Endpoints::Distinct(sb, db) => Backing::copy(sb, src_off, db, dst_off, len),
+        })
+    }
+
+    /// Combine `count` `f32`s of `src` into `dst` in place:
+    /// `dst[i] = f(dst[i], src[i])`, one pass over the two backings.
+    /// `src == dst` is allowed, even with overlapping ranges: every element
+    /// is computed from the values before the call, as if both ranges had
+    /// been read first. Returns `false`, writing nothing, when either
+    /// endpoint is phantom.
+    pub fn update_f32s(
+        &mut self,
+        src: BufferId,
+        src_off: u64,
+        dst: BufferId,
+        dst_off: u64,
+        count: usize,
+        mut f: impl FnMut(f32, f32) -> f32,
+    ) -> Result<bool, AllocError> {
+        let (pair, s, d) = self.endpoints(src, src_off, dst, dst_off, f32_bytes(count))?;
+        match pair {
+            Endpoints::Distinct(sb, db) => {
+                let (Some(sb), Some(db)) = (sb.bytes(), db.bytes_mut()) else {
+                    return Ok(false);
+                };
+                for (x, y) in db[d].chunks_exact_mut(4).zip(sb[s].chunks_exact(4)) {
+                    x.copy_from_slice(&f(le_f32(x), le_f32(y)).to_le_bytes());
+                }
+            }
+            Endpoints::Aliased(b) => {
+                let Some(b) = b.bytes_mut() else {
+                    return Ok(false);
+                };
+                // As in `memmove`: walk away from the overlap, so no source
+                // element is overwritten before it is read.
+                let mut step = |i: usize| {
+                    let (x, y) = (d.start + 4 * i, s.start + 4 * i);
+                    let v = f(le_f32(&b[x..]), le_f32(&b[y..]));
+                    b[x..x + 4].copy_from_slice(&v.to_le_bytes());
+                };
+                if d.start > s.start {
+                    (0..count).rev().for_each(&mut step);
+                } else {
+                    (0..count).for_each(&mut step);
+                }
+            }
         }
-        // Split-borrow two distinct slots.
-        let (si, di) = (src.0 as usize, dst.0 as usize);
-        if si.max(di) >= self.allocs.len() {
-            return Err(AllocError::InvalidBuffer(if si >= self.allocs.len() {
-                src
-            } else {
-                dst
-            }));
-        }
-        let (lo, hi) = self.allocs.split_at_mut(si.max(di));
-        let (first, second) = (&mut lo[si.min(di)], &mut hi[0]);
-        let (s_ref, d_ref) = if si < di {
-            (first, second)
-        } else {
-            (second, first)
-        };
-        let s = s_ref.as_ref().ok_or(AllocError::InvalidBuffer(src))?;
-        let d = d_ref.as_mut().ok_or(AllocError::InvalidBuffer(dst))?;
-        Ok(Backing::copy(
-            &s.backing,
-            src_off,
-            &mut d.backing,
-            dst_off,
-            len,
-        ))
+        Ok(true)
+    }
+
+    /// Add `count` `f32`s of `src` into `dst`: `dst[i] = dst[i] + src[i]`,
+    /// in place (see [`MemorySystem::update_f32s`], including `src == dst`).
+    pub fn reduce_add_f32s(
+        &mut self,
+        src: BufferId,
+        src_off: u64,
+        dst: BufferId,
+        dst_off: u64,
+        count: usize,
+    ) -> Result<bool, AllocError> {
+        self.update_f32s(src, src_off, dst, dst_off, count, |x, y| x + y)
     }
 
     /// Write raw bytes into a buffer (host-side initialization). Phantom
@@ -274,18 +402,11 @@ impl MemorySystem {
         offset: u64,
         data: &[u8],
     ) -> Result<bool, AllocError> {
-        let a = self.get_mut(id)?;
-        assert!(
-            offset + data.len() as u64 <= a.bytes,
-            "write beyond buffer end"
-        );
-        match a.backing.bytes_mut() {
-            Some(b) => {
-                b[offset as usize..offset as usize + data.len()].copy_from_slice(data);
-                Ok(true)
-            }
-            None => Ok(false),
-        }
+        let Some(b) = self.slice_mut(id, offset, data.len() as u64)? else {
+            return Ok(false);
+        };
+        b.copy_from_slice(data);
+        Ok(true)
     }
 
     /// Read raw bytes from a buffer; `None` if the backing is phantom.
@@ -295,40 +416,73 @@ impl MemorySystem {
         offset: u64,
         len: u64,
     ) -> Result<Option<Vec<u8>>, AllocError> {
-        let a = self.get(id)?;
-        assert!(offset + len <= a.bytes, "read beyond buffer end");
-        Ok(a.backing
-            .bytes()
-            .map(|b| b[offset as usize..(offset + len) as usize].to_vec()))
+        Ok(self.slice(id, offset, len)?.map(<[u8]>::to_vec))
+    }
+
+    /// Set `len` bytes to `value`. Phantom buffers are bounds-checked and
+    /// left alone, returning `false`.
+    pub fn fill_bytes(
+        &mut self,
+        id: BufferId,
+        offset: u64,
+        len: u64,
+        value: u8,
+    ) -> Result<bool, AllocError> {
+        let Some(b) = self.slice_mut(id, offset, len)? else {
+            return Ok(false);
+        };
+        b.fill(value);
+        Ok(true)
     }
 
     /// Write a slice of `f32`s (little-endian) — the element type of the
-    /// STREAM kernels and collectives.
+    /// STREAM kernels and collectives. One pass: each value is encoded
+    /// straight into the backing, with no intermediate buffer.
     pub fn write_f32s(
         &mut self,
         id: BufferId,
         offset: u64,
         data: &[f32],
     ) -> Result<bool, AllocError> {
-        let mut bytes = Vec::with_capacity(data.len() * 4);
-        for v in data {
-            bytes.extend_from_slice(&v.to_le_bytes());
+        let Some(b) = self.slice_mut(id, offset, f32_bytes(data.len()))? else {
+            return Ok(false);
+        };
+        for (c, v) in b.chunks_exact_mut(4).zip(data) {
+            c.copy_from_slice(&v.to_le_bytes());
         }
-        self.write_bytes(id, offset, &bytes)
+        Ok(true)
     }
 
-    /// Read a slice of `f32`s; `None` for phantom backing.
+    /// Set `count` `f32`s to `value`, encoded straight into the backing.
+    /// Phantom buffers are bounds-checked and left alone, returning `false`.
+    pub fn fill_f32s(
+        &mut self,
+        id: BufferId,
+        offset: u64,
+        count: usize,
+        value: f32,
+    ) -> Result<bool, AllocError> {
+        let Some(b) = self.slice_mut(id, offset, f32_bytes(count))? else {
+            return Ok(false);
+        };
+        for c in b.chunks_exact_mut(4) {
+            c.copy_from_slice(&value.to_le_bytes());
+        }
+        Ok(true)
+    }
+
+    /// Read a slice of `f32`s; `None` for phantom backing. One pass: the
+    /// values are decoded from the borrowed backing into the returned
+    /// vector, with no intermediate buffer.
     pub fn read_f32s(
         &self,
         id: BufferId,
         offset: u64,
         count: usize,
     ) -> Result<Option<Vec<f32>>, AllocError> {
-        Ok(self.read_bytes(id, offset, count as u64 * 4)?.map(|b| {
-            b.chunks_exact(4)
-                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                .collect()
-        }))
+        Ok(self
+            .slice(id, offset, f32_bytes(count))?
+            .map(|b| b.chunks_exact(4).map(le_f32).collect()))
     }
 }
 
@@ -338,11 +492,112 @@ impl Default for MemorySystem {
     }
 }
 
+/// The functional data path before it moved bytes in place: every access
+/// went through a temporary vector. Kept as the oracle the in-place
+/// accessors are checked against; range checks come from the byte API.
+#[cfg(test)]
+mod oracle {
+    use super::{AllocError, BufferId, MemorySystem};
+
+    pub fn write_f32s(
+        m: &mut MemorySystem,
+        id: BufferId,
+        offset: u64,
+        data: &[f32],
+    ) -> Result<bool, AllocError> {
+        let mut bytes = Vec::with_capacity(data.len() * 4);
+        for v in data {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        m.write_bytes(id, offset, &bytes)
+    }
+
+    pub fn read_f32s(
+        m: &MemorySystem,
+        id: BufferId,
+        offset: u64,
+        count: usize,
+    ) -> Result<Option<Vec<f32>>, AllocError> {
+        Ok(m.read_bytes(id, offset, count as u64 * 4)?.map(|b| {
+            b.chunks_exact(4)
+                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+                .collect()
+        }))
+    }
+
+    /// The runtime's old `Effect::ReduceAdd`: snapshot both ranges, add,
+    /// write back.
+    pub fn reduce_add_f32s(
+        m: &mut MemorySystem,
+        src: BufferId,
+        src_off: u64,
+        dst: BufferId,
+        dst_off: u64,
+        count: usize,
+    ) -> Result<bool, AllocError> {
+        let arriving = read_f32s(m, src, src_off, count)?;
+        let local = read_f32s(m, dst, dst_off, count)?;
+        let (Some(a), Some(mut l)) = (arriving, local) else {
+            return Ok(false);
+        };
+        for (x, y) in l.iter_mut().zip(&a) {
+            *x += *y;
+        }
+        write_f32s(m, dst, dst_off, &l)
+    }
+
+    /// The runtime's old `Effect::Fill`: probe the backing, then write a
+    /// vector of fill bytes.
+    pub fn fill_bytes(
+        m: &mut MemorySystem,
+        id: BufferId,
+        offset: u64,
+        len: u64,
+        value: u8,
+    ) -> Result<bool, AllocError> {
+        let a = m.get(id)?;
+        a.range(offset, len)?;
+        if !a.backing.is_real() {
+            return Ok(false);
+        }
+        m.write_bytes(id, offset, &vec![value; len as usize])
+    }
+
+    /// The old `KernelSpec::Init`: write a vector of the value.
+    pub fn fill_f32s(
+        m: &mut MemorySystem,
+        id: BufferId,
+        offset: u64,
+        count: usize,
+        value: f32,
+    ) -> Result<bool, AllocError> {
+        write_f32s(m, id, offset, &vec![value; count])
+    }
+
+    /// A copy through a snapshot of the source range.
+    pub fn copy(
+        m: &mut MemorySystem,
+        src: BufferId,
+        src_off: u64,
+        dst: BufferId,
+        dst_off: u64,
+        len: u64,
+    ) -> Result<bool, AllocError> {
+        let data = m.read_bytes(src, src_off, len)?;
+        m.get(dst)?.range(dst_off, len)?;
+        match data {
+            Some(d) if m.get(dst)?.backing.is_real() => m.write_bytes(dst, dst_off, &d),
+            _ => Ok(false),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attrs::HostAllocFlags;
     use ifsim_topology::{GcdId, NumaId};
+    use proptest::prelude::*;
 
     fn hbm(g: u8) -> MemSpace {
         MemSpace::Hbm(GcdId(g))
@@ -473,5 +728,158 @@ mod tests {
             m.copy(a, 0, BufferId(99), 0, 0),
             Err(AllocError::InvalidBuffer(_))
         ));
+    }
+
+    #[test]
+    fn out_of_range_accesses_are_errors_not_panics() {
+        let mut m = MemorySystem::new();
+        m.set_phantom_threshold(16);
+        let a = m.allocate(MemKind::Device, hbm(0), 16).unwrap();
+        let p = m.allocate(MemKind::Device, hbm(0), 64).unwrap();
+        let oor = |id, offset, len, size| AllocError::OutOfRange {
+            id,
+            offset,
+            len,
+            size,
+        };
+        assert_eq!(m.write_bytes(a, 12, &[0; 8]), Err(oor(a, 12, 8, 16)));
+        assert_eq!(m.read_bytes(a, 17, 0), Err(oor(a, 17, 0, 16)));
+        assert_eq!(m.copy(a, 0, p, 60, 8), Err(oor(p, 60, 8, 64)));
+        assert_eq!(m.fill_bytes(p, 65, 0, 1), Err(oor(p, 65, 0, 64)));
+        assert_eq!(m.fill_f32s(a, 4, 4, 1.0), Err(oor(a, 4, 16, 16)));
+        assert_eq!(
+            m.reduce_add_f32s(a, u64::MAX, a, 0, 1),
+            Err(oor(a, u64::MAX, 4, 16))
+        );
+        // An element count whose byte length overflows saturates and fails.
+        assert_eq!(m.read_f32s(a, 0, usize::MAX), Err(oor(a, 0, u64::MAX, 16)));
+        assert!(oor(a, 12, 8, 16).to_string().contains("buf#0"));
+        // The buffers are untouched and still usable.
+        assert_eq!(m.read_bytes(a, 0, 16).unwrap(), Some(vec![0; 16]));
+        assert!(m.fill_f32s(a, 0, 4, 1.0).unwrap());
+    }
+
+    #[test]
+    fn aliased_reduce_reads_the_values_before_the_call() {
+        let mut m = MemorySystem::new();
+        let a = m.allocate(MemKind::Device, hbm(0), 16).unwrap();
+        m.write_f32s(a, 0, &[1.0, 2.0, 4.0, 8.0]).unwrap();
+        // Destination after the source, then before it, overlapping both times.
+        assert!(m.reduce_add_f32s(a, 0, a, 4, 3).unwrap());
+        assert_eq!(
+            m.read_f32s(a, 0, 4).unwrap().unwrap(),
+            [1.0, 3.0, 6.0, 12.0]
+        );
+        assert!(m.reduce_add_f32s(a, 4, a, 0, 3).unwrap());
+        assert_eq!(
+            m.read_f32s(a, 0, 4).unwrap().unwrap(),
+            [4.0, 9.0, 18.0, 12.0]
+        );
+    }
+
+    /// Element `i` of a generated payload: NaNs with payloads and either
+    /// sign, both zeros, infinity, or arbitrary bits.
+    fn payload(bits: u32, i: usize) -> f32 {
+        let k = bits.wrapping_add((i as u32).wrapping_mul(0x9E37_79B9));
+        f32::from_bits(match k % 8 {
+            0 => 0x7FC0_0000,
+            1 => 0x7FA0_0001,
+            2 => 0xFFC0_0123,
+            3 => 0x0000_0000,
+            4 => 0x8000_0000,
+            5 => 0x7F80_0000,
+            _ => k,
+        })
+    }
+
+    fn bits_of(v: Result<Option<Vec<f32>>, AllocError>) -> Result<Option<Vec<u32>>, AllocError> {
+        v.map(|o| o.map(|v| v.iter().map(|x| x.to_bits()).collect()))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random writes, reads, reductions, fills and copies over real and
+        /// phantom buffers (unaligned offsets, aliased and overlapping
+        /// ranges, NaN and signed-zero payloads, out-of-range and
+        /// overflowing requests, a stale handle) give the same result and
+        /// leave the same bytes as the temporary-based oracle.
+        #[test]
+        fn functional_ops_match_the_temporary_oracle(
+            sizes in proptest::collection::vec(1u64..96, 1..5),
+            threshold in 0u64..96,
+            steps in proptest::collection::vec(
+                (0u8..6, any::<u64>(), any::<u64>(), any::<u64>(), 0usize..12, any::<u32>()),
+                0..24,
+            ),
+        ) {
+            let mut fast = MemorySystem::new();
+            let mut slow = MemorySystem::new();
+            fast.set_phantom_threshold(threshold);
+            slow.set_phantom_threshold(threshold);
+            let ids: Vec<BufferId> = sizes
+                .iter()
+                .map(|&n| {
+                    let id = fast.allocate(MemKind::Device, hbm(0), n).unwrap();
+                    prop_assert_eq!(slow.allocate(MemKind::Device, hbm(0), n).unwrap(), id);
+                    id
+                })
+                .collect();
+            // One past the live handles is stale (size 0). Offsets mostly
+            // land in the first half of the buffer; some sit at or past its
+            // end, and some overflow `offset + len`. The second endpoint of
+            // a two-buffer op is often near the first, so aliased ranges
+            // overlap.
+            let pick = |r: u64| match ids.get((r as usize) % (ids.len() + 1)) {
+                Some(&id) => (id, sizes[id.0 as usize]),
+                None => (BufferId(99), 0),
+            };
+            let offset = |r: u64, size: u64| match r % 8 {
+                0 => u64::MAX - (r >> 3) % 16,
+                1 => size + (r >> 3) % 8,
+                _ => (r >> 3) % (size / 2 + 1),
+            };
+            for (kind, which, o1, o2, count, bits) in steps {
+                let ((a, a_size), (b, b_size)) = (pick(which), pick(which >> 32));
+                let off1 = offset(o1, a_size);
+                let off2 = if o2 % 2 == 0 {
+                    off1.wrapping_add((o2 >> 1) % 17).wrapping_sub(8)
+                } else {
+                    offset(o2 >> 1, b_size)
+                };
+                match kind {
+                    0 => {
+                        let data: Vec<f32> = (0..count).map(|i| payload(bits, i)).collect();
+                        prop_assert_eq!(
+                            fast.write_f32s(a, off1, &data),
+                            oracle::write_f32s(&mut slow, a, off1, &data)
+                        );
+                    }
+                    1 => prop_assert_eq!(
+                        bits_of(fast.read_f32s(a, off1, count)),
+                        bits_of(oracle::read_f32s(&slow, a, off1, count))
+                    ),
+                    2 => prop_assert_eq!(
+                        fast.reduce_add_f32s(a, off1, b, off2, count),
+                        oracle::reduce_add_f32s(&mut slow, a, off1, b, off2, count)
+                    ),
+                    3 => prop_assert_eq!(
+                        fast.fill_bytes(a, off1, count as u64 * 3, bits as u8),
+                        oracle::fill_bytes(&mut slow, a, off1, count as u64 * 3, bits as u8)
+                    ),
+                    4 => prop_assert_eq!(
+                        fast.fill_f32s(a, off1, count, payload(bits, 0)),
+                        oracle::fill_f32s(&mut slow, a, off1, count, payload(bits, 0))
+                    ),
+                    _ => prop_assert_eq!(
+                        fast.copy(a, off1, b, off2, count as u64 * 3),
+                        oracle::copy(&mut slow, a, off1, b, off2, count as u64 * 3)
+                    ),
+                }
+                for (&id, &n) in ids.iter().zip(&sizes) {
+                    prop_assert_eq!(fast.read_bytes(id, 0, n), slow.read_bytes(id, 0, n));
+                }
+            }
+        }
     }
 }

@@ -307,3 +307,41 @@ fn offsets_that_overflow_the_range_are_invalid_values() {
         .unwrap();
     hip.device_synchronize().unwrap();
 }
+
+/// A collective over buffers smaller than its element count is an invalid
+/// value naming the buffer and the range, on the tree (small) and ring
+/// (large) paths alike, and the runtime stays usable: a correctly sized
+/// AllReduce on the same communicator afterwards reduces exactly.
+#[test]
+fn undersized_allreduce_is_an_invalid_value() {
+    use ifsim::hip::HipError;
+    let mut hip = HipSim::new(EnvConfig::default());
+    let n = 4;
+    let comm = RcclComm::new(&mut hip, (0..n).collect()).unwrap();
+    let mut send = Vec::new();
+    let mut recv = Vec::new();
+    for r in 0..n {
+        hip.set_device(r).unwrap();
+        let s = hip.malloc(1024).unwrap();
+        hip.mem_mut().fill_f32s(s, 0, 256, (r + 1) as f32).unwrap();
+        send.push(s);
+        recv.push(hip.malloc(1024).unwrap());
+    }
+    let bufs = RankBuffers { send, recv };
+    for elems in [1024, 64 * 1024] {
+        let err = comm
+            .collective(&mut hip, Collective::AllReduce, &bufs, elems, 0)
+            .unwrap_err();
+        let HipError::InvalidValue(msg) = &err else {
+            panic!("expected an invalid value, got {err:?}");
+        };
+        let range = format!("0+{} B", elems * 4);
+        assert!(msg.contains(&range) && msg.contains("of 1024 B"), "{msg}");
+    }
+    comm.collective(&mut hip, Collective::AllReduce, &bufs, 256, 0)
+        .unwrap();
+    for &d in &bufs.recv {
+        let v = hip.mem().read_f32s(d, 0, 256).unwrap().unwrap();
+        assert!(v.iter().all(|&x| x == 10.0), "{v:?}");
+    }
+}
