@@ -35,6 +35,15 @@ for seed in 1 2 3; do
         functional_ops_match_the_temporary_oracle
 done
 
+echo "==> backing recycler bound under extra proptest seeds"
+# Fresh allocate/free sequences for the recycler's invariants: pooled +
+# live bytes under the live high-water mark, zeroed hand-outs, exact
+# counters.
+for seed in 1 2 3; do
+    PROPTEST_SEED="$seed" cargo test -q --release -p ifsim-memory \
+        recycler_never_exceeds_the_live_high_water
+done
+
 echo "==> flight-recorder change points under extra proptest seeds"
 # Fresh rebuild tapes for the change-point vs dense-row differential.
 for seed in 1 2 3; do

@@ -113,6 +113,14 @@ impl KernelSpec {
         }
     }
 
+    /// Whether the kernel reads or writes `buf`.
+    pub(crate) fn uses(&self, buf: BufferId) -> bool {
+        self.reads()
+            .into_iter()
+            .chain(self.writes())
+            .any(|(b, _)| b == buf)
+    }
+
     /// Total bytes moved (reads + writes) — the STREAM bandwidth numerator.
     pub fn traffic_bytes(&self) -> u64 {
         self.reads()

@@ -91,6 +91,20 @@ pub enum Effect {
     },
 }
 
+impl Effect {
+    /// Whether the effect reads or writes `buf`.
+    pub(crate) fn uses(&self, buf: BufferId) -> bool {
+        match self {
+            Effect::Copy { src, dst, .. } | Effect::ReduceAdd { src, dst, .. } => {
+                *src == buf || *dst == buf
+            }
+            Effect::Kernel(k) => k.uses(buf),
+            Effect::Migrate { buf: b, .. } | Effect::SetReadMostly { buf: b, .. } => *b == buf,
+            Effect::Fill { dst, .. } => *dst == buf,
+        }
+    }
+}
+
 /// The planned execution of one op.
 pub struct OpPlan {
     /// Fixed delay before the flows start (software + engine latency).

@@ -316,8 +316,15 @@ impl HipSim {
         }
     }
 
-    /// `hipFree` / `hipHostFree`.
+    /// `hipFree` / `hipHostFree`. Like `hipFree`'s implicit
+    /// synchronization, it first runs the simulation until no queued or
+    /// in-flight op reads or writes `buf`, so freeing a buffer an async op
+    /// still uses waits for that op instead of pulling the bytes from under
+    /// it. The wait leaves sticky errors for the next synchronize and adds
+    /// no DAG barrier.
     pub fn free(&mut self, buf: BufferId) -> HipResult<()> {
+        self.inner.mem.get(buf)?; // valid handle?
+        self.run_until(|inner| !inner.streams.values().any(|s| s.uses(buf)), None);
         Ok(self.inner.mem.free(buf)?)
     }
 
@@ -2524,6 +2531,41 @@ mod tests {
         assert!(hip.stream_error(stream).is_none());
         let d = peer_copy_elapsed(&mut hip, 0, 1, MIB);
         assert!(d > Dur::ZERO);
+    }
+
+    #[test]
+    fn free_waits_for_a_failing_copy_and_keeps_its_sticky_error() {
+        // `free` of a copy's destination waits until the copy is over, here
+        // by a mid-flight link death; the sticky error stays for the next
+        // synchronize to report.
+        let mut hip = HipSim::new(EnvConfig::default());
+        hip.enable_all_peer_access().unwrap();
+        hip.set_retry_policy(RetryPolicy::no_retries());
+        hip.set_fault_plan(FaultPlan::new().at(
+            Time::ZERO + Dur::from_ms(5.0),
+            FaultKind::LinkDown {
+                a: GcdId(0),
+                b: GcdId(2),
+            },
+        ))
+        .unwrap();
+        let bytes = 1u64 << 30;
+        hip.set_device(0).unwrap();
+        let src = hip.malloc(bytes).unwrap();
+        hip.set_device(2).unwrap();
+        let dst = hip.malloc(bytes).unwrap();
+        let stream = hip.default_stream(2).unwrap();
+        hip.memcpy_peer_async(dst, 2, src, 0, bytes, stream)
+            .unwrap();
+        hip.free(dst).unwrap();
+        assert!(hip.now() >= Time::ZERO + Dur::from_ms(5.0));
+        assert!(matches!(
+            hip.stream_error(stream),
+            Some(HipError::LinkDown(_))
+        ));
+        let err = hip.stream_synchronize(stream).unwrap_err();
+        assert!(matches!(err, HipError::LinkDown(_)), "{err}");
+        hip.free(src).unwrap();
     }
 
     #[test]

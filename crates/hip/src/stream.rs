@@ -78,6 +78,19 @@ pub enum OpRequest {
     WaitEvent(crate::event::EventId),
 }
 
+impl OpRequest {
+    /// Whether the request reads or writes `buf`.
+    pub(crate) fn uses(&self, buf: BufferId) -> bool {
+        match self {
+            OpRequest::Memcpy { src, dst, .. } => *src == buf || *dst == buf,
+            OpRequest::Kernel(k) => k.uses(buf),
+            OpRequest::Prefetch { buf: b, .. } => *b == buf,
+            OpRequest::Memset { dst, .. } => *dst == buf,
+            OpRequest::EventRecord | OpRequest::WaitEvent(_) => false,
+        }
+    }
+}
+
 /// An op waiting in a stream queue.
 pub struct QueuedOp {
     /// The work to perform.
@@ -144,6 +157,20 @@ impl StreamState {
             parked_on: None,
             failed: None,
         }
+    }
+
+    /// Whether queued or in-flight work on the stream may still read or
+    /// write `buf`. A plan's effects name every buffer of its request, and
+    /// an op in its launch latency (`starting`) counts as using every
+    /// buffer: its plan is not visible until it runs.
+    pub(crate) fn uses(&self, buf: BufferId) -> bool {
+        let queued = |op: &QueuedOp| match &op.work {
+            Work::Request(req) => req.uses(buf),
+            Work::Planned(plan) => plan.effects.iter().any(|e| e.uses(buf)),
+        };
+        self.starting
+            || (self.running.as_ref()).is_some_and(|run| run.effects.iter().any(|e| e.uses(buf)))
+            || self.queue.iter().any(queued)
     }
 
     /// Whether the stream has no queued or in-flight work. A parked stream

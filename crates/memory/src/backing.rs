@@ -5,18 +5,45 @@
 //! `Phantom` backing tracks only the size, letting timing sweeps allocate
 //! the paper's 8 GiB arrays without consuming host RAM.
 
+use crate::recycle::RECYCLER;
+use std::ops::{Deref, DerefMut};
+
 /// The bytes (or absence thereof) behind an allocation.
 pub enum Backing {
     /// Actual data.
-    Real(Box<[u8]>),
+    Real(RealBytes),
     /// Size-only: reads/writes are rejected, timing still works.
     Phantom(u64),
+}
+
+/// The bytes of a real backing. They come from the process-wide recycler
+/// (`crate::recycle`) and go back to it on drop, so the next backing of the
+/// same length reuses pages the host has already faulted in.
+pub struct RealBytes(Box<[u8]>);
+
+impl Deref for RealBytes {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl DerefMut for RealBytes {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.0
+    }
+}
+
+impl Drop for RealBytes {
+    fn drop(&mut self) {
+        RECYCLER.give(std::mem::take(&mut self.0));
+    }
 }
 
 impl Backing {
     /// Allocate a zero-filled real backing.
     pub fn real(bytes: u64) -> Backing {
-        Backing::Real(vec![0u8; bytes as usize].into_boxed_slice())
+        Backing::Real(RealBytes(RECYCLER.take(bytes as usize)))
     }
 
     /// A phantom backing of the given size.
@@ -45,7 +72,7 @@ impl Backing {
     /// Immutable view of the bytes, if real.
     pub fn bytes(&self) -> Option<&[u8]> {
         match self {
-            Backing::Real(b) => Some(b),
+            Backing::Real(b) => Some(&b[..]),
             Backing::Phantom(_) => None,
         }
     }
@@ -53,7 +80,7 @@ impl Backing {
     /// Mutable view of the bytes, if real.
     pub fn bytes_mut(&mut self) -> Option<&mut [u8]> {
         match self {
-            Backing::Real(b) => Some(b),
+            Backing::Real(b) => Some(&mut b[..]),
             Backing::Phantom(_) => None,
         }
     }

@@ -24,6 +24,7 @@ pub mod alloc;
 pub mod attrs;
 pub mod backing;
 pub mod page;
+mod recycle;
 pub mod space;
 
 pub use alloc::{AllocError, Allocation, BufferId, MemorySystem};

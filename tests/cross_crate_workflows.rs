@@ -345,3 +345,59 @@ fn undersized_allreduce_is_an_invalid_value() {
         assert!(v.iter().all(|&x| x == 10.0), "{v:?}");
     }
 }
+
+/// `hipFree` of a buffer an async copy still targets waits for the copy
+/// (`hipFree`'s implicit synchronization) instead of pulling the bytes from
+/// under it; the runtime keeps working afterwards.
+#[test]
+fn freeing_a_buffer_an_async_copy_still_uses_waits_for_the_copy() {
+    let mut hip = HipSim::new(EnvConfig::default());
+    hip.set_device(0).unwrap();
+    let a = hip.malloc(MIB).unwrap();
+    hip.mem_mut().fill_bytes(a, 0, MIB, 7).unwrap();
+    let s = hip.stream_create().unwrap();
+    hip.set_device(1).unwrap();
+    let b = hip.malloc(MIB).unwrap();
+    hip.memcpy_peer_async(b, 1, a, 0, MIB, s).unwrap();
+    let t0 = hip.now();
+    hip.free(b).unwrap();
+    assert!(hip.now() > t0, "free waited for the in-flight copy");
+    assert!(hip.all_idle());
+    hip.synchronize_all().unwrap();
+    // Still usable: a fresh copy into a fresh buffer lands.
+    let c = hip.malloc(MIB).unwrap();
+    hip.memcpy_peer(c, 1, a, 0, MIB).unwrap();
+    let out = hip.mem().read_bytes(c, 0, MIB).unwrap().unwrap();
+    assert!(out.iter().all(|&x| x == 7));
+    assert!(hip.free(b).is_err(), "the freed handle stays invalid");
+}
+
+/// Real backings are recycled between runtimes: a run repeats bit for bit
+/// in one process, and memory a dropped runtime filled reads as zero when a
+/// new runtime allocates it again.
+#[test]
+fn recycled_backings_read_as_zero_and_repeat_bit_for_bit() {
+    let mut cfg = ifsim::BenchConfig::quick();
+    cfg.reps = 1;
+    let exp = ifsim::registry::by_id("ext-fault-allreduce-flaky").unwrap();
+    let checks = |r: &ifsim::ExperimentResult| -> Vec<(String, bool, String)> {
+        r.checks
+            .iter()
+            .map(|c| (c.name.clone(), c.passed, c.detail.clone()))
+            .collect()
+    };
+    let first = exp.run(&cfg);
+    let second = exp.run(&cfg);
+    assert_eq!(first.rendered, second.rendered);
+    assert_eq!(checks(&first), checks(&second));
+    assert!(first.checks.iter().all(|c| c.passed));
+
+    let mut hip = HipSim::new(EnvConfig::default());
+    let dirty = hip.malloc(MIB).unwrap();
+    hip.mem_mut().fill_bytes(dirty, 0, MIB, 0xA5).unwrap();
+    drop(hip);
+    let mut hip = HipSim::new(EnvConfig::default());
+    let fresh = hip.malloc(MIB).unwrap();
+    let bytes = hip.mem().read_bytes(fresh, 0, MIB).unwrap().unwrap();
+    assert!(bytes.iter().all(|&x| x == 0), "new memory reads as zero");
+}
