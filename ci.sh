@@ -51,6 +51,15 @@ for seed in 1 2 3; do
         change_points_match_the_dense_oracle
 done
 
+echo "==> engine differential under extra proptest seeds"
+# Fresh op tapes for the production engine vs the test-only ReferenceNet
+# and the naive fair-share solve (batch adds, drains, cancels, degradations,
+# link failures), and fresh add/drain cycles.
+for seed in 1 2 3; do
+    PROPTEST_SEED="$seed" cargo test -q --release -p ifsim-fabric --lib -- \
+        engine_matches_reference_and_oracle_under_churn add_drain_cycles_match_reference
+done
+
 echo "==> bounded-wait replay under extra proptest seeds"
 # Fresh fault schedules and timeout steps for the bounded-vs-unbounded
 # synchronize differential (the event loop's deadline branch under faults).
@@ -101,8 +110,11 @@ echo "==> drift watchdog: golden figures within tolerance, and trips on perturba
 ./target/release/ifsim-drift
 # The watchdog must actually catch a miscalibration: a 10 % shift in the
 # SDMA/xGMI efficiency has to fail at least one figure with exit code 1.
-if ./target/release/ifsim-drift --perturb eff_sdma_xgmi=1.1 > /dev/null 2>&1; then
-    echo "ifsim-drift failed to detect a 10% calibration perturbation" >&2
+# Any other code is a usage error (2) or a crash (101), not a detection.
+DRIFT_CODE=0
+./target/release/ifsim-drift --perturb eff_sdma_xgmi=1.1 > /dev/null 2>&1 || DRIFT_CODE=$?
+if [ "$DRIFT_CODE" -ne 1 ]; then
+    echo "ifsim-drift --perturb eff_sdma_xgmi=1.1 exited $DRIFT_CODE, expected 1 (drift detected)" >&2
     exit 1
 fi
 
@@ -215,13 +227,13 @@ echo "==> chaos soak: SIGKILL mid-write, cache corruption, coalescing, deadlines
     --serve-bin ./target/release/ifsim-serve \
     --workdir "$TELEMETRY_TMP/chaos"
 
-echo "==> engine bench smoke: fabric_engine summary + lint"
-# Release-mode criterion run of the engine-vs-reference benches; the summary
-# is written to a temp file (the committed BENCH_fabric.json snapshot is
-# regenerated manually) and schema-checked. Absolute speedup values are not
-# gated: CI machines are shared and noisy.
-BENCH_FABRIC_OUT="$TELEMETRY_TMP/bench-fabric.json" \
-    cargo bench -p ifsim-bench --bench fabric_engine > /dev/null
-./target/release/telemetry-lint --bench "$TELEMETRY_TMP/bench-fabric.json"
+echo "==> stack bench smoke: every workload traced, then the summary lint"
+# A short traced run of the benchmark BENCHMARK.json declares: every
+# workload must check out (the bench exits nonzero on a failed output
+# check) and its BENCH_stack.json must pass the schema lint. Timings are
+# not gated here: CI machines are shared and noisy.
+cargo run --release --offline -p ifsim-bench --example stack -- \
+    --workload all --seconds 2 --trace 1 --out "$TELEMETRY_TMP/stack" > /dev/null
+./target/release/telemetry-lint --bench "$TELEMETRY_TMP/stack/BENCH_stack.json"
 
 echo "CI green."

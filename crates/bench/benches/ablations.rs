@@ -3,8 +3,8 @@
 //! contribution is visible. These are the design decisions DESIGN.md §6
 //! calls out.
 //!
-//! Runs under `cargo bench` as a custom (non-Criterion) harness because the
-//! interesting output is the *simulated* metric, not host wall time.
+//! Runs under `cargo bench` as a custom harness (`harness = false`) because
+//! the interesting output is the *simulated* metric, not host wall time.
 
 use ifsim_core::des::units::{GIB, MIB};
 use ifsim_core::fabric::latency::measured_peer_latency;

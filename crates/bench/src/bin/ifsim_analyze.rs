@@ -229,10 +229,10 @@ fn main() -> ExitCode {
                 // Efficiency constants are fractions of the physical link
                 // rate; the fabric model rejects values above 1.0. Cap the
                 // sweep at the ceiling and record the factor we really ran.
-                let is_efficiency = field.starts_with("eff_") || field.ends_with("_eff");
-                if is_efficiency && *slot > 1.0 {
-                    *slot = 1.0;
-                    effective = 1.0 / base;
+                let ceiling = Calibration::f64_field_ceiling(field).unwrap_or(f64::INFINITY);
+                if *slot > ceiling {
+                    *slot = ceiling;
+                    effective = ceiling / base;
                     eprintln!(
                         "what-if: {field} x{factor} clamped to the efficiency \
                          ceiling (effective x{effective:.3})"

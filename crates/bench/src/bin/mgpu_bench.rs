@@ -32,6 +32,7 @@ use ifsim_core::hip::{EnvConfig, GcdId};
 use ifsim_core::microbench::{
     comm_scope, doctor, osu, p2p_matrix, rccl_tests, report, stream, BenchConfig,
 };
+use ifsim_core::topology::NodeTopology;
 use std::process::ExitCode;
 
 struct Cli {
@@ -139,6 +140,31 @@ fn parse() -> Cli {
     }
     if cli.artifacts.csv_dir.is_some() {
         fail("--csv writes experiment artifacts; run experiments with `repro`");
+    }
+    // Range checks against the node, so that a bad value is a usage error
+    // that names its flag instead of a panic inside a benchmark.
+    let gcds = NodeTopology::frontier().gcds().count();
+    if cli.size == Some(0) && cli.cmd != "osu-latency" {
+        fail("--size must be at least 1 byte (only osu-latency sends empty messages)");
+    }
+    if cli.cfg.reps == 0 {
+        fail("--reps must be at least 1");
+    }
+    if !(1..gcds).contains(&cli.dst) {
+        fail(&format!(
+            "--dst {} is not a peer GCD of GCD0: pick 1..={}",
+            cli.dst,
+            gcds - 1
+        ));
+    }
+    if !(2..=gcds).contains(&cli.ranks) {
+        fail(&format!("--ranks {} outside 2..={gcds}", cli.ranks));
+    }
+    if let Some(d) = cli.devices.iter().find(|&&d| d >= gcds) {
+        fail(&format!(
+            "--devices names GCD {d}; the node has GCDs 0..={}",
+            gcds - 1
+        ));
     }
     cli
 }

@@ -1,7 +1,6 @@
 //! `telemetry-lint` — schema smoke test for the telemetry artifacts that
 //! `repro` and `mgpu-bench` emit via `--trace-out` / `--metrics-out` /
-//! `--attr-json`, and for the engine-bench summary
-//! `cargo bench --bench fabric_engine` writes.
+//! `--attr-json`, and for the stack-bench summary `BENCH_stack.json`.
 //!
 //! ```text
 //! telemetry-lint [--trace FILE] [--metrics FILE] [--bench FILE] [--attr FILE]
@@ -24,10 +23,11 @@
 //! count/sum/min/max/mean/p50/p95/p99;
 //! the attribution document must be schema `ifsim-attr-v1` with a
 //! consistent cap/link split; and the bench summary must be
-//! `ifsim-bench-fabric-v2` (v1, which lacked the per-result `flows`
-//! column, is rejected as superseded): non-empty `results` rows with an
-//! id, a positive flow count, positive timings, and at least one
-//! iteration, plus a `speedup` object of positive ratios; and the serve
+//! `ifsim-bench-stack-v1`: non-empty `runs`, each of the same schema
+//! naming its workload, `correct`, with `0 <= failed <= attempted` and
+//! `attempted >= 1`, every metric a finite non-negative `value` with a
+//! string `unit`, the four end-to-end metrics on untraced runs, and
+//! `ledger.*_share` values summing to 1 on traced runs; and the serve
 //! stats snapshot must be
 //! `ifsim-serve-stats-v2` with numeric cache/queue/pool/singleflight/deadline accounting and an
 //! embedded metrics registry carrying the serve request counters and
@@ -260,59 +260,75 @@ fn lint_metrics(v: &Value) -> Result<usize, String> {
     Ok(entries)
 }
 
-/// Validate the `BENCH_fabric.json` summary the `fabric_engine` bench
-/// target writes. Returns the number of result rows.
+/// End-to-end metrics every untraced stack-bench run reports.
+const STACK_END_TO_END: [&str; 4] = ["setup_s", "op_cal_p50", "op_cal_tail", "peak_rss_mb"];
+
+/// Validate the `BENCH_stack.json` summary (`ifsim-bench-stack-v1`) the
+/// stack bench gathers with `--workload all`. Returns the number of runs.
 fn lint_bench(v: &Value) -> Result<usize, String> {
+    const SCHEMA: &str = "ifsim-bench-stack-v1";
     match v.get("schema").and_then(|s| s.as_str()) {
-        Some("ifsim-bench-fabric-v2") => {}
-        Some("ifsim-bench-fabric-v1") => {
-            return Err(
-                "schema ifsim-bench-fabric-v1 is superseded; expected v2 (per-result flows column)"
-                    .into(),
-            )
-        }
+        Some(SCHEMA) => {}
         other => return Err(format!("unexpected schema {other:?}")),
     }
-    let rows = v
-        .get("results")
+    let runs = v
+        .get("runs")
         .and_then(|r| r.as_array())
-        .ok_or("missing results array")?;
-    if rows.is_empty() {
-        return Err("results is empty".into());
+        .ok_or("missing runs array")?;
+    if runs.is_empty() {
+        return Err("runs is empty".into());
     }
-    for (i, row) in rows.iter().enumerate() {
-        if row.get("id").and_then(|s| s.as_str()).is_none() {
-            return Err(format!("result #{i} missing id"));
+    for (i, run) in runs.iter().enumerate() {
+        match run.get("schema").and_then(|s| s.as_str()) {
+            Some(SCHEMA) => {}
+            other => return Err(format!("run #{i} has unexpected schema {other:?}")),
         }
-        match row.get("flows").and_then(|n| n.as_u64()) {
-            Some(n) if n >= 1 => {}
-            other => return Err(format!("result #{i} has bad flows {other:?}")),
+        let workload = run
+            .get("workload")
+            .and_then(|w| w.as_str())
+            .ok_or_else(|| format!("run #{i} missing workload"))?;
+        let at = format!("run #{i} ({workload})");
+        if run.get("correct").and_then(|c| c.as_bool()) != Some(true) {
+            return Err(format!("{at} is not correct"));
         }
-        for field in ["mean_ns", "min_ns"] {
-            match row.get(field).and_then(|m| m.as_f64()) {
-                Some(ns) if ns > 0.0 => {}
-                other => return Err(format!("result #{i} has bad {field} {other:?}")),
+        let attempted = run.get("attempted").and_then(|n| n.as_u64());
+        let failed = run.get("failed").and_then(|n| n.as_u64());
+        match (attempted, failed) {
+            (Some(a), Some(f)) if a >= 1 && f <= a => {}
+            _ => {
+                return Err(format!(
+                    "{at} has bad attempted {attempted:?} / failed {failed:?}"
+                ))
             }
         }
-        match row.get("iters").and_then(|n| n.as_u64()) {
-            Some(n) if n >= 1 => {}
-            other => return Err(format!("result #{i} has bad iters {other:?}")),
+        let metrics = run
+            .get("metrics")
+            .and_then(|m| m.as_object())
+            .ok_or_else(|| format!("{at} missing metrics object"))?;
+        for (name, m) in metrics.iter() {
+            match m.get("value").and_then(|x| x.as_f64()) {
+                Some(x) if x.is_finite() && x >= 0.0 => {}
+                other => return Err(format!("{at} metric {name} has bad value {other:?}")),
+            }
+            if m.get("unit").and_then(|u| u.as_str()).is_none() {
+                return Err(format!("{at} metric {name} has no unit string"));
+            }
+        }
+        if run.get("traced").and_then(|t| t.as_bool()) == Some(true) {
+            // The ledger partitions the traced pass's wall clock.
+            let shares: f64 = metrics
+                .iter()
+                .filter(|(name, _)| name.starts_with("ledger.") && name.ends_with("_share"))
+                .filter_map(|(_, m)| m.get("value").and_then(|x| x.as_f64()))
+                .sum();
+            if (shares - 1.0).abs() > 1e-6 {
+                return Err(format!("{at} ledger shares sum to {shares}, not 1"));
+            }
+        } else if let Some(name) = STACK_END_TO_END.iter().find(|n| !metrics.contains_key(n)) {
+            return Err(format!("{at} missing end-to-end metric {name}"));
         }
     }
-    let speedups = v
-        .get("speedup")
-        .and_then(|s| s.as_object())
-        .ok_or("missing speedup object")?;
-    if speedups.is_empty() {
-        return Err("speedup object is empty".into());
-    }
-    for (name, ratio) in speedups.iter() {
-        match ratio.as_f64() {
-            Some(r) if r > 0.0 => {}
-            other => return Err(format!("speedup {name} has bad ratio {other:?}")),
-        }
-    }
-    Ok(rows.len())
+    Ok(runs.len())
 }
 
 /// Validate an `ifsim-serve` stats snapshot (`ifsim-serve-stats-v2`): the
@@ -901,7 +917,7 @@ fn main() -> ExitCode {
     }
     if let Some(path) = bench {
         match load(&path).and_then(|v| lint_bench(&v)) {
-            Ok(n) => println!("bench   OK: {} — {n} results", path.display()),
+            Ok(n) => println!("bench   OK: {} — {n} runs", path.display()),
             Err(e) => {
                 eprintln!("bench   FAIL: {} — {e}", path.display());
                 ok = false;

@@ -7,10 +7,11 @@
 //! - the **`repro`** binary regenerates every table and figure of the paper
 //!   (`cargo run -p ifsim-bench --bin repro -- all`), printing the rows the
 //!   paper reports and writing CSV artifacts plus a check summary;
-//! - the **Criterion benches** (`cargo bench`) measure the simulator itself:
-//!   the fabric engine against its pre-rework reference (`fabric_engine`)
-//!   and the design-choice ablations called out in DESIGN.md (`ablations`);
-//!   the `stack` example times every layer end to end.
+//! - the **`stack`** example is the one host-time benchmark
+//!   (`BENCHMARK.json`): it times four workloads end to end and, traced,
+//!   every layer they call; `cargo bench` runs the `ablations` harness,
+//!   which prints the simulated effect of each design choice DESIGN.md
+//!   calls out.
 
 pub use ifsim_core::telemetry;
 pub use ifsim_core::{registry, BenchConfig, Capture, Experiment, ExperimentResult, RunOpts};

@@ -153,6 +153,63 @@ fn mgpu_bench_doctor_exit_code_reflects_health() {
 }
 
 #[test]
+fn out_of_range_flags_are_usage_errors_naming_the_flag() {
+    let dir = temp_dir("bad-flags");
+    let scenario = dir.join("calib.json");
+    std::fs::write(
+        &scenario,
+        r#"{"schema": "ifsim-scenario-v1", "name": "calib", "calib": {"eff_sdma_xgmi": 2.0},
+            "workload": {"type": "moe-alltoall"}}"#,
+    )
+    .unwrap();
+    let mgpu_bin = env!("CARGO_BIN_EXE_mgpu-bench");
+    // (binary, arguments, what the error must name)
+    let mut cases: Vec<(&str, String, &str)> = Vec::new();
+    for cmd in [
+        "h2d",
+        "stream",
+        "p2p",
+        "p2p --bandwidth",
+        "osu-bw",
+        "osu-coll",
+        "rccl",
+        "doctor",
+    ] {
+        cases.push((mgpu_bin, format!("{cmd} --size 0"), "--size"));
+    }
+    for cmd in ["rccl", "osu-coll"] {
+        for ranks in [0, 1, 9] {
+            cases.push((mgpu_bin, format!("{cmd} --ranks {ranks}"), "--ranks"));
+        }
+    }
+    cases.push((mgpu_bin, "osu-bw --dst 8".into(), "--dst"));
+    cases.push((mgpu_bin, "stream --devices 9".into(), "--devices"));
+    cases.push((mgpu_bin, "h2d --reps 0".into(), "--reps"));
+    for factor in ["2", "0", "-1", "nan", "inf"] {
+        cases.push((
+            env!("CARGO_BIN_EXE_ifsim-drift"),
+            format!("--perturb eff_sdma_xgmi={factor}"),
+            "--perturb eff_sdma_xgmi",
+        ));
+    }
+    cases.push((
+        env!("CARGO_BIN_EXE_repro"),
+        format!("--quick --reps 1 --scenario {}", scenario.display()),
+        "calib.eff_sdma_xgmi",
+    ));
+    for (bin, args, named) in cases {
+        let out = Command::new(bin)
+            .args(args.split(' '))
+            .output()
+            .expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args}: {stderr}");
+        assert!(stderr.contains(named), "{args} must name {named}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn mgpu_bench_usage_on_no_command() {
     let out = mgpu().output().expect("run mgpu-bench");
     assert!(!out.status.success());
@@ -725,73 +782,146 @@ mod serve_cli {
 
 #[test]
 fn telemetry_lint_validates_bench_summary() {
+    // The committed stack-bench snapshot lints clean.
+    let committed = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/stack/BENCH_stack.json"
+    );
+    let out = lint().arg("--bench").arg(committed).output().expect("lint");
+    assert!(
+        out.status.success(),
+        "committed BENCH_stack.json rejected: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("8 runs"));
+
+    // One untraced and one traced run in the shape the stack bench writes.
+    let untraced = r#"{"schema": "ifsim-bench-stack-v1", "workload": "repro-quick",
+        "traced": false, "correct": true, "attempted": 4, "failed": 1, "metrics": {
+        "setup_s": {"value": 0.5, "unit": "s"}, "op_cal_p50": {"value": 2, "unit": "cal"},
+        "op_cal_tail": {"value": 3, "unit": "cal"}, "peak_rss_mb": {"value": 20, "unit": "MiB"}}}"#;
+    let traced = r#"{"schema": "ifsim-bench-stack-v1", "workload": "repro-quick",
+        "traced": true, "correct": true, "attempted": 4, "failed": 0, "metrics": {
+        "hip.sims_per_pass": {"value": 357, "unit": "count"},
+        "ledger.fabric_share": {"value": 0.25, "unit": "ratio"},
+        "ledger.unexplained_share": {"value": 0.75, "unit": "ratio"}}}"#;
+    let doc = |runs: &str| format!(r#"{{"schema": "ifsim-bench-stack-v1", "runs": [{runs}]}}"#);
     let dir = temp_dir("lint-bench");
-    // A well-formed summary in the shape `fabric_engine` writes.
-    let good = dir.join("bench.json");
-    std::fs::write(
-        &good,
-        r#"{
-  "schema": "ifsim-bench-fabric-v2",
-  "results": [
-    {"id": "engine/add_drain_cycle_64", "flows": 64, "mean_ns": 150000.0, "min_ns": 120000.0, "iters": 40},
-    {"id": "reference/add_drain_cycle_64", "flows": 64, "mean_ns": 700000.0, "min_ns": 650000.0, "iters": 40}
-  ],
-  "speedup": {"add_drain_cycle_64": 5.4, "peek_completion_64": 6.7}
-}"#,
-    )
-    .unwrap();
-    let out = lint().arg("--bench").arg(&good).output().expect("lint");
+    let lint_doc = |name: &str, body: String| {
+        let path = dir.join(format!("{name}.json"));
+        std::fs::write(&path, body).unwrap();
+        lint().arg("--bench").arg(&path).output().expect("lint")
+    };
+    let out = lint_doc("good", doc(&format!("{untraced}, {traced}")));
     assert!(
         out.status.success(),
         "good summary rejected: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("2 results"));
-    // Wrong schema tag, empty results, a missing flows column, and a zero
-    // timing must all fail.
-    for (name, body) in [
+    // Each case breaks exactly one rule: (name, run, text replaced, by, reason).
+    for (name, run, from, to, why) in [
         (
-            "schema",
-            r#"{"schema": "other", "results": [], "speedup": {}}"#,
+            "run-schema",
+            untraced,
+            "stack-v1",
+            "stack-v0",
+            "run #0 has unexpected schema",
         ),
         (
-            "empty",
-            r#"{"schema": "ifsim-bench-fabric-v2", "results": [], "speedup": {"x": 1.0}}"#,
+            "no-workload",
+            untraced,
+            r#""workload""#,
+            r#""load""#,
+            "missing workload",
+        ),
+        ("incorrect", untraced, "true", "false", "is not correct"),
+        (
+            "failed-over-attempted",
+            untraced,
+            r#""failed": 1"#,
+            r#""failed": 5"#,
+            "bad attempted",
         ),
         (
-            "flows",
-            r#"{"schema": "ifsim-bench-fabric-v2",
-               "results": [{"id": "a", "mean_ns": 1.0, "min_ns": 1.0, "iters": 1}],
-               "speedup": {"x": 1.0}}"#,
+            "zero-attempted",
+            traced,
+            r#""attempted": 4"#,
+            r#""attempted": 0"#,
+            "bad attempted",
         ),
         (
-            "timing",
-            r#"{"schema": "ifsim-bench-fabric-v2",
-               "results": [{"id": "a", "flows": 1, "mean_ns": 0.0, "min_ns": 0.0, "iters": 1}],
-               "speedup": {"x": 1.0}}"#,
+            "negative-failed",
+            untraced,
+            r#""failed": 1"#,
+            r#""failed": -1"#,
+            "bad attempted",
+        ),
+        (
+            "negative-value",
+            untraced,
+            "0.5",
+            "-0.5",
+            "metric setup_s has bad value",
+        ),
+        (
+            "string-value",
+            untraced,
+            "0.5",
+            r#""fast""#,
+            "metric setup_s has bad value",
+        ),
+        (
+            "no-unit",
+            traced,
+            r#", "unit": "count""#,
+            "",
+            "metric hip.sims_per_pass has no unit",
+        ),
+        (
+            "no-end-to-end",
+            untraced,
+            "peak_rss_mb",
+            "rss",
+            "missing end-to-end metric peak_rss_mb",
+        ),
+        (
+            "ledger-sum",
+            traced,
+            "0.75",
+            "0.5",
+            "ledger shares sum to 0.75",
         ),
     ] {
-        let bad = dir.join(format!("bad-{name}.json"));
-        std::fs::write(&bad, body).unwrap();
-        let out = lint().arg("--bench").arg(&bad).output().expect("lint");
-        assert!(!out.status.success(), "{name} summary accepted");
+        assert!(run.contains(from), "{name}: nothing to replace");
+        let out = lint_doc(name, doc(&run.replacen(from, to, 1)));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name} accepted: {err}");
+        assert!(
+            err.contains(why),
+            "{name} rejected for the wrong reason: {err}"
+        );
     }
-    // The v1 shape (top-level flows, no per-result column) is explicitly
-    // superseded, with an error naming the replacement schema.
-    let v1 = dir.join("bench-v1.json");
-    std::fs::write(
-        &v1,
-        r#"{"schema": "ifsim-bench-fabric-v1", "flows": 64,
-           "results": [{"id": "a", "mean_ns": 1.0, "min_ns": 1.0, "iters": 1}],
-           "speedup": {"x": 1.0}}"#,
-    )
-    .unwrap();
-    let out = lint().arg("--bench").arg(&v1).output().expect("lint");
-    assert!(!out.status.success(), "superseded v1 summary accepted");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.contains("superseded") && err.contains("v2"),
-        "v1 rejection must point at v2: {err}"
-    );
+    // The document itself: its schema tag and a non-empty runs array.
+    for (name, body, why) in [
+        (
+            "schema",
+            doc(untraced).replacen("stack-v1", "fabric-v2", 1),
+            "unexpected schema",
+        ),
+        ("no-runs", doc(""), "runs is empty"),
+        (
+            "runs-object",
+            r#"{"schema": "ifsim-bench-stack-v1", "runs": {}}"#.into(),
+            "missing runs array",
+        ),
+    ] {
+        let out = lint_doc(name, body);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name} accepted: {err}");
+        assert!(
+            err.contains(why),
+            "{name} rejected for the wrong reason: {err}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

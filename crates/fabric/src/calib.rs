@@ -226,14 +226,48 @@ impl Calibration {
         F64_FIELDS.iter().map(|(name, _)| *name)
     }
 
-    /// Mutable access to one `f64` calibration constant by name, for
-    /// perturbation tooling (`ifsim-drift --perturb FIELD=FACTOR`) and
-    /// request-level config overrides in `ifsim-serve`.
+    /// Mutable access to one `f64` calibration constant by name. Tools
+    /// that take a factor from their input go through
+    /// [`Calibration::scale_f64_field`], which checks it.
     pub fn f64_field_mut(&mut self, name: &str) -> Option<&mut f64> {
         F64_FIELDS
             .iter()
             .find(|(n, _)| *n == name)
             .map(|(_, accessor)| accessor(self))
+    }
+
+    /// The largest value a named constant may take. Protocol efficiencies
+    /// (`eff_*`, `*_eff`) are payload bytes per wire byte, so a flow rejects
+    /// any outside (0, 1]; the other constants have no ceiling.
+    pub fn f64_field_ceiling(name: &str) -> Option<f64> {
+        (name.starts_with("eff_") || name.ends_with("_eff")).then_some(1.0)
+    }
+
+    /// Multiply one named constant by `factor`: the one checked path for
+    /// `ifsim-drift --perturb`, scenario `calib` and serve
+    /// `overrides.calib`. The factor must be positive and finite, and an
+    /// efficiency must stay in (0, 1]. On error nothing changes; the
+    /// message describes the value, and the caller prefixes its own field
+    /// path.
+    pub fn scale_f64_field(&mut self, name: &str, factor: f64) -> Result<(), String> {
+        let ceiling = Self::f64_field_ceiling(name);
+        let slot = self
+            .f64_field_mut(name)
+            .ok_or_else(|| format!("unknown calibration field '{name}'"))?;
+        if !(factor.is_finite() && factor > 0.0) {
+            return Err(format!("factor {factor} is not positive and finite"));
+        }
+        let scaled = *slot * factor;
+        if let Some(max) = ceiling {
+            if !(scaled > 0.0 && scaled <= max) {
+                return Err(format!(
+                    "factor {factor} takes {name} from {} to {scaled}, outside (0, {max}]",
+                    *slot
+                ));
+            }
+        }
+        *slot = scaled;
+        Ok(())
     }
 
     /// Every constant as canonical `(name, value)` pairs — durations in

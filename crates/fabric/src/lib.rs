@@ -36,8 +36,8 @@
 //! The engine keeps flow state in a persistent CSR arena ([`arena`]), runs
 //! deferred allocation-free fair-share recomputes ([`fairshare`]), and peeks
 //! completions from a lazily-invalidated heap — see `docs/PERFORMANCE.md`.
-//! The pre-rework engine survives as [`reference::ReferenceNet`], the oracle
-//! for the differential property tests and the benchmark baseline.
+//! The pre-rework engine survives as a test-only oracle (`reference.rs`),
+//! which the differential property tests drive in lockstep with [`FlowNet`].
 
 pub mod arena;
 pub mod attr;
@@ -49,7 +49,8 @@ pub mod flowlog;
 pub mod latency;
 pub mod net;
 pub mod recorder;
-pub mod reference;
+#[cfg(test)]
+mod reference;
 pub mod seg;
 
 pub use attr::BottleneckAttribution;

@@ -21,8 +21,11 @@ use std::sync::Arc;
 
 impl Scenario {
     /// The scenario's overrides applied on top of a driver-supplied base
-    /// configuration. Infallible after [`Scenario::validate`].
-    pub fn apply_config(&self, base: &BenchConfig) -> BenchConfig {
+    /// configuration. [`Scenario::validate`] checks the calibration factors
+    /// against the default calibration; a base that is already perturbed
+    /// (a serve request's `overrides.calib`) can still push an efficiency
+    /// out of range, which fails naming `calib.<field>`.
+    pub fn apply_config(&self, base: &BenchConfig) -> Result<BenchConfig, FieldError> {
         let mut cfg = if self.config.quick {
             BenchConfig::quick()
         } else {
@@ -38,11 +41,14 @@ impl Scenario {
             cfg.warmup = warmup;
         }
         for (field, factor) in &self.calib {
-            if let Some(v) = cfg.calib.f64_field_mut(field) {
-                *v *= factor;
-            }
+            cfg.calib
+                .scale_f64_field(field, *factor)
+                .map_err(|message| FieldError {
+                    field: format!("calib.{field}"),
+                    message,
+                })?;
         }
-        cfg
+        Ok(cfg)
     }
 
     /// The scheduled faults as a runtime fault plan.
@@ -80,7 +86,10 @@ pub fn compile(s: &Scenario) -> Result<Experiment, FieldError> {
                 field: "workload.id".into(),
                 message: format!("unknown registry experiment '{id}'"),
             })?;
-            Arc::new(move |cfg| inner.run(&scenario.apply_config(cfg)))
+            Arc::new(move |cfg| match scenario.apply_config(cfg) {
+                Ok(cfg) => inner.run(&cfg),
+                Err(e) => refused(inner.id, inner.title, e),
+            })
         }
         Workload::Trace { .. } | Workload::Generator(_) => {
             let exp_id = ifsim_core::experiment::intern(&id);
@@ -156,6 +165,18 @@ fn sweep_points(s: &Scenario) -> Vec<SweepPoint> {
     }
 }
 
+/// The result of a run whose configuration the scenario cannot apply: no
+/// artifacts, and one failed check naming the field.
+fn refused(id: &'static str, title: &'static str, e: FieldError) -> ExperimentResult {
+    ExperimentResult {
+        id,
+        title,
+        rendered: String::new(),
+        csv: Vec::new(),
+        checks: vec![Check::new(e.field, false, e.message)],
+    }
+}
+
 /// Replay every sweep point `cfg.reps` times (after `cfg.warmup` discarded
 /// reps), each rep in a fresh runtime with the fault plan re-armed and a
 /// per-rep seed, and report mean makespans.
@@ -165,7 +186,10 @@ fn run_replay(
     exp_id: &'static str,
     exp_title: &'static str,
 ) -> ExperimentResult {
-    let cfg = s.apply_config(cfg);
+    let cfg = match s.apply_config(cfg) {
+        Ok(cfg) => cfg,
+        Err(e) => return refused(exp_id, exp_title, e),
+    };
     let points = sweep_points(s);
     let mut rendered = String::new();
     let mut csv = String::from("point,records,bytes,makespan_us,gbps\n");
@@ -333,6 +357,29 @@ mod tests {
         let via = compile(&s).unwrap().run(&cfg);
         assert_eq!(direct.rendered, via.rendered);
         assert_eq!(direct.csv, via.csv);
+    }
+
+    #[test]
+    fn a_factor_a_perturbed_base_pushes_out_of_range_fails_a_check() {
+        // ×1.2 is valid on the default 0.75, but not on a base a driver
+        // already raised to 0.975: the run refuses with a failed check.
+        let mut base = BenchConfig::quick();
+        base.calib.scale_f64_field("eff_sdma_xgmi", 1.3).unwrap();
+        for workload in [moe("x").workload, Workload::Registry { id: "fig6c".into() }] {
+            let s = Scenario {
+                calib: vec![("eff_sdma_xgmi".into(), 1.2)],
+                workload,
+                ..moe("calib-over")
+            };
+            let exp = compile(&s).unwrap();
+            let r = exp.run(&base);
+            assert!(r.csv.is_empty(), "{}", r.report());
+            assert_eq!(r.checks.len(), 1);
+            assert_eq!(r.checks[0].name, "calib.eff_sdma_xgmi");
+            assert!(!r.checks[0].passed);
+            // The default base takes the same factor.
+            assert!(!exp.run(&BenchConfig::quick()).csv.is_empty());
+        }
     }
 
     #[test]

@@ -296,10 +296,7 @@ impl Scenario {
             for (field, factor) in c.iter() {
                 let factor = factor
                     .as_f64()
-                    .filter(|f| f.is_finite() && *f > 0.0)
-                    .ok_or_else(|| {
-                        err(format!("calib.{field}"), "must be a positive finite factor")
-                    })?;
+                    .ok_or_else(|| err(format!("calib.{field}"), "factor must be a number"))?;
                 calib.push((field.clone(), factor));
             }
             calib.sort_by(|a, b| a.0.cmp(&b.0));
@@ -435,15 +432,14 @@ impl Scenario {
         if self.config.reps == Some(0) {
             return Err(err("config.reps", "must be at least 1"));
         }
-        // Calibration factors target the named-f64 accessor table (the
-        // same surface `ifsim-drift --perturb` and serve overrides use).
-        for (field, _) in &self.calib {
-            if !ifsim_hip::Calibration::f64_field_names().any(|name| name == field.as_str()) {
-                return Err(err(
-                    format!("calib.{field}"),
-                    "unknown calibration field (see `ifsim-drift --list-fields`)",
-                ));
-            }
+        // Calibration factors go through the one checked path that
+        // `ifsim-drift --perturb` and serve overrides use, here against the
+        // default calibration.
+        let mut calib = ifsim_hip::Calibration::default();
+        for (field, factor) in &self.calib {
+            calib
+                .scale_f64_field(field, *factor)
+                .map_err(|e| err(format!("calib.{field}"), e))?;
         }
         let topo = ifsim_topology::NodeTopology::frontier();
         let n_gcds = topo.gcds().count();
@@ -1154,6 +1150,49 @@ mod tests {
                 "faults": [{{"at_us": 1.0, "kind": "lane-loss", "a": 0, "b": 1, "lanes": {lanes}}}],
                 "workload": {{"type": "moe-alltoall"}}}}"#
         )
+    }
+
+    #[test]
+    fn calib_factors_are_checked_against_the_calibration() {
+        let with_calib = |calib: &str| {
+            format!(
+                r#"{{"schema": "ifsim-scenario-v1", "name": "x", "calib": {calib},
+                    "workload": {{"type": "moe-alltoall"}}}}"#
+            )
+        };
+        let ok = Scenario::from_str(&with_calib(r#"{"eff_sdma_xgmi": 1.2}"#)).unwrap();
+        assert_eq!(ok.calib, vec![("eff_sdma_xgmi".to_string(), 1.2)]);
+        for (calib, field, says) in [
+            (
+                r#"{"eff_sdma_xgmi": 2.0}"#,
+                "calib.eff_sdma_xgmi",
+                "outside (0, 1]",
+            ),
+            (
+                r#"{"ddr_total_bw": 0}"#,
+                "calib.ddr_total_bw",
+                "not positive",
+            ),
+            (
+                r#"{"ddr_total_bw": -1}"#,
+                "calib.ddr_total_bw",
+                "not positive",
+            ),
+            (
+                r#"{"ddr_total_bw": "x"}"#,
+                "calib.ddr_total_bw",
+                "must be a number",
+            ),
+            (
+                r#"{"no_such": 1.0}"#,
+                "calib.no_such",
+                "unknown calibration field",
+            ),
+        ] {
+            let e = Scenario::from_str(&with_calib(calib)).unwrap_err();
+            assert_eq!(e.field, field, "{calib}: {e}");
+            assert!(e.message.contains(says), "{calib}: {e}");
+        }
     }
 
     #[test]

@@ -43,7 +43,9 @@ fn arb_config() -> impl Strategy<Value = ConfigSection> {
 }
 
 /// Calibration overrides drawn from the *real* accessor table, so the
-/// scenarios validate; kept name-sorted like the parser produces them.
+/// scenarios validate: factors 0.25..1.75, at most 1.0 on an efficiency
+/// (whose value may not exceed 1); kept name-sorted like the parser
+/// produces them.
 fn arb_calib() -> impl Strategy<Value = Vec<(String, f64)>> {
     let names: Vec<String> = ifsim_hip::Calibration::f64_field_names()
         .map(|n| n.to_string())
@@ -52,7 +54,11 @@ fn arb_calib() -> impl Strategy<Value = Vec<(String, f64)>> {
     proptest::collection::vec((0usize..n, 1usize..8), 0..3).prop_map(move |picks| {
         let mut calib: Vec<(String, f64)> = picks
             .into_iter()
-            .map(|(i, f)| (names[i].clone(), f as f64 * 0.25))
+            .map(|(i, f)| {
+                let capped = ifsim_hip::Calibration::f64_field_ceiling(&names[i]).is_some();
+                let f = if capped { (f - 1) % 4 + 1 } else { f };
+                (names[i].clone(), f as f64 * 0.25)
+            })
             .collect();
         calib.sort_by(|a, b| a.0.cmp(&b.0));
         calib.dedup_by(|a, b| a.0 == b.0);

@@ -76,9 +76,10 @@ pub struct ConfigOverrides {
 }
 
 impl ConfigOverrides {
-    /// Materialize the overrides into a runnable configuration.
-    /// Unknown calibration field names are a client error naming the
-    /// offending `overrides.calib.<field>` path.
+    /// Materialize the overrides into a runnable configuration. An
+    /// unknown calibration field, a factor that is not positive and
+    /// finite, or one that takes an efficiency out of (0, 1] is a client
+    /// error naming the offending `overrides.calib.<field>` path.
     pub fn resolve(&self) -> Result<BenchConfig, FieldError> {
         let mut cfg = if self.quick {
             BenchConfig::quick()
@@ -95,13 +96,9 @@ impl ConfigOverrides {
             cfg.warmup = w;
         }
         for (field, factor) in &self.calib {
-            let slot = cfg.calib.f64_field_mut(field).ok_or_else(|| {
-                ferr(
-                    format!("overrides.calib.{field}"),
-                    format!("unknown calibration field '{field}'"),
-                )
-            })?;
-            *slot *= factor;
+            cfg.calib
+                .scale_f64_field(field, *factor)
+                .map_err(|e| ferr(format!("overrides.calib.{field}"), e))?;
         }
         Ok(cfg)
     }
@@ -663,20 +660,30 @@ mod tests {
             seed: Some(7),
             reps: None,
             warmup: None,
-            calib: vec![("eff_sdma_xgmi".into(), 2.0)],
+            calib: vec![("eff_sdma_xgmi".into(), 1.25)],
         };
         let cfg = o.resolve().unwrap();
         let quick = BenchConfig::quick();
         assert_eq!(cfg.seed, 7);
         assert_eq!(cfg.reps, quick.reps);
         assert_eq!(cfg.warmup, quick.warmup);
-        assert!((cfg.calib.eff_sdma_xgmi - quick.calib.eff_sdma_xgmi * 2.0).abs() < 1e-12);
-        let bad = ConfigOverrides {
-            calib: vec![("no_such_knob".into(), 1.0)],
-            ..Default::default()
-        };
-        let err = bad.resolve().unwrap_err();
-        assert_eq!(err.field, "overrides.calib.no_such_knob");
+        assert!((cfg.calib.eff_sdma_xgmi - quick.calib.eff_sdma_xgmi * 1.25).abs() < 1e-12);
+        // An unknown field, and factors the calibration refuses: ×2.0 takes
+        // eff_sdma_xgmi to 1.5, past the efficiency ceiling.
+        for (field, factor, says) in [
+            ("no_such_knob", 1.0, "unknown calibration field"),
+            ("eff_sdma_xgmi", 2.0, "outside (0, 1]"),
+            ("ddr_total_bw", 0.0, "not positive"),
+            ("ddr_total_bw", f64::NAN, "not positive"),
+        ] {
+            let bad = ConfigOverrides {
+                calib: vec![(field.into(), factor)],
+                ..Default::default()
+            };
+            let err = bad.resolve().unwrap_err();
+            assert_eq!(err.field, format!("overrides.calib.{field}"));
+            assert!(err.message.contains(says), "{field} x{factor}: {err:?}");
+        }
     }
 
     #[test]

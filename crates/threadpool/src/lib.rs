@@ -3,7 +3,7 @@
 //! In-tree offline stand-in for the `threadpool` crate.
 //!
 //! The build sandbox has no registry access, so — like the vendored
-//! `proptest`, `criterion`, and `serde_json` shims — this crate implements
+//! `proptest` and `serde_json` shims — this crate implements
 //! just the API subset the workspace uses: a fixed-size pool of worker
 //! threads, [`ThreadPool::execute`] for fire-and-forget closures,
 //! [`ThreadPool::join`] to wait for quiescence, and

@@ -401,3 +401,46 @@ fn recycled_backings_read_as_zero_and_repeat_bit_for_bit() {
     let bytes = hip.mem().read_bytes(fresh, 0, MIB).unwrap().unwrap();
     assert!(bytes.iter().all(|&x| x == 0), "new memory reads as zero");
 }
+
+/// Calibration factors from untrusted input (`ifsim-drift --perturb`,
+/// scenario `calib`, serve `overrides.calib`) pass one checked method. A
+/// factor that is not positive and finite, or that takes an efficiency out
+/// of (0, 1], is refused and changes nothing; an accepted one reaches the
+/// simulated transfer.
+#[test]
+fn calibration_factors_are_checked_before_they_reach_a_flow() {
+    use ifsim::fabric::Calibration;
+    use ifsim::microbench::{osu, BenchConfig};
+
+    let base = Calibration::default();
+    for (field, factor, says) in [
+        ("eff_sdma_xgmi", 2.0, "outside (0, 1]"),
+        ("rccl_store_forward_eff", 2.0, "outside (0, 1]"),
+        ("eff_sdma_xgmi", 0.0, "not positive"),
+        ("eff_sdma_xgmi", -1.0, "not positive"),
+        ("eff_sdma_xgmi", f64::NAN, "not positive"),
+        ("eff_sdma_xgmi", f64::INFINITY, "not positive"),
+        ("no_such_field", 1.0, "unknown calibration field"),
+    ] {
+        let mut c = base.clone();
+        let e = c.scale_f64_field(field, factor).unwrap_err();
+        assert!(e.contains(says), "{field} x{factor}: {e}");
+        assert_eq!(c.kv(), base.kv(), "a refused factor changes nothing");
+    }
+    // A constant without a ceiling takes any positive factor.
+    assert_eq!(Calibration::f64_field_ceiling("sdma_payload_cap"), None);
+    let mut c = base.clone();
+    c.scale_f64_field("sdma_payload_cap", 3.0).unwrap();
+    assert_eq!(c.sdma_payload_cap, 3.0 * base.sdma_payload_cap);
+
+    // GCD0 -> GCD2 is one xGMI link: SDMA moves eff_sdma_xgmi x 50 GB/s.
+    let mut cfg = BenchConfig::quick();
+    cfg.reps = 1;
+    let healthy = osu::osu_p2p_bw(&cfg, 2, 64 * MIB, true);
+    cfg.calib.scale_f64_field("eff_sdma_xgmi", 0.5).unwrap();
+    let halved = osu::osu_p2p_bw(&cfg, 2, 64 * MIB, true);
+    assert!(
+        (halved / healthy - 0.5).abs() < 0.02,
+        "{healthy} -> {halved} GB/s"
+    );
+}
