@@ -119,10 +119,11 @@ if [ "$DRIFT_CODE" -ne 1 ]; then
 fi
 
 echo "==> scenario smoke: golden files lint + repro --scenario replay"
-# Every golden scenario must validate (the lint errors name the offending
-# field path), and the MoE acceptance scenario must replay end-to-end
-# through the repro driver, producing its CSV artifact.
-for f in golden/scenarios/*.json; do
+# Every golden scenario and every stack-bench workload file must validate
+# (the lint errors name the offending field path), and the MoE acceptance
+# scenario must replay end-to-end through the repro driver, producing its
+# CSV artifact.
+for f in golden/scenarios/*.json crates/bench/examples/stack/workloads/*.json; do
     ./target/release/telemetry-lint --scenario "$f"
 done
 ./target/release/repro --quick --reps 1 --csv "$TELEMETRY_TMP/scenario-repro" \

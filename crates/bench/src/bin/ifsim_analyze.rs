@@ -83,11 +83,13 @@ fn parse_args() -> Args {
                 )
             }
             "--reps" => {
-                args.reps = Some(
-                    next("--reps")
-                        .parse()
-                        .unwrap_or_else(|_| usage("bad --reps")),
-                )
+                let reps = next("--reps")
+                    .parse()
+                    .unwrap_or_else(|_| usage("bad --reps"));
+                if reps == 0 {
+                    usage("--reps must be at least 1");
+                }
+                args.reps = Some(reps);
             }
             "--warmup" => {
                 args.warmup = Some(

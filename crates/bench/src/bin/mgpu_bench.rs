@@ -166,6 +166,11 @@ fn parse() -> Cli {
             gcds - 1
         ));
     }
+    // Each GCD counts once toward the theoretical peak.
+    let repeated = (1..cli.devices.len()).find(|&i| cli.devices[..i].contains(&cli.devices[i]));
+    if let Some(i) = repeated {
+        fail(&format!("--devices names GCD {} twice", cli.devices[i]));
+    }
     cli
 }
 

@@ -66,6 +66,9 @@ fn parse_args() -> Result<Args, String> {
             "--reps" => {
                 let v = it.next().ok_or("--reps needs a value")?;
                 args.cfg.reps = v.parse().map_err(|e| format!("bad reps: {e}"))?;
+                if args.cfg.reps == 0 {
+                    return Err("--reps must be at least 1".into());
+                }
             }
             "--jobs" => {
                 let v = it.next().ok_or("--jobs needs a value")?;

@@ -185,6 +185,19 @@ fn out_of_range_flags_are_usage_errors_naming_the_flag() {
     cases.push((mgpu_bin, "osu-bw --dst 8".into(), "--dst"));
     cases.push((mgpu_bin, "stream --devices 9".into(), "--devices"));
     cases.push((mgpu_bin, "h2d --reps 0".into(), "--reps"));
+    // A repeated GCD would count twice toward the theoretical peak.
+    cases.push((mgpu_bin, "stream --devices 0,2,0".into(), "GCD 0 twice"));
+    // Zero repetitions leave nothing to summarize.
+    cases.push((
+        env!("CARGO_BIN_EXE_repro"),
+        "--quick --reps 0 fig2".into(),
+        "--reps",
+    ));
+    cases.push((
+        env!("CARGO_BIN_EXE_ifsim-analyze"),
+        "fig2 --quick --reps 0".into(),
+        "--reps",
+    ));
     for factor in ["2", "0", "-1", "nan", "inf"] {
         cases.push((
             env!("CARGO_BIN_EXE_ifsim-drift"),

@@ -108,9 +108,9 @@ pub enum GeneratorSpec {
         /// Compute-kernel traffic per rank per iteration.
         compute_bytes: u64,
     },
-    /// Data-parallel training-step replay following
-    /// `ifsim_apps::train::step_pattern` (ingest, compute, ring AllReduce,
-    /// optimizer).
+    /// Data-parallel training-step replay: per step, batch ingest,
+    /// forward+backward compute, a ring AllReduce of the gradients and the
+    /// optimizer.
     TrainStep {
         /// Data-parallel ranks (devices `0..ranks`).
         ranks: usize,
@@ -1134,6 +1134,22 @@ impl GeneratorSpec {
                 positive("batch_bytes", batch_bytes)?;
                 range("steps", steps, 1, 64)?;
                 range("compute_passes", compute_passes, 1, 64)?;
+                // The compute kernel moves 20 bytes (5 f32 accesses) per
+                // parameter per pass; every record's bytes must fit in u64.
+                let fits = u64::try_from(params)
+                    .ok()
+                    .and_then(|p| p.checked_mul(20))
+                    .and_then(|b| b.checked_mul(compute_passes as u64))
+                    .is_some();
+                if !fits {
+                    return Err(err(
+                        "workload.params",
+                        format!(
+                            "{params} parameters x {compute_passes} passes overflow \
+                             the kernel byte count"
+                        ),
+                    ));
+                }
             }
         }
         Ok(())
@@ -1192,6 +1208,25 @@ mod tests {
             let e = Scenario::from_str(&with_calib(calib)).unwrap_err();
             assert_eq!(e.field, field, "{calib}: {e}");
             assert!(e.message.contains(says), "{calib}: {e}");
+        }
+    }
+
+    #[test]
+    fn train_step_params_must_keep_kernel_bytes_in_u64() {
+        let with_params = |params: u64, passes: u64| {
+            Scenario::from_str(&format!(
+                r#"{{"schema": "ifsim-scenario-v1", "name": "x",
+                    "workload": {{"type": "train-step", "params": {params},
+                                  "compute_passes": {passes}}}}}"#
+            ))
+        };
+        // 20 * 2^59 bytes fit in u64; twice that, by passes or parameters,
+        // would wrap the kernel byte count.
+        with_params(1 << 59, 1).expect("20 bytes per parameter fit");
+        for (params, passes) in [(1 << 59, 2), (1 << 60, 1), (1 << 62, 2)] {
+            let e = with_params(params, passes).unwrap_err();
+            assert_eq!(e.field, "workload.params", "{params} x {passes}: {e}");
+            assert!(e.message.contains("overflow"), "{e}");
         }
     }
 

@@ -6,7 +6,6 @@
 
 use crate::format::GeneratorSpec;
 use crate::trace::{TraceOp, TraceRecord};
-use ifsim_apps::train::{step_pattern, StepOp, TrainConfig};
 
 /// Expand a generator into its trace.
 pub fn expand(spec: &GeneratorSpec) -> Vec<TraceRecord> {
@@ -256,95 +255,84 @@ fn halo(
     out
 }
 
-/// Data-parallel training-step replay, reusing the op pattern the
-/// `ifsim-apps` trainer executes ([`step_pattern`]): ingest, compute, the
-/// `2(n-1)`-round ring AllReduce, and the optimizer. Dependencies follow
-/// the ring's data flow: a rank forwards in round `r` the chunk it
-/// received in round `r-1`.
+/// Data-parallel training-step replay. Per step and rank: ingest the
+/// batch, run `compute_passes` forward+backward passes (a STREAM copy plus
+/// a STREAM triad each, 5 f32 accesses per parameter), the `2(n-1)`-round
+/// ring AllReduce of the gradients (rank `r` sends `1/n` of them to
+/// `r+1 mod n` each round), and an optimizer triad. A rank forwards in
+/// round `r` the chunk it received in round `r-1`; the next step's ingest
+/// waits for the rank's optimizer.
 fn train_step(
-    ranks: usize,
+    n: usize,
     params: usize,
     batch_bytes: u64,
     steps: usize,
     compute_passes: usize,
 ) -> Vec<TraceRecord> {
-    let n = ranks;
-    let cfg = TrainConfig {
-        devices: (0..n).collect(),
-        params,
-        batch_bytes,
-        steps: 1, // the pattern is per step; we stitch steps here
-        compute_passes,
-        overlap_ingestion: false,
-    };
-    let pattern = step_pattern(&cfg);
-    let last_round = 2 * n.saturating_sub(1) - 1;
+    let param_bytes = params as u64 * 4;
+    let chunk = (param_bytes / n as u64).max(1);
+    let rounds = 2 * (n - 1);
     let mut out = Vec::new();
     for s in 0..steps {
-        for op in &pattern {
-            match *op {
-                StepOp::Ingest { rank, bytes } => {
-                    let deps = if s == 0 {
-                        Vec::new()
-                    } else {
-                        vec![format!("s{:02}.opt.r{rank}", s - 1)]
-                    };
-                    out.push(rec(
-                        format!("s{s:02}.in.r{rank}"),
-                        TraceOp::H2D {
-                            dst: rank as u8,
-                            bytes,
-                        },
-                        deps,
-                    ));
-                }
-                StepOp::Compute { rank, bytes } => {
-                    out.push(rec(
-                        format!("s{s:02}.fb.r{rank}"),
-                        TraceOp::Kernel {
-                            gcd: rank as u8,
-                            bytes,
-                        },
-                        vec![format!("s{s:02}.in.r{rank}")],
-                    ));
-                }
-                StepOp::RingCopy {
-                    src,
-                    dst,
-                    bytes,
-                    round,
-                } => {
-                    let deps = if round == 0 {
-                        vec![format!("s{s:02}.fb.r{src}")]
-                    } else {
-                        // Forward the chunk that arrived last round from
-                        // the ring predecessor.
-                        let pred = (src + n - 1) % n;
-                        vec![format!("s{s:02}.ring{:02}.r{pred}", round - 1)]
-                    };
-                    out.push(rec(
-                        format!("s{s:02}.ring{round:02}.r{src}"),
-                        TraceOp::Copy {
-                            src: src as u8,
-                            dst: dst as u8,
-                            bytes,
-                        },
-                        deps,
-                    ));
-                }
-                StepOp::Optimizer { rank, bytes } => {
-                    // The last chunk lands here from the ring predecessor.
-                    let pred = (rank + n - 1) % n;
-                    out.push(rec(
-                        format!("s{s:02}.opt.r{rank}"),
-                        TraceOp::Kernel {
-                            gcd: rank as u8,
-                            bytes,
-                        },
-                        vec![format!("s{s:02}.ring{last_round:02}.r{pred}")],
-                    ));
-                }
+        for r in 0..n {
+            let deps = if s == 0 {
+                Vec::new()
+            } else {
+                vec![format!("s{:02}.opt.r{r}", s - 1)]
+            };
+            out.push(rec(
+                format!("s{s:02}.in.r{r}"),
+                TraceOp::H2D {
+                    dst: r as u8,
+                    bytes: batch_bytes,
+                },
+                deps,
+            ));
+        }
+        for r in 0..n {
+            out.push(rec(
+                format!("s{s:02}.fb.r{r}"),
+                TraceOp::Kernel {
+                    gcd: r as u8,
+                    bytes: 5 * param_bytes * compute_passes as u64,
+                },
+                vec![format!("s{s:02}.in.r{r}")],
+            ));
+        }
+        for round in 0..rounds {
+            for src in 0..n {
+                let dep = if round == 0 {
+                    format!("s{s:02}.fb.r{src}")
+                } else {
+                    // Forward the chunk that arrived last round from the
+                    // ring predecessor.
+                    format!("s{s:02}.ring{:02}.r{}", round - 1, (src + n - 1) % n)
+                };
+                out.push(rec(
+                    format!("s{s:02}.ring{round:02}.r{src}"),
+                    TraceOp::Copy {
+                        src: src as u8,
+                        dst: ((src + 1) % n) as u8,
+                        bytes: chunk,
+                    },
+                    vec![dep],
+                ));
             }
+        }
+        for r in 0..n {
+            // The last chunk lands here from the ring predecessor.
+            out.push(rec(
+                format!("s{s:02}.opt.r{r}"),
+                TraceOp::Kernel {
+                    gcd: r as u8,
+                    bytes: 3 * param_bytes,
+                },
+                vec![format!(
+                    "s{s:02}.ring{:02}.r{}",
+                    rounds - 1,
+                    (r + n - 1) % n
+                )],
+            ));
         }
     }
     out
@@ -435,6 +423,34 @@ mod tests {
         });
         let push1 = records.iter().find(|r| r.id == "s01.push.r0").unwrap();
         assert_eq!(push1.depends_on, vec!["s00.pull.r0".to_string()]);
+    }
+
+    #[test]
+    fn train_step_records_follow_the_ring_allreduce_shape() {
+        let n = 4;
+        let params = (4 << 20) / 4;
+        let records = expand(&GeneratorSpec::TrainStep {
+            ranks: n,
+            params,
+            batch_bytes: 8 << 20,
+            steps: 1,
+            compute_passes: 20,
+        });
+        // n ingests + n computes + 2(n-1) ring rounds of n hops + n opts.
+        assert_eq!(records.len(), 3 * n + 2 * (n - 1) * n);
+        // Ring hops chain successor ranks and move equal chunks summing to
+        // one full gradient buffer per reduce+broadcast half.
+        let hop_bytes: u64 = records
+            .iter()
+            .filter_map(|r| match r.op {
+                TraceOp::Copy { src, dst, bytes } => {
+                    assert_eq!(usize::from(dst), (usize::from(src) + 1) % n);
+                    Some(bytes)
+                }
+                _ => None,
+            })
+            .sum();
+        assert_eq!(hop_bytes, 2 * (n as u64 - 1) * (params as u64 * 4));
     }
 
     #[test]

@@ -253,7 +253,11 @@ impl RunRequest {
                 );
             }
             if let Some(r) = o.get("reps") {
-                overrides.reps = Some(parse_count(r, "overrides.reps")?);
+                let reps = parse_count(r, "overrides.reps")?;
+                if reps == 0 {
+                    return Err(ferr("overrides.reps", "must be at least 1"));
+                }
+                overrides.reps = Some(reps);
             }
             if let Some(w) = o.get("warmup") {
                 overrides.warmup = Some(parse_count(w, "overrides.warmup")?);
@@ -697,6 +701,10 @@ mod tests {
             ),
             (
                 r#"{"op":"run","experiment_id":"fig1","overrides":{"reps":"x"}}"#,
+                "overrides.reps",
+            ),
+            (
+                r#"{"op":"run","experiment_id":"fig1","overrides":{"reps":0}}"#,
                 "overrides.reps",
             ),
             (

@@ -35,7 +35,8 @@ fn arb_overrides() -> impl Strategy<Value = ConfigOverrides> {
     (
         any::<bool>(),
         arb_option(any::<u64>()),
-        arb_option(0usize..1000),
+        // Zero reps is a field error, not a request.
+        arb_option(1usize..1000),
         arb_option(0usize..1000),
         proptest::collection::vec((arb_ident(), 0.01f64..100.0), 0..4),
     )

@@ -14,6 +14,3 @@
 //! ```
 
 pub use ifsim_core::*;
-
-/// Proxy applications (stencil halo exchange, distributed CG, training step).
-pub use ifsim_apps as apps;

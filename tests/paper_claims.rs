@@ -316,4 +316,9 @@ fn claim_6_rccl_is_more_efficient_than_mpi_except_for_broadcast() {
             assert!(rccl < mpi, "{}: RCCL {rccl} vs MPI {mpi}", coll.name());
         }
     }
+    // A solver's scalar dot-product reduction (§I's CG context): at 4 bytes
+    // the AllReduce is pure latency, and RCCL still wins.
+    let rccl = rccl_tests::rccl_collective_latency(&c, Collective::AllReduce, 8, 4);
+    let mpi = osu::mpi_collective_latency(&c, Collective::AllReduce, 8, 4);
+    assert!(rccl < mpi, "4 B AllReduce: RCCL {rccl} vs MPI {mpi}");
 }
