@@ -60,6 +60,15 @@ for seed in 1 2 3; do
         engine_matches_reference_and_oracle_under_churn add_drain_cycles_match_reference
 done
 
+echo "==> routing oracle under extra proptest seeds"
+# Fresh link-health maps and random graphs for the per-source route walk
+# vs the brute-force per-pair oracle.
+for seed in 1 2 3; do
+    PROPTEST_SEED="$seed" cargo test -q --release -p ifsim-topology --lib -- \
+        walk_matches_the_oracle_on_random_frontier_health \
+        walk_matches_the_oracle_on_random_custom_graphs
+done
+
 echo "==> bounded-wait replay under extra proptest seeds"
 # Fresh fault schedules and timeout steps for the bounded-vs-unbounded
 # synchronize differential (the event loop's deadline branch under faults).

@@ -12,7 +12,7 @@ use ifsim_core::fabric::Calibration;
 use ifsim_core::hip::{EnvConfig, HipSim, KernelSpec};
 use ifsim_core::microbench::comm_scope::{h2d_bandwidth, H2dInterface};
 use ifsim_core::microbench::{osu, rccl_tests, BenchConfig};
-use ifsim_core::topology::{GcdId, NodeTopology, RoutePolicy, Router};
+use ifsim_core::topology::{GcdId, NodeTopology, RoutePolicy};
 
 fn main() {
     // `cargo bench` passes flags like --bench; this harness has no options.
@@ -68,7 +68,7 @@ fn ablate_mi300a_coherence() {
 fn ablate_routing_policy() {
     println!("--- routing policy: bandwidth-maximizing vs shortest-hop ---");
     let topo = NodeTopology::frontier();
-    let router = Router::new(&topo);
+    let router = topo.routes();
     let calib = Calibration::default();
     for (a, b) in [(1u8, 7u8), (3, 5)] {
         let bw_path = router.gcd_route(GcdId(a), GcdId(b), RoutePolicy::MaxBandwidth);

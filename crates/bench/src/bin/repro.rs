@@ -51,24 +51,28 @@ fn parse_args() -> Result<Args, String> {
         jobs: 1,
         list: false,
     };
+    // `--seed` and `--reps` apply on top of the base config whatever their
+    // order relative to `--quick`.
+    let (mut quick, mut seed, mut reps) = (false, None, None);
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         if args.artifacts.parse_flag(&a, &mut it)? {
             continue;
         }
         match a.as_str() {
-            "--quick" => args.cfg = BenchConfig::quick(),
+            "--quick" => quick = true,
             "--list" => args.list = true,
             "--seed" => {
                 let v = it.next().ok_or("--seed needs a value")?;
-                args.cfg.seed = v.parse().map_err(|e| format!("bad seed: {e}"))?;
+                seed = Some(v.parse().map_err(|e| format!("bad seed: {e}"))?);
             }
             "--reps" => {
                 let v = it.next().ok_or("--reps needs a value")?;
-                args.cfg.reps = v.parse().map_err(|e| format!("bad reps: {e}"))?;
-                if args.cfg.reps == 0 {
+                let n: usize = v.parse().map_err(|e| format!("bad reps: {e}"))?;
+                if n == 0 {
                     return Err("--reps must be at least 1".into());
                 }
+                reps = Some(n);
             }
             "--jobs" => {
                 let v = it.next().ok_or("--jobs needs a value")?;
@@ -100,6 +104,15 @@ fn parse_args() -> Result<Args, String> {
             }
             other => args.ids.push(other.to_string()),
         }
+    }
+    if quick {
+        args.cfg = BenchConfig::quick();
+    }
+    if let Some(seed) = seed {
+        args.cfg.seed = seed;
+    }
+    if let Some(reps) = reps {
+        args.cfg.reps = reps;
     }
     Ok(args)
 }

@@ -35,6 +35,22 @@ fn repro_runs_a_single_experiment_and_reports_checks() {
 }
 
 #[test]
+fn repro_quick_keeps_seed_and_reps_in_either_order() {
+    for args in [
+        ["--reps", "1", "--seed", "5", "--quick", "fig6a"],
+        ["--quick", "--reps", "1", "--seed", "5", "fig6a"],
+    ] {
+        let out = repro().args(args).output().expect("run repro");
+        assert!(out.status.success(), "{args:?}: {:?}", out.status);
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            text.contains("seed 0x5, 1 reps + 0 warmup"),
+            "{args:?}: {text}"
+        );
+    }
+}
+
+#[test]
 fn repro_rejects_unknown_ids_and_options() {
     let out = repro().arg("--bogus").output().expect("run repro");
     assert!(!out.status.success());

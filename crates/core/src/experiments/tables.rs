@@ -4,7 +4,7 @@
 use crate::experiment::{Check, ExperimentResult};
 use ifsim_hip::{HostAllocFlags, MemKind};
 use ifsim_microbench::BenchConfig;
-use ifsim_topology::{numa, LinkKind, NodeTopology, Router, XgmiWidth};
+use ifsim_topology::{numa, LinkKind, NodeTopology, XgmiWidth};
 use std::fmt::Write as _;
 
 /// Fig. 1: the node topology, rendered from the graph (not hard-coded text).
@@ -34,7 +34,7 @@ pub fn fig1(_cfg: &BenchConfig) -> ExperimentResult {
     let quad = count_links(&topo, XgmiWidth::Quad);
     let dual = count_links(&topo, XgmiWidth::Dual);
     let single = count_links(&topo, XgmiWidth::Single);
-    let router = Router::new(&topo);
+    let router = topo.routes();
     let max_hops = topo
         .gcds()
         .flat_map(|a| topo.gcds().map(move |b| (a, b)))

@@ -16,11 +16,14 @@ use ifsim_fabric::{Calibration, FaultEvent, FaultKind, FaultPlan, FlowId, FlowNe
 use ifsim_memory::{BufferId, HostAllocFlags, MemKind, MemSpace, MemorySystem};
 use ifsim_topology::{GcdId, LinkHealth, LinkId, LinkKind, NodeTopology, NumaId, PortId, Router};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Internal state the event engine operates on.
 pub struct Inner {
     topo: NodeTopology,
-    router: Router,
+    /// The topology's shared healthy routes until a fault reroutes; a
+    /// reroute replaces the handle and never mutates the router behind it.
+    router: Arc<Router>,
     calib: Calibration,
     env: EnvConfig,
     devices: DeviceTable,
@@ -79,7 +82,7 @@ impl HipSim {
 
     /// Fully custom runtime (topology ablations, calibration variants).
     pub fn with_config(topo: NodeTopology, calib: Calibration, env: EnvConfig, seed: u64) -> Self {
-        let router = Router::new(&topo);
+        let router = Arc::clone(topo.routes());
         let devices = DeviceTable::new(&topo, &env).expect("valid device visibility");
         let segmap = SegmentMap::new(&topo);
         let net = FlowNet::new(segmap);
@@ -1254,9 +1257,15 @@ impl Inner {
 
     /// Recompute all routes against the current per-link health: the
     /// mid-flight reroute. Downed links disappear from the graph; degraded
-    /// links lose bandwidth-ordering priority.
+    /// links lose bandwidth-ordering priority. A fully restored fabric goes
+    /// back to the topology's shared healthy routes.
     fn rebuild_router(&mut self) {
-        self.router = Router::new_with_health(&self.topo, self.fabric_health.health());
+        let health = self.fabric_health.health();
+        self.router = if health.all_healthy() {
+            Arc::clone(self.topo.routes())
+        } else {
+            Arc::new(Router::new_with_health(&self.topo, health))
+        };
     }
 
     /// Apply one scheduled fault: update health state, re-derive link

@@ -7,13 +7,11 @@ use crate::report::Matrix;
 use ifsim_des::units::{bw_bytes_per_sec, to_gbps};
 use ifsim_des::Summary;
 use ifsim_hip::{EnvConfig, HipSim, NodeTopology};
-use ifsim_topology::Router;
 
 /// Fig. 6a: shortest-path hop counts between all GCD pairs.
 pub fn hop_matrix() -> Matrix {
     let topo = NodeTopology::frontier();
-    let router = Router::new(&topo);
-    let table = ifsim_topology::hop_matrix(&topo, &router);
+    let table = ifsim_topology::hop_matrix(&topo, topo.routes());
     let n = table.len();
     let mut m = Matrix::new("shortest path length", "hops", n);
     for (i, row) in table.iter().enumerate() {

@@ -202,13 +202,18 @@ fn get_str(obj: &Map, key: &str, path: &str) -> Result<Option<String>, FieldErro
     }
 }
 
+/// What an integer field accepts: JSON numbers are exact only this far
+/// ([`serde_json::MAX_SAFE_INTEGER`]).
+const INTEGER_RANGE: &str =
+    "must be a non-negative integer no larger than 2^53 - 1 (9007199254740991)";
+
 fn get_u64(obj: &Map, key: &str, path: &str) -> Result<Option<u64>, FieldError> {
     match obj.get(key) {
         None => Ok(None),
         Some(v) => v
             .as_u64()
             .map(Some)
-            .ok_or_else(|| err(join(path, key), "must be a non-negative integer")),
+            .ok_or_else(|| err(join(path, key), INTEGER_RANGE)),
     }
 }
 
@@ -739,7 +744,7 @@ fn parse_workload(v: &Value) -> Result<Workload, FieldError> {
                         arr[i]
                             .as_u64()
                             .map(|v| v as usize)
-                            .ok_or_else(|| err("workload.grid", "extents must be integers"))
+                            .ok_or_else(|| err("workload.grid", format!("extents {INTEGER_RANGE}")))
                     };
                     (dim(0)?, dim(1)?)
                 }
@@ -999,8 +1004,8 @@ impl GeneratorSpec {
     /// integer-valued numbers.
     pub fn set_param(&mut self, name: &str, value: f64) -> Result<(), String> {
         let as_u64 = || -> Result<u64, String> {
-            if value.fract() != 0.0 || value < 0.0 || value > u64::MAX as f64 {
-                return Err(format!("'{name}' needs an integer value, got {value}"));
+            if value.fract() != 0.0 || value < 0.0 || value > serde_json::MAX_SAFE_INTEGER as f64 {
+                return Err(format!("'{name}' {INTEGER_RANGE}, got {value}"));
             }
             Ok(value as u64)
         };
@@ -1213,12 +1218,17 @@ mod tests {
 
     #[test]
     fn train_step_params_must_keep_kernel_bytes_in_u64() {
-        let with_params = |params: u64, passes: u64| {
-            Scenario::from_str(&format!(
-                r#"{{"schema": "ifsim-scenario-v1", "name": "x",
-                    "workload": {{"type": "train-step", "params": {params},
-                                  "compute_passes": {passes}}}}}"#
-            ))
+        // A parsed scenario cannot reach the overflow (its integers stop at
+        // 2^53 - 1 and passes at 64), so build the spec directly.
+        let with_params = |params: usize, compute_passes: usize| {
+            GeneratorSpec::TrainStep {
+                ranks: 8,
+                params,
+                batch_bytes: 1,
+                steps: 1,
+                compute_passes,
+            }
+            .validate()
         };
         // 20 * 2^59 bytes fit in u64; twice that, by passes or parameters,
         // would wrap the kernel byte count.
@@ -1228,6 +1238,37 @@ mod tests {
             assert_eq!(e.field, "workload.params", "{params} x {passes}: {e}");
             assert!(e.message.contains("overflow"), "{e}");
         }
+    }
+
+    #[test]
+    fn integers_past_2_pow_53_are_field_errors_naming_the_limit() {
+        // 922337203685477580 would otherwise round to ...632 unnoticed.
+        let e = Scenario::from_str(
+            r#"{"schema": "ifsim-scenario-v1", "name": "x",
+                "workload": {"type": "train-step", "params": 922337203685477580}}"#,
+        )
+        .unwrap_err();
+        assert_eq!(e.field, "workload.params", "{e}");
+        assert!(e.message.contains("9007199254740991"), "{e}");
+        // The limit itself still parses exactly.
+        let ok = Scenario::from_str(
+            r#"{"schema": "ifsim-scenario-v1", "name": "x",
+                "workload": {"type": "halo", "compute_bytes": 9007199254740991}}"#,
+        )
+        .expect("2^53 - 1 is exact");
+        let Workload::Generator(GeneratorSpec::Halo { compute_bytes, .. }) = ok.workload else {
+            panic!("expected a halo generator")
+        };
+        assert_eq!(compute_bytes, serde_json::MAX_SAFE_INTEGER);
+        // A sweep value past the limit names its slot and the limit too.
+        let e = Scenario::from_str(
+            r#"{"schema": "ifsim-scenario-v1", "name": "x",
+                "workload": {"type": "halo"},
+                "sweep": [{"param": "compute_bytes", "values": [4096, 9007199254740992]}]}"#,
+        )
+        .unwrap_err();
+        assert_eq!(e.field, "sweep[0].values[1]", "{e}");
+        assert!(e.message.contains("9007199254740991"), "{e}");
     }
 
     #[test]

@@ -11,6 +11,11 @@
 
 use std::fmt;
 
+/// The largest integer a JSON number carries exactly, 2^53 − 1. Every
+/// integer up to it parses to its own `f64`; 2^53 does not, since
+/// 2^53 + 1 parses to the same value.
+pub const MAX_SAFE_INTEGER: u64 = (1 << 53) - 1;
+
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
@@ -94,10 +99,14 @@ impl Value {
         }
     }
 
-    /// The value as a `u64`, if it is a non-negative integral number.
+    /// The value as a `u64`, if it is a non-negative integral number no
+    /// larger than [`MAX_SAFE_INTEGER`]. Larger integers are refused: the
+    /// number was already rounded to an `f64` on parse, so its value may
+    /// not be the one written. Values that can exceed the limit travel as
+    /// decimal strings.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_SAFE_INTEGER as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -758,6 +767,18 @@ mod tests {
         assert_eq!(v.get("b").unwrap().as_bool(), Some(true));
         assert!(v.get("missing").is_none());
         assert_eq!(v.as_object().unwrap().len(), 3);
+    }
+
+    #[test]
+    fn integers_past_the_exact_range_are_not_u64s() {
+        let n = |text: &str| from_str(text).unwrap().as_u64();
+        assert_eq!(n("9007199254740991"), Some(MAX_SAFE_INTEGER));
+        // 2^53 + 1 parses to 2^53, so neither can be trusted.
+        assert_eq!(n("9007199254740992"), None);
+        assert_eq!(n("9007199254740993"), None);
+        assert_eq!(n("922337203685477580"), None);
+        assert_eq!(n("-1"), None);
+        assert_eq!(n("1.5"), None);
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! f64-backed JSON shim:
 //!
 //! - `seed` travels as a **decimal string**, not a JSON number, so the
-//!   full `u64` range survives the round-trip;
+//!   full `u64` range survives the round-trip; integer numbers above
+//!   2^53 - 1 ([`serde_json::MAX_SAFE_INTEGER`]) are refused, since the
+//!   parse may already have rounded them;
 //! - responses contain no timestamps or timing fields, so a cached
 //!   response is byte-identical to the fresh compute it replays (only the
 //!   `cached` flag and the per-request `trace_id` differ).
@@ -281,7 +283,7 @@ impl RunRequest {
         if let Some(d) = obj.get("deadline_ms") {
             deadline_ms = Some(
                 d.as_u64()
-                    .ok_or_else(|| ferr("deadline_ms", "must be a non-negative integer"))?,
+                    .ok_or_else(|| ferr("deadline_ms", INTEGER_RANGE))?,
             );
         }
         let mut artifacts = Vec::new();
@@ -309,10 +311,14 @@ impl RunRequest {
     }
 }
 
+/// What an integer field accepts: JSON numbers are exact only this far
+/// ([`serde_json::MAX_SAFE_INTEGER`]).
+const INTEGER_RANGE: &str = "must be a non-negative integer no larger than 2^53 - 1";
+
 fn parse_count(v: &Value, field: &str) -> Result<usize, FieldError> {
     v.as_u64()
         .map(|n| n as usize)
-        .ok_or_else(|| ferr(field, "must be a non-negative integer"))
+        .ok_or_else(|| ferr(field, INTEGER_RANGE))
 }
 
 /// Response status taxonomy, with HTTP-flavoured numeric codes.
@@ -706,6 +712,15 @@ mod tests {
             (
                 r#"{"op":"run","experiment_id":"fig1","overrides":{"reps":0}}"#,
                 "overrides.reps",
+            ),
+            // Past 2^53 a JSON number no longer holds the integer written.
+            (
+                r#"{"op":"run","experiment_id":"fig1","overrides":{"warmup":9007199254740993}}"#,
+                "overrides.warmup",
+            ),
+            (
+                r#"{"op":"run","experiment_id":"fig1","deadline_ms":18446744073709551615}"#,
+                "deadline_ms",
             ),
             (
                 r#"{"op":"run","experiment_id":"fig1","overrides":{"calib":{"k":"y"}}}"#,

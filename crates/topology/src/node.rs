@@ -7,7 +7,9 @@
 
 use crate::ids::{GcdId, GpuId, LinkId, NumaId, PortId};
 use crate::link::{LinkKind, LinkSpec, XgmiWidth};
+use crate::routing::Router;
 use std::collections::BTreeMap;
+use std::sync::{Arc, LazyLock, OnceLock};
 
 /// Parameters of a node. Only the canonical eight-GCD node is used by the
 /// paper, but smaller configurations are useful in tests and ablations.
@@ -28,12 +30,19 @@ impl Default for NodeConfig {
     }
 }
 
-/// An immutable node interconnect graph.
+/// An immutable node interconnect graph. Cloning is cheap: clones share
+/// the graph and its healthy [`routes`](NodeTopology::routes).
 #[derive(Clone, Debug)]
-pub struct NodeTopology {
+pub struct NodeTopology(Arc<Graph>);
+
+#[derive(Debug)]
+struct Graph {
     config: NodeConfig,
     links: Vec<LinkSpec>,
     adjacency: BTreeMap<PortId, Vec<(LinkId, PortId)>>,
+    /// The all-healthy routes, built on first use. The graph never changes,
+    /// so neither do they.
+    routes: OnceLock<Arc<Router>>,
 }
 
 impl NodeTopology {
@@ -50,7 +59,15 @@ impl NodeTopology {
     /// latency (Fig. 6b); GCD0 is directly connected to GCD2 (single) and
     /// GCD6 (dual) (§II-A); and (1,7)/(3,5) are the only pairs whose
     /// bandwidth-maximizing route is three hops (§V-A1).
+    ///
+    /// The graph is built once per process; every call returns a handle to
+    /// it, so all its users share one healthy [`Router`].
     pub fn frontier() -> Self {
+        static FRONTIER: LazyLock<NodeTopology> = LazyLock::new(NodeTopology::build_frontier);
+        FRONTIER.clone()
+    }
+
+    fn build_frontier() -> Self {
         let mut links = Vec::new();
         // Same-package quad connections.
         for gpu in 0..4 {
@@ -126,21 +143,30 @@ impl NodeTopology {
             adjacency.get_mut(&l.a).unwrap().push((id, l.b));
             adjacency.get_mut(&l.b).unwrap().push((id, l.a));
         }
-        NodeTopology {
+        NodeTopology(Arc::new(Graph {
             config,
             links,
             adjacency,
-        }
+            routes: OnceLock::new(),
+        }))
+    }
+
+    /// Routes of the fully healthy graph, built by [`Router::new`] on first
+    /// use (so a disconnected topology panics here) and shared by every
+    /// clone of this topology. A degraded fabric routes with
+    /// [`Router::new_with_health`] instead.
+    pub fn routes(&self) -> &Arc<Router> {
+        self.0.routes.get_or_init(|| Arc::new(Router::new(self)))
     }
 
     /// Node configuration.
     pub fn config(&self) -> NodeConfig {
-        self.config
+        self.0.config
     }
 
     /// Number of GCDs.
     pub fn n_gcds(&self) -> usize {
-        self.config.n_gpus as usize * 2
+        self.0.config.n_gpus as usize * 2
     }
 
     /// All GCD ids in order.
@@ -150,27 +176,28 @@ impl NodeTopology {
 
     /// All physical GPU packages in order.
     pub fn gpus(&self) -> impl Iterator<Item = GpuId> + '_ {
-        (0..self.config.n_gpus).map(GpuId)
+        (0..self.0.config.n_gpus).map(GpuId)
     }
 
     /// All NUMA domains in order.
     pub fn numa_domains(&self) -> impl Iterator<Item = NumaId> + '_ {
-        (0..self.config.n_numa).map(NumaId)
+        (0..self.0.config.n_numa).map(NumaId)
     }
 
     /// The full link table; `LinkId(i)` indexes into it.
     pub fn links(&self) -> &[LinkSpec] {
-        &self.links
+        &self.0.links
     }
 
     /// Look up one link.
     pub fn link(&self, id: LinkId) -> &LinkSpec {
-        &self.links[id.idx()]
+        &self.0.links[id.idx()]
     }
 
     /// Neighbors of `port` with the connecting link.
     pub fn neighbors(&self, port: PortId) -> &[(LinkId, PortId)] {
-        self.adjacency
+        self.0
+            .adjacency
             .get(&port)
             .map(|v| v.as_slice())
             .unwrap_or(&[])
@@ -310,6 +337,29 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn clones_share_one_healthy_router() {
+        let t = NodeTopology::frontier();
+        assert!(Arc::ptr_eq(t.routes(), t.clone().routes()));
+        assert!(Arc::ptr_eq(t.routes(), NodeTopology::frontier().routes()));
+        // A separately built graph routes for itself.
+        let rebuilt = NodeTopology::custom(t.config(), t.links().to_vec());
+        assert!(!Arc::ptr_eq(t.routes(), rebuilt.routes()));
+    }
+
+    #[test]
+    #[should_panic(expected = "topology disconnected")]
+    fn disconnected_topology_panics_on_first_routes() {
+        let frontier = NodeTopology::frontier();
+        let host_only = frontier
+            .links()
+            .iter()
+            .filter(|l| !matches!(l.kind, LinkKind::Xgmi(_)))
+            .copied()
+            .collect();
+        let _ = NodeTopology::custom(frontier.config(), host_only).routes();
     }
 
     #[test]

@@ -24,7 +24,7 @@
 
 use ifsim::des::units::MIB;
 use ifsim::hip::{EnvConfig, HipSim, HostAllocFlags, KernelSpec, MemcpyKind};
-use ifsim::topology::{GcdId, NodeTopology, Router};
+use ifsim::topology::{GcdId, NodeTopology};
 
 #[derive(Clone, Copy, PartialEq)]
 enum Strategy {
@@ -131,9 +131,8 @@ fn halo_phase_time(mapping: &[usize], halo_bytes: u64, strategy: Strategy) -> f6
 /// hardware ring), so every neighbour pair is one hop.
 fn topology_aware_mapping() -> Vec<usize> {
     let topo = NodeTopology::frontier();
-    let router = Router::new(&topo);
     let gcds: Vec<GcdId> = topo.gcds().collect();
-    let ring = ifsim::coll::ring::build_ring(&topo, &router, &gcds);
+    let ring = ifsim::coll::ring::build_ring(&topo, topo.routes(), &gcds);
     ring.order.iter().map(|g| g.0 as usize).collect()
 }
 

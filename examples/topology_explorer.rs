@@ -14,7 +14,7 @@ use ifsim::topology::{numa, GcdId, NodeTopology, RoutePolicy, Router};
 
 fn main() {
     let topo = NodeTopology::frontier();
-    let router = Router::new(&topo);
+    let router = topo.routes();
     let calib = Calibration::default();
 
     let args: Vec<u8> = std::env::args()
@@ -22,7 +22,7 @@ fn main() {
         .map(|a| a.parse().expect("GCD index 0-7"))
         .collect();
     if let [a, b] = args[..] {
-        explain_pair(&topo, &router, &calib, GcdId(a), GcdId(b));
+        explain_pair(&topo, router, &calib, GcdId(a), GcdId(b));
         return;
     }
 

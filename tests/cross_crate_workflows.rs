@@ -444,3 +444,100 @@ fn calibration_factors_are_checked_before_they_reach_a_flow() {
         "{healthy} -> {halved} GB/s"
     );
 }
+
+/// The frontier graph's shared healthy routes are exactly what a freshly
+/// built router selects: every GCD pair under both policies, and every
+/// GCD -> NUMA host route.
+#[test]
+fn shared_frontier_routes_equal_a_fresh_router() {
+    use ifsim::topology::{NodeTopology, RoutePolicy, Router};
+
+    let topo = NodeTopology::frontier();
+    let fresh = Router::new(&topo);
+    let shared = topo.routes();
+    for a in topo.gcds() {
+        for b in topo.gcds().filter(|&b| b != a) {
+            for policy in [RoutePolicy::ShortestHop, RoutePolicy::MaxBandwidth] {
+                assert_eq!(
+                    shared.gcd_route(a, b, policy),
+                    fresh.gcd_route(a, b, policy),
+                    "{a} -> {b} under {policy:?}"
+                );
+            }
+        }
+        for n in topo.numa_domains() {
+            assert_eq!(
+                shared.host_route(a, n),
+                fresh.host_route(a, n),
+                "{a} -> {n}"
+            );
+        }
+    }
+}
+
+/// Runtimes over the frontier node route with one shared router instead of
+/// each building their own.
+#[test]
+fn bench_runtimes_share_one_router() {
+    use ifsim::microbench::BenchConfig;
+
+    let a = BenchConfig::quick().runtime(EnvConfig::default());
+    let b = BenchConfig::default().runtime(EnvConfig::with_xnack());
+    assert!(std::ptr::eq(a.router(), b.router()));
+    assert!(std::ptr::eq(
+        a.router(),
+        &**ifsim::topology::NodeTopology::frontier().routes()
+    ));
+}
+
+/// A link failure reroutes the runtime it hits and nothing else: a runtime
+/// built afterwards, on another thread, still routes over the healthy link.
+#[test]
+fn a_rerouted_runtime_leaves_the_shared_routes_healthy() {
+    use ifsim::des::{Dur, Time};
+    use ifsim::fabric::{FaultKind, FaultPlan};
+    use ifsim::microbench::BenchConfig;
+    use ifsim::topology::{GcdId, PortId, RoutePolicy};
+
+    let route_0_6 = |hip: &HipSim| {
+        hip.router()
+            .gcd_route(GcdId(0), GcdId(6), RoutePolicy::MaxBandwidth)
+            .clone()
+    };
+    let mut hip = BenchConfig::quick().runtime(EnvConfig::default());
+    hip.enable_all_peer_access().unwrap();
+    let link = hip
+        .topo()
+        .link_between(PortId::Gcd(GcdId(0)), PortId::Gcd(GcdId(6)))
+        .expect("0-6 is a direct dual link");
+    assert_eq!(route_0_6(&hip).links, vec![link]);
+
+    // The link dies 1 ms into a ~20 ms copy across it.
+    hip.set_fault_plan(FaultPlan::new().at(
+        Time::ZERO + Dur::from_ms(1.0),
+        FaultKind::LinkDown {
+            a: GcdId(0),
+            b: GcdId(6),
+        },
+    ))
+    .unwrap();
+    let bytes = 1 << 30;
+    hip.set_device(0).unwrap();
+    let src = hip.malloc(bytes).unwrap();
+    hip.set_device(6).unwrap();
+    let dst = hip.malloc(bytes).unwrap();
+    hip.memcpy_peer(dst, 6, src, 0, bytes).unwrap();
+    assert!(hip.fabric_health().health().is_down(link));
+    let detour = route_0_6(&hip);
+    assert!(detour.hops() >= 2 && !detour.uses_link(link), "{detour:?}");
+
+    let later = std::thread::spawn(move || {
+        let fresh = BenchConfig::quick().runtime(EnvConfig::default());
+        route_0_6(&fresh)
+    })
+    .join()
+    .expect("runtime on another thread");
+    assert_eq!(later.links, vec![link]);
+    // The faulted runtime keeps its detour.
+    assert_eq!(route_0_6(&hip), detour);
+}
