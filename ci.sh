@@ -29,10 +29,11 @@ done
 
 echo "==> functional data path oracle under extra proptest seeds"
 # Fresh op sequences for the in-place accessors vs the temporary-based
-# oracle (aliased overlaps, phantom buffers, out-of-range requests).
+# oracle (aliased overlaps, phantom buffers, out-of-range requests), and
+# fresh planted mismatches for the blocked in-place check.
 for seed in 1 2 3; do
-    PROPTEST_SEED="$seed" cargo test -q --release -p ifsim-memory \
-        functional_ops_match_the_temporary_oracle
+    PROPTEST_SEED="$seed" cargo test -q --release -p ifsim-memory -- \
+        functional_ops_match_the_temporary_oracle all_f32s_finds_one_planted_mismatch
 done
 
 echo "==> backing recycler bound under extra proptest seeds"

@@ -132,6 +132,9 @@ fn le_f32(b: &[u8]) -> f32 {
     f32::from_le_bytes([b[0], b[1], b[2], b[3]])
 }
 
+/// Elements [`MemorySystem::all_f32s`] tests per block before it may stop.
+const CHECK_BLOCK: usize = 64;
+
 /// The two endpoints of a buffer-to-buffer access, borrowed from the table
 /// at once.
 enum Endpoints<'a> {
@@ -331,7 +334,13 @@ impl MemorySystem {
                 }
                 None => false,
             },
-            Endpoints::Distinct(sb, db) => Backing::copy(sb, src_off, db, dst_off, len),
+            Endpoints::Distinct(sb, db) => match (sb.bytes(), db.bytes_mut()) {
+                (Some(sb), Some(db)) => {
+                    db[d].copy_from_slice(&sb[s]);
+                    true
+                }
+                _ => false,
+            },
         })
     }
 
@@ -471,9 +480,9 @@ impl MemorySystem {
         Ok(true)
     }
 
-    /// Read a slice of `f32`s; `None` for phantom backing. One pass: the
-    /// values are decoded from the borrowed backing into the returned
-    /// vector, with no intermediate buffer.
+    /// Read a slice of `f32`s; `None` for phantom backing. The values are
+    /// decoded from the borrowed backing into a newly allocated vector, so
+    /// a check over the values should use [`MemorySystem::all_f32s`].
     pub fn read_f32s(
         &self,
         id: BufferId,
@@ -483,6 +492,29 @@ impl MemorySystem {
         Ok(self
             .slice(id, offset, f32_bytes(count))?
             .map(|b| b.chunks_exact(4).map(le_f32).collect()))
+    }
+
+    /// Whether `pred` holds for every one of `count` `f32`s; `None` for
+    /// phantom backing. Same range check as [`MemorySystem::read_f32s`],
+    /// but the values are decoded from the borrowed backing and nothing is
+    /// allocated. `pred` sees whole blocks of 64 elements (the last one
+    /// may be shorter) and the check stops after the first block that
+    /// fails.
+    pub fn all_f32s(
+        &self,
+        id: BufferId,
+        offset: u64,
+        count: usize,
+        pred: impl Fn(f32) -> bool,
+    ) -> Result<Option<bool>, AllocError> {
+        Ok(self.slice(id, offset, f32_bytes(count))?.map(|b| {
+            // No early exit inside a block, so the fold vectorizes.
+            b.chunks(4 * CHECK_BLOCK).all(|block| {
+                block
+                    .chunks_exact(4)
+                    .fold(true, |ok, c| ok & pred(le_f32(c)))
+            })
+        }))
     }
 }
 
@@ -799,9 +831,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Random writes, reads, reductions, fills and copies over real and
-        /// phantom buffers (unaligned offsets, aliased and overlapping
-        /// ranges, NaN and signed-zero payloads, out-of-range and
+        /// Random writes, reads, checks, reductions, fills and copies over
+        /// real and phantom buffers (unaligned offsets, aliased and
+        /// overlapping ranges, NaN and signed-zero payloads, out-of-range and
         /// overflowing requests, a stale handle) give the same result and
         /// leave the same bytes as the temporary-based oracle.
         #[test]
@@ -809,7 +841,7 @@ mod tests {
             sizes in proptest::collection::vec(1u64..96, 1..5),
             threshold in 0u64..96,
             steps in proptest::collection::vec(
-                (0u8..6, any::<u64>(), any::<u64>(), any::<u64>(), 0usize..12, any::<u32>()),
+                (0u8..7, any::<u64>(), any::<u64>(), any::<u64>(), 0usize..12, any::<u32>()),
                 0..24,
             ),
         ) {
@@ -871,15 +903,82 @@ mod tests {
                         fast.fill_f32s(a, off1, count, payload(bits, 0)),
                         oracle::fill_f32s(&mut slow, a, off1, count, payload(bits, 0))
                     ),
-                    _ => prop_assert_eq!(
+                    5 => prop_assert_eq!(
                         fast.copy(a, off1, b, off2, count as u64 * 3),
                         oracle::copy(&mut slow, a, off1, b, off2, count as u64 * 3)
                     ),
+                    _ => {
+                        // Equality (signed zeros equal, NaN never), its
+                        // negation, and a test that holds on fresh memory.
+                        let v = payload(bits, 0);
+                        let pred = |x: f32| match bits % 3 {
+                            0 => x == v,
+                            1 => x != v,
+                            _ => !x.is_nan(),
+                        };
+                        prop_assert_eq!(
+                            fast.all_f32s(a, off1, count, pred),
+                            oracle::read_f32s(&slow, a, off1, count)
+                                .map(|o| o.map(|v| v.iter().all(|&x| pred(x))))
+                        );
+                    }
                 }
                 for (&id, &n) in ids.iter().zip(&sizes) {
                     prop_assert_eq!(fast.read_bytes(id, 0, n), slow.read_bytes(id, 0, n));
                 }
             }
+        }
+
+        /// One wrong element anywhere in a run of up to 1024 `f32`s (at
+        /// index 0, at a block boundary, or in the last, possibly partial,
+        /// block; at any byte offset) makes the check `false`, the element
+        /// after the range is never looked at, and no block past the one
+        /// holding the mismatch is evaluated. Signed zeros and NaN fills
+        /// agree with the oracle.
+        #[test]
+        fn all_f32s_finds_one_planted_mismatch(
+            count in 0usize..=1024,
+            offset in 0u64..64,
+            fill in any::<u32>(),
+            site in 0u8..3,
+            at in any::<usize>(),
+            nan in any::<bool>(),
+        ) {
+            let mut m = MemorySystem::new();
+            let id = m.allocate(MemKind::Device, hbm(0), offset + f32_bytes(count) + 4).unwrap();
+            let v = payload(fill, 0);
+            // A zero fill is compared against the other zero.
+            let expect = if v == 0.0 { -v } else { v };
+            m.fill_f32s(id, offset, count, v).unwrap();
+            m.write_f32s(id, offset + f32_bytes(count), &[f32::NAN]).unwrap();
+            let oracle = |m: &MemorySystem| {
+                oracle::read_f32s(m, id, offset, count)
+                    .map(|o| o.map(|v| v.iter().all(|&x| x == expect)))
+            };
+            let clean = m.all_f32s(id, offset, count, |x| x == expect);
+            prop_assert_eq!(clean.clone(), oracle(&m));
+            prop_assert_eq!(clean, Ok(Some(count == 0 || !v.is_nan())));
+
+            prop_assume!(count > 0);
+            let blocks = count.div_ceil(CHECK_BLOCK);
+            let i = match site {
+                0 => 0,
+                1 => at % blocks * CHECK_BLOCK,
+                _ => {
+                    let tail = (blocks - 1) * CHECK_BLOCK;
+                    tail + at % (count - tail)
+                }
+            };
+            let bad = if nan { f32::NAN } else if expect == 1.0 { 2.0 } else { 1.0 };
+            m.write_f32s(id, offset + f32_bytes(i), &[bad]).unwrap();
+            let calls = std::cell::Cell::new(0usize);
+            let planted = m.all_f32s(id, offset, count, |x| {
+                calls.set(calls.get() + 1);
+                x == expect
+            });
+            prop_assert_eq!(planted.clone(), oracle(&m));
+            prop_assert_eq!(planted, Ok(Some(false)));
+            prop_assert!(calls.get() <= (i / CHECK_BLOCK + 1) * CHECK_BLOCK);
         }
     }
 }

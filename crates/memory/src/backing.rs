@@ -84,30 +84,6 @@ impl Backing {
             Backing::Phantom(_) => None,
         }
     }
-
-    /// Copy `len` bytes between two backings. Phantom endpoints make the
-    /// copy a timing-only no-op (returns `false`); bounds are checked either
-    /// way so harness bugs surface even in phantom sweeps.
-    pub fn copy(src: &Backing, src_off: u64, dst: &mut Backing, dst_off: u64, len: u64) -> bool {
-        assert!(
-            src_off + len <= src.len(),
-            "source range {src_off}+{len} exceeds {}",
-            src.len()
-        );
-        assert!(
-            dst_off + len <= dst.len(),
-            "destination range {dst_off}+{len} exceeds {}",
-            dst.len()
-        );
-        match (src.bytes(), dst.bytes_mut()) {
-            (Some(s), Some(d)) => {
-                d[dst_off as usize..(dst_off + len) as usize]
-                    .copy_from_slice(&s[src_off as usize..(src_off + len) as usize]);
-                true
-            }
-            _ => false,
-        }
-    }
 }
 
 impl std::fmt::Debug for Backing {
@@ -137,32 +113,6 @@ mod tests {
         assert_eq!(b.len(), 1 << 33);
         assert!(!b.is_real());
         assert!(b.bytes().is_none());
-    }
-
-    #[test]
-    fn copy_moves_bytes_between_real_backings() {
-        let mut src = Backing::real(8);
-        src.bytes_mut()
-            .unwrap()
-            .copy_from_slice(&[1, 2, 3, 4, 5, 6, 7, 8]);
-        let mut dst = Backing::real(8);
-        assert!(Backing::copy(&src, 2, &mut dst, 4, 3));
-        assert_eq!(dst.bytes().unwrap(), &[0, 0, 0, 0, 3, 4, 5, 0]);
-    }
-
-    #[test]
-    fn copy_with_phantom_endpoint_is_a_checked_noop() {
-        let src = Backing::real(8);
-        let mut dst = Backing::phantom(8);
-        assert!(!Backing::copy(&src, 0, &mut dst, 0, 8));
-    }
-
-    #[test]
-    #[should_panic(expected = "destination range")]
-    fn copy_bounds_checked_even_for_phantom() {
-        let src = Backing::phantom(8);
-        let mut dst = Backing::phantom(8);
-        Backing::copy(&src, 0, &mut dst, 4, 8);
     }
 
     #[test]

@@ -346,6 +346,66 @@ fn undersized_allreduce_is_an_invalid_value() {
     }
 }
 
+/// The in-place check agrees with reading the values out after a real
+/// 8-rank 1 MiB RCCL AllReduce, and one wrong element at the first, a middle
+/// or the last index makes it fail. A phantom buffer has nothing to check and
+/// a range past the end is an error, not a panic.
+#[test]
+fn in_place_check_sees_one_wrong_element_after_an_allreduce() {
+    use ifsim::memory::AllocError;
+    let mut hip = HipSim::new(EnvConfig::default());
+    let n = 8;
+    let elems = (MIB / 4) as usize;
+    let comm = RcclComm::new(&mut hip, (0..n).collect()).unwrap();
+    let mut send = Vec::new();
+    let mut recv = Vec::new();
+    for r in 0..n {
+        hip.set_device(r).unwrap();
+        let s = hip.malloc(MIB).unwrap();
+        hip.mem_mut()
+            .fill_f32s(s, 0, elems, (r + 1) as f32)
+            .unwrap();
+        send.push(s);
+        recv.push(hip.malloc(MIB).unwrap());
+    }
+    let bufs = RankBuffers { send, recv };
+    comm.collective(&mut hip, Collective::AllReduce, &bufs, elems, 0)
+        .unwrap();
+    let expect = 36.0f32;
+    for &d in &bufs.recv {
+        let read = hip.mem().read_f32s(d, 0, elems).unwrap().unwrap();
+        let checked = hip.mem().all_f32s(d, 0, elems, |x| x == expect);
+        assert_eq!(checked, Ok(Some(read.iter().all(|&x| x == expect))));
+        assert_eq!(checked, Ok(Some(true)));
+    }
+    let d = bufs.recv[3];
+    for i in [0, elems / 2 + 1, elems - 1] {
+        let at = i as u64 * 4;
+        hip.mem_mut().write_f32s(d, at, &[expect + 1.0]).unwrap();
+        assert_eq!(
+            hip.mem().all_f32s(d, 0, elems, |x| x == expect),
+            Ok(Some(false)),
+            "wrong element at {i}"
+        );
+        hip.mem_mut().write_f32s(d, at, &[expect]).unwrap();
+    }
+    assert_eq!(
+        hip.mem().all_f32s(d, 0, elems, |x| x == expect),
+        Ok(Some(true))
+    );
+
+    hip.mem_mut().set_phantom_threshold(0);
+    let phantom = hip.malloc(MIB).unwrap();
+    assert_eq!(hip.mem().all_f32s(phantom, 0, elems, |_| false), Ok(None));
+    for (id, offset) in [(d, 4), (phantom, u64::MAX)] {
+        let err = hip.mem().all_f32s(id, offset, elems, |_| true).unwrap_err();
+        assert!(
+            matches!(err, AllocError::OutOfRange { size, .. } if size == MIB),
+            "{err:?}"
+        );
+    }
+}
+
 /// `hipFree` of a buffer an async copy still targets waits for the copy
 /// (`hipFree`'s implicit synchronization) instead of pulling the bytes from
 /// under it; the runtime keeps working afterwards.
