@@ -78,6 +78,17 @@ for seed in 1 2 3; do
         bounded_waits_replay_the_unbounded_schedule
 done
 
+echo "==> untrusted JSON mutations under extra proptest seeds"
+# Fresh near misses (truncations, byte flips, dropped and unknown members,
+# bad numbers, deep nesting) of the golden scenarios and of serialized run
+# requests: no panic, and every rejected object names its field.
+for seed in 1 2 3; do
+    PROPTEST_SEED="$seed" cargo test -q --release --test untrusted_input \
+        scenario_near_misses_are_field_errors
+    PROPTEST_SEED="$seed" cargo test -q --release -p ifsim-serve --test proto_roundtrip \
+        request_near_misses_are_field_errors
+done
+
 echo "==> telemetry smoke: repro ext-fault-link-down --trace-out/--metrics-out/--critpath-out + lint, byte-equal to the pinned capture, plus the pinned trace"
 cargo build --release -p ifsim-bench
 TELEMETRY_TMP="$(mktemp -d)"

@@ -43,10 +43,7 @@ impl Scenario {
         for (field, factor) in &self.calib {
             cfg.calib
                 .scale_f64_field(field, *factor)
-                .map_err(|message| FieldError {
-                    field: format!("calib.{field}"),
-                    message,
-                })?;
+                .map_err(|message| FieldError::new(format!("calib.{field}"), message))?;
         }
         Ok(cfg)
     }
@@ -82,9 +79,8 @@ pub fn compile(s: &Scenario) -> Result<Experiment, FieldError> {
     let runner: Arc<dyn Fn(&BenchConfig) -> ExperimentResult + Send + Sync> = match &s.workload {
         Workload::Registry { id } => {
             // Existence was validated; resolve once at compile time.
-            let inner = registry::by_id(id).ok_or_else(|| FieldError {
-                field: "workload.id".into(),
-                message: format!("unknown registry experiment '{id}'"),
+            let inner = registry::by_id(id).ok_or_else(|| {
+                FieldError::new("workload.id", format!("unknown registry experiment '{id}'"))
             })?;
             Arc::new(move |cfg| match scenario.apply_config(cfg) {
                 Ok(cfg) => inner.run(&cfg),

@@ -22,6 +22,7 @@
 //! shape, so [`Scenario::digest`] is stable across field reordering —
 //! the property the serve cache keys rely on.
 
+use crate::field::{Field, INTEGER_RANGE};
 use crate::trace::{self, TraceOp, TraceRecord};
 use crate::FieldError;
 use ifsim_core::experiment::digest_kv;
@@ -167,168 +168,65 @@ pub struct Scenario {
     pub sweep: Vec<SweepAxis>,
 }
 
-fn err(field: impl Into<String>, message: impl Into<String>) -> FieldError {
-    FieldError {
-        field: field.into(),
-        message: message.into(),
-    }
-}
-
-/// Reject keys outside `allowed`, naming the offending path.
-fn check_fields(obj: &Map, allowed: &[&str], path: &str) -> Result<(), FieldError> {
-    for (k, _) in obj.iter() {
-        if !allowed.contains(&k.as_str()) {
-            let field = if path.is_empty() {
-                k.clone()
-            } else {
-                format!("{path}.{k}")
-            };
-            return Err(err(
-                field,
-                format!("unknown field (allowed: {})", allowed.join(", ")),
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn get_str(obj: &Map, key: &str, path: &str) -> Result<Option<String>, FieldError> {
-    match obj.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_str()
-            .map(|s| Some(s.to_string()))
-            .ok_or_else(|| err(join(path, key), "must be a string")),
-    }
-}
-
-/// What an integer field accepts: JSON numbers are exact only this far
-/// ([`serde_json::MAX_SAFE_INTEGER`]).
-const INTEGER_RANGE: &str =
-    "must be a non-negative integer no larger than 2^53 - 1 (9007199254740991)";
-
-fn get_u64(obj: &Map, key: &str, path: &str) -> Result<Option<u64>, FieldError> {
-    match obj.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| err(join(path, key), INTEGER_RANGE)),
-    }
-}
-
-fn get_f64(obj: &Map, key: &str, path: &str) -> Result<Option<f64>, FieldError> {
-    match obj.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_f64()
-            .filter(|f| f.is_finite())
-            .map(Some)
-            .ok_or_else(|| err(join(path, key), "must be a finite number")),
-    }
-}
-
-fn join(path: &str, key: &str) -> String {
-    if path.is_empty() {
-        key.to_string()
-    } else {
-        format!("{path}.{key}")
-    }
-}
-
 impl Scenario {
     /// Parse a scenario from JSON text. Errors carry the offending field
     /// path (`workload.records[3].depends_on`, `sweep[0].values`, ...).
     #[allow(clippy::should_implement_trait)] // inherent so callers need no import
     pub fn from_str(text: &str) -> Result<Scenario, FieldError> {
-        let v = serde_json::from_str(text).map_err(|e| err("", format!("invalid JSON: {e}")))?;
+        let v = serde_json::from_str(text)
+            .map_err(|e| FieldError::new("", format!("invalid JSON: {e}")))?;
         Scenario::from_json(&v)
     }
 
     /// Parse a scenario from a decoded JSON value (the serve daemon hands
     /// the inline `scenario` payload here).
     pub fn from_json(v: &Value) -> Result<Scenario, FieldError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| err("", "scenario must be a JSON object"))?;
-        check_fields(
-            obj,
-            &[
-                "schema",
-                "name",
-                "title",
-                "description",
-                "topology",
-                "config",
-                "calib",
-                "faults",
-                "workload",
-                "sweep",
-            ],
-            "",
-        )?;
-        let schema = get_str(obj, "schema", "")?.ok_or_else(|| err("schema", "is required"))?;
+        let obj = Field::new(v, "").object("scenario must be a JSON object")?;
+        obj.only(&[
+            "schema",
+            "name",
+            "title",
+            "description",
+            "topology",
+            "config",
+            "calib",
+            "faults",
+            "workload",
+            "sweep",
+        ])?;
+        let schema = obj.req("schema")?.str()?;
         if schema != SCHEMA {
-            return Err(err(
+            return Err(FieldError::new(
                 "schema",
                 format!("unsupported schema '{schema}' (expected {SCHEMA})"),
             ));
         }
-        let name = get_str(obj, "name", "")?.ok_or_else(|| err("name", "is required"))?;
+        let name = obj.req("name")?.str()?.to_string();
         if name.is_empty()
             || !name
                 .chars()
                 .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || "._-".contains(c))
         {
-            return Err(err(
+            return Err(FieldError::new(
                 "name",
                 format!("'{name}' must be non-empty, lowercase [a-z0-9._-]"),
             ));
         }
-        let title = get_str(obj, "title", "")?.unwrap_or_else(|| name.clone());
-        let description = get_str(obj, "description", "")?.unwrap_or_default();
-        let topology = get_str(obj, "topology", "")?.unwrap_or_else(|| "frontier".to_string());
-
-        let config = match obj.get("config") {
-            None => ConfigSection::default(),
-            Some(c) => parse_config(c)?,
-        };
-        let mut calib: Vec<(String, f64)> = Vec::new();
-        if let Some(c) = obj.get("calib") {
-            let c = c
-                .as_object()
-                .ok_or_else(|| err("calib", "must be an object of field: factor"))?;
-            for (field, factor) in c.iter() {
-                let factor = factor
-                    .as_f64()
-                    .ok_or_else(|| err(format!("calib.{field}"), "factor must be a number"))?;
-                calib.push((field.clone(), factor));
-            }
-            calib.sort_by(|a, b| a.0.cmp(&b.0));
-        }
-        let mut faults = Vec::new();
-        if let Some(f) = obj.get("faults") {
-            let arr = f
-                .as_array()
-                .ok_or_else(|| err("faults", "must be an array"))?;
-            for (i, ev) in arr.iter().enumerate() {
-                faults.push(parse_fault(ev, &format!("faults[{i}]"))?);
-            }
-            faults.sort_by(|a, b| a.at_us.total_cmp(&b.at_us));
-        }
-        let workload = parse_workload(
-            obj.get("workload")
-                .ok_or_else(|| err("workload", "is required"))?,
-        )?;
-        let mut sweep = Vec::new();
-        if let Some(s) = obj.get("sweep") {
-            let arr = s
-                .as_array()
-                .ok_or_else(|| err("sweep", "must be an array of axes"))?;
-            for (i, axis) in arr.iter().enumerate() {
-                sweep.push(parse_axis(axis, &format!("sweep[{i}]"))?);
-            }
-        }
+        let text = |key| obj.opt(key, Field::str);
+        let title = text("title")?.map_or_else(|| name.clone(), str::to_string);
+        let description = text("description")?.unwrap_or_default().to_string();
+        let topology = text("topology")?.unwrap_or("frontier").to_string();
+        let config = obj.opt("config", parse_config)?.unwrap_or_default();
+        let mut calib = obj.opt("calib", Field::calib_factors)?.unwrap_or_default();
+        calib.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut faults = obj
+            .opt("faults", |f| f.items("must be an array", parse_fault))?
+            .unwrap_or_default();
+        faults.sort_by(|a, b| a.at_us.total_cmp(&b.at_us));
+        let workload = parse_workload(obj.req("workload")?)?;
+        let sweep = obj
+            .opt("sweep", |s| s.items("must be an array of axes", parse_axis))?
+            .unwrap_or_default();
         let s = Scenario {
             name,
             title,
@@ -426,7 +324,7 @@ impl Scenario {
     /// lint front-end reports its field-annotated errors.
     pub fn validate(&self) -> Result<(), FieldError> {
         if self.topology != "frontier" {
-            return Err(err(
+            return Err(FieldError::new(
                 "topology",
                 format!(
                     "unknown profile '{}' (only 'frontier' exists)",
@@ -435,7 +333,7 @@ impl Scenario {
             ));
         }
         if self.config.reps == Some(0) {
-            return Err(err("config.reps", "must be at least 1"));
+            return Err(FieldError::new("config.reps", "must be at least 1"));
         }
         // Calibration factors go through the one checked path that
         // `ifsim-drift --perturb` and serve overrides use, here against the
@@ -444,13 +342,13 @@ impl Scenario {
         for (field, factor) in &self.calib {
             calib
                 .scale_f64_field(field, *factor)
-                .map_err(|e| err(format!("calib.{field}"), e))?;
+                .map_err(|e| FieldError::new(format!("calib.{field}"), e))?;
         }
         let topo = ifsim_topology::NodeTopology::frontier();
         let n_gcds = topo.gcds().count();
         for (i, f) in self.faults.iter().enumerate() {
             if !(f.at_us.is_finite() && f.at_us >= 0.0) {
-                return Err(err(
+                return Err(FieldError::new(
                     format!("faults[{i}].at_us"),
                     "must be finite and non-negative",
                 ));
@@ -459,7 +357,7 @@ impl Scenario {
             for (k, v) in [("a", p.a), ("b", p.b), ("gcd", p.gcd)] {
                 if let Some(v) = v {
                     if usize::from(v) >= n_gcds {
-                        return Err(err(
+                        return Err(FieldError::new(
                             format!("faults[{i}].{k}"),
                             format!("GCD {v} out of range (frontier has {n_gcds})"),
                         ));
@@ -471,7 +369,7 @@ impl Scenario {
             if let Some((a, b)) = f.kind.endpoints() {
                 use ifsim_topology::PortId;
                 if topo.link_between(PortId::Gcd(a), PortId::Gcd(b)).is_none() {
-                    return Err(err(
+                    return Err(FieldError::new(
                         format!("faults[{i}]"),
                         format!("GCDs {} and {} are not directly linked", a.0, b.0),
                     ));
@@ -481,26 +379,29 @@ impl Scenario {
         match &self.workload {
             Workload::Registry { id } => {
                 if ifsim_core::registry::by_id(id).is_none() {
-                    return Err(err(
+                    return Err(FieldError::new(
                         "workload.id",
                         format!("unknown registry experiment '{id}' (see `repro --list`)"),
                     ));
                 }
                 if !self.faults.is_empty() {
-                    return Err(err(
+                    return Err(FieldError::new(
                         "faults",
                         "registry workloads define their own fault plans; \
                          faults apply to trace workloads only",
                     ));
                 }
                 if !self.sweep.is_empty() {
-                    return Err(err("sweep", "registry workloads cannot be swept"));
+                    return Err(FieldError::new(
+                        "sweep",
+                        "registry workloads cannot be swept",
+                    ));
                 }
             }
             Workload::Trace { records } => {
                 trace::validate(records, n_gcds as u8)?;
                 if !self.sweep.is_empty() {
-                    return Err(err(
+                    return Err(FieldError::new(
                         "sweep",
                         "explicit traces cannot be swept; use a generator workload",
                     ));
@@ -513,14 +414,14 @@ impl Scenario {
                 for (i, axis) in self.sweep.iter().enumerate() {
                     let path = format!("sweep[{i}]");
                     if seen.contains(&axis.param) {
-                        return Err(err(
+                        return Err(FieldError::new(
                             format!("{path}.param"),
                             format!("duplicate axis '{}'", axis.param),
                         ));
                     }
                     seen.push(axis.param.clone());
                     if !g.sweepable_params().contains(&axis.param.as_str()) {
-                        return Err(err(
+                        return Err(FieldError::new(
                             format!("{path}.param"),
                             format!(
                                 "'{}' is not sweepable for this workload (axes: {})",
@@ -530,14 +431,14 @@ impl Scenario {
                         ));
                     }
                     if axis.values.is_empty() || axis.values.len() > 64 {
-                        return Err(err(
+                        return Err(FieldError::new(
                             format!("{path}.values"),
                             "need between 1 and 64 values per axis",
                         ));
                     }
                     for (j, v) in axis.values.iter().enumerate() {
                         if !(v.is_finite() && *v > 0.0) {
-                            return Err(err(
+                            return Err(FieldError::new(
                                 format!("{path}.values[{j}]"),
                                 "must be positive and finite",
                             ));
@@ -550,14 +451,14 @@ impl Scenario {
                         let mut probe = g.clone();
                         probe
                             .set_param(&axis.param, *v)
-                            .map_err(|m| err(format!("{path}.values[{j}]"), m))?;
-                        probe
-                            .validate()
-                            .map_err(|e| err(format!("{path}.values[{j}]"), e.message))?;
+                            .map_err(|m| FieldError::new(format!("{path}.values[{j}]"), m))?;
+                        probe.validate().map_err(|e| {
+                            FieldError::new(format!("{path}.values[{j}]"), e.message)
+                        })?;
                     }
                 }
                 if points > 256 {
-                    return Err(err(
+                    return Err(FieldError::new(
                         "sweep",
                         format!("cartesian product too large ({points} > 256 points)"),
                     ));
@@ -568,71 +469,41 @@ impl Scenario {
     }
 }
 
-fn parse_config(v: &Value) -> Result<ConfigSection, FieldError> {
-    let obj = v
-        .as_object()
-        .ok_or_else(|| err("config", "must be an object"))?;
-    check_fields(obj, &["quick", "seed", "reps", "warmup"], "config")?;
-    let mut c = ConfigSection::default();
-    if let Some(q) = obj.get("quick") {
-        c.quick = q
-            .as_bool()
-            .ok_or_else(|| err("config.quick", "must be a boolean"))?;
-    }
-    if let Some(s) = obj.get("seed") {
-        let text = s
-            .as_str()
-            .ok_or_else(|| err("config.seed", "must be a decimal string (full u64 range)"))?;
-        c.seed = Some(
-            text.parse()
-                .map_err(|e| err("config.seed", format!("bad seed '{text}': {e}")))?,
-        );
-    }
-    c.reps = get_u64(obj, "reps", "config")?.map(|r| r as usize);
-    c.warmup = get_u64(obj, "warmup", "config")?.map(|w| w as usize);
-    Ok(c)
+fn parse_config(f: Field) -> Result<ConfigSection, FieldError> {
+    let obj = f.object("must be an object")?;
+    obj.only(&["quick", "seed", "reps", "warmup"])?;
+    Ok(ConfigSection {
+        quick: obj.opt("quick", Field::bool)?.unwrap_or(false),
+        seed: obj.opt("seed", Field::seed)?,
+        reps: obj.opt("reps", Field::usize)?,
+        warmup: obj.opt("warmup", Field::usize)?,
+    })
 }
 
-fn parse_fault(v: &Value, path: &str) -> Result<FaultSpec, FieldError> {
-    let obj = v
-        .as_object()
-        .ok_or_else(|| err(path, "must be an object"))?;
-    check_fields(
-        obj,
-        &[
-            "at_us",
-            "kind",
-            "a",
-            "b",
-            "gcd",
-            "lanes",
-            "tax",
-            "added_latency_us",
-        ],
-        path,
-    )?;
-    let at_us =
-        get_f64(obj, "at_us", path)?.ok_or_else(|| err(join(path, "at_us"), "is required"))?;
-    let kind_name =
-        get_str(obj, "kind", path)?.ok_or_else(|| err(join(path, "kind"), "is required"))?;
-    let gcd_field = |key: &str| -> Result<Option<u8>, FieldError> {
-        get_u64(obj, key, path)?
-            .map(|v| u8::try_from(v).map_err(|_| err(join(path, key), "GCD out of range")))
-            .transpose()
-    };
+fn parse_fault(f: Field) -> Result<FaultSpec, FieldError> {
+    let obj = f.object("must be an object")?;
+    obj.only(&[
+        "at_us",
+        "kind",
+        "a",
+        "b",
+        "gcd",
+        "lanes",
+        "tax",
+        "added_latency_us",
+    ])?;
+    let at_us = obj.req("at_us")?.f64()?;
+    let kind_name = obj.req("kind")?.str()?;
+    let gcd = |key| obj.opt(key, |g| g.u8("GCD"));
     let params = FaultParams {
-        a: gcd_field("a")?,
-        b: gcd_field("b")?,
-        gcd: gcd_field("gcd")?,
-        lanes: get_u64(obj, "lanes", path)?
-            .map(|v| {
-                u32::try_from(v).map_err(|_| err(join(path, "lanes"), "lane count out of range"))
-            })
-            .transpose()?,
-        tax: get_f64(obj, "tax", path)?,
-        added_latency_us: get_f64(obj, "added_latency_us", path)?,
+        a: gcd("a")?,
+        b: gcd("b")?,
+        gcd: gcd("gcd")?,
+        lanes: obj.opt("lanes", |l| l.u32("lane count"))?,
+        tax: obj.opt("tax", Field::f64)?,
+        added_latency_us: obj.opt("added_latency_us", Field::f64)?,
     };
-    let kind = FaultKind::from_wire(&kind_name, &params).map_err(|m| err(path, m))?;
+    let kind = FaultKind::from_wire(kind_name, &params).map_err(|m| f.err(m))?;
     Ok(FaultSpec { at_us, kind })
 }
 
@@ -662,123 +533,89 @@ fn fault_to_json(f: &FaultSpec) -> Value {
     Value::Object(m)
 }
 
-fn parse_workload(v: &Value) -> Result<Workload, FieldError> {
-    let obj = v
-        .as_object()
-        .ok_or_else(|| err("workload", "must be an object"))?;
-    let ty =
-        get_str(obj, "type", "workload")?.ok_or_else(|| err("workload.type", "is required"))?;
-    let path = "workload";
-    // Integer param with a default, shared by the generator arms.
-    let u = |key: &str, default: u64| -> Result<u64, FieldError> {
-        Ok(get_u64(obj, key, path)?.unwrap_or(default))
-    };
-    match ty.as_str() {
+fn parse_workload(f: Field) -> Result<Workload, FieldError> {
+    let obj = f.object("must be an object")?;
+    let ty = obj.req("type")?.str()?;
+    // Integer params with a default, shared by the generator arms.
+    let u = |key, default| Ok(obj.opt(key, Field::u64)?.unwrap_or(default));
+    let n = |key, default| Ok(obj.opt(key, Field::usize)?.unwrap_or(default));
+    match ty {
         "registry" => {
-            check_fields(obj, &["type", "id"], path)?;
-            let id = get_str(obj, "id", path)?.ok_or_else(|| err("workload.id", "is required"))?;
+            obj.only(&["type", "id"])?;
+            let id = obj.req("id")?.str()?.to_string();
             Ok(Workload::Registry { id })
         }
         "trace" => {
-            check_fields(obj, &["type", "records"], path)?;
-            let arr = obj
-                .get("records")
-                .and_then(Value::as_array)
-                .ok_or_else(|| err("workload.records", "must be an array of records"))?;
-            let mut records = Vec::with_capacity(arr.len());
-            for (i, r) in arr.iter().enumerate() {
-                records.push(parse_record(r, &format!("workload.records[{i}]"))?);
-            }
+            obj.only(&["type", "records"])?;
+            let records = obj
+                .req("records")?
+                .items("must be an array of records", parse_record)?;
             Ok(Workload::Trace { records })
         }
         "moe-alltoall" => {
-            check_fields(
-                obj,
-                &["type", "ranks", "bytes_per_pair", "steps", "compute_bytes"],
-                path,
-            )?;
+            obj.only(&["type", "ranks", "bytes_per_pair", "steps", "compute_bytes"])?;
             Ok(Workload::Generator(GeneratorSpec::MoeAllToAll {
-                ranks: u("ranks", 8)? as usize,
+                ranks: n("ranks", 8)?,
                 bytes_per_pair: u("bytes_per_pair", 1 << 20)?,
-                steps: u("steps", 1)? as usize,
+                steps: n("steps", 1)?,
                 compute_bytes: u("compute_bytes", 8 << 20)?,
             }))
         }
         "param-server" => {
-            check_fields(
-                obj,
-                &[
-                    "type",
-                    "ranks",
-                    "server",
-                    "push_bytes",
-                    "pull_bytes",
-                    "steps",
-                    "apply_bytes",
-                ],
-                path,
-            )?;
+            obj.only(&[
+                "type",
+                "ranks",
+                "server",
+                "push_bytes",
+                "pull_bytes",
+                "steps",
+                "apply_bytes",
+            ])?;
             Ok(Workload::Generator(GeneratorSpec::ParamServer {
-                ranks: u("ranks", 8)? as usize,
-                server: u("server", 0)? as usize,
+                ranks: n("ranks", 8)?,
+                server: n("server", 0)?,
                 push_bytes: u("push_bytes", 16 << 20)?,
                 pull_bytes: u("pull_bytes", 16 << 20)?,
-                steps: u("steps", 1)? as usize,
+                steps: n("steps", 1)?,
                 apply_bytes: u("apply_bytes", 32 << 20)?,
             }))
         }
         "halo" => {
-            check_fields(
-                obj,
-                &["type", "grid", "halo_bytes", "iters", "compute_bytes"],
-                path,
-            )?;
+            obj.only(&["type", "grid", "halo_bytes", "iters", "compute_bytes"])?;
+            const PAIR: &str = "must be a [x, y] pair";
             let grid = match obj.get("grid") {
-                None => (2usize, 4usize),
-                Some(g) => {
-                    let arr = g
-                        .as_array()
-                        .filter(|a| a.len() == 2)
-                        .ok_or_else(|| err("workload.grid", "must be a [x, y] pair"))?;
-                    let dim = |i: usize| -> Result<usize, FieldError> {
-                        arr[i]
-                            .as_u64()
-                            .map(|v| v as usize)
-                            .ok_or_else(|| err("workload.grid", format!("extents {INTEGER_RANGE}")))
-                    };
-                    (dim(0)?, dim(1)?)
-                }
+                None => (2, 4),
+                Some(g) => match g.items(PAIR, Field::usize)?[..] {
+                    [x, y] => (x, y),
+                    _ => return Err(g.err(PAIR)),
+                },
             };
             Ok(Workload::Generator(GeneratorSpec::Halo {
                 grid,
                 halo_bytes: u("halo_bytes", 4 << 20)?,
-                iters: u("iters", 2)? as usize,
+                iters: n("iters", 2)?,
                 compute_bytes: u("compute_bytes", 16 << 20)?,
             }))
         }
         "train-step" => {
-            check_fields(
-                obj,
-                &[
-                    "type",
-                    "ranks",
-                    "params",
-                    "batch_bytes",
-                    "steps",
-                    "compute_passes",
-                ],
-                path,
-            )?;
+            obj.only(&[
+                "type",
+                "ranks",
+                "params",
+                "batch_bytes",
+                "steps",
+                "compute_passes",
+            ])?;
             Ok(Workload::Generator(GeneratorSpec::TrainStep {
-                ranks: u("ranks", 8)? as usize,
-                params: u("params", (64 << 20) / 4)? as usize,
+                ranks: n("ranks", 8)?,
+                params: n("params", (64 << 20) / 4)?,
                 batch_bytes: u("batch_bytes", 32 << 20)?,
-                steps: u("steps", 1)? as usize,
-                compute_passes: u("compute_passes", 2)? as usize,
+                steps: n("steps", 1)?,
+                compute_passes: n("compute_passes", 2)?,
             }))
         }
-        other => Err(err(
-            "workload.type",
+        other => Err(obj.err_at(
+            "type",
             format!(
                 "unknown workload type '{other}' (expected registry|trace|\
                  moe-alltoall|param-server|halo|train-step)"
@@ -862,25 +699,17 @@ fn workload_to_json(w: &Workload) -> Value {
     Value::Object(m)
 }
 
-fn parse_record(v: &Value, path: &str) -> Result<TraceRecord, FieldError> {
-    let obj = v
-        .as_object()
-        .ok_or_else(|| err(path, "must be an object"))?;
-    check_fields(
-        obj,
-        &["id", "op", "src", "dst", "bytes", "depends_on"],
-        path,
-    )?;
-    let id = get_str(obj, "id", path)?.ok_or_else(|| err(join(path, "id"), "is required"))?;
-    let op_name = get_str(obj, "op", path)?.ok_or_else(|| err(join(path, "op"), "is required"))?;
-    let gcd = |key: &str| -> Result<u8, FieldError> {
-        get_u64(obj, key, path)?
-            .and_then(|v| u8::try_from(v).ok())
-            .ok_or_else(|| err(join(path, key), format!("is required for op '{op_name}'")))
+fn parse_record(f: Field) -> Result<TraceRecord, FieldError> {
+    let obj = f.object("must be an object")?;
+    obj.only(&["id", "op", "src", "dst", "bytes", "depends_on"])?;
+    let id = obj.req("id")?.str()?.to_string();
+    let op_name = obj.req("op")?.str()?;
+    let gcd = |key| match obj.get(key) {
+        Some(g) => g.u8("GCD"),
+        None => Err(obj.err_at(key, format!("is required for op '{op_name}'"))),
     };
-    let bytes =
-        get_u64(obj, "bytes", path)?.ok_or_else(|| err(join(path, "bytes"), "is required"))?;
-    let op = match op_name.as_str() {
+    let bytes = obj.req("bytes")?.u64()?;
+    let op = match op_name {
         "copy" => TraceOp::Copy {
             src: gcd("src")?,
             dst: gcd("dst")?,
@@ -899,25 +728,19 @@ fn parse_record(v: &Value, path: &str) -> Result<TraceRecord, FieldError> {
             bytes,
         },
         other => {
-            return Err(err(
-                join(path, "op"),
+            return Err(obj.err_at(
+                "op",
                 format!("unknown op '{other}' (expected copy|h2d|d2h|kernel)"),
             ))
         }
     };
-    let mut depends_on = Vec::new();
-    if let Some(d) = obj.get("depends_on") {
-        let arr = d
-            .as_array()
-            .ok_or_else(|| err(join(path, "depends_on"), "must be an array of record ids"))?;
-        for dep in arr {
-            depends_on.push(
-                dep.as_str()
-                    .ok_or_else(|| err(join(path, "depends_on"), "entries must be record ids"))?
-                    .to_string(),
-            );
-        }
-    }
+    let depends_on = obj
+        .opt("depends_on", |d| {
+            d.items("must be an array of record ids", |dep| {
+                dep.str().map(str::to_string)
+            })
+        })?
+        .unwrap_or_default();
     Ok(TraceRecord { id, op, depends_on })
 }
 
@@ -952,25 +775,15 @@ fn record_to_json(r: &TraceRecord) -> Value {
     Value::Object(m)
 }
 
-fn parse_axis(v: &Value, path: &str) -> Result<SweepAxis, FieldError> {
-    let obj = v
-        .as_object()
-        .ok_or_else(|| err(path, "must be an object"))?;
-    check_fields(obj, &["param", "values"], path)?;
-    let param =
-        get_str(obj, "param", path)?.ok_or_else(|| err(join(path, "param"), "is required"))?;
-    let arr = obj
-        .get("values")
-        .and_then(Value::as_array)
-        .ok_or_else(|| err(join(path, "values"), "must be an array of numbers"))?;
-    let mut values = Vec::with_capacity(arr.len());
-    for (j, v) in arr.iter().enumerate() {
-        values.push(
-            v.as_f64()
-                .ok_or_else(|| err(format!("{path}.values[{j}]"), "must be a number"))?,
-        );
-    }
-    Ok(SweepAxis { param, values })
+fn parse_axis(f: Field) -> Result<SweepAxis, FieldError> {
+    let obj = f.object("must be an object")?;
+    obj.only(&["param", "values"])?;
+    Ok(SweepAxis {
+        param: obj.req("param")?.str()?.to_string(),
+        values: obj
+            .req("values")?
+            .items("must be an array of numbers", Field::f64)?,
+    })
 }
 
 impl GeneratorSpec {
@@ -1071,7 +884,7 @@ impl GeneratorSpec {
     pub fn validate(&self) -> Result<(), FieldError> {
         let range = |field: &str, v: usize, lo: usize, hi: usize| -> Result<(), FieldError> {
             if v < lo || v > hi {
-                Err(err(
+                Err(FieldError::new(
                     format!("workload.{field}"),
                     format!("{v} out of range [{lo}, {hi}]"),
                 ))
@@ -1081,7 +894,10 @@ impl GeneratorSpec {
         };
         let positive = |field: &str, v: u64| -> Result<(), FieldError> {
             if v == 0 {
-                Err(err(format!("workload.{field}"), "must be at least 1"))
+                Err(FieldError::new(
+                    format!("workload.{field}"),
+                    "must be at least 1",
+                ))
             } else {
                 Ok(())
             }
@@ -1121,7 +937,10 @@ impl GeneratorSpec {
             } => {
                 range("grid", grid.0.saturating_mul(grid.1), 2, 8)?;
                 if grid.0 == 0 || grid.1 == 0 {
-                    return Err(err("workload.grid", "extents must be at least 1"));
+                    return Err(FieldError::new(
+                        "workload.grid",
+                        "extents must be at least 1",
+                    ));
                 }
                 positive("halo_bytes", halo_bytes)?;
                 range("iters", iters, 1, 64)?;
@@ -1147,7 +966,7 @@ impl GeneratorSpec {
                     .and_then(|b| b.checked_mul(compute_passes as u64))
                     .is_some();
                 if !fits {
-                    return Err(err(
+                    return Err(FieldError::new(
                         "workload.params",
                         format!(
                             "{params} parameters x {compute_passes} passes overflow \
@@ -1269,6 +1088,51 @@ mod tests {
         .unwrap_err();
         assert_eq!(e.field, "sweep[0].values[1]", "{e}");
         assert!(e.message.contains("9007199254740991"), "{e}");
+    }
+
+    #[test]
+    fn gcds_past_u8_say_out_of_range_in_records_and_faults() {
+        let with_record = |record: &str| {
+            format!(
+                r#"{{"schema": "ifsim-scenario-v1", "name": "x",
+                    "workload": {{"type": "trace", "records": [
+                        {{"id": "a", "op": "kernel", "dst": 0, "bytes": 64}}, {record}]}}}}"#
+            )
+        };
+        for (record, field, says) in [
+            (
+                r#"{"id": "b", "op": "copy", "src": 300, "dst": 1, "bytes": 64}"#,
+                "workload.records[1].src",
+                "GCD out of range",
+            ),
+            (
+                r#"{"id": "b", "op": "h2d", "dst": 256, "bytes": 64}"#,
+                "workload.records[1].dst",
+                "GCD out of range",
+            ),
+            (
+                r#"{"id": "b", "op": "copy", "dst": 1, "bytes": 64}"#,
+                "workload.records[1].src",
+                "is required for op 'copy'",
+            ),
+        ] {
+            let e = Scenario::from_str(&with_record(record)).unwrap_err();
+            assert_eq!(
+                (e.field.as_str(), e.message.as_str()),
+                (field, says),
+                "{record}"
+            );
+        }
+        let e = Scenario::from_str(
+            r#"{"schema": "ifsim-scenario-v1", "name": "x",
+                "faults": [{"at_us": 1.0, "kind": "link-down", "a": 300, "b": 1}],
+                "workload": {"type": "moe-alltoall"}}"#,
+        )
+        .unwrap_err();
+        assert_eq!(
+            (e.field.as_str(), e.message.as_str()),
+            ("faults[0].a", "GCD out of range")
+        );
     }
 
     #[test]

@@ -29,11 +29,13 @@
 #![warn(missing_docs)]
 
 pub mod compile;
+pub mod field;
 pub mod format;
 pub mod generators;
 pub mod trace;
 
 pub use compile::compile;
+pub use field::{Field, Obj};
 pub use format::{ConfigSection, FaultSpec, GeneratorSpec, Scenario, SweepAxis, Workload, SCHEMA};
 pub use trace::{ReplayStats, TraceOp, TraceRecord};
 
@@ -42,7 +44,8 @@ use std::fmt;
 /// A validation error annotated with the field path that caused it —
 /// `workload.records[3].bytes`, `sweep[0].values[2]`, `calib.eff_sdma_xgmi`.
 /// The serve daemon surfaces the path in its structured error responses;
-/// `telemetry-lint --scenario` prints it.
+/// `telemetry-lint --scenario` prints it. [`Field`] builds the path for
+/// every error it finds.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FieldError {
     /// Dotted/indexed path of the offending field ("" for document-level
@@ -50,6 +53,16 @@ pub struct FieldError {
     pub field: String,
     /// What is wrong with it.
     pub message: String,
+}
+
+impl FieldError {
+    /// An error about `field`.
+    pub fn new(field: impl Into<String>, message: impl Into<String>) -> FieldError {
+        FieldError {
+            field: field.into(),
+            message: message.into(),
+        }
+    }
 }
 
 impl fmt::Display for FieldError {

@@ -109,23 +109,22 @@ impl ReplayStats {
 /// and are not self-referential, GCDs on the node, positive sizes, and an
 /// acyclic dependency graph. Field paths index into `workload.records`.
 pub fn validate(records: &[TraceRecord], n_gcds: u8) -> Result<(), FieldError> {
-    let err = |field: String, message: String| FieldError { field, message };
     if records.is_empty() {
-        return Err(err(
-            "workload.records".into(),
-            "trace must contain at least one record".into(),
+        return Err(FieldError::new(
+            "workload.records",
+            "trace must contain at least one record",
         ));
     }
     let mut index: BTreeMap<&str, usize> = BTreeMap::new();
     for (i, r) in records.iter().enumerate() {
         if r.id.is_empty() {
-            return Err(err(
+            return Err(FieldError::new(
                 format!("workload.records[{i}].id"),
-                "must be non-empty".into(),
+                "must be non-empty",
             ));
         }
         if index.insert(r.id.as_str(), i).is_some() {
-            return Err(err(
+            return Err(FieldError::new(
                 format!("workload.records[{i}].id"),
                 format!("duplicate record id '{}'", r.id),
             ));
@@ -134,7 +133,7 @@ pub fn validate(records: &[TraceRecord], n_gcds: u8) -> Result<(), FieldError> {
     for (i, r) in records.iter().enumerate() {
         let gcd_ok = |field: &str, g: u8| -> Result<(), FieldError> {
             if g >= n_gcds {
-                Err(err(
+                Err(FieldError::new(
                     format!("workload.records[{i}].{field}"),
                     format!("GCD {g} out of range (node has {n_gcds})"),
                 ))
@@ -143,9 +142,9 @@ pub fn validate(records: &[TraceRecord], n_gcds: u8) -> Result<(), FieldError> {
             }
         };
         if r.op.bytes() == 0 {
-            return Err(err(
+            return Err(FieldError::new(
                 format!("workload.records[{i}].bytes"),
-                "must be at least 1".into(),
+                "must be at least 1",
             ));
         }
         match r.op {
@@ -153,9 +152,9 @@ pub fn validate(records: &[TraceRecord], n_gcds: u8) -> Result<(), FieldError> {
                 gcd_ok("src", src)?;
                 gcd_ok("dst", dst)?;
                 if src == dst {
-                    return Err(err(
+                    return Err(FieldError::new(
                         format!("workload.records[{i}].dst"),
-                        "copy src and dst must differ (use 'kernel' for local traffic)".into(),
+                        "copy src and dst must differ (use 'kernel' for local traffic)",
                     ));
                 }
             }
@@ -165,13 +164,13 @@ pub fn validate(records: &[TraceRecord], n_gcds: u8) -> Result<(), FieldError> {
         }
         for dep in &r.depends_on {
             if dep == &r.id {
-                return Err(err(
+                return Err(FieldError::new(
                     format!("workload.records[{i}].depends_on"),
                     format!("record '{}' depends on itself", r.id),
                 ));
             }
             if !index.contains_key(dep.as_str()) {
-                return Err(err(
+                return Err(FieldError::new(
                     format!("workload.records[{i}].depends_on"),
                     format!("unknown dependency '{dep}'"),
                 ));
@@ -225,10 +224,10 @@ pub fn canonical_order(records: &[TraceRecord]) -> Result<Vec<usize>, FieldError
             .find(|(i, _)| indegree[*i] > 0)
             .map(|(_, r)| r.id.as_str())
             .unwrap_or("?");
-        return Err(FieldError {
-            field: "workload.records".into(),
-            message: format!("dependency cycle through record '{stuck}'"),
-        });
+        return Err(FieldError::new(
+            "workload.records",
+            format!("dependency cycle through record '{stuck}'"),
+        ));
     }
     Ok(order)
 }

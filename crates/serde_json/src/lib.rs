@@ -224,8 +224,8 @@ impl std::error::Error for Error {}
 /// the thread's stack — an abort no `catch_unwind` can stop.
 pub const MAX_DEPTH: usize = 128;
 
-/// Parse a JSON document. Trailing non-whitespace is an error, and so is
-/// nesting deeper than [`MAX_DEPTH`].
+/// Parse a JSON document. Trailing non-whitespace is an error, and so are
+/// nesting deeper than [`MAX_DEPTH`] and a number too large for an `f64`.
 pub fn from_str(input: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: input.as_bytes(),
@@ -597,9 +597,16 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("bad number"))?;
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| self.err("bad number"))
+        // `f64::from_str` rounds a literal past f64::MAX to infinity, which
+        // no `Value::Number` may hold.
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Value::Number(n)),
+            Ok(_) => Err(Error {
+                message: "number out of range".into(),
+                offset: start,
+            }),
+            Err(_) => Err(self.err("bad number")),
+        }
     }
 }
 
@@ -779,6 +786,21 @@ mod tests {
         assert_eq!(n("922337203685477580"), None);
         assert_eq!(n("-1"), None);
         assert_eq!(n("1.5"), None);
+    }
+
+    #[test]
+    fn numbers_past_f64_max_are_parse_errors() {
+        for (text, offset) in [("1e400", 0), ("-1e400", 0), (r#"{"x": 1e400}"#, 6)] {
+            let err = from_str(text).unwrap_err();
+            assert_eq!(err.message, "number out of range", "{text}");
+            assert_eq!(err.offset, offset, "{text}");
+        }
+        // The largest finite double and an underflow to zero still parse.
+        assert_eq!(
+            from_str("1.7976931348623157e308").unwrap(),
+            Value::Number(f64::MAX)
+        );
+        assert_eq!(from_str("1e-400").unwrap(), Value::Number(0.0));
     }
 
     #[test]

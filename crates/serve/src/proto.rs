@@ -27,20 +27,15 @@
 //! [`FieldError`] naming the offending field as a dotted path
 //! (`overrides.calib.eff_sdma_xgmi`, `scenario.workload.records[3].bytes`);
 //! error responses carry the path under the wire key `field` alongside
-//! the human-readable `error` text. Scenario-parse errors reuse the
-//! scenario crate's error type directly, so both planes speak one shape.
+//! the human-readable `error` text. Requests are strict: a key outside
+//! the schema is such a rejection too. Requests, responses and scenarios
+//! are all read through the scenario crate's [`Field`] reader, so both
+//! planes speak one shape.
 
 use ifsim_core::BenchConfig;
+use ifsim_scenario::Field;
 pub use ifsim_scenario::FieldError;
 use serde_json::{Map, Value};
-
-/// Shorthand for building a [`FieldError`].
-fn ferr(field: impl Into<String>, message: impl Into<String>) -> FieldError {
-    FieldError {
-        field: field.into(),
-        message: message.into(),
-    }
-}
 
 /// Any request a client can send.
 // One short-lived value per wire line, destructured immediately after
@@ -100,7 +95,7 @@ impl ConfigOverrides {
         for (field, factor) in &self.calib {
             cfg.calib
                 .scale_f64_field(field, *factor)
-                .map_err(|e| ferr(format!("overrides.calib.{field}"), e))?;
+                .map_err(|e| FieldError::new(format!("overrides.calib.{field}"), e))?;
         }
         Ok(cfg)
     }
@@ -211,114 +206,62 @@ impl RunRequest {
     }
 
     /// Decode the wire value produced by [`RunRequest::to_json`]. Every
-    /// rejection names the offending field as a dotted path.
+    /// rejection names the offending field as a dotted path, and so does a
+    /// key outside the request schema.
     pub fn from_json(v: &Value) -> Result<RunRequest, FieldError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| ferr("", "run request must be a JSON object"))?;
-        let scenario = match obj.get("scenario") {
-            Some(s) => {
-                if s.as_object().is_none() {
-                    return Err(ferr("scenario", "must be a JSON object"));
-                }
-                Some(s.clone())
-            }
-            None => None,
-        };
-        let experiment_id = match obj.get("experiment_id") {
-            Some(id) => id
-                .as_str()
-                .ok_or_else(|| ferr("experiment_id", "must be a string"))?
-                .to_string(),
+        let obj = Field::new(v, "").object("run request must be a JSON object")?;
+        obj.only(&[
+            "op",
+            "experiment_id",
+            "scenario",
+            "overrides",
+            "artifacts",
+            "deadline_ms",
+            "trace_id",
+            "analyze",
+        ])?;
+        let scenario = obj.opt("scenario", |s| {
+            s.object("must be a JSON object")?;
+            Ok(s.value().clone())
+        })?;
+        let experiment_id = match obj.opt("experiment_id", Field::str)? {
+            Some(id) => id.to_string(),
             // An inline scenario names itself; a registry run must say
             // which experiment it wants.
             None if scenario.is_some() => String::new(),
-            None => return Err(ferr("experiment_id", "run request needs a string id")),
+            None => return Err(obj.err_at("experiment_id", "run request needs a string id")),
         };
-        let mut overrides = ConfigOverrides::default();
-        if let Some(o) = obj.get("overrides") {
-            let o = o
-                .as_object()
-                .ok_or_else(|| ferr("overrides", "must be an object"))?;
-            if let Some(q) = o.get("quick") {
-                overrides.quick = q
-                    .as_bool()
-                    .ok_or_else(|| ferr("overrides.quick", "must be a boolean"))?;
-            }
-            if let Some(s) = o.get("seed") {
-                let text = s
-                    .as_str()
-                    .ok_or_else(|| ferr("overrides.seed", "must be a decimal string"))?;
-                overrides.seed = Some(
-                    text.parse()
-                        .map_err(|e| ferr("overrides.seed", format!("bad seed '{text}': {e}")))?,
-                );
-            }
-            if let Some(r) = o.get("reps") {
-                let reps = parse_count(r, "overrides.reps")?;
-                if reps == 0 {
-                    return Err(ferr("overrides.reps", "must be at least 1"));
-                }
-                overrides.reps = Some(reps);
-            }
-            if let Some(w) = o.get("warmup") {
-                overrides.warmup = Some(parse_count(w, "overrides.warmup")?);
-            }
-            if let Some(c) = o.get("calib") {
-                let c = c
-                    .as_object()
-                    .ok_or_else(|| ferr("overrides.calib", "must be an object"))?;
-                for (field, factor) in c.iter() {
-                    let factor = factor.as_f64().ok_or_else(|| {
-                        ferr(
-                            format!("overrides.calib.{field}"),
-                            "factor must be a number",
-                        )
-                    })?;
-                    overrides.calib.push((field.clone(), factor));
-                }
-            }
-        }
-        let mut deadline_ms = None;
-        if let Some(d) = obj.get("deadline_ms") {
-            deadline_ms = Some(
-                d.as_u64()
-                    .ok_or_else(|| ferr("deadline_ms", INTEGER_RANGE))?,
-            );
-        }
-        let mut artifacts = Vec::new();
-        if let Some(a) = obj.get("artifacts") {
-            let names = a
-                .as_array()
-                .ok_or_else(|| ferr("artifacts", "must be an array"))?;
-            for (i, name) in names.iter().enumerate() {
-                artifacts.push(
-                    name.as_str()
-                        .ok_or_else(|| ferr(format!("artifacts[{i}]"), "must be a string"))?
-                        .to_string(),
-                );
-            }
-        }
+        let overrides = obj.opt("overrides", parse_overrides)?.unwrap_or_default();
         Ok(RunRequest {
             experiment_id,
             scenario,
             overrides,
-            artifacts,
-            deadline_ms,
-            trace_id: envelope_trace_id(v).map(str::to_string),
-            analyze: obj.get("analyze").and_then(Value::as_bool).unwrap_or(false),
+            artifacts: obj
+                .opt("artifacts", |a| {
+                    a.items("must be an array", |name| name.str().map(str::to_string))
+                })?
+                .unwrap_or_default(),
+            deadline_ms: obj.opt("deadline_ms", Field::u64)?,
+            trace_id: obj.opt("trace_id", Field::str)?.map(str::to_string),
+            analyze: obj.opt("analyze", Field::bool)?.unwrap_or(false),
         })
     }
 }
 
-/// What an integer field accepts: JSON numbers are exact only this far
-/// ([`serde_json::MAX_SAFE_INTEGER`]).
-const INTEGER_RANGE: &str = "must be a non-negative integer no larger than 2^53 - 1";
-
-fn parse_count(v: &Value, field: &str) -> Result<usize, FieldError> {
-    v.as_u64()
-        .map(|n| n as usize)
-        .ok_or_else(|| ferr(field, INTEGER_RANGE))
+fn parse_overrides(f: Field) -> Result<ConfigOverrides, FieldError> {
+    let obj = f.object("must be an object")?;
+    obj.only(&["quick", "seed", "reps", "warmup", "calib"])?;
+    let reps = obj.opt("reps", Field::usize)?;
+    if reps == Some(0) {
+        return Err(obj.err_at("reps", "must be at least 1"));
+    }
+    Ok(ConfigOverrides {
+        quick: obj.opt("quick", Field::bool)?.unwrap_or(false),
+        seed: obj.opt("seed", Field::seed)?,
+        reps,
+        warmup: obj.opt("warmup", Field::usize)?,
+        calib: obj.opt("calib", Field::calib_factors)?.unwrap_or_default(),
+    })
 }
 
 /// Response status taxonomy, with HTTP-flavoured numeric codes.
@@ -488,90 +431,81 @@ impl RunResponse {
         Value::Object(m)
     }
 
-    /// Decode the wire value produced by [`RunResponse::to_json`].
+    /// Decode the wire value produced by [`RunResponse::to_json`]. Keys
+    /// outside the schema are ignored, so a client reads the replies of a
+    /// newer server.
     pub fn from_json(v: &Value) -> Result<RunResponse, String> {
-        let obj = v.as_object().ok_or("run response must be a JSON object")?;
-        let status = Status::parse(
-            obj.get("status")
-                .and_then(Value::as_str)
-                .ok_or("response needs a string 'status'")?,
-        )?;
-        let mut csv = Vec::new();
-        if let Some(files) = obj.get("csv") {
-            for f in files.as_array().ok_or("'csv' must be an array")? {
-                let name = f
-                    .get("name")
-                    .and_then(Value::as_str)
-                    .ok_or("csv entries need a string 'name'")?;
-                let contents = f
-                    .get("contents")
-                    .and_then(Value::as_str)
-                    .ok_or("csv entries need string 'contents'")?;
-                csv.push((name.to_string(), contents.to_string()));
-            }
-        }
+        Self::read(v).map_err(|e| e.to_string())
+    }
+
+    fn read(v: &Value) -> Result<RunResponse, FieldError> {
+        let obj = Field::new(v, "").object("run response must be a JSON object")?;
+        let status = obj.req("status")?;
+        let text = |key| obj.opt(key, |s| s.str().map(str::to_string));
+        let count = |key| Ok(obj.opt(key, Field::usize)?.unwrap_or(0));
         Ok(RunResponse {
-            trace_id: obj
-                .get("trace_id")
-                .and_then(Value::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            status,
-            experiment_id: obj
-                .get("experiment_id")
-                .and_then(Value::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            digest: obj
-                .get("digest")
-                .and_then(Value::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            cached: obj.get("cached").and_then(Value::as_bool).unwrap_or(false),
-            error: obj.get("error").and_then(Value::as_str).map(str::to_string),
-            error_field: obj.get("field").and_then(Value::as_str).map(str::to_string),
-            report: obj
-                .get("report")
-                .and_then(Value::as_str)
-                .map(str::to_string),
-            csv,
-            checks_passed: obj
-                .get("checks_passed")
-                .and_then(Value::as_u64)
-                .unwrap_or(0) as usize,
-            checks_total: obj.get("checks_total").and_then(Value::as_u64).unwrap_or(0) as usize,
-            critpath: obj.get("critpath").cloned(),
+            trace_id: text("trace_id")?.unwrap_or_default(),
+            status: Status::parse(status.str()?).map_err(|e| status.err(e))?,
+            experiment_id: text("experiment_id")?.unwrap_or_default(),
+            digest: text("digest")?.unwrap_or_default(),
+            cached: obj.opt("cached", Field::bool)?.unwrap_or(false),
+            error: text("error")?,
+            error_field: text("field")?,
+            report: text("report")?,
+            csv: obj.opt("csv", read_csv)?.unwrap_or_default(),
+            checks_passed: count("checks_passed")?,
+            checks_total: count("checks_total")?,
+            critpath: obj.get("critpath").map(|c| c.value().clone()),
         })
     }
+}
+
+/// CSV artifacts on the wire: `[{"name": ..., "contents": ...}, ...]`.
+pub(crate) fn read_csv(f: Field) -> Result<Vec<(String, String)>, FieldError> {
+    f.items("must be an array", |file| {
+        let file = file.object("must be an object")?;
+        let text = |key| file.req(key)?.str().map(str::to_string);
+        Ok((text("name")?, text("contents")?))
+    })
 }
 
 /// Parse one request line. `Err` maps to a `400` response naming the
 /// offending field when one applies.
 pub fn parse_request(line: &str) -> Result<Request, FieldError> {
-    let v = serde_json::from_str(line.trim()).map_err(|e| ferr("", format!("bad JSON: {e}")))?;
+    let v = serde_json::from_str(line.trim())
+        .map_err(|e| FieldError::new("", format!("bad JSON: {e}")))?;
     parse_request_value(&v)
 }
 
 /// Parse an already-decoded request value — the server decodes each line
-/// once, peels the [`envelope_trace_id`], then dispatches here.
+/// once, peels the [`envelope_trace_id`], then dispatches here. `ping`,
+/// `stats` and `shutdown` carry nothing but `op` and `trace_id`.
 pub fn parse_request_value(v: &Value) -> Result<Request, FieldError> {
-    let op = v
+    let obj = Field::new(v, "").object("request must be a JSON object")?;
+    let op = obj
         .get("op")
-        .and_then(Value::as_str)
-        .ok_or_else(|| ferr("op", "request needs a string 'op' field"))?;
+        .and_then(|op| op.value().as_str())
+        .ok_or_else(|| obj.err_at("op", "request needs a string 'op' field"))?;
+    let bare = |req| {
+        obj.only(&["op", "trace_id"])?;
+        obj.opt("trace_id", Field::str)?;
+        Ok(req)
+    };
     match op {
-        "ping" => Ok(Request::Ping),
-        "stats" => Ok(Request::Stats),
-        "shutdown" => Ok(Request::Shutdown),
+        "ping" => bare(Request::Ping),
+        "stats" => bare(Request::Stats),
+        "shutdown" => bare(Request::Shutdown),
         "run" => Ok(Request::Run(RunRequest::from_json(v)?)),
-        other => Err(ferr(
+        other => Err(obj.err_at(
             "op",
             format!("unknown op '{other}' (expected ping|stats|shutdown|run)"),
         )),
     }
 }
 
-/// The top-level `trace_id` of any request envelope, when present.
+/// The top-level `trace_id` of any request envelope, when present. Unlike
+/// the request parser it tolerates a malformed envelope, so a `400` can
+/// still echo the id.
 pub fn envelope_trace_id(v: &Value) -> Option<&str> {
     v.get("trace_id").and_then(Value::as_str)
 }
@@ -735,11 +669,42 @@ mod tests {
                 "scenario",
             ),
             (r#"{"op":"warp"}"#, "op"),
+            // Run requests are strict: a wrong type or an unknown key is a
+            // field error, never a silent default.
+            (
+                r#"{"op":"run","experiment_id":"fig1","analyze":"yes"}"#,
+                "analyze",
+            ),
+            (
+                r#"{"op":"run","experiment_id":"fig1","overides":{}}"#,
+                "overides",
+            ),
+            (
+                r#"{"op":"run","experiment_id":"fig1","overrides":{"nope":1}}"#,
+                "overrides.nope",
+            ),
+            (
+                r#"{"op":"run","experiment_id":"fig1","trace_id":7}"#,
+                "trace_id",
+            ),
+            (r#"{"op":"ping","experiment_id":"fig1"}"#, "experiment_id"),
+            (r#"{"op":"stats","trace_id":["x"]}"#, "trace_id"),
         ];
         for (line, field) in cases {
             let err = parse_request(line).unwrap_err();
             assert_eq!(err.field, field, "for {line}");
         }
+        let err = parse_request(r#"{"op":"run","experiment_id":"fig1","overides":{}}"#);
+        assert!(
+            err.unwrap_err()
+                .message
+                .contains("allowed: op, experiment_id"),
+            "an unknown key lists the schema"
+        );
+        // The envelope helper still finds a malformed request's trace id.
+        let v = serde_json::from_str(r#"{"op":"run","bogus":1,"trace_id":"t-9"}"#).unwrap();
+        assert!(parse_request_value(&v).is_err());
+        assert_eq!(envelope_trace_id(&v), Some("t-9"));
         // An inline scenario may omit the experiment id entirely.
         let req = parse_request(r#"{"op":"run","scenario":{"name":"x"}}"#).unwrap();
         let Request::Run(req) = req else {

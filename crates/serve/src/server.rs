@@ -488,10 +488,8 @@ impl ServerCore {
     /// request span plus latency exemplar carry the same id.
     pub fn handle_line(&self, line: &str) -> String {
         let t0 = Instant::now();
-        let decoded = serde_json::from_str(line.trim()).map_err(|e| proto::FieldError {
-            field: String::new(),
-            message: format!("bad JSON: {e}"),
-        });
+        let decoded = serde_json::from_str(line.trim())
+            .map_err(|e| proto::FieldError::new("", format!("bad JSON: {e}")));
         let trace_id = decoded
             .as_ref()
             .ok()
@@ -577,10 +575,10 @@ impl ServerCore {
                     return RunResponse::field_error(
                         Status::BadRequest,
                         req.experiment_id.clone(),
-                        proto::FieldError {
-                            field: "experiment_id".into(),
-                            message: format!("unknown experiment '{}'", req.experiment_id),
-                        },
+                        proto::FieldError::new(
+                            "experiment_id",
+                            format!("unknown experiment '{}'", req.experiment_id),
+                        ),
                     )
                 }
             }

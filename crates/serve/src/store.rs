@@ -29,7 +29,9 @@
 //! order while the store is live.
 
 use crate::cache::CachedRun;
+use crate::proto::read_csv;
 use ifsim_core::experiment::fnv128_hex;
+use ifsim_scenario::{Field, FieldError};
 use serde_json::{Map, Value};
 use std::collections::HashMap;
 use std::fs::{self, File};
@@ -395,48 +397,23 @@ pub fn decode_entry(bytes: &[u8], expected_digest: &str) -> Result<CachedRun, St
     }
     let payload = std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8")?;
     let v: Value = serde_json::from_str(payload).map_err(|e| format!("payload JSON: {e}"))?;
-    let str_field = |name: &str| -> Result<String, String> {
-        v.get(name)
-            .and_then(Value::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("payload missing string '{name}'"))
-    };
-    let count_field = |name: &str| -> Result<usize, String> {
-        v.get(name)
-            .and_then(Value::as_u64)
-            .map(|n| n as usize)
-            .ok_or_else(|| format!("payload missing count '{name}'"))
-    };
-    let run_digest = str_field("digest")?;
-    if run_digest != expected_digest {
+    let run = read_payload(&v).map_err(|e| format!("payload {e}"))?;
+    if run.digest != expected_digest {
         return Err("payload digest does not match file name".into());
     }
-    let mut csv = Vec::new();
-    for f in v
-        .get("csv")
-        .and_then(Value::as_array)
-        .ok_or("payload missing csv array")?
-    {
-        let name = f
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or("csv entry missing name")?;
-        let contents = f
-            .get("contents")
-            .and_then(Value::as_str)
-            .ok_or("csv entry missing contents")?;
-        csv.push((name.to_string(), contents.to_string()));
-    }
+    Ok(run)
+}
+
+fn read_payload(v: &Value) -> Result<CachedRun, FieldError> {
+    let obj = Field::new(v, "").object("must be a JSON object")?;
+    let text = |key| obj.req(key)?.str().map(str::to_string);
     Ok(CachedRun {
-        digest: run_digest,
-        report: str_field("report")?,
-        csv,
-        checks_passed: count_field("checks_passed")?,
-        checks_total: count_field("checks_total")?,
-        critpath: v
-            .get("critpath")
-            .and_then(Value::as_str)
-            .map(str::to_string),
+        digest: text("digest")?,
+        report: text("report")?,
+        csv: read_csv(obj.req("csv")?)?,
+        checks_passed: obj.req("checks_passed")?.usize()?,
+        checks_total: obj.req("checks_total")?.usize()?,
+        critpath: obj.opt("critpath", |c| c.str().map(str::to_string))?,
     })
 }
 

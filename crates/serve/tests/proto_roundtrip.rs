@@ -1,10 +1,15 @@
 //! Property tests for the serve wire protocol: arbitrary requests and
 //! responses survive encode → one JSON line → parse unchanged.
 
+#[path = "../../../tests/support/json_mutations.rs"]
+mod json_mutations;
+
 use ifsim_serve::proto::{
     parse_request, ConfigOverrides, Request, RunRequest, RunResponse, Status,
 };
+use json_mutations::{mutate, KINDS};
 use proptest::prelude::*;
+use std::path::Path;
 
 /// Identifier-ish strings (experiment ids, calibration field names).
 /// The shim has no `String` Arbitrary, so build them from char pools.
@@ -205,5 +210,67 @@ fn deeply_nested_request_is_a_field_error() {
         assert_eq!(err.field, "", "a document-level error");
         assert!(err.message.contains("bad JSON"), "{err}");
         assert!(err.message.contains("depth 128"), "{err}");
+    }
+}
+
+/// Every request in docs/SERVING.md's JSON blocks parses as written.
+#[test]
+fn documented_requests_parse() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../docs/SERVING.md");
+    let doc = std::fs::read_to_string(&path).expect("docs/SERVING.md");
+    let blocks: Vec<&str> = doc
+        .split("```json\n")
+        .skip(1)
+        .filter_map(|rest| rest.split("```").next())
+        .filter(|block| block.starts_with("{\"op\""))
+        .collect();
+    assert!(!blocks.is_empty(), "docs/SERVING.md shows a request");
+    for block in blocks {
+        if let Err(e) = parse_request(&block.replace('\n', " ")) {
+            panic!("{e}\n{block}");
+        }
+    }
+}
+
+/// A golden scenario, for requests that carry one inline.
+fn golden_scenario(i: usize) -> serde_json::Value {
+    const FILES: [&str; 2] = ["moe-alltoall.json", "halo-faulted.json"];
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../golden/scenarios")
+        .join(FILES[i % FILES.len()]);
+    serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Near misses of a serialized request (some carrying a golden scenario
+    /// inline) never panic the parser, and every rejection of a document
+    /// that is still an object names its field. An inline scenario that
+    /// survives the request parse is held to the same rule.
+    #[test]
+    fn request_near_misses_are_field_errors(
+        mut req in arb_run_request(),
+        inline in 0usize..4,
+        kind in 0usize..KINDS,
+        pick in any::<u64>(),
+    ) {
+        if inline < 2 {
+            req.scenario = Some(golden_scenario(inline));
+        }
+        let text = mutate(&req.to_json(), kind, pick);
+        match parse_request(&text) {
+            Err(e) => prop_assert_eq!(
+                !e.field.is_empty(),
+                json_mutations::is_object(&text),
+                "{e}\n{text}"
+            ),
+            Ok(Request::Run(RunRequest { scenario: Some(doc), .. })) => {
+                if let Err(e) = ifsim_scenario::Scenario::from_json(&doc) {
+                    prop_assert!(!e.field.is_empty(), "{e}\n{text}");
+                }
+            }
+            Ok(_) => {}
+        }
     }
 }
