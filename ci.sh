@@ -70,6 +70,14 @@ for seed in 1 2 3; do
         walk_matches_the_oracle_on_random_custom_graphs
 done
 
+echo "==> segment-index oracle under extra proptest seeds"
+# Fresh random valid graphs (link kinds in random order) for the dense
+# segment index vs the per-kind BTreeMap oracle: every lookup and label.
+for seed in 1 2 3; do
+    PROPTEST_SEED="$seed" cargo test -q --release -p ifsim-fabric --lib \
+        dense_index_matches_the_oracle_on_random_custom_graphs
+done
+
 echo "==> bounded-wait replay under extra proptest seeds"
 # Fresh fault schedules and timeout steps for the bounded-vs-unbounded
 # synchronize differential (the event loop's deadline branch under faults).

@@ -36,3 +36,28 @@ pub use mpi::MpiComm;
 pub use rccl::RcclComm;
 pub use schedule::Collective;
 pub use transport::Transport;
+
+use ifsim_hip::{HipError, HipResult, HipSim};
+use ifsim_topology::GcdId;
+
+/// A communicator's common setup: at least two ranks, peer access enabled
+/// between every ordered pair of members (the current device is restored
+/// afterwards), and the members' GCDs in rank order.
+fn connect_members(hip: &mut HipSim, devices: &[usize]) -> HipResult<Vec<GcdId>> {
+    if devices.len() < 2 {
+        return Err(HipError::InvalidValue(
+            "communicator needs at least two ranks".into(),
+        ));
+    }
+    let saved = hip.current_device();
+    for &a in devices {
+        hip.set_device(a)?;
+        for &b in devices {
+            if a != b {
+                hip.enable_peer_access(b)?;
+            }
+        }
+    }
+    hip.set_device(saved)?;
+    devices.iter().map(|&d| hip.gcd_of(d)).collect()
+}

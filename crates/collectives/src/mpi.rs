@@ -16,7 +16,6 @@ use crate::schedule::{Collective, RankBuffers, Round, Transfer};
 use crate::transport::Transport;
 use ifsim_des::Dur;
 use ifsim_hip::{BufferId, HipError, HipResult, HipSim, RetryPolicy};
-use ifsim_topology::GcdId;
 
 /// An MPI communicator: rank *r* runs on `devices[r]`.
 pub struct MpiComm {
@@ -28,25 +27,7 @@ impl MpiComm {
     /// `MPI_Init` + `MPI_Comm_create`: one process per listed device.
     /// Ring order is rank order — MPI does not do RCCL's topology search.
     pub fn new(hip: &mut HipSim, devices: Vec<usize>) -> HipResult<MpiComm> {
-        if devices.len() < 2 {
-            return Err(HipError::InvalidValue(
-                "communicator needs at least two ranks".into(),
-            ));
-        }
-        let saved = hip.current_device();
-        for &a in &devices {
-            hip.set_device(a)?;
-            for &b in &devices {
-                if a != b {
-                    hip.enable_peer_access(b)?;
-                }
-            }
-        }
-        hip.set_device(saved)?;
-        let order: Vec<GcdId> = devices
-            .iter()
-            .map(|&d| hip.gcd_of(d))
-            .collect::<HipResult<_>>()?;
+        let order = crate::connect_members(hip, &devices)?;
         Ok(MpiComm {
             devices,
             ring: Ring { order },

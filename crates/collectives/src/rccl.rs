@@ -35,35 +35,11 @@ pub struct RcclComm {
 
 impl RcclComm {
     /// Create a communicator (`ncclCommInitAll`): enables peer access among
-    /// members and runs the topology search for the ring.
+    /// members and takes the ring of the topology search (for the full node,
+    /// the one the runtime's router keeps; see [`build_ring`]).
     pub fn new(hip: &mut HipSim, devices: Vec<usize>) -> HipResult<RcclComm> {
-        if devices.len() < 2 {
-            return Err(HipError::InvalidValue(
-                "communicator needs at least two ranks".into(),
-            ));
-        }
-        let saved = hip.current_device();
-        for &a in &devices {
-            hip.set_device(a)?;
-            for &b in &devices {
-                if a != b {
-                    hip.enable_peer_access(b)?;
-                }
-            }
-        }
-        hip.set_device(saved)?;
-        let gcds: Vec<GcdId> = devices
-            .iter()
-            .map(|&d| hip.gcd_of(d))
-            .collect::<HipResult<_>>()?;
-        let ring = build_ring(hip.topo(), hip.router(), &gcds);
-        let position_of = devices
-            .iter()
-            .map(|&d| {
-                let g = hip.gcd_of(d).expect("validated above");
-                ring.order.iter().position(|&x| x == g).expect("member")
-            })
-            .collect();
+        let gcds = crate::connect_members(hip, &devices)?;
+        let (ring, position_of) = ring_over(hip, &gcds);
         Ok(RcclComm {
             devices,
             ring,
@@ -97,17 +73,7 @@ impl RcclComm {
                 }
             }
         }
-        let ring = build_ring(hip.topo(), hip.router(), &gcds);
-        let position_of = self
-            .devices
-            .iter()
-            .map(|&d| {
-                let g = hip.gcd_of(d).expect("validated above");
-                ring.order.iter().position(|&x| x == g).expect("member")
-            })
-            .collect();
-        self.ring = ring;
-        self.position_of = position_of;
+        (self.ring, self.position_of) = ring_over(hip, &gcds);
         Ok(())
     }
 
@@ -267,6 +233,17 @@ impl RcclComm {
         }
         RankBuffers { send, recv }
     }
+}
+
+/// The ring over the members' GCDs (in rank order) on the runtime's current
+/// routes, and each rank's position in it.
+fn ring_over(hip: &HipSim, gcds: &[GcdId]) -> (Ring, Vec<usize>) {
+    let ring = build_ring(hip.topo(), hip.router(), gcds);
+    let position_of = gcds
+        .iter()
+        .map(|g| ring.order.iter().position(|x| x == g).expect("member"))
+        .collect();
+    (ring, position_of)
 }
 
 #[cfg(test)]

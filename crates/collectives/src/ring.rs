@@ -2,16 +2,16 @@
 //!
 //! RCCL builds its rings from a topology search at communicator creation.
 //! On the MI250X node the full eight-GCD set admits Hamiltonian cycles that
-//! use only direct xGMI links; we find the best one by brute force
-//! (minimize the worst edge, then total cost), scoring every candidate from
-//! one table of edge costs filled once per search. Sub-node communicators fall
-//! back to a generic device-order ring whose edges may need multi-hop
-//! routes — reproducing the paper's Fig. 12 observation that Reduce,
-//! Broadcast and AllReduce get *faster* when going from seven to eight
-//! GPUs ("more balanced communication pattern when all eight GPUs are
-//! used").
+//! use only direct xGMI links; [`Router::full_node_ring`] finds the best one
+//! by brute force (minimize the worst edge, then total cost), once per
+//! router, so every communicator over the same routes shares one search.
+//! Sub-node communicators fall back to a generic device-order ring whose
+//! edges may need multi-hop routes — reproducing the paper's Fig. 12
+//! observation that Reduce, Broadcast and AllReduce get *faster* when going
+//! from seven to eight GPUs ("more balanced communication pattern when all
+//! eight GPUs are used").
 
-use ifsim_topology::{GcdId, NodeTopology, RoutePolicy, Router};
+use ifsim_topology::{GcdId, NodeTopology, Router};
 
 /// A directed communication ring: `order[i]` sends to `order[(i+1) % n]`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -35,26 +35,14 @@ impl Ring {
     pub fn next(&self, pos: usize) -> GcdId {
         self.order[(pos + 1) % self.order.len()]
     }
-
-    /// Worst edge cost over the ring: `(max hops, max 1/bottleneck-bw)`
-    /// under bandwidth-maximizing routing.
-    pub fn worst_edge(&self, topo: &NodeTopology, router: &Router) -> (usize, f64) {
-        let mut hops = 0;
-        let mut inv_bw: f64 = 0.0;
-        for i in 0..self.order.len() {
-            let (h, inv) = edge_cost(topo, router, self.order[i], self.next(i));
-            hops = hops.max(h);
-            inv_bw = inv_bw.max(inv);
-        }
-        (hops, inv_bw)
-    }
 }
 
 /// Build the communicator ring for a set of GCDs.
 ///
-/// - Full node (all GCDs of `topo`): brute-force the Hamiltonian cycle
+/// - Full node (all GCDs of `topo`): the router's
+///   [`full_node_ring`](Router::full_node_ring), the Hamiltonian cycle
 ///   minimizing `(worst edge hops, worst edge 1/bw, total hops)` — the
-///   topology-search result.
+///   topology-search result, searched once per router.
 /// - Subset: generic ring in device order (RCCL's fallback orderings do not
 ///   match the hardware ring; modeled as the identity order).
 pub fn build_ring(topo: &NodeTopology, router: &Router, gcds: &[GcdId]) -> Ring {
@@ -64,83 +52,24 @@ pub fn build_ring(topo: &NodeTopology, router: &Router, gcds: &[GcdId]) -> Ring 
     sorted.dedup();
     assert_eq!(sorted.len(), gcds.len(), "duplicate ring members");
     if sorted.len() == topo.n_gcds() {
-        optimal_ring(topo, router, &sorted)
+        Ring {
+            order: router.full_node_ring(topo).to_vec(),
+        }
     } else {
         Ring { order: sorted }
     }
 }
 
-/// Cost of one directed ring edge.
-fn edge_cost(topo: &NodeTopology, router: &Router, a: GcdId, b: GcdId) -> (usize, f64) {
-    let p = router.gcd_route(a, b, RoutePolicy::MaxBandwidth);
-    (p.hops(), 1.0 / p.bottleneck_per_dir(topo))
-}
-
-fn optimal_ring(topo: &NodeTopology, router: &Router, members: &[GcdId]) -> Ring {
-    // One `(hops, 1/bw)` entry per ordered pair of member positions,
-    // filled once; every candidate is scored from this table.
-    let n = members.len();
-    let mut cost = vec![(0, 0.0); n * n];
-    for (i, &a) in members.iter().enumerate() {
-        for (j, &b) in members.iter().enumerate() {
-            if i != j {
-                cost[i * n + j] = edge_cost(topo, router, a, b);
-            }
-        }
-    }
-    // Fix the first member; permute the rest. n = 8 → 7! = 5040 candidates.
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut best: Option<(RingScore, Vec<usize>)> = None;
-    permute(&mut order, 1, &mut |perm| {
-        let score = score_ring(&cost, perm);
-        match &best {
-            Some((bs, _)) if *bs <= score => {}
-            _ => best = Some((score, perm.to_vec())),
-        }
-    });
-    let (_, order) = best.expect("at least one permutation");
-    Ring {
-        order: order.into_iter().map(|i| members[i]).collect(),
-    }
-}
-
-/// `(worst hops, worst 1/bw bits, total hops)` — lower is better.
-type RingScore = (usize, u64, usize);
-
-/// Score a ring of member positions from the `n × n` edge-cost table.
-fn score_ring(cost: &[(usize, f64)], order: &[usize]) -> RingScore {
-    let n = order.len();
-    let mut worst_hops = 0;
-    let mut worst_inv_bw: f64 = 0.0;
-    let mut total_hops = 0;
-    for i in 0..n {
-        let (h, inv) = cost[order[i] * n + order[(i + 1) % n]];
-        worst_hops = worst_hops.max(h);
-        worst_inv_bw = worst_inv_bw.max(inv);
-        total_hops += h;
-    }
-    (worst_hops, worst_inv_bw.to_bits(), total_hops)
-}
-
-/// Visit every permutation of `items[k..]`, swapping in place.
-fn permute<T>(items: &mut [T], k: usize, f: &mut impl FnMut(&[T])) {
-    if k == items.len() {
-        f(items);
-        return;
-    }
-    for i in k..items.len() {
-        items.swap(k, i);
-        permute(items, k + 1, f);
-        items.swap(k, i);
-    }
-}
-
-/// The per-edge brute force the edge table replaced, kept as the
-/// differential oracle: one route lookup and bottleneck walk per edge of
-/// every candidate.
+/// The per-edge brute force the edge table of
+/// [`Router::full_node_ring`] replaced, kept as the differential oracle:
+/// one route lookup and bottleneck walk per edge of every candidate.
 #[cfg(test)]
 mod oracle {
     use super::*;
+    use ifsim_topology::RoutePolicy;
+
+    /// `(worst hops, worst 1/bw bits, total hops)` — lower is better.
+    type RingScore = (usize, u64, usize);
 
     pub(super) fn optimal_ring(topo: &NodeTopology, router: &Router, members: &[GcdId]) -> Ring {
         let first = members[0];
@@ -173,11 +102,31 @@ mod oracle {
         }
         (worst_hops, worst_inv_bw.to_bits(), total_hops)
     }
+
+    /// Cost of one directed ring edge.
+    fn edge_cost(topo: &NodeTopology, router: &Router, a: GcdId, b: GcdId) -> (usize, f64) {
+        let p = router.gcd_route(a, b, RoutePolicy::MaxBandwidth);
+        (p.hops(), 1.0 / p.bottleneck_per_dir(topo))
+    }
+
+    /// Visit every permutation of `items[k..]`, swapping in place.
+    fn permute<T>(items: &mut [T], k: usize, f: &mut impl FnMut(&[T])) {
+        if k == items.len() {
+            f(items);
+            return;
+        }
+        for i in k..items.len() {
+            items.swap(k, i);
+            permute(items, k + 1, f);
+            items.swap(k, i);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ifsim_topology::RoutePolicy;
 
     fn setup() -> (NodeTopology, Router) {
         let t = NodeTopology::frontier();

@@ -143,9 +143,6 @@ pub struct LinkLoad {
 /// Fluid network state. See module docs for the driving protocol.
 pub struct FlowNet {
     segmap: SegmentMap,
-    /// Cached per-segment capacities, refreshed on any link-factor change so
-    /// recomputes never re-query the segment map.
-    caps: Vec<f64>,
     /// FlowId → dense index into `entries` / arena / rate vectors.
     ids: BTreeMap<FlowId, u32>,
     entries: Vec<Entry>,
@@ -176,10 +173,8 @@ impl FlowNet {
     /// A network over the given segments, starting at `Time::ZERO`.
     pub fn new(segmap: SegmentMap) -> Self {
         let n = segmap.len();
-        let caps = (0..n).map(|i| segmap.capacity(SegId(i as u32))).collect();
         FlowNet {
             segmap,
-            caps,
             ids: BTreeMap::new(),
             entries: Vec::new(),
             arena: FlowArena::new(),
@@ -291,7 +286,7 @@ impl FlowNet {
             "zero-capacity link would stall its flows forever; use fail_link"
         );
         self.segmap.set_link_factor(link, factor);
-        self.refresh_caps();
+        self.rs.get_mut().dirty = true;
     }
 
     /// Take a link down mid-flight: every flow crossing any of its segments
@@ -300,7 +295,7 @@ impl FlowNet {
     pub fn fail_link(&mut self, link: LinkId) -> Vec<(FlowId, f64)> {
         let aborted = self.abort_flows_using(&self.segmap.link_segments(link));
         self.segmap.set_link_factor(link, 0.0);
-        self.refresh_caps();
+        self.rs.get_mut().dirty = true;
         aborted
     }
 
@@ -632,15 +627,6 @@ impl FlowNet {
         Some((e, acc))
     }
 
-    /// Re-cache segment capacities after a link-factor change and schedule a
-    /// re-share.
-    fn refresh_caps(&mut self) {
-        for (i, c) in self.caps.iter_mut().enumerate() {
-            *c = self.segmap.capacity(SegId(i as u32));
-        }
-        self.rs.get_mut().dirty = true;
-    }
-
     /// Run the deferred fair-share pass, if one is pending: one full
     /// water-fill, then a recorder sample, then the heap re-projection. An
     /// empty table skips the solve but still gets its (all-zero) sample.
@@ -656,9 +642,9 @@ impl FlowNet {
             // table; stale projections can be dropped wholesale.
             rs.heap.clear();
         } else {
-            rs.solve(&self.caps, &self.arena);
+            rs.solve(self.segmap.caps(), &self.arena);
         }
-        rs.sample(now_ns, &self.caps, &self.arena);
+        rs.sample(now_ns, self.segmap.caps(), &self.arena);
         rs.reproject(&self.entries, now_ns);
     }
 }

@@ -8,6 +8,7 @@
 use crate::ids::{GcdId, GpuId, LinkId, NumaId, PortId};
 use crate::link::{LinkKind, LinkSpec, XgmiWidth};
 use crate::routing::Router;
+use crate::validate::{self, TopologyError};
 use std::collections::BTreeMap;
 use std::sync::{Arc, LazyLock, OnceLock};
 
@@ -31,7 +32,8 @@ impl Default for NodeConfig {
 }
 
 /// An immutable node interconnect graph. Cloning is cheap: clones share
-/// the graph and its healthy [`routes`](NodeTopology::routes).
+/// the graph, its healthy [`routes`](NodeTopology::routes) and its
+/// [`validation`](NodeTopology::validation).
 #[derive(Clone, Debug)]
 pub struct NodeTopology(Arc<Graph>);
 
@@ -43,6 +45,8 @@ struct Graph {
     /// The all-healthy routes, built on first use. The graph never changes,
     /// so neither do they.
     routes: OnceLock<Arc<Router>>,
+    /// [`validate::check`]'s verdict, taken on first use.
+    validation: OnceLock<Result<(), TopologyError>>,
 }
 
 impl NodeTopology {
@@ -148,6 +152,7 @@ impl NodeTopology {
             links,
             adjacency,
             routes: OnceLock::new(),
+            validation: OnceLock::new(),
         }))
     }
 
@@ -157,6 +162,12 @@ impl NodeTopology {
     /// [`Router::new_with_health`] instead.
     pub fn routes(&self) -> &Arc<Router> {
         self.0.routes.get_or_init(|| Arc::new(Router::new(self)))
+    }
+
+    /// The structural invariant check ([`validate::check`]), run on first
+    /// use and shared by every clone of this topology.
+    pub fn validation(&self) -> &Result<(), TopologyError> {
+        self.0.validation.get_or_init(|| validate::check(self))
     }
 
     /// Node configuration.

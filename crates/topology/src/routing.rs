@@ -21,6 +21,7 @@ use crate::link::LinkKind;
 use crate::node::NodeTopology;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// Route selection policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -103,6 +104,9 @@ impl Path {
 pub struct Router {
     gcd_routes: BTreeMap<(GcdId, GcdId, RoutePolicy), Path>,
     host_routes: BTreeMap<(GcdId, NumaId), Path>,
+    /// The ring over every GCD, searched on first use. The routes never
+    /// change, so neither does it.
+    full_ring: OnceLock<Vec<GcdId>>,
 }
 
 /// The maximum simple-path length explored for a topology: enough to cross
@@ -173,6 +177,7 @@ impl Router {
         Router {
             gcd_routes,
             host_routes,
+            full_ring: OnceLock::new(),
         }
     }
 
@@ -203,6 +208,79 @@ impl Router {
         } else {
             self.gcd_route(a, b, RoutePolicy::ShortestHop).hops()
         }
+    }
+
+    /// The communicator ring over every GCD of `topo` (the topology this
+    /// router was built for): the Hamiltonian cycle minimizing `(worst edge
+    /// hops, worst edge 1/bw, total hops)` under bandwidth-maximizing
+    /// routes — RCCL's topology-search result. `order[i]` sends to
+    /// `order[(i + 1) % n]`, and the first GCD is fixed at position 0.
+    ///
+    /// Searched on first use and kept for the router's lifetime, so every
+    /// runtime sharing [`NodeTopology::routes`] shares one ring, while a
+    /// fault reroute's fresh router searches over its own routes. Panics
+    /// if some GCD pair has no route.
+    pub fn full_node_ring(&self, topo: &NodeTopology) -> &[GcdId] {
+        self.full_ring.get_or_init(|| self.search_full_ring(topo))
+    }
+
+    fn search_full_ring(&self, topo: &NodeTopology) -> Vec<GcdId> {
+        // One `(hops, 1/bw)` entry per ordered pair of GCDs, filled once;
+        // every candidate is scored from this table.
+        let n = topo.n_gcds();
+        let mut cost = vec![(0, 0.0); n * n];
+        for a in topo.gcds() {
+            for b in topo.gcds() {
+                if a != b {
+                    let p = self.gcd_route(a, b, RoutePolicy::MaxBandwidth);
+                    cost[a.idx() * n + b.idx()] = (p.hops(), 1.0 / p.bottleneck_per_dir(topo));
+                }
+            }
+        }
+        // Fix the first GCD; permute the rest. n = 8 → 7! = 5040
+        // candidates, the first of equal score kept.
+        let mut order: Vec<usize> = (0..n).collect();
+        let mut best: Option<(RingScore, Vec<usize>)> = None;
+        permute(&mut order, 1, &mut |perm| {
+            let score = score_ring(&cost, perm);
+            match &best {
+                Some((bs, _)) if *bs <= score => {}
+                _ => best = Some((score, perm.to_vec())),
+            }
+        });
+        let (_, order) = best.expect("at least one permutation");
+        order.into_iter().map(|i| GcdId(i as u8)).collect()
+    }
+}
+
+/// `(worst hops, worst 1/bw bits, total hops)` of a ring — lower is better.
+type RingScore = (usize, u64, usize);
+
+/// Score a ring of GCD indices from the `n × n` edge-cost table.
+fn score_ring(cost: &[(usize, f64)], order: &[usize]) -> RingScore {
+    let n = order.len();
+    let mut worst_hops = 0;
+    let mut worst_inv_bw: f64 = 0.0;
+    let mut total_hops = 0;
+    for i in 0..n {
+        let (h, inv) = cost[order[i] * n + order[(i + 1) % n]];
+        worst_hops = worst_hops.max(h);
+        worst_inv_bw = worst_inv_bw.max(inv);
+        total_hops += h;
+    }
+    (worst_hops, worst_inv_bw.to_bits(), total_hops)
+}
+
+/// Visit every permutation of `items[k..]`, swapping in place.
+fn permute<T>(items: &mut [T], k: usize, f: &mut impl FnMut(&[T])) {
+    if k == items.len() {
+        f(items);
+        return;
+    }
+    for i in k..items.len() {
+        items.swap(k, i);
+        permute(items, k + 1, f);
+        items.swap(k, i);
     }
 }
 
@@ -349,6 +427,7 @@ mod oracle {
         Router {
             gcd_routes,
             host_routes,
+            full_ring: OnceLock::new(),
         }
     }
 

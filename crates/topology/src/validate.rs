@@ -1,6 +1,7 @@
 //! Whole-topology invariant checks.
 //!
-//! [`check`] is called by the fabric simulator at construction time so a
+//! The fabric simulator reads [`check`]'s verdict at construction time
+//! (through [`NodeTopology::validation`], which runs it once per graph) so a
 //! malformed custom topology fails fast with a description of what is wrong,
 //! rather than producing silently absurd bandwidth numbers.
 

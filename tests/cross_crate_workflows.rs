@@ -601,3 +601,74 @@ fn a_rerouted_runtime_leaves_the_shared_routes_healthy() {
     // The faulted runtime keeps its detour.
     assert_eq!(route_0_6(&hip), detour);
 }
+
+/// The healthy Frontier full-node ring: quad, single, quad, dual, quad,
+/// single, quad, dual.
+const PINNED_RING: [u8; 8] = [0, 1, 3, 2, 4, 5, 7, 6];
+
+fn ring_ids(order: &[ifsim::topology::GcdId]) -> Vec<u8> {
+    order.iter().map(|g| g.0).collect()
+}
+
+#[test]
+fn full_node_communicators_share_one_ring() {
+    let mut a = HipSim::new(EnvConfig::default());
+    let mut b = HipSim::new(EnvConfig::default());
+    let comm_a = RcclComm::new(&mut a, (0..8).collect()).unwrap();
+    let comm_b = RcclComm::new(&mut b, (0..8).collect()).unwrap();
+    let ring_a = a.router().full_node_ring(a.topo());
+    let ring_b = b.router().full_node_ring(b.topo());
+    // One search for both runtimes: the same slice, not an equal copy.
+    assert!(std::ptr::eq(ring_a, ring_b));
+    assert_eq!(ring_ids(ring_a), PINNED_RING);
+    assert_eq!(ring_ids(&comm_a.ring().order), PINNED_RING);
+    assert_eq!(comm_a.ring(), comm_b.ring());
+}
+
+#[test]
+fn a_restored_fabric_returns_to_the_shared_ring() {
+    use ifsim::des::{Dur, Time};
+    use ifsim::fabric::{FaultKind, FaultPlan};
+    use ifsim::topology::{GcdId, NodeTopology};
+
+    let shared = NodeTopology::frontier()
+        .routes()
+        .full_node_ring(&NodeTopology::frontier())
+        .as_ptr();
+    let mut hip = HipSim::new(EnvConfig::default());
+    let mut comm = RcclComm::new(&mut hip, (0..8).collect()).unwrap();
+    let (a, b) = (GcdId(0), GcdId(1));
+    hip.set_fault_plan(
+        FaultPlan::new()
+            .at(Time::from_ns(1.0), FaultKind::LinkDown { a, b })
+            .at(Time::from_ns(2_000.0), FaultKind::LinkRestore { a, b }),
+    )
+    .unwrap();
+
+    hip.host_sleep(Dur::from_us(1.0)); // the link goes down
+    comm.rebuild(&hip).unwrap();
+    let order = &comm.ring().order;
+    for i in 0..order.len() {
+        let (x, y) = (order[i], comm.ring().next(i));
+        assert!(
+            !(x.0.min(y.0) == 0 && x.0.max(y.0) == 1),
+            "rebuilt ring still crosses the dead link: {order:?}"
+        );
+    }
+    let rerouted = hip.router().full_node_ring(hip.topo());
+    assert_ne!(
+        rerouted.as_ptr(),
+        shared,
+        "a faulted router searches its own"
+    );
+    assert_ne!(ring_ids(order), PINNED_RING);
+
+    hip.host_sleep(Dur::from_us(2.0)); // the link comes back
+    comm.rebuild(&hip).unwrap();
+    assert_eq!(ring_ids(&comm.ring().order), PINNED_RING);
+    assert_eq!(
+        hip.router().full_node_ring(hip.topo()).as_ptr(),
+        shared,
+        "a restored fabric takes the shared ring back"
+    );
+}
