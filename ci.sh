@@ -86,6 +86,16 @@ for seed in 1 2 3; do
         bounded_waits_replay_the_unbounded_schedule
 done
 
+echo "==> telemetry bridge vs its String oracle under extra proptest seeds"
+# Fresh random flow logs, op traces and DAG feeds (aborts, reroutes, fault
+# markers, flows left in flight) for the shared-text bridge vs the test-only
+# bridge that renders a String per event field: same graph, same bytes in
+# every artifact.
+for seed in 1 2 3; do
+    PROPTEST_SEED="$seed" cargo test -q --release -p ifsim-hip --lib \
+        bridge_matches_the_string_oracle_on_random_logs
+done
+
 echo "==> untrusted JSON mutations under extra proptest seeds"
 # Fresh near misses (truncations, byte flips, dropped and unknown members,
 # bad numbers, deep nesting) of the golden scenarios and of serialized run

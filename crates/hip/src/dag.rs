@@ -17,10 +17,11 @@
 //!
 //! While the run goes on the builder keeps only edges, start times, the
 //! typed [`OpLabel`] of each op node and the [`FlowId`] of each flow node.
-//! [`DagBuilder::snapshot`] reads each flow node's end and route from the
-//! fabric's flow log (an aborted or unfinished flow stays zero-length at
-//! its admission instant) and renders every node name there: `launch
-//! {label}`, the op label, or the route ([`SegmentMap::route_label`]).
+//! The snapshot reads each flow node's end and route from the fabric's flow
+//! log (an aborted or unfinished flow stays zero-length at its admission
+//! instant) and names every node there: `launch {label}`, the op label, or
+//! the route ([`SegmentMap::route_label`]), whose text the node shares with
+//! the flow spans that carry it.
 //!
 //! The builder is observation-only: it never influences scheduling, so
 //! runs are bitwise-identical with capture on or off (regression-tested
@@ -32,9 +33,11 @@
 
 use crate::op::OpLabel;
 use crate::stream::StreamId;
+use crate::telemetry::{owned, read_flow_log, Texts};
 use ifsim_des::Time;
-use ifsim_fabric::{FlowEventKind, FlowId, FlowNet, SegId};
+use ifsim_fabric::{FlowId, FlowNet};
 use ifsim_telemetry::critpath::{DepGraph, NodeCategory};
+use ifsim_telemetry::Text;
 use std::collections::BTreeMap;
 
 /// Category of an op's own node (no flows: the whole op is one interval).
@@ -58,7 +61,7 @@ fn flow_category(label: &OpLabel) -> NodeCategory {
 }
 
 /// What a node stands for; named at [`DagBuilder::snapshot`].
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 enum NodeKind {
     /// An op's issue window, up to its flows' admission.
     Launch(OpLabel),
@@ -69,7 +72,7 @@ enum NodeKind {
 }
 
 /// One captured interval.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Node {
     start_ns: f64,
     /// Unused for flow nodes.
@@ -80,7 +83,7 @@ struct Node {
 
 /// Incremental builder for the per-run dependency graph. One per runtime,
 /// fed by hooks in the event loop.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct DagBuilder {
     nodes: Vec<Node>,
     edges: Vec<(u32, u32)>,
@@ -225,36 +228,34 @@ impl DagBuilder {
     /// The finished graph for the telemetry snapshot: each flow node ends
     /// where `net`'s flow log completed it and is named by its route; op
     /// nodes are named by their labels. Consumes the builder, as a runtime
-    /// contributes its snapshot once.
+    /// contributes its snapshot once. (A captured runtime's snapshot builds
+    /// the same graph from the flow table its timeline already read.)
     pub fn snapshot(self, net: &FlowNet) -> DepGraph {
-        // Each flow's route and completion instant, by flow id: ids count
-        // up from 0 and capture starts before the first flow, so the log
-        // creates them in id order.
-        let mut flows: Vec<(&[SegId], Option<f64>)> = Vec::new();
-        for ev in net.flow_log().events() {
-            match &ev.kind {
-                FlowEventKind::Created { segs, .. } => {
-                    debug_assert_eq!(ev.flow.0, flows.len() as u64);
-                    flows.push((segs, None));
-                }
-                FlowEventKind::Completed { .. } => {
-                    flows[ev.flow.0 as usize].1 = Some(ev.at.as_ns());
-                }
-                _ => {}
-            }
-        }
-        let segmap = net.segmap();
+        let mut texts = Texts::new(net.segmap());
+        let rows = read_flow_log(net, &mut texts, |_, _, _| {});
+        self.graph_with(|fid| {
+            let row = rows[fid.0 as usize].as_ref().expect("a DAG flow is logged");
+            (row.completed.map(Time::as_ns), row.route.clone())
+        })
+    }
+
+    /// The graph, with each flow node's completion instant (`None`: it
+    /// stays zero-length at its admission) and label from `flow`.
+    pub(crate) fn graph_with(
+        self,
+        mut flow: impl FnMut(FlowId) -> (Option<f64>, Text),
+    ) -> DepGraph {
         let mut graph = DepGraph {
             nodes: Vec::with_capacity(self.nodes.len()),
             edges: self.edges,
         };
         for n in self.nodes {
             let (end_ns, label) = match n.kind {
-                NodeKind::Launch(op) => (n.end_ns, format!("launch {op}")),
-                NodeKind::Op(op) => (n.end_ns, op.to_string()),
+                NodeKind::Launch(op) => (n.end_ns, owned(format_args!("launch {op}"))),
+                NodeKind::Op(op) => (n.end_ns, owned(format_args!("{op}"))),
                 NodeKind::Flow(fid) => {
-                    let (segs, end) = flows[fid.0 as usize];
-                    (end.unwrap_or(n.start_ns), segmap.route_label(segs))
+                    let (end, route) = flow(fid);
+                    (end.unwrap_or(n.start_ns), route)
                 }
             };
             graph.add_node(n.start_ns, end_ns, n.cat, label);

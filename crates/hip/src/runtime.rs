@@ -759,13 +759,26 @@ impl HipSim {
         self.inner.telemetry_flushed = true;
         let dag = self.inner.dag.take();
         let inner = &self.inner;
-        let mut snap = crate::telemetry::build_sim_telemetry(
-            inner.trace.events(),
-            &inner.net,
-            &inner.fault_stats,
-        );
-        snap.dag = dag.map(|d| d.snapshot(&inner.net));
+        let snap =
+            crate::telemetry::capture(inner.trace.events(), &inner.net, &inner.fault_stats, dag);
         ifsim_telemetry::collector::contribute(snap);
+    }
+
+    /// This runtime's snapshot from the bridge and from its test-only
+    /// `String` oracle, over the same records. The runtime contributes
+    /// nothing afterwards.
+    #[cfg(test)]
+    pub(crate) fn snapshot_and_oracle(
+        &mut self,
+    ) -> (ifsim_telemetry::SimTelemetry, ifsim_telemetry::SimTelemetry) {
+        self.inner.telemetry_flushed = true;
+        let dag = self.inner.dag.take();
+        let inner = &self.inner;
+        let (trace, net, faults) = (inner.trace.events(), &inner.net, &inner.fault_stats);
+        (
+            crate::telemetry::capture(trace, net, faults, dag.clone()),
+            crate::telemetry::oracle::capture(trace, net, faults, dag),
+        )
     }
 
     /// Fault injection: derate the xGMI link between two GCDs to `factor`

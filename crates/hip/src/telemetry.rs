@@ -14,36 +14,51 @@
 //!   become instants (cat `fault`) on the fault lane. Both are named by
 //!   `TraceKind`'s `Display`. Each completed op also feeds the
 //!   `hip_op_duration_ns{op,dev}` histogram and the `hip_ops_completed{op}`
-//!   counter, in trace order;
+//!   counter: samples are recorded in trace order into one local
+//!   [`Histogram`] per `(op, dev)`, and each key is built once;
 //! - the fabric [`FlowLog`](ifsim_fabric::FlowLog) records each flow's
 //!   creation with its segment ids, its completion (with the bottleneck
 //!   attribution, by segment id) or abort, and the runtime's reroute notes.
-//!   Each created→completed/aborted pair becomes a span (cat
-//!   `fabric_flow`) whose `route` arg is named by
+//!   One pass pairs each created→completed/aborted flow, through a table
+//!   indexed by flow id, into a span (cat `fabric_flow`) whose `route` arg
+//!   is named by
 //!   [`SegmentMap::route_label`](ifsim_fabric::SegmentMap::route_label) and
 //!   whose `bound_by` arg names the segment that bound it longest; reroute
-//!   notes become instants. Attributions fold into the `fabric_attr_*`
-//!   counters behind `ifsim_telemetry::attribution`.
+//!   notes become instants. Attributions add up per distinct segment label
+//!   and fold into the `fabric_attr_*` counters behind
+//!   `ifsim_telemetry::attribution`.
 //!
 //! The fabric's counters join them: the flight recorder's
-//! [`UtilSeries`](ifsim_fabric::UtilSeries) (per-link utilization as change
+//! [`UtilSeries`] (per-link utilization as change
 //! points over the recompute epochs; each link direction that ever carried
 //! traffic becomes a counter track, cat `fabric_util`, Chrome `ph: "C"`,
 //! sampled where its value changed and at the first and final epochs), per-link
 //! byte/busy/utilization counters, the solver counters and the fault
 //! statistics.
 //!
-//! The dependency DAG rides the same snapshot; it reads its flow nodes'
-//! ends and routes from the same flow log in
-//! [`DagBuilder::snapshot`](crate::dag::DagBuilder::snapshot).
+//! The dependency DAG rides the same snapshot; its flow nodes read their
+//! ends and routes from the same flow table.
+//!
+//! Text that many events repeat is rendered once per snapshot and shared
+//! ([`Text::Shared`]): each route and each `bound_by` segment, each counter
+//! track's `fabric util <label>`, each device number and each byte count.
+//! Op, flow and reroute names are unique to their event and owned; keys,
+//! categories and outcomes are literals.
 
+use crate::dag::DagBuilder;
 use crate::fault::FaultStats;
 use crate::trace::{TraceEvent, TraceKind};
 use ifsim_des::Time;
-use ifsim_fabric::{FlowEventKind, FlowNet, SegId};
+use ifsim_fabric::{FlowEvent, FlowEventKind, FlowNet, SegId, SegmentMap, UtilSeries};
 use ifsim_telemetry::attribution::{ATTR_BOUND_NS, ATTR_FLOWS, ATTR_TOTAL_NS};
-use ifsim_telemetry::{MetricKey, MetricsRegistry, SimTelemetry, TimelineEvent};
-use std::collections::{BTreeMap, BTreeSet};
+use ifsim_telemetry::{Histogram, MetricKey, MetricsRegistry, SimTelemetry, Text, TimelineEvent};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::fmt::{self, Write as _};
+
+#[cfg(test)]
+mod differential;
+#[cfg(test)]
+pub(crate) mod oracle;
 
 /// Thread-lane offset for fabric flow spans: flows share a rotating pool of
 /// lanes above every plausible stream id, keeping concurrent flows visually
@@ -58,6 +73,129 @@ fn flow_lane(flow: u64) -> u32 {
     FLOW_LANE_BASE + (flow % FLOW_LANE_COUNT) as u32
 }
 
+/// Text unique to one event or node, rendered into a single allocation
+/// sized for a typical op or flow name.
+pub(crate) fn owned(args: fmt::Arguments<'_>) -> Text {
+    let mut s = String::with_capacity(40);
+    let _ = s.write_fmt(args);
+    Text::Owned(s)
+}
+
+/// The texts one snapshot shares, each rendered the first time it is
+/// asked for.
+pub(crate) struct Texts<'a> {
+    segmap: &'a SegmentMap,
+    routes: HashMap<&'a [SegId], Text>,
+    segments: Vec<Option<Text>>,
+    devs: Vec<Option<Text>>,
+    /// By the bits of the count, as `f64::to_string` prints them.
+    bytes: HashMap<u64, Text>,
+}
+
+/// The text in `slot`, rendered into it on first use.
+fn shared(slot: &mut Option<Text>, render: impl FnOnce() -> String) -> Text {
+    slot.get_or_insert_with(|| Text::shared(&render())).clone()
+}
+
+impl<'a> Texts<'a> {
+    pub(crate) fn new(segmap: &'a SegmentMap) -> Texts<'a> {
+        Texts {
+            segmap,
+            routes: HashMap::new(),
+            segments: vec![None; segmap.len()],
+            devs: Vec::new(),
+            bytes: HashMap::new(),
+        }
+    }
+
+    /// A route's label (`GCD0->GCD2 + HBM GCD0 + HBM GCD2`).
+    fn route(&mut self, segs: &'a [SegId]) -> Text {
+        let segmap = self.segmap;
+        let text = self.routes.entry(segs);
+        text.or_insert_with(|| Text::shared(&segmap.route_label(segs)))
+            .clone()
+    }
+
+    /// One segment's label.
+    fn segment(&mut self, seg: SegId) -> Text {
+        let segmap = self.segmap;
+        shared(&mut self.segments[seg.idx()], || {
+            segmap.label(seg).to_string()
+        })
+    }
+
+    /// A device number.
+    fn dev(&mut self, idx: usize) -> Text {
+        if idx >= self.devs.len() {
+            self.devs.resize(idx + 1, None);
+        }
+        shared(&mut self.devs[idx], || idx.to_string())
+    }
+
+    /// A byte count, printed as the flow log holds it.
+    fn bytes(&mut self, v: f64) -> Text {
+        let text = self.bytes.entry(v.to_bits());
+        text.or_insert_with(|| Text::shared(&v.to_string())).clone()
+    }
+}
+
+/// One flow as the snapshot reads it from the flow log.
+pub(crate) struct FlowRow {
+    /// Its route's shared label.
+    pub(crate) route: Text,
+    /// When the log completed it; `None` while in flight or once aborted.
+    pub(crate) completed: Option<Time>,
+    created: Time,
+    payload_bytes: f64,
+    /// Created and not yet completed or aborted: its span is still owed.
+    open: bool,
+}
+
+/// Read the flow log in one pass into a table indexed by flow id. `each`
+/// sees every event once its row is up to date, with the row that a
+/// completion or abort closes (`None` for a creation, a reroute note, or
+/// the end of a flow that is not open).
+pub(crate) fn read_flow_log<'a>(
+    net: &'a FlowNet,
+    texts: &mut Texts<'a>,
+    mut each: impl FnMut(&'a FlowEvent, Option<&FlowRow>, &mut Texts<'a>),
+) -> Vec<Option<FlowRow>> {
+    let mut rows: Vec<Option<FlowRow>> = Vec::new();
+    for ev in net.flow_log().events() {
+        let i = ev.flow.0 as usize;
+        let mut closed = None;
+        match &ev.kind {
+            FlowEventKind::Created {
+                payload_bytes,
+                segs,
+            } => {
+                // Ids count up from 0, so this is a push.
+                if i >= rows.len() {
+                    rows.resize_with(i + 1, || None);
+                }
+                rows[i] = Some(FlowRow {
+                    route: texts.route(segs),
+                    completed: None,
+                    created: ev.at,
+                    payload_bytes: *payload_bytes,
+                    open: true,
+                });
+            }
+            FlowEventKind::Rerouted { .. } => {}
+            FlowEventKind::Completed { .. } | FlowEventKind::Aborted { .. } => {
+                if let Some(row) = rows.get_mut(i).and_then(Option::as_mut) {
+                    if matches!(ev.kind, FlowEventKind::Completed { .. }) {
+                        row.completed = Some(ev.at);
+                    }
+                    closed = std::mem::replace(&mut row.open, false).then_some(i);
+                }
+            }
+        }
+        each(ev, closed.and_then(|i| rows[i].as_ref()), texts);
+    }
+    rows
+}
+
 /// Assemble the unified snapshot from the runtime's op trace, its fabric
 /// (flow log, flight recorder, link loads, solver counters) and its fault
 /// statistics.
@@ -65,6 +203,17 @@ pub fn build_sim_telemetry(
     trace: &[TraceEvent],
     net: &FlowNet,
     faults: &FaultStats,
+) -> SimTelemetry {
+    capture(trace, net, faults, None)
+}
+
+/// [`build_sim_telemetry`], with the dependency DAG when one was captured:
+/// its flow nodes take their routes and ends from the same flow table.
+pub(crate) fn capture(
+    trace: &[TraceEvent],
+    net: &FlowNet,
+    faults: &FaultStats,
+    dag: Option<DagBuilder>,
 ) -> SimTelemetry {
     // First, as it flushes: a recompute deferred to this point is sampled
     // and counted below.
@@ -86,59 +235,50 @@ pub fn build_sim_telemetry(
         }
     };
     let flow_lane_name = |tid: u32| format!("fabric flows %{}", tid - FLOW_LANE_BASE);
+    let mut texts = Texts::new(segmap);
 
     // --- hip ops and fault markers, from the trace -----------------------
+    // Completed ops' durations, by (op kind, device), in trace order.
+    let mut op_durations: BTreeMap<(&str, usize), Histogram> = BTreeMap::new();
     for ev in trace {
-        let name = ev.kind.to_string();
+        let name = owned(format_args!("{}", ev.kind));
         if let TraceKind::Fault(_) = ev.kind {
             events.push(TimelineEvent::instant(ev.start, name, "fault").on_tid(FAULT_LANE));
             lane(FAULT_LANE, &|| "faults".to_string());
             continue;
         }
         let tid = ev.stream.0 as u32;
-        events.push(
-            TimelineEvent::span(ev.start, ev.end, name, "hip_op")
-                .on_tid(tid)
-                .with_arg("dev", ev.dev.idx().to_string()),
-        );
-        lane(tid, &|| format!("dev{}/{:?}", ev.dev.idx(), ev.stream));
+        let dev = ev.dev.idx();
+        let mut span = TimelineEvent::span(ev.start, ev.end, name, "hip_op").on_tid(tid);
+        span.args = vec![("dev".into(), texts.dev(dev))];
+        events.push(span);
+        lane(tid, &|| format!("dev{dev}/{:?}", ev.stream));
+        if let TraceKind::Done(op) = &ev.kind {
+            op_durations
+                .entry((op.kind(), dev))
+                .or_default()
+                .record(ev.duration().as_ns());
+        }
     }
 
     // --- fabric flow lifecycle, paired into spans ------------------------
-    struct Open<'a> {
-        at: Time,
-        payload_bytes: f64,
-        segs: &'a [SegId],
-    }
-    let mut open: BTreeMap<u64, Open> = BTreeMap::new();
     let mut flow_durations: Vec<f64> = Vec::new();
-    // Attribution accumulators, folded into the registry below.
+    // Attribution accumulators, folded into the registry below: the link
+    // share adds up per distinct segment label, in log order, as one sum
+    // per label would.
     let mut attr_flows = 0u64;
     let mut attr_total_ns = 0.0;
     let mut attr_cap_ns = 0.0;
-    let mut attr_seg_ns: BTreeMap<&str, f64> = BTreeMap::new();
-    for ev in net.flow_log().events() {
+    let mut attr_labels: Option<LabelSlots> = None;
+    let rows = read_flow_log(net, &mut texts, |ev, closed, texts| {
         let tid = flow_lane(ev.flow.0);
         let (delivered_bytes, attribution) = match &ev.kind {
-            FlowEventKind::Created {
-                payload_bytes,
-                segs,
-            } => {
-                open.insert(
-                    ev.flow.0,
-                    Open {
-                        at: ev.at,
-                        payload_bytes: *payload_bytes,
-                        segs,
-                    },
-                );
-                continue;
-            }
+            FlowEventKind::Created { .. } => return,
             FlowEventKind::Rerouted { note } => {
-                let name = format!("reroute: {note}");
+                let name = owned(format_args!("reroute: {note}"));
                 events.push(TimelineEvent::instant(ev.at, name, "fabric_flow").on_tid(tid));
                 lane(tid, &|| flow_lane_name(tid));
-                continue;
+                return;
             }
             FlowEventKind::Completed {
                 delivered_bytes,
@@ -155,33 +295,36 @@ pub fn build_sim_telemetry(
             attr_flows += 1;
             attr_total_ns += a.total_ns;
             attr_cap_ns += a.cap_bound_ns;
+            let slots = attr_labels.get_or_insert_with(|| LabelSlots::new(segmap));
             for &(seg, ns) in &a.segments {
-                *attr_seg_ns.entry(segmap.label(seg)).or_insert(0.0) += ns;
+                slots.ns[slots.slot[seg.idx()]] += ns;
             }
             bound_by = Some(match a.dominant_segment() {
-                Some((seg, _)) => segmap.label(seg),
-                None => "engine-cap",
+                Some((seg, _)) => texts.segment(seg),
+                None => "engine-cap".into(),
             });
         }
-        let Some(o) = open.remove(&ev.flow.0) else {
-            continue;
+        let Some(row) = closed else {
+            return;
         };
-        let name = format!("flow#{} {}B [{outcome}]", ev.flow.0, o.payload_bytes);
-        let mut span = TimelineEvent::span(o.at, ev.at, name, "fabric_flow")
-            .on_tid(tid)
-            .with_arg("route", segmap.route_label(o.segs))
-            .with_arg("payload_bytes", o.payload_bytes.to_string())
-            .with_arg("delivered_bytes", delivered_bytes.to_string())
-            .with_arg("outcome", outcome);
-        if let Some(b) = bound_by {
-            span = span.with_arg("bound_by", b);
-        }
+        // The name prints the payload as its shared text already reads.
+        let payload = texts.bytes(row.payload_bytes);
+        let name = owned(format_args!("flow#{} {payload}B [{outcome}]", ev.flow.0));
+        let mut span = TimelineEvent::span(row.created, ev.at, name, "fabric_flow").on_tid(tid);
+        span.args = Vec::with_capacity(4 + usize::from(bound_by.is_some()));
+        span.args.extend([
+            ("route".into(), row.route.clone()),
+            ("payload_bytes".into(), payload),
+            ("delivered_bytes".into(), texts.bytes(delivered_bytes)),
+            ("outcome".into(), outcome.into()),
+        ]);
+        span.args.extend(bound_by.map(|b| ("bound_by".into(), b)));
         events.push(span);
         lane(tid, &|| flow_lane_name(tid));
         if outcome == "completed" {
-            flow_durations.push((ev.at - o.at).as_ns());
+            flow_durations.push((ev.at - row.created).as_ns());
         }
-    }
+    });
     // Flows still in flight at snapshot time stay off the timeline (they
     // have no end), but their creation is not lost: the metrics below
     // count them via peak/active statistics.
@@ -192,10 +335,14 @@ pub fn build_sim_telemetry(
     // flat tracks to every Perfetto view), a sample only where the value
     // changed, and every track closed at the final epoch.
     if let Some(series) = &util_series {
+        let mut tracks: Vec<Option<Text>> = vec![None; series.labels.len()];
         for s in series.samples() {
+            let name = shared(&mut tracks[s.col], || {
+                format!("fabric util {}", series.labels[s.col])
+            });
             events.push(TimelineEvent::counter(
                 Time::from_ns(s.ts_ns),
-                format!("fabric util {}", series.labels[s.col]),
+                name,
                 "fabric_util",
                 s.util,
             ));
@@ -203,19 +350,18 @@ pub fn build_sim_telemetry(
     }
 
     // --- metrics ---------------------------------------------------------
-    // Per-op metrics, from the trace's completed ops in trace order.
+    // Per-op metrics: one key per (op, dev) histogram and per op counter.
     let mut metrics = MetricsRegistry::new();
-    for ev in trace {
-        if let TraceKind::Done(op) = &ev.kind {
-            let op = op.kind();
-            metrics.observe(
-                MetricKey::new("hip_op_duration_ns")
-                    .with("op", op)
-                    .with("dev", ev.dev.idx().to_string()),
-                ev.duration().as_ns(),
-            );
-            metrics.counter_add(MetricKey::new("hip_ops_completed").with("op", op), 1.0);
-        }
+    let mut completed: BTreeMap<&str, u64> = BTreeMap::new();
+    for ((op, dev), h) in op_durations {
+        *completed.entry(op).or_insert(0) += h.count();
+        let key = MetricKey::new("hip_op_duration_ns")
+            .with("op", op)
+            .with("dev", dev.to_string());
+        metrics.merge_histogram(key, h);
+    }
+    for (op, n) in completed {
+        metrics.counter_add(MetricKey::new("hip_ops_completed").with("op", op), n as f64);
     }
     for d in flow_durations {
         metrics.observe(MetricKey::new("fabric_flow_duration_ns"), d);
@@ -227,18 +373,70 @@ pub fn build_sim_telemetry(
             MetricKey::new(ATTR_BOUND_NS).with("cause", "engine-cap"),
             attr_cap_ns,
         );
-        for (label, ns) in &attr_seg_ns {
-            if *ns > 0.0 {
+        let slots = attr_labels.as_ref().expect("set by the first attribution");
+        for (label, &ns) in slots.labels.iter().zip(&slots.ns) {
+            if ns > 0.0 {
                 metrics.counter_add(
                     MetricKey::new(ATTR_BOUND_NS)
                         .with("cause", "link")
                         .with("segment", *label),
-                    *ns,
+                    ns,
                 );
             }
         }
     }
-    if let Some(series) = &util_series {
+    fabric_and_fault_metrics(&mut metrics, net, util_series.as_ref(), faults);
+
+    SimTelemetry {
+        process_name: "hipsim".to_string(),
+        events,
+        threads,
+        metrics,
+        dag: dag.map(|d| {
+            d.graph_with(|fid| {
+                let row = rows[fid.0 as usize].as_ref().expect("a DAG flow is logged");
+                (row.completed.map(Time::as_ns), row.route.clone())
+            })
+        }),
+    }
+}
+
+/// Attribution per distinct segment label: each segment's slot among the
+/// labels in sorted order, and each slot's sum.
+struct LabelSlots<'a> {
+    labels: Vec<&'a str>,
+    slot: Vec<usize>,
+    ns: Vec<f64>,
+}
+
+impl<'a> LabelSlots<'a> {
+    fn new(segmap: &'a SegmentMap) -> LabelSlots<'a> {
+        let mut by_label: Vec<(&str, usize)> = (0..segmap.len())
+            .map(|i| (segmap.label(SegId(i as u32)), i))
+            .collect();
+        by_label.sort_unstable();
+        let mut labels: Vec<&str> = Vec::new();
+        let mut slot = vec![0; by_label.len()];
+        for (label, seg) in by_label {
+            if labels.last() != Some(&label) {
+                labels.push(label);
+            }
+            slot[seg] = labels.len() - 1;
+        }
+        let ns = vec![0.0; labels.len()];
+        LabelSlots { labels, slot, ns }
+    }
+}
+
+/// The metrics read from the fabric's counters and the fault statistics
+/// rather than from the two records.
+fn fabric_and_fault_metrics(
+    metrics: &mut MetricsRegistry,
+    net: &FlowNet,
+    util_series: Option<&UtilSeries>,
+    faults: &FaultStats,
+) {
+    if let Some(series) = util_series {
         metrics.gauge_set(
             MetricKey::new("fabric_recorder_samples"),
             series.epochs().len() as f64,
@@ -288,16 +486,6 @@ pub fn build_sim_telemetry(
         );
         metrics.counter_add(MetricKey::new("fault_retries"), faults.retries as f64);
         metrics.counter_add(MetricKey::new("fault_failed_ops"), faults.failed_ops as f64);
-    }
-
-    SimTelemetry {
-        process_name: "hipsim".to_string(),
-        events,
-        threads,
-        metrics,
-        // The causal DAG is attached by the runtime's flush path, which
-        // owns the `DagBuilder`; this builder only sees derived data.
-        dag: None,
     }
 }
 

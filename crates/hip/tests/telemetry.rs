@@ -103,7 +103,7 @@ fn merged_timeline_interleaves_streams_deterministically() {
     let key = |t: &ifsim_telemetry::CollectedTelemetry| {
         t.events()
             .iter()
-            .map(|e| (e.name.clone(), e.cat.clone(), e.pid, e.tid, e.ts_ns))
+            .map(|e| (e.name.clone(), e.cat, e.pid, e.tid, e.ts_ns))
             .collect::<Vec<_>>()
     };
     assert_eq!(key(&a), key(&b));
@@ -111,7 +111,7 @@ fn merged_timeline_interleaves_streams_deterministically() {
     let evs = a.events();
     assert!(evs.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
     // ...and genuinely interleaved: a fault marker sits between hip ops.
-    let cats: Vec<&str> = evs.iter().map(|e| e.cat.as_str()).collect();
+    let cats: Vec<&str> = evs.iter().map(|e| e.cat).collect();
     let first_fault = cats.iter().position(|c| *c == "fault").unwrap();
     assert!(
         cats[..first_fault].contains(&"fabric_flow") || cats[..first_fault].contains(&"hip_op"),
@@ -208,7 +208,7 @@ fn dag_flow_nodes_and_op_metrics_derive_from_the_two_records() {
     let t = faulted_two_stream_run_under(Collector::install_with_dag());
     let arg = |e: &ifsim_telemetry::TimelineEvent, key: &str| -> String {
         let (_, v) = e.args.iter().find(|(k, _)| k == key).expect("arg present");
-        v.clone()
+        v.to_string()
     };
     // Every fabric flow span: (start, end, route, outcome), unmatched.
     let mut spans: Vec<(f64, f64, String, String)> = t

@@ -1038,13 +1038,13 @@ impl ServerCore {
         let end = ifsim_core::des::Time::from_ns(start_ns + latency_ns);
         let mut ev = TimelineEvent::span(start, end, format!("req {op}"), "serve_request")
             .with_arg("code", code.to_string())
-            .with_arg("trace_id", trace_id)
+            .with_arg("trace_id", trace_id.to_string())
             .with_arg("serialize_ns", serialize_ns.to_string());
         if let Some(cached) = response.get("cached").and_then(Value::as_bool) {
             ev = ev.with_arg("cached", cached.to_string());
         }
         if let Some(id) = response.get("experiment_id").and_then(Value::as_str) {
-            ev = ev.with_arg("experiment_id", id);
+            ev = ev.with_arg("experiment_id", id.to_string());
         }
         if let Some(t) = run_trace {
             if !t.cache_tier.is_empty() {

@@ -16,7 +16,7 @@
 //! backwards after the metadata.
 
 use crate::collector::CollectedTelemetry;
-use crate::event::{EventKind, TimelineEvent};
+use crate::event::{EventKind, Text, TimelineEvent};
 use serde_json::{write_number, write_string};
 
 /// Bytes one record takes beyond its strings: keys, punctuation and the
@@ -81,7 +81,7 @@ fn event(out: &mut String, ev: &TimelineEvent) {
     out.push_str("{\"name\":");
     write_string(out, &ev.name);
     out.push_str(",\"cat\":");
-    write_string(out, &ev.cat);
+    write_string(out, ev.cat);
     lane(out, ev.pid, ev.tid);
     out.push_str(",\"ts\":");
     write_number(out, ev.ts_ns / 1000.0);
@@ -109,7 +109,7 @@ fn event(out: &mut String, ev: &TimelineEvent) {
 
 /// The `args` object, omitted when empty. A repeated key is written once,
 /// at its first position, with its last value — JSON object semantics.
-fn args(out: &mut String, args: &[(String, String)]) {
+fn args(out: &mut String, args: &[(Text, Text)]) {
     if args.is_empty() {
         return;
     }

@@ -73,10 +73,10 @@ impl CollectedTelemetry {
         for (tid, name) in sim.threads {
             self.threads.push(((pid, tid), name));
         }
-        for mut ev in sim.events {
+        self.sink.extend(sim.events.into_iter().map(|mut ev| {
             ev.pid = pid;
-            self.sink.push(ev);
-        }
+            ev
+        }));
         self.metrics.merge(&sim.metrics);
         self.metrics
             .counter_add(MetricKey::new("telemetry_sims_observed"), 1.0);
@@ -91,10 +91,11 @@ impl CollectedTelemetry {
         for ((pid, tid), name) in other.threads {
             self.threads.push(((base + pid, tid), name));
         }
-        for mut ev in other.sink.into_sorted() {
-            ev.pid += base;
-            self.sink.push(ev);
-        }
+        self.sink
+            .extend(other.sink.into_sorted().into_iter().map(|mut ev| {
+                ev.pid += base;
+                ev
+            }));
         self.metrics.merge(&other.metrics);
         self.dags.extend(other.dags);
         self.next_pid = base + other.next_pid;

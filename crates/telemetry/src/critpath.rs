@@ -22,6 +22,7 @@
 //! The what-if engine (`ifsim-analyze`) reuses [`CritPathReport`] as its
 //! carrier: virtual-speedup sweep results slot into `whatif`.
 
+use crate::event::Text;
 use crate::metrics::MetricsRegistry;
 use serde_json::{Map, Value};
 use std::collections::BTreeMap;
@@ -83,7 +84,8 @@ pub struct DagNode {
     /// Cost class.
     pub category: NodeCategory,
     /// Human label — op label, flow route, etc. Steps aggregate by it.
-    pub label: String,
+    /// A route is shared with the flow spans that carry it.
+    pub label: Text,
 }
 
 /// A per-run causal dependency graph. Edges `(src, dst)` assert that
@@ -104,7 +106,7 @@ impl DepGraph {
         start_ns: f64,
         end_ns: f64,
         category: NodeCategory,
-        label: impl Into<String>,
+        label: impl Into<Text>,
     ) -> u32 {
         let id = self.nodes.len() as u32;
         self.nodes.push(DagNode {
@@ -144,7 +146,7 @@ pub struct PathStep {
     /// Cost class charged for `[start_ns, end_ns]`.
     pub category: NodeCategory,
     /// Node label ([`QUEUE_GAP_LABEL`] for unexplained gaps).
-    pub label: String,
+    pub label: Text,
 }
 
 impl PathStep {
@@ -239,7 +241,7 @@ pub fn analyze(g: &DepGraph) -> PathAnalysis {
                     start_ns: 0.0,
                     end_ns: cursor,
                     category: NodeCategory::Queue,
-                    label: QUEUE_GAP_LABEL.to_string(),
+                    label: Text::Static(QUEUE_GAP_LABEL),
                 });
                 break;
             }
@@ -250,7 +252,7 @@ pub fn analyze(g: &DepGraph) -> PathAnalysis {
                         start_ns: pend,
                         end_ns: cursor,
                         category: NodeCategory::Queue,
-                        label: QUEUE_GAP_LABEL.to_string(),
+                        label: Text::Static(QUEUE_GAP_LABEL),
                     });
                     cursor = pend;
                 }
@@ -326,7 +328,7 @@ pub fn report(graphs: &[DepGraph], top_k: usize) -> CritPathReport {
         .iter()
         .map(|c| (c.as_str(), 0.0))
         .collect();
-    let mut agg: BTreeMap<(String, &'static str), (f64, u64, NodeCategory)> = BTreeMap::new();
+    let mut agg: BTreeMap<(Text, &'static str), (f64, u64, NodeCategory)> = BTreeMap::new();
     let mut per_run = Vec::new();
     let mut total_ns = 0.0;
     for g in graphs {
@@ -350,7 +352,7 @@ pub fn report(graphs: &[DepGraph], top_k: usize) -> CritPathReport {
     let mut top: Vec<TopEntry> = agg
         .into_iter()
         .map(|((label, _), (ns, count, category))| TopEntry {
-            label,
+            label: label.to_string(),
             category,
             ns,
             count,

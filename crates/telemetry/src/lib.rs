@@ -41,7 +41,7 @@ pub mod timeseries;
 pub use attribution::{attribution_json, render_attribution, timeseries_csv};
 pub use collector::{CollectedTelemetry, Collector, SimTelemetry};
 pub use critpath::{critpath_json, render_critpath, CritPathReport, DepGraph};
-pub use event::{EventKind, EventSink, TimelineEvent};
+pub use event::{EventKind, EventSink, Text, TimelineEvent};
 pub use heatmap::{render_heatmap, UtilRow};
 pub use hist::Histogram;
 pub use metrics::{Exemplar, MetricKey, MetricsRegistry};

@@ -112,6 +112,21 @@ impl MetricsRegistry {
         self.hists.entry(key).or_default().record(v);
     }
 
+    /// Fold a histogram recorded elsewhere in under `key`: taken as it is
+    /// when the key has no samples yet, merged otherwise. Recording a key's
+    /// samples into a local [`Histogram`] in order and folding it into a
+    /// registry without that key leaves the same count, sum, extremes and
+    /// buckets, bit for bit, as observing each sample here; callers that
+    /// would build a key per sample build one per key instead.
+    pub fn merge_histogram(&mut self, key: MetricKey, h: Histogram) {
+        match self.hists.entry(key) {
+            std::collections::btree_map::Entry::Vacant(slot) => {
+                slot.insert(h);
+            }
+            std::collections::btree_map::Entry::Occupied(mut slot) => slot.get_mut().merge(&h),
+        }
+    }
+
     /// Record one histogram sample carrying a trace-id exemplar. The
     /// sample lands in the histogram exactly as [`MetricsRegistry::observe`]
     /// would place it; the exemplar rides alongside in a small per-key
@@ -315,6 +330,73 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.counter(&k), 15.0);
         assert_eq!(a.histogram(&h).unwrap().count(), 2);
+    }
+
+    /// Samples spread over keys out of key order, with every key repeated:
+    /// one local histogram per key, folded in once, matches per-sample
+    /// `observe` on every field the exports read, bit for bit.
+    #[test]
+    fn folding_local_histograms_matches_per_sample_observe() {
+        let keys = [
+            MetricKey::new("hip_op_duration_ns")
+                .with("op", "memcpy")
+                .with("dev", "1"),
+            MetricKey::new("hip_op_duration_ns")
+                .with("op", "kernel")
+                .with("dev", "0"),
+            MetricKey::new("hip_op_duration_ns")
+                .with("op", "memcpy")
+                .with("dev", "0"),
+        ];
+        // Values whose float sums depend on the order they are added in.
+        let samples: Vec<(usize, f64)> = (0..200u32)
+            .map(|i| {
+                let k = (i * 7 + i / 3) as usize % keys.len();
+                let v = 0.1 * f64::from(i % 13) + 1e9 * f64::from(i % 5) + 0.3 / f64::from(i + 1);
+                (k, v)
+            })
+            .collect();
+        let mut per_sample = MetricsRegistry::new();
+        for &(k, v) in &samples {
+            per_sample.observe(keys[k].clone(), v);
+        }
+        let mut local: BTreeMap<usize, Histogram> = BTreeMap::new();
+        for &(k, v) in &samples {
+            local.entry(k).or_default().record(v);
+        }
+        let mut folded = MetricsRegistry::new();
+        // Folded in reverse key order: insertion order must not matter.
+        for (k, h) in local.into_iter().rev() {
+            folded.merge_histogram(keys[k].clone(), h);
+        }
+        assert_eq!(per_sample.histograms().count(), keys.len());
+        for key in &keys {
+            let (a, b) = (
+                per_sample.histogram(key).expect("observed"),
+                folded.histogram(key).expect("folded"),
+            );
+            assert_eq!(a.count(), b.count());
+            for (x, y) in [(a.sum(), b.sum()), (a.min(), b.min()), (a.max(), b.max())] {
+                assert_eq!(x.to_bits(), y.to_bits(), "{key}");
+            }
+            let bits = |h: &Histogram| -> Vec<(u64, u64)> {
+                h.buckets().map(|(le, n)| (le.to_bits(), n)).collect()
+            };
+            assert_eq!(bits(a), bits(b), "{key}");
+        }
+        assert_eq!(per_sample, folded);
+        assert_eq!(
+            serde_json::to_string_pretty(&per_sample.to_json()),
+            serde_json::to_string_pretty(&folded.to_json())
+        );
+        // Into a key that already holds samples, the fold is a merge.
+        let mut more = Histogram::new();
+        more.record(5.0);
+        folded.merge_histogram(keys[0].clone(), more);
+        assert_eq!(
+            folded.histogram(&keys[0]).map(Histogram::count),
+            per_sample.histogram(&keys[0]).map(|h| h.count() + 1)
+        );
     }
 
     #[test]
