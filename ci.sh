@@ -96,6 +96,15 @@ for seed in 1 2 3; do
         bridge_matches_the_string_oracle_on_random_logs
 done
 
+echo "==> trace plan replay vs its string oracle under extra proptest seeds"
+# Fresh random trace DAGs (fan-in, repeated dependencies, shuffled input)
+# for the resolved-plan replay vs the test-only replay that walks record
+# ids on every call: same HIP op timeline, same totals.
+for seed in 1 2 3; do
+    PROPTEST_SEED="$seed" cargo test -q --release -p ifsim-scenario --test scenario_properties \
+        plan_replay_matches_the_string_oracle
+done
+
 echo "==> untrusted JSON mutations under extra proptest seeds"
 # Fresh near misses (truncations, byte flips, dropped and unknown members,
 # bad numbers, deep nesting) of the golden scenarios and of serialized run

@@ -81,6 +81,25 @@ struct Node {
     kind: NodeKind,
 }
 
+/// The nodes one op resolved to. An op's flow nodes are added back to
+/// back, and a flow-less op is one node, so they are always a run of
+/// consecutive ids.
+#[derive(Clone, Copy, Debug)]
+struct Nodes {
+    first: u32,
+    end: u32,
+}
+
+impl Nodes {
+    fn ids(self) -> std::ops::Range<u32> {
+        self.first..self.end
+    }
+
+    fn is_empty(self) -> bool {
+        self.first == self.end
+    }
+}
+
 /// Incremental builder for the per-run dependency graph. One per runtime,
 /// fed by hooks in the event loop.
 #[derive(Clone, Debug, Default)]
@@ -88,21 +107,24 @@ pub struct DagBuilder {
     nodes: Vec<Node>,
     edges: Vec<(u32, u32)>,
     /// Last completed node(s) per stream — program-order edge sources.
-    frontier: BTreeMap<u64, Vec<u32>>,
+    frontier: BTreeMap<u64, Nodes>,
     /// Cross-stream edges (event waits) to attach to the next node
-    /// started on a stream.
+    /// started on a stream; drained in place, so each stream's list keeps
+    /// its capacity.
     pending: BTreeMap<u64, Vec<u32>>,
     /// Nodes whose op completion recorded each event id.
-    event_nodes: BTreeMap<u64, Vec<u32>>,
+    event_nodes: BTreeMap<u64, Nodes>,
     /// Flow nodes of the op currently running on each stream, tagged
     /// with the op's start time so a retried attempt never inherits a
     /// previous attempt's nodes.
-    in_flight: BTreeMap<u64, (f64, Vec<u32>)>,
+    in_flight: BTreeMap<u64, (f64, Nodes)>,
     /// Every stream's frontier at the most recent host barrier.
     barrier: Vec<u32>,
     barrier_gen: u64,
     /// Which barrier generation each stream has already joined.
     stream_gen: BTreeMap<u64, u64>,
+    /// A new node's predecessors, gathered here so no node allocates.
+    preds: Vec<u32>,
 }
 
 impl DagBuilder {
@@ -125,12 +147,13 @@ impl DagBuilder {
     /// program order, satisfied event waits, and the latest host barrier
     /// (once per stream per barrier).
     fn attach_incoming(&mut self, sid: u64, node: u32) {
-        let mut preds: Vec<u32> = Vec::new();
+        let preds = &mut self.preds;
+        preds.clear();
         if let Some(f) = self.frontier.get(&sid) {
-            preds.extend_from_slice(f);
+            preds.extend(f.ids());
         }
-        if let Some(p) = self.pending.remove(&sid) {
-            preds.extend(p);
+        if let Some(p) = self.pending.get_mut(&sid) {
+            preds.append(p);
         }
         let gen = self.stream_gen.entry(sid).or_insert(0);
         if *gen < self.barrier_gen {
@@ -139,7 +162,7 @@ impl DagBuilder {
         }
         preds.sort_unstable();
         preds.dedup();
-        self.edges.extend(preds.into_iter().map(|s| (s, node)));
+        self.edges.extend(preds.iter().map(|&s| (s, node)));
     }
 
     /// An op's flows were admitted: record the issue node (launch window,
@@ -160,13 +183,14 @@ impl DagBuilder {
             NodeKind::Launch(label.clone()),
         );
         self.attach_incoming(sid.0, issue);
-        let mut flow_nodes = Vec::with_capacity(fids.len());
+        let first = issue + 1;
         for &fid in fids {
             let n = self.add_node(admitted, admitted, cat, NodeKind::Flow(fid));
             self.edges.push((issue, n));
-            flow_nodes.push(n);
         }
-        self.in_flight.insert(sid.0, (started.as_ns(), flow_nodes));
+        let end = self.nodes.len() as u32;
+        self.in_flight
+            .insert(sid.0, (started.as_ns(), Nodes { first, end }));
     }
 
     /// An op finished. Flow-bearing ops resolve to their flow nodes
@@ -194,11 +218,14 @@ impl DagBuilder {
                     NodeKind::Op(label.clone()),
                 );
                 self.attach_incoming(sid.0, n);
-                vec![n]
+                Nodes {
+                    first: n,
+                    end: n + 1,
+                }
             }
         };
         if let Some(ev) = event {
-            self.event_nodes.insert(ev, nodes.clone());
+            self.event_nodes.insert(ev, nodes);
         }
         self.frontier.insert(sid.0, nodes);
     }
@@ -209,7 +236,7 @@ impl DagBuilder {
     pub fn wait_satisfied(&mut self, sid: StreamId, ev: u64) {
         if let Some(nodes) = self.event_nodes.get(&ev) {
             let list = self.pending.entry(sid.0).or_default();
-            list.extend(nodes.iter().copied());
+            list.extend(nodes.ids());
         }
     }
 
@@ -217,11 +244,14 @@ impl DagBuilder {
     /// node depends on every stream's current frontier. This is how
     /// collective round boundaries enter the graph.
     pub fn host_barrier(&mut self) {
-        let all: Vec<u32> = self.frontier.values().flatten().copied().collect();
-        if all.is_empty() {
+        // A frontier holds at least one node, so only no streams at all
+        // leave nothing to join.
+        if self.frontier.is_empty() {
             return;
         }
-        self.barrier = all;
+        self.barrier.clear();
+        self.barrier
+            .extend(self.frontier.values().flat_map(|f| f.ids()));
         self.barrier_gen += 1;
     }
 
@@ -378,6 +408,28 @@ mod tests {
             .steps
             .iter()
             .any(|s| s.start_ns == 0.0 && s.end_ns == 25.0));
+    }
+
+    #[test]
+    fn waits_and_barriers_join_every_flow_node_of_an_op() {
+        let mut d = DagBuilder::new();
+        let label = OpLabel::MemcpyPeer { bytes: 1 << 20 };
+        let mut net = net();
+        let fids = [hbm_flow(&mut net, t(1.0)), hbm_flow(&mut net, t(1.0))];
+        // Nodes 0 (issue), 1 and 2 (flows); the op records event 5.
+        d.op_flows_admitted(StreamId(0), t(0.0), t(1.0), &label, &fids);
+        d.op_finished(StreamId(0), t(0.0), t(9.0), &label, Some(5));
+        let k = OpLabel::Kernel { name: "k" };
+        d.wait_satisfied(StreamId(1), 5);
+        d.op_finished(StreamId(1), t(9.0), t(12.0), &k, None); // node 3
+        d.host_barrier();
+        d.op_finished(StreamId(2), t(12.0), t(15.0), &k, None); // node 4
+        let g = d.snapshot(&net);
+        assert_eq!(g.nodes.len(), 5);
+        assert_eq!(
+            g.edges,
+            vec![(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]
+        );
     }
 
     #[test]

@@ -7,17 +7,17 @@
 //! `digest_extra`, so `config_digest` — and therefore every result cache —
 //! keys on scenario *content*, not its name.
 
-use crate::format::{Scenario, Workload};
+use crate::format::{Scenario, SweepAxis, Workload};
 use crate::generators;
-use crate::trace::{self, TraceRecord};
+use crate::trace::{self, ReplayPlan, TraceRecord};
 use crate::FieldError;
 use ifsim_core::experiment::{Check, Experiment, ExperimentResult};
 use ifsim_core::{registry, BenchConfig};
 use ifsim_des::Time;
 use ifsim_fabric::FaultPlan;
-use ifsim_hip::EnvConfig;
+use ifsim_hip::{EnvConfig, HipError};
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 impl Scenario {
     /// The scenario's overrides applied on top of a driver-supplied base
@@ -90,7 +90,14 @@ pub fn compile(s: &Scenario) -> Result<Experiment, FieldError> {
         Workload::Trace { .. } | Workload::Generator(_) => {
             let exp_id = ifsim_core::experiment::intern(&id);
             let exp_title = ifsim_core::experiment::intern(&s.title);
-            Arc::new(move |cfg| run_replay(&scenario, cfg, exp_id, exp_title))
+            // Resolved on the first run, inside the closure: compiling
+            // stays as cheap as before, and every later run and rep only
+            // replays.
+            let points: OnceLock<Vec<Point>> = OnceLock::new();
+            Arc::new(move |cfg| {
+                let points = points.get_or_init(|| resolve_points(&scenario));
+                run_replay(&scenario, points, cfg, exp_id, exp_title)
+            })
         }
     };
     Ok(Experiment::dynamic(
@@ -110,54 +117,67 @@ fn workload_kind(w: &Workload) -> &'static str {
     }
 }
 
-/// One sweep point: parameter assignments and the records they expand to.
-struct SweepPoint {
-    params: Vec<(String, f64)>,
-    records: Vec<TraceRecord>,
+/// One sweep point, resolved: its label, record count and replay plan.
+struct Point {
+    label: String,
+    records: usize,
+    plan: Result<ReplayPlan, FieldError>,
 }
 
-fn sweep_points(s: &Scenario) -> Vec<SweepPoint> {
+impl Point {
+    fn new(params: &[(String, f64)], records: &[TraceRecord]) -> Point {
+        let label = if params.is_empty() {
+            "baseline".to_string()
+        } else {
+            params
+                .iter()
+                .map(|(k, v)| format!("{k}={v}"))
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
+        Point {
+            label,
+            records: records.len(),
+            plan: ReplayPlan::new(records),
+        }
+    }
+}
+
+/// The sweep's parameter assignments: the Cartesian product of its axes,
+/// first axis outermost. No axes make one empty assignment.
+fn assignments(sweep: &[SweepAxis]) -> Vec<Vec<(String, f64)>> {
+    let mut assignments: Vec<Vec<(String, f64)>> = vec![Vec::new()];
+    for axis in sweep {
+        let mut next = Vec::new();
+        for base in &assignments {
+            for &v in &axis.values {
+                let mut a = base.clone();
+                a.push((axis.param.clone(), v));
+                next.push(a);
+            }
+        }
+        assignments = next;
+    }
+    assignments
+}
+
+/// Resolve every sweep point of a trace or generator workload. A
+/// generator's records live only until their point's plan exists.
+fn resolve_points(s: &Scenario) -> Vec<Point> {
     match &s.workload {
         Workload::Registry { .. } => Vec::new(),
-        Workload::Trace { records } => vec![SweepPoint {
-            params: Vec::new(),
-            records: records.clone(),
-        }],
-        Workload::Generator(g) => {
-            if s.sweep.is_empty() {
-                return vec![SweepPoint {
-                    params: Vec::new(),
-                    records: generators::expand(g),
-                }];
-            }
-            // Cartesian product, first axis outermost.
-            let mut assignments: Vec<Vec<(String, f64)>> = vec![Vec::new()];
-            for axis in &s.sweep {
-                let mut next = Vec::new();
-                for base in &assignments {
-                    for &v in &axis.values {
-                        let mut a = base.clone();
-                        a.push((axis.param.clone(), v));
-                        next.push(a);
-                    }
+        Workload::Trace { records } => vec![Point::new(&[], records)],
+        Workload::Generator(g) => assignments(&s.sweep)
+            .into_iter()
+            .map(|params| {
+                let mut spec = g.clone();
+                for (name, v) in &params {
+                    // Validated against a probe clone at parse time.
+                    let _ = spec.set_param(name, *v);
                 }
-                assignments = next;
-            }
-            assignments
-                .into_iter()
-                .map(|params| {
-                    let mut spec = g.clone();
-                    for (name, v) in &params {
-                        // Validated against a probe clone at parse time.
-                        let _ = spec.set_param(name, *v);
-                    }
-                    SweepPoint {
-                        params,
-                        records: generators::expand(&spec),
-                    }
-                })
-                .collect()
-        }
+                Point::new(&params, &generators::expand(&spec))
+            })
+            .collect(),
     }
 }
 
@@ -178,6 +198,7 @@ fn refused(id: &'static str, title: &'static str, e: FieldError) -> ExperimentRe
 /// per-rep seed, and report mean makespans.
 fn run_replay(
     s: &Scenario,
+    points: &[Point],
     cfg: &BenchConfig,
     exp_id: &'static str,
     exp_title: &'static str,
@@ -186,7 +207,6 @@ fn run_replay(
         Ok(cfg) => cfg,
         Err(e) => return refused(exp_id, exp_title, e),
     };
-    let points = sweep_points(s);
     let mut rendered = String::new();
     let mut csv = String::from("point,records,bytes,makespan_us,gbps\n");
     let mut checks: Vec<Check> = Vec::new();
@@ -197,16 +217,7 @@ fn run_replay(
     );
     let mut all_ok = true;
     for (pi, point) in points.iter().enumerate() {
-        let label = if point.params.is_empty() {
-            "baseline".to_string()
-        } else {
-            point
-                .params
-                .iter()
-                .map(|(k, v)| format!("{k}={v}"))
-                .collect::<Vec<_>>()
-                .join(" ")
-        };
+        let label = &point.label;
         let mut sum_us = 0.0;
         let mut bytes = 0u64;
         let mut failed: Option<String> = None;
@@ -218,7 +229,11 @@ fn run_replay(
                 failed = Some(format!("fault plan rejected: {e:?}"));
                 break;
             }
-            match trace::replay(&mut hip, &point.records) {
+            let replayed = match &point.plan {
+                Ok(plan) => trace::replay_plan(&mut hip, plan),
+                Err(e) => Err(HipError::InvalidValue(e.to_string())),
+            };
+            match replayed {
                 Ok(stats) => {
                     if rep >= cfg.warmup {
                         sum_us += stats.makespan.as_us();
@@ -247,7 +262,7 @@ fn run_replay(
             rendered,
             "{:<28} {:>8} {:>12.1} {:>14.1} {:>10.2}",
             label,
-            point.records.len(),
+            point.records,
             bytes as f64 / (1 << 20) as f64,
             mean_us,
             gbps
@@ -256,7 +271,7 @@ fn run_replay(
             csv,
             "{},{},{},{:.3},{:.4}",
             label.replace(',', ";"),
-            point.records.len(),
+            point.records,
             bytes,
             mean_us,
             gbps
@@ -391,8 +406,9 @@ mod tests {
                 values: vec![2.0, 4.0],
             },
         ];
-        let points = sweep_points(&s);
+        let points = resolve_points(&s);
         assert_eq!(points.len(), 4);
+        assert_eq!(points[1].label, "bytes_per_pair=65536 ranks=4");
         let r = compile(&s).unwrap().run(&BenchConfig::quick());
         assert!(r.all_passed(), "{}", r.report());
         assert!(r.rendered.contains("bytes_per_pair=65536 ranks=2"));

@@ -7,10 +7,18 @@
 //! Because the issue order is recomputed from the DAG, any two
 //! topologically-valid orderings of the same records replay identically —
 //! shuffled input cannot change the schedule.
+//!
+//! Replay is two steps: [`ReplayPlan::new`] resolves the records once (the
+//! order, each op's cross-stream producers as issue positions, the event
+//! flags and the buffer sizes), and [`replay_plan`] walks that plan with
+//! integers. [`replay`] does both, for a trace that runs once.
 
 use crate::FieldError;
 use ifsim_des::Dur;
-use ifsim_hip::{BufferId, HipResult, HipSim, HostAllocFlags, KernelSpec, MemcpyKind, StreamId};
+use ifsim_hip::{
+    BufferId, EventId, HipError, HipResult, HipSim, HostAllocFlags, KernelSpec, MemcpyKind,
+    StreamId,
+};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One operation of a trace.
@@ -82,7 +90,7 @@ pub struct TraceRecord {
 }
 
 /// Aggregates from one replay.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ReplayStats {
     /// Wall time from first issue to quiescence.
     pub makespan: Dur,
@@ -181,21 +189,60 @@ pub fn validate(records: &[TraceRecord], n_gcds: u8) -> Result<(), FieldError> {
     canonical_order(records).map(|_| ())
 }
 
+/// Each record's dependencies as record indices, in `depends_on` order:
+/// record `i`'s are `of[start[i]..start[i + 1]]`.
+struct Deps {
+    start: Vec<u32>,
+    of: Vec<u32>,
+}
+
+impl Deps {
+    /// Resolve every dependency id once. An id that names no record fails,
+    /// naming the record that lists it.
+    fn resolve(records: &[TraceRecord]) -> Result<Deps, FieldError> {
+        let index: BTreeMap<&str, usize> = records
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (r.id.as_str(), i))
+            .collect();
+        let mut start = Vec::with_capacity(records.len() + 1);
+        let mut of = Vec::new();
+        start.push(0);
+        for (i, r) in records.iter().enumerate() {
+            for dep in &r.depends_on {
+                let d = index.get(dep.as_str()).ok_or_else(|| {
+                    FieldError::new(
+                        format!("workload.records[{i}].depends_on"),
+                        format!("unknown dependency '{dep}'"),
+                    )
+                })?;
+                of.push(*d as u32);
+            }
+            start.push(of.len() as u32);
+        }
+        Ok(Deps { start, of })
+    }
+
+    fn of(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        self.of[self.start[i] as usize..self.start[i + 1] as usize]
+            .iter()
+            .map(|&d| d as usize)
+    }
+}
+
 /// The canonical topological order: Kahn's algorithm, ready set ordered by
 /// record id. Returns indices into `records`. Fails (naming a record on
 /// the cycle) if the dependency graph is cyclic.
 pub fn canonical_order(records: &[TraceRecord]) -> Result<Vec<usize>, FieldError> {
-    let index: BTreeMap<&str, usize> = records
-        .iter()
-        .enumerate()
-        .map(|(i, r)| (r.id.as_str(), i))
-        .collect();
+    kahn(records, &Deps::resolve(records)?)
+}
+
+fn kahn(records: &[TraceRecord], deps: &Deps) -> Result<Vec<usize>, FieldError> {
     let mut indegree = vec![0usize; records.len()];
     let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); records.len()];
-    for (i, r) in records.iter().enumerate() {
-        for dep in &r.depends_on {
-            let d = index[dep.as_str()];
-            indegree[i] += 1;
+    for (i, degree) in indegree.iter_mut().enumerate() {
+        for d in deps.of(i) {
+            *degree += 1;
             dependents[d].push(i);
         }
     }
@@ -232,6 +279,116 @@ pub fn canonical_order(records: &[TraceRecord]) -> Result<Vec<usize>, FieldError
     Ok(order)
 }
 
+/// A trace resolved for replay: its ops in canonical issue order, each
+/// op's cross-stream producers as issue positions, which ops record an
+/// event, and the buffer each device needs. Resolving walks the record ids
+/// once; a replay of the plan touches integers only, so a workload that
+/// runs many times (reps, sweeps, a served experiment) resolves once.
+#[derive(Clone, Debug)]
+pub struct ReplayPlan {
+    /// The ops, in canonical issue order.
+    ops: Vec<TraceOp>,
+    /// The op at issue position `k` first waits on the events of
+    /// `waits[wait_start[k]..wait_start[k + 1]]`, in `depends_on` order.
+    wait_start: Vec<u32>,
+    waits: Vec<u32>,
+    /// Whether the op at each issue position records an event: it has a
+    /// dependent on another stream.
+    needs_event: Vec<bool>,
+    /// Bytes of each device's buffer pair, indexed by GCD; 0 where no
+    /// record touches the device.
+    need: Vec<u64>,
+    /// Bytes of the host staging buffer; 0 when no record moves host data.
+    host_need: u64,
+    /// The byte totals a replay reports.
+    totals: ReplayStats,
+}
+
+impl ReplayPlan {
+    /// Resolve `records`: order them canonically and index their
+    /// dependencies. Fails on an unknown dependency or a cycle.
+    pub fn new(records: &[TraceRecord]) -> Result<ReplayPlan, FieldError> {
+        let deps = Deps::resolve(records)?;
+        let order = kahn(records, &deps)?;
+        let n = records.len();
+        let mut pos = vec![0u32; n];
+        for (at, &i) in order.iter().enumerate() {
+            pos[i] = at as u32;
+        }
+        let mut plan = ReplayPlan {
+            ops: Vec::with_capacity(n),
+            wait_start: Vec::with_capacity(n + 1),
+            waits: Vec::new(),
+            needs_event: vec![false; n],
+            need: Vec::new(),
+            host_need: 0,
+            totals: ReplayStats {
+                makespan: Dur::ZERO,
+                records: n,
+                copy_bytes: 0,
+                h2d_bytes: 0,
+                d2h_bytes: 0,
+                kernel_bytes: 0,
+            },
+        };
+        plan.wait_start.push(0);
+        for &i in &order {
+            let op = records[i].op;
+            let gcd = op.issuing_gcd();
+            for d in deps.of(i) {
+                if records[d].op.issuing_gcd() != gcd {
+                    plan.waits.push(pos[d]);
+                    plan.needs_event[pos[d] as usize] = true;
+                }
+            }
+            plan.wait_start.push(plan.waits.len() as u32);
+            plan.ops.push(op);
+            plan.size(op);
+        }
+        Ok(plan)
+    }
+
+    /// Records in the trace.
+    pub fn records(&self) -> usize {
+        self.ops.len()
+    }
+
+    /// Grow the buffers to hold `op`, and count its bytes.
+    fn size(&mut self, op: TraceOp) {
+        let need = &mut self.need;
+        let mut touch = |g: u8, b: u64| {
+            let g = g as usize;
+            if need.len() <= g {
+                need.resize(g + 1, 0);
+            }
+            need[g] = need[g].max(b).max(8);
+        };
+        let t = &mut self.totals;
+        match op {
+            TraceOp::Copy { src, dst, bytes } => {
+                touch(src, bytes);
+                touch(dst, bytes);
+                t.copy_bytes += bytes;
+            }
+            TraceOp::H2D { dst, bytes } => {
+                touch(dst, bytes);
+                self.host_need = self.host_need.max(bytes);
+                t.h2d_bytes += bytes;
+            }
+            TraceOp::D2H { src, bytes } => {
+                touch(src, bytes);
+                self.host_need = self.host_need.max(bytes);
+                t.d2h_bytes += bytes;
+            }
+            TraceOp::Kernel { gcd, bytes } => {
+                touch(gcd, bytes);
+                t.kernel_bytes += bytes;
+            }
+        }
+    }
+}
+
+#[derive(Clone, Copy)]
 struct DeviceSlots {
     stream: StreamId,
     /// Copy endpoints and kernel source.
@@ -240,132 +397,79 @@ struct DeviceSlots {
     buf_b: BufferId,
 }
 
-/// Replay a validated trace through `hip`, returning the makespan and byte
-/// totals. Each device gets one stream; cross-stream dependencies become
+/// Replay a trace through `hip`, returning the makespan and byte totals:
+/// resolve it into a [`ReplayPlan`], then replay that.
+pub fn replay(hip: &mut HipSim, records: &[TraceRecord]) -> HipResult<ReplayStats> {
+    let plan = ReplayPlan::new(records).map_err(|e| HipError::InvalidValue(e.to_string()))?;
+    replay_plan(hip, &plan)
+}
+
+/// Replay a resolved trace through `hip`. Each device gets one stream and
+/// one buffer pair, created in GCD order; cross-stream dependencies become
 /// event waits; same-stream dependencies ride program order (the canonical
 /// issue order already sequences them).
-pub fn replay(hip: &mut HipSim, records: &[TraceRecord]) -> HipResult<ReplayStats> {
-    let order =
-        canonical_order(records).map_err(|e| ifsim_hip::HipError::InvalidValue(e.to_string()))?;
+pub fn replay_plan(hip: &mut HipSim, plan: &ReplayPlan) -> HipResult<ReplayStats> {
     hip.enable_all_peer_access()?;
-
-    // Size one buffer pair per device at the largest record touching it.
-    let mut need: BTreeMap<u8, u64> = BTreeMap::new();
-    let mut host_need: u64 = 0;
-    for r in records {
-        let mut touch = |g: u8, b: u64| {
-            let e = need.entry(g).or_insert(8);
-            *e = (*e).max(b);
-        };
-        match r.op {
-            TraceOp::Copy { src, dst, bytes } => {
-                touch(src, bytes);
-                touch(dst, bytes);
-            }
-            TraceOp::H2D { dst, bytes } => {
-                touch(dst, bytes);
-                host_need = host_need.max(bytes);
-            }
-            TraceOp::D2H { src, bytes } => {
-                touch(src, bytes);
-                host_need = host_need.max(bytes);
-            }
-            TraceOp::Kernel { gcd, bytes } => touch(gcd, bytes.max(8)),
+    let mut slots: Vec<Option<DeviceSlots>> = Vec::with_capacity(plan.need.len());
+    for (gcd, &bytes) in plan.need.iter().enumerate() {
+        if bytes == 0 {
+            slots.push(None);
+            continue;
         }
+        hip.set_device(gcd)?;
+        slots.push(Some(DeviceSlots {
+            stream: hip.stream_create()?,
+            buf_a: hip.malloc(bytes)?,
+            buf_b: hip.malloc(bytes)?,
+        }));
     }
-    let mut slots: BTreeMap<u8, DeviceSlots> = BTreeMap::new();
-    for (&gcd, &bytes) in &need {
-        hip.set_device(gcd as usize)?;
-        slots.insert(
-            gcd,
-            DeviceSlots {
-                stream: hip.stream_create()?,
-                buf_a: hip.malloc(bytes)?,
-                buf_b: hip.malloc(bytes)?,
-            },
-        );
-    }
-    let host = if host_need > 0 {
-        Some(hip.host_malloc(host_need, HostAllocFlags::non_coherent())?)
+    // Every GCD an op names has a buffer, so its slot exists.
+    let slot = |g: u8| slots[g as usize].expect("a sized device");
+    let host = if plan.host_need > 0 {
+        Some(hip.host_malloc(plan.host_need, HostAllocFlags::non_coherent())?)
     } else {
         None
     };
-
-    // Only records with cross-stream dependents need an event.
-    let gcd_of = |i: usize| records[i].op.issuing_gcd();
-    let index: BTreeMap<&str, usize> = records
-        .iter()
-        .enumerate()
-        .map(|(i, r)| (r.id.as_str(), i))
-        .collect();
-    let needs_event: Vec<bool> = {
-        let mut flags = vec![false; records.len()];
-        for (i, r) in records.iter().enumerate() {
-            for dep in &r.depends_on {
-                let d = index[dep.as_str()];
-                if gcd_of(d) != gcd_of(i) {
-                    flags[d] = true;
-                }
-            }
-        }
-        flags
-    };
-    let mut events = vec![None; records.len()];
+    let mut events: Vec<Option<EventId>> = vec![None; plan.ops.len()];
 
     let t0 = hip.now();
-    let mut stats = ReplayStats {
-        makespan: Dur::ZERO,
-        records: records.len(),
-        copy_bytes: 0,
-        h2d_bytes: 0,
-        d2h_bytes: 0,
-        kernel_bytes: 0,
-    };
-    for &i in &order {
-        let r = &records[i];
-        let gcd = r.op.issuing_gcd();
-        let stream = slots[&gcd].stream;
-        for dep in &r.depends_on {
-            let d = index[dep.as_str()];
-            if gcd_of(d) != gcd {
-                // `needs_event` marked the producer, so the event exists.
-                hip.stream_wait_event(stream, events[d].unwrap())?;
-            }
+    for (k, &op) in plan.ops.iter().enumerate() {
+        let stream = slot(op.issuing_gcd()).stream;
+        for &p in &plan.waits[plan.wait_start[k] as usize..plan.wait_start[k + 1] as usize] {
+            // Producers issue first, and `needs_event` marked them.
+            hip.stream_wait_event(stream, events[p as usize].expect("a recorded producer"))?;
         }
-        match r.op {
+        match op {
             TraceOp::Copy { src, dst, bytes } => {
-                let (sb, db) = (slots[&src].buf_a, slots[&dst].buf_a);
+                let (sb, db) = (slot(src).buf_a, slot(dst).buf_a);
                 hip.memcpy_peer_async(db, dst as usize, sb, src as usize, bytes, stream)?;
-                stats.copy_bytes += bytes;
             }
             TraceOp::H2D { dst, bytes } => {
                 hip.memcpy_async(
-                    slots[&dst].buf_a,
+                    slot(dst).buf_a,
                     0,
-                    host.unwrap(),
+                    host.expect("a host buffer"),
                     0,
                     bytes,
                     MemcpyKind::HostToDevice,
                     stream,
                 )?;
-                stats.h2d_bytes += bytes;
             }
             TraceOp::D2H { src, bytes } => {
                 hip.memcpy_async(
-                    host.unwrap(),
+                    host.expect("a host buffer"),
                     0,
-                    slots[&src].buf_a,
+                    slot(src).buf_a,
                     0,
                     bytes,
                     MemcpyKind::DeviceToHost,
                     stream,
                 )?;
-                stats.d2h_bytes += bytes;
             }
             TraceOp::Kernel { gcd, bytes } => {
                 // StreamCopy touches 8 bytes per element (one f32 read,
                 // one write), so `bytes` of traffic is `bytes / 8` elems.
-                let s = &slots[&gcd];
+                let s = slot(gcd);
                 hip.launch_kernel_on(
                     KernelSpec::StreamCopy {
                         src: s.buf_a,
@@ -374,19 +478,23 @@ pub fn replay(hip: &mut HipSim, records: &[TraceRecord]) -> HipResult<ReplayStat
                     },
                     stream,
                 )?;
-                stats.kernel_bytes += bytes;
             }
         }
-        if needs_event[i] {
+        if plan.needs_event[k] {
             let ev = hip.event_create();
             hip.event_record(ev, stream)?;
-            events[i] = Some(ev);
+            events[k] = Some(ev);
         }
     }
     hip.synchronize_all()?;
-    stats.makespan = hip.now() - t0;
-    Ok(stats)
+    Ok(ReplayStats {
+        makespan: hip.now() - t0,
+        ..plan.totals.clone()
+    })
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -502,6 +610,36 @@ mod tests {
         assert_eq!(stats.copy_bytes, 8 << 20);
         assert_eq!(stats.h2d_bytes, 1 << 20);
         assert!(stats.makespan.as_us() > 0.0);
+    }
+
+    #[test]
+    fn unknown_dependencies_fail_to_resolve() {
+        let records = vec![rec("a", TraceOp::H2D { dst: 0, bytes: 8 }, &["nope"])];
+        let e = ReplayPlan::new(&records).unwrap_err();
+        assert_eq!(e.field, "workload.records[0].depends_on");
+        let mut hip = HipSim::new(EnvConfig::default());
+        assert!(replay(&mut hip, &records).is_err());
+    }
+
+    #[test]
+    fn the_plan_replays_the_diamond_as_the_oracle_does() {
+        let records = diamond();
+        let plan = ReplayPlan::new(&records).unwrap();
+        assert_eq!(plan.records(), 5);
+        let run = |f: &dyn Fn(&mut HipSim) -> ReplayStats| {
+            let mut hip = HipSim::new(EnvConfig::default());
+            hip.mem_mut().set_phantom_threshold(0);
+            hip.trace_enable();
+            let stats = f(&mut hip);
+            (stats, hip.trace().events().to_vec())
+        };
+        let (stats, ops) = run(&|hip| replay_plan(hip, &plan).unwrap());
+        let (want_stats, want_ops) = run(&|hip| oracle::replay(hip, &records).unwrap());
+        assert_eq!(stats, want_stats);
+        assert_eq!(ops, want_ops);
+        // b and c issue on GCD0 for d on GCD1, so both record an event;
+        // the waits leave no timeline entry.
+        assert_eq!(ops.len(), 5 + 2, "five ops and two event records");
     }
 
     #[test]

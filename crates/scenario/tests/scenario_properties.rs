@@ -8,9 +8,13 @@
 //! 3. **Shuffle invariance** — any topologically-valid reordering of a
 //!    trace's records produces the identical canonical schedule and the
 //!    identical replayed makespan.
+//! 4. **Plan replay vs the string oracle** — a resolved [`ReplayPlan`]
+//!    replays any trace, shuffled or not, into the same HIP op timeline
+//!    and the same totals as the string-walking replay it replaced.
 
 use ifsim_fabric::FaultKind;
 use ifsim_hip::{EnvConfig, HipSim};
+use ifsim_scenario::trace::{canonical_order, replay_plan, ReplayPlan, ReplayStats};
 use ifsim_scenario::{
     compile, ConfigSection, FaultSpec, GeneratorSpec, Scenario, SweepAxis, TraceOp, TraceRecord,
     Workload,
@@ -18,6 +22,10 @@ use ifsim_scenario::{
 use ifsim_topology::GcdId;
 use proptest::prelude::*;
 use serde_json::{Map, Value};
+
+/// The replay that resolves its records on every call, kept as the oracle.
+#[path = "../src/trace/oracle.rs"]
+mod oracle;
 
 /// Valid scenario names: non-empty, lowercase `[a-z0-9._-]`.
 fn arb_name() -> impl Strategy<Value = String> {
@@ -130,36 +138,50 @@ fn arb_faults() -> impl Strategy<Value = Vec<FaultSpec>> {
 /// so the graph is acyclic by construction; GCDs stay on the node and
 /// copies never self-loop.
 fn arb_records() -> impl Strategy<Value = Vec<TraceRecord>> {
-    proptest::collection::vec((0usize..4, 0u8..8, 1u8..8, 1u64..64, any::<bool>()), 1..10).prop_map(
-        |specs| {
-            specs
-                .into_iter()
-                .enumerate()
-                .map(|(i, (op, src, step, kib, dep))| {
-                    let dst = (src + step) % 8;
-                    let bytes = kib << 10;
-                    let op = match op {
-                        0 => TraceOp::Copy { src, dst, bytes },
-                        1 => TraceOp::H2D { dst, bytes },
-                        2 => TraceOp::D2H { src, bytes },
-                        _ => TraceOp::Kernel { gcd: src, bytes },
-                    };
-                    // Depend on the previous record half the time: mixes
-                    // chains and independent roots without risking cycles.
-                    let depends_on = if dep && i > 0 {
-                        vec![format!("r{}", i - 1)]
-                    } else {
-                        Vec::new()
-                    };
-                    TraceRecord {
-                        id: format!("r{i}"),
-                        op,
-                        depends_on,
-                    }
-                })
-                .collect()
-        },
+    proptest::collection::vec(
+        (
+            0usize..4,
+            0u8..8,
+            1u8..8,
+            1u64..64,
+            any::<bool>(),
+            0usize..64,
+        ),
+        1..10,
     )
+    .prop_map(|specs| {
+        specs
+            .into_iter()
+            .enumerate()
+            .map(|(i, (op, src, step, kib, dep, far))| {
+                let dst = (src + step) % 8;
+                let bytes = kib << 10;
+                let op = match op {
+                    0 => TraceOp::Copy { src, dst, bytes },
+                    1 => TraceOp::H2D { dst, bytes },
+                    2 => TraceOp::D2H { src, bytes },
+                    _ => TraceOp::Kernel { gcd: src, bytes },
+                };
+                // Depend on the previous record half the time: mixes
+                // chains and independent roots without risking cycles.
+                // A quarter of those also wait on an earlier record, at
+                // times the previous one again, so fan-in and repeated
+                // dependencies show up too.
+                let mut depends_on = Vec::new();
+                if dep && i > 0 {
+                    depends_on.push(format!("r{}", i - 1));
+                    if far % 4 == 0 {
+                        depends_on.push(format!("r{}", far / 4 % i));
+                    }
+                }
+                TraceRecord {
+                    id: format!("r{i}"),
+                    op,
+                    depends_on,
+                }
+            })
+            .collect()
+    })
 }
 
 fn arb_workload() -> impl Strategy<Value = Workload> {
@@ -290,7 +312,7 @@ proptest! {
             keys[i % keys.len()]
         });
         let order = |recs: &[TraceRecord]| -> Vec<String> {
-            ifsim_scenario::trace::canonical_order(recs)
+            canonical_order(recs)
                 .unwrap()
                 .into_iter()
                 .map(|i| recs[i].id.clone())
@@ -337,5 +359,41 @@ proptest! {
         let (ra, rb) = (a.run(&cfg), b.run(&cfg));
         prop_assert_eq!(ra.rendered, rb.rendered);
         prop_assert_eq!(ra.csv, rb.csv);
+    }
+
+    /// The plan replay makes the same HIP calls as the string-walking
+    /// oracle: the same op timeline (device, stream, start, end, label)
+    /// and the same totals, for the records as drawn and shuffled.
+    #[test]
+    fn plan_replay_matches_the_string_oracle(
+        records in arb_records(),
+        keys in proptest::collection::vec(any::<u64>(), 10),
+    ) {
+        let mut shuffled = records.clone();
+        shuffled.sort_by_key(|r| {
+            let i: usize = r.id[1..].parse().unwrap();
+            keys[i % keys.len()]
+        });
+        let run = |replay: &dyn Fn(&mut HipSim) -> ReplayStats| {
+            let mut hip = HipSim::new(EnvConfig::default());
+            hip.mem_mut().set_phantom_threshold(0);
+            hip.trace_enable();
+            let stats = replay(&mut hip);
+            let ops: Vec<_> = hip
+                .trace()
+                .events()
+                .iter()
+                .map(|e| (e.dev, e.stream, e.start.as_ns(), e.end.as_ns(), e.kind.to_string()))
+                .collect();
+            (stats, ops)
+        };
+        for recs in [&records, &shuffled] {
+            let plan = ReplayPlan::new(recs).expect("valid records resolve");
+            prop_assert_eq!(plan.records(), recs.len());
+            let (stats, ops) = run(&|hip| replay_plan(hip, &plan).expect("replays"));
+            let (want_stats, want_ops) = run(&|hip| oracle::replay(hip, recs).expect("replays"));
+            prop_assert_eq!(stats, want_stats);
+            prop_assert_eq!(ops, want_ops);
+        }
     }
 }

@@ -1,12 +1,17 @@
-//! What capture costs the allocator: a DAG-captured run of the golden
-//! `moe-alltoall` scenario may make only a few allocations per timeline
-//! event beyond the same run uncaptured.
+//! What runs cost the allocator.
+//!
+//! A DAG-captured run of the golden `moe-alltoall` scenario may make only a
+//! few allocations per timeline event beyond the same run uncaptured.
 //!
 //! Text that many events repeat (routes, counter track names, device
 //! numbers, byte counts) is rendered once per snapshot and shared, and the
 //! per-op metrics build one key per op kind and device, so what is left per
 //! event is its own name and args vector, its share of the graph node, and
 //! what the run records to capture it (flow log entries, DAG edges).
+//!
+//! A compiled generator scenario resolves its trace on its first run, so a
+//! later run allocates for the runtimes and the ops it issues, not for
+//! record ids, dependency lists or indexes over them.
 //!
 //! The global allocator counts the allocations of the calling thread only,
 //! so other tests (and the harness) on other threads do not show up.
@@ -61,8 +66,10 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
 }
 
 /// The bound on allocations per captured event, beyond the uncaptured run.
-/// Shared texts measure 7.4 on this run, and a bridge that renders a
-/// `String` per event field measures 16.4. Both include what each captured
+/// Shared texts and a DAG builder that keeps each op's nodes as a run of
+/// ids measure 6.7 on this run (7.4 with a fresh `Vec` per node's
+/// predecessors and per op's nodes), and a bridge that renders a `String`
+/// per event field measures 16.4. All include what each captured
 /// runtime allocates once, which a run this short (two runtimes, 945
 /// events) spreads over few events.
 const PER_EVENT: f64 = 10.0;
@@ -97,5 +104,40 @@ fn capture_allocates_a_few_times_per_event() {
         per_event <= PER_EVENT,
         "capture made {per_event:.2} allocations per event (bound {PER_EVENT}): \
          {captured} captured vs {uncaptured} uncaptured over {events} events"
+    );
+}
+
+/// The bound on allocations per replayed record of a compiled generator
+/// scenario's second run. Replaying a resolved plan measures 10.6 on this
+/// run (the HIP runtime's dispatch and construction), and re-expanding,
+/// ordering and indexing the string records on every run measures 15.4.
+const PER_RECORD: f64 = 13.0;
+
+#[test]
+fn a_second_run_replays_without_resolving_the_trace_again() {
+    let scenario = Scenario::from_str(
+        r#"{"schema": "ifsim-scenario-v1", "name": "moe8-alloc-guard",
+            "config": {"reps": 1, "warmup": 0},
+            "workload": {"type": "moe-alltoall", "ranks": 8, "bytes_per_pair": 65536,
+                         "steps": 2, "compute_bytes": 1048576},
+            "sweep": [{"param": "bytes_per_pair", "values": [65536, 262144]}]}"#,
+    )
+    .expect("parses");
+    let exp = ifsim_scenario::compile(&scenario).expect("compiles");
+    let cfg = BenchConfig::quick();
+    let first = exp.run(&cfg);
+    assert!(first.all_passed(), "{}", first.report());
+    let (n, second) = allocations(|| exp.run(&cfg));
+    assert_eq!(first.rendered, second.rendered);
+    // Two sweep points of 2 steps x (8 gates + 56 dispatch copies + 8
+    // experts + 56 combine copies), one rep each.
+    let records = 2 * 2 * (8 + 56 + 8 + 56);
+    assert!(second.rendered.contains(" 256 "), "{}", second.rendered);
+    let per_record = n as f64 / records as f64;
+    eprintln!("second run: {n} allocations, {records} records: {per_record:.2} per record");
+    assert!(
+        per_record <= PER_RECORD,
+        "a second run made {per_record:.2} allocations per record (bound {PER_RECORD}): \
+         {n} over {records} records"
     );
 }

@@ -1,11 +1,13 @@
 //! Application-level relationships (§I: stencil halo exchange and
 //! data-parallel training) as scenario traces replayed through the HIP
-//! runtime — the same records `repro --scenario` runs.
+//! runtime — the same records `repro --scenario` runs — and compiled
+//! scenarios that rerun exactly like fresh compiles.
 
 use ifsim::des::units::{KIB, MIB};
 use ifsim::hip::{EnvConfig, HipSim};
+use ifsim::BenchConfig;
 use ifsim_scenario::trace::{self, TraceOp, TraceRecord};
-use ifsim_scenario::{generators, Scenario, Workload};
+use ifsim_scenario::{compile, generators, Scenario, Workload};
 
 /// Ranks of the halo strip, one per GCD.
 const RANKS: u8 = 8;
@@ -142,4 +144,60 @@ fn train_step_expansion_is_pinned_record_for_record() {
     assert_eq!(records.len(), 16 * (3 * 8 + 14 * 8));
     doc.workload = Workload::Trace { records };
     assert_eq!(doc.digest(), "5d125e048e6561753e314e7942de064a");
+}
+
+#[test]
+fn compiled_scenarios_rerun_like_fresh_compiles() {
+    // A compiled experiment resolves its trace on its first run and keeps
+    // the plans. Whatever else a run leaves behind must not reach the next
+    // run: every run, serial or two at once, must equal a fresh compile's.
+    let text = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/golden/scenarios/halo-faulted.json"
+    ))
+    .expect("golden scenario");
+    // A generator with a sweep and a fault, and a trace with cross-stream
+    // waits under the same fault.
+    let generator = Scenario::from_str(&text).expect("parses");
+    let mut strip_trace = generator.clone();
+    strip_trace.name = "strip-direct".into();
+    strip_trace.workload = Workload::Trace {
+        records: strip(64 * KIB, MIB, Exchange::Direct),
+    };
+    strip_trace.sweep.clear();
+    let mut reseeded = BenchConfig::quick();
+    reseeded.seed = 7;
+    for scenario in [generator, strip_trace] {
+        let exp = compile(&scenario).expect("compiles");
+        let racing = compile(&scenario).expect("compiles");
+        for cfg in [BenchConfig::quick(), reseeded.clone()] {
+            let result = |exp: &ifsim::Experiment| {
+                let r = exp.run(&cfg);
+                assert!(r.all_passed(), "{}", r.report());
+                (r.rendered, r.csv)
+            };
+            let fresh = result(&compile(&scenario).expect("compiles"));
+            for run in 0..2 {
+                let seed = cfg.seed;
+                assert_eq!(
+                    result(&exp),
+                    fresh,
+                    "{}: seed {seed} run {run}",
+                    scenario.name
+                );
+            }
+            // Two threads at once: on `racing`'s first configuration both
+            // race its first run, and then both reuse what it resolved.
+            std::thread::scope(|scope| {
+                let runs = [
+                    scope.spawn(|| result(&racing)),
+                    scope.spawn(|| result(&racing)),
+                ];
+                for run in runs {
+                    let got = run.join().expect("no panic");
+                    assert_eq!(got, fresh, "{}: concurrent run", scenario.name);
+                }
+            });
+        }
+    }
 }
