@@ -61,6 +61,15 @@ for seed in 1 2 3; do
         engine_matches_reference_and_oracle_under_churn add_drain_cycles_match_reference
 done
 
+echo "==> memoized water-fill vs a fresh solve under extra proptest seeds"
+# Fresh flow patterns over a small shape pool, rerun between capacity
+# changes (degrade, fail, restore) landing mid-flight: every pass, served
+# from the memo or solved, must equal a fresh water-fill bit for bit.
+for seed in 1 2 3; do
+    PROPTEST_SEED="$seed" cargo test -q --release -p ifsim-fabric --lib \
+        memoized_solves_match_a_fresh_solve
+done
+
 echo "==> routing oracle under extra proptest seeds"
 # Fresh link-health maps and random graphs for the per-source route walk
 # vs the brute-force per-pair oracle.

@@ -17,10 +17,14 @@
 //!   oracle**: intentionally simple, kept byte-for-byte as seeded, and
 //!   exercised against the production path by the engine property tests.
 //! - [`max_min_rates_arena`] — the hot-path version run by
-//!   [`crate::FlowNet`] on every recompute: it walks the persistent
+//!   [`crate::FlowNet`] on every recompute whose ordered input the network
+//!   has not solved since its last capacity change (a repeat copies the
+//!   stored output of that solve instead): it walks the persistent
 //!   [`crate::arena::FlowArena`] spans directly and keeps all working state
 //!   in a caller-owned [`FairshareScratch`], so steady-state recomputes
-//!   perform **zero** heap allocations.
+//!   perform **zero** heap allocations. Its output depends only on the
+//!   capacities and the spans in order, never on the scratch's history,
+//!   which is what makes that copy exact.
 
 /// One flow's constraints, referencing segments by dense index.
 #[derive(Clone, Debug)]
@@ -174,6 +178,12 @@ impl FairshareScratch {
     /// bound). Valid until the next solve over this scratch.
     pub fn binding(&self) -> &[u32] {
         &self.binding
+    }
+
+    /// The bindings, for the memo to restore those an earlier solve of
+    /// the same input left.
+    pub(crate) fn binding_mut(&mut self) -> &mut Vec<u32> {
+        &mut self.binding
     }
 }
 

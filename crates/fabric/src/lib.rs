@@ -34,8 +34,9 @@
 //! ## Performance
 //!
 //! The engine keeps flow state in a persistent CSR arena ([`arena`]), runs
-//! deferred allocation-free fair-share recomputes ([`fairshare`]), and peeks
-//! completions from a lazily-invalidated heap — see `docs/PERFORMANCE.md`.
+//! deferred allocation-free fair-share recomputes ([`fairshare`]), solving
+//! each ordered input once between capacity changes, and peeks completions
+//! from a lazily-invalidated heap — see `docs/PERFORMANCE.md`.
 //! The pre-rework engine survives as a test-only oracle (`reference.rs`),
 //! which the differential property tests drive in lockstep with [`FlowNet`].
 
@@ -47,6 +48,7 @@ pub mod fault;
 pub mod flow;
 pub mod flowlog;
 pub mod latency;
+mod memo;
 pub mod net;
 pub mod recorder;
 #[cfg(test)]

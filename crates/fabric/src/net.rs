@@ -34,17 +34,21 @@
 //!   only re-pushes flows whose rate actually changed (bumping a per-flow
 //!   generation that orphans the old entry). The drain loop is O(F log F)
 //!   instead of the former O(F²) scan.
-//! - Every deferred pass is **one full water-fill** over the arena. At the
-//!   flow counts real workloads reach (at most 16 concurrent flows per
-//!   runtime on the 8-GCD node) that solve is cheap, so the pass carries no
-//!   machinery for skipping or scoping it — see "Recompute: one full
-//!   water-fill" in `docs/PERFORMANCE.md`.
+//! - Every deferred pass needs the output of **one full water-fill** over
+//!   the arena, and each distinct ordered input is solved once: admission
+//!   interns each flow's path (segments and wire cap) into a dense id, and
+//!   a pass whose path ids, in dense order, were already solved since the
+//!   last capacity change copies the stored rates and bindings instead of
+//!   solving again (`memo.rs`). The stored output is that of the same
+//!   input, so a hit is bit-identical to a fresh solve — see "Recompute:
+//!   one water-fill per new input" in `docs/PERFORMANCE.md`.
 
 use crate::arena::FlowArena;
 use crate::attr::AttrAcc;
 use crate::fairshare::{max_min_rates_arena, FairshareScratch};
 use crate::flow::{FlowId, FlowSpec};
 use crate::flowlog::{FlowEvent, FlowEventKind, FlowLog};
+use crate::memo::{PathTable, SolveMemo};
 use crate::recorder::{FlightRecorder, UtilSeries};
 use crate::seg::{Dir, SegId, SegmentMap};
 use ifsim_des::{Dur, Time};
@@ -105,6 +109,8 @@ struct RateState {
     rates: Vec<f64>,
     /// Heap generation per dense entry.
     gens: Vec<u32>,
+    /// Interned path id per dense entry: the memo key, in span order.
+    paths: Vec<u16>,
     /// Projected completions, min-ordered; may hold orphaned entries.
     heap: BinaryHeap<Reverse<HeapEntry>>,
     /// Reusable fair-share working set. After a pass, its
@@ -113,8 +119,13 @@ struct RateState {
     scratch: FairshareScratch,
     /// Wire rate per dense entry, written by each pass.
     wire: Vec<f64>,
-    /// Fair-share passes executed (over a non-empty table).
+    /// Fair-share passes executed (over a non-empty table), memo hits
+    /// included.
     recomputes: u64,
+    /// Passes that ran the water-fill: the memo missed.
+    water_fills: u64,
+    /// Solved inputs since the last capacity change.
+    memo: SolveMemo,
     /// Epoch-sampled utilization time series (off until capture is on).
     /// Lives here because the flush that feeds it runs under `&self`;
     /// boxed so an uncaptured run's rate state stays one pointer wide.
@@ -166,6 +177,8 @@ pub struct FlowNet {
     /// Maintained in swap-remove lockstep always (an empty accumulator
     /// never allocates); *charged* only while the log records.
     attr: Vec<AttrAcc>,
+    /// Every path admitted so far, interned for the memo key.
+    path_table: PathTable,
     rs: RefCell<RateState>,
 }
 
@@ -187,14 +200,18 @@ impl FlowNet {
             peak_active: 0,
             log: FlowLog::default(),
             attr: Vec::new(),
+            path_table: PathTable::default(),
             rs: RefCell::new(RateState {
                 dirty: false,
                 rates: Vec::new(),
                 gens: Vec::new(),
+                paths: Vec::new(),
                 heap: BinaryHeap::new(),
                 scratch: FairshareScratch::new(),
                 wire: Vec::new(),
                 recomputes: 0,
+                water_fills: 0,
+                memo: SolveMemo::default(),
                 recorder: None,
             }),
         }
@@ -286,7 +303,9 @@ impl FlowNet {
             "zero-capacity link would stall its flows forever; use fail_link"
         );
         self.segmap.set_link_factor(link, factor);
-        self.rs.get_mut().dirty = true;
+        let rs = self.rs.get_mut();
+        rs.memo.clear();
+        rs.dirty = true;
     }
 
     /// Take a link down mid-flight: every flow crossing any of its segments
@@ -295,7 +314,9 @@ impl FlowNet {
     pub fn fail_link(&mut self, link: LinkId) -> Vec<(FlowId, f64)> {
         let aborted = self.abort_flows_using(&self.segmap.link_segments(link));
         self.segmap.set_link_factor(link, 0.0);
-        self.rs.get_mut().dirty = true;
+        let rs = self.rs.get_mut();
+        rs.memo.clear();
+        rs.dirty = true;
         aborted
     }
 
@@ -350,14 +371,22 @@ impl FlowNet {
     }
 
     /// Fair-share passes actually executed so far (a performance counter).
-    /// Deferred-recompute coalescing means this counts *solver runs*, not
+    /// Deferred-recompute coalescing means this counts *passes*, not
     /// membership changes; a pass is never charged for an empty flow table.
+    /// A pass served from the memo counts too.
     pub fn recomputes(&self) -> u64 {
         self.rs.borrow().recomputes
     }
 
-    /// Same as [`FlowNet::recomputes`]; every pass is a full solve. Only
-    /// caller: the stack bench (`crates/bench/examples/stack/layers.rs`).
+    /// Passes that ran the water-fill: those of [`FlowNet::recomputes`]
+    /// whose ordered input was not solved since the last capacity change.
+    pub fn water_fills(&self) -> u64 {
+        self.rs.borrow().water_fills
+    }
+
+    /// Same as [`FlowNet::recomputes`], under the name the stack bench
+    /// reads. Only caller: the stack bench
+    /// (`crates/bench/examples/stack/layers.rs`).
     #[doc(hidden)]
     pub fn recomputes_full(&self) -> u64 {
         self.recomputes()
@@ -585,7 +614,9 @@ impl FlowNet {
                 segs: spec.segs.clone(),
             },
         });
-        self.arena.push(&spec.segs, spec.wire_cap());
+        let wire_cap = spec.wire_cap();
+        self.arena.push(&spec.segs, wire_cap);
+        let path = self.path_table.intern(&spec.segs, wire_cap);
         self.ids.insert(id, self.entries.len() as u32);
         self.entries.push(Entry {
             id,
@@ -602,6 +633,7 @@ impl FlowNet {
         // pushes this flow's projection.
         rs.rates.push(-1.0);
         rs.gens.push(0);
+        rs.paths.push(path);
         rs.dirty = true;
         self.peak_active = self.peak_active.max(self.entries.len());
         id
@@ -619,6 +651,7 @@ impl FlowNet {
         let rs = self.rs.get_mut();
         rs.rates.swap_remove(idx);
         rs.gens.swap_remove(idx);
+        rs.paths.swap_remove(idx);
         rs.dirty = true;
         if idx < self.entries.len() {
             let moved = self.entries[idx].id;
@@ -628,8 +661,9 @@ impl FlowNet {
     }
 
     /// Run the deferred fair-share pass, if one is pending: one full
-    /// water-fill, then a recorder sample, then the heap re-projection. An
-    /// empty table skips the solve but still gets its (all-zero) sample.
+    /// water-fill (or its memoized output), then a recorder sample, then
+    /// the heap re-projection. An empty table skips the solve but still
+    /// gets its (all-zero) sample.
     fn flush(&self) {
         let mut guard = self.rs.borrow_mut();
         let rs = &mut *guard;
@@ -650,10 +684,20 @@ impl FlowNet {
 }
 
 impl RateState {
-    /// One max-min water-fill over the whole arena, into `wire` and the
-    /// scratch's bindings.
+    /// The output of one max-min water-fill over the whole arena, into
+    /// `wire` and the scratch's bindings: copied from the memo when the
+    /// same ordered input was solved since the last capacity change,
+    /// otherwise solved and stored.
     fn solve(&mut self, caps: &[f64], arena: &FlowArena) {
         self.recomputes += 1;
+        let key = SolveMemo::fingerprint(&self.paths);
+        if let Some(h) = key {
+            let (wire, binding) = (&mut self.wire, self.scratch.binding_mut());
+            if self.memo.restore(h, &self.paths, arena, wire, binding) {
+                return;
+            }
+        }
+        self.water_fills += 1;
         max_min_rates_arena(
             caps,
             arena.buf(),
@@ -661,6 +705,10 @@ impl RateState {
             &mut self.scratch,
             &mut self.wire,
         );
+        if let Some(h) = key {
+            let binding = self.scratch.binding();
+            self.memo.insert(h, &self.paths, arena, &self.wire, binding);
+        }
     }
 
     /// Append this epoch's link utilization to the flight recorder, if on.
@@ -1356,5 +1404,230 @@ mod tests {
         assert_eq!(second, b);
         let expect = 8e6 / gbps(10.0) * 1e9;
         assert!((end.as_ns() - expect).abs() < tolerance_ns(end));
+    }
+
+    /// Flush, then require the rates and bindings the pass left — memoized
+    /// or solved — to equal bit for bit a fresh water-fill over the same
+    /// arena with a new scratch.
+    fn assert_memo_matches_fresh(n: &FlowNet) {
+        n.flush();
+        if n.entries.is_empty() {
+            return;
+        }
+        let (mut scratch, mut wire) = (FairshareScratch::new(), Vec::new());
+        let caps = n.segmap.caps();
+        max_min_rates_arena(
+            caps,
+            n.arena.buf(),
+            n.arena.spans(),
+            &mut scratch,
+            &mut wire,
+        );
+        let rs = n.rs.borrow();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&rs.wire), bits(&wire), "wire rates");
+        assert_eq!(rs.scratch.binding(), scratch.binding(), "bindings");
+    }
+
+    /// The frontier routes and flow specs of a small pool of flow shapes,
+    /// and the links those routes cross.
+    struct MemoPool {
+        t: NodeTopology,
+        r: Router,
+        links: Vec<LinkId>,
+    }
+
+    impl MemoPool {
+        /// (src, dst, duplex, efficiency, payload cap in GB/s)
+        const SHAPES: [(u8, u8, bool, f64, Option<f64>); 6] = [
+            (0, 2, false, 1.0, None),
+            (0, 2, true, 0.87, None),
+            (2, 0, true, 0.87, None),
+            (0, 1, false, 0.75, Some(50.0)),
+            (0, 6, false, 0.9, None),
+            (1, 2, false, 1.0, Some(30.0)),
+        ];
+
+        fn new() -> MemoPool {
+            let t = NodeTopology::frontier();
+            let r = Router::new(&t);
+            let mut links: Vec<LinkId> = Self::SHAPES
+                .iter()
+                .flat_map(|&(a, b, ..)| {
+                    r.gcd_route(GcdId(a), GcdId(b), RoutePolicy::MaxBandwidth)
+                        .links
+                        .clone()
+                })
+                .collect();
+            links.sort_unstable();
+            links.dedup();
+            MemoPool { t, r, links }
+        }
+
+        fn spec(&self, n: &FlowNet, shape: usize, kb: u32) -> FlowSpec {
+            let (a, b, duplex, eff, cap) = Self::SHAPES[shape % Self::SHAPES.len()];
+            let segs = peer_segs(&self.t, &self.r, n, a, b, duplex);
+            let spec = FlowSpec::new(segs, kb as f64 * 1024.0, eff);
+            match cap {
+                Some(c) => spec.with_cap(gbps(c)),
+                None => spec,
+            }
+        }
+
+        fn alive(n: &FlowNet, segs: &[SegId]) -> bool {
+            segs.iter().all(|&s| n.segmap().capacity(s) > 0.0)
+        }
+
+        /// One event of a pattern: admit one or two pool flows (skipping
+        /// any over a failed link, as a re-planning runtime would),
+        /// complete, cancel, or advance without skipping a completion.
+        fn event(&self, n: &mut FlowNet, (op, x, kb): (u8, u8, u32)) {
+            match op {
+                0..=3 => {
+                    let picks = [x as usize, x as usize / 2 + kb as usize];
+                    let specs: Vec<FlowSpec> = picks[..1 + usize::from(op == 3)]
+                        .iter()
+                        .map(|&k| self.spec(n, k, kb))
+                        .filter(|s| Self::alive(n, &s.segs))
+                        .collect();
+                    n.add_flows(n.now(), specs);
+                }
+                4 | 5 => {
+                    n.complete_next();
+                }
+                6 => {
+                    let ids = n.active_ids();
+                    if !ids.is_empty() {
+                        n.cancel(ids[kb as usize % ids.len()]);
+                    }
+                }
+                _ => {
+                    let mut to = n.now().as_ns() + kb as f64 * 100.0;
+                    if let Some((tc, _)) = n.peek_completion() {
+                        to = to.min(tc.as_ns());
+                    }
+                    n.advance_to(Time::from_ns(to));
+                }
+            }
+        }
+
+        /// A capacity change: none, degrade a live link, fail a link, or
+        /// restore every failed link.
+        fn change(&self, n: &mut FlowNet, (op, x, kb): (u8, u8, u32)) {
+            let link = self.links[x as usize % self.links.len()];
+            match op {
+                0 => {}
+                1 => {
+                    if Self::alive(n, &n.segmap().link_segments(link)) {
+                        n.set_link_factor(link, (kb % 3 + 1) as f64 / 4.0);
+                    }
+                }
+                2 => {
+                    n.fail_link(link);
+                }
+                _ => self.restore(n),
+            }
+        }
+
+        fn restore(&self, n: &mut FlowNet) {
+            for &l in &self.links {
+                if !Self::alive(n, &n.segmap().link_segments(l)) {
+                    n.set_link_factor(l, 1.0);
+                }
+            }
+        }
+
+        /// Run `pattern` from an empty table, then drain, checking every
+        /// pass; `mid` is applied after the pattern's first event, while
+        /// its flows are in flight.
+        fn run(&self, n: &mut FlowNet, pattern: &[(u8, u8, u32)], mid: (u8, u8, u32)) {
+            for (k, &ev) in pattern.iter().enumerate() {
+                self.event(n, ev);
+                assert_memo_matches_fresh(n);
+                if k == 0 {
+                    self.change(n, mid);
+                    assert_memo_matches_fresh(n);
+                }
+            }
+            while n.complete_next().is_some() {
+                assert_memo_matches_fresh(n);
+            }
+        }
+    }
+
+    /// Run a pattern of admissions, completions, cancels and advances over
+    /// a small pool of flow shapes once per step, each run with the step's
+    /// capacity change landing mid-flight; then restore every failed link
+    /// and run it twice more. Every pass is checked against a fresh solve.
+    /// Returns the passes the memo served.
+    fn run_memo_tape(pattern: &[(u8, u8, u32)], steps: &[(u8, u8, u32)]) -> u64 {
+        let pool = MemoPool::new();
+        let mut n = FlowNet::new(SegmentMap::new(&pool.t));
+        for &step in steps {
+            pool.run(&mut n, pattern, step);
+        }
+        pool.restore(&mut n);
+        for _ in 0..2 {
+            pool.run(&mut n, pattern, (0, 0, 0));
+        }
+        n.recomputes() - n.water_fills()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Every pass, served from the memo or solved, equals a fresh
+        /// water-fill bit for bit, through capacity changes that must
+        /// invalidate it; and a pattern run twice on unchanged capacities
+        /// is served from the memo.
+        #[test]
+        fn memoized_solves_match_a_fresh_solve(
+            first in (0u8..4, 0u8..64, 1u32..4_000),
+            rest in proptest::collection::vec((0u8..8, 0u8..64, 1u32..4_000), 1..12),
+            steps in proptest::collection::vec((0u8..4, 0u8..64, 1u32..4), 1..12),
+        ) {
+            // A pattern opens with an admission, so its rerun must hit.
+            let pattern: Vec<_> = std::iter::once(first).chain(rest).collect();
+            let hits = run_memo_tape(&pattern, &steps);
+            proptest::prop_assert!(hits > 0, "no pass was served from the memo");
+        }
+    }
+
+    #[test]
+    fn a_repeated_pattern_is_solved_once_until_a_capacity_changes() {
+        let (t, r, mut n) = net();
+        let a = peer_segs(&t, &r, &n, 0, 2, false);
+        let b = peer_segs(&t, &r, &n, 0, 6, false);
+        let step = |n: &mut FlowNet| {
+            let now = n.now();
+            n.add_flows(
+                now,
+                [
+                    FlowSpec::new(a.clone(), 1e6, 1.0),
+                    FlowSpec::new(b.clone(), 2e6, 0.9),
+                ],
+            );
+            while n.complete_next().is_some() {}
+        };
+        step(&mut n);
+        let fills = n.water_fills();
+        assert_eq!(n.recomputes(), fills);
+        for _ in 0..3 {
+            step(&mut n);
+        }
+        assert_eq!(n.water_fills(), fills, "repeats are served from the memo");
+        assert_eq!(n.recomputes(), 4 * fills);
+        assert_eq!(n.path_table.len(), 2);
+        let lid = r
+            .gcd_route(GcdId(0), GcdId(2), RoutePolicy::MaxBandwidth)
+            .links[0];
+        n.set_link_factor(lid, 0.5);
+        assert_eq!(n.rs.borrow().memo.len(), 0);
+        step(&mut n);
+        assert_eq!(
+            n.water_fills(),
+            2 * fills,
+            "a capacity change clears the memo"
+        );
     }
 }

@@ -29,9 +29,9 @@ pub struct Inner {
     devices: DeviceTable,
     mem: MemorySystem,
     net: FlowNet,
-    streams: BTreeMap<StreamId, StreamState>,
+    /// Every stream, indexed by [`StreamId::idx`].
+    streams: Vec<StreamState>,
     default_streams: Vec<StreamId>,
-    next_stream: u64,
     events: EventTable,
     peer_enabled: BTreeSet<(GcdId, GcdId)>,
     flow_owner: BTreeMap<FlowId, StreamId>,
@@ -86,15 +86,13 @@ impl HipSim {
         let devices = DeviceTable::new(&topo, &env).expect("valid device visibility");
         let segmap = SegmentMap::new(&topo);
         let net = FlowNet::new(segmap);
-        let mut streams = BTreeMap::new();
+        let mut streams = Vec::new();
         let mut default_streams = Vec::new();
         for d in 0..devices.count() {
-            let sid = StreamId(d as u64);
             let gcd = devices.gcd(DeviceId(d)).expect("visible device");
-            streams.insert(sid, StreamState::new(DeviceId(d), gcd));
-            default_streams.push(sid);
+            default_streams.push(StreamId(streams.len() as u64));
+            streams.push(StreamState::new(DeviceId(d), gcd));
         }
-        let next_stream = devices.count() as u64;
         let fabric_health = FabricHealth::healthy(&topo);
         let mut sim = HipSim {
             engine: Engine::new(),
@@ -108,7 +106,6 @@ impl HipSim {
                 net,
                 streams,
                 default_streams,
-                next_stream,
                 events: EventTable::default(),
                 peer_enabled: BTreeSet::new(),
                 flow_owner: BTreeMap::new(),
@@ -327,7 +324,7 @@ impl HipSim {
     /// no DAG barrier.
     pub fn free(&mut self, buf: BufferId) -> HipResult<()> {
         self.inner.mem.get(buf)?; // valid handle?
-        self.run_until(|inner| !inner.streams.values().any(|s| s.uses(buf)), None);
+        self.run_until(|inner| !inner.streams.iter().any(|s| s.uses(buf)), None);
         Ok(self.inner.mem.free(buf)?)
     }
 
@@ -346,9 +343,8 @@ impl HipSim {
     pub fn stream_create(&mut self) -> HipResult<StreamId> {
         let dev = self.inner.current;
         let gcd = self.inner.devices.gcd(dev)?;
-        let sid = StreamId(self.inner.next_stream);
-        self.inner.next_stream += 1;
-        self.inner.streams.insert(sid, StreamState::new(dev, gcd));
+        let sid = StreamId(self.inner.streams.len() as u64);
+        self.inner.streams.push(StreamState::new(dev, gcd));
         Ok(sid)
     }
 
@@ -392,8 +388,8 @@ impl HipSim {
                     // A fault-failed stream drops its queued record markers;
                     // once everything is idle the event can no longer record,
                     // so stop and surface the failure instead of spinning on.
-                    || (inner.streams.values().any(|s| s.failed.is_some())
-                        && inner.streams.values().all(|s| s.idle()))
+                    || (inner.streams.iter().any(|s| s.failed.is_some())
+                        && inner.streams.iter().all(|s| s.idle()))
             },
             deadline,
         );
@@ -405,7 +401,7 @@ impl HipSim {
         }
         // Report the stream failure without clearing it: the stream-level
         // synchronize owns the clear, as in HIP.
-        let e = self.inner.streams.values().find_map(|s| s.failed.clone());
+        let e = self.inner.streams.iter().find_map(|s| s.failed.clone());
         Err(e.expect("escape condition implies a failed stream"))
     }
 
@@ -432,7 +428,7 @@ impl HipSim {
     fn stream_wait(&mut self, stream: StreamId, timeout: Option<Dur>) -> HipResult<()> {
         self.check_stream(stream)?;
         let deadline = timeout.map(|t| self.engine.now() + t);
-        let waited = self.run_until(|inner| inner.streams[&stream].idle(), deadline);
+        let waited = self.run_until(|inner| inner.streams[stream.idx()].idle(), deadline);
         if let (false, Some(t)) = (waited, timeout) {
             return Err(timeout_error(&format!("{stream:?} still busy"), t));
         }
@@ -447,7 +443,7 @@ impl HipSim {
             |inner| {
                 inner
                     .streams
-                    .values()
+                    .iter()
                     .filter(|s| s.dev == dev)
                     .all(|s| s.idle())
             },
@@ -459,7 +455,7 @@ impl HipSim {
     /// Synchronize every stream of every device. Surfaces the first sticky
     /// fault error across the node, clearing all of them.
     pub fn synchronize_all(&mut self) -> HipResult<()> {
-        self.run_until(|inner| inner.streams.values().all(|s| s.idle()), None);
+        self.run_until(|inner| inner.streams.iter().all(|s| s.idle()), None);
         // A full host barrier: everything submitted after this point
         // causally depends on everything that just drained (this is how
         // collective round boundaries enter the dependency DAG).
@@ -473,8 +469,8 @@ impl HipSim {
     /// first of them.
     fn take_errors(&mut self, pick: impl Fn(StreamId, &StreamState) -> bool) -> HipResult<()> {
         let mut first = None;
-        for (&sid, s) in self.inner.streams.iter_mut() {
-            if pick(sid, s) {
+        for (i, s) in self.inner.streams.iter_mut().enumerate() {
+            if pick(StreamId(i as u64), s) {
                 if let Some(e) = s.failed.take() {
                     first.get_or_insert(e);
                 }
@@ -869,7 +865,7 @@ impl HipSim {
     pub fn stream_error(&self, stream: StreamId) -> Option<&HipError> {
         self.inner
             .streams
-            .get(&stream)
+            .get(stream.idx())
             .and_then(|s| s.failed.as_ref())
     }
 
@@ -917,7 +913,7 @@ impl HipSim {
                 result = Err(e);
                 break;
             }
-            let st = self.inner.streams.get_mut(&stream).expect("checked stream");
+            let st = &mut self.inner.streams[stream.idx()];
             st.queue.push_back(QueuedOp {
                 work: Work::Planned(plan),
                 event: None,
@@ -941,13 +937,13 @@ impl HipSim {
 
     /// Whether every stream on every device is idle.
     pub fn all_idle(&self) -> bool {
-        self.inner.streams.values().all(|s| s.idle())
+        self.inner.streams.iter().all(|s| s.idle())
     }
 
     // ---------------- event loop ----------------
 
     fn check_stream(&self, stream: StreamId) -> HipResult<()> {
-        if self.inner.streams.contains_key(&stream) {
+        if stream.idx() < self.inner.streams.len() {
             Ok(())
         } else {
             Err(HipError::InvalidHandle(format!("{stream:?}")))
@@ -963,11 +959,11 @@ impl HipSim {
         event: Option<EventId>,
         label: OpLabel,
     ) -> HipResult<()> {
-        let gcd = self.inner.streams[&sid].gcd;
+        let gcd = self.inner.streams[sid.idx()].gcd;
         // Synchronous argument validation, as the HIP entry points do.
         self.inner.build_plan(gcd, &req)?;
         self.host_sleep(self.inner.calib.host_api_overhead);
-        let st = self.inner.streams.get_mut(&sid).expect("checked stream");
+        let st = &mut self.inner.streams[sid.idx()];
         st.queue.push_back(QueuedOp {
             work: Work::Request(req),
             event,
@@ -1078,7 +1074,7 @@ impl Inner {
 
     /// Pop and begin the next queued op on a stream, if the stream is free.
     fn start_next(inner: &mut Inner, engine: &mut Engine<Inner>, sid: StreamId) {
-        let st = inner.streams.get_mut(&sid).expect("stream exists");
+        let st = &mut inner.streams[sid.idx()];
         if st.running.is_some() || st.starting {
             return;
         }
@@ -1103,11 +1099,7 @@ impl Inner {
                     return;
                 }
                 Ok(None) => {
-                    inner
-                        .streams
-                        .get_mut(&sid)
-                        .expect("stream exists")
-                        .parked_on = Some(*ev);
+                    inner.streams[sid.idx()].parked_on = Some(*ev);
                     return;
                 }
                 Err(e) => panic!("wait on invalid event: {e}"),
@@ -1136,7 +1128,7 @@ impl Inner {
                 }
             },
         };
-        let st = inner.streams.get_mut(&sid).expect("stream exists");
+        let st = &mut inner.streams[sid.idx()];
         st.starting = true;
         let OpPlan {
             latency,
@@ -1153,7 +1145,7 @@ impl Inner {
             attempts,
         };
         engine.schedule_in(latency, move |inner: &mut Inner, engine| {
-            inner.streams.get_mut(&sid).expect("stream exists").starting = false;
+            inner.streams[sid.idx()].starting = false;
             // A fault may have struck while the launch latency elapsed:
             // flows planned over a now-dead segment divert to the retry
             // path instead of driving traffic into a downed link.
@@ -1171,7 +1163,7 @@ impl Inner {
                 return;
             }
             let started = run.started;
-            let st = inner.streams.get_mut(&sid).expect("stream exists");
+            let st = &mut inner.streams[sid.idx()];
             let run = st.running.insert(run);
             if flows.is_empty() {
                 Inner::finish_op(inner, engine, sid);
@@ -1197,7 +1189,7 @@ impl Inner {
             .flow_owner
             .remove(&fid)
             .expect("completed flow has an owner");
-        let st = inner.streams.get_mut(&sid).expect("stream exists");
+        let st = &mut inner.streams[sid.idx()];
         let run = st.running.as_mut().expect("op in flight");
         run.pending_flows -= 1;
         if run.pending_flows == 0 {
@@ -1207,7 +1199,7 @@ impl Inner {
 
     /// Apply effects, stamp events, and move the stream along.
     fn finish_op(inner: &mut Inner, engine: &mut Engine<Inner>, sid: StreamId) {
-        let st = inner.streams.get_mut(&sid).expect("stream exists");
+        let st = &mut inner.streams[sid.idx()];
         let dev = st.dev;
         let run = st.running.take().expect("op in flight");
         for e in run.effects {
@@ -1243,11 +1235,12 @@ impl Inner {
             let waiters: Vec<StreamId> = inner
                 .streams
                 .iter()
+                .enumerate()
                 .filter(|(_, s)| s.parked_on == Some(ev))
-                .map(|(&id, _)| id)
+                .map(|(i, _)| StreamId(i as u64))
                 .collect();
             for w in waiters {
-                inner.streams.get_mut(&w).expect("stream exists").parked_on = None;
+                inner.streams[w.idx()].parked_on = None;
                 if let Some(dag) = inner.dag.as_mut() {
                     dag.wait_satisfied(w, ev.0);
                 }
@@ -1424,10 +1417,7 @@ impl Inner {
                 inner.net.cancel(f);
                 inner.fault_stats.aborted_flows += 1;
             }
-            let run = inner
-                .streams
-                .get_mut(&sid)
-                .expect("stream exists")
+            let run = inner.streams[sid.idx()]
                 .running
                 .take()
                 .expect("aborted flow belongs to a running op");
@@ -1454,7 +1444,7 @@ impl Inner {
         rerouted: Option<FlowId>,
     ) {
         let now = engine.now();
-        let st = inner.streams.get_mut(&sid).expect("stream exists");
+        let st = &mut inner.streams[sid.idx()];
         let dev = st.dev;
         let (label, started) = (run.label, run.started);
         let kind = match run.request {
@@ -1485,7 +1475,7 @@ impl Inner {
                 engine.schedule_in(
                     inner.retry.backoff(retry),
                     move |inner: &mut Inner, engine| {
-                        inner.streams.get_mut(&sid).expect("stream exists").starting = false;
+                        inner.streams[sid.idx()].starting = false;
                         Inner::start_next(inner, engine, sid);
                     },
                 );

@@ -14,6 +14,14 @@ use std::fmt;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StreamId(pub u64);
 
+impl StreamId {
+    /// The stream's position in its runtime's stream table: ids are dense
+    /// from 0 and never reused. An id past `usize` maps past every table.
+    pub(crate) fn idx(self) -> usize {
+        usize::try_from(self.0).unwrap_or(usize::MAX)
+    }
+}
+
 impl fmt::Debug for StreamId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "stream#{}", self.0)

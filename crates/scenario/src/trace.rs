@@ -19,7 +19,8 @@ use ifsim_hip::{
     BufferId, EventId, HipError, HipResult, HipSim, HostAllocFlags, KernelSpec, MemcpyKind,
     StreamId,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// One operation of a trace.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -190,37 +191,50 @@ pub fn validate(records: &[TraceRecord], n_gcds: u8) -> Result<(), FieldError> {
 }
 
 /// Each record's dependencies as record indices, in `depends_on` order:
-/// record `i`'s are `of[start[i]..start[i + 1]]`.
+/// record `i`'s are `of[start[i]..start[i + 1]]`. Also the records ranked
+/// by id.
 struct Deps {
     start: Vec<u32>,
     of: Vec<u32>,
+    /// Record indices sorted by `(id, index)`. A record's rank is its
+    /// position here, so ranks order records as their ids do.
+    by_id: Vec<u32>,
 }
 
 impl Deps {
-    /// Resolve every dependency id once. An id that names no record fails,
-    /// naming the record that lists it.
+    /// Rank the records by id once, then resolve every dependency id by
+    /// binary search. An id that names no record fails, naming the record
+    /// that lists it. Of records sharing an id, a dependency names the
+    /// last.
     fn resolve(records: &[TraceRecord]) -> Result<Deps, FieldError> {
-        let index: BTreeMap<&str, usize> = records
+        let mut sorted: Vec<(&str, u32)> = records
             .iter()
             .enumerate()
-            .map(|(i, r)| (r.id.as_str(), i))
+            .map(|(i, r)| (r.id.as_str(), i as u32))
             .collect();
+        sorted.sort_unstable();
         let mut start = Vec::with_capacity(records.len() + 1);
         let mut of = Vec::new();
         start.push(0);
         for (i, r) in records.iter().enumerate() {
             for dep in &r.depends_on {
-                let d = index.get(dep.as_str()).ok_or_else(|| {
-                    FieldError::new(
-                        format!("workload.records[{i}].depends_on"),
-                        format!("unknown dependency '{dep}'"),
-                    )
-                })?;
-                of.push(*d as u32);
+                let at = sorted.partition_point(|&(id, _)| id <= dep.as_str());
+                let d = at
+                    .checked_sub(1)
+                    .map(|k| sorted[k])
+                    .filter(|&(id, _)| id == dep)
+                    .ok_or_else(|| {
+                        FieldError::new(
+                            format!("workload.records[{i}].depends_on"),
+                            format!("unknown dependency '{dep}'"),
+                        )
+                    })?;
+                of.push(d.1);
             }
             start.push(of.len() as u32);
         }
-        Ok(Deps { start, of })
+        let by_id = sorted.into_iter().map(|(_, i)| i).collect();
+        Ok(Deps { start, of, by_id })
     }
 
     fn of(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
@@ -238,29 +252,44 @@ pub fn canonical_order(records: &[TraceRecord]) -> Result<Vec<usize>, FieldError
 }
 
 fn kahn(records: &[TraceRecord], deps: &Deps) -> Result<Vec<usize>, FieldError> {
-    let mut indegree = vec![0usize; records.len()];
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); records.len()];
-    for (i, degree) in indegree.iter_mut().enumerate() {
+    let n = records.len();
+    let mut indegree: Vec<u32> = deps.start.windows(2).map(|w| w[1] - w[0]).collect();
+    // Each record's dependents, as a CSR: record `d`'s are
+    // `dependents[first[d]..first[d + 1]]`, in record order.
+    let mut first = vec![0u32; n + 1];
+    for &d in &deps.of {
+        first[d as usize + 1] += 1;
+    }
+    for d in 0..n {
+        first[d + 1] += first[d];
+    }
+    let mut fill = first.clone();
+    let mut dependents = vec![0u32; deps.of.len()];
+    for i in 0..n {
         for d in deps.of(i) {
-            *degree += 1;
-            dependents[d].push(i);
+            dependents[fill[d] as usize] = i as u32;
+            fill[d] += 1;
         }
     }
-    // (id, index) pairs keep the pop order stable under input shuffling.
-    let mut ready: BTreeSet<(&str, usize)> = records
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| indegree[*i] == 0)
-        .map(|(i, r)| (r.id.as_str(), i))
+    let mut rank = vec![0u32; n];
+    for (k, &i) in deps.by_id.iter().enumerate() {
+        rank[i as usize] = k as u32;
+    }
+    // Ready records by rank: the pop order is by id, stable under input
+    // shuffling.
+    let mut ready: BinaryHeap<Reverse<u32>> = (0..n)
+        .filter(|&i| indegree[i] == 0)
+        .map(|i| Reverse(rank[i]))
         .collect();
     let mut order = Vec::with_capacity(records.len());
-    while let Some(&(id, i)) = ready.iter().next() {
-        ready.remove(&(id, i));
+    while let Some(Reverse(k)) = ready.pop() {
+        let i = deps.by_id[k as usize] as usize;
         order.push(i);
-        for &j in &dependents[i] {
+        for &j in &dependents[first[i] as usize..first[i + 1] as usize] {
+            let j = j as usize;
             indegree[j] -= 1;
             if indegree[j] == 0 {
-                ready.insert((records[j].id.as_str(), j));
+                ready.push(Reverse(rank[j]));
             }
         }
     }

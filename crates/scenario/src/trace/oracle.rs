@@ -1,17 +1,20 @@
 //! The string-walking replay that [`ReplayPlan`](super::ReplayPlan)
-//! replaced, kept as a test oracle: it orders the records, indexes their
-//! ids and sizes the buffers on every call, and looks each dependency up
-//! by id while it issues. The plan's replay must make the same HIP calls,
-//! in the same order, and report the same totals.
+//! replaced, kept as a test oracle: it orders the records by comparing
+//! their id strings, indexes their ids and sizes the buffers on every call,
+//! and looks each dependency up by id while it issues. The plan's replay,
+//! which orders by a rank computed once, must make the same HIP calls, in
+//! the same order, and report the same totals.
 //!
 //! The scenario crate's unit tests compile it as `trace::oracle`, and
 //! `tests/scenario_properties.rs` includes the same file, so it names only
-//! items its parent module imports: the trace types and `canonical_order`.
+//! items its parent module imports: the trace types.
 
-use super::{canonical_order, ReplayStats, TraceOp, TraceRecord};
+use super::{ReplayStats, TraceOp, TraceRecord};
 use ifsim_des::Dur;
-use ifsim_hip::{BufferId, HipResult, HipSim, HostAllocFlags, KernelSpec, MemcpyKind, StreamId};
-use std::collections::BTreeMap;
+use ifsim_hip::{
+    BufferId, HipError, HipResult, HipSim, HostAllocFlags, KernelSpec, MemcpyKind, StreamId,
+};
+use std::collections::{BTreeMap, BTreeSet};
 
 struct DeviceSlots {
     stream: StreamId,
@@ -26,8 +29,7 @@ struct DeviceSlots {
 /// event waits; same-stream dependencies ride program order (the canonical
 /// issue order already sequences them).
 pub fn replay(hip: &mut HipSim, records: &[TraceRecord]) -> HipResult<ReplayStats> {
-    let order =
-        canonical_order(records).map_err(|e| ifsim_hip::HipError::InvalidValue(e.to_string()))?;
+    let order = string_order(records)?;
     hip.enable_all_peer_access()?;
 
     // Size one buffer pair per device at the largest record touching it.
@@ -167,4 +169,45 @@ pub fn replay(hip: &mut HipSim, records: &[TraceRecord]) -> HipResult<ReplayStat
     hip.synchronize_all()?;
     stats.makespan = hip.now() - t0;
     Ok(stats)
+}
+
+/// The canonical order as Kahn's algorithm with a ready set of
+/// `(id, index)` pairs, compared by id string on every step.
+fn string_order(records: &[TraceRecord]) -> HipResult<Vec<usize>> {
+    let index: BTreeMap<&str, usize> = records
+        .iter()
+        .enumerate()
+        .map(|(i, r)| (r.id.as_str(), i))
+        .collect();
+    let mut indegree = vec![0usize; records.len()];
+    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); records.len()];
+    for (i, r) in records.iter().enumerate() {
+        for dep in &r.depends_on {
+            let d = *index
+                .get(dep.as_str())
+                .ok_or_else(|| HipError::InvalidValue(format!("unknown dependency '{dep}'")))?;
+            indegree[i] += 1;
+            dependents[d].push(i);
+        }
+    }
+    let mut ready: BTreeSet<(&str, usize)> = records
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| indegree[*i] == 0)
+        .map(|(i, r)| (r.id.as_str(), i))
+        .collect();
+    let mut order = Vec::with_capacity(records.len());
+    while let Some((_, i)) = ready.pop_first() {
+        order.push(i);
+        for &j in &dependents[i] {
+            indegree[j] -= 1;
+            if indegree[j] == 0 {
+                ready.insert((records[j].id.as_str(), j));
+            }
+        }
+    }
+    if order.len() != records.len() {
+        return Err(HipError::InvalidValue("dependency cycle".into()));
+    }
+    Ok(order)
 }

@@ -672,3 +672,98 @@ fn a_restored_fabric_returns_to_the_shared_ring() {
         "a restored fabric takes the shared ring back"
     );
 }
+
+/// A fabric that memoizes its water-fills still follows every capacity
+/// change: a repeated flow pattern, then a degrade, a restore and a failure
+/// mid-flight, with every active flow's rate equal to a fresh max-min solve
+/// over the current capacities after each step. The repeats must be served
+/// without a new water-fill.
+#[test]
+fn memoized_rates_follow_capacity_changes() {
+    use ifsim::des::units::gbps;
+    use ifsim::fabric::fairshare::{max_min_rates, FlowInput};
+    use ifsim::fabric::{FlowNet, FlowSpec, SegmentMap};
+    use ifsim::topology::{GcdId, NodeTopology, RoutePolicy, Router};
+
+    let topo = NodeTopology::frontier();
+    let router = Router::new(&topo);
+    let mut net = FlowNet::new(SegmentMap::new(&topo));
+    let route = |a: u8, b: u8| router.gcd_route(GcdId(a), GcdId(b), RoutePolicy::MaxBandwidth);
+    let segs = |net: &FlowNet, a: u8, b: u8, duplex: bool| {
+        net.segmap().path_segments(&topo, route(a, b), duplex)
+    };
+    let pattern = |net: &FlowNet| {
+        vec![
+            FlowSpec::new(segs(net, 0, 2, false), 4e6, 1.0),
+            FlowSpec::new(segs(net, 2, 0, true), 8e6, 0.87),
+            FlowSpec::new(segs(net, 0, 6, false), 6e6, 0.9),
+            FlowSpec::new(segs(net, 0, 1, false), 2e6, 0.75).with_cap(gbps(50.0)),
+        ]
+    };
+    let check = |net: &FlowNet, step: &str| {
+        let ids = net.active_ids();
+        let specs: Vec<&FlowSpec> = ids.iter().map(|&id| net.spec_of(id).unwrap()).collect();
+        let segs: Vec<Vec<u32>> = specs
+            .iter()
+            .map(|s| s.segs.iter().map(|g| g.0).collect())
+            .collect();
+        let inputs: Vec<FlowInput<'_>> = specs
+            .iter()
+            .zip(&segs)
+            .map(|(s, g)| FlowInput {
+                segs: g,
+                wire_cap: s.wire_cap(),
+            })
+            .collect();
+        let fresh = max_min_rates(net.segmap().caps(), &inputs);
+        for ((&id, spec), wire) in ids.iter().zip(&specs).zip(fresh) {
+            let want = wire * spec.efficiency;
+            let got = net.rate_of(id).unwrap();
+            assert!(
+                (got - want).abs() <= 1e-9 * want,
+                "{step}: {id:?} runs at {got}, a fresh solve gives {want}"
+            );
+        }
+    };
+    // Admit the pattern, optionally change a capacity mid-flight, and
+    // drain, checking every pass.
+    let run = |net: &mut FlowNet, step: &str, change: &dyn Fn(&mut FlowNet)| {
+        let specs = pattern(net);
+        let live: Vec<FlowSpec> = specs
+            .into_iter()
+            .filter(|s| s.segs.iter().all(|&g| net.segmap().capacity(g) > 0.0))
+            .collect();
+        net.add_flows(net.now(), live);
+        check(net, step);
+        change(net);
+        check(net, step);
+        while net.complete_next().is_some() {
+            check(net, step);
+        }
+    };
+    let link = route(0, 2).links[0];
+
+    run(&mut net, "first run", &|_| {});
+    let (fills, passes) = (net.water_fills(), net.recomputes());
+    assert!(fills > 0);
+    for _ in 0..3 {
+        run(&mut net, "repeat", &|_| {});
+    }
+    assert_eq!(net.recomputes(), 4 * passes, "every pass is still counted");
+    assert_eq!(
+        net.water_fills(),
+        fills,
+        "the repeated pattern was solved again"
+    );
+
+    run(&mut net, "degrade", &|n| n.set_link_factor(link, 0.5));
+    assert!(net.water_fills() > fills, "a degrade must not reuse rates");
+    run(&mut net, "restore", &|n| n.set_link_factor(link, 1.0));
+    run(&mut net, "fail", &|n| {
+        assert!(!n.fail_link(link).is_empty(), "the link carried flows");
+    });
+    run(&mut net, "after the failure", &|_| {});
+    run(&mut net, "restored after the failure", &|n| {
+        n.set_link_factor(link, 1.0)
+    });
+}
