@@ -20,113 +20,14 @@ cargo build --release
 echo "==> cargo test"
 cargo test -q --workspace
 
-echo "==> page-table oracle under extra proptest seeds"
-# The proptest shim seeds each test from its name; extra seeds draw fresh
-# cases for the run-table vs per-page differential.
+echo "==> every test target under extra proptest seeds"
+# PROPTEST_SEED draws fresh cases for every property test in the workspace,
+# differential oracles included, with no list of names to keep up.
 for seed in 1 2 3; do
-    PROPTEST_SEED="$seed" cargo test -q --release -p ifsim-memory runs_match_the_dense_oracle
-done
-
-echo "==> functional data path oracle under extra proptest seeds"
-# Fresh op sequences for the in-place accessors vs the temporary-based
-# oracle (aliased overlaps, phantom buffers, out-of-range requests), and
-# fresh planted mismatches for the blocked in-place check.
-for seed in 1 2 3; do
-    PROPTEST_SEED="$seed" cargo test -q --release -p ifsim-memory -- \
-        functional_ops_match_the_temporary_oracle all_f32s_finds_one_planted_mismatch
-done
-
-echo "==> backing recycler bound under extra proptest seeds"
-# Fresh allocate/free sequences for the recycler's invariants: pooled +
-# live bytes under the live high-water mark, zeroed hand-outs, exact
-# counters.
-for seed in 1 2 3; do
-    PROPTEST_SEED="$seed" cargo test -q --release -p ifsim-memory \
-        recycler_never_exceeds_the_live_high_water
-done
-
-echo "==> flight-recorder change points under extra proptest seeds"
-# Fresh rebuild tapes for the change-point vs dense-row differential.
-for seed in 1 2 3; do
-    PROPTEST_SEED="$seed" cargo test -q --release -p ifsim-fabric --lib \
-        change_points_match_the_dense_oracle
-done
-
-echo "==> engine differential under extra proptest seeds"
-# Fresh op tapes for the production engine vs the test-only ReferenceNet
-# and the naive fair-share solve (batch adds, drains, cancels, degradations,
-# link failures), and fresh add/drain cycles.
-for seed in 1 2 3; do
-    PROPTEST_SEED="$seed" cargo test -q --release -p ifsim-fabric --lib -- \
-        engine_matches_reference_and_oracle_under_churn add_drain_cycles_match_reference
-done
-
-echo "==> memoized water-fill vs a fresh solve under extra proptest seeds"
-# Fresh flow patterns over a small shape pool, rerun between capacity
-# changes (degrade, fail, restore) landing mid-flight: every pass, served
-# from the memo or solved, must equal a fresh water-fill bit for bit.
-for seed in 1 2 3; do
-    PROPTEST_SEED="$seed" cargo test -q --release -p ifsim-fabric --lib \
-        memoized_solves_match_a_fresh_solve
-done
-
-echo "==> routing oracle under extra proptest seeds"
-# Fresh link-health maps and random graphs for the per-source route walk
-# vs the brute-force per-pair oracle.
-for seed in 1 2 3; do
-    PROPTEST_SEED="$seed" cargo test -q --release -p ifsim-topology --lib -- \
-        walk_matches_the_oracle_on_random_frontier_health \
-        walk_matches_the_oracle_on_random_custom_graphs
-done
-
-echo "==> segment-index oracle under extra proptest seeds"
-# Fresh random valid graphs (link kinds in random order) for the dense
-# segment index vs the per-kind BTreeMap oracle: every lookup and label.
-for seed in 1 2 3; do
-    PROPTEST_SEED="$seed" cargo test -q --release -p ifsim-fabric --lib \
-        dense_index_matches_the_oracle_on_random_custom_graphs
-done
-
-echo "==> bounded-wait replay under extra proptest seeds"
-# Fresh fault schedules and timeout steps for the bounded-vs-unbounded
-# synchronize differential (the event loop's deadline branch under faults).
-for seed in 1 2 3; do
-    PROPTEST_SEED="$seed" cargo test -q --release -p ifsim-hip --test stream_semantics \
-        bounded_waits_replay_the_unbounded_schedule
-done
-
-echo "==> telemetry bridge vs its String oracle under extra proptest seeds"
-# Fresh random flow logs, op traces and DAG feeds (aborts, reroutes, fault
-# markers, flows left in flight) for the shared-text bridge vs the test-only
-# bridge that renders a String per event field: same graph, same bytes in
-# every artifact.
-for seed in 1 2 3; do
-    PROPTEST_SEED="$seed" cargo test -q --release -p ifsim-hip --lib \
-        bridge_matches_the_string_oracle_on_random_logs
-done
-
-echo "==> trace plan replay vs its string oracle under extra proptest seeds"
-# Fresh random trace DAGs (fan-in, repeated dependencies, shuffled input)
-# for the resolved-plan replay vs the test-only replay that walks record
-# ids on every call: same HIP op timeline, same totals.
-for seed in 1 2 3; do
-    PROPTEST_SEED="$seed" cargo test -q --release -p ifsim-scenario --test scenario_properties \
-        plan_replay_matches_the_string_oracle
-done
-
-echo "==> untrusted JSON mutations under extra proptest seeds"
-# Fresh near misses (truncations, byte flips, dropped and unknown members,
-# bad numbers, deep nesting) of the golden scenarios and of serialized run
-# requests: no panic, and every rejected object names its field.
-for seed in 1 2 3; do
-    PROPTEST_SEED="$seed" cargo test -q --release --test untrusted_input \
-        scenario_near_misses_are_field_errors
-    PROPTEST_SEED="$seed" cargo test -q --release -p ifsim-serve --test proto_roundtrip \
-        request_near_misses_are_field_errors
+    PROPTEST_SEED="$seed" cargo test -q --release --workspace --tests
 done
 
 echo "==> telemetry smoke: repro ext-fault-link-down --trace-out/--metrics-out/--critpath-out + lint, byte-equal to the pinned capture, plus the pinned trace"
-cargo build --release -p ifsim-bench
 TELEMETRY_TMP="$(mktemp -d)"
 trap 'rm -rf "$TELEMETRY_TMP"' EXIT
 ./target/release/repro --quick --reps 1 ext-fault-link-down \
@@ -191,7 +92,6 @@ if [ ! -s "$TELEMETRY_TMP/scenario-repro/scenario_moe-alltoall.csv" ]; then
 fi
 
 echo "==> serve smoke: cache replay byte-identical to repro, stats lint, http plane, clean drain, request trace"
-cargo build --release -p ifsim-serve
 SERVE_SOCK="$TELEMETRY_TMP/serve.sock"
 ./target/release/ifsim-serve --socket "$SERVE_SOCK" --workers 4 --queue-depth 16 \
     --http 127.0.0.1:0 --trace-out "$TELEMETRY_TMP/serve-trace.json" \

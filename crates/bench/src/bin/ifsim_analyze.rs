@@ -276,8 +276,8 @@ fn main() -> ExitCode {
 
     match &args.report {
         Some(path) => {
-            if let Err(e) = std::fs::write(path, &markdown) {
-                eprintln!("cannot write {}: {e}", path.display());
+            if let Err(e) = ifsim_bench::write(path, &markdown) {
+                eprintln!("{e}");
                 return ExitCode::FAILURE;
             }
             eprintln!("report written to {}", path.display());
@@ -286,8 +286,8 @@ fn main() -> ExitCode {
     }
     if let Some(path) = &args.out {
         let text = json::to_string_pretty(&critpath::critpath_json(&report));
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("cannot write {}: {e}", path.display());
+        if let Err(e) = ifsim_bench::write(path, &text) {
+            eprintln!("{e}");
             return ExitCode::FAILURE;
         }
         eprintln!("critpath JSON written to {}", path.display());

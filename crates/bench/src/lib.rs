@@ -205,7 +205,8 @@ impl ArtifactArgs {
     }
 }
 
-fn write(path: &Path, contents: &str) -> Result<(), String> {
+/// Write `contents` to `path`; the error names the path.
+pub fn write(path: &Path, contents: &str) -> Result<(), String> {
     std::fs::write(path, contents).map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 

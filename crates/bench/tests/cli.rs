@@ -238,6 +238,29 @@ fn out_of_range_flags_are_usage_errors_naming_the_flag() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `ifsim-analyze` writes `--report` and `--out` through the shared
+/// artifact writer: a path it cannot write fails the run, naming the path.
+#[test]
+fn analyze_names_an_output_it_cannot_write() {
+    let missing = temp_dir("analyze-write").join("missing");
+    for flag in ["--report", "--out"] {
+        let path = missing.join(format!("critpath{flag}"));
+        let out = Command::new(env!("CARGO_BIN_EXE_ifsim-analyze"))
+            .args(["fig2", "--quick", "--reps", "1", "--no-whatif", flag])
+            .arg(&path)
+            .output()
+            .expect("run ifsim-analyze");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag}: {stderr}");
+        let named = format!("cannot write {}", path.display());
+        assert!(
+            stderr.contains(&named),
+            "{flag} must name its path: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(missing.parent().unwrap()).ok();
+}
+
 #[test]
 fn mgpu_bench_usage_on_no_command() {
     let out = mgpu().output().expect("run mgpu-bench");

@@ -20,7 +20,7 @@ use ifsim_hip::{
     StreamId,
 };
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// One operation of a trace.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -117,6 +117,9 @@ impl ReplayStats {
 /// Validate a record set: unique non-empty ids, dependencies that exist
 /// and are not self-referential, GCDs on the node, positive sizes, and an
 /// acyclic dependency graph. Field paths index into `workload.records`.
+/// Of several faults, the one reported is the first that a pass over the
+/// ids and then a pass over the records meet: an empty or repeated id,
+/// then each record's size, GCDs and dependencies in turn, then a cycle.
 pub fn validate(records: &[TraceRecord], n_gcds: u8) -> Result<(), FieldError> {
     if records.is_empty() {
         return Err(FieldError::new(
@@ -124,70 +127,77 @@ pub fn validate(records: &[TraceRecord], n_gcds: u8) -> Result<(), FieldError> {
             "trace must contain at least one record",
         ));
     }
-    let mut index: BTreeMap<&str, usize> = BTreeMap::new();
-    for (i, r) in records.iter().enumerate() {
-        if r.id.is_empty() {
-            return Err(FieldError::new(
-                format!("workload.records[{i}].id"),
-                "must be non-empty",
-            ));
-        }
-        if index.insert(r.id.as_str(), i).is_some() {
-            return Err(FieldError::new(
-                format!("workload.records[{i}].id"),
-                format!("duplicate record id '{}'", r.id),
-            ));
-        }
+    let ranked = rank(records);
+    // Records sharing an id sit together in `ranked`, in record order, so a
+    // record repeats an earlier id exactly when its neighbour before it has
+    // the same id.
+    let first_bad = ranked
+        .iter()
+        .enumerate()
+        .filter(|&(k, &(id, _))| id.is_empty() || (k > 0 && ranked[k - 1].0 == id))
+        .map(|(_, &(_, i))| i as usize)
+        .min();
+    if let Some(i) = first_bad {
+        let field = format!("workload.records[{i}].id");
+        let id = &records[i].id;
+        return Err(if id.is_empty() {
+            FieldError::new(field, "must be non-empty")
+        } else {
+            FieldError::new(field, format!("duplicate record id '{id}'"))
+        });
     }
-    for (i, r) in records.iter().enumerate() {
-        let gcd_ok = |field: &str, g: u8| -> Result<(), FieldError> {
-            if g >= n_gcds {
-                Err(FieldError::new(
-                    format!("workload.records[{i}].{field}"),
-                    format!("GCD {g} out of range (node has {n_gcds})"),
-                ))
-            } else {
-                Ok(())
-            }
-        };
-        if r.op.bytes() == 0 {
-            return Err(FieldError::new(
-                format!("workload.records[{i}].bytes"),
-                "must be at least 1",
-            ));
-        }
-        match r.op {
-            TraceOp::Copy { src, dst, .. } => {
-                gcd_ok("src", src)?;
-                gcd_ok("dst", dst)?;
-                if src == dst {
-                    return Err(FieldError::new(
-                        format!("workload.records[{i}].dst"),
-                        "copy src and dst must differ (use 'kernel' for local traffic)",
-                    ));
-                }
-            }
-            TraceOp::H2D { dst, .. } => gcd_ok("dst", dst)?,
-            TraceOp::D2H { src, .. } => gcd_ok("src", src)?,
-            TraceOp::Kernel { gcd, .. } => gcd_ok("dst", gcd)?,
-        }
-        for dep in &r.depends_on {
-            if dep == &r.id {
-                return Err(FieldError::new(
-                    format!("workload.records[{i}].depends_on"),
-                    format!("record '{}' depends on itself", r.id),
-                ));
-            }
-            if !index.contains_key(dep.as_str()) {
-                return Err(FieldError::new(
-                    format!("workload.records[{i}].depends_on"),
-                    format!("unknown dependency '{dep}'"),
-                ));
-            }
-        }
-    }
+    let deps = Deps::resolve_checked(records, ranked, |i| check_op(i, records[i].op, n_gcds))?;
     // Cycle check == canonical order exists.
-    canonical_order(records).map(|_| ())
+    kahn(records, &deps).map(|_| ())
+}
+
+/// Record `i`'s op: a positive size, GCDs on the node, and a copy between
+/// two devices.
+fn check_op(i: usize, op: TraceOp, n_gcds: u8) -> Result<(), FieldError> {
+    let gcd_ok = |field: &str, g: u8| -> Result<(), FieldError> {
+        if g >= n_gcds {
+            Err(FieldError::new(
+                format!("workload.records[{i}].{field}"),
+                format!("GCD {g} out of range (node has {n_gcds})"),
+            ))
+        } else {
+            Ok(())
+        }
+    };
+    if op.bytes() == 0 {
+        return Err(FieldError::new(
+            format!("workload.records[{i}].bytes"),
+            "must be at least 1",
+        ));
+    }
+    match op {
+        TraceOp::Copy { src, dst, .. } => {
+            gcd_ok("src", src)?;
+            gcd_ok("dst", dst)?;
+            if src == dst {
+                return Err(FieldError::new(
+                    format!("workload.records[{i}].dst"),
+                    "copy src and dst must differ (use 'kernel' for local traffic)",
+                ));
+            }
+            Ok(())
+        }
+        TraceOp::H2D { dst, .. } => gcd_ok("dst", dst),
+        TraceOp::D2H { src, .. } => gcd_ok("src", src),
+        TraceOp::Kernel { gcd, .. } => gcd_ok("dst", gcd),
+    }
+}
+
+/// The records as `(id, index)` pairs, sorted. A record's rank is its
+/// position here, so ranks order records as their ids do.
+fn rank(records: &[TraceRecord]) -> Vec<(&str, u32)> {
+    let mut ranked: Vec<(&str, u32)> = records
+        .iter()
+        .enumerate()
+        .map(|(i, r)| (r.id.as_str(), i as u32))
+        .collect();
+    ranked.sort_unstable();
+    ranked
 }
 
 /// Each record's dependencies as record indices, in `depends_on` order:
@@ -196,32 +206,37 @@ pub fn validate(records: &[TraceRecord], n_gcds: u8) -> Result<(), FieldError> {
 struct Deps {
     start: Vec<u32>,
     of: Vec<u32>,
-    /// Record indices sorted by `(id, index)`. A record's rank is its
-    /// position here, so ranks order records as their ids do.
+    /// Record indices in [`rank`] order.
     by_id: Vec<u32>,
 }
 
 impl Deps {
     /// Rank the records by id once, then resolve every dependency id by
-    /// binary search. An id that names no record fails, naming the record
-    /// that lists it. Of records sharing an id, a dependency names the
-    /// last.
+    /// binary search.
     fn resolve(records: &[TraceRecord]) -> Result<Deps, FieldError> {
-        let mut sorted: Vec<(&str, u32)> = records
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.id.as_str(), i as u32))
-            .collect();
-        sorted.sort_unstable();
+        Deps::resolve_checked(records, rank(records), |_| Ok(()))
+    }
+
+    /// Resolve every dependency id by binary search in `ranked`, the
+    /// records' [`rank`]. `check(i)` runs before record `i`'s dependencies
+    /// and may fail it. An id that names no record fails, naming the record
+    /// that lists it, and so does a record that depends on itself. Of
+    /// records sharing an id, a dependency names the last.
+    fn resolve_checked(
+        records: &[TraceRecord],
+        ranked: Vec<(&str, u32)>,
+        mut check: impl FnMut(usize) -> Result<(), FieldError>,
+    ) -> Result<Deps, FieldError> {
         let mut start = Vec::with_capacity(records.len() + 1);
         let mut of = Vec::new();
         start.push(0);
         for (i, r) in records.iter().enumerate() {
+            check(i)?;
             for dep in &r.depends_on {
-                let at = sorted.partition_point(|&(id, _)| id <= dep.as_str());
+                let at = ranked.partition_point(|&(id, _)| id <= dep.as_str());
                 let d = at
                     .checked_sub(1)
-                    .map(|k| sorted[k])
+                    .map(|k| ranked[k])
                     .filter(|&(id, _)| id == dep)
                     .ok_or_else(|| {
                         FieldError::new(
@@ -229,11 +244,17 @@ impl Deps {
                             format!("unknown dependency '{dep}'"),
                         )
                     })?;
+                if d.1 as usize == i {
+                    return Err(FieldError::new(
+                        format!("workload.records[{i}].depends_on"),
+                        format!("record '{}' depends on itself", r.id),
+                    ));
+                }
                 of.push(d.1);
             }
             start.push(of.len() as u32);
         }
-        let by_id = sorted.into_iter().map(|(_, i)| i).collect();
+        let by_id = ranked.into_iter().map(|(_, i)| i).collect();
         Ok(Deps { start, of, by_id })
     }
 
@@ -245,8 +266,9 @@ impl Deps {
 }
 
 /// The canonical topological order: Kahn's algorithm, ready set ordered by
-/// record id. Returns indices into `records`. Fails (naming a record on
-/// the cycle) if the dependency graph is cyclic.
+/// record id. Returns indices into `records`. Fails on an unknown
+/// dependency, on a record that depends on itself, and (naming a record on
+/// the cycle) on any longer cycle.
 pub fn canonical_order(records: &[TraceRecord]) -> Result<Vec<usize>, FieldError> {
     kahn(records, &Deps::resolve(records)?)
 }
@@ -524,6 +546,9 @@ pub fn replay_plan(hip: &mut HipSim, plan: &ReplayPlan) -> HipResult<ReplayStats
 
 #[cfg(test)]
 mod oracle;
+
+#[cfg(test)]
+mod validate_oracle;
 
 #[cfg(test)]
 mod tests {

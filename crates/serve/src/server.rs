@@ -193,12 +193,6 @@ pub struct ServerCore {
     started: Instant,
     metrics: Mutex<MetricsRegistry>,
     events: Mutex<Vec<TimelineEvent>>,
-    // Robustness accounting, mirrored into the metrics registry.
-    sf_leaders: AtomicU64,
-    sf_followers: AtomicU64,
-    dl_exceeded: AtomicU64,
-    dl_shed: AtomicU64,
-    dl_cancelled: AtomicU64,
     quarantine_seen: AtomicU64,
     /// Uniquifier folded into generated trace ids.
     trace_counter: AtomicU64,
@@ -344,11 +338,6 @@ impl ServerCore {
             started: Instant::now(),
             metrics: Mutex::new(MetricsRegistry::new()),
             events: Mutex::new(Vec::new()),
-            sf_leaders: AtomicU64::new(0),
-            sf_followers: AtomicU64::new(0),
-            dl_exceeded: AtomicU64::new(0),
-            dl_shed: AtomicU64::new(0),
-            dl_cancelled: AtomicU64::new(0),
             quarantine_seen: AtomicU64::new(0),
             trace_counter: AtomicU64::new(0),
             fabric_sampling: AtomicBool::new(false),
@@ -434,12 +423,12 @@ impl ServerCore {
 
     /// Single-flight leader count (requests that computed).
     pub fn singleflight_leaders(&self) -> u64 {
-        self.sf_leaders.load(Ordering::SeqCst)
+        self.counter("serve_singleflight_leaders")
     }
 
     /// Single-flight follower count (requests that coalesced).
     pub fn singleflight_followers(&self) -> u64 {
-        self.sf_followers.load(Ordering::SeqCst)
+        self.counter("serve_singleflight_followers")
     }
 
     /// Generate a fresh 16-hex-digit trace id. Wall clock, pid, and a
@@ -626,7 +615,7 @@ impl ServerCore {
 
         // Shed requests that are already dead before touching the pool.
         if deadline.is_some_and(|d| Instant::now() >= d) {
-            self.count_deadline(&self.dl_shed, "serve_deadline_shed_total");
+            self.bump_counter("serve_deadline_shed_total");
             return self.deadline_error(req, &digest, "deadline expired before compute started");
         }
 
@@ -646,7 +635,6 @@ impl ServerCore {
 
         trace.sf_role = if leader { "leader" } else { "follower" };
         if !leader {
-            self.sf_followers.fetch_add(1, Ordering::SeqCst);
             self.bump_counter("serve_singleflight_followers");
             return match flight.wait(deadline) {
                 Some(Ok(run)) => self.respond_from(req, &run, false),
@@ -659,7 +647,6 @@ impl ServerCore {
             };
         }
 
-        self.sf_leaders.fetch_add(1, Ordering::SeqCst);
         self.bump_counter("serve_singleflight_leaders");
         let outcome = self.compute(exp, cfg, &digest, req.analyze, deadline, trace);
         // Publish to followers *after* unregistering, so a request that
@@ -811,14 +798,14 @@ impl ServerCore {
                 Ok(run)
             }
             Ok(JobOutcome::Shed) => {
-                self.count_deadline(&self.dl_shed, "serve_deadline_shed_total");
+                self.bump_counter("serve_deadline_shed_total");
                 Err((
                     Status::DeadlineExceeded,
                     "deadline expired while queued; work shed at dequeue".into(),
                 ))
             }
             Ok(JobOutcome::Cancelled) => {
-                self.count_deadline(&self.dl_cancelled, "serve_cancelled_jobs_total");
+                self.bump_counter("serve_cancelled_jobs_total");
                 Err((
                     Status::DeadlineExceeded,
                     "deadline expired mid-computation; experiment cancelled".into(),
@@ -828,7 +815,7 @@ impl ServerCore {
                 // Ask the computation to die at its next checkpoint; the
                 // worker survives the cooperative unwind and is reused.
                 token.cancel();
-                self.count_deadline(&self.dl_cancelled, "serve_cancelled_jobs_total");
+                self.bump_counter("serve_cancelled_jobs_total");
                 let what = if deadline.is_some() {
                     "request deadline exceeded; computation cancelled"
                 } else {
@@ -855,7 +842,7 @@ impl ServerCore {
         msg: String,
     ) -> RunResponse {
         if status == Status::DeadlineExceeded {
-            self.count_deadline(&self.dl_exceeded, "serve_deadline_exceeded_total");
+            self.bump_counter("serve_deadline_exceeded_total");
         }
         let mut resp = RunResponse::error(status, req.experiment_id.clone(), msg);
         resp.digest = digest.to_string();
@@ -865,11 +852,6 @@ impl ServerCore {
     /// A `504 DeadlineExceeded` response.
     fn deadline_error(&self, req: &RunRequest, digest: &str, msg: &str) -> RunResponse {
         self.error_with_digest(Status::DeadlineExceeded, req, digest, msg.to_string())
-    }
-
-    fn count_deadline(&self, field: &AtomicU64, counter: &str) {
-        field.fetch_add(1, Ordering::SeqCst);
-        self.bump_counter(counter);
     }
 
     /// Fold newly quarantined disk entries into the metrics counter.
@@ -946,25 +928,15 @@ impl ServerCore {
         queue.insert("queue_depth", Value::from(self.opts.queue_depth));
         let mut pool = Map::new();
         pool.insert("panicked_jobs", Value::from(self.pool.panicked_jobs()));
+        let metrics = self.metrics.lock().unwrap();
+        let count = |name: &str| Value::from(metrics.counter(&MetricKey::new(name)) as u64);
         let mut singleflight = Map::new();
-        singleflight.insert(
-            "leaders",
-            Value::from(self.sf_leaders.load(Ordering::SeqCst)),
-        );
-        singleflight.insert(
-            "followers",
-            Value::from(self.sf_followers.load(Ordering::SeqCst)),
-        );
+        singleflight.insert("leaders", count("serve_singleflight_leaders"));
+        singleflight.insert("followers", count("serve_singleflight_followers"));
         let mut deadline = Map::new();
-        deadline.insert(
-            "exceeded",
-            Value::from(self.dl_exceeded.load(Ordering::SeqCst)),
-        );
-        deadline.insert("shed", Value::from(self.dl_shed.load(Ordering::SeqCst)));
-        deadline.insert(
-            "cancelled",
-            Value::from(self.dl_cancelled.load(Ordering::SeqCst)),
-        );
+        deadline.insert("exceeded", count("serve_deadline_exceeded_total"));
+        deadline.insert("shed", count("serve_deadline_shed_total"));
+        deadline.insert("cancelled", count("serve_cancelled_jobs_total"));
         let mut m = Map::new();
         m.insert("op", Value::from("stats-response"));
         m.insert("status", Value::from(Status::Ok.as_str()));
@@ -980,7 +952,7 @@ impl ServerCore {
         m.insert("pool", Value::Object(pool));
         m.insert("singleflight", Value::Object(singleflight));
         m.insert("deadline", Value::Object(deadline));
-        m.insert("metrics", self.metrics.lock().unwrap().to_json());
+        m.insert("metrics", metrics.to_json());
         Value::Object(m)
     }
 
@@ -1060,6 +1032,10 @@ impl ServerCore {
             }
         }
         self.events.lock().unwrap().push(ev);
+    }
+
+    fn counter(&self, name: &str) -> u64 {
+        self.metrics.lock().unwrap().counter(&MetricKey::new(name)) as u64
     }
 
     fn bump_counter(&self, name: &str) {

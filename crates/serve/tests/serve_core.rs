@@ -24,6 +24,38 @@ fn parse_run(line: &str) -> RunResponse {
     RunResponse::from_json(&serde_json::from_str(line).unwrap()).unwrap()
 }
 
+/// Every `singleflight.*` and `deadline.*` field of a stats snapshot reads
+/// the same count as its `serve_*` counter in the embedded metrics.
+fn assert_stats_match_counters(stats: &Value) {
+    let counters = stats
+        .get("metrics")
+        .and_then(|m| m.get("counters"))
+        .and_then(Value::as_array)
+        .expect("metrics counters");
+    let counter = |name: &str| {
+        counters
+            .iter()
+            .find(|c| c.get("name").and_then(Value::as_str) == Some(name))
+            .and_then(|c| c.get("value"))
+            .and_then(Value::as_f64)
+            .unwrap_or_else(|| panic!("counter {name} missing"))
+    };
+    for (section, field, name) in [
+        ("singleflight", "leaders", "serve_singleflight_leaders"),
+        ("singleflight", "followers", "serve_singleflight_followers"),
+        ("deadline", "exceeded", "serve_deadline_exceeded_total"),
+        ("deadline", "shed", "serve_deadline_shed_total"),
+        ("deadline", "cancelled", "serve_cancelled_jobs_total"),
+    ] {
+        let stat = stats
+            .get(section)
+            .and_then(|s| s.get(field))
+            .and_then(Value::as_u64)
+            .unwrap_or_else(|| panic!("{section}.{field} missing"));
+        assert_eq!(stat as f64, counter(name), "{section}.{field} vs {name}");
+    }
+}
+
 /// The serving pipeline is deterministic: a cache hit re-serializes to
 /// exactly the bytes the fresh compute produced (only `cached` flips),
 /// and both match a direct in-process run of the same experiment.
@@ -321,6 +353,11 @@ fn concurrent_identical_requests_single_flight() {
     let stats: Value = serde_json::from_str(&core.handle_line(r#"{"op":"stats"}"#)).unwrap();
     let sf = stats.get("singleflight").expect("singleflight section");
     assert_eq!(sf.get("leaders").and_then(Value::as_u64), Some(1));
+    assert_eq!(
+        sf.get("followers").and_then(Value::as_u64),
+        Some(core.singleflight_followers())
+    );
+    assert_stats_match_counters(&stats);
 }
 
 /// An already-expired deadline is shed before any compute and answers an
@@ -341,11 +378,15 @@ fn expired_deadline_sheds_with_504() {
     let deadline = stats.get("deadline").expect("deadline section");
     assert_eq!(deadline.get("shed").and_then(Value::as_u64), Some(1));
     assert_eq!(deadline.get("exceeded").and_then(Value::as_u64), Some(1));
+    assert_eq!(deadline.get("cancelled").and_then(Value::as_u64), Some(0));
+    assert_stats_match_counters(&stats);
 
     // A sane deadline computes normally.
     req.deadline_ms = Some(120_000);
     let resp = parse_run(&core.handle_line(&serde_json::to_string(&req.to_json())));
     assert_eq!(resp.status, Status::Ok);
+    let stats: Value = serde_json::from_str(&core.handle_line(r#"{"op":"stats"}"#)).unwrap();
+    assert_stats_match_counters(&stats);
 }
 
 /// Warm-start regression: a daemon restarted onto the same `--cache-dir`
