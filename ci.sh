@@ -27,26 +27,29 @@ for seed in 1 2 3; do
     PROPTEST_SEED="$seed" cargo test -q --release --workspace --tests
 done
 
-echo "==> telemetry smoke: repro ext-fault-link-down --trace-out/--metrics-out/--critpath-out + lint, byte-equal to the pinned capture, plus the pinned trace"
+echo "==> telemetry smoke: every pinned capture id through repro --trace-out/--metrics-out/--attr-json/--critpath-out, linted and byte-equal to its golden, plus the pinned trace"
 TELEMETRY_TMP="$(mktemp -d)"
 trap 'rm -rf "$TELEMETRY_TMP"' EXIT
-./target/release/repro --quick --reps 1 ext-fault-link-down \
-    --trace-out "$TELEMETRY_TMP/trace.json" \
-    --metrics-out "$TELEMETRY_TMP/metrics.json" \
-    --attr-json "$TELEMETRY_TMP/attr.json" \
-    --critpath-out "$TELEMETRY_TMP/fault-critpath.json" > /dev/null
-./target/release/telemetry-lint \
-    --trace "$TELEMETRY_TMP/trace.json" \
-    --metrics "$TELEMETRY_TMP/metrics.json" \
-    --attr "$TELEMETRY_TMP/attr.json" \
-    --critpath "$TELEMETRY_TMP/fault-critpath.json"
 # The CLI's artifact writer must emit exactly the bytes tests/golden_outputs.rs
-# pins for the same capture.
-cmp "$TELEMETRY_TMP/trace.json" golden/capture/ext-fault-link-down.trace.json
-cmp "$TELEMETRY_TMP/metrics.json" golden/capture/ext-fault-link-down.metrics.json
-cmp "$TELEMETRY_TMP/fault-critpath.json" golden/capture/ext-fault-link-down.critpath.json
+# pins for each captured id, whichever ids golden/capture/ holds.
+for pinned in golden/capture/*.trace.json; do
+    id="$(basename "$pinned" .trace.json)"
+    out="$TELEMETRY_TMP/$id"
+    ./target/release/repro --quick --reps 1 "$id" \
+        --trace-out "$out.trace.json" \
+        --metrics-out "$out.metrics.json" \
+        --attr-json "$out.attr.json" \
+        --critpath-out "$out.critpath.json" > /dev/null
+    ./target/release/telemetry-lint \
+        --trace "$out.trace.json" \
+        --metrics "$out.metrics.json" \
+        --attr "$out.attr.json" \
+        --critpath "$out.critpath.json"
+    for artifact in trace metrics critpath; do
+        cmp "$out.$artifact.json" "golden/capture/$id.$artifact.json"
+    done
+done
 ./target/release/telemetry-lint --trace golden/traces/ext-fault-p2p-lanes.json
-./target/release/telemetry-lint --trace golden/capture/ext-fault-link-down.trace.json
 
 echo "==> analyze smoke: critical path + what-if sweep, schema-linted"
 # The causal profiler must produce a report whose total equals the run

@@ -35,8 +35,9 @@
 //!
 //! The engine keeps flow state in a persistent CSR arena ([`arena`]), runs
 //! deferred allocation-free fair-share recomputes ([`fairshare`]), solving
-//! each ordered input once between capacity changes, and peeks completions
-//! from a lazily-invalidated heap — see `docs/PERFORMANCE.md`.
+//! each ordered input once between capacity changes, and keeps each flow's
+//! projected completion, the pass that sets them keeping the earliest — see
+//! `docs/PERFORMANCE.md`.
 //! The pre-rework engine survives as a test-only oracle (`reference.rs`),
 //! which the differential property tests drive in lockstep with [`FlowNet`].
 

@@ -28,12 +28,11 @@
 //!   observation (`peek_completion`, `rate_of`, or a time advance). Admitting
 //!   a batch of flows at one timestamp therefore costs a single recompute —
 //!   [`FlowNet::add_flows`] — and `advance_to(now)` is free.
-//! - `peek_completion` reads a **lazily-invalidated min-heap** of projected
-//!   completion times. A projection `t = now + remaining/rate` is constant
-//!   under advancement while the flow's rate is unchanged, so a recompute
-//!   only re-pushes flows whose rate actually changed (bumping a per-flow
-//!   generation that orphans the old entry). The drain loop is O(F log F)
-//!   instead of the former O(F²) scan.
+//! - Each flow keeps **one projected completion** `t = now + remaining/rate`.
+//!   A projection is constant under advancement while the flow's rate is
+//!   unchanged, so a recompute re-projects only flows whose rate actually
+//!   changed. The same loop over the table keeps the earliest projection,
+//!   so `peek_completion` is a read.
 //! - Every deferred pass needs the output of **one full water-fill** over
 //!   the arena, and each distinct ordered input is solved once: admission
 //!   interns each flow's path (segments and wire cap) into a dense id, and
@@ -54,65 +53,33 @@ use crate::seg::{Dir, SegId, SegmentMap};
 use ifsim_des::{Dur, Time};
 use ifsim_topology::LinkId;
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 /// One active flow in the dense table. Its segment list lives at the same
-/// index in the arena; its rate and heap generation at the same index in
-/// [`RateState`].
+/// index in the arena; its rate and projected completion at the same index
+/// in [`RateState`].
 struct Entry {
     id: FlowId,
     spec: FlowSpec,
     delivered: f64,
 }
 
-/// A projected completion in the lazy min-heap: flow `flow` finishes at
-/// absolute time `ns` — valid while the flow is alive *and* its generation
-/// still equals `gen` (each rate change bumps the generation, orphaning
-/// earlier projections, which are skipped on pop).
-#[derive(Clone, Copy, Debug)]
-struct HeapEntry {
-    ns: f64,
-    flow: FlowId,
-    gen: u32,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    /// Earliest time first; equal times break toward the lowest `FlowId`,
-    /// which pins completion order deterministically (and matches the
-    /// ascending-id scan of the reference engine).
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.ns
-            .total_cmp(&other.ns)
-            .then(self.flow.cmp(&other.flow))
-    }
-}
-
 /// Rate-side state, behind a `RefCell` because `peek_completion(&self)` must
-/// be able to run a deferred recompute and drop orphaned heap entries.
+/// be able to run a deferred recompute.
 struct RateState {
     /// Set by any membership or capacity change; cleared by [`FlowNet::flush`].
     dirty: bool,
     /// Current payload rate (bytes/s) per dense entry. `-1.0` marks a flow
-    /// admitted since the last recompute (forces a first heap push).
+    /// admitted since the last recompute (forces its first projection).
     rates: Vec<f64>,
-    /// Heap generation per dense entry.
-    gens: Vec<u32>,
+    /// Projected completion (absolute ns) per dense entry, valid while the
+    /// entry's rate is unchanged.
+    proj: Vec<f64>,
     /// Interned path id per dense entry: the memo key, in span order.
     paths: Vec<u16>,
-    /// Projected completions, min-ordered; may hold orphaned entries.
-    heap: BinaryHeap<Reverse<HeapEntry>>,
+    /// The earliest projection and its flow, as of the last pass; equal
+    /// times break toward the lowest `FlowId`.
+    next: Option<(f64, FlowId)>,
     /// Reusable fair-share working set. After a pass, its
     /// [`FairshareScratch::binding`] holds each flow's binding constraint
     /// in dense order.
@@ -204,9 +171,9 @@ impl FlowNet {
             rs: RefCell::new(RateState {
                 dirty: false,
                 rates: Vec::new(),
-                gens: Vec::new(),
+                proj: Vec::new(),
                 paths: Vec::new(),
-                heap: BinaryHeap::new(),
+                next: None,
                 scratch: FairshareScratch::new(),
                 wire: Vec::new(),
                 recomputes: 0,
@@ -261,24 +228,27 @@ impl FlowNet {
         self.peak_active
     }
 
-    /// Nanoseconds a segment spent with at least one flow crossing it.
-    pub fn seg_busy_ns(&self, seg: SegId) -> f64 {
-        self.seg_busy_ns[seg.idx()]
-    }
-
     /// Per-direction load summary of every topology link, ordered by
     /// `(link, direction)`: wire bytes, busy time, mean utilization.
     pub fn link_loads(&self) -> Vec<LinkLoad> {
+        let elapsed = self.now.as_secs();
         self.segmap
             .dir_segments()
-            .map(|(link, dir, seg)| LinkLoad {
-                link,
-                dir,
-                label: self.segmap.label(seg).to_string(),
-                xgmi: self.segmap.is_xgmi(link),
-                wire_bytes: self.seg_bytes[seg.idx()],
-                busy_ns: self.seg_busy_ns[seg.idx()],
-                utilization: self.seg_utilization(seg),
+            .map(|(link, dir, seg)| {
+                let (wire_bytes, cap) = (self.seg_bytes[seg.idx()], self.segmap.capacity(seg));
+                LinkLoad {
+                    link,
+                    dir,
+                    label: self.segmap.label(seg).to_string(),
+                    xgmi: self.segmap.is_xgmi(link),
+                    wire_bytes,
+                    busy_ns: self.seg_busy_ns[seg.idx()],
+                    utilization: if elapsed > 0.0 && cap > 0.0 {
+                        wire_bytes / (cap * elapsed)
+                    } else {
+                        0.0
+                    },
+                }
             })
             .collect()
     }
@@ -428,22 +398,8 @@ impl FlowNet {
     /// completion times break toward the lowest `FlowId`.
     pub fn peek_completion(&self) -> Option<(Time, FlowId)> {
         self.flush();
-        let mut rs = self.rs.borrow_mut();
-        let RateState { gens, heap, .. } = &mut *rs;
-        loop {
-            let top = match heap.peek() {
-                Some(&Reverse(top)) => top,
-                None => return None,
-            };
-            let live = self
-                .ids
-                .get(&top.flow)
-                .is_some_and(|&i| gens[i as usize] == top.gen);
-            if live {
-                return Some((Time::from_ns(top.ns), top.flow));
-            }
-            heap.pop();
-        }
+        let next = self.rs.borrow().next;
+        next.map(|(ns, id)| (Time::from_ns(ns), id))
     }
 
     /// Move network time forward, accruing delivered payload.
@@ -514,22 +470,6 @@ impl FlowNet {
         self.now = t;
     }
 
-    /// Cumulative wire bytes carried by a segment since construction.
-    pub fn seg_wire_bytes(&self, seg: SegId) -> f64 {
-        self.seg_bytes[seg.idx()]
-    }
-
-    /// Mean utilization of a segment over `[0, now]`: carried wire bytes
-    /// divided by capacity × elapsed time. Zero before any time passes.
-    pub fn seg_utilization(&self, seg: SegId) -> f64 {
-        let elapsed = self.now.as_secs();
-        let cap = self.segmap.capacity(seg);
-        if elapsed <= 0.0 || cap <= 0.0 {
-            return 0.0;
-        }
-        self.seg_bytes[seg.idx()] / (cap * elapsed)
-    }
-
     /// Advance to the earliest completion and remove that flow.
     /// Returns `(completion_time, flow_id)`, or `None` if the net is idle.
     pub fn complete_next(&mut self) -> Option<(Time, FlowId)> {
@@ -578,16 +518,6 @@ impl FlowNet {
             .map(|&i| self.rs.borrow().rates[i as usize])
     }
 
-    /// Run a single flow to completion from `now`, returning its duration.
-    /// Convenience for tests and simple one-shot transfers.
-    pub fn run_exclusive(&mut self, now: Time, spec: FlowSpec) -> Dur {
-        assert_eq!(self.active(), 0, "run_exclusive requires an idle network");
-        let start = now.max(self.now);
-        self.add_flow(start, spec);
-        let (end, _) = self.complete_next().expect("flow just added");
-        end - start
-    }
-
     /// Admit a flow into the dense table without advancing time or forcing a
     /// recompute (that is deferred to the next observation).
     fn insert_flow(&mut self, spec: FlowSpec) -> FlowId {
@@ -630,9 +560,9 @@ impl FlowNet {
         });
         let rs = self.rs.get_mut();
         // -1.0 can never equal a computed rate, so the first flush always
-        // pushes this flow's projection.
+        // projects this flow's completion.
         rs.rates.push(-1.0);
-        rs.gens.push(0);
+        rs.proj.push(f64::INFINITY);
         rs.paths.push(path);
         rs.dirty = true;
         self.peak_active = self.peak_active.max(self.entries.len());
@@ -640,9 +570,8 @@ impl FlowNet {
     }
 
     /// Drop a flow from the dense table, keeping arena and rate vectors in
-    /// swap-remove lockstep. Heap projections of the removed flow orphan via
-    /// the id lookup; projections of the flow swapped into its slot stay
-    /// valid because its generation moves with it.
+    /// swap-remove lockstep: the flow swapped into its slot carries its
+    /// rate and projection along.
     fn remove_flow(&mut self, id: FlowId) -> Option<(Entry, AttrAcc)> {
         let idx = self.ids.remove(&id)? as usize;
         let e = self.entries.swap_remove(idx);
@@ -650,7 +579,7 @@ impl FlowNet {
         self.arena.swap_remove(idx);
         let rs = self.rs.get_mut();
         rs.rates.swap_remove(idx);
-        rs.gens.swap_remove(idx);
+        rs.proj.swap_remove(idx);
         rs.paths.swap_remove(idx);
         rs.dirty = true;
         if idx < self.entries.len() {
@@ -662,8 +591,8 @@ impl FlowNet {
 
     /// Run the deferred fair-share pass, if one is pending: one full
     /// water-fill (or its memoized output), then a recorder sample, then
-    /// the heap re-projection. An empty table skips the solve but still
-    /// gets its (all-zero) sample.
+    /// the re-projection. An empty table skips the solve but still gets its
+    /// (all-zero) sample.
     fn flush(&self) {
         let mut guard = self.rs.borrow_mut();
         let rs = &mut *guard;
@@ -671,11 +600,8 @@ impl FlowNet {
             return;
         }
         let now_ns = self.now.as_ns();
-        if self.entries.is_empty() {
-            // No solver pass happens (and none is counted) for an empty
-            // table; stale projections can be dropped wholesale.
-            rs.heap.clear();
-        } else {
+        // No solver pass happens (and none is counted) for an empty table.
+        if !self.entries.is_empty() {
             rs.solve(self.segmap.caps(), &self.arena);
         }
         rs.sample(now_ns, self.segmap.caps(), &self.arena);
@@ -720,53 +646,30 @@ impl RateState {
         }
     }
 
-    /// Adopt the solved rates and re-project completions. Only flows whose
-    /// rate changed get a new heap entry: an unchanged rate means the
-    /// existing absolute-time projection is still exact.
+    /// Adopt the solved rates, re-project completions and keep the
+    /// earliest. Only flows whose rate changed get a new projection: an
+    /// unchanged rate means the existing absolute-time projection is still
+    /// exact.
     fn reproject(&mut self, entries: &[Entry], now_ns: f64) {
         let RateState {
             rates,
-            gens,
-            heap,
+            proj,
             wire,
+            next,
             ..
         } = self;
-        let n = entries.len();
-        let project = |e: &Entry, rate: f64, gen: u32| {
-            let remaining = (e.spec.payload_bytes - e.delivered).max(0.0);
-            Reverse(HeapEntry {
-                ns: now_ns + Dur::for_bytes(remaining, rate).as_ns(),
-                flow: e.id,
-                gen,
-            })
-        };
-        let changed = entries
-            .iter()
-            .enumerate()
-            .filter(|(i, e)| wire[*i] * e.spec.efficiency != rates[*i])
-            .count();
-        if changed * 2 > n || heap.len() > 2 * n + 64 {
-            // Most projections just died — the typical post-completion
-            // recompute raises every surviving flow's rate. Piling fresh
-            // entries on top of the stale ones would grow the heap towards
-            // O(F²) and tax every later pop; rebuilding from the live flow
-            // table (O(n) heapify into the heap's own buffer) leaves nothing
-            // stale behind and allocates nothing at steady state.
-            let mut v = std::mem::take(heap).into_vec();
-            v.clear();
-            for (i, e) in entries.iter().enumerate() {
-                rates[i] = wire[i] * e.spec.efficiency;
-                v.push(project(e, rates[i], gens[i]));
+        *next = None;
+        for (i, e) in entries.iter().enumerate() {
+            let rate = wire[i] * e.spec.efficiency;
+            if rate != rates[i] {
+                rates[i] = rate;
+                let remaining = (e.spec.payload_bytes - e.delivered).max(0.0);
+                proj[i] = now_ns + Dur::for_bytes(remaining, rate).as_ns();
             }
-            *heap = BinaryHeap::from(v);
-        } else {
-            for (i, e) in entries.iter().enumerate() {
-                let rate = wire[i] * e.spec.efficiency;
-                if rate != rates[i] {
-                    rates[i] = rate;
-                    gens[i] = gens[i].wrapping_add(1);
-                    heap.push(project(e, rate, gens[i]));
-                }
+            let earlier =
+                next.is_none_or(|(ns, id)| proj[i].total_cmp(&ns).then(e.id.cmp(&id)).is_lt());
+            if earlier {
+                *next = Some((proj[i], e.id));
             }
         }
     }
@@ -792,6 +695,26 @@ mod tests {
         (t, r, n)
     }
 
+    /// Run a single flow to completion on an idle network, returning its
+    /// duration.
+    fn run_exclusive(n: &mut FlowNet, spec: FlowSpec) -> Dur {
+        assert_eq!(n.active(), 0, "run_exclusive requires an idle network");
+        let start = n.now();
+        n.add_flow(start, spec);
+        let (end, _) = n.complete_next().expect("flow just added");
+        end - start
+    }
+
+    /// The `link_loads` row of a directed link segment.
+    fn load_on(n: &FlowNet, seg: SegId) -> LinkLoad {
+        let row = n
+            .segmap()
+            .dir_segments()
+            .position(|(_, _, s)| s == seg)
+            .expect("a directed link segment");
+        n.link_loads().swap_remove(row)
+    }
+
     fn peer_segs(
         t: &NodeTopology,
         r: &Router,
@@ -810,7 +733,7 @@ mod tests {
         // GCD0 -> GCD2 over the single link (50 GB/s), efficiency 0.75:
         // 1 GB should take 1e9 / 37.5e9 s.
         let segs = peer_segs(&t, &r, &n, 0, 2, false);
-        let d = n.run_exclusive(Time::ZERO, FlowSpec::new(segs, 1e9, 0.75));
+        let d = run_exclusive(&mut n, FlowSpec::new(segs, 1e9, 0.75));
         let expect = 1e9 / (0.75 * gbps(50.0));
         assert!((d.as_secs() - expect).abs() < 1e-12, "{d}");
     }
@@ -820,10 +743,7 @@ mod tests {
         let (t, r, mut n) = net();
         // Quad link (200 GB/s) with an SDMA-like 50 GB/s payload cap.
         let segs = peer_segs(&t, &r, &n, 0, 1, false);
-        let d = n.run_exclusive(
-            Time::ZERO,
-            FlowSpec::new(segs, 1e9, 0.75).with_cap(gbps(50.0)),
-        );
+        let d = run_exclusive(&mut n, FlowSpec::new(segs, 1e9, 0.75).with_cap(gbps(50.0)));
         let expect = 1e9 / gbps(50.0);
         assert!((d.as_secs() - expect).abs() < 1e-12);
     }
@@ -1017,14 +937,15 @@ mod tests {
         let seg = segs[0];
         n.add_flow(Time::ZERO, FlowSpec::new(segs, 1e9, 0.5));
         n.complete_next().unwrap();
+        let load = load_on(&n, seg);
         // 1 GB payload at 0.5 efficiency = 2 GB of wire.
-        assert!((n.seg_wire_bytes(seg) - 2e9).abs() < 1.0);
+        assert!((load.wire_bytes - 2e9).abs() < 1.0);
         // The flow ran at full link rate the whole time: utilization 1.0.
-        assert!((n.seg_utilization(seg) - 1.0).abs() < 1e-9);
+        assert!((load.utilization - 1.0).abs() < 1e-9);
         // Untouched segments carried nothing.
-        let other = n.segmap().hbm_seg(GcdId(7));
-        assert_eq!(n.seg_wire_bytes(other), 0.0);
-        assert_eq!(n.seg_utilization(other), 0.0);
+        let other = load_on(&n, peer_segs(&t, &r, &n, 4, 5, false)[0]);
+        assert_eq!(other.wire_bytes, 0.0);
+        assert_eq!(other.utilization, 0.0);
     }
 
     #[test]
@@ -1088,15 +1009,12 @@ mod tests {
         n.complete_next().unwrap();
         n.complete_next().unwrap();
         // 2 GB total through a 50 GB/s link = 40 ms busy.
-        assert!(
-            (n.seg_busy_ns(seg) - 40e6).abs() < 1.0,
-            "busy {} ns",
-            n.seg_busy_ns(seg)
-        );
+        let busy = load_on(&n, seg).busy_ns;
+        assert!((busy - 40e6).abs() < 1.0, "busy {busy} ns");
         assert_eq!(n.peak_active_flows(), 2);
         // Idle time afterwards does not accrue.
         n.advance_to(Time::from_ns(100e6));
-        assert!((n.seg_busy_ns(seg) - 40e6).abs() < 1.0);
+        assert!((load_on(&n, seg).busy_ns - 40e6).abs() < 1.0);
     }
 
     #[test]
@@ -1134,14 +1052,13 @@ mod tests {
         n.add_flow(Time::ZERO, FlowSpec::new(segs, 1e9, 1.0));
         n.complete_next().unwrap();
         n.advance_to(Time::from_ns(40e6));
-        assert!((n.seg_utilization(seg) - 0.5).abs() < 1e-9);
+        assert!((load_on(&n, seg).utilization - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn equal_flows_complete_in_flow_id_order() {
-        // Regression for the heap refactor: three identical flows tie on
-        // completion time and must drain lowest-id first, exactly like the
-        // old ascending-scan implementation.
+        // Three identical flows tie on completion time and must drain
+        // lowest-id first, like the reference engine's ascending scan.
         let (t, r, mut n) = net();
         let segs = peer_segs(&t, &r, &n, 0, 2, false);
         let ids = n.add_flows(
@@ -1198,30 +1115,33 @@ mod tests {
     }
 
     #[test]
-    fn unchanged_rates_keep_heap_projections_valid() {
-        // Flow A runs on its own link; B and C share another. Completing B
-        // changes only C's rate — A's original heap projection must still
-        // produce the exact completion time.
+    fn unchanged_rates_keep_their_projections() {
+        // Flow A runs on its own link; B, C and D share another. Completing
+        // B changes C's and D's rates, most of the table, and leaves A's
+        // alone: A must complete at the very projection made at admission,
+        // not at a re-projection that rounds differently.
         let (t, r, mut n) = net();
         let a_segs = peer_segs(&t, &r, &n, 4, 5, false);
-        let bc_segs = peer_segs(&t, &r, &n, 0, 2, false);
-        let a = n.add_flow(Time::ZERO, FlowSpec::new(a_segs, 20e9, 1.0));
-        let _b = n.add_flow(Time::ZERO, FlowSpec::new(bc_segs.clone(), 0.5e9, 1.0));
-        let c = n.add_flow(Time::ZERO, FlowSpec::new(bc_segs, 1.5e9, 1.0));
+        let shared = peer_segs(&t, &r, &n, 0, 2, false);
+        let payload_a = 20e9 + 7.3;
+        let a = n.add_flow(Time::ZERO, FlowSpec::new(a_segs, payload_a, 1.0));
+        let _b = n.add_flow(Time::ZERO, FlowSpec::new(shared.clone(), 0.5e9, 1.0));
+        let c = n.add_flow(Time::ZERO, FlowSpec::new(shared.clone(), 1.5e9, 1.0));
+        let d = n.add_flow(Time::ZERO, FlowSpec::new(shared, 1.5e9, 1.0));
         let rate_a = n.rate_of(a).unwrap();
-        // B: 0.5 GB at 25 GB/s = 20 ms. C then speeds up to 50 GB/s.
+        // B: 0.5 GB at 50/3 GB/s = 30 ms. C and D then speed up to 25 GB/s.
         let (tb, _) = n.complete_next().unwrap();
-        assert!((tb.as_secs() - 0.02).abs() < 1e-9);
-        // C: 0.5 GB delivered, 1.0 GB left at 50 GB/s → done at 40 ms.
-        let (tc_, idc) = n.complete_next().unwrap();
-        assert_eq!(idc, c);
-        assert!((tc_.as_secs() - 0.04).abs() < 1e-9);
-        // A kept its original rate the whole time: the projection pushed at
-        // admission is still exact despite two intervening recomputes.
+        assert!((tb.as_secs() - 0.03).abs() < 1e-9);
+        // C and D: 0.5 GB delivered, 1.0 GB left at 25 GB/s → done at 70 ms.
+        for id in [c, d] {
+            let (tc_, idc) = n.complete_next().unwrap();
+            assert_eq!(idc, id);
+            assert!((tc_.as_secs() - 0.07).abs() < 1e-9);
+        }
         assert_eq!(n.rate_of(a).unwrap(), rate_a);
         let (ta, ida) = n.complete_next().unwrap();
         assert_eq!(ida, a);
-        assert!((ta.as_secs() - 20e9 / rate_a).abs() < 1e-9);
+        assert_eq!(ta, Time::from_ns(Dur::for_bytes(payload_a, rate_a).as_ns()));
     }
 
     /// The attribution on the first Completed event of the log.
@@ -1243,10 +1163,7 @@ mod tests {
         // Quad link (200 GB/s) with an SDMA-like cap: the cap binds the
         // whole lifetime; no segment ever saturates.
         let segs = peer_segs(&t, &r, &n, 0, 1, false);
-        n.run_exclusive(
-            Time::ZERO,
-            FlowSpec::new(segs, 1e9, 0.75).with_cap(gbps(50.0)),
-        );
+        run_exclusive(&mut n, FlowSpec::new(segs, 1e9, 0.75).with_cap(gbps(50.0)));
         let a = first_attribution(&n);
         assert!(a.total_ns > 0.0);
         assert!(
@@ -1359,14 +1276,13 @@ mod tests {
                 n.enable_capture();
             }
             let segs = peer_segs(&t, &r, &n, 0, 2, false);
-            let seg = segs[0];
             n.add_flow(Time::ZERO, FlowSpec::new(segs.clone(), 1e9, 1.0));
             n.add_flow(Time::ZERO, FlowSpec::new(segs, 0.5e9, 1.0));
             let mut times = Vec::new();
             while let Some((tc, id)) = n.complete_next() {
                 times.push((tc, id));
             }
-            (times, n.seg_wire_bytes(seg), n.seg_busy_ns(seg))
+            (times, n.link_loads())
         };
         assert_eq!(run(false), run(true));
     }

@@ -233,7 +233,7 @@ mod tests {
 
 mod differential {
     //! Differential property tests: the reworked engine (CSR arena, deferred
-    //! recompute, lazily-invalidated completion heap) must be observationally
+    //! recompute, per-flow completion projections) must be observationally
     //! equivalent to the pre-rework engine and to the naive fair-share oracle.
     //!
     //! Randomized scenarios over the Frontier topology interleave batch
