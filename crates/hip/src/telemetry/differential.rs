@@ -311,7 +311,7 @@ fn sweep_records(s: &Scenario) -> Vec<Vec<TraceRecord>> {
 /// pair per GCD, records issued in canonical order, cross-stream
 /// dependencies as event waits.
 fn replay(hip: &mut HipSim, records: &[TraceRecord]) {
-    let order = ifsim_scenario::trace::canonical_order(records).expect("valid records");
+    let order = ifsim_scenario::trace::canonical_order(records, 8).expect("valid records");
     hip.enable_all_peer_access().expect("peer access");
     let mut need: BTreeMap<u8, u64> = BTreeMap::new();
     for r in records {

@@ -125,7 +125,7 @@ struct Point {
 }
 
 impl Point {
-    fn new(params: &[(String, f64)], records: &[TraceRecord]) -> Point {
+    fn new(params: &[(String, f64)], records: &[TraceRecord], n_gcds: u8) -> Point {
         let label = if params.is_empty() {
             "baseline".to_string()
         } else {
@@ -138,7 +138,7 @@ impl Point {
         Point {
             label,
             records: records.len(),
-            plan: ReplayPlan::new(records),
+            plan: ReplayPlan::new(records, n_gcds),
         }
     }
 }
@@ -164,9 +164,10 @@ fn assignments(sweep: &[SweepAxis]) -> Vec<Vec<(String, f64)>> {
 /// Resolve every sweep point of a trace or generator workload. A
 /// generator's records live only until their point's plan exists.
 fn resolve_points(s: &Scenario) -> Vec<Point> {
+    let n_gcds = ifsim_topology::NodeTopology::frontier().gcds().count() as u8;
     match &s.workload {
         Workload::Registry { .. } => Vec::new(),
-        Workload::Trace { records } => vec![Point::new(&[], records)],
+        Workload::Trace { records } => vec![Point::new(&[], records, n_gcds)],
         Workload::Generator(g) => assignments(&s.sweep)
             .into_iter()
             .map(|params| {
@@ -175,7 +176,7 @@ fn resolve_points(s: &Scenario) -> Vec<Point> {
                     // Validated against a probe clone at parse time.
                     let _ = spec.set_param(name, *v);
                 }
-                Point::new(&params, &generators::expand(&spec))
+                Point::new(&params, &generators::expand(&spec), n_gcds)
             })
             .collect(),
     }

@@ -22,12 +22,13 @@
 //! shape, so [`Scenario::digest`] is stable across field reordering —
 //! the property the serve cache keys rely on.
 
-use crate::field::{Field, INTEGER_RANGE};
-use crate::trace::{self, TraceOp, TraceRecord};
+use crate::field::{Field, Obj, INTEGER_RANGE};
+use crate::trace::{ReplayPlan, TraceOp, TraceRecord};
 use crate::FieldError;
 use ifsim_core::experiment::digest_kv;
 use ifsim_fabric::{FaultKind, FaultParams};
 use serde_json::{Map, Value};
+use Bound::{Below, Count, Size};
 
 /// The schema identifier this crate speaks.
 pub const SCHEMA: &str = "ifsim-scenario-v1";
@@ -399,7 +400,7 @@ impl Scenario {
                 }
             }
             Workload::Trace { records } => {
-                trace::validate(records, n_gcds as u8)?;
+                ReplayPlan::new(records, n_gcds as u8)?;
                 if !self.sweep.is_empty() {
                     return Err(FieldError::new(
                         "sweep",
@@ -536,9 +537,6 @@ fn fault_to_json(f: &FaultSpec) -> Value {
 fn parse_workload(f: Field) -> Result<Workload, FieldError> {
     let obj = f.object("must be an object")?;
     let ty = obj.req("type")?.str()?;
-    // Integer params with a default, shared by the generator arms.
-    let u = |key, default| Ok(obj.opt(key, Field::u64)?.unwrap_or(default));
-    let n = |key, default| Ok(obj.opt(key, Field::usize)?.unwrap_or(default));
     match ty {
         "registry" => {
             obj.only(&["type", "id"])?;
@@ -552,75 +550,19 @@ fn parse_workload(f: Field) -> Result<Workload, FieldError> {
                 .items("must be an array of records", parse_record)?;
             Ok(Workload::Trace { records })
         }
-        "moe-alltoall" => {
-            obj.only(&["type", "ranks", "bytes_per_pair", "steps", "compute_bytes"])?;
-            Ok(Workload::Generator(GeneratorSpec::MoeAllToAll {
-                ranks: n("ranks", 8)?,
-                bytes_per_pair: u("bytes_per_pair", 1 << 20)?,
-                steps: n("steps", 1)?,
-                compute_bytes: u("compute_bytes", 8 << 20)?,
-            }))
-        }
-        "param-server" => {
-            obj.only(&[
-                "type",
-                "ranks",
-                "server",
-                "push_bytes",
-                "pull_bytes",
-                "steps",
-                "apply_bytes",
-            ])?;
-            Ok(Workload::Generator(GeneratorSpec::ParamServer {
-                ranks: n("ranks", 8)?,
-                server: n("server", 0)?,
-                push_bytes: u("push_bytes", 16 << 20)?,
-                pull_bytes: u("pull_bytes", 16 << 20)?,
-                steps: n("steps", 1)?,
-                apply_bytes: u("apply_bytes", 32 << 20)?,
-            }))
-        }
-        "halo" => {
-            obj.only(&["type", "grid", "halo_bytes", "iters", "compute_bytes"])?;
-            const PAIR: &str = "must be a [x, y] pair";
-            let grid = match obj.get("grid") {
-                None => (2, 4),
-                Some(g) => match g.items(PAIR, Field::usize)?[..] {
-                    [x, y] => (x, y),
-                    _ => return Err(g.err(PAIR)),
-                },
-            };
-            Ok(Workload::Generator(GeneratorSpec::Halo {
-                grid,
-                halo_bytes: u("halo_bytes", 4 << 20)?,
-                iters: n("iters", 2)?,
-                compute_bytes: u("compute_bytes", 16 << 20)?,
-            }))
-        }
-        "train-step" => {
-            obj.only(&[
-                "type",
-                "ranks",
-                "params",
-                "batch_bytes",
-                "steps",
-                "compute_passes",
-            ])?;
-            Ok(Workload::Generator(GeneratorSpec::TrainStep {
-                ranks: n("ranks", 8)?,
-                params: n("params", (64 << 20) / 4)?,
-                batch_bytes: u("batch_bytes", 32 << 20)?,
-                steps: n("steps", 1)?,
-                compute_passes: n("compute_passes", 2)?,
-            }))
-        }
-        other => Err(obj.err_at(
-            "type",
-            format!(
-                "unknown workload type '{other}' (expected registry|trace|\
-                 moe-alltoall|param-server|halo|train-step)"
-            ),
-        )),
+        other => match GENERATORS.iter().find(|g| g.name == other) {
+            Some(g) => g.parse(&obj).map(Workload::Generator),
+            None => {
+                let names: Vec<&str> = GENERATORS.iter().map(|g| g.name).collect();
+                Err(obj.err_at(
+                    "type",
+                    format!(
+                        "unknown workload type '{other}' (expected registry|trace|{})",
+                        names.join("|")
+                    ),
+                ))
+            }
+        },
     }
 }
 
@@ -638,62 +580,17 @@ fn workload_to_json(w: &Workload) -> Value {
                 Value::Array(records.iter().map(record_to_json).collect()),
             );
         }
-        Workload::Generator(GeneratorSpec::MoeAllToAll {
-            ranks,
-            bytes_per_pair,
-            steps,
-            compute_bytes,
-        }) => {
-            m.insert("type", Value::from("moe-alltoall"));
-            m.insert("ranks", Value::from(*ranks));
-            m.insert("bytes_per_pair", Value::from(*bytes_per_pair));
-            m.insert("steps", Value::from(*steps));
-            m.insert("compute_bytes", Value::from(*compute_bytes));
-        }
-        Workload::Generator(GeneratorSpec::ParamServer {
-            ranks,
-            server,
-            push_bytes,
-            pull_bytes,
-            steps,
-            apply_bytes,
-        }) => {
-            m.insert("type", Value::from("param-server"));
-            m.insert("ranks", Value::from(*ranks));
-            m.insert("server", Value::from(*server));
-            m.insert("push_bytes", Value::from(*push_bytes));
-            m.insert("pull_bytes", Value::from(*pull_bytes));
-            m.insert("steps", Value::from(*steps));
-            m.insert("apply_bytes", Value::from(*apply_bytes));
-        }
-        Workload::Generator(GeneratorSpec::Halo {
-            grid,
-            halo_bytes,
-            iters,
-            compute_bytes,
-        }) => {
-            m.insert("type", Value::from("halo"));
-            m.insert(
-                "grid",
-                Value::Array(vec![Value::from(grid.0), Value::from(grid.1)]),
-            );
-            m.insert("halo_bytes", Value::from(*halo_bytes));
-            m.insert("iters", Value::from(*iters));
-            m.insert("compute_bytes", Value::from(*compute_bytes));
-        }
-        Workload::Generator(GeneratorSpec::TrainStep {
-            ranks,
-            params,
-            batch_bytes,
-            steps,
-            compute_passes,
-        }) => {
-            m.insert("type", Value::from("train-step"));
-            m.insert("ranks", Value::from(*ranks));
-            m.insert("params", Value::from(*params));
-            m.insert("batch_bytes", Value::from(*batch_bytes));
-            m.insert("steps", Value::from(*steps));
-            m.insert("compute_passes", Value::from(*compute_passes));
+        Workload::Generator(g) => {
+            m.insert("type", Value::from(g.kind_name()));
+            if let GeneratorSpec::Halo { grid, .. } = g {
+                m.insert(
+                    "grid",
+                    Value::Array(vec![Value::from(grid.0), Value::from(grid.1)]),
+                );
+            }
+            for (p, v) in g.table().params.iter().zip(g.values()) {
+                m.insert(p.name, Value::from(v));
+            }
         }
     }
     Value::Object(m)
@@ -786,134 +683,198 @@ fn parse_axis(f: Field) -> Result<SweepAxis, FieldError> {
     })
 }
 
-impl GeneratorSpec {
-    /// The wire name of this generator.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            GeneratorSpec::MoeAllToAll { .. } => "moe-alltoall",
-            GeneratorSpec::ParamServer { .. } => "param-server",
-            GeneratorSpec::Halo { .. } => "halo",
-            GeneratorSpec::TrainStep { .. } => "train-step",
-        }
-    }
+/// What values a generator parameter takes on the frontier node (8 GCDs).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Bound {
+    /// A byte count: at least 1.
+    Size,
+    /// A count in `[lo, hi]`.
+    Count(u64, u64),
+    /// A count below the value of row `k`, an earlier row whose bound
+    /// keeps it at least 1 (param-server's `server` is one of its ranks).
+    Below(usize),
+}
 
-    /// The parameter names a sweep axis may target for this generator.
-    pub fn sweepable_params(&self) -> Vec<&'static str> {
-        match self {
-            GeneratorSpec::MoeAllToAll { .. } => {
-                vec!["ranks", "bytes_per_pair", "steps", "compute_bytes"]
-            }
-            GeneratorSpec::ParamServer { .. } => {
-                vec!["ranks", "push_bytes", "pull_bytes", "steps", "apply_bytes"]
-            }
-            GeneratorSpec::Halo { .. } => vec!["halo_bytes", "iters", "compute_bytes"],
-            GeneratorSpec::TrainStep { .. } => {
-                vec!["ranks", "params", "batch_bytes", "steps", "compute_passes"]
-            }
-        }
-    }
+/// One integer parameter of a generator: a row of its table.
+#[derive(Clone, Copy, Debug)]
+pub struct Param {
+    /// The wire name.
+    pub name: &'static str,
+    /// The value a workload that omits it gets.
+    pub default: u64,
+    /// The values it may take.
+    pub bound: Bound,
+    /// Whether a sweep axis may set it.
+    pub sweep: bool,
+}
 
-    /// Set a named parameter from a sweep value. Integer parameters demand
-    /// integer-valued numbers.
-    pub fn set_param(&mut self, name: &str, value: f64) -> Result<(), String> {
-        let as_u64 = || -> Result<u64, String> {
-            if value.fract() != 0.0 || value < 0.0 || value > serde_json::MAX_SAFE_INTEGER as f64 {
-                return Err(format!("'{name}' {INTEGER_RANGE}, got {value}"));
-            }
-            Ok(value as u64)
+const fn row(name: &'static str, default: u64, bound: Bound, sweep: bool) -> Param {
+    Param {
+        name,
+        default,
+        bound,
+        sweep,
+    }
+}
+
+/// Most rows any generator has.
+const MAX_PARAMS: usize = 6;
+
+/// A generator's wire type and its parameters, in canonical key order.
+/// Parsing, the canonical JSON, sweeps and the range checks all read it.
+pub struct Generator {
+    /// The wire type.
+    pub name: &'static str,
+    /// The default `[x, y]` rank grid of a generator that takes one
+    /// (halo). The pair is read and checked by code, not as a row.
+    pub grid: Option<(usize, usize)>,
+    /// The integer parameters.
+    pub params: &'static [Param],
+    /// The spec whose rows take the values `v`, in row order.
+    build: fn(&[u64; MAX_PARAMS], (usize, usize)) -> GeneratorSpec,
+}
+
+/// Every generator, by wire type.
+pub static GENERATORS: [Generator; 4] = [
+    Generator {
+        name: "moe-alltoall",
+        grid: None,
+        params: &[
+            row("ranks", 8, Count(2, 8), true),
+            row("bytes_per_pair", 1 << 20, Size, true),
+            row("steps", 1, Count(1, 64), true),
+            row("compute_bytes", 8 << 20, Size, true),
+        ],
+        build: |v, _| GeneratorSpec::MoeAllToAll {
+            ranks: v[0] as usize,
+            bytes_per_pair: v[1],
+            steps: v[2] as usize,
+            compute_bytes: v[3],
+        },
+    },
+    Generator {
+        name: "param-server",
+        grid: None,
+        params: &[
+            row("ranks", 8, Count(2, 8), true),
+            row("server", 0, Below(0), false),
+            row("push_bytes", 16 << 20, Size, true),
+            row("pull_bytes", 16 << 20, Size, true),
+            row("steps", 1, Count(1, 64), true),
+            row("apply_bytes", 32 << 20, Size, true),
+        ],
+        build: |v, _| GeneratorSpec::ParamServer {
+            ranks: v[0] as usize,
+            server: v[1] as usize,
+            push_bytes: v[2],
+            pull_bytes: v[3],
+            steps: v[4] as usize,
+            apply_bytes: v[5],
+        },
+    },
+    Generator {
+        name: "halo",
+        grid: Some((2, 4)),
+        params: &[
+            row("halo_bytes", 4 << 20, Size, true),
+            row("iters", 2, Count(1, 64), true),
+            row("compute_bytes", 16 << 20, Size, true),
+        ],
+        build: |v, grid| GeneratorSpec::Halo {
+            grid,
+            halo_bytes: v[0],
+            iters: v[1] as usize,
+            compute_bytes: v[2],
+        },
+    },
+    Generator {
+        name: "train-step",
+        grid: None,
+        params: &[
+            row("ranks", 8, Count(2, 8), true),
+            row("params", (64 << 20) / 4, Count(1, u64::MAX), true),
+            row("batch_bytes", 32 << 20, Size, true),
+            row("steps", 1, Count(1, 64), true),
+            row("compute_passes", 2, Count(1, 64), true),
+        ],
+        build: |v, _| GeneratorSpec::TrainStep {
+            ranks: v[0] as usize,
+            params: v[1] as usize,
+            batch_bytes: v[2],
+            steps: v[3] as usize,
+            compute_passes: v[4] as usize,
+        },
+    },
+];
+
+impl Generator {
+    /// Read this generator's parameters from `obj`, a workload of its type.
+    fn parse(&self, obj: &Obj) -> Result<GeneratorSpec, FieldError> {
+        // The allowed keys, `type` first, on the stack: parsing allocates
+        // nothing per parameter.
+        let mut keys = ["type"; MAX_PARAMS + 2];
+        let names = self.grid.map(|_| "grid").into_iter();
+        let names = names.chain(self.params.iter().map(|p| p.name));
+        let mut n = 1;
+        for name in names {
+            keys[n] = name;
+            n += 1;
+        }
+        obj.only(&keys[..n])?;
+        const PAIR: &str = "must be a [x, y] pair";
+        let grid = match obj.get("grid") {
+            None => self.grid.unwrap_or_default(),
+            Some(g) => match g.items(PAIR, Field::usize)?[..] {
+                [x, y] => (x, y),
+                _ => return Err(g.err(PAIR)),
+            },
         };
-        let as_usize = || as_u64().map(|v| v as usize);
-        match self {
-            GeneratorSpec::MoeAllToAll {
-                ranks,
-                bytes_per_pair,
-                steps,
-                compute_bytes,
-            } => match name {
-                "ranks" => *ranks = as_usize()?,
-                "bytes_per_pair" => *bytes_per_pair = as_u64()?,
-                "steps" => *steps = as_usize()?,
-                "compute_bytes" => *compute_bytes = as_u64()?,
-                _ => return Err(format!("unknown parameter '{name}'")),
-            },
-            GeneratorSpec::ParamServer {
-                ranks,
-                push_bytes,
-                pull_bytes,
-                steps,
-                apply_bytes,
-                ..
-            } => match name {
-                "ranks" => *ranks = as_usize()?,
-                "push_bytes" => *push_bytes = as_u64()?,
-                "pull_bytes" => *pull_bytes = as_u64()?,
-                "steps" => *steps = as_usize()?,
-                "apply_bytes" => *apply_bytes = as_u64()?,
-                _ => return Err(format!("unknown parameter '{name}'")),
-            },
-            GeneratorSpec::Halo {
-                halo_bytes,
-                iters,
-                compute_bytes,
-                ..
-            } => match name {
-                "halo_bytes" => *halo_bytes = as_u64()?,
-                "iters" => *iters = as_usize()?,
-                "compute_bytes" => *compute_bytes = as_u64()?,
-                _ => return Err(format!("unknown parameter '{name}'")),
-            },
-            GeneratorSpec::TrainStep {
-                ranks,
-                params,
-                batch_bytes,
-                steps,
-                compute_passes,
-            } => match name {
-                "ranks" => *ranks = as_usize()?,
-                "params" => *params = as_usize()?,
-                "batch_bytes" => *batch_bytes = as_u64()?,
-                "steps" => *steps = as_usize()?,
-                "compute_passes" => *compute_passes = as_usize()?,
-                _ => return Err(format!("unknown parameter '{name}'")),
-            },
+        let mut v = [0; MAX_PARAMS];
+        for (v, p) in v.iter_mut().zip(self.params) {
+            *v = obj.opt(p.name, Field::u64)?.unwrap_or(p.default);
         }
+        Ok((self.build)(&v, grid))
+    }
+}
+
+/// `v out of range [lo, hi]` at `workload.<name>`, unless it is inside.
+fn in_range(name: &str, v: u64, lo: u64, hi: u64) -> Result<(), FieldError> {
+    if v < lo || v > hi {
+        Err(FieldError::new(
+            format!("workload.{name}"),
+            format!("{v} out of range [{lo}, {hi}]"),
+        ))
+    } else {
         Ok(())
     }
+}
 
-    /// Parameter bounds for the frontier node (8 GCDs).
-    pub fn validate(&self) -> Result<(), FieldError> {
-        let range = |field: &str, v: usize, lo: usize, hi: usize| -> Result<(), FieldError> {
-            if v < lo || v > hi {
-                Err(FieldError::new(
-                    format!("workload.{field}"),
-                    format!("{v} out of range [{lo}, {hi}]"),
-                ))
-            } else {
-                Ok(())
-            }
-        };
-        let positive = |field: &str, v: u64| -> Result<(), FieldError> {
-            if v == 0 {
-                Err(FieldError::new(
-                    format!("workload.{field}"),
-                    "must be at least 1",
-                ))
-            } else {
-                Ok(())
-            }
-        };
+impl GeneratorSpec {
+    /// This generator's table.
+    fn table(&self) -> &'static Generator {
+        &GENERATORS[match self {
+            GeneratorSpec::MoeAllToAll { .. } => 0,
+            GeneratorSpec::ParamServer { .. } => 1,
+            GeneratorSpec::Halo { .. } => 2,
+            GeneratorSpec::TrainStep { .. } => 3,
+        }]
+    }
+
+    /// The wire name of this generator.
+    pub fn kind_name(&self) -> &'static str {
+        self.table().name
+    }
+
+    /// The table rows' values, in row order.
+    fn values(&self) -> [u64; MAX_PARAMS] {
+        let n = |x: usize| x as u64;
         match *self {
             GeneratorSpec::MoeAllToAll {
                 ranks,
                 bytes_per_pair,
                 steps,
                 compute_bytes,
-            } => {
-                range("ranks", ranks, 2, 8)?;
-                positive("bytes_per_pair", bytes_per_pair)?;
-                range("steps", steps, 1, 64)?;
-                positive("compute_bytes", compute_bytes)?;
-            }
+            } => [n(ranks), bytes_per_pair, n(steps), compute_bytes, 0, 0],
             GeneratorSpec::ParamServer {
                 ranks,
                 server,
@@ -921,64 +882,114 @@ impl GeneratorSpec {
                 pull_bytes,
                 steps,
                 apply_bytes,
-            } => {
-                range("ranks", ranks, 2, 8)?;
-                range("server", server, 0, ranks - 1)?;
-                positive("push_bytes", push_bytes)?;
-                positive("pull_bytes", pull_bytes)?;
-                range("steps", steps, 1, 64)?;
-                positive("apply_bytes", apply_bytes)?;
-            }
+            } => [
+                n(ranks),
+                n(server),
+                push_bytes,
+                pull_bytes,
+                n(steps),
+                apply_bytes,
+            ],
             GeneratorSpec::Halo {
-                grid,
                 halo_bytes,
                 iters,
                 compute_bytes,
-            } => {
-                range("grid", grid.0.saturating_mul(grid.1), 2, 8)?;
-                if grid.0 == 0 || grid.1 == 0 {
-                    return Err(FieldError::new(
-                        "workload.grid",
-                        "extents must be at least 1",
-                    ));
-                }
-                positive("halo_bytes", halo_bytes)?;
-                range("iters", iters, 1, 64)?;
-                positive("compute_bytes", compute_bytes)?;
-            }
+                ..
+            } => [halo_bytes, n(iters), compute_bytes, 0, 0, 0],
             GeneratorSpec::TrainStep {
                 ranks,
                 params,
                 batch_bytes,
                 steps,
                 compute_passes,
-            } => {
-                range("ranks", ranks, 2, 8)?;
-                range("params", params, 1, usize::MAX)?;
-                positive("batch_bytes", batch_bytes)?;
-                range("steps", steps, 1, 64)?;
-                range("compute_passes", compute_passes, 1, 64)?;
-                // The compute kernel moves 20 bytes (5 f32 accesses) per
-                // parameter per pass; every record's bytes must fit in u64.
-                let fits = u64::try_from(params)
-                    .ok()
-                    .and_then(|p| p.checked_mul(20))
-                    .and_then(|b| b.checked_mul(compute_passes as u64))
-                    .is_some();
-                if !fits {
+            } => [
+                n(ranks),
+                n(params),
+                batch_bytes,
+                n(steps),
+                n(compute_passes),
+                0,
+            ],
+        }
+    }
+
+    /// The parameter names a sweep axis may target for this generator.
+    pub fn sweepable_params(&self) -> Vec<&'static str> {
+        let rows = self.table().params.iter();
+        rows.filter(|p| p.sweep).map(|p| p.name).collect()
+    }
+
+    /// Set a sweepable parameter from a sweep value. Integer parameters
+    /// demand integer-valued numbers.
+    pub fn set_param(&mut self, name: &str, value: f64) -> Result<(), String> {
+        let table = self.table();
+        let Some(k) = table.params.iter().position(|p| p.sweep && p.name == name) else {
+            return Err(format!("unknown parameter '{name}'"));
+        };
+        if value.fract() != 0.0 || value < 0.0 || value > serde_json::MAX_SAFE_INTEGER as f64 {
+            return Err(format!("'{name}' {INTEGER_RANGE}, got {value}"));
+        }
+        let mut v = self.values();
+        v[k] = value as u64;
+        let grid = match *self {
+            GeneratorSpec::Halo { grid, .. } => grid,
+            _ => (0, 0),
+        };
+        *self = (table.build)(&v, grid);
+        Ok(())
+    }
+
+    /// Parameter bounds for the frontier node (8 GCDs): the grid, each
+    /// row's bound in row order, then the train-step kernel size.
+    pub fn validate(&self) -> Result<(), FieldError> {
+        if let GeneratorSpec::Halo { grid, .. } = *self {
+            // Zero extents make a product of 0, so this covers them.
+            in_range("grid", grid.0.saturating_mul(grid.1) as u64, 2, 8)?;
+        }
+        let values = self.values();
+        for (p, &v) in self.table().params.iter().zip(&values) {
+            let (lo, hi) = match p.bound {
+                Size if v == 0 => {
                     return Err(FieldError::new(
-                        "workload.params",
-                        format!(
-                            "{params} parameters x {compute_passes} passes overflow \
-                             the kernel byte count"
-                        ),
-                    ));
+                        format!("workload.{}", p.name),
+                        "must be at least 1",
+                    ))
                 }
+                Size => continue,
+                Count(lo, hi) => (lo, hi),
+                Below(k) => (0, values[k] - 1),
+            };
+            in_range(p.name, v, lo, hi)?;
+        }
+        if let GeneratorSpec::TrainStep {
+            params,
+            compute_passes,
+            ..
+        } = *self
+        {
+            // The compute kernel moves 20 bytes (5 f32 accesses) per
+            // parameter per pass; every record's bytes must fit in u64.
+            let fits = u64::try_from(params)
+                .ok()
+                .and_then(|p| p.checked_mul(20))
+                .and_then(|b| b.checked_mul(compute_passes as u64))
+                .is_some();
+            if !fits {
+                return Err(FieldError::new(
+                    "workload.params",
+                    format!(
+                        "{params} parameters x {compute_passes} passes overflow \
+                         the kernel byte count"
+                    ),
+                ));
             }
         }
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

@@ -380,7 +380,8 @@ mod tests {
     fn every_generator_expands_to_a_valid_trace_that_replays() {
         for spec in all_specs() {
             let records = expand(&spec);
-            trace::validate(&records, 8).unwrap_or_else(|e| panic!("{}: {e}", spec.kind_name()));
+            trace::ReplayPlan::new(&records, 8)
+                .unwrap_or_else(|e| panic!("{}: {e}", spec.kind_name()));
             let mut hip = HipSim::new(EnvConfig::default());
             hip.mem_mut().set_phantom_threshold(0);
             let stats = trace::replay(&mut hip, &records)

@@ -8,10 +8,10 @@
 //! topologically-valid orderings of the same records replay identically —
 //! shuffled input cannot change the schedule.
 //!
-//! Replay is two steps: [`ReplayPlan::new`] resolves the records once (the
-//! order, each op's cross-stream producers as issue positions, the event
-//! flags and the buffer sizes), and [`replay_plan`] walks that plan with
-//! integers. [`replay`] does both, for a trace that runs once.
+//! Replay is two steps: [`ReplayPlan::new`] checks and resolves the records
+//! once (the order, each op's cross-stream producers as issue positions,
+//! the event flags and the buffer sizes), and [`replay_plan`] walks that
+//! plan with integers. [`replay`] does both, for a trace that runs once.
 
 use crate::FieldError;
 use ifsim_des::Dur;
@@ -114,43 +114,6 @@ impl ReplayStats {
     }
 }
 
-/// Validate a record set: unique non-empty ids, dependencies that exist
-/// and are not self-referential, GCDs on the node, positive sizes, and an
-/// acyclic dependency graph. Field paths index into `workload.records`.
-/// Of several faults, the one reported is the first that a pass over the
-/// ids and then a pass over the records meet: an empty or repeated id,
-/// then each record's size, GCDs and dependencies in turn, then a cycle.
-pub fn validate(records: &[TraceRecord], n_gcds: u8) -> Result<(), FieldError> {
-    if records.is_empty() {
-        return Err(FieldError::new(
-            "workload.records",
-            "trace must contain at least one record",
-        ));
-    }
-    let ranked = rank(records);
-    // Records sharing an id sit together in `ranked`, in record order, so a
-    // record repeats an earlier id exactly when its neighbour before it has
-    // the same id.
-    let first_bad = ranked
-        .iter()
-        .enumerate()
-        .filter(|&(k, &(id, _))| id.is_empty() || (k > 0 && ranked[k - 1].0 == id))
-        .map(|(_, &(_, i))| i as usize)
-        .min();
-    if let Some(i) = first_bad {
-        let field = format!("workload.records[{i}].id");
-        let id = &records[i].id;
-        return Err(if id.is_empty() {
-            FieldError::new(field, "must be non-empty")
-        } else {
-            FieldError::new(field, format!("duplicate record id '{id}'"))
-        });
-    }
-    let deps = Deps::resolve_checked(records, ranked, |i| check_op(i, records[i].op, n_gcds))?;
-    // Cycle check == canonical order exists.
-    kahn(records, &deps).map(|_| ())
-}
-
 /// Record `i`'s op: a positive size, GCDs on the node, and a copy between
 /// two devices.
 fn check_op(i: usize, op: TraceOp, n_gcds: u8) -> Result<(), FieldError> {
@@ -188,50 +151,58 @@ fn check_op(i: usize, op: TraceOp, n_gcds: u8) -> Result<(), FieldError> {
     }
 }
 
-/// The records as `(id, index)` pairs, sorted. A record's rank is its
-/// position here, so ranks order records as their ids do.
-fn rank(records: &[TraceRecord]) -> Vec<(&str, u32)> {
-    let mut ranked: Vec<(&str, u32)> = records
-        .iter()
-        .enumerate()
-        .map(|(i, r)| (r.id.as_str(), i as u32))
-        .collect();
-    ranked.sort_unstable();
-    ranked
-}
-
 /// Each record's dependencies as record indices, in `depends_on` order:
 /// record `i`'s are `of[start[i]..start[i + 1]]`. Also the records ranked
 /// by id.
 struct Deps {
     start: Vec<u32>,
     of: Vec<u32>,
-    /// Record indices in [`rank`] order.
+    /// Record indices in id order.
     by_id: Vec<u32>,
 }
 
 impl Deps {
-    /// Rank the records by id once, then resolve every dependency id by
-    /// binary search.
-    fn resolve(records: &[TraceRecord]) -> Result<Deps, FieldError> {
-        Deps::resolve_checked(records, rank(records), |_| Ok(()))
-    }
-
-    /// Resolve every dependency id by binary search in `ranked`, the
-    /// records' [`rank`]. `check(i)` runs before record `i`'s dependencies
-    /// and may fail it. An id that names no record fails, naming the record
-    /// that lists it, and so does a record that depends on itself. Of
-    /// records sharing an id, a dependency names the last.
-    fn resolve_checked(
-        records: &[TraceRecord],
-        ranked: Vec<(&str, u32)>,
-        mut check: impl FnMut(usize) -> Result<(), FieldError>,
-    ) -> Result<Deps, FieldError> {
+    /// Check the records as [`ReplayPlan::new`] does, all but the cycle: a
+    /// pass over the ids, then one over the records. The ids are ranked
+    /// once and every dependency id is found by binary search.
+    fn resolve_checked(records: &[TraceRecord], n_gcds: u8) -> Result<Deps, FieldError> {
+        if records.is_empty() {
+            return Err(FieldError::new(
+                "workload.records",
+                "trace must contain at least one record",
+            ));
+        }
+        // A record's rank is its position here, so ranks order records as
+        // their ids do.
+        let mut ranked: Vec<(&str, u32)> = records
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (r.id.as_str(), i as u32))
+            .collect();
+        ranked.sort_unstable();
+        // Records sharing an id sit together in `ranked`, in record order,
+        // so a record repeats an earlier id exactly when its neighbour
+        // before it has the same id.
+        let first_bad = ranked
+            .iter()
+            .enumerate()
+            .filter(|&(k, &(id, _))| id.is_empty() || (k > 0 && ranked[k - 1].0 == id))
+            .map(|(_, &(_, i))| i as usize)
+            .min();
+        if let Some(i) = first_bad {
+            let field = format!("workload.records[{i}].id");
+            let id = &records[i].id;
+            return Err(if id.is_empty() {
+                FieldError::new(field, "must be non-empty")
+            } else {
+                FieldError::new(field, format!("duplicate record id '{id}'"))
+            });
+        }
         let mut start = Vec::with_capacity(records.len() + 1);
         let mut of = Vec::new();
         start.push(0);
         for (i, r) in records.iter().enumerate() {
-            check(i)?;
+            check_op(i, r.op, n_gcds)?;
             for dep in &r.depends_on {
                 let at = ranked.partition_point(|&(id, _)| id <= dep.as_str());
                 let d = at
@@ -266,11 +237,10 @@ impl Deps {
 }
 
 /// The canonical topological order: Kahn's algorithm, ready set ordered by
-/// record id. Returns indices into `records`. Fails on an unknown
-/// dependency, on a record that depends on itself, and (naming a record on
-/// the cycle) on any longer cycle.
-pub fn canonical_order(records: &[TraceRecord]) -> Result<Vec<usize>, FieldError> {
-    kahn(records, &Deps::resolve(records)?)
+/// record id. Returns indices into `records`. Fails as [`ReplayPlan::new`]
+/// does.
+pub fn canonical_order(records: &[TraceRecord], n_gcds: u8) -> Result<Vec<usize>, FieldError> {
+    kahn(records, &Deps::resolve_checked(records, n_gcds)?)
 }
 
 fn kahn(records: &[TraceRecord], deps: &Deps) -> Result<Vec<usize>, FieldError> {
@@ -356,10 +326,15 @@ pub struct ReplayPlan {
 }
 
 impl ReplayPlan {
-    /// Resolve `records`: order them canonically and index their
-    /// dependencies. Fails on an unknown dependency or a cycle.
-    pub fn new(records: &[TraceRecord]) -> Result<ReplayPlan, FieldError> {
-        let deps = Deps::resolve(records)?;
+    /// Check `records` for a node of `n_gcds` devices, order them
+    /// canonically and index their dependencies: this is the trace check.
+    /// Of several faults it reports the first met: no records; an empty or
+    /// repeated id, by record; then record by record its size, its GCDs (on
+    /// the node, and a copy's two apart) and its dependencies (known, and
+    /// not itself); then a dependency cycle, naming a record on it. Field
+    /// paths index into `workload.records`.
+    pub fn new(records: &[TraceRecord], n_gcds: u8) -> Result<ReplayPlan, FieldError> {
+        let deps = Deps::resolve_checked(records, n_gcds)?;
         let order = kahn(records, &deps)?;
         let n = records.len();
         let mut pos = vec![0u32; n];
@@ -451,7 +426,9 @@ struct DeviceSlots {
 /// Replay a trace through `hip`, returning the makespan and byte totals:
 /// resolve it into a [`ReplayPlan`], then replay that.
 pub fn replay(hip: &mut HipSim, records: &[TraceRecord]) -> HipResult<ReplayStats> {
-    let plan = ReplayPlan::new(records).map_err(|e| HipError::InvalidValue(e.to_string()))?;
+    let n_gcds = u8::try_from(hip.device_count()).unwrap_or(u8::MAX);
+    let plan =
+        ReplayPlan::new(records, n_gcds).map_err(|e| HipError::InvalidValue(e.to_string()))?;
     replay_plan(hip, &plan)
 }
 
@@ -613,7 +590,7 @@ mod tests {
     #[test]
     fn canonical_order_respects_dependencies_and_ids() {
         let records = diamond();
-        let order = canonical_order(&records).unwrap();
+        let order = canonical_order(&records, 8).unwrap();
         let pos: std::collections::HashMap<&str, usize> = order
             .iter()
             .enumerate()
@@ -632,7 +609,7 @@ mod tests {
             rec("x", TraceOp::Kernel { gcd: 0, bytes: 8 }, &["y"]),
             rec("y", TraceOp::Kernel { gcd: 0, bytes: 8 }, &["x"]),
         ];
-        let e = validate(&records, 8).unwrap_err();
+        let e = ReplayPlan::new(&records, 8).unwrap_err();
         assert!(e.message.contains("cycle"), "{e}");
     }
 
@@ -647,11 +624,11 @@ mod tests {
             },
             &[],
         )];
-        let e = validate(&bad, 8).unwrap_err();
+        let e = ReplayPlan::new(&bad, 8).unwrap_err();
         assert_eq!(e.field, "workload.records[0].dst");
 
         let bad = vec![rec("a", TraceOp::H2D { dst: 0, bytes: 8 }, &["nope"])];
-        let e = validate(&bad, 8).unwrap_err();
+        let e = ReplayPlan::new(&bad, 8).unwrap_err();
         assert!(e.message.contains("nope"));
     }
 
@@ -669,7 +646,7 @@ mod tests {
     #[test]
     fn unknown_dependencies_fail_to_resolve() {
         let records = vec![rec("a", TraceOp::H2D { dst: 0, bytes: 8 }, &["nope"])];
-        let e = ReplayPlan::new(&records).unwrap_err();
+        let e = ReplayPlan::new(&records, 8).unwrap_err();
         assert_eq!(e.field, "workload.records[0].depends_on");
         let mut hip = HipSim::new(EnvConfig::default());
         assert!(replay(&mut hip, &records).is_err());
@@ -678,7 +655,7 @@ mod tests {
     #[test]
     fn the_plan_replays_the_diamond_as_the_oracle_does() {
         let records = diamond();
-        let plan = ReplayPlan::new(&records).unwrap();
+        let plan = ReplayPlan::new(&records, 8).unwrap();
         assert_eq!(plan.records(), 5);
         let run = |f: &dyn Fn(&mut HipSim) -> ReplayStats| {
             let mut hip = HipSim::new(EnvConfig::default());

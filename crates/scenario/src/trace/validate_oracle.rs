@@ -1,12 +1,11 @@
-//! The record-set validation that [`validate`](super::validate) replaced,
-//! kept as a test oracle: it indexes the ids in a map of its own, looks
-//! each dependency up there, and leaves the cycle check to
-//! [`canonical_order`](super::canonical_order), which ranks the ids again.
-//! The production check ranks them once. On any record set, planted
-//! faults included, both must return the same `Result`: the same first
-//! fault, field path and message.
+//! The record-set validation that [`ReplayPlan::new`](super::ReplayPlan::new)
+//! took over, kept as a test oracle: it indexes the ids in a map of its
+//! own, looks each dependency up there, and finds a cycle with a Kahn's
+//! loop of its own, in no particular order. The plan ranks the ids once.
+//! On any record set, planted faults included, both must return the same
+//! first fault, field path and message, and accept the same sets.
 
-use super::{canonical_order, FieldError, TraceOp, TraceRecord};
+use super::{FieldError, TraceOp, TraceRecord};
 use std::collections::BTreeMap;
 
 /// Validate a record set in two passes over the records: unique non-empty
@@ -80,12 +79,35 @@ pub fn validate(records: &[TraceRecord], n_gcds: u8) -> Result<(), FieldError> {
             }
         }
     }
-    // Cycle check == canonical order exists.
-    canonical_order(records).map(|_| ())
+    // The records Kahn's loop never reaches, in any pop order, are those on
+    // a cycle or after one; the first of them in record order is named.
+    let mut indegree: Vec<usize> = records.iter().map(|r| r.depends_on.len()).collect();
+    let mut dependents = vec![Vec::new(); records.len()];
+    for (i, r) in records.iter().enumerate() {
+        for dep in &r.depends_on {
+            dependents[index[dep.as_str()]].push(i);
+        }
+    }
+    let mut ready: Vec<usize> = (0..records.len()).filter(|&i| indegree[i] == 0).collect();
+    while let Some(d) = ready.pop() {
+        for &i in &dependents[d] {
+            indegree[i] -= 1;
+            if indegree[i] == 0 {
+                ready.push(i);
+            }
+        }
+    }
+    match (0..records.len()).find(|&i| indegree[i] > 0) {
+        Some(i) => Err(FieldError::new(
+            "workload.records",
+            format!("dependency cycle through record '{}'", records[i].id),
+        )),
+        None => Ok(()),
+    }
 }
 
 mod properties {
-    use super::super::validate as ranked_validate;
+    use super::super::ReplayPlan;
     use super::*;
     use proptest::prelude::*;
 
@@ -172,14 +194,14 @@ mod properties {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// Ranked validation reports exactly what the map-based oracle
+        /// The replay plan reports exactly what the map-based oracle
         /// reports, fault for fault, and accepts exactly what it accepts.
         #[test]
         fn ranked_validation_matches_the_map_oracle(
             records in arb_records(),
             n_gcds in 7u8..10,
         ) {
-            prop_assert_eq!(ranked_validate(&records, n_gcds), validate(&records, n_gcds));
+            prop_assert_eq!(ReplayPlan::new(&records, n_gcds).map(drop), validate(&records, n_gcds));
         }
     }
 }

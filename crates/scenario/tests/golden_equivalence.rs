@@ -180,3 +180,53 @@ fn all_golden_files_round_trip_canonically() {
         "expected at least 5 golden scenarios, saw {seen}"
     );
 }
+
+/// The canonical-form digest of every golden and stack-bench scenario file
+/// and of each generator at its defaults. `ifsim-serve --cache-dir` keys
+/// its persistent cache on these digests, so a change to the canonical
+/// form (key order, defaults written out, number rendering) would leave
+/// every stored entry cold. A deliberate change re-pins them here.
+#[test]
+fn scenario_digests_are_pinned() {
+    const PINS: [(&str, &str); 12] = [
+        ("collectives.json", "b57b29e0a7de6d81e6a0b32a8727d55c"),
+        ("fault-link-down.json", "912bc87d327847faf44d214f4bbb146d"),
+        ("halo-faulted.json", "1adb305f047a7773853bf06290a5a576"),
+        ("moe-alltoall.json", "00085101f3bc59177042c443c59d0b64"),
+        ("p2p-latency.json", "c3082ebb941e0140cd849ed79f847d7f"),
+        (
+            "stack/halo8-faulted.json",
+            "8922d74a3b39b81539d52a469d09cd6c",
+        ),
+        ("stack/moe8-scaled.json", "cd2bc24b17b87fbdcc0eeff7dae766d4"),
+        (
+            "stack/train8-scaled.json",
+            "9d1108eb051760acb32ff13bea073089",
+        ),
+        ("defaults:moe-alltoall", "12a26a3137c7348c4f82450c004b3741"),
+        ("defaults:param-server", "cdbcab113aff565e9fcfa511de054a69"),
+        ("defaults:halo", "3d9f6a456f7288e9c1ea0db169a098b4"),
+        ("defaults:train-step", "cd4d4757f0a0749ed0423177a714e125"),
+    ];
+    let stack_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../bench/examples/stack/workloads");
+    let got: Vec<(&str, String)> = PINS
+        .iter()
+        .map(|&(what, _)| {
+            let s = if let Some(ty) = what.strip_prefix("defaults:") {
+                Scenario::from_str(&format!(
+                    r#"{{"schema": "ifsim-scenario-v1", "name": "defaults",
+                        "workload": {{"type": "{ty}"}}}}"#
+                ))
+                .unwrap()
+            } else if let Some(file) = what.strip_prefix("stack/") {
+                let text = std::fs::read_to_string(stack_dir.join(file)).unwrap();
+                Scenario::from_str(&text).unwrap()
+            } else {
+                load(what)
+            };
+            (what, s.digest())
+        })
+        .collect();
+    let want: Vec<(&str, String)> = PINS.iter().map(|&(w, d)| (w, d.to_string())).collect();
+    assert_eq!(got, want, "a scenario's canonical form changed");
+}

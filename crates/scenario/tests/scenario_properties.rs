@@ -206,49 +206,81 @@ fn arb_workload() -> impl Strategy<Value = Workload> {
                 compute_bytes: 1 << 16,
             })
         }),
+        (2usize..5, 0usize..4, (1u64..9, 1u64..9), 1usize..3).prop_map(
+            |(ranks, server, (push_kib, pull_kib), steps)| {
+                Workload::Generator(GeneratorSpec::ParamServer {
+                    ranks,
+                    server: server % ranks,
+                    push_bytes: push_kib << 10,
+                    pull_bytes: pull_kib << 10,
+                    steps,
+                    apply_bytes: 1 << 16,
+                })
+            }
+        ),
+        (2usize..5, 1usize..4096, 1u64..9, (1usize..3, 1usize..3)).prop_map(
+            |(ranks, params, kib, (steps, compute_passes))| {
+                Workload::Generator(GeneratorSpec::TrainStep {
+                    ranks,
+                    params,
+                    batch_bytes: kib << 10,
+                    steps,
+                    compute_passes,
+                })
+            }
+        ),
     ]
+}
+
+/// A valid sweep axis over the `pick`-th sweepable parameter of `g`: two
+/// values every drawn generator accepts for it (ranks stay above any
+/// drawn parameter server).
+fn arb_axis(g: &GeneratorSpec, pick: usize) -> SweepAxis {
+    let params = g.sweepable_params();
+    let param = params[pick % params.len()];
+    let values = match param {
+        "ranks" => vec![4.0, 8.0],
+        "steps" | "iters" | "compute_passes" => vec![1.0, 2.0],
+        _ => vec![65536.0, 262144.0],
+    };
+    SweepAxis {
+        param: param.to_string(),
+        values,
+    }
 }
 
 fn arb_scenario() -> impl Strategy<Value = Scenario> {
     (
         (arb_name(), arb_config(), arb_calib()),
-        (arb_faults(), arb_workload(), any::<bool>()),
+        (arb_faults(), arb_workload(), any::<bool>(), 0usize..8),
     )
-        .prop_map(|((name, config, calib), (faults, workload, sweep_on))| {
-            // Registry workloads define their own fault plans, so the
-            // format rejects scheduled faults on them.
-            let faults = if matches!(workload, Workload::Registry { .. }) {
-                Vec::new()
-            } else {
-                faults
-            };
-            // Sweeps only make sense on generator workloads; use a valid
-            // axis over a parameter both generators share.
-            let sweep = match (&workload, sweep_on) {
-                (Workload::Generator(GeneratorSpec::MoeAllToAll { .. }), true) => {
-                    vec![SweepAxis {
-                        param: "bytes_per_pair".to_string(),
-                        values: vec![65536.0, 262144.0],
-                    }]
+        .prop_map(
+            |((name, config, calib), (faults, workload, sweep_on, pick))| {
+                // Registry workloads define their own fault plans, so the
+                // format rejects scheduled faults on them.
+                let faults = if matches!(workload, Workload::Registry { .. }) {
+                    Vec::new()
+                } else {
+                    faults
+                };
+                // Sweeps only make sense on generator workloads.
+                let sweep = match (&workload, sweep_on) {
+                    (Workload::Generator(g), true) => vec![arb_axis(g, pick)],
+                    _ => Vec::new(),
+                };
+                Scenario {
+                    title: name.clone(),
+                    description: String::new(),
+                    topology: "frontier".to_string(),
+                    name,
+                    config,
+                    calib,
+                    faults,
+                    workload,
+                    sweep,
                 }
-                (Workload::Generator(GeneratorSpec::Halo { .. }), true) => vec![SweepAxis {
-                    param: "halo_bytes".to_string(),
-                    values: vec![65536.0, 131072.0],
-                }],
-                _ => Vec::new(),
-            };
-            Scenario {
-                title: name.clone(),
-                description: String::new(),
-                topology: "frontier".to_string(),
-                name,
-                config,
-                calib,
-                faults,
-                workload,
-                sweep,
-            }
-        })
+            },
+        )
 }
 
 /// Rebuild a JSON value with every object's keys in reverse insertion
@@ -312,7 +344,7 @@ proptest! {
             keys[i % keys.len()]
         });
         let order = |recs: &[TraceRecord]| -> Vec<String> {
-            canonical_order(recs)
+            canonical_order(recs, 8)
                 .unwrap()
                 .into_iter()
                 .map(|i| recs[i].id.clone())
@@ -388,7 +420,7 @@ proptest! {
             (stats, ops)
         };
         for recs in [&records, &shuffled] {
-            let plan = ReplayPlan::new(recs).expect("valid records resolve");
+            let plan = ReplayPlan::new(recs, 8).expect("valid records resolve");
             prop_assert_eq!(plan.records(), recs.len());
             let (stats, ops) = run(&|hip| replay_plan(hip, &plan).expect("replays"));
             let (want_stats, want_ops) = run(&|hip| oracle::replay(hip, recs).expect("replays"));

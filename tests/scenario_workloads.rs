@@ -82,7 +82,7 @@ fn strip(halo: u64, compute: u64, exchange: Exchange) -> Vec<TraceRecord> {
 }
 
 fn makespan_us(records: &[TraceRecord]) -> f64 {
-    trace::validate(records, RANKS).expect("valid strip trace");
+    trace::ReplayPlan::new(records, RANKS).expect("valid strip trace");
     let mut hip = HipSim::new(EnvConfig::default());
     hip.mem_mut().set_phantom_threshold(0);
     trace::replay(&mut hip, records)
