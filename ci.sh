@@ -79,6 +79,18 @@ if [ "$DRIFT_CODE" -ne 1 ]; then
     exit 1
 fi
 
+echo "==> closed stdout: repro behind | head -1 keeps its verdict, quietly"
+# A reader that stops early is ordinary for a CLI: repro must drop the rest
+# of its report and exit with its checks' verdict (0: they all pass) with
+# nothing on stderr, not panic on the broken pipe (exit 101).
+PIPE_CODE=0
+./target/release/repro --quick --reps 1 all 2> "$TELEMETRY_TMP/pipe.err" | head -1 > /dev/null \
+    || PIPE_CODE=$?
+if [ "$PIPE_CODE" -ne 0 ] || [ -s "$TELEMETRY_TMP/pipe.err" ]; then
+    echo "repro | head -1 exited $PIPE_CODE: $(cat "$TELEMETRY_TMP/pipe.err")" >&2
+    exit 1
+fi
+
 echo "==> scenario smoke: golden files lint + repro --scenario replay"
 # Every golden scenario and every stack-bench workload file must validate
 # (the lint errors name the offending field path), and the MoE acceptance

@@ -25,6 +25,7 @@
 //!   --list           list experiments and exit
 //! ```
 
+use ifsim_bench::outln;
 use ifsim_bench::telemetry::CollectedTelemetry;
 use ifsim_bench::{load_scenario, run_set, select, ArtifactArgs, BenchConfig, Experiment, RunOpts};
 use ifsim_core::registry;
@@ -86,13 +87,13 @@ fn parse_args() -> Result<Args, String> {
                 args.scenarios.push(PathBuf::from(v));
             }
             "--help" | "-h" => {
-                println!(
+                outln!(
                     "usage: repro [--quick] [--seed N] [--reps N] [--csv DIR] \
                      [--trace-out FILE] [--metrics-out FILE] [--attr-out FILE] \
                      [--attr-json FILE] [--timeseries-out FILE] [--critpath-out FILE] \
                      [--jobs N] [--scenario FILE]... [--list] [IDS...]"
                 );
-                println!("experiments: {}", registry::ids().join(", "));
+                outln!("experiments: {}", registry::ids().join(", "));
                 std::process::exit(0);
             }
             "all" => {
@@ -142,7 +143,7 @@ fn main() -> ExitCode {
     };
     if args.list {
         for e in registry::all() {
-            println!("{:<8} {} — {}", e.id, e.title, e.description);
+            outln!("{:<8} {} — {}", e.id, e.title, e.description);
         }
         return ExitCode::SUCCESS;
     }
@@ -154,9 +155,11 @@ fn main() -> ExitCode {
         }
     };
 
-    println!(
+    outln!(
         "ifsim repro — seed {:#x}, {} reps + {} warmup\n",
-        args.cfg.seed, args.cfg.reps, args.cfg.warmup
+        args.cfg.seed,
+        args.cfg.reps,
+        args.cfg.warmup
     );
     // Results come back in submission order regardless of --jobs, and each
     // experiment seeds its simulators from the config alone, so the loop
@@ -170,7 +173,7 @@ fn main() -> ExitCode {
     let mut total_checks = 0usize;
     let mut merged = CollectedTelemetry::new();
     for (r, telemetry) in results {
-        println!("{}", r.report());
+        outln!("{}", r.report());
         total_checks += r.checks.len();
         failed += r.checks.iter().filter(|c| !c.passed).count();
         if let Err(e) = args.artifacts.write_result(&r, &telemetry) {
@@ -184,7 +187,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    println!(
+    outln!(
         "summary: {n} experiments, {}/{} checks passed",
         total_checks - failed,
         total_checks

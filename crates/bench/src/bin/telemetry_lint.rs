@@ -52,6 +52,7 @@
 //! faults/calibration against the frontier topology and calibration
 //! table). Exit code 0 when every given file passes, 1 otherwise.
 
+use ifsim_bench::outln;
 use ifsim_core::fabric::SegmentMap;
 use ifsim_core::telemetry::json::{self, Value};
 use ifsim_core::topology::NodeTopology;
@@ -868,7 +869,7 @@ fn main() -> ExitCode {
             "--critpath" => critpath = it.next().map(PathBuf::from),
             "--scenario" => scenarios.extend(it.next().map(PathBuf::from)),
             "--help" | "-h" => {
-                println!(
+                outln!(
                     "usage: telemetry-lint [--trace FILE] [--metrics FILE] \
                      [--bench FILE] [--attr FILE] [--serve FILE] \
                      [--prom FILE|-] [--critpath FILE] [--scenario FILE]..."
@@ -899,7 +900,7 @@ fn main() -> ExitCode {
     let mut ok = true;
     if let Some(path) = trace {
         match load(&path).and_then(|v| lint_trace(&v)) {
-            Ok(n) => println!("trace   OK: {} — {n} events", path.display()),
+            Ok(n) => outln!("trace   OK: {} — {n} events", path.display()),
             Err(e) => {
                 eprintln!("trace   FAIL: {} — {e}", path.display());
                 ok = false;
@@ -908,7 +909,7 @@ fn main() -> ExitCode {
     }
     if let Some(path) = metrics {
         match load(&path).and_then(|v| lint_metrics(&v)) {
-            Ok(n) => println!("metrics OK: {} — {n} entries", path.display()),
+            Ok(n) => outln!("metrics OK: {} — {n} entries", path.display()),
             Err(e) => {
                 eprintln!("metrics FAIL: {} — {e}", path.display());
                 ok = false;
@@ -917,7 +918,7 @@ fn main() -> ExitCode {
     }
     if let Some(path) = bench {
         match load(&path).and_then(|v| lint_bench(&v)) {
-            Ok(n) => println!("bench   OK: {} — {n} runs", path.display()),
+            Ok(n) => outln!("bench   OK: {} — {n} runs", path.display()),
             Err(e) => {
                 eprintln!("bench   FAIL: {} — {e}", path.display());
                 ok = false;
@@ -926,7 +927,7 @@ fn main() -> ExitCode {
     }
     if let Some(path) = attr {
         match load(&path).and_then(|v| lint_attr(&v)) {
-            Ok(n) => println!("attr    OK: {} — {n} segments", path.display()),
+            Ok(n) => outln!("attr    OK: {} — {n} segments", path.display()),
             Err(e) => {
                 eprintln!("attr    FAIL: {} — {e}", path.display());
                 ok = false;
@@ -935,7 +936,7 @@ fn main() -> ExitCode {
     }
     if let Some(path) = serve {
         match load(&path).and_then(|v| lint_serve(&v)) {
-            Ok(n) => println!("serve   OK: {} — {n} metric entries", path.display()),
+            Ok(n) => outln!("serve   OK: {} — {n} metric entries", path.display()),
             Err(e) => {
                 eprintln!("serve   FAIL: {} — {e}", path.display());
                 ok = false;
@@ -944,7 +945,7 @@ fn main() -> ExitCode {
     }
     if let Some(path) = critpath {
         match load(&path).and_then(|v| lint_critpath(&v)) {
-            Ok(n) => println!("critpath OK: {} — {n} top entries", path.display()),
+            Ok(n) => outln!("critpath OK: {} — {n} top entries", path.display()),
             Err(e) => {
                 eprintln!("critpath FAIL: {} — {e}", path.display());
                 ok = false;
@@ -953,7 +954,7 @@ fn main() -> ExitCode {
     }
     for path in &scenarios {
         match lint_scenario(path) {
-            Ok(summary) => println!("scenario OK: {} — {summary}", path.display()),
+            Ok(summary) => outln!("scenario OK: {} — {summary}", path.display()),
             Err(e) => {
                 eprintln!("scenario FAIL: {} — {e}", path.display());
                 ok = false;
@@ -970,7 +971,7 @@ fn main() -> ExitCode {
             std::fs::read_to_string(&src).map_err(|e| format!("cannot read {src}: {e}"))
         };
         match text.and_then(|t| lint_prom(&t)) {
-            Ok(n) => println!("prom    OK: {src} — {n} samples"),
+            Ok(n) => outln!("prom    OK: {src} — {n} samples"),
             Err(e) => {
                 eprintln!("prom    FAIL: {src} — {e}");
                 ok = false;

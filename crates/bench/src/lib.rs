@@ -205,6 +205,37 @@ impl ArtifactArgs {
     }
 }
 
+/// `println!` for the command-line tools, except that a closed stdout is
+/// not a crash: once the reader has gone away (`repro all | head -1`),
+/// this and every later line is dropped and the tool carries on, so its
+/// artifacts are still written and its exit status is still its verdict.
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::write_stdout_line(format_args!($($arg)*))
+    };
+}
+
+/// Set once a write to stdout has met a closed pipe.
+static STDOUT_CLOSED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+
+/// The body of [`outln!`].
+#[doc(hidden)]
+pub fn write_stdout_line(line: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    use std::sync::atomic::Ordering;
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    match writeln!(std::io::stdout().lock(), "{line}") {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {
+            STDOUT_CLOSED.store(true, Ordering::Relaxed);
+        }
+        Err(e) => panic!("failed printing to stdout: {e}"),
+    }
+}
+
 /// Write `contents` to `path`; the error names the path.
 pub fn write(path: &Path, contents: &str) -> Result<(), String> {
     std::fs::write(path, contents).map_err(|e| format!("cannot write {}: {e}", path.display()))

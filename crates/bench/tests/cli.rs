@@ -1,7 +1,7 @@
 //! Smoke tests for the `repro` and `mgpu-bench` binaries: argument
 //! handling, output shape, and exit codes.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -276,6 +276,85 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("ifsim-cli-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     dir
+}
+
+/// A stdout whose reader has already gone: the write end of a pipe whose
+/// only reader, `true`, has exited, so every write fails with a broken
+/// pipe, however early it comes.
+fn closed_pipe() -> Stdio {
+    let mut reader = Command::new("true")
+        .stdin(Stdio::piped())
+        .spawn()
+        .expect("spawn true");
+    let writer = reader.stdin.take().expect("piped stdin");
+    reader.wait().expect("wait for true");
+    Stdio::from(writer)
+}
+
+/// A closed stdout is not a crash: once the reader of `repro all | head
+/// -1` has gone, `repro` drops the rest of its report, still writes every
+/// artifact, and exits with its checks' verdict, with no panic or
+/// backtrace on stderr.
+#[test]
+fn repro_exits_quietly_when_stdout_closes() {
+    let dir = temp_dir("closed-stdout");
+    let metrics = dir.join("metrics.json");
+    let out = repro()
+        .args(["--quick", "--reps", "1", "--csv"])
+        .arg(&dir)
+        .arg("--metrics-out")
+        .arg(&metrics)
+        .args(["fig6a", "ext-fault-link-down"])
+        .stdout(closed_pipe())
+        .output()
+        .expect("run repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(stderr.is_empty(), "{stderr}");
+    let csv = std::fs::read_to_string(dir.join("fig6a.csv")).expect("fig6a.csv written");
+    assert!(csv.starts_with("src\\dst"), "{csv}");
+    let metrics_text = std::fs::read_to_string(&metrics).expect("metrics written");
+    assert!(
+        metrics_text.contains("hip_op_duration_ns"),
+        "{metrics_text}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The same for `telemetry-lint`, whose exit status must stay the lints'
+/// verdict: a failing trace followed by a passing metrics file, with the
+/// `metrics OK` line meeting a closed pipe, still exits 1 and lints every
+/// input.
+#[test]
+fn telemetry_lint_keeps_its_verdict_when_stdout_closes() {
+    let dir = temp_dir("lint-closed-stdout");
+    let bad_trace = dir.join("bad-trace.json");
+    std::fs::write(&bad_trace, r#"{"traceEvents":[{"ph":"X"}]}"#).unwrap();
+    let good_metrics = dir.join("metrics.json");
+    std::fs::write(
+        &good_metrics,
+        r#"{"counters":[{"name":"n","labels":{},"value":1}],"gauges":[],"histograms":[]}"#,
+    )
+    .unwrap();
+    let bad_scenario = dir.join("bad-scenario.json");
+    std::fs::write(&bad_scenario, "{").unwrap();
+    let out = lint()
+        .arg("--trace")
+        .arg(&bad_trace)
+        .arg("--metrics")
+        .arg(&good_metrics)
+        .arg("--scenario")
+        .arg(&bad_scenario)
+        .stdout(closed_pipe())
+        .output()
+        .expect("run telemetry-lint");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("trace   FAIL"), "{stderr}");
+    // The scenario after the muted `metrics OK` line is still linted.
+    assert!(stderr.contains("scenario FAIL"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -6,9 +6,9 @@
 //!
 //! ```text
 //! loop {
-//!     t_queue = engine.peek_time();
-//!     t_flow  = net.peek_completion();
-//!     advance to min(t_queue, t_flow) and dispatch that side
+//!     t_wake = wakes.peek_time();
+//!     t_flow = net.peek_completion();
+//!     advance to min(t_wake, t_flow) and dispatch that side
 //! }
 //! ```
 //!
@@ -18,8 +18,9 @@
 //!
 //! ## Engine internals (see `docs/PERFORMANCE.md` for the full story)
 //!
-//! - Flows live in a **dense entry vector** plus a `FlowId → index` map;
-//!   removal is `swap_remove`. Segment lists live in a persistent CSR
+//! - Flows live in a **dense entry vector** plus a `FlowId → index` table
+//!   (ids are dense and never reused, so the table is a vector indexed by
+//!   id); removal is `swap_remove`. Segment lists live in a persistent CSR
 //!   [`FlowArena`] maintained incrementally, so a recompute walks
 //!   contiguous memory and allocates nothing
 //!   ([`crate::fairshare::max_min_rates_arena`]).
@@ -53,7 +54,9 @@ use crate::seg::{Dir, SegId, SegmentMap};
 use ifsim_des::{Dur, Time};
 use ifsim_topology::LinkId;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+
+/// The `ids` slot of a flow that is no longer active.
+const DONE: u32 = u32::MAX;
 
 /// One active flow in the dense table. Its segment list lives at the same
 /// index in the arena; its rate and projected completion at the same index
@@ -121,13 +124,15 @@ pub struct LinkLoad {
 /// Fluid network state. See module docs for the driving protocol.
 pub struct FlowNet {
     segmap: SegmentMap,
-    /// FlowId → dense index into `entries` / arena / rate vectors.
-    ids: BTreeMap<FlowId, u32>,
+    /// Dense index into `entries` / arena / rate vectors, indexed by
+    /// `FlowId`: ids are handed out in order from 0 and never reused, so
+    /// the next id is `ids.len()`. [`DONE`] marks a completed or aborted
+    /// flow.
+    ids: Vec<u32>,
     entries: Vec<Entry>,
     /// CSR segment lists, parallel to `entries`.
     arena: FlowArena,
     now: Time,
-    next_id: u64,
     /// Cumulative wire bytes carried per segment (utilization accounting).
     seg_bytes: Vec<f64>,
     /// Nanoseconds each segment spent with ≥ 1 active flow crossing it.
@@ -155,11 +160,10 @@ impl FlowNet {
         let n = segmap.len();
         FlowNet {
             segmap,
-            ids: BTreeMap::new(),
+            ids: Vec::new(),
             entries: Vec::new(),
             arena: FlowArena::new(),
             now: Time::ZERO,
-            next_id: 0,
             seg_bytes: vec![0.0; n],
             seg_busy_ns: vec![0.0; n],
             busy_mark: vec![0; n],
@@ -322,12 +326,20 @@ impl FlowNet {
 
     /// Ids of all active flows, ascending.
     pub fn active_ids(&self) -> Vec<FlowId> {
-        self.ids.keys().copied().collect()
+        let mut ids: Vec<FlowId> = self.entries.iter().map(|e| e.id).collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// The spec a flow was submitted with, while it is active.
     pub fn spec_of(&self, id: FlowId) -> Option<&FlowSpec> {
-        self.ids.get(&id).map(|&i| &self.entries[i as usize].spec)
+        self.index_of(id).map(|i| &self.entries[i].spec)
+    }
+
+    /// The dense index of a flow, while it is active.
+    fn index_of(&self, id: FlowId) -> Option<usize> {
+        let i = *self.ids.get(usize::try_from(id.0).ok()?)?;
+        (i != DONE).then_some(i as usize)
     }
 
     /// Current network-local time.
@@ -513,9 +525,7 @@ impl FlowNet {
     /// Current payload rate of a flow, bytes/s.
     pub fn rate_of(&self, id: FlowId) -> Option<f64> {
         self.flush();
-        self.ids
-            .get(&id)
-            .map(|&i| self.rs.borrow().rates[i as usize])
+        self.index_of(id).map(|i| self.rs.borrow().rates[i])
     }
 
     /// Admit a flow into the dense table without advancing time or forcing a
@@ -533,8 +543,7 @@ impl FlowNet {
                 self.segmap.label(s)
             );
         }
-        let id = FlowId(self.next_id);
-        self.next_id += 1;
+        let id = FlowId(self.ids.len() as u64);
         // The log keeps segment ids; names are rendered at export.
         self.log.push_with(|| FlowEvent {
             at: self.now,
@@ -547,7 +556,7 @@ impl FlowNet {
         let wire_cap = spec.wire_cap();
         self.arena.push(&spec.segs, wire_cap);
         let path = self.path_table.intern(&spec.segs, wire_cap);
-        self.ids.insert(id, self.entries.len() as u32);
+        self.ids.push(self.entries.len() as u32);
         self.entries.push(Entry {
             id,
             spec,
@@ -573,7 +582,8 @@ impl FlowNet {
     /// swap-remove lockstep: the flow swapped into its slot carries its
     /// rate and projection along.
     fn remove_flow(&mut self, id: FlowId) -> Option<(Entry, AttrAcc)> {
-        let idx = self.ids.remove(&id)? as usize;
+        let idx = self.index_of(id)?;
+        self.ids[id.0 as usize] = DONE;
         let e = self.entries.swap_remove(idx);
         let acc = self.attr.swap_remove(idx);
         self.arena.swap_remove(idx);
@@ -584,7 +594,7 @@ impl FlowNet {
         rs.dirty = true;
         if idx < self.entries.len() {
             let moved = self.entries[idx].id;
-            *self.ids.get_mut(&moved).expect("moved flow is indexed") = idx as u32;
+            self.ids[moved.0 as usize] = idx as u32;
         }
         Some((e, acc))
     }

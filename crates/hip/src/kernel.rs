@@ -87,47 +87,47 @@ impl KernelSpec {
         }
     }
 
-    /// `(buffer, bytes)` read by the kernel.
-    pub fn reads(&self) -> Vec<(BufferId, u64)> {
-        match *self {
+    /// `(buffer, bytes)` read by the kernel: at most two operands.
+    pub fn reads(&self) -> impl Iterator<Item = (BufferId, u64)> {
+        let pair = match *self {
             KernelSpec::StreamCopy { src, elems, .. }
-            | KernelSpec::StreamScale { src, elems, .. } => vec![(src, elems as u64 * 4)],
+            | KernelSpec::StreamScale { src, elems, .. } => [Some((src, elems as u64 * 4)), None],
             KernelSpec::StreamAdd { a, b, elems, .. }
             | KernelSpec::StreamTriad { a, b, elems, .. } => {
-                vec![(a, elems as u64 * 4), (b, elems as u64 * 4)]
+                [Some((a, elems as u64 * 4)), Some((b, elems as u64 * 4))]
             }
-            KernelSpec::Init { .. } => vec![],
-            KernelSpec::Touch { buf, bytes } => vec![(buf, bytes)],
-        }
+            KernelSpec::Init { .. } => [None, None],
+            KernelSpec::Touch { buf, bytes } => [Some((buf, bytes)), None],
+        };
+        pair.into_iter().flatten()
     }
 
-    /// `(buffer, bytes)` written by the kernel.
-    pub fn writes(&self) -> Vec<(BufferId, u64)> {
+    /// `(buffer, bytes)` written by the kernel: at most one operand.
+    pub fn writes(&self) -> impl Iterator<Item = (BufferId, u64)> {
         match *self {
             KernelSpec::StreamCopy { dst, elems, .. }
             | KernelSpec::StreamScale { dst, elems, .. }
             | KernelSpec::StreamAdd { dst, elems, .. }
             | KernelSpec::StreamTriad { dst, elems, .. }
-            | KernelSpec::Init { dst, elems, .. } => vec![(dst, elems as u64 * 4)],
-            KernelSpec::Touch { .. } => vec![],
+            | KernelSpec::Init { dst, elems, .. } => Some((dst, elems as u64 * 4)),
+            KernelSpec::Touch { .. } => None,
         }
+        .into_iter()
+    }
+
+    /// Every operand: the reads, then the writes.
+    fn operands(&self) -> impl Iterator<Item = (BufferId, u64)> {
+        self.reads().chain(self.writes())
     }
 
     /// Whether the kernel reads or writes `buf`.
     pub(crate) fn uses(&self, buf: BufferId) -> bool {
-        self.reads()
-            .into_iter()
-            .chain(self.writes())
-            .any(|(b, _)| b == buf)
+        self.operands().any(|(b, _)| b == buf)
     }
 
     /// Total bytes moved (reads + writes) — the STREAM bandwidth numerator.
     pub fn traffic_bytes(&self) -> u64 {
-        self.reads()
-            .iter()
-            .chain(self.writes().iter())
-            .map(|(_, b)| b)
-            .sum()
+        self.operands().map(|(_, b)| b).sum()
     }
 
     /// Execute the kernel on real backings. Returns `Ok(false)` (a
@@ -135,9 +135,9 @@ impl KernelSpec {
     /// either way.
     pub fn apply(&self, mem: &mut MemorySystem) -> HipResult<bool> {
         // Validate every operand range first.
-        for (buf, bytes) in self.reads().iter().chain(self.writes().iter()) {
-            let a = mem.get(*buf)?;
-            if *bytes > a.bytes {
+        for (buf, bytes) in self.operands() {
+            let a = mem.get(buf)?;
+            if bytes > a.bytes {
                 return Err(HipError::InvalidValue(format!(
                     "kernel {} touches {bytes} B of a {} B buffer",
                     self.name(),
@@ -146,10 +146,8 @@ impl KernelSpec {
             }
         }
         let all_real = self
-            .reads()
-            .iter()
-            .chain(self.writes().iter())
-            .all(|(buf, _)| mem.get(*buf).map(|a| a.backing.is_real()).unwrap_or(false));
+            .operands()
+            .all(|(buf, _)| mem.get(buf).map(|a| a.backing.is_real()).unwrap_or(false));
         if !all_real {
             return Ok(false);
         }

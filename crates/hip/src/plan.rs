@@ -22,7 +22,7 @@ use crate::kernel::KernelSpec;
 use crate::op::MemcpyKind;
 use ifsim_des::{Dur, Rng};
 use ifsim_fabric::latency::peer_copy_latency;
-use ifsim_fabric::{Calibration, FlowSpec, SegmentMap};
+use ifsim_fabric::{Calibration, FlowSpec, SegId, SegmentMap};
 use ifsim_memory::{Allocation, BufferId, MemKind, MemSpace, MemorySystem};
 use ifsim_topology::{GcdId, NodeTopology, NumaId, Path, RoutePolicy, Router};
 use std::collections::BTreeSet;
@@ -105,6 +105,22 @@ impl Effect {
     }
 }
 
+/// How much of a plan a planner call builds.
+///
+/// Submission validates an API call's arguments synchronously, as the HIP
+/// entry points do, but the op is planned for real only when it starts (so
+/// it sees the memory state earlier ops leave behind). `Check` runs the same
+/// planner code as `Build`, so every error and every jitter draw happens in
+/// the same order, but it builds no segment lists, flows or effects: its
+/// plan carries only the latency.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Mode {
+    /// Build the whole plan.
+    Build,
+    /// Make every check and draw, and build nothing.
+    Check,
+}
+
 /// The planned execution of one op.
 pub struct OpPlan {
     /// Fixed delay before the flows start (software + engine latency).
@@ -134,6 +150,52 @@ pub struct PlanCtx<'a> {
     /// Current fabric condition (degraded links, failed SDMA engines,
     /// bit-error taxes) from applied fault events.
     pub fabric_health: &'a FabricHealth,
+    /// What the planners build: always [`Mode::Build`] outside this crate.
+    pub(crate) mode: Mode,
+}
+
+/// The flows and effects of a plan being built; under [`Mode::Check`] they
+/// stay empty and their constructors never run.
+struct Draft {
+    build: bool,
+    flows: Vec<FlowSpec>,
+    effects: Vec<Effect>,
+}
+
+impl Draft {
+    fn new(mode: Mode) -> Self {
+        Draft {
+            build: mode == Mode::Build,
+            flows: Vec::new(),
+            effects: Vec::new(),
+        }
+    }
+
+    fn flow(&mut self, f: impl FnOnce() -> FlowSpec) {
+        if self.build {
+            self.flows.push(f());
+        }
+    }
+
+    fn effect(&mut self, e: Effect) {
+        if self.build {
+            self.effects.push(e);
+        }
+    }
+
+    fn effect_first(&mut self, e: Effect) {
+        if self.build {
+            self.effects.insert(0, e);
+        }
+    }
+
+    fn finish(self, latency: Dur) -> OpPlan {
+        OpPlan {
+            latency,
+            flows: self.flows,
+            effects: self.effects,
+        }
+    }
 }
 
 impl<'a> PlanCtx<'a> {
@@ -167,13 +229,17 @@ impl<'a> PlanCtx<'a> {
     }
 
     /// Segments for zero-copy/host traffic between `gcd` and NUMA `n`.
-    /// `to_gcd` selects traffic direction (read vs. write).
+    /// `to_gcd` selects traffic direction (read vs. write). A check-only
+    /// context returns no segments.
     pub fn host_traffic_segs(
         &self,
         gcd: GcdId,
         n: NumaId,
         to_gcd: bool,
     ) -> Vec<ifsim_fabric::SegId> {
+        if self.mode == Mode::Check {
+            return Vec::new();
+        }
         let route = self.router.host_route(gcd, n);
         let path = if to_gcd {
             route.reversed()
@@ -200,7 +266,8 @@ impl<'a> PlanCtx<'a> {
     }
 
     /// Segments for kernel traffic between `gcd` and peer `p`, or
-    /// [`HipError::LinkDown`] if the pair is partitioned.
+    /// [`HipError::LinkDown`] if the pair is partitioned. A check-only
+    /// context makes the route check and returns no segments.
     pub fn peer_kernel_segs(
         &self,
         gcd: GcdId,
@@ -212,6 +279,9 @@ impl<'a> PlanCtx<'a> {
         } else {
             self.peer_route(gcd, p)?
         };
+        if self.mode == Mode::Check {
+            return Ok(Vec::new());
+        }
         let mut segs = self.segmap.path_segments(self.topo, path, true);
         segs.push(self.segmap.hbm_seg(p));
         Ok(segs)
@@ -227,22 +297,25 @@ pub fn plan_kernel(
 ) -> HipResult<OpPlan> {
     let calib = ctx.calib;
     let mut latency = calib.kernel_launch_overhead;
-    let mut flows = Vec::new();
-    let mut effects = Vec::new();
+    let mut out = Draft::new(ctx.mode);
     let mut any_nonlocal = false;
+    let local = |bytes: u64| {
+        FlowSpec::new(
+            vec![ctx.segmap.hbm_seg(gcd)],
+            bytes as f64,
+            calib.eff_kernel_hbm,
+        )
+    };
 
-    let operands: Vec<(BufferId, u64, bool)> = spec
-        .reads()
-        .into_iter()
-        .map(|(b, n)| (b, n, false))
-        .chain(spec.writes().into_iter().map(|(b, n)| (b, n, true)))
-        .collect();
-
+    let reads = spec.reads().map(|(b, n)| (b, n, false));
+    let operands = reads.chain(spec.writes().map(|(b, n)| (b, n, true)));
     for (buf, bytes, is_write) in operands {
+        // Every operand must name a live buffer, as `KernelSpec::apply`
+        // checks at completion, even one the kernel touches no bytes of.
+        let alloc = ctx.mem.get(buf)?;
         if bytes == 0 {
             continue;
         }
-        let alloc = ctx.mem.get(buf)?;
         if bytes > alloc.bytes {
             return Err(HipError::InvalidValue(format!(
                 "kernel {} touches {bytes} B of {} B buffer {buf:?}",
@@ -252,21 +325,11 @@ pub fn plan_kernel(
         }
         let space = ctx.dominant_space(alloc);
         match space {
-            MemSpace::Hbm(owner) if owner == gcd => {
-                flows.push(FlowSpec::new(
-                    vec![ctx.segmap.hbm_seg(gcd)],
-                    bytes as f64,
-                    calib.eff_kernel_hbm,
-                ));
-            }
+            MemSpace::Hbm(owner) if owner == gcd => out.flow(|| local(bytes)),
             _ if alloc.kind == MemKind::Managed && alloc.read_mostly && !is_write => {
                 // Read-mostly managed memory: the driver has duplicated the
                 // pages locally; reads run at HBM speed wherever they are.
-                flows.push(FlowSpec::new(
-                    vec![ctx.segmap.hbm_seg(gcd)],
-                    bytes as f64,
-                    calib.eff_kernel_hbm,
-                ));
+                out.flow(|| local(bytes));
             }
             MemSpace::Hbm(owner) => {
                 // Peer HBM. Device allocations require an explicit peer
@@ -280,66 +343,48 @@ pub fn plan_kernel(
                 if alloc.kind == MemKind::Managed && alloc.read_mostly && is_write {
                     // A write collapses the duplicates, then proceeds on the
                     // normal managed path.
-                    effects.push(Effect::SetReadMostly {
+                    out.effect(Effect::SetReadMostly {
                         buf: alloc.id,
                         value: false,
                     });
-                    flows.push(FlowSpec::new(
-                        ctx.peer_kernel_segs(gcd, owner, !is_write)?,
-                        bytes as f64,
-                        calib.eff_kernel_xgmi,
-                    ));
+                    let segs = ctx.peer_kernel_segs(gcd, owner, !is_write)?;
+                    out.flow(|| FlowSpec::new(segs, bytes as f64, calib.eff_kernel_xgmi));
                 } else if alloc.kind == MemKind::Managed && ctx.env.xnack {
-                    plan_migration(
-                        ctx,
-                        gcd,
-                        alloc,
-                        bytes,
-                        &mut latency,
-                        &mut flows,
-                        &mut effects,
-                    )?;
+                    plan_migration(ctx, gcd, alloc, bytes, &mut latency, &mut out)?;
                 } else {
-                    flows.push(FlowSpec::new(
-                        ctx.peer_kernel_segs(gcd, owner, !is_write)?,
-                        bytes as f64,
-                        calib.eff_kernel_xgmi,
-                    ));
+                    let segs = ctx.peer_kernel_segs(gcd, owner, !is_write)?;
+                    out.flow(|| FlowSpec::new(segs, bytes as f64, calib.eff_kernel_xgmi));
                 }
             }
             MemSpace::Ddr(numa) => {
                 any_nonlocal = true;
                 match alloc.kind {
                     MemKind::HostPinned(_) => {
-                        flows.push(FlowSpec::new(
-                            ctx.host_traffic_segs(gcd, numa, !is_write),
-                            bytes as f64,
-                            calib.eff_kernel_host_pinned,
-                        ));
+                        out.flow(|| {
+                            FlowSpec::new(
+                                ctx.host_traffic_segs(gcd, numa, !is_write),
+                                bytes as f64,
+                                calib.eff_kernel_host_pinned,
+                            )
+                        });
                     }
                     MemKind::Managed => {
                         if alloc.read_mostly && is_write {
-                            effects.push(Effect::SetReadMostly {
+                            out.effect(Effect::SetReadMostly {
                                 buf: alloc.id,
                                 value: false,
                             });
                         }
                         if ctx.env.xnack {
-                            plan_migration(
-                                ctx,
-                                gcd,
-                                alloc,
-                                bytes,
-                                &mut latency,
-                                &mut flows,
-                                &mut effects,
-                            )?;
+                            plan_migration(ctx, gcd, alloc, bytes, &mut latency, &mut out)?;
                         } else {
-                            flows.push(FlowSpec::new(
-                                ctx.host_traffic_segs(gcd, numa, !is_write),
-                                bytes as f64,
-                                calib.eff_managed_for_size(alloc.bytes),
-                            ));
+                            out.flow(|| {
+                                FlowSpec::new(
+                                    ctx.host_traffic_segs(gcd, numa, !is_write),
+                                    bytes as f64,
+                                    calib.eff_managed_for_size(alloc.bytes),
+                                )
+                            });
                         }
                     }
                     MemKind::HostPageable => {
@@ -350,11 +395,13 @@ pub fn plan_kernel(
                         }
                         // HMM-style access: retry-capable but uncachable and
                         // unpinned; modeled at managed zero-copy efficiency.
-                        flows.push(FlowSpec::new(
-                            ctx.host_traffic_segs(gcd, numa, !is_write),
-                            bytes as f64,
-                            calib.eff_kernel_host_managed,
-                        ));
+                        out.flow(|| {
+                            FlowSpec::new(
+                                ctx.host_traffic_segs(gcd, numa, !is_write),
+                                bytes as f64,
+                                calib.eff_kernel_host_managed,
+                            )
+                        });
                     }
                     MemKind::Device => unreachable!("device memory homed in DDR"),
                 }
@@ -362,16 +409,18 @@ pub fn plan_kernel(
         }
     }
 
-    effects.push(Effect::Kernel(spec.clone()));
+    out.effect(Effect::Kernel(spec.clone()));
     if any_nonlocal {
         latency += calib.remote_access_latency;
     }
     latency = latency * rng.jitter(calib.latency_jitter_rel);
-    Ok(OpPlan {
-        latency,
-        flows,
-        effects,
-    })
+    Ok(out.finish(latency))
+}
+
+/// `segs` followed by `tail`.
+fn then(mut segs: Vec<SegId>, tail: &[SegId]) -> Vec<SegId> {
+    segs.extend_from_slice(tail);
+    segs
 }
 
 /// Add XNACK fault-and-migrate work for a managed operand: per-page fault
@@ -383,40 +432,32 @@ fn plan_migration(
     alloc: &Allocation,
     bytes: u64,
     latency: &mut Dur,
-    flows: &mut Vec<FlowSpec>,
-    effects: &mut Vec<Effect>,
+    out: &mut Draft,
 ) -> HipResult<()> {
     let calib = ctx.calib;
     let pt = alloc.pages.as_ref().expect("managed allocation has pages");
     let target = MemSpace::Hbm(gcd);
+    let hbm = ctx.segmap.hbm_seg(gcd);
     let pages = pt.non_resident_pages(0, bytes, target);
     if pages > 0 {
         let from = ctx.dominant_space(alloc);
         *latency += calib.migration_fault_overhead * pages as f64;
         let mig_bytes = (pages as u64 * pt.page_size()) as f64;
-        let mut segs = match from {
+        let segs = match from {
             MemSpace::Ddr(n) => ctx.host_traffic_segs(gcd, n, true),
             MemSpace::Hbm(p) if p != gcd => ctx.peer_kernel_segs(gcd, p, true)?,
-            MemSpace::Hbm(_) => vec![ctx.segmap.hbm_seg(gcd)],
+            MemSpace::Hbm(_) => vec![hbm],
         };
-        segs.push(ctx.segmap.hbm_seg(gcd));
-        flows.push(FlowSpec::new(segs, mig_bytes, 1.0));
-        effects.insert(
-            0,
-            Effect::Migrate {
-                buf: alloc.id,
-                offset: 0,
-                len: bytes,
-                to: target,
-            },
-        );
+        out.flow(|| FlowSpec::new(then(segs, &[hbm]), mig_bytes, 1.0));
+        out.effect_first(Effect::Migrate {
+            buf: alloc.id,
+            offset: 0,
+            len: bytes,
+            to: target,
+        });
     }
     // After migration the operand is local.
-    flows.push(FlowSpec::new(
-        vec![ctx.segmap.hbm_seg(gcd)],
-        bytes as f64,
-        calib.eff_kernel_hbm,
-    ));
+    out.flow(|| FlowSpec::new(vec![hbm], bytes as f64, calib.eff_kernel_hbm));
     Ok(())
 }
 
@@ -451,79 +492,68 @@ pub fn plan_memcpy(
     let dst_space = ctx.dominant_space(dst_alloc);
     validate_kind(kind, src_space, dst_space)?;
 
-    let effect = Effect::Copy {
+    let mut out = Draft::new(ctx.mode);
+    out.effect(Effect::Copy {
         src,
         src_off,
         dst,
         dst_off,
         len: bytes,
-    };
+    });
     if bytes == 0 {
-        return Ok(OpPlan {
-            latency: calib.memcpy_call_overhead,
-            flows: vec![],
-            effects: vec![effect],
-        });
+        return Ok(out.finish(calib.memcpy_call_overhead));
     }
 
-    let (mut latency, flows) = match (src_space, dst_space) {
+    let mut latency = match (src_space, dst_space) {
         // Host -> device.
         (MemSpace::Ddr(n), MemSpace::Hbm(g)) => {
             let eff = host_copy_efficiency(calib, src_alloc.kind, rng);
-            let mut segs = ctx.host_traffic_segs(g, n, true);
-            segs.push(ctx.segmap.hbm_seg(g));
-            (
-                calib.memcpy_call_overhead + calib.host_dma_setup,
-                vec![FlowSpec::new(segs, bytes as f64, eff)],
-            )
+            let segs = ctx.host_traffic_segs(g, n, true);
+            out.flow(|| FlowSpec::new(then(segs, &[ctx.segmap.hbm_seg(g)]), bytes as f64, eff));
+            calib.memcpy_call_overhead + calib.host_dma_setup
         }
         // Device -> host.
         (MemSpace::Hbm(g), MemSpace::Ddr(n)) => {
             let eff = host_copy_efficiency(calib, dst_alloc.kind, rng);
-            let mut segs = ctx.host_traffic_segs(g, n, false);
-            segs.push(ctx.segmap.hbm_seg(g));
-            (
-                calib.memcpy_call_overhead + calib.host_dma_setup,
-                vec![FlowSpec::new(segs, bytes as f64, eff)],
-            )
+            let segs = ctx.host_traffic_segs(g, n, false);
+            out.flow(|| FlowSpec::new(then(segs, &[ctx.segmap.hbm_seg(g)]), bytes as f64, eff));
+            calib.memcpy_call_overhead + calib.host_dma_setup
         }
         // Device -> device, same GCD: blit through local HBM (read+write).
-        (MemSpace::Hbm(a), MemSpace::Hbm(b)) if a == b => (
-            calib.memcpy_call_overhead,
-            vec![FlowSpec::new(
-                vec![ctx.segmap.hbm_seg(a)],
-                2.0 * bytes as f64,
-                calib.eff_kernel_hbm,
-            )],
-        ),
+        (MemSpace::Hbm(a), MemSpace::Hbm(b)) if a == b => {
+            out.flow(|| {
+                FlowSpec::new(
+                    vec![ctx.segmap.hbm_seg(a)],
+                    2.0 * bytes as f64,
+                    calib.eff_kernel_hbm,
+                )
+            });
+            calib.memcpy_call_overhead
+        }
         // Device -> peer device.
-        (MemSpace::Hbm(a), MemSpace::Hbm(b)) => plan_peer_copy(ctx, a, b, bytes)?,
+        (MemSpace::Hbm(a), MemSpace::Hbm(b)) => plan_peer_copy(ctx, &mut out, a, b, bytes)?,
         // Host -> host.
         (MemSpace::Ddr(a), MemSpace::Ddr(b)) => {
-            let mut segs = vec![ctx.segmap.ddr_seg(a)];
-            if a != b {
-                let hop = ctx
-                    .topo
-                    .link_between(
-                        ifsim_topology::PortId::Numa(a),
-                        ifsim_topology::PortId::Numa(b),
-                    )
-                    .expect("NUMA mesh is complete");
-                segs.push(ctx.segmap.dir_seg(hop, direction_of(ctx.topo, hop, a)));
-                segs.push(ctx.segmap.ddr_seg(b));
-            }
-            (
-                calib.memcpy_call_overhead,
-                vec![FlowSpec::new(segs, bytes as f64, 0.9)],
-            )
+            out.flow(|| {
+                let mut segs = vec![ctx.segmap.ddr_seg(a)];
+                if a != b {
+                    let hop = ctx
+                        .topo
+                        .link_between(
+                            ifsim_topology::PortId::Numa(a),
+                            ifsim_topology::PortId::Numa(b),
+                        )
+                        .expect("NUMA mesh is complete");
+                    segs.push(ctx.segmap.dir_seg(hop, direction_of(ctx.topo, hop, a)));
+                    segs.push(ctx.segmap.ddr_seg(b));
+                }
+                FlowSpec::new(segs, bytes as f64, 0.9)
+            });
+            calib.memcpy_call_overhead
         }
     };
     latency = latency * rng.jitter(calib.latency_jitter_rel);
-    Ok(OpPlan {
-        latency,
-        flows,
-        effects: vec![effect],
-    })
+    Ok(out.finish(latency))
 }
 
 /// Plan a `hipMemset`: write-only traffic through the buffer's memory
@@ -543,29 +573,21 @@ pub fn plan_memset(
             alloc.bytes
         )));
     }
-    let effect = Effect::Fill {
+    let mut out = Draft::new(ctx.mode);
+    out.effect(Effect::Fill {
         dst,
         offset,
         value,
         len,
-    };
-    if len == 0 {
-        return Ok(OpPlan {
-            latency: calib.memcpy_call_overhead,
-            flows: vec![],
-            effects: vec![effect],
-        });
+    });
+    if len > 0 {
+        let (seg, eff) = match ctx.dominant_space(alloc) {
+            MemSpace::Hbm(g) => (ctx.segmap.hbm_seg(g), calib.eff_kernel_hbm),
+            MemSpace::Ddr(n) => (ctx.segmap.ddr_seg(n), 0.9),
+        };
+        out.flow(|| FlowSpec::new(vec![seg], len as f64, eff));
     }
-    let space = ctx.dominant_space(alloc);
-    let (segs, eff) = match space {
-        MemSpace::Hbm(g) => (vec![ctx.segmap.hbm_seg(g)], calib.eff_kernel_hbm),
-        MemSpace::Ddr(n) => (vec![ctx.segmap.ddr_seg(n)], 0.9),
-    };
-    Ok(OpPlan {
-        latency: calib.memcpy_call_overhead,
-        flows: vec![FlowSpec::new(segs, len as f64, eff)],
-        effects: vec![effect],
-    })
+    Ok(out.finish(calib.memcpy_call_overhead))
 }
 
 /// Plan a `hipMemPrefetchAsync`: proactively migrate a managed range to a
@@ -583,22 +605,20 @@ pub fn plan_prefetch(ctx: &PlanCtx<'_>, buf: BufferId, target: MemSpace) -> HipR
     }
     let pt = alloc.pages.as_ref().expect("managed allocation has pages");
     let pages = pt.non_resident_pages(0, alloc.bytes, target);
-    let effect = Effect::Migrate {
+    let mut out = Draft::new(ctx.mode);
+    out.effect(Effect::Migrate {
         buf,
         offset: 0,
         len: alloc.bytes,
         to: target,
-    };
+    });
     if pages == 0 {
-        return Ok(OpPlan {
-            latency: calib.memcpy_call_overhead,
-            flows: vec![],
-            effects: vec![effect],
-        });
+        return Ok(out.finish(calib.memcpy_call_overhead));
     }
     let from = ctx.dominant_space(alloc);
     let mig_bytes = (pages as u64 * pt.page_size()) as f64;
-    let mut segs = match (from, target) {
+    let dest = ctx.segmap.memory_seg(target.port());
+    let segs = match (from, target) {
         (MemSpace::Ddr(n), MemSpace::Hbm(g)) => ctx.host_traffic_segs(g, n, true),
         (MemSpace::Hbm(g), MemSpace::Ddr(n)) => ctx.host_traffic_segs(g, n, false),
         (MemSpace::Hbm(a), MemSpace::Hbm(b)) if a != b => ctx.peer_kernel_segs(b, a, true)?,
@@ -608,18 +628,15 @@ pub fn plan_prefetch(ctx: &PlanCtx<'_>, buf: BufferId, target: MemSpace) -> HipR
         // Same space: nothing to move (handled above), but residency may be
         // split across spaces with the same dominant — fall back to a local
         // memory touch.
-        _ => vec![ctx.segmap.memory_seg(target.port())],
+        _ => vec![dest],
     };
-    segs.push(ctx.segmap.memory_seg(target.port()));
-    Ok(OpPlan {
-        latency: calib.memcpy_call_overhead,
-        flows: vec![FlowSpec::new(segs, mig_bytes, calib.eff_memcpy_pinned)],
-        effects: vec![effect],
-    })
+    out.flow(|| FlowSpec::new(then(segs, &[dest]), mig_bytes, calib.eff_memcpy_pinned));
+    Ok(out.finish(calib.memcpy_call_overhead))
 }
 
 /// Peer-to-peer copy mechanics: SDMA engine (default) or blit kernel, or a
-/// host-staged bounce when peer access was never enabled.
+/// host-staged bounce when peer access was never enabled. Adds the copy's
+/// flow to `out` and returns its latency before jitter.
 ///
 /// Degraded-fabric behavior: a partitioned pair errors with
 /// [`HipError::LinkDown`]; a source GCD whose SDMA engines have failed
@@ -627,46 +644,40 @@ pub fn plan_prefetch(ctx: &PlanCtx<'_>, buf: BufferId, target: MemSpace) -> HipR
 /// rates add their retransmission latency to the op.
 fn plan_peer_copy(
     ctx: &PlanCtx<'_>,
+    out: &mut Draft,
     a: GcdId,
     b: GcdId,
     bytes: u64,
-) -> HipResult<(Dur, Vec<FlowSpec>)> {
+) -> HipResult<Dur> {
     let calib = ctx.calib;
+    let ends = [ctx.segmap.hbm_seg(a), ctx.segmap.hbm_seg(b)];
     let enabled = ctx.peer_enabled.contains(&(a, b)) || ctx.peer_enabled.contains(&(b, a));
     if !enabled {
         // Staged through host DDR: up one CPU link, down the other.
-        let na = ctx.topo.numa_of(a);
-        let mut segs = ctx.host_traffic_segs(a, na, false);
-        segs.extend(ctx.host_traffic_segs(b, na, true));
-        segs.push(ctx.segmap.hbm_seg(a));
-        segs.push(ctx.segmap.hbm_seg(b));
-        return Ok((
-            calib.memcpy_call_overhead * 2.0,
-            vec![FlowSpec::new(segs, bytes as f64, calib.eff_memcpy_pinned)],
-        ));
+        out.flow(|| {
+            let na = ctx.topo.numa_of(a);
+            let mut segs = ctx.host_traffic_segs(a, na, false);
+            segs.extend(ctx.host_traffic_segs(b, na, true));
+            FlowSpec::new(then(segs, &ends), bytes as f64, calib.eff_memcpy_pinned)
+        });
+        return Ok(calib.memcpy_call_overhead * 2.0);
     }
     let path = ctx.peer_route(a, b)?;
     let ber_latency = ctx.fabric_health.path_extra_latency(path);
     let use_sdma = ctx.env.peer_sdma_active() && !ctx.fabric_health.sdma_failed(a);
     Ok(if use_sdma {
-        let mut segs = ctx.segmap.path_segments(ctx.topo, path, false);
-        segs.push(ctx.segmap.hbm_seg(a));
-        segs.push(ctx.segmap.hbm_seg(b));
-        (
-            peer_copy_latency(ctx.topo, path, calib) + ber_latency,
-            vec![FlowSpec::new(segs, bytes as f64, calib.eff_sdma_xgmi)
-                .with_cap(calib.sdma_payload_cap)],
-        )
+        out.flow(|| {
+            let segs = ctx.segmap.path_segments(ctx.topo, path, false);
+            FlowSpec::new(then(segs, &ends), bytes as f64, calib.eff_sdma_xgmi)
+                .with_cap(calib.sdma_payload_cap)
+        });
+        peer_copy_latency(ctx.topo, path, calib) + ber_latency
     } else {
-        let mut segs = ctx.segmap.path_segments(ctx.topo, path, true);
-        segs.push(ctx.segmap.hbm_seg(a));
-        segs.push(ctx.segmap.hbm_seg(b));
-        (
-            calib.kernel_launch_overhead
-                + calib.peer_hop_latency * path.hops() as f64
-                + ber_latency,
-            vec![FlowSpec::new(segs, bytes as f64, calib.eff_kernel_xgmi)],
-        )
+        out.flow(|| {
+            let segs = ctx.segmap.path_segments(ctx.topo, path, true);
+            FlowSpec::new(then(segs, &ends), bytes as f64, calib.eff_kernel_xgmi)
+        });
+        calib.kernel_launch_overhead + calib.peer_hop_latency * path.hops() as f64 + ber_latency
     })
 }
 

@@ -1,5 +1,5 @@
-//! The runtime: API surface + the event loop joining the discrete-event
-//! engine with the fluid fabric network.
+//! The runtime: API surface + the event loop joining the streams' timed
+//! wake-ups with the fluid fabric network.
 
 use crate::device::{DeviceId, DeviceProps, DeviceTable};
 use crate::env::EnvConfig;
@@ -8,18 +8,35 @@ use crate::event::{EventId, EventTable};
 use crate::fault::{FabricHealth, FaultStats, RetryPolicy};
 use crate::kernel::KernelSpec;
 use crate::op::{MemcpyKind, OpLabel};
-use crate::plan::{plan_kernel, plan_memcpy, plan_prefetch, Effect, OpPlan, PlanCtx};
-use crate::stream::{OpRequest, QueuedOp, RunningOp, StreamId, StreamState, Work};
+use crate::plan::{plan_kernel, plan_memcpy, plan_prefetch, Effect, Mode, OpPlan, PlanCtx};
+use crate::stream::{Launch, OpRequest, QueuedOp, RunningOp, StreamId, StreamState, Work};
 use crate::trace::TraceKind;
-use ifsim_des::{Dur, Engine, Rng, Time};
+use ifsim_des::{Dur, EventQueue, Rng, Time};
 use ifsim_fabric::{Calibration, FaultEvent, FaultKind, FaultPlan, FlowId, FlowNet, SegmentMap};
 use ifsim_memory::{BufferId, HostAllocFlags, MemKind, MemSpace, MemorySystem};
 use ifsim_topology::{GcdId, LinkHealth, LinkId, LinkKind, NodeTopology, NumaId, PortId, Router};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Internal state the event engine operates on.
+/// A stream's timed wake-up in the runtime's queue.
+#[derive(Clone, Copy, Debug)]
+enum Wake {
+    /// The launch latency of the stream's [`Launch`] elapsed: admit its
+    /// flows.
+    Launch(StreamId),
+    /// A retry backoff elapsed: start the op re-queued at the stream's head.
+    Retry(StreamId),
+}
+
+/// Marks a flow no stream owns in [`Inner::flow_owner`]: it is done.
+const NO_OWNER: u32 = u32::MAX;
+
+/// Internal state the event loop operates on.
 pub struct Inner {
+    /// The virtual host clock.
+    now: Time,
+    /// Pending stream wake-ups; equal times pop in push order.
+    wakes: EventQueue<Wake>,
     topo: NodeTopology,
     /// The topology's shared healthy routes until a fault reroutes; a
     /// reroute replaces the handle and never mutates the router behind it.
@@ -34,7 +51,9 @@ pub struct Inner {
     default_streams: Vec<StreamId>,
     events: EventTable,
     peer_enabled: BTreeSet<(GcdId, GcdId)>,
-    flow_owner: BTreeMap<FlowId, StreamId>,
+    /// The stream index owning each flow, indexed by `FlowId` (ids are
+    /// dense per `FlowNet`); [`NO_OWNER`] once the flow is done.
+    flow_owner: Vec<u32>,
     rng: Rng,
     current: DeviceId,
     trace: crate::trace::Trace,
@@ -49,6 +68,13 @@ pub struct Inner {
     /// Causal dependency-DAG capture (critical-path profiling). `None`
     /// unless requested; strictly observation-only either way.
     dag: Option<crate::dag::DagBuilder>,
+    /// Test oracle: validate submissions with a full plan, discarded, as
+    /// the runtime once did, instead of the check-only mode.
+    #[cfg(test)]
+    double_plan: bool,
+    /// Plans built in full (test-only count).
+    #[cfg(test)]
+    plans_built: u64,
 }
 
 /// `hipMemAdvise` advice values the simulator models.
@@ -65,7 +91,6 @@ pub enum MemAdvise {
 
 /// The simulated HIP runtime. One instance models one process on the node.
 pub struct HipSim {
-    engine: Engine<Inner>,
     inner: Inner,
 }
 
@@ -95,8 +120,9 @@ impl HipSim {
         }
         let fabric_health = FabricHealth::healthy(&topo);
         let mut sim = HipSim {
-            engine: Engine::new(),
             inner: Inner {
+                now: Time::ZERO,
+                wakes: EventQueue::new(),
                 topo,
                 router,
                 calib,
@@ -108,7 +134,7 @@ impl HipSim {
                 default_streams,
                 events: EventTable::default(),
                 peer_enabled: BTreeSet::new(),
-                flow_owner: BTreeMap::new(),
+                flow_owner: Vec::new(),
                 rng: Rng::new(seed),
                 current: DeviceId(0),
                 trace: crate::trace::Trace::default(),
@@ -119,6 +145,10 @@ impl HipSim {
                 telemetry: false,
                 telemetry_flushed: false,
                 dag: None,
+                #[cfg(test)]
+                double_plan: false,
+                #[cfg(test)]
+                plans_built: 0,
             },
         };
         // Capture's one switch: under an installed telemetry collector the
@@ -145,7 +175,7 @@ impl HipSim {
 
     /// The virtual host clock.
     pub fn now(&self) -> Time {
-        self.engine.now()
+        self.inner.now
     }
 
     /// The node topology in use.
@@ -381,7 +411,7 @@ impl HipSim {
     fn event_wait(&mut self, ev: EventId, timeout: Option<Dur>) -> HipResult<()> {
         self.inner.events.timestamp(ev)?; // valid handle?
         let recorded = |inner: &Inner| matches!(inner.events.timestamp(ev), Ok(Some(_)));
-        let deadline = timeout.map(|t| self.engine.now() + t);
+        let deadline = timeout.map(|t| self.inner.now + t);
         let waited = self.run_until(
             |inner| {
                 recorded(inner)
@@ -427,7 +457,7 @@ impl HipSim {
 
     fn stream_wait(&mut self, stream: StreamId, timeout: Option<Dur>) -> HipResult<()> {
         self.check_stream(stream)?;
-        let deadline = timeout.map(|t| self.engine.now() + t);
+        let deadline = timeout.map(|t| self.inner.now + t);
         let waited = self.run_until(|inner| inner.streams[stream.idx()].idle(), deadline);
         if let (false, Some(t)) = (waited, timeout) {
             return Err(timeout_error(&format!("{stream:?} still busy"), t));
@@ -647,7 +677,7 @@ impl HipSim {
     /// Advance the host clock without doing anything (think `usleep` in a
     /// benchmark loop).
     pub fn host_sleep(&mut self, d: Dur) {
-        self.run_until(|_| false, Some(self.engine.now() + d));
+        self.run_until(|_| false, Some(self.inner.now + d));
     }
 
     /// `hipMemGetInfo`: `(free, total)` bytes of a device's HBM.
@@ -799,9 +829,9 @@ impl HipSim {
             .ok_or_else(|| {
                 HipError::InvalidValue(format!("{a} and {b} are not directly linked"))
             })?;
-        // The fabric clock lags the engine between flow events; bring it
+        // The fabric clock lags the host clock between flow events; bring it
         // up first so in-flight bytes accrue at the old rate until now.
-        self.inner.net.advance_to(self.engine.now());
+        self.inner.net.advance_to(self.inner.now);
         self.inner.fabric_health.derate.insert(link, factor);
         self.inner.refresh_link(link);
         Ok(())
@@ -884,6 +914,7 @@ impl HipSim {
             mem: &self.inner.mem,
             peer_enabled: &self.inner.peer_enabled,
             fabric_health: &self.inner.fabric_health,
+            mode: Mode::Build,
         }
     }
 
@@ -925,7 +956,7 @@ impl HipSim {
             }
         }
         for stream in started {
-            Inner::start_next(&mut self.inner, &mut self.engine, stream);
+            self.inner.start_next(stream);
         }
         result
     }
@@ -950,8 +981,8 @@ impl HipSim {
         }
     }
 
-    /// Validate a request by planning it against current state, then queue
-    /// it for (re-)planning at execution time.
+    /// Validate a request against current state, then queue it for
+    /// planning at execution time.
     fn submit_request(
         &mut self,
         sid: StreamId,
@@ -960,8 +991,9 @@ impl HipSim {
         label: OpLabel,
     ) -> HipResult<()> {
         let gcd = self.inner.streams[sid.idx()].gcd;
-        // Synchronous argument validation, as the HIP entry points do.
-        self.inner.build_plan(gcd, &req)?;
+        // Synchronous argument validation, as the HIP entry points do: the
+        // check-only plan makes the checks and jitter draws of a full one.
+        self.inner.build_plan(gcd, &req, self.inner.submit_mode())?;
         self.host_sleep(self.inner.calib.host_api_overhead);
         let st = &mut self.inner.streams[sid.idx()];
         st.queue.push_back(QueuedOp {
@@ -970,16 +1002,17 @@ impl HipSim {
             label,
             attempts: 0,
         });
-        Inner::start_next(&mut self.inner, &mut self.engine, sid);
+        self.inner.start_next(sid);
         Ok(())
     }
 
-    /// The event loop, and the only place the runtime drives the DES engine,
-    /// the fabric's flow completions and the fault schedule. Processes
-    /// happenings in time order until `done` holds (checked before each)
-    /// and reports whether it did. At equal times a scheduled fault applies
-    /// first, so simultaneous op starts and completions already see the
-    /// degraded fabric; then a DES event; then a flow completion. With a
+    /// The event loop, and the only place the runtime drives the stream
+    /// wake-ups, the fabric's flow completions and the fault schedule.
+    /// Processes happenings in time order until `done` holds (checked
+    /// before each) and reports whether it did. At equal times a scheduled
+    /// fault applies first, so simultaneous op starts and completions
+    /// already see the degraded fabric; then a wake-up (in the order they
+    /// were scheduled); then a flow completion. With a
     /// `deadline` the loop stops before any later happening and moves the
     /// clocks to the deadline; without one, running out of happenings
     /// before `done` holds is a deadlock.
@@ -989,9 +1022,9 @@ impl HipSim {
                 return true;
             }
             let fault = self.inner.fault_plan.peek_time();
-            let event = self.engine.peek_time();
+            let wake = self.inner.wakes.peek_time();
             let flow = self.inner.net.peek_completion().map(|(t, _)| t);
-            let next = [fault, event, flow].into_iter().flatten().reduce(Time::min);
+            let next = [fault, wake, flow].into_iter().flatten().reduce(Time::min);
             let Some(next) = next.filter(|&t| deadline.is_none_or(|d| t <= d)) else {
                 let Some(d) = deadline else {
                     panic!(
@@ -999,22 +1032,30 @@ impl HipSim {
                          (a stream is waiting for work that was never submitted)"
                     );
                 };
-                self.engine.advance_to(d);
+                self.inner.advance_to(d);
                 self.inner.net.advance_to(d);
                 return false;
             };
             if fault == Some(next) {
                 let ev = self.inner.fault_plan.pop_next().expect("peeked fault");
-                let t = ev.at.max(self.engine.now());
-                self.engine.advance_to(t);
+                let t = ev.at.max(self.inner.now);
+                self.inner.advance_to(t);
                 self.inner.net.advance_to(t);
-                Inner::apply_fault(&mut self.inner, &mut self.engine, ev);
-            } else if event == Some(next) {
-                self.engine.step(&mut self.inner);
+                self.inner.apply_fault(ev);
+            } else if wake == Some(next) {
+                let (t, woken) = self.inner.wakes.pop().expect("peeked wake");
+                self.inner.advance_to(t);
+                match woken {
+                    Wake::Launch(sid) => self.inner.launch(sid),
+                    Wake::Retry(sid) => {
+                        self.inner.streams[sid.idx()].starting = false;
+                        self.inner.start_next(sid);
+                    }
+                }
             } else {
                 let (t, fid) = self.inner.net.complete_next().expect("peeked flow");
-                self.engine.advance_to(t);
-                Inner::on_flow_done(&mut self.inner, &mut self.engine, fid);
+                self.inner.advance_to(t);
+                self.inner.on_flow_done(fid);
             }
         }
     }
@@ -1026,8 +1067,63 @@ fn timeout_error(what: &str, timeout: Dur) -> HipError {
 }
 
 impl Inner {
-    /// Plan a request against the *current* memory/residency state.
-    fn build_plan(&mut self, gcd: GcdId, req: &OpRequest) -> HipResult<OpPlan> {
+    /// Move the host clock to `t`: never backwards, never past a wake-up.
+    fn advance_to(&mut self, t: Time) {
+        assert!(
+            t >= self.now,
+            "clock moved backwards: to={t} now={}",
+            self.now
+        );
+        assert!(
+            self.wakes.peek_time().is_none_or(|w| t <= w),
+            "advance_to({t}) would skip a wake-up"
+        );
+        self.now = t;
+    }
+
+    /// The plan mode of submit-time validation: check-only, or under the
+    /// test oracle a full plan that is then discarded.
+    fn submit_mode(&self) -> Mode {
+        #[cfg(test)]
+        if self.double_plan {
+            return Mode::Build;
+        }
+        Mode::Check
+    }
+
+    /// Record that `sid` owns flow `fid` until it completes or aborts.
+    fn own_flow(&mut self, fid: FlowId, sid: StreamId) {
+        let i = usize::try_from(fid.0).expect("flow id fits the owner table");
+        if i >= self.flow_owner.len() {
+            self.flow_owner.resize(i + 1, NO_OWNER);
+        }
+        self.flow_owner[i] = u32::try_from(sid.0)
+            .ok()
+            .filter(|&s| s != NO_OWNER)
+            .expect("stream index below the owner sentinel");
+    }
+
+    /// The stream owning an active flow.
+    fn owner(&self, fid: FlowId) -> Option<StreamId> {
+        let i = usize::try_from(fid.0).ok()?;
+        let sid = *self.flow_owner.get(i)?;
+        (sid != NO_OWNER).then_some(StreamId(u64::from(sid)))
+    }
+
+    /// End a flow's ownership, returning its former owner.
+    fn disown_flow(&mut self, fid: FlowId) -> Option<StreamId> {
+        let sid = self.owner(fid)?;
+        self.flow_owner[fid.0 as usize] = NO_OWNER;
+        Some(sid)
+    }
+
+    /// Plan a request against the *current* memory/residency state; a
+    /// check-only plan carries the latency and nothing else.
+    fn build_plan(&mut self, gcd: GcdId, req: &OpRequest, mode: Mode) -> HipResult<OpPlan> {
+        #[cfg(test)]
+        if mode == Mode::Build {
+            self.plans_built += 1;
+        }
         let ctx = PlanCtx {
             topo: &self.topo,
             router: &self.router,
@@ -1037,6 +1133,7 @@ impl Inner {
             mem: &self.mem,
             peer_enabled: &self.peer_enabled,
             fabric_health: &self.fabric_health,
+            mode,
         };
         match req {
             OpRequest::Memcpy {
@@ -1073,8 +1170,8 @@ impl Inner {
     }
 
     /// Pop and begin the next queued op on a stream, if the stream is free.
-    fn start_next(inner: &mut Inner, engine: &mut Engine<Inner>, sid: StreamId) {
-        let st = &mut inner.streams[sid.idx()];
+    fn start_next(&mut self, sid: StreamId) {
+        let st = &mut self.streams[sid.idx()];
         if st.running.is_some() || st.starting {
             return;
         }
@@ -1088,18 +1185,18 @@ impl Inner {
         // `hipStreamWaitEvent`: if the event has not recorded yet, park the
         // stream; recording the event wakes it (see `finish_op`).
         if let Work::Request(OpRequest::WaitEvent(ev)) = &op.work {
-            match inner.events.timestamp(*ev) {
+            match self.events.timestamp(*ev) {
                 Ok(Some(_)) => {
                     // Already recorded: the wait is a no-op; move on. The
                     // DAG still notes the dependency for the next real op.
-                    if let Some(dag) = inner.dag.as_mut() {
+                    if let Some(dag) = self.dag.as_mut() {
                         dag.wait_satisfied(sid, ev.0);
                     }
-                    Inner::start_next(inner, engine, sid);
+                    self.start_next(sid);
                     return;
                 }
                 Ok(None) => {
-                    inner.streams[sid.idx()].parked_on = Some(*ev);
+                    self.streams[sid.idx()].parked_on = Some(*ev);
                     return;
                 }
                 Err(e) => panic!("wait on invalid event: {e}"),
@@ -1111,25 +1208,23 @@ impl Inner {
             // Arguments were validated at submission, so an execution-time
             // planning failure means state changed underneath the queue —
             // above all a fault that degraded the fabric.
-            Work::Request(req) => match Inner::build_plan(inner, gcd, &req) {
+            Work::Request(req) => match self.build_plan(gcd, &req, Mode::Build) {
                 Ok(p) => (p, Some(req)),
                 Err(e) => {
                     let run = RunningOp {
                         pending_flows: 0,
                         effects: Vec::new(),
                         event: op.event,
-                        started: engine.now(),
+                        started: self.now,
                         label: op.label,
                         request: Some(req),
                         attempts,
                     };
-                    Inner::retry_or_fail(inner, engine, sid, run, e, None);
+                    self.retry_or_fail(sid, run, e, None);
                     return;
                 }
             },
         };
-        let st = &mut inner.streams[sid.idx()];
-        st.starting = true;
         let OpPlan {
             latency,
             flows,
@@ -1139,81 +1234,83 @@ impl Inner {
             pending_flows: flows.len(),
             effects,
             event: op.event,
-            started: engine.now(),
+            started: self.now,
             label: op.label,
             request,
             attempts,
         };
-        engine.schedule_in(latency, move |inner: &mut Inner, engine| {
-            inner.streams[sid.idx()].starting = false;
-            // A fault may have struck while the launch latency elapsed:
-            // flows planned over a now-dead segment divert to the retry
-            // path instead of driving traffic into a downed link.
-            let dead = flows.iter().any(|f| {
-                f.segs
-                    .iter()
-                    .any(|&s| inner.net.segmap().capacity(s) <= 0.0)
-            });
-            if dead {
-                let err = HipError::LinkDown(format!(
-                    "op '{}' planned over a link that failed before it started",
-                    run.label
-                ));
-                Inner::retry_or_fail(inner, engine, sid, run, err, None);
-                return;
+        let st = &mut self.streams[sid.idx()];
+        st.starting = true;
+        st.launch = Some(Launch { run, flows });
+        self.wakes.push(self.now + latency, Wake::Launch(sid));
+    }
+
+    /// A stream's launch latency elapsed: its op starts running and its
+    /// flows enter the fabric.
+    fn launch(&mut self, sid: StreamId) {
+        let st = &mut self.streams[sid.idx()];
+        st.starting = false;
+        let Launch { run, flows } = st.launch.take().expect("launch wake has a launching op");
+        // A fault may have struck while the launch latency elapsed:
+        // flows planned over a now-dead segment divert to the retry
+        // path instead of driving traffic into a downed link.
+        let dead = flows
+            .iter()
+            .any(|f| f.segs.iter().any(|&s| self.net.segmap().capacity(s) <= 0.0));
+        if dead {
+            let err = HipError::LinkDown(format!(
+                "op '{}' planned over a link that failed before it started",
+                run.label
+            ));
+            self.retry_or_fail(sid, run, err, None);
+            return;
+        }
+        let started = run.started;
+        let run = self.streams[sid.idx()].running.insert(run);
+        if flows.is_empty() {
+            self.finish_op(sid);
+        } else {
+            // Batched admission: the whole op's flows (and any other
+            // same-timestamp admissions) share one deferred fair-share
+            // recompute instead of paying one per flow.
+            let now = self.now;
+            let fids = self.net.add_flows(now, flows);
+            if let Some(dag) = self.dag.as_mut() {
+                dag.op_flows_admitted(sid, started, now, &run.label, &fids);
             }
-            let started = run.started;
-            let st = &mut inner.streams[sid.idx()];
-            let run = st.running.insert(run);
-            if flows.is_empty() {
-                Inner::finish_op(inner, engine, sid);
-            } else {
-                // Batched admission: the whole op's flows (and any other
-                // same-timestamp admissions) share one deferred fair-share
-                // recompute instead of paying one per flow.
-                let now = engine.now();
-                let fids = inner.net.add_flows(now, flows);
-                if let Some(dag) = inner.dag.as_mut() {
-                    dag.op_flows_admitted(sid, started, now, &run.label, &fids);
-                }
-                for fid in fids {
-                    inner.flow_owner.insert(fid, sid);
-                }
+            for fid in fids {
+                self.own_flow(fid, sid);
             }
-        });
+        }
     }
 
     /// A fabric flow completed; credit it to its op.
-    fn on_flow_done(inner: &mut Inner, engine: &mut Engine<Inner>, fid: FlowId) {
-        let sid = inner
-            .flow_owner
-            .remove(&fid)
-            .expect("completed flow has an owner");
-        let st = &mut inner.streams[sid.idx()];
+    fn on_flow_done(&mut self, fid: FlowId) {
+        let sid = self.disown_flow(fid).expect("completed flow has an owner");
+        let st = &mut self.streams[sid.idx()];
         let run = st.running.as_mut().expect("op in flight");
         run.pending_flows -= 1;
         if run.pending_flows == 0 {
-            Inner::finish_op(inner, engine, sid);
+            self.finish_op(sid);
         }
     }
 
     /// Apply effects, stamp events, and move the stream along.
-    fn finish_op(inner: &mut Inner, engine: &mut Engine<Inner>, sid: StreamId) {
-        let st = &mut inner.streams[sid.idx()];
+    fn finish_op(&mut self, sid: StreamId) {
+        let st = &mut self.streams[sid.idx()];
         let dev = st.dev;
         let run = st.running.take().expect("op in flight");
         for e in run.effects {
-            inner.apply_effect(e);
+            self.apply_effect(e);
         }
         let recorded_event = run.event;
         if let Some(ev) = recorded_event {
-            inner
-                .events
-                .record(ev, engine.now())
+            self.events
+                .record(ev, self.now)
                 .expect("event created by this runtime");
         }
-        let end = engine.now();
-        if let Some(dag) = inner.dag.as_mut() {
+        let end = self.now;
+        if let Some(dag) = self.dag.as_mut() {
             dag.op_finished(
                 sid,
                 run.started,
@@ -1222,17 +1319,17 @@ impl Inner {
                 recorded_event.map(|e| e.0),
             );
         }
-        inner.trace.record_with(|| crate::trace::TraceEvent {
+        self.trace.record_with(|| crate::trace::TraceEvent {
             dev,
             stream: sid,
             start: run.started,
             end,
             kind: TraceKind::Done(run.label),
         });
-        Inner::start_next(inner, engine, sid);
+        self.start_next(sid);
         // Wake any streams parked on the event that just recorded.
         if let Some(ev) = recorded_event {
-            let waiters: Vec<StreamId> = inner
+            let waiters: Vec<StreamId> = self
                 .streams
                 .iter()
                 .enumerate()
@@ -1240,11 +1337,11 @@ impl Inner {
                 .map(|(i, _)| StreamId(i as u64))
                 .collect();
             for w in waiters {
-                inner.streams[w.idx()].parked_on = None;
-                if let Some(dag) = inner.dag.as_mut() {
+                self.streams[w.idx()].parked_on = None;
+                if let Some(dag) = self.dag.as_mut() {
                     dag.wait_satisfied(w, ev.0);
                 }
-                Inner::start_next(inner, engine, w);
+                self.start_next(w);
             }
         }
     }
@@ -1276,21 +1373,20 @@ impl Inner {
 
     /// Apply one scheduled fault: update health state, re-derive link
     /// capacities, rebuild routes, and abort/retry the ops it hit.
-    fn apply_fault(inner: &mut Inner, engine: &mut Engine<Inner>, ev: FaultEvent) {
-        inner.fault_stats.faults_applied += 1;
+    fn apply_fault(&mut self, ev: FaultEvent) {
+        self.fault_stats.faults_applied += 1;
         let kind = ev.kind;
         let link = kind.endpoints().map(|(a, b)| {
-            inner
-                .topo
+            self.topo
                 .link_between(PortId::Gcd(a), PortId::Gcd(b))
                 .expect("fault plan validated against the topology")
         });
         // Mark the fault on the timeline as a zero-length event (lane of
         // device 0's null stream; the '!' glyph makes it stand out in the
         // Gantt rendering).
-        let stream0 = inner.default_streams[0];
-        let now = engine.now();
-        inner.trace.record_with(|| crate::trace::TraceEvent {
+        let stream0 = self.default_streams[0];
+        let now = self.now;
+        self.trace.record_with(|| crate::trace::TraceEvent {
             dev: DeviceId(0),
             stream: stream0,
             start: now,
@@ -1300,92 +1396,78 @@ impl Inner {
         match kind {
             FaultKind::LaneLoss { lanes, .. } => {
                 let link = link.expect("lane loss targets a link");
-                let total = match inner.topo.link(link).kind {
+                let total = match self.topo.link(link).kind {
                     LinkKind::Xgmi(w) => w.lanes(),
                     _ => 1,
                 };
-                let current = match inner.fabric_health.health().get(link) {
+                let current = match self.fabric_health.health().get(link) {
                     LinkHealth::Healthy => total,
                     LinkHealth::Degraded { lanes } => lanes,
                     LinkHealth::Down => 0,
                 };
                 let left = current.saturating_sub(lanes);
                 if left == 0 {
-                    Inner::take_link_down(inner, engine, link, &kind);
+                    self.take_link_down(link, &kind);
                 } else {
-                    inner
-                        .fabric_health
+                    self.fabric_health
                         .health
                         .set(link, LinkHealth::Degraded { lanes: left });
-                    inner.refresh_link(link);
-                    inner.rebuild_router();
+                    self.refresh_link(link);
+                    self.rebuild_router();
                 }
             }
             FaultKind::LinkDown { .. } => {
                 let link = link.expect("link-down targets a link");
-                Inner::take_link_down(inner, engine, link, &kind);
+                self.take_link_down(link, &kind);
             }
             FaultKind::LinkRestore { .. } => {
                 let link = link.expect("restore targets a link");
-                inner.fabric_health.restore(link);
-                inner.refresh_link(link);
-                inner.rebuild_router();
+                self.fabric_health.restore(link);
+                self.refresh_link(link);
+                self.rebuild_router();
             }
             FaultKind::SdmaFail { gcd } => {
                 // Planning-time state only: copies from `gcd` fall back to
                 // the blit-kernel path from the next op on. In-flight SDMA
                 // transfers are left to drain (their descriptors were
                 // already issued).
-                inner.fabric_health.sdma_failed.insert(gcd);
+                self.fabric_health.sdma_failed.insert(gcd);
             }
             FaultKind::SdmaRestore { gcd } => {
-                inner.fabric_health.sdma_failed.remove(&gcd);
+                self.fabric_health.sdma_failed.remove(&gcd);
             }
             FaultKind::BitErrorRate {
                 tax, added_latency, ..
             } => {
                 let link = link.expect("bit-error fault targets a link");
-                inner.fabric_health.ber_tax.insert(link, tax);
-                inner.fabric_health.ber_latency.insert(link, added_latency);
+                self.fabric_health.ber_tax.insert(link, tax);
+                self.fabric_health.ber_latency.insert(link, added_latency);
                 // The retransmission tax shrinks wire capacity; routes are
                 // unchanged (the router orders by lane-level bandwidth).
-                inner.refresh_link(link);
+                self.refresh_link(link);
             }
             FaultKind::EccBurst { .. } => {
                 let link = link.expect("ECC burst targets a link");
-                let segs = inner.net.segmap().link_segments(link);
-                let aborted = inner.net.abort_flows_using(&segs);
-                Inner::recover_aborted(
-                    inner,
-                    engine,
-                    link,
-                    &kind,
-                    aborted,
-                    HipError::EccUncorrectable,
-                );
+                let segs = self.net.segmap().link_segments(link);
+                let aborted = self.net.abort_flows_using(&segs);
+                self.recover_aborted(link, &kind, aborted, HipError::EccUncorrectable);
             }
         }
     }
 
     /// Transition a link to [`LinkHealth::Down`]: zero its capacity, abort
     /// the flows crossing it, reroute, and recover the hit ops.
-    fn take_link_down(
-        inner: &mut Inner,
-        engine: &mut Engine<Inner>,
-        link: LinkId,
-        kind: &FaultKind,
-    ) {
-        inner.fabric_health.health.set(link, LinkHealth::Down);
-        let aborted = inner.net.fail_link(link);
-        inner.rebuild_router();
-        Inner::recover_aborted(inner, engine, link, kind, aborted, HipError::LinkDown);
+    fn take_link_down(&mut self, link: LinkId, kind: &FaultKind) {
+        self.fabric_health.health.set(link, LinkHealth::Down);
+        let aborted = self.net.fail_link(link);
+        self.rebuild_router();
+        self.recover_aborted(link, kind, aborted, HipError::LinkDown);
     }
 
     /// Route fault-aborted flows back to their owning ops: tear down each
     /// op's surviving sibling flows, then retry or fail the op.
     fn recover_aborted(
-        inner: &mut Inner,
-        engine: &mut Engine<Inner>,
+        &mut self,
         link: LinkId,
         kind: &FaultKind,
         aborted: Vec<(FlowId, f64)>,
@@ -1397,31 +1479,28 @@ impl Inner {
         let err = cause(format!("transfer aborted mid-flight: {kind}"));
         let mut first_aborted: BTreeMap<StreamId, FlowId> = BTreeMap::new();
         for (fid, _delivered) in &aborted {
-            if let Some(sid) = inner.flow_owner.remove(fid) {
+            if let Some(sid) = self.disown_flow(*fid) {
                 first_aborted.entry(sid).or_insert(*fid);
             }
-            *inner.fault_stats.link_errors.entry(link).or_insert(0) += 1;
+            *self.fault_stats.link_errors.entry(link).or_insert(0) += 1;
         }
-        inner.fault_stats.aborted_flows += aborted.len() as u64;
+        self.fault_stats.aborted_flows += aborted.len() as u64;
         for (sid, flow) in first_aborted {
             // An op completes or restarts as a unit: cancel its flows that
-            // survived the fault (they would deliver a torn transfer).
-            let siblings: Vec<FlowId> = inner
-                .flow_owner
-                .iter()
-                .filter(|(_, s)| **s == sid)
-                .map(|(f, _)| *f)
-                .collect();
+            // survived the fault (they would deliver a torn transfer), in
+            // ascending id order.
+            let mut siblings = self.net.active_ids();
+            siblings.retain(|&f| self.owner(f) == Some(sid));
             for f in siblings {
-                inner.flow_owner.remove(&f);
-                inner.net.cancel(f);
-                inner.fault_stats.aborted_flows += 1;
+                self.disown_flow(f);
+                self.net.cancel(f);
+                self.fault_stats.aborted_flows += 1;
             }
-            let run = inner.streams[sid.idx()]
+            let run = self.streams[sid.idx()]
                 .running
                 .take()
                 .expect("aborted flow belongs to a running op");
-            Inner::retry_or_fail(inner, engine, sid, run, err.clone(), Some(flow));
+            self.retry_or_fail(sid, run, err.clone(), Some(flow));
         }
     }
 
@@ -1436,24 +1515,22 @@ impl Inner {
     /// error: its queue is dropped (the in-order guarantee is void once an
     /// op is lost) and `err` waits for the next synchronization.
     fn retry_or_fail(
-        inner: &mut Inner,
-        engine: &mut Engine<Inner>,
+        &mut self,
         sid: StreamId,
         run: RunningOp,
         err: HipError,
         rerouted: Option<FlowId>,
     ) {
-        let now = engine.now();
-        let st = &mut inner.streams[sid.idx()];
+        let now = self.now;
+        let st = &mut self.streams[sid.idx()];
         let dev = st.dev;
         let (label, started) = (run.label, run.started);
         let kind = match run.request {
-            Some(req) if err.is_fault() && run.attempts < inner.retry.max_retries => {
+            Some(req) if err.is_fault() && run.attempts < self.retry.max_retries => {
                 let retry = run.attempts + 1;
-                inner.fault_stats.retries += 1;
+                self.fault_stats.retries += 1;
                 if let Some(flow) = rerouted {
-                    inner
-                        .net
+                    self.net
                         .flow_log_mut()
                         .push_with(|| ifsim_fabric::FlowEvent {
                             at: now,
@@ -1472,17 +1549,12 @@ impl Inner {
                     attempts: retry,
                 });
                 st.starting = true; // hold the stream through the backoff
-                engine.schedule_in(
-                    inner.retry.backoff(retry),
-                    move |inner: &mut Inner, engine| {
-                        inner.streams[sid.idx()].starting = false;
-                        Inner::start_next(inner, engine, sid);
-                    },
-                );
+                self.wakes
+                    .push(now + self.retry.backoff(retry), Wake::Retry(sid));
                 TraceKind::Aborted { op: label, retry }
             }
             _ => {
-                inner.fault_stats.failed_ops += 1;
+                self.fault_stats.failed_ops += 1;
                 st.queue.clear();
                 st.running = None;
                 st.starting = false;
@@ -1491,7 +1563,7 @@ impl Inner {
                 TraceKind::Failed { op: label, err }
             }
         };
-        inner.trace.record_with(|| crate::trace::TraceEvent {
+        self.trace.record_with(|| crate::trace::TraceEvent {
             dev,
             stream: sid,
             start: started,
@@ -1565,6 +1637,9 @@ impl Drop for HipSim {
         self.flush_telemetry();
     }
 }
+
+#[cfg(test)]
+mod dispatch_oracle;
 
 #[cfg(test)]
 mod tests {
@@ -2146,6 +2221,60 @@ mod tests {
         assert_eq!(hip.mem_get_info(5).unwrap().0, total);
     }
 
+    /// `run_until`'s order at one instant: the fault applies first, then
+    /// the wakes in the order they were scheduled (not in stream order),
+    /// then the flow completion.
+    #[test]
+    fn equal_time_happenings_keep_their_order() {
+        let mut hip = HipSim::new(EnvConfig::default());
+        hip.trace_enable();
+        let host = hip.host_malloc(MIB, HostAllocFlags::coherent()).unwrap();
+        let dev = hip.malloc(MIB).unwrap();
+        let s0 = hip.default_stream(0).unwrap();
+        hip.memcpy_async(dev, 0, host, 0, MIB, MemcpyKind::HostToDevice, s0)
+            .unwrap();
+        // Past the launch latency: the copy's one flow is in the fabric.
+        hip.host_sleep(Dur::from_us(100.0));
+        let (t, _) = hip.inner.net.peek_completion().expect("copy in flight");
+        let fault = FaultKind::SdmaFail { gcd: GcdId(5) };
+        hip.set_fault_plan(FaultPlan::new().at(t, fault)).unwrap();
+        let (s1, s2) = (hip.stream_create().unwrap(), hip.stream_create().unwrap());
+        // Two zero-flow launches wake at `t`, the later stream first.
+        for (sid, label) in [(s2, "first wake"), (s1, "second wake")] {
+            let st = &mut hip.inner.streams[sid.idx()];
+            st.starting = true;
+            st.launch = Some(Launch {
+                run: RunningOp {
+                    pending_flows: 0,
+                    effects: Vec::new(),
+                    event: None,
+                    started: hip.inner.now,
+                    label: OpLabel::from(label),
+                    request: None,
+                    attempts: 0,
+                },
+                flows: Vec::new(),
+            });
+            hip.inner.wakes.push(t, Wake::Launch(sid));
+        }
+        hip.synchronize_all().unwrap();
+        let at_t: Vec<(StreamId, String)> = (hip.trace().events().iter())
+            .filter(|e| e.end == t)
+            .map(|e| (e.stream, e.kind.to_string()))
+            .collect();
+        let s0_fault = hip.default_stream(0).unwrap();
+        assert_eq!(
+            at_t,
+            [
+                (s0_fault, TraceKind::Fault(fault).to_string()),
+                (s2, "first wake".to_string()),
+                (s1, "second wake".to_string()),
+                (s0, OpLabel::Memcpy { bytes: MIB }.to_string()),
+            ]
+        );
+        assert_eq!(hip.now(), t);
+    }
+
     #[test]
     fn trace_records_the_op_timeline() {
         let mut hip = HipSim::new(EnvConfig::default());
@@ -2350,7 +2479,7 @@ mod tests {
     #[test]
     fn derate_mid_flight_reshares_from_the_engine_clock() {
         // A GCD0→GCD1 peer read is in flight while an event recorded on a
-        // second stream is waited for: the engine clock moves past the
+        // second stream is waited for: the host clock moves past the
         // fabric clock. A derate there must charge the new rate only from
         // that instant on, and raising it again must not project a
         // completion into the past.

@@ -5,6 +5,7 @@ use crate::event::EventId;
 use crate::kernel::KernelSpec;
 use crate::op::{MemcpyKind, OpLabel};
 use crate::plan::{Effect, OpPlan};
+use ifsim_fabric::FlowSpec;
 use ifsim_memory::{BufferId, MemSpace};
 use ifsim_topology::GcdId;
 use std::collections::VecDeque;
@@ -33,8 +34,9 @@ impl fmt::Debug for StreamId {
 /// API-level ops are stored as *requests* and planned when they start, so
 /// plans see the memory state left behind by earlier ops on the stream
 /// (an async prefetch must change the plan of the kernel queued after it).
-/// Submission still plans once for synchronous argument validation.
-/// Library-internal submissions (`submit_plans`) carry a ready-made plan.
+/// Submission validates the arguments by running the planner in its
+/// check-only mode, which builds no flows or effects. Library-internal
+/// submissions (`submit_plans`) carry a ready-made plan.
 pub enum Work {
     /// Re-plan at execution time.
     Request(OpRequest),
@@ -132,6 +134,15 @@ pub struct RunningOp {
     pub attempts: u32,
 }
 
+/// An op in its launch latency: the plan's flows, admitted when the
+/// latency elapses, and the op they belong to.
+pub struct Launch {
+    /// The op, which becomes the stream's running op at admission.
+    pub run: RunningOp,
+    /// Fabric traffic to admit.
+    pub flows: Vec<FlowSpec>,
+}
+
 /// One stream's state.
 pub struct StreamState {
     /// Owning logical device.
@@ -142,8 +153,11 @@ pub struct StreamState {
     pub queue: VecDeque<QueuedOp>,
     /// The op in flight, if any.
     pub running: Option<RunningOp>,
-    /// Whether an op-start event is scheduled (op popped, latency pending).
+    /// Whether a wake-up is scheduled: an op's launch latency or a retry
+    /// backoff is elapsing.
     pub starting: bool,
+    /// The op whose launch latency is elapsing, if any.
+    pub launch: Option<Launch>,
     /// Event this stream is parked on (`hipStreamWaitEvent`), if any.
     pub parked_on: Option<EventId>,
     /// Sticky error from an op that failed beyond recovery (fault-aborted
@@ -162,6 +176,7 @@ impl StreamState {
             queue: VecDeque::new(),
             running: None,
             starting: false,
+            launch: None,
             parked_on: None,
             failed: None,
         }
@@ -169,8 +184,8 @@ impl StreamState {
 
     /// Whether queued or in-flight work on the stream may still read or
     /// write `buf`. A plan's effects name every buffer of its request, and
-    /// an op in its launch latency (`starting`) counts as using every
-    /// buffer: its plan is not visible until it runs.
+    /// a stream in a launch latency or a retry backoff (`starting`) counts
+    /// as using every buffer, as a conservative hold.
     pub(crate) fn uses(&self, buf: BufferId) -> bool {
         let queued = |op: &QueuedOp| match &op.work {
             Work::Request(req) => req.uses(buf),

@@ -6,21 +6,20 @@
 //! simulator. It provides the pieces every other layer builds on:
 //!
 //! - [`Time`] / [`Dur`]: virtual simulation time in nanoseconds.
-//! - [`Engine`]: a deterministic discrete-event engine scheduling closures
-//!   over a user-provided world type.
+//! - [`EventQueue`]: a deterministic time-ordered queue with FIFO ties, the
+//!   HIP runtime's queue of typed stream wake-ups.
 //! - [`Rng`]: a seeded SplitMix64 generator so every simulated measurement
 //!   is reproducible bit-for-bit.
 //! - [`stats`]: summary statistics used by the microbenchmark reports.
 //! - [`units`]: byte/bandwidth/time constants and pretty-printers shared by
 //!   every report in the workspace.
 //!
-//! The engine is intentionally minimal: the interconnect simulator in
+//! The queue is intentionally minimal: the interconnect simulator in
 //! `ifsim-fabric` keeps fluid flow state *outside* the event queue (rates are
 //! recomputed on every arrival/departure), so the queue only ever holds
-//! discrete happenings — op starts, fixed-duration timers, host wake-ups.
+//! discrete happenings — op launches and retry backoffs.
 
 pub mod cancel;
-pub mod engine;
 pub mod queue;
 pub mod rng;
 pub mod stats;
@@ -28,7 +27,6 @@ pub mod time;
 pub mod units;
 
 pub use cancel::CancelToken;
-pub use engine::Engine;
 pub use queue::EventQueue;
 pub use rng::Rng;
 pub use stats::Summary;

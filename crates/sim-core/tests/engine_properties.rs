@@ -1,7 +1,7 @@
 //! Property tests for the discrete-event core: ordering, determinism, and
 //! statistics invariants under randomized inputs.
 
-use ifsim_des::{stats, Dur, Engine, EventQueue, Rng, Summary, Time};
+use ifsim_des::{stats, Dur, EventQueue, Rng, Summary, Time};
 use proptest::prelude::*;
 
 proptest! {
@@ -25,34 +25,6 @@ proptest! {
             }
             last = Some((t.as_ns(), idx));
         }
-    }
-
-    /// The engine dispatches every scheduled event exactly once, in time
-    /// order, even when handlers schedule follow-ups.
-    #[test]
-    fn engine_dispatches_everything_once(delays in proptest::collection::vec(1u32..1000, 1..60)) {
-        #[derive(Default)]
-        struct W {
-            fired: Vec<f64>,
-            chained: usize,
-        }
-        let mut eng = Engine::<W>::new();
-        let mut w = W::default();
-        let n = delays.len();
-        for &d in &delays {
-            eng.schedule_in(Dur::from_ns(d as f64), move |w: &mut W, e: &mut Engine<W>| {
-                w.fired.push(e.now().as_ns());
-                // Every third event chains one more.
-                if w.fired.len().is_multiple_of(3) {
-                    e.schedule_in(Dur::from_ns(1.0), |w: &mut W, _| w.chained += 1);
-                }
-            });
-        }
-        eng.run(&mut w);
-        prop_assert_eq!(w.fired.len(), n);
-        prop_assert!(w.fired.windows(2).all(|p| p[0] <= p[1]), "time order");
-        prop_assert_eq!(eng.steps() as usize, n + w.chained);
-        prop_assert_eq!(eng.pending(), 0);
     }
 
     /// Summary statistics are permutation-invariant and self-consistent.
